@@ -8,7 +8,7 @@ from .farm import (Branch, FarmDescription, GridThevenin, NetworkMatrices,
                    PerUnitBases, WtParams, build_network_matrices, load_farm,
                    save_farm)
 from .modal import (ConcernSet, ModalSolution, eig_biorthogonal,
-                    participation_matrix, select_concern_modes)
+                    select_concern_modes)
 from .powerflow import (BusSolution, WtOperatingPoint, solve_powerflow,
                         wt_operating_point)
 from .validation import (LinearResponse, ValidationReport, compare_responses,

@@ -108,21 +108,28 @@ def _stage_modes(state: PipelineState) -> None:
     modal.write_mpf_csv(state.modal_sol, state.cfg.out_dir / "mpf.csv")
 
 
-def _pick_cluster_count(state: PipelineState) -> int:
-    """Smallest C whose centre error meets the target."""
+def _pick_cluster_count(state: PipelineState) -> clustering.ModeClusters:
+    """Clusters at the smallest C whose centre error meets the target.
+
+    E(C) is not monotone in C, so C is scanned linearly from 1; when no C
+    meets the target, every mode gets its own cluster.
+    """
     concern = state.concern
     for c in range(1, len(concern) + 1):
         cl = clustering.cluster_modes(concern, c, state.cfg.seed)
         if validation.error_E(concern, cl) <= state.cfg.e_target:
-            return c
-    return len(concern)
+            break
+    return cl
 
 
 def _stage_cluster(state: PipelineState) -> None:
     cfg = state.cfg
-    state.chosen_c = cfg.clusters if cfg.clusters else _pick_cluster_count(state)
-    state.clusters = clustering.cluster_modes(state.concern, state.chosen_c,
-                                              cfg.seed)
+    if cfg.clusters:
+        state.clusters = clustering.cluster_modes(state.concern, cfg.clusters,
+                                                  cfg.seed)
+    else:
+        state.clusters = _pick_cluster_count(state)
+    state.chosen_c = state.clusters.n_clusters
     rep_rows = {wt_id: state.fss.state_index(wt_id, cfg.state_filter[0])
                 for wt_id in state.fss.wt_order}
     state.features = clustering.superimpose_mpf(state.modal_sol.mpf,
@@ -234,7 +241,8 @@ def _write_scatter(state: PipelineState) -> None:
 
 
 def _write_features_svg(out_dir: Path) -> None:
-    rows = list(csv.reader((out_dir / "features.csv").open()))
+    with open(out_dir / "features.csv") as fh:
+        rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
     n_c = (len(header) - 1) // 3
     cats = [r[0] for r in body]
@@ -245,7 +253,8 @@ def _write_features_svg(out_dir: Path) -> None:
 
 
 def _write_responses_svg(out_dir: Path) -> None:
-    rows = list(csv.reader((out_dir / "responses.csv").open()))
+    with open(out_dir / "responses.csv") as fh:
+        rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
     col = {name: k for k, name in enumerate(header)}
     t = [float(r[col["t"]]) for r in body]
@@ -278,7 +287,8 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
 
 
 def _scatter_from_artifacts(out_dir: Path) -> None:
-    rows = list(csv.reader((out_dir / "modes.csv").open()))
+    with open(out_dir / "modes.csv") as fh:
+        rows = list(csv.reader(fh))
     body = rows[1:]
     selected = [(float(r[0]), float(r[1])) for r in body if r[5] == "1"]
     report = json.loads((out_dir / "report.json").read_text()) \

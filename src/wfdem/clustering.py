@@ -38,79 +38,151 @@ class ModeClusters:
         raise KeyError(f"mode {mode_index} not in any cluster")
 
 
+def _sqdist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Squared distances (R, N, C) from points (N, 2) to centres (R, C, 2).
+
+    dx² + dy² equals the sum of (p - c)² over the coordinate axis bit for
+    bit, without an (R, N, C, 2) temporary.
+    """
+    d2 = pts[None, :, None, 0] - centres[:, None, :, 0]
+    d2 *= d2
+    dy = pts[None, :, None, 1] - centres[:, None, :, 1]
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _inertia(pts: np.ndarray, centres: np.ndarray,
+             labels: np.ndarray) -> float:
+    return float(((pts - centres[labels]) ** 2).sum())
+
+
 def _kmeans_plus_plus(pts: np.ndarray, c: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    centres = np.empty((c, 2))
-    centres[0] = pts[rng.integers(len(pts))]
+                      rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ seeds (R, c, 2), one restart per generator.
+
+    Restart r draws only from rngs[r], in the order a lone restart would
+    (one `integers`, then one `choice` per further centre), so batching
+    changes no draw.  d2 holds each point's squared distance to its nearest
+    chosen centre and is lowered against the newest centre only.
+    """
+    n = len(pts)
+    centres = np.empty((len(rngs), c, 2))
+    centres[:, 0] = pts[[rng.integers(n) for rng in rngs]]
+    d2 = np.full((len(rngs), n), np.inf)
     for k in range(1, c):
-        d2 = np.min(((pts[:, None, :] - centres[None, :k, :]) ** 2
-                     ).sum(axis=2), axis=1)
-        total = d2.sum()
-        if total == 0:
-            centres[k] = pts[rng.integers(len(pts))]
-        else:
-            centres[k] = pts[rng.choice(len(pts), p=d2 / total)]
+        d2 = np.minimum(d2, _sqdist(pts, centres[:, k - 1:k])[..., 0])
+        for r, rng in enumerate(rngs):
+            total = d2[r].sum()
+            if total == 0:
+                centres[r, k] = pts[rng.integers(n)]
+            else:
+                centres[r, k] = pts[rng.choice(n, p=d2[r] / total)]
     return centres
+
+
+def _revive_empty(d2: np.ndarray, labels: np.ndarray, c: int) -> None:
+    """Move the worst-assigned point into each empty cluster, in place,
+    never emptying another cluster in the process."""
+    rows = np.arange(len(labels))
+    for k in range(c):
+        if not np.any(labels == k):
+            counts = np.bincount(labels, minlength=c)
+            movable = counts[labels] > 1
+            if not movable.any():
+                continue
+            dist = np.where(movable, d2[rows, labels], -np.inf)
+            labels[int(np.argmax(dist))] = k
+
+
+def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
+                 trace: list[list[float]] | None = None,
+                 max_iter: int = 200,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd iteration on R restarts at once.
+
+    `centres` is (R, C, 2); returns centres (R, C, 2), labels (R, N) and
+    inertia (R,).  Each restart follows its own schedule: assign, revive
+    empty clusters, stop as soon as its labels repeat (before moving its
+    centres), else move each centre to its members' mean.  The means are
+    per-(restart, cluster) bincount sums in point order, which equal the
+    sequential axis-0 sums of `pts[labels == k].mean(axis=0)`.  `trace`, if
+    given, holds one list per restart and receives that restart's inertia
+    at every iteration it runs.
+    """
+    centres = np.array(centres, dtype=float)
+    n_r, c, _ = centres.shape
+    n = len(pts)
+    labels = np.full((n_r, n), -1)
+    active = np.arange(n_r)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        d2 = _sqdist(pts, centres[active])
+        new_labels = d2.argmin(axis=2)
+        offsets = c * np.arange(len(active))[:, None]
+        counts = np.bincount((new_labels + offsets).ravel(),
+                             minlength=len(active) * c).reshape(-1, c)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            _revive_empty(d2[a], new_labels[a], c)
+        if trace is not None:
+            for a, r in enumerate(active):
+                trace[r].append(_inertia(pts, centres[r], new_labels[a]))
+        moved = (new_labels != labels[active]).any(axis=1)
+        active, new_labels = active[moved], new_labels[moved]
+        labels[active] = new_labels
+
+        flat = (new_labels + offsets[:len(active)]).ravel()
+        size = len(active) * c
+        counts = np.bincount(flat, minlength=size).reshape(-1, c, 1)
+        sums = np.stack([
+            np.bincount(flat, weights=np.tile(pts[:, j], len(active)),
+                        minlength=size) for j in (0, 1)], axis=-1)
+        means = sums.reshape(-1, c, 2) / np.maximum(counts, 1)
+        centres[active] = np.where(counts > 0, means, centres[active])
+    inertia = np.array([_inertia(pts, centres[r], labels[r])
+                        for r in range(n_r)])
+    return centres, labels, inertia
 
 
 def _lloyd(pts: np.ndarray, centres: np.ndarray,
            trace: list[float] | None = None,
            max_iter: int = 200) -> tuple[np.ndarray, np.ndarray, float]:
-    c = len(centres)
-    labels = np.full(len(pts), -1)
-    for _ in range(max_iter):
-        d2 = ((pts[:, None, :] - centres[None]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        for k in range(c):
-            if not np.any(new_labels == k):
-                # revive an empty cluster at the worst-assigned point, never
-                # emptying another cluster in the process
-                counts = np.bincount(new_labels, minlength=c)
-                movable = counts[new_labels] > 1
-                if not movable.any():
-                    continue
-                dist = np.where(movable,
-                                d2[np.arange(len(pts)), new_labels], -np.inf)
-                new_labels[int(np.argmax(dist))] = k
-        if trace is not None:
-            trace.append(float(((pts - centres[new_labels]) ** 2).sum()))
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        centres = np.array([pts[labels == k].mean(axis=0) if np.any(labels == k)
-                            else centres[k] for k in range(c)])
-    inertia = float(((pts - centres[labels]) ** 2).sum())
-    return centres, labels, inertia
+    """Single-restart Lloyd iteration from centres (C, 2)."""
+    out_c, labels, inertia = _lloyd_batch(
+        pts, np.asarray(centres)[None],
+        None if trace is None else [trace], max_iter)
+    return out_c[0], labels[0], float(inertia[0])
 
 
 def _kmeans_restart(pts: np.ndarray, c: int,
                     seed: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray, float]:
     rng = np.random.default_rng(seed)
-    centres = _kmeans_plus_plus(pts, c, rng)
-    return _lloyd(pts, centres)
+    return _lloyd(pts, _kmeans_plus_plus(pts, c, [rng])[0])
 
 
 def cluster_modes(concern: ConcernSet, c: int, seed: int,
                   n_restarts: int = 32) -> ModeClusters:
     """Seeded k-means over the concern representatives.
 
-    Restarts draw independent child seeds, so running them in any order (or
-    in parallel) reproduces the serial result; the lowest inertia wins and
-    exact ties fall back to lexicographic centre order.  Cluster indices are
+    All restarts run together as array operations.  Each restart keeps its
+    own child seed spawned from `seed`, so the batch reproduces running the
+    restarts one by one, in any order; the lowest inertia wins and exact
+    ties fall back to lexicographic centre order.  Cluster indices are
     canonical: sorted by centre (Re, Im).
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not 1 <= c <= len(pts):
         raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
 
-    children = np.random.SeedSequence(seed).spawn(n_restarts)
-    best: tuple[float, tuple, np.ndarray, np.ndarray] | None = None
-    for child in children:
-        centres, labels, inertia = _kmeans_restart(pts, c, child)
-        key = tuple(sorted(map(tuple, centres)))
-        if best is None or (inertia, key) < (best[0], best[1]):
-            best = (inertia, key, centres, labels)
-    inertia, _, centres, labels = best
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(n_restarts)]
+    all_centres, all_labels, all_inertia = _lloyd_batch(
+        pts, _kmeans_plus_plus(pts, c, rngs))
+    best = min(range(n_restarts), key=lambda r: (
+        all_inertia[r], tuple(sorted(map(tuple, all_centres[r])))))
+    centres, labels = all_centres[best], all_labels[best]
+    inertia = float(all_inertia[best])
 
     order = sorted(range(c), key=lambda k: (centres[k, 0], centres[k, 1]))
     members = tuple(

@@ -115,11 +115,6 @@ def eig_biorthogonal(a_s: np.ndarray,
                          pair_of=pair_of, labels=tuple(labels))
 
 
-def participation_matrix(sol: ModalSolution) -> np.ndarray:
-    """MPF table f_ki = V_ik U_ki (states down, modes across)."""
-    return sol.left.T * sol.right
-
-
 @dataclass(frozen=True)
 class ConcernSet:
     """Selected oscillatory pairs, one upper-half-plane representative each.

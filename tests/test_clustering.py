@@ -6,7 +6,7 @@ controller groups; k-means never sees them.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wfdem.cases import ground_truth_groups
 from wfdem.clustering import (FeatureTable, _kmeans_restart,
@@ -20,6 +20,77 @@ def concern_from_points(values) -> ConcernSet:
     eig = np.asarray(values, dtype=complex)
     return ConcernSet(mode_indices=tuple(range(len(eig))),
                       eigenvalues=eig, kinds=("u_dc",))
+
+
+# ---------------------------------------------------------------------------
+# serial reference: one restart at a time, one numpy call per cluster
+
+
+def serial_kmeans_plus_plus(pts, c, rng):
+    centres = np.empty((c, 2))
+    centres[0] = pts[rng.integers(len(pts))]
+    for k in range(1, c):
+        d2 = np.min(((pts[:, None, :] - centres[None, :k, :]) ** 2
+                     ).sum(axis=2), axis=1)
+        total = d2.sum()
+        if total == 0:
+            centres[k] = pts[rng.integers(len(pts))]
+        else:
+            centres[k] = pts[rng.choice(len(pts), p=d2 / total)]
+    return centres
+
+
+def serial_lloyd(pts, centres, max_iter=200):
+    c = len(centres)
+    labels = np.full(len(pts), -1)
+    for _ in range(max_iter):
+        d2 = ((pts[:, None, :] - centres[None]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for k in range(c):
+            if not np.any(new_labels == k):
+                counts = np.bincount(new_labels, minlength=c)
+                movable = counts[new_labels] > 1
+                if not movable.any():
+                    continue
+                dist = np.where(movable,
+                                d2[np.arange(len(pts)), new_labels], -np.inf)
+                new_labels[int(np.argmax(dist))] = k
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centres = np.array([pts[labels == k].mean(axis=0) if np.any(labels == k)
+                            else centres[k] for k in range(c)])
+    inertia = float(((pts - centres[labels]) ** 2).sum())
+    return centres, labels, inertia
+
+
+def serial_cluster_modes(concern, c, seed, n_restarts=32):
+    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(n_restarts):
+        rng = np.random.default_rng(child)
+        centres, labels, inertia = serial_lloyd(
+            pts, serial_kmeans_plus_plus(pts, c, rng))
+        key = tuple(sorted(map(tuple, centres)))
+        if best is None or (inertia, key) < (best[0], best[1]):
+            best = (inertia, key, centres, labels)
+    inertia, _, centres, labels = best
+    order = sorted(range(c), key=lambda k: (centres[k, 0], centres[k, 1]))
+    members = tuple(
+        tuple(concern.mode_indices[p] for p in np.flatnonzero(labels == k))
+        for k in order)
+    centre_cx = np.array([complex(np.mean(concern.eigenvalues[labels == k]))
+                          for k in order])
+    return members, centre_cx, inertia
+
+
+def assert_matches_serial(concern, c, seed, n_restarts=32):
+    got = cluster_modes(concern, c, seed, n_restarts=n_restarts)
+    members, centres, inertia = serial_cluster_modes(concern, c, seed,
+                                                     n_restarts)
+    assert got.members == members
+    assert np.array_equal(got.centres, centres)
+    assert got.inertia == inertia
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +177,32 @@ def test_lloyd_inertia_non_increasing(seed):
     trace: list[float] = []
     _lloyd(pts, centres0, trace=trace)
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+@st.composite
+def grid_points(draw):
+    """Points on a coarse grid, so duplicates are common, and a valid C."""
+    grid = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 3)),
+                         min_size=1, max_size=24))
+    return grid, draw(st.integers(1, len(grid)))
+
+
+# coincident seeds leave clusters empty (revival), and C above the number
+# of distinct points exhausts them during seeding (total == 0)
+@given(grid_points(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+@example(([(1, 2)] * 5, 4), 7, 4)
+@example(([(0, 0), (0, 0), (1, 0), (1, 0), (5, 1)], 5), 3, 8)
+def test_batched_kmeans_matches_serial_reference(points, seed, n_restarts):
+    grid, c = points
+    concern = concern_from_points([0.37 * x + 1.9j * y for x, y in grid])
+    assert_matches_serial(concern, c, seed, n_restarts)
+
+
+@pytest.mark.parametrize("case", ["b", "c", "d"])
+def test_batched_kmeans_matches_serial_on_study_cases(request, case):
+    concern = request.getfixturevalue(f"case_{case}").concern
+    for c in range(1, 34):
+        assert_matches_serial(concern, c, seed=42)
 
 
 def test_fixed_seed_is_deterministic(case_b):

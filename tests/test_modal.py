@@ -13,8 +13,8 @@ from wfdem.cases import identical_zero_network_farm
 from wfdem.assembly import assemble_farm
 from wfdem.farm import build_network_matrices
 from wfdem.modal import (DefectiveMatrixError, eig_biorthogonal,
-                         participation_matrix, select_concern_modes,
-                         write_modes_csv, write_mpf_csv)
+                         select_concern_modes, write_modes_csv,
+                         write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import linearize_wt, stiff_grid_mode
 
@@ -66,10 +66,9 @@ def test_residuals_and_biorthonormality_on_farm_matrix(case_a):
 
 def test_participation_matrix_definition(case_a):
     sol = case_a.modal
-    f = participation_matrix(sol)
-    assert np.array_equal(f, sol.mpf)
+    assert np.array_equal(sol.mpf, sol.left.T * sol.right)
     k, i = 7, 12
-    assert f[k, i] == sol.left[i, k] * sol.right[k, i]
+    assert sol.mpf[k, i] == sol.left[i, k] * sol.right[k, i]
 
 
 def test_repeated_eigenvalues_stay_biorthonormal():
