@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import FarmStateSpace, assemble_farm
+from .assembly import FarmStateSpace, linear_model
 from .clustering import GroupAssignment, ModeClusters
-from .farm import (Branch, FarmDescription, NetworkMatrices, WtParams,
-                   build_network_matrices, farm_to_dict, nodal_network)
+from .farm import Branch, FarmDescription, WtParams, farm_to_dict, nodal_network
 from .modal import ConcernSet, ModalSolution, eig_biorthogonal, select_concern_modes
-from .powerflow import BusSolution, solve_powerflow, wt_operating_point
-from .wt import dc_link_seconds, linearize_wt
+from .powerflow import BusSolution, solve_powerflow
+from .wt import dc_link_seconds
 
 
 class AggregationError(ValueError):
@@ -76,18 +75,20 @@ def aggregate_wts(farm: FarmDescription,
     return out
 
 
-def equivalent_network(farm: FarmDescription, groups: GroupAssignment,
-                       flows: BusSolution) -> list[Branch]:
+def equivalent_network(farm: FarmDescription,
+                       groups: GroupAssignment) -> list[Branch]:
     """Equal-loss equivalent branch POI -> aggregate bus, one per group.
 
     Member injections are taken proportional to their active powers at the
     operating point (uniform-voltage approximation); the resulting branch
     currents weight each collector impedance by the squared group power it
-    carries.  The shared Thevenin branch stays out of the equivalent.
+    carries.  The shared Thevenin branch stays out of the equivalent.  A
+    group whose members all sit on the POI's node carries no branch current
+    and gets an exact zero-impedance tie.
     """
     net = nodal_network(farm)
+    poi_node = net.node_of[farm.poi]
     members = _group_members(farm, groups)
-    bus_index = {bus: k for k, bus in enumerate(farm.buses)}
     branches: list[Branch] = []
     z_base = farm.bases.z_base_ohm
     omega = farm.bases.omega_grid
@@ -105,6 +106,8 @@ def equivalent_network(farm: FarmDescription, groups: GroupAssignment,
             z_eq = 0.0 + 0.0j
             warnings.warn(f"group {g} carries no power; zero-impedance tie",
                           stacklevel=2)
+        elif all(net.node_of[bus] in (poi_node, -1) for _, bus in members[g]):
+            z_eq = 0.0 + 0.0j
         else:
             v = (np.linalg.solve(net.y_red, inj)
                  if net.n_nodes else np.zeros(0, dtype=complex))
@@ -134,7 +137,6 @@ class DemModel:
     farm: FarmDescription
     provenance: dict[int, tuple[str, ...]]
     bus_solution: BusSolution
-    network: NetworkMatrices
     state_space: FarmStateSpace
     modal: ModalSolution
     concern: ConcernSet
@@ -157,8 +159,7 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
             "groups after merging", stacklevel=2)
 
     aggregates = aggregate_wts(farm, groups)
-    sol = solve_powerflow(farm)
-    eq_branches = equivalent_network(farm, groups, sol)
+    eq_branches = equivalent_network(farm, groups)
 
     buses = (farm.poi,) + tuple(br.to_bus for br in eq_branches)
     dem_farm = FarmDescription(
@@ -173,10 +174,7 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     dem_farm.validate()
 
     dem_sol = solve_powerflow(dem_farm)
-    blocks = [linearize_wt(wt, wt_operating_point(dem_sol, wt), dem_farm.bases)
-              for wt, _ in dem_farm.wts]
-    net = build_network_matrices(dem_farm)
-    fss = assemble_farm(blocks, net)
+    fss = linear_model(dem_farm, dem_sol)
     modal = eig_biorthogonal(fss.a_s, fss.labels)
     concern = select_concern_modes(modal, n_expected=dem_farm.n_wt)
 
@@ -184,7 +182,7 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     provenance = {g: tuple(wt.id for wt, _ in members[g])
                   for g in sorted(members)}
     return DemModel(farm=dem_farm, provenance=provenance,
-                    bus_solution=dem_sol, network=net, state_space=fss,
+                    bus_solution=dem_sol, state_space=fss,
                     modal=modal, concern=concern)
 
 

@@ -1,14 +1,15 @@
 """Closed-loop farm state space from per-WT blocks and the network matrices.
 
-With block-diagonal (A, B, C, D) over the WT blocks and the collector
-constraint du = Z di + K de, eliminating the terminal voltages gives
+With block-diagonal (A, B, C) over the WT blocks, which have no
+feedthrough, and the collector constraint du = Z di + K de, eliminating the
+terminal voltages gives
 
-    A_s = A + B (I - Z D)^-1 Z C          (D = 0 here, but kept general)
-    B_s = B (I - Z D)^-1 K
+    A_s = A + B Z C
+    B_s = B K
 
-The admittance form A + B (Y - D)^-1 C with Y = Z^-1 is algebraically the
-same whenever Z is invertible and is kept as a cross-check; the Z form is
-primary because Kron reduction always yields Z while Y may not exist for
+The admittance form A + B Y^-1 C with Y = Z^-1 is algebraically the same
+whenever Z is invertible and is kept as a cross-check; the Z form is primary
+because Kron reduction always yields Z while Y may not exist for
 zero-impedance ties.
 """
 
@@ -20,15 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .farm import NetworkMatrices
-from .powerflow import SLACK_E0
-from .wt import WtStateSpace
+from .farm import FarmDescription, NetworkMatrices, build_network_matrices
+from .powerflow import SLACK_E0, BusSolution, wt_operating_point
+from .wt import WtStateSpace, linearize_wt
 
 StateLabel = tuple[str, str]   # (wt id, state kind)
 
 
 class AssemblyError(RuntimeError):
-    """Network closure is singular."""
+    """Z is singular, so the admittance form does not exist."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,8 @@ class FarmStateSpace:
     """Assembled farm model plus the output map back to terminal quantities.
 
     State k belongs to `labels[k] = (wt id, kind)`.  `c_out` recovers the
-    system-base current deviations di = c_out @ x; terminal voltages follow
-    from du = z @ di + k_src @ de.  POI quantities use the stored operating
-    point so power deviations can be reconstructed.
+    system-base current deviations di = c_out @ x.  POI quantities use the
+    stored operating point so power deviations can be reconstructed.
     """
 
     a_s: np.ndarray          # (4N, 4N)
@@ -46,12 +46,8 @@ class FarmStateSpace:
     labels: tuple[StateLabel, ...]
     wt_order: tuple[str, ...]
     c_out: np.ndarray        # (2N, 4N)
-    z: np.ndarray            # (2N, 2N)
-    k_src: np.ndarray        # (2N, 2)
     z_poi: np.ndarray        # (2, 2N)
     k_poi: np.ndarray        # (2, 2)
-    u_xy0: np.ndarray        # (2N,) stacked terminal voltages
-    i_xy0: np.ndarray        # (2N,) stacked system-base currents
     u_poi0: np.ndarray       # (2,)
     i_poi0: np.ndarray       # (2,)
 
@@ -62,30 +58,27 @@ class FarmStateSpace:
     def state_index(self, wt_id: str, kind: str) -> int:
         return self.labels.index((wt_id, kind))
 
-    def kind_rows(self, kind: str) -> np.ndarray:
-        return np.array([k for k, (_, kd) in enumerate(self.labels)
-                         if kd == kind], dtype=int)
-
     def wt_currents(self, x: np.ndarray) -> np.ndarray:
         """System-base current deviations, stacked (2N,) or (2N, nt)."""
         return self.c_out @ x
 
-    def wt_voltages(self, x: np.ndarray, de: np.ndarray) -> np.ndarray:
-        return self.z @ self.wt_currents(x) + self.k_src @ de
 
-    def poi_current(self, x: np.ndarray) -> np.ndarray:
-        di = self.wt_currents(x)
-        n = len(self.wt_order)
-        return di.reshape(n, 2, -1).sum(axis=0).reshape((2,) + di.shape[1:])
-
-    def poi_voltage(self, x: np.ndarray, de: np.ndarray) -> np.ndarray:
-        return self.z_poi @ self.wt_currents(x) + self.k_poi @ de
-
-    def poi_power(self, x: np.ndarray, de: np.ndarray) -> np.ndarray:
-        """Linearized active-power deviation exported at the POI."""
-        di = self.poi_current(x)
-        du = self.poi_voltage(x, de)
-        return self.u_poi0 @ di + self.i_poi0 @ du
+def _stack_blocks(blocks: list[WtStateSpace],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal (A, B, C) over the WT blocks, in block order."""
+    ns = sum(blk.a.shape[0] for blk in blocks)
+    n = len(blocks)
+    a = np.zeros((ns, ns))
+    b = np.zeros((ns, 2 * n))
+    c = np.zeros((2 * n, ns))
+    row = 0
+    for k, blk in enumerate(blocks):
+        m = blk.a.shape[0]
+        a[row:row + m, row:row + m] = blk.a
+        b[row:row + m, 2 * k:2 * k + 2] = blk.b
+        c[2 * k:2 * k + 2, row:row + m] = blk.c
+        row += m
+    return a, b, c
 
 
 def assemble_farm(blocks: list[WtStateSpace],
@@ -98,81 +91,48 @@ def assemble_farm(blocks: list[WtStateSpace],
         if blk.wt_id != wt_id:
             raise ValueError(
                 f"block order mismatch: {blk.wt_id!r} vs port {wt_id!r}")
-
-    ns = sum(blk.a.shape[0] for blk in blocks)
-    a = np.zeros((ns, ns))
-    b = np.zeros((ns, 2 * n))
-    c = np.zeros((2 * n, ns))
-    d = np.zeros((2 * n, 2 * n))
-    labels: list[StateLabel] = []
-    row = 0
-    for k, blk in enumerate(blocks):
-        m = blk.a.shape[0]
-        a[row:row + m, row:row + m] = blk.a
-        b[row:row + m, 2 * k:2 * k + 2] = blk.b
-        c[2 * k:2 * k + 2, row:row + m] = blk.c
-        d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk.d
-        labels.extend((blk.wt_id, kind) for kind in blk.state_kinds)
-        row += m
+    labels = [(blk.wt_id, kind) for blk in blocks for kind in blk.state_kinds]
     if len(set(labels)) != len(labels):
         raise ValueError("state labels are not unique")
 
-    closure = np.eye(2 * n) - net.z @ d
-    try:
-        zc = np.linalg.solve(closure, net.z @ c)
-        ke = np.linalg.solve(closure, net.k_src)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("singular (I - Z D) closure") from exc
-
-    u_xy0 = np.concatenate([blk.u_xy0 for blk in blocks])
-    i_xy0 = np.concatenate([blk.i_xy0_sys for blk in blocks])
-    i_poi0 = i_xy0.reshape(n, 2).sum(axis=0)
+    a, b, c = _stack_blocks(blocks)
+    i_poi0 = np.sum([blk.i_xy0_sys for blk in blocks], axis=0)
     e0 = np.array([SLACK_E0.real, SLACK_E0.imag])
     u_poi0 = e0 + net.grid_block @ i_poi0
 
     return FarmStateSpace(
-        a_s=a + b @ zc,
-        b_s=b @ ke,
+        a_s=a + b @ (net.z @ c),
+        b_s=b @ net.k_src,
         labels=tuple(labels),
         wt_order=net.wt_order,
         c_out=c,
-        z=net.z,
-        k_src=net.k_src,
         z_poi=net.z_poi,
         k_poi=net.k_poi,
-        u_xy0=u_xy0,
-        i_xy0=i_xy0,
         u_poi0=u_poi0,
         i_poi0=i_poi0,
     )
 
 
+def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
+    """Linearize every WT at the power-flow solution and close the farm."""
+    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
+              for wt, _ in farm.wts]
+    return assemble_farm(blocks, build_network_matrices(farm))
+
+
 def closed_loop_via_admittance(blocks: list[WtStateSpace],
                                net: NetworkMatrices) -> np.ndarray:
-    """A_s through the admittance form A + B (Y - D)^-1 C.
+    """A_s through the admittance form A + B Y^-1 C.
 
     Requires Z invertible; used as an independent cross-check of the primary
     closure.
     """
-    ns = sum(blk.a.shape[0] for blk in blocks)
-    n = len(blocks)
-    a = np.zeros((ns, ns))
-    b = np.zeros((ns, 2 * n))
-    c = np.zeros((2 * n, ns))
-    d = np.zeros((2 * n, 2 * n))
-    row = 0
-    for k, blk in enumerate(blocks):
-        m = blk.a.shape[0]
-        a[row:row + m, row:row + m] = blk.a
-        b[row:row + m, 2 * k:2 * k + 2] = blk.b
-        c[2 * k:2 * k + 2, row:row + m] = blk.c
-        d[2 * k:2 * k + 2, 2 * k:2 * k + 2] = blk.d
-        row += m
+    a, b, c = _stack_blocks(blocks)
     try:
         y = np.linalg.inv(net.z)
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("Z is singular; admittance form unavailable") from exc
-    return a + b @ np.linalg.solve(y - d, c)
+    return a + b @ np.linalg.solve(y, c)
 
 
 def write_state_matrix_csv(fss: FarmStateSpace, path: str | Path) -> None:

@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import aggregation, clustering, modal, validation
-from .assembly import FarmStateSpace, assemble_farm
-from .farm import FarmDescription, build_network_matrices, load_farm
-from .powerflow import (BusSolution, solve_powerflow, wt_operating_point,
-                        write_bus_csv)
+from .assembly import FarmStateSpace, linear_model
+from .farm import FarmDescription, load_farm
+from .powerflow import BusSolution, solve_powerflow, write_bus_csv
 from .svgplot import PALETTE, bars_svg, lines_svg, scatter_svg
-from .wt import SagSpec, linearize_wt
+from .wt import SagSpec
 
 STAGES = ("load", "flow", "modes", "cluster", "aggregate", "validate")
 
 ARTIFACTS = {
     "flow": ("bus_solution.csv",),
     "modes": ("modes.csv", "mpf.csv"),
-    "cluster": ("features.csv", "groups.json", "modescatter.svg"),
+    "cluster": ("features.csv", "features.svg", "groups.json",
+                "modescatter.svg"),
     "aggregate": ("dem.json",),
     "validate": ("report.json", "responses.csv", "responses.svg"),
 }
@@ -95,14 +95,11 @@ def _stage_flow(state: PipelineState) -> None:
 
 
 def _stage_modes(state: PipelineState) -> None:
-    farm, sol = state.farm, state.sol
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    net = build_network_matrices(farm)
-    state.fss = assemble_farm(blocks, net)
+    state.fss = linear_model(state.farm, state.sol)
     state.modal_sol = modal.eig_biorthogonal(state.fss.a_s, state.fss.labels)
     state.concern = modal.select_concern_modes(
-        state.modal_sol, n_expected=farm.n_wt, kinds=state.cfg.state_filter)
+        state.modal_sol, n_expected=state.farm.n_wt,
+        kinds=state.cfg.state_filter)
     modal.write_modes_csv(state.modal_sol, state.concern,
                           state.cfg.out_dir / "modes.csv")
     modal.write_mpf_csv(state.modal_sol, state.cfg.out_dir / "mpf.csv")
@@ -137,6 +134,7 @@ def _stage_cluster(state: PipelineState) -> None:
     state.groups = clustering.group_wts(state.features, tau=cfg.group_tau)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
+    _write_features_svg(cfg.out_dir)
     clustering.write_groups_json(state.groups, cfg.out_dir / "groups.json")
     _write_scatter(state)
 
@@ -424,7 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _config_from_args(args)
             run_pipeline(cfg, upto=upto)
             if args.command == "all":
-                emit_plot(cfg.out_dir, "features")
                 emit_report(cfg.out_dir)
     except StageError as exc:
         print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)

@@ -31,12 +31,6 @@ class ModeClusters:
     def n_clusters(self) -> int:
         return len(self.members)
 
-    def centre_of(self, mode_index: int) -> complex:
-        for c, group in enumerate(self.members):
-            if mode_index in group:
-                return complex(self.centres[c])
-        raise KeyError(f"mode {mode_index} not in any cluster")
-
 
 def _sqdist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Squared distances (R, N, C) from points (N, 2) to centres (R, C, 2).
@@ -208,9 +202,6 @@ class FeatureTable:
     wt_ids: tuple[str, ...]
     table: np.ndarray            # complex (n_wt, n_clusters)
 
-    def feature_vector(self, wt_id: str) -> np.ndarray:
-        return self.table[self.wt_ids.index(wt_id)]
-
 
 def superimpose_mpf(mpf: np.ndarray, clusters: ModeClusters,
                     rep_rows: dict[str, int]) -> FeatureTable:
@@ -233,9 +224,6 @@ class GroupAssignment:
     @property
     def n_groups(self) -> int:
         return len(set(self.group_of.values()))
-
-    def members(self, group: int) -> tuple[str, ...]:
-        return tuple(wt for wt, g in self.group_of.items() if g == group)
 
 
 def group_wts(features: FeatureTable, tau: float = 0.1) -> GroupAssignment:

@@ -410,8 +410,6 @@ def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
     """Kron-reduce the collector network to the WT terminal ports."""
     net = nodal_network(farm)
     n_wt = farm.n_wt
-    wt_nodes = [net.node_of[bus] for _, bus in farm.wts]
-    poi_node = net.node_of[farm.poi]
 
     if net.n_nodes:
         try:
@@ -425,19 +423,15 @@ def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
     else:
         z_nodes = np.zeros((0, 0), dtype=complex)
 
-    zc = np.zeros((n_wt, n_wt), dtype=complex)
-    for a, na in enumerate(wt_nodes):
-        if na < 0:
-            continue   # terminal pinned to the source; zero impedance row
-        for b, nb in enumerate(wt_nodes):
-            if nb >= 0:
-                zc[a, b] = z_nodes[na, nb]
-
-    poi_c = np.zeros(n_wt, dtype=complex)
-    if poi_node >= 0:
-        for b, nb in enumerate(wt_nodes):
-            if nb >= 0:
-                poi_c[b] = z_nodes[poi_node, nb]
+    # ports: the WT terminals, then the POI; a port pinned to the source
+    # (node -1) keeps a zero impedance row and column
+    ports = np.array([net.node_of[bus] for _, bus in farm.wts]
+                     + [net.node_of[farm.poi]])
+    live = ports >= 0
+    z_ports = np.zeros((n_wt + 1, n_wt + 1), dtype=complex)
+    z_ports[np.ix_(live, live)] = z_nodes[np.ix_(ports[live], ports[live])]
+    zc = z_ports[:n_wt, :n_wt]
+    poi_c = z_ports[n_wt, :n_wt]
 
     # series-only network: a source deviation shifts every node one-to-one
     k_src = np.tile(np.eye(2), (n_wt, 1))

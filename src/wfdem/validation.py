@@ -18,13 +18,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .aggregation import DemModel
-from .assembly import FarmStateSpace, assemble_farm
+from .assembly import FarmStateSpace, linear_model
 from .clustering import ModeClusters
-from .farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
-                   build_network_matrices)
+from .farm import FarmDescription, GridThevenin, PerUnitBases, WtParams
 from .modal import ConcernSet
-from .powerflow import SLACK_E0, solve_powerflow, wt_operating_point
-from .wt import SagSpec, linearize_wt, simulate_wt_nonlinear, stiff_equilibrium
+from .powerflow import SLACK_E0, solve_powerflow
+from .wt import SagSpec, simulate_wt_nonlinear, stiff_equilibrium
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,9 @@ def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
     de_t = np.outer(de, active)
     u_dc = {wt_id: xs[fss.state_index(wt_id, "u_dc")]
             for wt_id in fss.wt_order}
-    poi_i = fss.poi_current(xs)
-    du_poi = fss.z_poi @ fss.wt_currents(xs) + fss.k_poi @ de_t
+    di = fss.wt_currents(xs)
+    poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
+    du_poi = fss.z_poi @ di + fss.k_poi @ de_t
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(t=t, u_dc=u_dc, poi_p=poi_p, poi_i=poi_i,
                           unstable=unstable)
@@ -208,9 +208,7 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
         grid=grid,
     )
     farm.validate()
-    sol = solve_powerflow(farm)
-    block = linearize_wt(wt, wt_operating_point(sol, wt), bases)
-    fss = assemble_farm([block], build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
     lin = simulate_linear(fss, sag, horizon, dt)
 
     value, _ = nrmse(du_dc_nl, lin.u_dc[wt.id])

@@ -56,7 +56,7 @@ def _c_prime(wt: WtParams, bases: PerUnitBases) -> float:
 class WtStateSpace:
     """Linearized single-WT block with its operating point.
 
-    d is exactly zero: the current references depend on states only.
+    There is no feedthrough: the current references depend on states only.
     `c` yields system-base current deviations; `i_xy0_sys` is the matching
     system-base operating current so farm-level outputs can be reconstructed.
     """
@@ -64,9 +64,7 @@ class WtStateSpace:
     a: np.ndarray            # (4, 4)
     b: np.ndarray            # (4, 2)
     c: np.ndarray            # (2, 4)
-    d: np.ndarray            # (2, 2)
     wt_id: str
-    u_xy0: np.ndarray        # (2,)
     i_xy0_sys: np.ndarray    # (2,)
     state_kinds: tuple[str, ...] = STATE_KINDS
 
@@ -103,9 +101,8 @@ def linearize_wt(wt: WtParams, op: WtOperatingPoint,
 
     ratio = wt.s_mva / bases.s_wt_mva if wt.s_mva is not None else 1.0
     return WtStateSpace(
-        a=a, b=b, c=ratio * c, d=np.zeros((2, 2)),
+        a=a, b=b, c=ratio * c,
         wt_id=wt.id,
-        u_xy0=op.u_xy0.copy(),
         i_xy0_sys=ratio * op.i_xy0,
     )
 

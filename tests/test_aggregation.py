@@ -7,12 +7,15 @@ tree-walk loss computation that never touches the nodal solver.
 import numpy as np
 import pytest
 
+from conftest import SolvedFarm, random_radial_farm
 from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
                                write_dem_json)
+from wfdem.assembly import linear_model
 from wfdem.cases import identical_zero_network_farm, single_wt_farm
 from wfdem.clustering import GroupAssignment
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
-                        WtParams, load_farm)
+                        WtParams, load_farm, nodal_network)
+from wfdem.modal import eig_biorthogonal, select_concern_modes
 from wfdem.powerflow import solve_powerflow
 from wfdem.wt import dc_link_seconds
 
@@ -108,8 +111,7 @@ def test_mw_and_mva_conservation(case_b):
 
 def test_single_wt_equivalent_is_the_branch():
     farm = single_wt_farm(link_km=2.0)
-    sol = solve_powerflow(farm)
-    eq = equivalent_network(farm, singleton_groups(farm), sol)
+    eq = equivalent_network(farm, singleton_groups(farm))
     z_eq = equivalent_z_pu(farm, eq[0])
     z_ref = branch_z_pu(farm, farm.branches[0])
     assert abs(z_eq - z_ref) < 1e-12
@@ -118,8 +120,7 @@ def test_single_wt_equivalent_is_the_branch():
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_chain_matches_closed_form(m):
     farm = chain_farm(m)
-    sol = solve_powerflow(farm)
-    eq = equivalent_network(farm, all_in_one_group(farm), sol)
+    eq = equivalent_network(farm, all_in_one_group(farm))
     z_span = branch_z_pu(farm, farm.branches[0])
     expected = z_span * (m + 1) * (2 * m + 1) / (6 * m)
     assert abs(equivalent_z_pu(farm, eq[0]) - expected) < 1e-12 * abs(expected)
@@ -131,8 +132,7 @@ def test_equal_loss_identity_against_tree_walk(case_b):
     plain downstream walk of the radial tree."""
     farm = case_b.farm
     _, groups, _ = case_b.dem(3)
-    sol = solve_powerflow(farm)
-    eq = equivalent_network(farm, groups, sol)
+    eq = equivalent_network(farm, groups)
 
     children = {}
     for br in farm.branches:
@@ -161,8 +161,7 @@ def test_equal_loss_identity_against_tree_walk(case_b):
 
 def test_singleton_groups_reduce_to_path_impedance():
     farm = chain_farm(3)
-    sol = solve_powerflow(farm)
-    eq = equivalent_network(farm, singleton_groups(farm), sol)
+    eq = equivalent_network(farm, singleton_groups(farm))
     z_span = branch_z_pu(farm, farm.branches[0])
     for k, br in enumerate(eq):
         assert abs(equivalent_z_pu(farm, br) - z_span * (k + 1)) \
@@ -175,15 +174,7 @@ def test_singleton_groups_reduce_to_path_impedance():
 
 def test_homogeneous_zero_network_dem_keeps_modes():
     farm = identical_zero_network_farm(8, p_m0=0.9)
-    sol = solve_powerflow(farm)
-    from wfdem.assembly import assemble_farm
-    from wfdem.farm import build_network_matrices
-    from wfdem.modal import eig_biorthogonal, select_concern_modes
-    from wfdem.powerflow import wt_operating_point
-    from wfdem.wt import linearize_wt
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
     concern = select_concern_modes(eig_biorthogonal(fss.a_s, fss.labels),
                                    n_expected=8)
     dem = build_dem(farm, all_in_one_group(farm))
@@ -196,15 +187,7 @@ def test_homogeneous_zero_network_dem_keeps_modes():
 def test_identity_aggregation_is_exact():
     from wfdem.validation import error_Eprime
     farm = identical_zero_network_farm(5, p_m0=0.7)
-    sol = solve_powerflow(farm)
-    from wfdem.assembly import assemble_farm
-    from wfdem.farm import build_network_matrices
-    from wfdem.modal import eig_biorthogonal, select_concern_modes
-    from wfdem.powerflow import wt_operating_point
-    from wfdem.wt import linearize_wt
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
     concern = select_concern_modes(eig_biorthogonal(fss.a_s, fss.labels),
                                    n_expected=5)
     dem = build_dem(farm, singleton_groups(farm))
@@ -228,3 +211,27 @@ def test_dem_json_round_trip(tmp_path, case_b):
 def test_dem_concern_count_matches_machine_count(case_b):
     _, _, dem = case_b.dem(3)
     assert len(dem.concern) == dem.farm.n_wt == 3
+
+
+@pytest.mark.parametrize("seed,c", [(25, 2), (25, 3), (31, 3), (43, 3),
+                                    (60, 2)])
+def test_group_on_the_poi_node_gets_an_exact_tie(seed, c):
+    """A group whose members all sit on the POI's merged node carries no
+    branch current, so its equivalent branch is exactly zero; a
+    roundoff-level impedance there makes the DEM power flow singular."""
+    from wfdem.validation import error_Eprime
+    solved = SolvedFarm(random_radial_farm(seed))
+    clusters, _, groups = solved.clustered(c)
+    dem = build_dem(solved.farm, groups, clusters)
+
+    node_of = nodal_network(solved.farm).node_of
+    on_poi = (node_of[solved.farm.poi], -1)
+    bus_of = {wt.id: bus for wt, bus in solved.farm.wts}
+    tied = [g for g in sorted(set(groups.group_of.values()))
+            if all(node_of[bus_of[wt]] in on_poi
+                   for wt, gg in groups.group_of.items() if gg == g)]
+    assert tied
+    for g in tied:
+        br = dem.farm.branches[g]
+        assert br.r_ohm_per_km == br.l_h_per_km == 0.0
+    assert np.isfinite(error_Eprime(solved.concern, dem.concern))

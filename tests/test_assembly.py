@@ -1,7 +1,8 @@
 """Whole-farm closure.
 
 Oracle for the N=2 case: eliminate the terminal voltages column by column
-with plain linear solves instead of forming the closed-loop product.
+with per-block matrix-vector products instead of forming the closed-loop
+product.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ def solved_blocks(farm):
 
 
 def dae_elimination_oracle(blocks, net) -> np.ndarray:
-    """A_s column by column: solve (I - Z D) du = Z C x_k per basis vector."""
+    """A_s column by column: du = Z C x_k per basis vector (no feedthrough)."""
     n = len(blocks)
     ns = 4 * n
     a_s = np.empty((ns, ns))
@@ -35,10 +36,7 @@ def dae_elimination_oracle(blocks, net) -> np.ndarray:
         x[k] = 1.0
         cx = np.concatenate([blk.c @ x[4 * j:4 * j + 4]
                              for j, blk in enumerate(blocks)])
-        lhs = np.eye(2 * n)
-        for j, blk in enumerate(blocks):
-            lhs[:, 2 * j:2 * j + 2] -= z[:, 2 * j:2 * j + 2] @ blk.d
-        du = np.linalg.solve(lhs, z @ cx)
+        du = z @ cx
         col = np.empty(ns)
         for j, blk in enumerate(blocks):
             col[4 * j:4 * j + 4] = (blk.a @ x[4 * j:4 * j + 4]

@@ -82,14 +82,33 @@ def test_invalid_farm_fails_in_load_stage(tmp_path, capsys):
     assert "error in stage load" in capsys.readouterr().err
 
 
-def test_flow_stage_writes_only_its_artifacts(tmp_path):
-    out = tmp_path / "flow_out"
-    code = main(["flow", "--farm", str(FARMS / "single_wt.json"),
+@pytest.mark.parametrize("stage", list(ARTIFACTS))
+def test_stage_writes_only_its_artifacts(tmp_path, stage):
+    """A subcommand writes the artifacts of its stage and of every earlier
+    stage, and nothing else."""
+    out = tmp_path / f"{stage}_out"
+    code = main([stage, "--farm", str(FARMS / "single_wt.json"),
                  "--out", str(out)])
     assert code == 0
-    assert (out / "bus_solution.csv").exists()
-    assert not (out / "modes.csv").exists()
-    assert not (out / "report.json").exists()
+    stages = list(ARTIFACTS)
+    expected = {name for s in stages[:stages.index(stage) + 1]
+                for name in ARTIFACTS[s]}
+    assert {p.name for p in out.iterdir()} == expected
+
+
+@pytest.mark.parametrize("case,flags", [("b", ["--clusters", "3"]),
+                                        ("c", ["--auto-clusters"])])
+def test_repeated_runs_write_identical_bytes(tmp_path, case, flags):
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        code = main(["all", "--farm", str(FARMS / f"case_{case}.json"),
+                     "--out", str(out)] + flags)
+        assert code == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(runs[0]) == sorted(runs[1])
+    for name, data in runs[0].items():
+        assert runs[1][name] == data, name
 
 
 def test_cluster_stage_scatter_has_no_dem_modes(tmp_path):

@@ -15,7 +15,7 @@ from wfdem.farm import GridThevenin, PerUnitBases, WtParams, build_network_matri
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import (SagSpec, dc_link_seconds, linearize_wt, nonlinear_rhs,
                       simulate_wt_nonlinear, stiff_equilibrium,
-                      stiff_grid_mode)
+                      stiff_grid_mode, terminal_quantities)
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0, u_dc_base_kv=1.2)
 
@@ -60,7 +60,12 @@ def test_aligned_frame_block_structure():
     cpr = dc_link_seconds(wt, farm.bases) * wt.u_dc0
     assert np.allclose(blk.b[0], [-op.i_d0 / cpr, 0.0], atol=1e-14)
     assert np.allclose(blk.c[:, 2], [0.0, op.i_d0], atol=1e-14)
-    assert np.array_equal(blk.d, np.zeros((2, 2)))
+    # no feedthrough: at a fixed state the injected current does not depend
+    # on the source voltage
+    x0 = np.array([wt.u_dc0, op.i_d0 / wt.ki_dvc, op.delta0, 0.0])
+    _, i_lo, _ = terminal_quantities(x0, np.array([0.9, 0.1]), wt, farm.grid)
+    _, i_hi, _ = terminal_quantities(x0, np.array([1.1, -0.2]), wt, farm.grid)
+    assert np.array_equal(i_lo, i_hi)
 
 
 @given(st.floats(0.2, 1.0), st.floats(0.5, 3.0), st.floats(100.0, 600.0),
