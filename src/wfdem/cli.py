@@ -15,10 +15,12 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import aggregation, clustering, modal, validation
 from .assembly import FarmStateSpace, linear_model
 from .farm import FarmDescription, load_farm
+from .gridcsv import as_printed, magnitude
 from .powerflow import BusSolution, solve_powerflow, write_bus_csv
 from .svgplot import PALETTE, bars_svg, lines_svg, scatter_svg
 from .wt import SagSpec
@@ -134,7 +136,9 @@ def _stage_cluster(state: PipelineState) -> None:
     state.groups = clustering.group_wts(state.features, tau=cfg.group_tau)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
-    _write_features_svg(cfg.out_dir)
+    _features_svg(cfg.out_dir, state.features.wt_ids, [
+        as_printed(magnitude(col))
+        for col in state.features.table.T])
     clustering.write_groups_json(state.groups, cfg.out_dir / "groups.json")
     _write_scatter(state)
 
@@ -178,11 +182,12 @@ def _stage_validate(state: PipelineState) -> None:
     }
     state.report = validation.build_report(
         state.concern, state.clusters, state.dem, nrmse_by_signal,
-        detailed.unstable, dem_resp.unstable, metadata)
+        state.modal_sol.unstable, state.dem.modal.unstable, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
     validation.write_responses_csv(detailed, dem_resp,
                                    cfg.out_dir / "responses.csv")
-    _write_responses_svg(state.cfg.out_dir)
+    _responses_svg(cfg.out_dir, *(as_printed(a) for a in (
+        detailed.t, detailed.poi_p, dem_resp.poi_p)))
 
 
 def _capacity(farm: FarmDescription, wt_id: str) -> float:
@@ -217,93 +222,103 @@ def run_pipeline(cfg: RunConfig, upto: str = "validate") -> PipelineState:
 # plots
 
 
-def _write_scatter(state: PipelineState) -> None:
-    concern = state.concern
-    clusters = state.clusters
-    idx_of = {m: k for k, m in enumerate(concern.mode_indices)}
-    dots = []
-    for c, group in enumerate(clusters.members):
-        pts = [(concern.eigenvalues[idx_of[m]].real,
-                concern.eigenvalues[idx_of[m]].imag) for m in group]
-        dots.append((f"cluster {c}", pts, PALETTE[c % len(PALETTE)]))
-    crosses = [("centres",
-                [(c.real, c.imag) for c in clusters.centres], "#000000")]
-    if state.dem is not None:
-        crosses.append(("DEM modes",
-                        [(lam.real, lam.imag)
-                         for lam in state.dem.concern.eigenvalues],
-                        "#d62728"))
-    scatter_svg(state.cfg.out_dir / "modescatter.svg",
+# One drawer per SVG.  The pipeline feeds it from memory, with numbers
+# rounded the way its CSV artifact prints them; `wfdem plot` feeds it from
+# the artifacts on disk, so both sources draw the same bytes.
+
+
+def _xy(z: complex) -> tuple[float, float]:
+    return (z.real, z.imag)
+
+
+def _scatter_svg(out_dir: Path, points: list[list[tuple[float, float]]],
+                 centres: list[tuple[float, float]],
+                 dem_modes: list[tuple[float, float]] | None) -> None:
+    """Concern modes coloured by cluster, centres and DEM modes as crosses."""
+    dots = [(f"cluster {c}", pts, PALETTE[c % len(PALETTE)])
+            for c, pts in enumerate(points)]
+    crosses = [("centres", centres, "#000000")]
+    if dem_modes is not None:
+        crosses.append(("DEM modes", dem_modes, "#d62728"))
+    scatter_svg(out_dir / "modescatter.svg",
                 "Concern modes and cluster centres",
                 "Re (rad/s)", "Im (rad/s)", dots, crosses)
 
 
-def _write_features_svg(out_dir: Path) -> None:
-    with open(out_dir / "features.csv") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    n_c = (len(header) - 1) // 3
-    cats = [r[0] for r in body]
-    series = [(f"cluster {c}", [float(r[1 + 3 * c]) for r in body])
-              for c in range(n_c)]
+def _features_svg(out_dir: Path, wt_ids: Sequence[str],
+                  magnitudes: list[list[float]]) -> None:
+    """|superimposed MPF| bars per WT, one series per cluster."""
+    series = [(f"cluster {c}", vals) for c, vals in enumerate(magnitudes)]
     bars_svg(out_dir / "features.svg", "Feature vectors per WT",
-             "WT", "|superimposed MPF|", cats, series)
+             "WT", "|superimposed MPF|", list(wt_ids), series)
 
 
-def _write_responses_svg(out_dir: Path) -> None:
-    with open(out_dir / "responses.csv") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    col = {name: k for k, name in enumerate(header)}
-    t = [float(r[col["t"]]) for r in body]
+def _responses_svg(out_dir: Path, t: list[float], detailed_p: list[float],
+                   dem_p: list[float]) -> None:
     series = [
-        ("detailed POI P", t,
-         [float(r[col["detailed_poi_p"]]) for r in body], PALETTE[0], False),
-        ("DEM POI P", t,
-         [float(r[col["dem_poi_p"]]) for r in body], PALETTE[1], True),
+        ("detailed POI P", t, detailed_p, PALETTE[0], False),
+        ("DEM POI P", t, dem_p, PALETTE[1], True),
     ]
     lines_svg(out_dir / "responses.svg",
               "POI active-power deviation under the sag",
               "t (s)", "dP (p.u.)", series)
 
 
+def _write_scatter(state: PipelineState) -> None:
+    concern, clusters = state.concern, state.clusters
+    idx_of = {m: k for k, m in enumerate(concern.mode_indices)}
+    points = [[_xy(concern.eigenvalues[idx_of[m]]) for m in group]
+              for group in clusters.members]
+    dem_modes = None if state.dem is None else [
+        _xy(lam) for lam in state.dem.concern.eigenvalues]
+    _scatter_svg(state.cfg.out_dir, points,
+                 [_xy(c) for c in clusters.centres], dem_modes)
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _load_report(out_dir: Path) -> dict:
+    path = out_dir / "report.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no report.json under {out_dir}")
+    return json.loads(path.read_text())
+
+
 def emit_plot(out_dir: str | Path, kind: str) -> Path:
-    """Regenerate one SVG from the artifacts already on disk."""
+    """Redraw one SVG from the artifacts already on disk."""
     out_dir = Path(out_dir)
     if kind == "scatter":
         path = out_dir / "modescatter.svg"
-        _scatter_from_artifacts(out_dir)
+        report = _load_report(out_dir)
+        meta = report["metadata"]
+        # mode_errors is in concern order, as are the members of a cluster
+        points = [[] for _ in meta["cluster_centres"]]
+        for m in report["mode_errors"]:
+            points[m["cluster"]].append((m["re"], m["im"]))
+        _scatter_svg(out_dir, points,
+                     [tuple(p) for p in meta["cluster_centres"]],
+                     [tuple(p) for p in meta["dem_modes"]])
     elif kind == "features":
         path = out_dir / "features.svg"
-        _write_features_svg(out_dir)
+        header, body = _read_csv(out_dir / "features.csv")
+        n_c = (len(header) - 1) // 3
+        _features_svg(out_dir, [r[0] for r in body],
+                      [[float(r[1 + 3 * c]) for r in body]
+                       for c in range(n_c)])
     elif kind == "responses":
         path = out_dir / "responses.svg"
-        _write_responses_svg(out_dir)
+        header, body = _read_csv(out_dir / "responses.csv")
+        col = {name: k for k, name in enumerate(header)}
+        _responses_svg(out_dir, *([float(r[col[name]]) for r in body]
+                                  for name in ("t", "detailed_poi_p",
+                                               "dem_poi_p")))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     return path
-
-
-def _scatter_from_artifacts(out_dir: Path) -> None:
-    with open(out_dir / "modes.csv") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    selected = [(float(r[0]), float(r[1])) for r in body if r[5] == "1"]
-    report = json.loads((out_dir / "report.json").read_text()) \
-        if (out_dir / "report.json").exists() else {}
-    meta = report.get("metadata", {})
-    dots = [("selected modes", selected, PALETTE[0])]
-    crosses = []
-    if "cluster_centres" in meta:
-        crosses.append(("centres",
-                        [tuple(p) for p in meta["cluster_centres"]],
-                        "#000000"))
-    if "dem_modes" in meta:
-        crosses.append(("DEM modes",
-                        [tuple(p) for p in meta["dem_modes"]], "#d62728"))
-    scatter_svg(out_dir / "modescatter.svg",
-                "Concern modes and cluster centres",
-                "Re (rad/s)", "Im (rad/s)", dots, crosses)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +327,7 @@ def _scatter_from_artifacts(out_dir: Path) -> None:
 
 def emit_report(out_dir: str | Path) -> str:
     """One-page text summary of a finished run."""
-    out_dir = Path(out_dir)
-    report_path = out_dir / "report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(f"no report.json under {out_dir}")
-    report = json.loads(report_path.read_text())
+    report = _load_report(Path(out_dir))
     meta = report["metadata"]
 
     lines = []

@@ -9,13 +9,13 @@ whose centroid features nearly coincide are merged, which is what turns
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .gridcsv import write_grid
 from .modal import ConcernSet
 
 
@@ -287,19 +287,8 @@ def group_wts(features: FeatureTable, tau: float = 0.1) -> GroupAssignment:
 
 
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
-    n_c = features.table.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["wt_id"]
-        for c in range(n_c):
-            header += [f"cluster{c}_abs", f"cluster{c}_re", f"cluster{c}_im"]
-        writer.writerow(header)
-        for r, wt in enumerate(features.wt_ids):
-            row = [wt]
-            for c in range(n_c):
-                f = features.table[r, c]
-                row += [f"{abs(f):.12g}", f"{f.real:.12g}", f"{f.imag:.12g}"]
-            writer.writerow(row)
+    write_grid(path, [f"cluster{c}" for c in range(features.table.shape[1])],
+               features.table, labels=("wt_id", features.wt_ids))
 
 
 def write_groups_json(groups: GroupAssignment, path: str | Path,

@@ -17,8 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import StateLabel
+from .gridcsv import write_grid
 
 _PAIR_RTOL = 1e-7
+# spectral abscissa above which a state matrix counts as unstable
+UNSTABLE_ABSCISSA = 1e-9
 
 
 class DefectiveMatrixError(RuntimeError):
@@ -44,6 +47,11 @@ class ModalSolution:
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def unstable(self) -> bool:
+        """Whether some mode lies right of `UNSTABLE_ABSCISSA`."""
+        return float(np.max(self.eigenvalues.real)) > UNSTABLE_ABSCISSA
 
     def kind_rows(self, kinds: tuple[str, ...]) -> np.ndarray:
         return np.array([k for k, (_, kd) in enumerate(self.labels)
@@ -183,15 +191,5 @@ def write_modes_csv(sol: ModalSolution, concern: ConcernSet | None,
 
 def write_mpf_csv(sol: ModalSolution, path: str | Path) -> None:
     """State-by-mode |f_ki| grid with re/im companion columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["state"]
-        for i in range(sol.n_modes):
-            header += [f"mode{i}_abs", f"mode{i}_re", f"mode{i}_im"]
-        writer.writerow(header)
-        for k, (wt, kind) in enumerate(sol.labels):
-            row = [f"{wt}:{kind}"]
-            for i in range(sol.n_modes):
-                f = sol.mpf[k, i]
-                row += [f"{abs(f):.12g}", f"{f.real:.12g}", f"{f.imag:.12g}"]
-            writer.writerow(row)
+    write_grid(path, [f"mode{i}" for i in range(sol.n_modes)], sol.mpf,
+               labels=("state", [f"{wt}:{kind}" for wt, kind in sol.labels]))

@@ -9,7 +9,6 @@ through the same grid-voltage sag and comparing normalized RMS errors.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ from .aggregation import DemModel
 from .assembly import FarmStateSpace, linear_model
 from .clustering import ModeClusters
 from .farm import FarmDescription, GridThevenin, PerUnitBases, WtParams
+from .gridcsv import write_grid
 from .modal import ConcernSet
 from .powerflow import SLACK_E0, solve_powerflow
 from .wt import SagSpec, simulate_wt_nonlinear, stiff_equilibrium
@@ -87,7 +87,6 @@ class LinearResponse:
     u_dc: dict[str, np.ndarray]      # per machine, machine p.u.
     poi_p: np.ndarray                # active-power deviation at the POI
     poi_i: np.ndarray                # (2, nt) current deviation at the POI
-    unstable: bool
 
 
 def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
@@ -96,8 +95,8 @@ def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
 
     The augmented matrix [[A_s, B_s de], [0, 0]] is exponentiated once; each
     step is then a single matrix-vector product, so the trajectory is exact
-    for the piecewise-constant input.  A non-Hurwitz state matrix is flagged,
-    never silently returned.
+    for the piecewise-constant input.  Stability is not checked here: the
+    model's `ModalSolution.unstable` flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -122,9 +121,6 @@ def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
         x_aug = phi @ x_aug
         xs[:, k + 1] = x_aug[:n]
 
-    abscissa = float(np.max(np.linalg.eigvals(fss.a_s).real))
-    unstable = abscissa > 1e-9
-
     active = (t >= sag.t_start).astype(float)
     de_t = np.outer(de, active)
     u_dc = {wt_id: xs[fss.state_index(wt_id, "u_dc")]
@@ -133,8 +129,7 @@ def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
     poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
     du_poi = fss.z_poi @ di + fss.k_poi @ de_t
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
-    return LinearResponse(t=t, u_dc=u_dc, poi_p=poi_p, poi_i=poi_i,
-                          unstable=unstable)
+    return LinearResponse(t=t, u_dc=u_dc, poi_p=poi_p, poi_i=poi_i)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +282,5 @@ def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,
         cols.append((f"detailed_u_dc_{wt_id}", detailed.u_dc[wt_id]))
     for wt_id in sorted(dem.u_dc):
         cols.append((f"dem_u_dc_{wt_id}", dem.u_dc[wt_id]))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _ in cols])
-        for k in range(len(detailed.t)):
-            writer.writerow([f"{arr[k]:.12g}" for _, arr in cols])
+    write_grid(path, [name for name, _ in cols],
+               np.column_stack([arr for _, arr in cols]))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import solved_case
+from helpers import solved_case
 from wfdem.cases import ground_truth_groups, identical_zero_network_farm
 from wfdem.cli import RunConfig, run_pipeline
 from wfdem.farm import load_farm

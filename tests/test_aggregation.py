@@ -7,7 +7,7 @@ tree-walk loss computation that never touches the nodal solver.
 import numpy as np
 import pytest
 
-from conftest import SolvedFarm, random_radial_farm
+from helpers import SolvedFarm, random_radial_farm
 from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
                                write_dem_json)
 from wfdem.assembly import linear_model

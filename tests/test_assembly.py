@@ -8,7 +8,7 @@ product.
 import numpy as np
 import pytest
 
-from conftest import random_radial_farm, solved_case
+from helpers import random_radial_farm, solved_case
 from wfdem.assembly import (AssemblyError, assemble_farm,
                             closed_loop_via_admittance,
                             write_state_matrix_csv)

@@ -1,5 +1,6 @@
 """Pipeline driver: subcommands, artifacts, determinism, error paths."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -163,3 +164,28 @@ def test_library_pipeline_prefix(tmp_path):
     assert state.concern is not None
     assert state.clusters is None
     assert (tmp_path / "prefix" / "modes.csv").exists()
+
+
+def test_plot_redraws_the_pipeline_svgs_byte_for_byte(tmp_path):
+    out = tmp_path / "b"
+    code = main(["all", "--farm", str(FARMS / "case_b.json"),
+                 "--clusters", "3", "--out", str(out)])
+    assert code == 0
+    for kind, name in (("scatter", "modescatter.svg"),
+                       ("features", "features.svg"),
+                       ("responses", "responses.svg")):
+        before = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert main(["plot", "--kind", kind, "--out", str(out)]) == 0
+        after = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert after == before, kind
+
+
+def test_plot_scatter_needs_the_report(tmp_path):
+    out = tmp_path / "cluster_out"
+    code = main(["cluster", "--farm", str(FARMS / "single_wt.json"),
+                 "--clusters", "1", "--out", str(out)])
+    assert code == 0
+    before = (out / "modescatter.svg").read_bytes()
+    with pytest.raises(FileNotFoundError, match="report.json"):
+        emit_plot(out, "scatter")
+    assert (out / "modescatter.svg").read_bytes() == before

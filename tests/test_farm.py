@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_radial_farm
+from helpers import random_radial_farm
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,

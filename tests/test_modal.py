@@ -126,6 +126,14 @@ def test_zero_input_reconstruction_on_concern_states(case_a):
     assert np.abs(modal_sum.real - direct).max() < 1e-8
 
 
+@pytest.mark.parametrize("abscissa,unstable", [(-1.0, False), (0.0, False),
+                                                (1e-9, False), (2e-9, True),
+                                                (3.0, True)])
+def test_unstable_flag_uses_the_spectral_abscissa(abscissa, unstable):
+    sol = eig_biorthogonal(np.diag([-5.0, abscissa, -2.0]))
+    assert sol.unstable is unstable
+
+
 def test_defective_matrix_raises():
     with pytest.raises(DefectiveMatrixError):
         eig_biorthogonal(np.array([[0.0, 1.0], [0.0, 0.0]]))
