@@ -5,11 +5,17 @@ rescaled so V_i U_i = 1; columns of the participation matrix then sum to one
 exactly, which is the normalization every downstream superposition relies on.
 Desk-scale farms (a few hundred states) make full dense decomposition the
 right tool; no selective or iterative solver is attempted.
+
+`eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms.  Its two
+threshold tests, cond_2(U) against 1e12 and |Im lam| against a multiple of
+||A||_2, are first decided by bounds that need no SVD; an SVD runs only where
+a bound cannot decide, so every decision is the one the SVD values give.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +26,13 @@ from .assembly import StateLabel
 from .gridcsv import write_grid
 
 _PAIR_RTOL = 1e-7
+# cond_2(U) above which the eigenvector basis counts as defective
+_COND_MAX = 1e12
+# ||U||_F ||V||_F >= cond_2(U) accepts the basis without an SVD below this,
+# two decades under _COND_MAX to absorb the roundoff in V and in cond(U)
+_CERT_MAX = _COND_MAX / 100.0
+# relative widening of the SVD-free bounds on ||A||_2, far above their roundoff
+_BOUND_SLACK = 1e-6
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
 
@@ -76,11 +89,16 @@ def eig_biorthogonal(a_s: np.ndarray,
     so participation factors are reproducible across runs and platforms.
     Left rows come from the inverse of the right basis, which enforces
     biorthonormality globally (repeated eigenvalues included).
+
+    Cost: one `eig`, one `inv` and O(n^2) norms.  An SVD runs only when
+    ||U||_F ||V||_F exceeds `_CERT_MAX` (then `cond(U)` decides) or when
+    an |Im lam| falls inside the bracket on ||A||_2, or a partner check
+    fails against its lower end (then `norm(A, 2)` decides).
     """
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
-    if a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
-        raise ValueError("state matrix must be square and finite")
+    if n == 0 or a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
+        raise ValueError("state matrix must be non-empty, square and finite")
     if labels is None:
         labels = _generic_labels(n)
     if len(labels) != n:
@@ -97,14 +115,81 @@ def eig_biorthogonal(a_s: np.ndarray,
         pivot = u[k, i]
         u[:, i] *= np.conj(pivot) / abs(pivot)
 
-    cond = np.linalg.cond(u)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise DefectiveMatrixError(
-            f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
-            "matrix is defective within working precision")
-    v = np.linalg.inv(u)
+    v = _inverse_basis(u)
+    pair_of = _pair_modes(a_s, lam)
+    mpf = v.T * u   # mpf[k, i] = v[i, k] * u[k, i]
 
-    scale = max(1.0, float(np.linalg.norm(a_s, ord=2)))
+    return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=mpf,
+                         pair_of=pair_of, labels=tuple(labels))
+
+
+def _inverse_basis(u: np.ndarray) -> np.ndarray:
+    """V = U^-1, or DefectiveMatrixError when cond_2(U) > `_COND_MAX`.
+
+    ||U||_F ||V||_F bounds cond_2(U) from above, so a small product accepts
+    the basis without an SVD.  A larger product, or a basis `inv` calls
+    singular, is judged by the SVD `cond(U)`.
+    """
+    try:
+        v = np.linalg.inv(u)
+        with np.errstate(over="ignore"):
+            certified = np.linalg.norm(u) * np.linalg.norm(v) <= _CERT_MAX
+    except np.linalg.LinAlgError:
+        v, certified = None, False
+    if not certified:
+        cond = np.linalg.cond(u)
+        if not np.isfinite(cond) or cond > _COND_MAX:
+            raise DefectiveMatrixError(
+                f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
+                "matrix is defective within working precision")
+        if v is None:
+            v = np.linalg.inv(u)    # a zero LU pivot despite cond(U): raise
+    return v
+
+
+def _norm2_bracket(a: np.ndarray, lam: np.ndarray,
+                   ) -> tuple[float, float] | None:
+    """SVD-free lo <= max(1, ||A||_2) <= hi, or None if ||A||_F overflows.
+
+    lo: the spectral radius and the largest column and row 2-norms;
+    hi: ||A||_F and sqrt(||A||_1 ||A||_inf).  Both are widened by
+    `_BOUND_SLACK` so that roundoff cannot put the SVD value outside.
+    """
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        return None
+    lo = max(float(np.abs(lam).max()),
+             float(np.linalg.norm(a, axis=0).max()),
+             float(np.linalg.norm(a, axis=1).max()))
+    hi = min(fro, math.sqrt(float(np.linalg.norm(a, 1)))
+             * math.sqrt(float(np.linalg.norm(a, np.inf))))
+    return (max(1.0, lo * (1.0 - _BOUND_SLACK)),
+            max(1.0, hi * (1.0 + _BOUND_SLACK)))
+
+
+def _pair_modes(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Conjugate pairing at the scale max(1, ||A||_2).
+
+    Inside the SVD-free bracket [lo, hi], a threshold that no |Im lam| falls
+    between decides alike for every scale, and a partner check passed at lo
+    passes at any larger scale.  Otherwise the exact norm decides.
+    """
+    bracket = _norm2_bracket(a, lam)
+    if bracket is not None:
+        lo, hi = bracket
+        im = np.abs(lam.imag)
+        if not np.any((im > _PAIR_RTOL * lo) & (im <= _PAIR_RTOL * hi)):
+            try:
+                return _pair_conjugates(lam, lo)
+            except DefectiveMatrixError:
+                pass
+    return _pair_conjugates(lam, max(1.0, float(np.linalg.norm(a, ord=2))))
+
+
+def _pair_conjugates(lam: np.ndarray, scale: float) -> np.ndarray:
+    """Greedy conjugate pairing of the modes with |Im lam| > rtol * scale."""
+    n = len(lam)
     pair_of = np.full(n, -1, dtype=int)
     unmatched = [i for i in range(n) if abs(lam[i].imag) > _PAIR_RTOL * scale]
     pos = [i for i in unmatched if lam[i].imag > 0]
@@ -116,11 +201,7 @@ def eig_biorthogonal(a_s: np.ndarray,
                 f"no conjugate partner for eigenvalue {lam[i]:.6g}")
         pair_of[i], pair_of[j] = j, i
         neg.discard(j)
-
-    mpf = v.T * u   # mpf[k, i] = v[i, k] * u[k, i]
-
-    return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=mpf,
-                         pair_of=pair_of, labels=tuple(labels))
+    return pair_of
 
 
 @dataclass(frozen=True)

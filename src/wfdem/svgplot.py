@@ -7,6 +7,7 @@ fixed decimal formatting everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,14 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _escape(text: str) -> str:
+    """XML character data, as `xml.sax.saxutils.escape` writes it.
+
+    Kept local: that module imports `urllib.request`, about 45 ms of start-up.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass
@@ -50,11 +59,17 @@ class Frame:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    import math
+    """At most n + 1 round ticks in [lo, hi]; [lo] for a degenerate span.
+
+    The walk stops a tolerance past hi.  A step of at most twice that
+    tolerance could overrun n steps, or fail to advance the value at all
+    on a span of a few ulps, so such a span is treated as degenerate.
+    """
     span = hi - lo
-    if span <= 0:
-        return [lo]
+    tol = 1e-12 * max(1.0, abs(hi))
     raw = span / n
+    if not (2.0 * tol < raw < math.inf and math.isfinite(hi + tol)):
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -63,7 +78,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     start = math.ceil(lo / step) * step
     out = []
     v = start
-    while v <= hi + 1e-12 * max(1.0, abs(hi)):
+    while v <= hi + tol:
         out.append(0.0 if abs(v) < step * 1e-9 else v)
         v += step
     return out
@@ -76,12 +91,12 @@ def _axes(frame: Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
         f'height="{_fmt(HEIGHT - MARGIN_T - MARGIN_B)}" '
         'fill="none" stroke="#404040" stroke-width="1"/>',
         f'<text x="{_fmt(WIDTH / 2)}" y="22" text-anchor="middle" '
-        f'font-size="14">{title}</text>',
+        f'font-size="14">{_escape(title)}</text>',
         f'<text x="{_fmt(WIDTH / 2)}" y="{_fmt(HEIGHT - 10)}" '
-        f'text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'text-anchor="middle" font-size="12">{_escape(xlabel)}</text>',
         f'<text x="16" y="{_fmt(HEIGHT / 2)}" text-anchor="middle" '
         f'font-size="12" transform="rotate(-90 16 {_fmt(HEIGHT / 2)})">'
-        f'{ylabel}</text>',
+        f'{_escape(ylabel)}</text>',
     ]
     for v in _ticks(frame.x_min, frame.x_max):
         px = frame.x(v)
@@ -127,7 +142,7 @@ def _legend(entries: list[tuple[str, str, str]]) -> list[str]:
                       f'x2="{_fmt(x + 6)}" y2="{_fmt(y - 3)}" '
                       f'stroke="{color}" stroke-width="2"/>')
         el.append(f'<text x="{_fmt(x + 10)}" y="{_fmt(y)}" '
-                  f'font-size="11">{label}</text>')
+                  f'font-size="11">{_escape(label)}</text>')
         y += 16.0
     return el
 
@@ -192,7 +207,8 @@ def bars_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     for k in range(0, n_cat, step):
         px = MARGIN_L + (k + 0.5) * slot
         el.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_B + 18)}" '
-                  f'text-anchor="middle" font-size="9">{categories[k]}</text>')
+                  'text-anchor="middle" font-size="9">'
+                  f'{_escape(categories[k])}</text>')
     el += _legend(legend)
     Path(path).write_text(_document(el))
 

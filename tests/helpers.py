@@ -4,6 +4,13 @@ Kept out of conftest.py so that test modules import it by a name no other
 test suite's conftest shadows.
 """
 
+import importlib.util
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from wfdem.aggregation import build_dem
@@ -15,6 +22,8 @@ from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
 from wfdem.modal import eig_biorthogonal, select_concern_modes
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import linearize_wt
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class SolvedFarm:
@@ -88,3 +97,31 @@ def random_radial_farm(seed: int) -> FarmDescription:
     )
     farm.validate()
     return farm
+
+
+def ladder_farm(feeders: int, spans: int, seed: int) -> FarmDescription:
+    """The benchmark's seeded F x S ladder farm with planted DVC groups."""
+    spec = importlib.util.spec_from_file_location(
+        "farmgen", ROOT / "perfbench" / "farmgen.py")
+    farmgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(farmgen)
+    return farmgen.ladder_farm(feeders, spans, seed, planted=True)[0]
+
+
+def run_python_bounded(args: list[str], timeout: float,
+                       ) -> subprocess.CompletedProcess:
+    """`python *args` in a child capped at 1 GiB of address space.
+
+    For code whose failure mode is an endless loop: the child fails on the
+    cap or the timeout instead of hanging the suite or exhausting memory.
+    """
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, *args], env=env,
+                          preexec_fn=cap_memory, capture_output=True,
+                          text=True, timeout=timeout)

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from helpers import run_python_bounded
 from wfdem.cli import (ARTIFACTS, RunConfig, emit_plot, emit_report, main,
                        run_pipeline)
 
@@ -189,3 +191,31 @@ def test_plot_scatter_needs_the_report(tmp_path):
     with pytest.raises(FileNotFoundError, match="report.json"):
         emit_plot(out, "scatter")
     assert (out / "modescatter.svg").read_bytes() == before
+
+
+def test_all_finishes_on_identical_modes(tmp_path):
+    # the 33 identical DVC modes put the cluster centre an ulp off them, so
+    # the scatter's y axis spans a few ulps; a child keeps a tick loop that
+    # cannot advance from hanging the suite
+    out = tmp_path / "zero"
+    proc = run_python_bounded(
+        ["-m", "wfdem.cli", "all", "--farm", str(FARMS / "zero_network.json"),
+         "--clusters", "1", "--out", str(out)], timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    for files in ARTIFACTS.values():
+        for name in files:
+            assert (out / name).exists(), name
+
+
+def test_svgs_escape_wt_ids(tmp_path):
+    farm = json.loads((FARMS / "single_wt.json").read_text())
+    farm["wts"][0]["id"] = "wt<1&2"
+    path = tmp_path / "odd_id.json"
+    path.write_text(json.dumps(farm))
+    out = tmp_path / "odd"
+    assert main(["all", "--farm", str(path), "--clusters", "1",
+                 "--out", str(out)]) == 0
+    for name in ("features.svg", "modescatter.svg", "responses.svg"):
+        ET.parse(out / name)
+    texts = [el.text for el in ET.parse(out / "features.svg").iter()]
+    assert "wt<1&2" in texts

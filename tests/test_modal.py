@@ -7,12 +7,15 @@ decoupled farm.
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
+from helpers import ROOT, SolvedFarm, ladder_farm
 from wfdem.cases import identical_zero_network_farm
 from wfdem.assembly import assemble_farm
-from wfdem.farm import build_network_matrices
-from wfdem.modal import (DefectiveMatrixError, eig_biorthogonal,
+from wfdem.farm import build_network_matrices, load_farm
+from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
+                         _norm2_bracket, eig_biorthogonal,
                          select_concern_modes, write_modes_csv,
                          write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
@@ -229,3 +232,158 @@ def test_modes_and_mpf_csv(tmp_path, case_a):
     assert sum(line.endswith(",1") for line in modes[1:]) == 33
     mpf = (tmp_path / "mpf.csv").read_text().strip().splitlines()
     assert len(mpf) == 1 + 132
+
+
+# ---------------------------------------------------------------------------
+# SVD reference: cond(U) gates the basis and ||A||_2 scales the pairing
+
+
+def reference_eig_biorthogonal(a_s, labels=None):
+    a_s = np.asarray(a_s, dtype=float)
+    n = a_s.shape[0]
+    if labels is None:
+        labels = tuple((f"x{k}", "state") for k in range(n))
+    lam, u = np.linalg.eig(a_s)
+    order = np.lexsort((lam.imag, lam.real))
+    lam = lam[order]
+    u = u[:, order]
+    for i in range(n):
+        k = int(np.argmax(np.abs(u[:, i])))
+        pivot = u[k, i]
+        u[:, i] *= np.conj(pivot) / abs(pivot)
+    cond = np.linalg.cond(u)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise DefectiveMatrixError(
+            f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
+            "matrix is defective within working precision")
+    v = np.linalg.inv(u)
+    scale = max(1.0, float(np.linalg.norm(a_s, ord=2)))
+    pair_of = np.full(n, -1, dtype=int)
+    unmatched = [i for i in range(n) if abs(lam[i].imag) > _PAIR_RTOL * scale]
+    pos = [i for i in unmatched if lam[i].imag > 0]
+    neg = set(i for i in unmatched if lam[i].imag < 0)
+    for i in pos:
+        j = min(neg, key=lambda j: abs(lam[j] - np.conj(lam[i])), default=None)
+        if j is None or abs(lam[j] - np.conj(lam[i])) > 1e-6 * scale:
+            raise DefectiveMatrixError(
+                f"no conjugate partner for eigenvalue {lam[i]:.6g}")
+        pair_of[i], pair_of[j] = j, i
+        neg.discard(j)
+    return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=v.T * u,
+                         pair_of=pair_of, labels=tuple(labels))
+
+
+def outcome(fn, a, labels=None):
+    try:
+        return fn(a, labels)
+    except DefectiveMatrixError as exc:
+        return str(exc)
+
+
+def assert_same_solution(got, ref):
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+        return
+    for field in ("eigenvalues", "right", "left", "mpf", "pair_of"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    assert got.labels == ref.labels
+
+
+def assert_matches_reference(a, labels=None):
+    assert_same_solution(outcome(eig_biorthogonal, a, labels),
+                         outcome(reference_eig_biorthogonal, a, labels))
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c", "d"])
+def test_matches_svd_reference_on_study_cases(request, case):
+    s = request.getfixturevalue(f"case_{case}")
+    assert_same_solution(s.modal,
+                         reference_eig_biorthogonal(s.fss.a_s, s.fss.labels))
+
+
+@pytest.mark.parametrize("farm", [
+    pytest.param(lambda: load_farm(ROOT / "farms" / "zero_network.json"),
+                 id="zero_network"),
+    pytest.param(lambda: ladder_farm(10, 10, 7), id="ladder10x10"),
+])
+def test_matches_svd_reference_on_farms(farm):
+    fss = SolvedFarm(farm()).fss
+    assert_matches_reference(fss.a_s, fss.labels)
+
+
+@st.composite
+def stable_matrices(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gain = 10.0 ** draw(st.integers(-3, 4))
+    a = gain * rng.normal(size=(n, n))
+    return a - (np.abs(np.linalg.eigvals(a)).max() + gain) * np.eye(n)
+
+
+@given(stable_matrices())
+def test_matches_svd_reference_on_random_matrices(a):
+    assert_matches_reference(a)
+
+
+@given(stable_matrices(), st.integers(2, 4))
+def test_matches_svd_reference_on_block_diagonal_copies(block, copies):
+    # repeated eigenvalues, each as often as there are copies
+    assert_matches_reference(np.kron(np.eye(copies), block))
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.99))
+@example(1, 0.5)
+def test_matches_svd_reference_between_the_pairing_thresholds(seed, where):
+    # an oscillator whose |Im lam| lies inside the bracket on ||A||_2, so only
+    # the exact norm decides whether it is paired
+    rng = np.random.default_rng(seed)
+    g = 50.0 * rng.normal(size=(8, 8))
+    a = np.zeros((10, 10))
+    a[:8, :8] = g - (np.abs(np.linalg.eigvals(g)).max() + 1.0) * np.eye(8)
+    a[8, 8] = a[9, 9] = -1.0
+    lo, hi = _norm2_bracket(a, np.linalg.eigvals(a))
+    w = _PAIR_RTOL * (lo + where * (hi - lo))
+    a[8, 9], a[9, 8] = w, -w
+    lo, hi = _norm2_bracket(a, np.linalg.eigvals(a))
+    assume(_PAIR_RTOL * lo < w <= _PAIR_RTOL * hi)
+    assert_matches_reference(a)
+
+
+@given(st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
+@example(-12.0 + np.log10(2.0), 0)
+def test_matches_svd_reference_on_near_defective_matrices(log_gap, seed):
+    # a 2x2 block with eigenvalues 1e-14 .. 1e-8 apart has cond(U) near
+    # 2 / gap: both sides of the 1e12 gate and of the Frobenius certificate
+    rng = np.random.default_rng(seed)
+    a = np.diag(-rng.uniform(2.0, 5.0, 4))
+    a[:2, :2] = [[-1.0, 1.0], [0.0, -1.0 - 10.0 ** log_gap]]
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    assert_matches_reference(q @ a @ q.T)
+
+
+def test_partner_check_failing_at_the_lower_bound_retries_exactly(
+        monkeypatch):
+    # ||A||_2 = 2 while the bracket's lower end is sqrt(2): a partner
+    # 1.7e-6 away fails against the lower end and passes against the norm
+    a = np.ones((2, 2))
+    lam = np.array([1.0j, -1.7e-6 - 1.0j])
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda _: (lam.copy(), np.eye(2, dtype=complex)))
+    got = eig_biorthogonal(a)
+    assert list(got.pair_of) == [1, 0]
+    assert_same_solution(got, reference_eig_biorthogonal(a))
+    lam[1] = -2.1e-6 - 1.0j     # too far for any scale in the bracket
+    assert_matches_reference(a)
+    assert "no conjugate partner" in outcome(eig_biorthogonal, a)
+
+
+def test_common_path_needs_no_svd(monkeypatch, case_b):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # cond and norm(ord=2) look svd up in the module that defines them
+    monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", no_svd)
+    with pytest.raises(AssertionError, match="SVD called"):
+        np.linalg.cond(np.eye(2))
+    sol = eig_biorthogonal(case_b.fss.a_s, case_b.fss.labels)
+    assert_same_solution(sol, case_b.modal)
