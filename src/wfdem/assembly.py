@@ -15,9 +15,7 @@ zero-impedance ties.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,10 +55,6 @@ class FarmStateSpace:
 
     def state_index(self, wt_id: str, kind: str) -> int:
         return self.labels.index((wt_id, kind))
-
-    def wt_currents(self, x: np.ndarray) -> np.ndarray:
-        """System-base current deviations, stacked (2N,) or (2N, nt)."""
-        return self.c_out @ x
 
 
 def _stack_blocks(blocks: list[WtStateSpace],
@@ -133,13 +127,3 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
     except np.linalg.LinAlgError as exc:
         raise AssemblyError("Z is singular; admittance form unavailable") from exc
     return a + b @ np.linalg.solve(y, c)
-
-
-def write_state_matrix_csv(fss: FarmStateSpace, path: str | Path) -> None:
-    """Row-major dump of a_s with labeled header."""
-    header = [f"{wt}:{kind}" for wt, kind in fss.labels]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in fss.a_s:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -36,6 +36,9 @@ ARTIFACTS = {
     "validate": ("report.json", "responses.csv", "responses.svg"),
 }
 
+STATE_FILTER = ("u_dc",)  # state kinds that rank modes; [0] gives features
+GROUP_TAU = 0.1           # relative centroid distance that merges WT groups
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -51,8 +54,6 @@ class RunConfig:
     clusters: int | None = None      # None selects the count automatically
     e_target: float = 0.02
     seed: int = 42
-    state_filter: tuple[str, ...] = ("u_dc",)
-    group_tau: float = 0.1
     sag: float = 0.05
     horizon: float = 2.0
     dt: float = 1e-3
@@ -101,7 +102,7 @@ def _stage_modes(state: PipelineState) -> None:
     state.modal_sol = modal.eig_biorthogonal(state.fss.a_s, state.fss.labels)
     state.concern = modal.select_concern_modes(
         state.modal_sol, n_expected=state.farm.n_wt,
-        kinds=state.cfg.state_filter)
+        kinds=STATE_FILTER)
     modal.write_modes_csv(state.modal_sol, state.concern,
                           state.cfg.out_dir / "modes.csv")
     modal.write_mpf_csv(state.modal_sol, state.cfg.out_dir / "mpf.csv")
@@ -129,11 +130,11 @@ def _stage_cluster(state: PipelineState) -> None:
     else:
         state.clusters = _pick_cluster_count(state)
     state.chosen_c = state.clusters.n_clusters
-    rep_rows = {wt_id: state.fss.state_index(wt_id, cfg.state_filter[0])
+    rep_rows = {wt_id: state.fss.state_index(wt_id, STATE_FILTER[0])
                 for wt_id in state.fss.wt_order}
     state.features = clustering.superimpose_mpf(state.modal_sol.mpf,
                                                 state.clusters, rep_rows)
-    state.groups = clustering.group_wts(state.features, tau=cfg.group_tau)
+    state.groups = clustering.group_wts(state.features, tau=GROUP_TAU)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
     _features_svg(cfg.out_dir, state.features.wt_ids, [
@@ -153,9 +154,11 @@ def _stage_aggregate(state: PipelineState) -> None:
 def _stage_validate(state: PipelineState) -> None:
     cfg = state.cfg
     sag = SagSpec(fraction=cfg.sag, t_start=0.1)
-    detailed = validation.simulate_linear(state.fss, sag, cfg.horizon, cfg.dt)
-    dem_resp = validation.simulate_linear(state.dem.state_space, sag,
+    detailed = validation.simulate_linear(state.fss, state.modal_sol, sag,
                                           cfg.horizon, cfg.dt)
+    dem_resp = validation.simulate_linear(state.dem.state_space,
+                                          state.dem.modal, sag, cfg.horizon,
+                                          cfg.dt)
     mapping = {
         g: tuple((wt_id, _capacity(state.farm, wt_id)) for wt_id in ids)
         for g, ids in state.dem.provenance.items()
@@ -168,7 +171,7 @@ def _stage_validate(state: PipelineState) -> None:
         "clusters": state.chosen_c,
         "clusters_requested": cfg.clusters if cfg.clusters else "auto",
         "seed": cfg.seed,
-        "state_filter": list(cfg.state_filter),
+        "state_filter": list(STATE_FILTER),
         "sag": cfg.sag,
         "horizon": cfg.horizon,
         "dt": cfg.dt,

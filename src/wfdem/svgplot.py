@@ -58,6 +58,11 @@ class Frame:
             * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
+def _tick_tol(hi: float) -> float:
+    """Roundoff allowance of a span ending at hi."""
+    return 1e-12 * max(1.0, abs(hi))
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     """At most n + 1 round ticks in [lo, hi]; [lo] for a degenerate span.
 
@@ -66,7 +71,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     on a span of a few ulps, so such a span is treated as degenerate.
     """
     span = hi - lo
-    tol = 1e-12 * max(1.0, abs(hi))
+    tol = _tick_tol(hi)
     raw = span / n
     if not (2.0 * tol < raw < math.inf and math.isfinite(hi + tol)):
         return [lo]
@@ -147,6 +152,14 @@ def _legend(entries: list[tuple[str, str, str]]) -> list[str]:
     return el
 
 
+def _data_span(vals: list[float]) -> float:
+    """max - min, or a tenth of the magnitude for a span within roundoff."""
+    lo, hi = min(vals), max(vals)
+    if hi - lo > _tick_tol(hi):
+        return hi - lo
+    return max(abs(hi), 1.0) * 0.1
+
+
 def scatter_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
                 dot_series: list[tuple[str, list[tuple[float, float]], str]],
                 cross_series: list[tuple[str, list[tuple[float, float]], str]],
@@ -156,8 +169,7 @@ def scatter_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     ys = [p[1] for _, pts, _ in dot_series + cross_series for p in pts]
     if not xs:
         xs, ys = [0.0], [0.0]
-    dx = (max(xs) - min(xs)) or max(abs(max(xs)), 1.0) * 0.1
-    dy = (max(ys) - min(ys)) or max(abs(max(ys)), 1.0) * 0.1
+    dx, dy = _data_span(xs), _data_span(ys)
     frame = Frame(min(xs) - 0.08 * dx, max(xs) + 0.08 * dx,
                   min(ys) - 0.08 * dy, max(ys) + 0.08 * dy)
     el = _axes(frame, title, xlabel, ylabel)

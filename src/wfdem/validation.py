@@ -3,8 +3,9 @@
 Two frequency-domain errors quantify how well a reduced model represents the
 detailed one: the worst relative distance from each concern mode to its
 cluster centre, and the worst relative distance to the nearest mode of the
-aggregated model.  Time-domain adequacy is checked by propagating both models
-through the same grid-voltage sag and comparing normalized RMS errors.
+aggregated model.  Time-domain adequacy is checked by driving both models
+with the same grid-voltage sag, in closed form from their modal solutions,
+and comparing normalized RMS errors.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .aggregation import DemModel
 from .assembly import FarmStateSpace, linear_model
 from .clustering import ModeClusters
 from .farm import FarmDescription, GridThevenin, PerUnitBases, WtParams
 from .gridcsv import write_grid
-from .modal import ConcernSet
+from .modal import ConcernSet, ModalSolution, eig_biorthogonal
 from .powerflow import SLACK_E0, solve_powerflow
 from .wt import SagSpec, simulate_wt_nonlinear, stiff_equilibrium
 
@@ -89,47 +89,52 @@ class LinearResponse:
     poi_i: np.ndarray                # (2, nt) current deviation at the POI
 
 
-def simulate_linear(fss: FarmStateSpace, sag: SagSpec, horizon: float,
-                    dt: float) -> LinearResponse:
-    """Propagate the sag step with exact per-step discretization.
+def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
+                    horizon: float, dt: float) -> LinearResponse:
+    """Sag response in closed form from the model's modal solution.
 
-    The augmented matrix [[A_s, B_s de], [0, 0]] is exponentiated once; each
-    step is then a single matrix-vector product, so the trajectory is exact
-    for the piecewise-constant input.  Stability is not checked here: the
-    model's `ModalSolution.unstable` flags a non-Hurwitz state matrix.
+    The input B_s de switches on at t_on, the first grid time at or after
+    `sag.t_start`.  With A_s = U diag(lam) V and tau = t - t_on >= 0,
+
+        x(t) = U diag(V B_s de) (e^(lam tau) - 1) / lam   (tau where lam = 0)
+
+    and x = 0 before t_on; only the outputs (u_dc per WT, POI current and
+    voltage) are formed.  The time factor is evaluated for the real modes
+    and the upper pair members; each of these also carries its partner's
+    weight, conjugated, rather than its own doubled, so that the roundoff
+    in V cancels as in the full sum.  Stability is not checked here:
+    `modal.unstable` flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = fss.n_states
-    e0 = np.array([SLACK_E0.real, SLACK_E0.imag])
-    de = -sag.fraction * e0
+    de = -sag.fraction * np.array([SLACK_E0.real, SLACK_E0.imag])
+    t = np.arange(int(round(horizon / dt)) + 1) * dt
+    k_on = int(np.searchsorted(t, sag.t_start))
 
-    n_steps = int(round(horizon / dt))
-    t = np.arange(n_steps + 1) * dt
+    # output rows: u_dc per WT, POI current, POI voltage less k_poi de
+    n_wt = len(fss.wt_order)
+    c_poi = np.vstack([fss.c_out.reshape(n_wt, 2, -1).sum(axis=0),
+                       fss.z_poi @ fss.c_out])
+    rows = [fss.state_index(wt_id, "u_dc") for wt_id in fss.wt_order]
+    w_all = np.vstack([modal.right[rows], c_poi @ modal.right]) \
+        * (modal.left @ (fss.b_s @ de))
+    real, upper = np.flatnonzero(modal.pair_of < 0), modal.representatives()
+    w = np.hstack([w_all[:, real], w_all[:, upper]
+                   + np.conj(w_all[:, modal.pair_of[upper]])])
+    lam = modal.eigenvalues[np.concatenate([real, upper])]
+    tau = t[:len(t) - k_on]
+    zero = lam == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.expm1(np.outer(lam, tau)) / np.where(zero, 1.0, lam)[:, None]
+    g[zero] = tau
+    y = np.zeros((n_wt + 4, len(t)))
+    y[:, k_on:] = w.real @ g.real - w.imag @ g.imag
 
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = fss.a_s
-    aug[:n, n] = fss.b_s @ de
-    phi = expm(aug * dt)
-
-    xs = np.zeros((n, n_steps + 1))
-    x_aug = np.zeros(n + 1)
-    for k in range(n_steps):
-        # the sag input switches on for every step starting at/after t_start
-        if x_aug[n] == 0.0 and t[k] >= sag.t_start:
-            x_aug[n] = 1.0
-        x_aug = phi @ x_aug
-        xs[:, k + 1] = x_aug[:n]
-
-    active = (t >= sag.t_start).astype(float)
-    de_t = np.outer(de, active)
-    u_dc = {wt_id: xs[fss.state_index(wt_id, "u_dc")]
-            for wt_id in fss.wt_order}
-    di = fss.wt_currents(xs)
-    poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
-    du_poi = fss.z_poi @ di + fss.k_poi @ de_t
+    poi_i = y[n_wt:n_wt + 2]
+    du_poi = y[n_wt + 2:] + np.outer(fss.k_poi @ de, t >= sag.t_start)
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
-    return LinearResponse(t=t, u_dc=u_dc, poi_p=poi_p, poi_i=poi_i)
+    return LinearResponse(t=t, u_dc=dict(zip(fss.wt_order, y[:n_wt])),
+                          poi_p=poi_p, poi_i=poi_i)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,8 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
     )
     farm.validate()
     fss = linear_model(farm, solve_powerflow(farm))
-    lin = simulate_linear(fss, sag, horizon, dt)
+    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s, fss.labels), sag,
+                          horizon, dt)
 
     value, _ = nrmse(du_dc_nl, lin.u_dc[wt.id])
     return LinearizationCheck(nrmse_u_dc=value,

@@ -17,9 +17,7 @@ ratio is folded into the output matrix so heterogeneous machines compose).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -146,16 +144,6 @@ class WtTrajectory:
     u_d: np.ndarray
     u_q: np.ndarray
     p_e: np.ndarray
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u_dc", "delta", "i_d", "i_q",
-                             "u_d", "u_q", "p_e"])
-            for k in range(len(self.t)):
-                writer.writerow([f"{col[k]:.12g}" for col in
-                                 (self.t, self.u_dc, self.delta, self.i_d,
-                                  self.i_q, self.u_d, self.u_q, self.p_e)])
 
 
 def terminal_quantities(x: np.ndarray, e_xy: np.ndarray, wt: WtParams,

@@ -165,11 +165,12 @@ def test_c07_case_d_dispersion(case_errors):
 def test_c08_time_domain_fidelity(case_errors):
     s = solved_case("b")
     sag = SagSpec(0.05, 0.1)
-    detailed = simulate_linear(s.fss, sag, horizon=2.0, dt=1e-3)
+    detailed = simulate_linear(s.fss, s.modal, sag, horizon=2.0, dt=1e-3)
     vals = {}
     for c in (1, 3):
         dem = case_errors["b"][c]["dem"]
-        resp = simulate_linear(dem.state_space, sag, horizon=2.0, dt=1e-3)
+        resp = simulate_linear(dem.state_space, dem.modal, sag, horizon=2.0,
+                               dt=1e-3)
         mapping = {g: tuple((wt_id, 1.5) for wt_id in ids)
                    for g, ids in dem.provenance.items()}
         vals[c] = compare_responses(detailed, resp, mapping)["poi_p"]

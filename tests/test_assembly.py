@@ -10,8 +10,7 @@ import pytest
 
 from helpers import random_radial_farm, solved_case
 from wfdem.assembly import (AssemblyError, assemble_farm,
-                            closed_loop_via_admittance,
-                            write_state_matrix_csv)
+                            closed_loop_via_admittance)
 from wfdem.cases import identical_zero_network_farm, single_wt_farm
 from wfdem.farm import build_network_matrices
 from wfdem.powerflow import solve_powerflow, wt_operating_point
@@ -147,14 +146,3 @@ def test_labels_unique_and_ordered():
     assert len(set(fss.labels)) == len(fss.labels)
     assert fss.labels[0] == ("wt01", "u_dc")
     assert fss.state_index("wt07", "pll_angle") == 4 * 6 + 2
-
-
-def test_state_matrix_dump(tmp_path):
-    farm = single_wt_farm()
-    blocks, net = solved_blocks(farm)
-    fss = assemble_farm(blocks, net)
-    path = tmp_path / "a_s.csv"
-    write_state_matrix_csv(fss, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "wt01:u_dc,wt01:dvc_int,wt01:pll_angle,wt01:pll_int"
-    assert len(lines) == 1 + 4

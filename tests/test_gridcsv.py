@@ -85,8 +85,8 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     _, features, _ = s.clustered(c)
     _, _, dem = s.dem(c)
     sag = SagSpec(0.05, 0.1)
-    detailed = simulate_linear(s.fss, sag, 2.0, 1e-3)
-    dem_resp = simulate_linear(dem.state_space, sag, 2.0, 1e-3)
+    detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
+    dem_resp = simulate_linear(dem.state_space, dem.modal, sag, 2.0, 1e-3)
     assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.modal)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)

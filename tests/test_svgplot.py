@@ -1,9 +1,11 @@
 """SVG emitters: tick placement and well-formed text."""
 
+import math
 import xml.etree.ElementTree as ET
 
 from helpers import run_python_bounded
-from wfdem.svgplot import _ticks, bars_svg
+from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_T, _ticks, bars_svg,
+                          scatter_svg)
 
 # Runs in a child capped in memory and time: a step that cannot advance
 # the value would make `_ticks` append ticks until memory runs out.
@@ -72,3 +74,23 @@ def test_text_is_xml_escaped(tmp_path):
              if el.tag.endswith("text")]
     for text in ("a < b & c", "x > 0", "y & z", "wt<1&2", "series <1>"):
         assert text in texts
+
+
+def test_scatter_draws_an_ulp_wide_span_as_a_point(tmp_path):
+    # coincident modes and a centre one ulp lower in Im, as on a farm of
+    # identical WTs on a zero-impedance network
+    im = 22.360679774997898
+    path = tmp_path / "scatter.svg"
+    scatter_svg(path, "modes", "Re", "Im",
+                [("cluster 0", [(-30.0, im)] * 3, "#1f77b4")],
+                [("centres", [(-30.0, math.nextafter(im, 0.0))], "#000000")])
+    root = ET.parse(path).getroot()
+    dots = [float(el.get("cy")) for el in root.iter()
+            if el.tag.endswith("circle") and el.get("fill-opacity")]
+    cross = [el.get("d").split() for el in root.iter()
+             if el.tag.endswith("path") and el.get("stroke-width") == "2.5"]
+    middle = (MARGIN_T + HEIGHT - MARGIN_B) / 2
+    centre_y = [(float(d[2]) + float(d[5])) / 2 for d in cross]
+    assert len(dots) == 3 and len(centre_y) == 1
+    for y in dots + centre_y:
+        assert abs(y - middle) < 0.5

@@ -1,24 +1,31 @@
 """Error metrics, linear simulation, and trajectory comparison.
 
 Oracles: hand-evaluated relative distances, the textbook underdamped step
-response for the stiff single WT, and a fixed-step RK4 integrator run at a
-tenth of the simulation step.
+response for the stiff single WT, a fixed-step RK4 integrator run at a
+tenth of the simulation step, and an exact per-step discretization (one
+matrix exponential of the augmented state matrix, then one mat-vec a step)
+for the modal closed form.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy.linalg import expm
 
-from helpers import solved_case
+from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
+                     solved_case)
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
 from wfdem.clustering import ModeClusters, cluster_modes
-from wfdem.farm import GridThevenin, PerUnitBases, WtParams
-from wfdem.modal import ConcernSet, eig_biorthogonal
+from wfdem.farm import GridThevenin, PerUnitBases, WtParams, load_farm
+from wfdem.modal import ConcernSet, ModalSolution, eig_biorthogonal
+from wfdem.powerflow import SLACK_E0
 from wfdem.validation import (LinearResponse, compare_responses, error_E,
                               error_Eprime, linearization_check, nrmse,
                               simulate_linear)
-from wfdem.wt import SagSpec
+from wfdem.wt import STATE_KINDS, SagSpec
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0)
 
@@ -39,6 +46,58 @@ def singleton_clusters(concern: ConcernSet) -> ModeClusters:
     return ModeClusters(members=tuple((m,) for m in concern.mode_indices),
                         centres=concern.eigenvalues.copy(),
                         inertia=0.0)
+
+
+def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
+                     dt: float) -> LinearResponse:
+    """Exact per-step discretization of the piecewise-constant sag input.
+
+    The augmented matrix [[A_s, B_s de], [0, 0]] is exponentiated once; the
+    input switches on at the first step starting at or after t_start.
+    """
+    n = fss.n_states
+    de = -sag.fraction * np.array([SLACK_E0.real, SLACK_E0.imag])
+    n_steps = int(round(horizon / dt))
+    t = np.arange(n_steps + 1) * dt
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = fss.a_s
+    aug[:n, n] = fss.b_s @ de
+    phi = expm(aug * dt)
+    xs = np.zeros((n, n_steps + 1))
+    x_aug = np.zeros(n + 1)
+    for k in range(n_steps):
+        if x_aug[n] == 0.0 and t[k] >= sag.t_start:
+            x_aug[n] = 1.0
+        x_aug = phi @ x_aug
+        xs[:, k + 1] = x_aug[:n]
+    di = fss.c_out @ xs
+    poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
+    du_poi = fss.z_poi @ di + np.outer(fss.k_poi @ de, t >= sag.t_start)
+    poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
+    return LinearResponse(
+        t=t, u_dc={wt_id: xs[fss.state_index(wt_id, "u_dc")]
+                   for wt_id in fss.wt_order},
+        poi_p=poi_p, poi_i=poi_i)
+
+
+def max_relative_difference(resp: LinearResponse,
+                            ref: LinearResponse) -> float:
+    """Worst difference per signal family over that family's largest value.
+
+    The families are the u_dc set, the POI current and the POI power; a
+    family that is zero throughout in `ref` must be zero in `resp` too.
+    """
+    assert np.array_equal(resp.t, ref.t)
+    assert list(resp.u_dc) == list(ref.u_dc)
+    worst = 0.0
+    for got, want in ((np.array(list(resp.u_dc.values())),
+                       np.array(list(ref.u_dc.values()))),
+                      (resp.poi_i, ref.poi_i), (resp.poi_p, ref.poi_p)):
+        diff = float(np.abs(got - want).max())
+        scale = float(np.abs(want).max())
+        worst = max(worst, diff / scale if scale > 0 else
+                    (np.inf if diff > 0 else 0.0))
+    return worst
 
 
 def stiff_single_wt_fss() -> tuple[FarmStateSpace, WtParams]:
@@ -137,11 +196,12 @@ def test_case_a_centre_and_nearest_errors_comparable(case_a):
 def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
     s = solved_case("c")
     sag = SagSpec(0.05, 0.1)
-    detailed = simulate_linear(s.fss, sag, horizon=2.0, dt=1e-3)
+    detailed = simulate_linear(s.fss, s.modal, sag, horizon=2.0, dt=1e-3)
     vals = {}
     for c in (1, 3):
         _, _, dem = s.dem(c)
-        resp = simulate_linear(dem.state_space, sag, horizon=2.0, dt=1e-3)
+        resp = simulate_linear(dem.state_space, dem.modal, sag, horizon=2.0,
+                               dt=1e-3)
         mapping = {g: tuple((wt, 1.5) for wt in ids)
                    for g, ids in dem.provenance.items()}
         vals[c] = compare_responses(detailed, resp, mapping)["poi_p"]
@@ -152,18 +212,24 @@ def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
 # linear simulation
 
 
+def stiff_single_wt_modal():
+    fss, wt = stiff_single_wt_fss()
+    return fss, eig_biorthogonal(fss.a_s, fss.labels), wt
+
+
 def test_zero_sag_gives_identically_zero_response():
-    fss, _ = stiff_single_wt_fss()
-    resp = simulate_linear(fss, SagSpec(0.0, 0.1), horizon=0.5, dt=1e-3)
+    fss, modal, _ = stiff_single_wt_modal()
+    resp = simulate_linear(fss, modal, SagSpec(0.0, 0.1), horizon=0.5,
+                           dt=1e-3)
     assert np.abs(resp.u_dc["wt01"]).max() == 0.0
     assert np.abs(resp.poi_p).max() == 0.0
-    assert not eig_biorthogonal(fss.a_s).unstable
+    assert not modal.unstable
 
 
 def test_stiff_wt_step_matches_second_order_closed_form():
-    fss, wt = stiff_single_wt_fss()
+    fss, modal, wt = stiff_single_wt_modal()
     sag = SagSpec(0.05, 0.1)
-    resp = simulate_linear(fss, sag, horizon=1.0, dt=1e-3)
+    resp = simulate_linear(fss, modal, sag, horizon=1.0, dt=1e-3)
 
     # forced 2nd-order system: z1'' + a1 z1' + a0 z1 = F, x(0) = 0
     cpr = 0.0864 * wt.u_dc0
@@ -183,10 +249,11 @@ def test_stiff_wt_step_matches_second_order_closed_form():
 
 
 def test_matrix_exponential_agrees_with_fine_rk4(case_a):
-    fss = solved_case("a").fss
+    s = solved_case("a")
+    fss = s.fss
     sag = SagSpec(0.05, 0.0)     # start at t=0 so the RK4 forcing is smooth
     dt = 1e-3
-    resp = simulate_linear(fss, sag, horizon=0.2, dt=dt)
+    resp = simulate_linear(fss, s.modal, sag, horizon=0.2, dt=dt)
 
     de = fss.b_s @ np.array([-sag.fraction, 0.0])
     n = fss.n_states
@@ -208,12 +275,104 @@ def test_matrix_exponential_agrees_with_fine_rk4(case_a):
 
 def test_unstable_matrix_is_flagged():
     fss, _ = stiff_single_wt_fss()
-    import dataclasses
     unstable = dataclasses.replace(fss, a_s=-fss.a_s)
-    resp = simulate_linear(unstable, SagSpec(0.05, 0.0), horizon=0.05,
+    modal = eig_biorthogonal(unstable.a_s, unstable.labels)
+    resp = simulate_linear(unstable, modal, SagSpec(0.05, 0.0), horizon=0.05,
                            dt=1e-3)
     assert np.all(np.isfinite(resp.u_dc["wt01"]))
-    assert eig_biorthogonal(unstable.a_s).unstable
+    assert modal.unstable
+
+
+def parity_models(name: str,
+                  ) -> list[tuple[FarmStateSpace, ModalSolution]]:
+    """(state space, modal solution) pairs for one parity case."""
+    if name in ("a", "b", "c", "d"):
+        s = solved_case(name)
+        return [(s.fss, s.modal)] + [
+            (dem.state_space, dem.modal)
+            for dem in (s.dem(c)[2] for c in (1, 3))]
+    if name == "ladder":
+        s = SolvedFarm(ladder_farm(10, 10, 7))
+    else:
+        s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
+    return [(s.fss, s.modal)]
+
+
+@pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "zero_network",
+                                  "single_wt", "ladder"])
+def test_modal_form_matches_exact_stepper(name):
+    # cases a-d: the detailed model and the DEM at C = 1 and 3; the ladder
+    # is the benchmark's seed-7 10 x 10 farm (400 states)
+    sag = SagSpec(0.05, 0.1)
+    for fss, modal in parity_models(name):
+        resp = simulate_linear(fss, modal, sag, horizon=2.0, dt=1e-3)
+        ref = stepper_response(fss, sag, horizon=2.0, dt=1e-3)
+        assert max_relative_difference(resp, ref) <= 1e-11
+
+
+def test_sag_switches_on_at_the_first_grid_time_past_t_start():
+    fss, modal, _ = stiff_single_wt_modal()
+    sag = SagSpec(0.05, 0.1005)          # between grid times 0.100 and 0.101
+    resp = simulate_linear(fss, modal, sag, horizon=0.2, dt=1e-3)
+    ref = stepper_response(fss, sag, horizon=0.2, dt=1e-3)
+    assert np.all(resp.u_dc["wt01"][:102] == 0.0)
+    assert resp.u_dc["wt01"][102] != 0.0
+    assert max_relative_difference(resp, ref) <= 1e-11
+    late = simulate_linear(fss, modal, SagSpec(0.05, 0.5), horizon=0.2,
+                           dt=1e-3)
+    assert np.all(late.poi_p == 0.0)
+
+
+def near_defective_model(seed: int, lam: float, delta: float,
+                         ) -> FarmStateSpace:
+    """One-WT state space whose first two modes nearly coalesce.
+
+    The block [[lam, 1], [delta, lam]] has modes lam +- sqrt(delta): a close
+    real pair for delta > 0, a slowly beating complex pair for delta < 0.
+    It sits beside a damped pair at -5 +- 40j, and a similarity with
+    cond_2 <= 3 mixes the states.
+    """
+    rng = np.random.default_rng(seed)
+    j = np.zeros((4, 4))
+    j[:2, :2] = [[lam, 1.0], [delta, lam]]
+    j[2:, 2:] = [[-5.0, 40.0], [-40.0, -5.0]]
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    s = q * rng.uniform(1.0, 3.0, 4)
+    return FarmStateSpace(
+        a_s=s @ j @ np.linalg.inv(s), b_s=rng.standard_normal((4, 2)),
+        labels=tuple(("wt01", kind) for kind in STATE_KINDS),
+        wt_order=("wt01",), c_out=rng.standard_normal((2, 4)),
+        z_poi=rng.standard_normal((2, 2)), k_poi=np.eye(2),
+        u_poi0=np.array([1.0, 0.0]), i_poi0=np.array([0.9, 0.1]))
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-50.0, -1.0),
+       st.floats(-14.0, -1.0), st.booleans())
+@example(907949419, -1.1, -9.8, False)
+def test_modal_form_on_near_defective_matrices(seed, lam, log_delta, real):
+    # the difference grows with the conditioning of the eigenvector basis,
+    # which ||U||_F ||V||_F bounds; over 4000 seeded draws it stayed below
+    # 31 eps times that bound.  The example has a complex pair at
+    # Im = +-1.3e-5; doubling the upper member's weight there, instead of
+    # adding its partner's, exceeds the asserted bound 8.5-fold.
+    delta = (1.0 if real else -1.0) * 10.0**log_delta
+    fss = near_defective_model(seed, lam, delta)
+    modal = eig_biorthogonal(fss.a_s, fss.labels)
+    sag = SagSpec(0.05, 0.1)
+    resp = simulate_linear(fss, modal, sag, horizon=0.5, dt=1e-3)
+    ref = stepper_response(fss, sag, horizon=0.5, dt=1e-3)
+    cert = np.linalg.norm(modal.right) * np.linalg.norm(modal.left)
+    assert max_relative_difference(resp, ref) \
+        <= 1e3 * np.finfo(float).eps * cert
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_python_bounded(
+        ["-c", "import sys, wfdem.cli; print(sorted(m for m in sys.modules "
+               "if m.split('.')[0] == 'scipy'))"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +398,8 @@ def test_nrmse_shape_mismatch_rejected():
 
 def test_compare_responses_identical(case_b):
     _, _, dem = solved_case("b").dem(3)
-    resp = simulate_linear(dem.state_space, SagSpec(0.05, 0.1), 0.5, 1e-3)
+    resp = simulate_linear(dem.state_space, dem.modal, SagSpec(0.05, 0.1),
+                           0.5, 1e-3)
     mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.provenance}
     # compare the DEM against itself with each group mapped to its machine
     renamed = LinearResponse(t=resp.t, u_dc=dict(resp.u_dc),
@@ -250,9 +410,9 @@ def test_compare_responses_identical(case_b):
 
 
 def test_compare_responses_grid_mismatch_rejected():
-    fss, _ = stiff_single_wt_fss()
-    a = simulate_linear(fss, SagSpec(0.05, 0.1), 0.2, 1e-3)
-    b = simulate_linear(fss, SagSpec(0.05, 0.1), 0.2, 2e-3)
+    fss, modal, _ = stiff_single_wt_modal()
+    a = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 1e-3)
+    b = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 2e-3)
     with pytest.raises(ValueError, match="time grid"):
         compare_responses(a, b, {})
 

@@ -239,17 +239,6 @@ def test_small_sag_matches_linear_closure():
     assert chk.nrmse_u_dc < 0.01
 
 
-def test_trajectory_csv(tmp_path):
-    wt = make_wt()
-    traj = simulate_wt_nonlinear(wt, BASES, GridThevenin(0.001, 0.01),
-                                 SagSpec(0.01, 0.05), horizon=0.2, dt=1e-3)
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,u_dc,delta,i_d,i_q,u_d,u_q,p_e"
-    assert len(lines) == 1 + len(traj.t)
-
-
 def test_bad_dt_rejected():
     with pytest.raises(ValueError):
         simulate_wt_nonlinear(make_wt(), BASES, GridThevenin(0.001, 0.01),
