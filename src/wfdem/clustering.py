@@ -9,6 +9,7 @@ whose centroid features nearly coincide are merged, which is what turns
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,28 +52,49 @@ def _inertia(pts: np.ndarray, centres: np.ndarray,
     return float(((pts - centres[labels]) ** 2).sum())
 
 
-def _kmeans_plus_plus(pts: np.ndarray, c: int,
-                      rngs: list[np.random.Generator]) -> np.ndarray:
-    """k-means++ seeds (R, c, 2), one restart per generator.
+class _Seeder:
+    """k-means++ seeds for R restarts, grown one centre at a time.
 
-    Restart r draws only from rngs[r], in the order a lone restart would
-    (one `integers`, then one `choice` per further centre), so batching
-    changes no draw.  d2 holds each point's squared distance to its nearest
-    chosen centre and is lowered against the newest centre only.
+    Restart r draws only from its own child generator, in the order a lone
+    restart would (one `integers`, then one `choice` per further centre),
+    so batching changes no draw.  k-means++ is sequential: the first c
+    seeds do not depend on how many follow, so `take(c)` returns an exact
+    prefix of any longer seeding.  `d2` holds each point's squared distance
+    to its nearest drawn centre and is lowered against the newest one only.
     """
-    n = len(pts)
-    centres = np.empty((len(rngs), c, 2))
-    centres[:, 0] = pts[[rng.integers(n) for rng in rngs]]
-    d2 = np.full((len(rngs), n), np.inf)
-    for k in range(1, c):
-        d2 = np.minimum(d2, _sqdist(pts, centres[:, k - 1:k])[..., 0])
-        for r, rng in enumerate(rngs):
-            total = d2[r].sum()
-            if total == 0:
-                centres[r, k] = pts[rng.integers(n)]
-            else:
-                centres[r, k] = pts[rng.choice(n, p=d2[r] / total)]
-    return centres
+
+    def __init__(self, pts: np.ndarray, seed: int, n_restarts: int) -> None:
+        self.pts = pts
+        self.rngs = [np.random.default_rng(child) for child in
+                     np.random.SeedSequence(seed).spawn(n_restarts)]
+        self.seeds = np.empty((n_restarts, len(pts), 2))
+        self.d2 = np.full((n_restarts, len(pts)), np.inf)
+        self.drawn = 0
+
+    def take(self, c: int) -> np.ndarray:
+        """The first c seeds of every restart, (R, c, 2); a view."""
+        pts, n = self.pts, len(self.pts)
+        if not self.drawn:
+            self.seeds[:, 0] = pts[[rng.integers(n) for rng in self.rngs]]
+            self.drawn = 1
+        for k in range(self.drawn, c):
+            self.d2 = np.minimum(
+                self.d2, _sqdist(pts, self.seeds[:, k - 1:k])[..., 0])
+            for r, rng in enumerate(self.rngs):
+                total = self.d2[r].sum()
+                if total == 0:
+                    self.seeds[r, k] = pts[rng.integers(n)]
+                else:
+                    self.seeds[r, k] = pts[rng.choice(n, p=self.d2[r] / total)]
+            self.drawn = k + 1
+        return self.seeds[:, :c]
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_seeder(pts_bytes: bytes, n: int, seed: int,
+                   n_restarts: int) -> _Seeder:
+    pts = np.frombuffer(pts_bytes, dtype=float).reshape(n, 2)
+    return _Seeder(pts, seed, n_restarts)
 
 
 def _revive_empty(d2: np.ndarray, labels: np.ndarray, c: int) -> None:
@@ -139,22 +161,6 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
     return centres, labels, inertia
 
 
-def _lloyd(pts: np.ndarray, centres: np.ndarray,
-           trace: list[float] | None = None,
-           max_iter: int = 200) -> tuple[np.ndarray, np.ndarray, float]:
-    """Single-restart Lloyd iteration from centres (C, 2)."""
-    out_c, labels, inertia = _lloyd_batch(
-        pts, np.asarray(centres)[None],
-        None if trace is None else [trace], max_iter)
-    return out_c[0], labels[0], float(inertia[0])
-
-
-def _kmeans_restart(pts: np.ndarray, c: int,
-                    seed: np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray, float]:
-    rng = np.random.default_rng(seed)
-    return _lloyd(pts, _kmeans_plus_plus(pts, c, [rng])[0])
-
-
 def cluster_modes(concern: ConcernSet, c: int, seed: int,
                   n_restarts: int = 32) -> ModeClusters:
     """Seeded k-means over the concern representatives.
@@ -164,17 +170,22 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     restarts one by one, in any order; the lowest inertia wins and exact
     ties fall back to lexicographic centre order.  Cluster indices are
     canonical: sorted by centre (Re, Im).
+
+    The k-means++ seeds come from a one-entry cache keyed by the points,
+    `seed` and `n_restarts`.  Restart r's first c seeds are an exact prefix
+    of its first c + 1 (same generator, same draws), so the `--auto-clusters`
+    sweep over C = 1, 2, ... draws one new centre per restart per C, and a
+    call at any C, in any order, returns what a fresh call returns.  The
+    cache holds live generators and assumes a single thread.
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not 1 <= c <= len(pts):
         raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
 
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(n_restarts)]
-    all_centres, all_labels, all_inertia = _lloyd_batch(
-        pts, _kmeans_plus_plus(pts, c, rngs))
-    best = min(range(n_restarts), key=lambda r: (
-        all_inertia[r], tuple(sorted(map(tuple, all_centres[r])))))
+    seeder = _cached_seeder(pts.tobytes(), len(pts), seed, n_restarts)
+    all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeder.take(c))
+    tied = np.flatnonzero(all_inertia == all_inertia.min())
+    best = min(tied, key=lambda r: tuple(sorted(map(tuple, all_centres[r]))))
     centres, labels = all_centres[best], all_labels[best]
     inertia = float(all_inertia[best])
 

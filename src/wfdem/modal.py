@@ -188,19 +188,23 @@ def _pair_modes(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _pair_conjugates(lam: np.ndarray, scale: float) -> np.ndarray:
-    """Greedy conjugate pairing of the modes with |Im lam| > rtol * scale."""
-    n = len(lam)
-    pair_of = np.full(n, -1, dtype=int)
-    unmatched = [i for i in range(n) if abs(lam[i].imag) > _PAIR_RTOL * scale]
-    pos = [i for i in unmatched if lam[i].imag > 0]
-    neg = set(i for i in unmatched if lam[i].imag < 0)
-    for i in pos:
-        j = min(neg, key=lambda j: abs(lam[j] - np.conj(lam[i])), default=None)
-        if j is None or abs(lam[j] - np.conj(lam[i])) > 1e-6 * scale:
+    """Greedy conjugate pairing of the modes with |Im lam| > rtol * scale.
+
+    Upper-half modes are taken in index order; each takes the nearest
+    still-unpaired lower-half mode, the lowest index on a tie.
+    """
+    pair_of = np.full(len(lam), -1, dtype=int)
+    oscillatory = np.abs(lam.imag) > _PAIR_RTOL * scale
+    neg = np.flatnonzero(oscillatory & (lam.imag < 0))
+    free = lam[neg]              # a paired entry is set to inf
+    for i in np.flatnonzero(oscillatory & (lam.imag > 0)):
+        dist = np.abs(free - np.conj(lam[i]))
+        k = int(np.argmin(dist)) if neg.size else -1
+        if k < 0 or dist[k] > 1e-6 * scale:
             raise DefectiveMatrixError(
                 f"no conjugate partner for eigenvalue {lam[i]:.6g}")
-        pair_of[i], pair_of[j] = j, i
-        neg.discard(j)
+        pair_of[i], pair_of[neg[k]] = neg[k], i
+        free[k] = np.inf
     return pair_of
 
 

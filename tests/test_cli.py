@@ -219,3 +219,28 @@ def test_svgs_escape_wt_ids(tmp_path):
         ET.parse(out / name)
     texts = [el.text for el in ET.parse(out / "features.svg").iter()]
     assert "wt<1&2" in texts
+
+
+@pytest.mark.parametrize("case,chosen", [("b", 3), ("c", 3), ("d", 14)])
+def test_auto_clusters_writes_what_its_chosen_count_writes(tmp_path, case,
+                                                           chosen):
+    runs = {}
+    for name, flags in (("auto", ["--auto-clusters"]),
+                        ("fixed", ["--clusters", str(chosen)])):
+        out = tmp_path / name
+        assert main(["all", "--farm", str(FARMS / f"case_{case}.json"),
+                     "--out", str(out)] + flags) == 0
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    auto, fixed = runs["auto"], runs["fixed"]
+    assert sorted(auto) == sorted(fixed)
+    for name in ("features.csv", "groups.json", "dem.json", "responses.csv",
+                 "modescatter.svg"):
+        assert name in auto
+    for name in auto:
+        if name != "report.json":
+            assert auto[name] == fixed[name], name
+    reports = [json.loads(runs[k]["report.json"]) for k in ("auto", "fixed")]
+    assert reports[0]["metadata"].pop("clusters_requested") == "auto"
+    assert reports[1]["metadata"].pop("clusters_requested") == chosen
+    assert reports[0] == reports[1]
+    assert reports[0]["metadata"]["clusters"] == chosen

@@ -4,13 +4,15 @@ Ground truth for the band-recovery tests is the constructed farm's known
 controller groups; k-means never sees them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (FeatureTable, _kmeans_restart,
-                              _lloyd, cluster_modes, group_wts,
+from wfdem.clustering import (FeatureTable, _cached_seeder, _lloyd_batch,
+                              cluster_modes, group_wts,
                               superimpose_mpf, write_features_csv,
                               write_groups_json)
 from wfdem.modal import ConcernSet
@@ -84,13 +86,16 @@ def serial_cluster_modes(concern, c, seed, n_restarts=32):
     return members, centre_cx, inertia
 
 
-def assert_matches_serial(concern, c, seed, n_restarts=32):
-    got = cluster_modes(concern, c, seed, n_restarts=n_restarts)
-    members, centres, inertia = serial_cluster_modes(concern, c, seed,
-                                                     n_restarts)
+def assert_same_clusters(got, expected):
+    members, centres, inertia = expected
     assert got.members == members
     assert np.array_equal(got.centres, centres)
     assert got.inertia == inertia
+
+
+def assert_matches_serial(concern, c, seed, n_restarts=32):
+    assert_same_clusters(cluster_modes(concern, c, seed, n_restarts=n_restarts),
+                         serial_cluster_modes(concern, c, seed, n_restarts))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +169,13 @@ def test_restarts_never_worse_than_single_run(case_c):
     concern = case_c.concern
     best = cluster_modes(concern, 3, seed=9, n_restarts=32)
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    inertias = []
     for child in np.random.SeedSequence(9).spawn(32):
-        _, _, inertia = _kmeans_restart(pts, 3, child)
+        rng = np.random.default_rng(child)
+        _, _, inertia = serial_lloyd(pts, serial_kmeans_plus_plus(pts, 3, rng))
         assert best.inertia <= inertia + 1e-12
+        inertias.append(inertia)
+    assert best.inertia == min(inertias)
 
 
 @given(st.integers(0, 100))
@@ -175,7 +184,8 @@ def test_lloyd_inertia_non_increasing(seed):
     pts = rng.normal(size=(20, 2))
     centres0 = pts[rng.choice(20, 4, replace=False)]
     trace: list[float] = []
-    _lloyd(pts, centres0, trace=trace)
+    _lloyd_batch(pts, centres0[None], trace=[trace])
+    assert trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
@@ -188,21 +198,73 @@ def grid_points(draw):
 
 
 # coincident seeds leave clusters empty (revival), and C above the number
-# of distinct points exhausts them during seeding (total == 0)
-@given(grid_points(), st.integers(0, 2**32 - 1), st.integers(1, 8))
-@example(([(1, 2)] * 5, 4), 7, 4)
-@example(([(0, 0), (0, 0), (1, 0), (1, 0), (5, 1)], 5), 3, 8)
-def test_batched_kmeans_matches_serial_reference(points, seed, n_restarts):
+# of distinct points exhausts them during seeding (total == 0); the calls
+# after the first take their seeds from the cache, grown or cut back
+@given(grid_points(), st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.lists(st.integers(0, 23), max_size=5))
+@example(([(1, 2)] * 5, 4), 7, 4, [])
+@example(([(0, 0), (0, 0), (1, 0), (1, 0), (5, 1)], 5), 3, 8, [])
+@example(([(1, 2)] * 5, 1), 7, 4, [3, 0, 4, 1])
+@example(([(0, 0), (0, 0), (1, 0), (1, 0), (5, 1)], 2), 3, 8, [4, 0, 2])
+def test_batched_kmeans_matches_serial_reference(points, seed, n_restarts,
+                                                 then):
     grid, c = points
     concern = concern_from_points([0.37 * x + 1.9j * y for x, y in grid])
-    assert_matches_serial(concern, c, seed, n_restarts)
+    _cached_seeder.cache_clear()
+    for c in [c] + [1 + pick % len(grid) for pick in then]:
+        assert_matches_serial(concern, c, seed, n_restarts)
 
 
 @pytest.mark.parametrize("case", ["b", "c", "d"])
 def test_batched_kmeans_matches_serial_on_study_cases(request, case):
+    # ascending is the --auto-clusters sweep; the cached seeds must give
+    # what a fresh call gives in any other call order too
     concern = request.getfixturevalue(f"case_{case}").concern
-    for c in range(1, 34):
-        assert_matches_serial(concern, c, seed=42)
+    expected = {c: serial_cluster_modes(concern, c, 42) for c in range(1, 34)}
+    shuffled = np.random.default_rng(3).permutation(np.arange(1, 34))
+    for order in (range(1, 34), range(33, 0, -1), shuffled):
+        _cached_seeder.cache_clear()
+        for c in order:
+            assert_same_clusters(cluster_modes(concern, int(c), seed=42),
+                                 expected[c])
+
+
+# ---------------------------------------------------------------------------
+# the cached k-means++ seeder: any call order gives what a fresh call gives
+
+
+def test_cached_seeds_survive_interleaved_calls(case_b, case_c):
+    concerns = {"b": case_b.concern, "c": case_c.concern}
+    keys = list(itertools.product("bc", (42, 7), (32, 5), (1, 2, 3, 8, 21)))
+    expected = {(name, seed, n_r, c): serial_cluster_modes(
+        concerns[name], c, seed, n_r) for name, seed, n_r, c in keys}
+    _cached_seeder.cache_clear()
+    for i in np.random.default_rng(5).permutation(len(keys)):
+        name, seed, n_r, c = keys[i]
+        assert_same_clusters(
+            cluster_modes(concerns[name], c, seed, n_restarts=n_r),
+            expected[keys[i]])
+
+
+def test_exact_inertia_tie_goes_to_the_smallest_centres():
+    # a unit square at C = 2 splits left/right or bottom/top, both at
+    # inertia 1.0 exactly; at seed 5 the first restart to reach it splits
+    # bottom/top, and the lexicographically smaller left/right split wins
+    concern = concern_from_points([0, 1, 1j, 1 + 1j])
+    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    runs = []
+    for child in np.random.SeedSequence(5).spawn(8):
+        centres, _, inertia = serial_lloyd(
+            pts, serial_kmeans_plus_plus(pts, 2, np.random.default_rng(child)))
+        runs.append((inertia, tuple(sorted(map(tuple, centres)))))
+    tied = [key for inertia, key in runs if inertia == 1.0]
+    assert min(inertia for inertia, _ in runs) == 1.0
+    assert tied[0] == ((0.5, 0.0), (0.5, 1.0))
+    assert min(tied) == ((0.0, 0.5), (1.0, 0.5))
+    cl = cluster_modes(concern, 2, seed=5, n_restarts=8)
+    assert list(cl.centres) == [0.5j, 1 + 0.5j]
+    assert cl.members == ((0, 2), (1, 3))
+    assert_matches_serial(concern, 2, seed=5, n_restarts=8)
 
 
 def test_fixed_seed_is_deterministic(case_b):

@@ -15,7 +15,8 @@ from wfdem.cases import identical_zero_network_farm
 from wfdem.assembly import assemble_farm
 from wfdem.farm import build_network_matrices, load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
-                         _norm2_bracket, eig_biorthogonal,
+                         _norm2_bracket, _pair_conjugates,
+                         eig_biorthogonal,
                          select_concern_modes, write_modes_csv,
                          write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
@@ -238,6 +239,25 @@ def test_modes_and_mpf_csv(tmp_path, case_a):
 # SVD reference: cond(U) gates the basis and ||A||_2 scales the pairing
 
 
+def greedy_pair_conjugates(lam, scale):
+    """One Python `min` per upper-half mode over the unpaired lower-half
+    modes, scanned in ascending index order, so ties go to the lowest."""
+    n = len(lam)
+    pair_of = np.full(n, -1, dtype=int)
+    unmatched = [i for i in range(n) if abs(lam[i].imag) > _PAIR_RTOL * scale]
+    pos = [i for i in unmatched if lam[i].imag > 0]
+    neg = set(i for i in unmatched if lam[i].imag < 0)
+    for i in pos:
+        j = min(sorted(neg), key=lambda j: abs(lam[j] - np.conj(lam[i])),
+                default=None)
+        if j is None or abs(lam[j] - np.conj(lam[i])) > 1e-6 * scale:
+            raise DefectiveMatrixError(
+                f"no conjugate partner for eigenvalue {lam[i]:.6g}")
+        pair_of[i], pair_of[j] = j, i
+        neg.discard(j)
+    return pair_of
+
+
 def reference_eig_biorthogonal(a_s, labels=None):
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
@@ -257,18 +277,8 @@ def reference_eig_biorthogonal(a_s, labels=None):
             f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
             "matrix is defective within working precision")
     v = np.linalg.inv(u)
-    scale = max(1.0, float(np.linalg.norm(a_s, ord=2)))
-    pair_of = np.full(n, -1, dtype=int)
-    unmatched = [i for i in range(n) if abs(lam[i].imag) > _PAIR_RTOL * scale]
-    pos = [i for i in unmatched if lam[i].imag > 0]
-    neg = set(i for i in unmatched if lam[i].imag < 0)
-    for i in pos:
-        j = min(neg, key=lambda j: abs(lam[j] - np.conj(lam[i])), default=None)
-        if j is None or abs(lam[j] - np.conj(lam[i])) > 1e-6 * scale:
-            raise DefectiveMatrixError(
-                f"no conjugate partner for eigenvalue {lam[i]:.6g}")
-        pair_of[i], pair_of[j] = j, i
-        neg.discard(j)
+    pair_of = greedy_pair_conjugates(
+        lam, max(1.0, float(np.linalg.norm(a_s, ord=2))))
     return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=v.T * u,
                          pair_of=pair_of, labels=tuple(labels))
 
@@ -387,3 +397,63 @@ def test_common_path_needs_no_svd(monkeypatch, case_b):
         np.linalg.cond(np.eye(2))
     sol = eig_biorthogonal(case_b.fss.a_s, case_b.fss.labels)
     assert_same_solution(sol, case_b.modal)
+
+
+# ---------------------------------------------------------------------------
+# conjugate pairing against the greedy loop
+
+
+def pairing_outcome(fn, lam, scale):
+    try:
+        return list(fn(lam, scale))
+    except DefectiveMatrixError as exc:
+        return str(exc)
+
+
+@st.composite
+def spectra_with_repeats(draw):
+    """Sorted spectra on a coarse grid: repeated eigenvalues, equidistant
+    candidates and, now and then, a conjugate missing or moved."""
+    grid = draw(st.lists(st.tuples(st.integers(-3, 0), st.integers(0, 3)),
+                         min_size=1, max_size=20))
+    lam = []
+    for x, y in grid:
+        lam.append(complex(x, y))
+        if y:
+            lam.append(complex(x, -y))
+    lam = np.array(lam)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(lam) - 1))
+        lam[k] += draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0])) * 1j
+    order = np.lexsort((lam.imag, lam.real))
+    return lam[order]
+
+
+@given(spectra_with_repeats(), st.sampled_from([1.0, 10.0, 1e6]))
+@example(np.array([-1 - 2j, -1 - 2j, -1 - 2j, -1 + 2j, -1 + 2j, -1 + 2j]),
+         1.0)
+@example(np.array([-1 - 2j, -1 - 1j, -1 + 1.5j]), 1.0)
+def test_pairing_matches_greedy_loop(lam, scale):
+    assert pairing_outcome(_pair_conjugates, lam, scale) \
+        == pairing_outcome(greedy_pair_conjugates, lam, scale)
+
+
+def test_pairing_ties_go_to_the_lowest_index():
+    # three exact copies of one pair, and an upper mode whose conjugate is
+    # equidistant from two lower modes
+    lam = np.array([-1 - 2j, -1 - 2j, -1 - 2j, -1 + 2j, -1 + 2j, -1 + 2j])
+    assert list(_pair_conjugates(lam, 1.0)) == [3, 4, 5, 0, 1, 2]
+    lam = np.array([-1.25 - 2j, -1 + 2j, -0.75 - 2j])
+    assert list(_pair_conjugates(lam, 1e6)) == [1, 0, -1]
+
+
+@pytest.mark.parametrize("lam", [
+    pytest.param(np.array([-1 - 3j, -1 + 2j]), id="partner_too_far"),
+    pytest.param(np.array([-3.0, -1 + 2j]), id="no_lower_mode"),
+    pytest.param(np.array([-1 - 2j, -1 + 2j, -1 + 2j]), id="one_short"),
+])
+def test_pairing_raises_for_a_missing_partner(lam):
+    with pytest.raises(DefectiveMatrixError,
+                       match="no conjugate partner for eigenvalue") as exc:
+        _pair_conjugates(lam, 1.0)
+    assert str(exc.value) == pairing_outcome(greedy_pair_conjugates, lam, 1.0)
