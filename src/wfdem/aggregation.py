@@ -10,7 +10,6 @@ the equivalent dissipates exactly the losses of the branches it replaces.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,9 +18,9 @@ import numpy as np
 
 from .assembly import FarmStateSpace, linear_model
 from .clustering import GroupAssignment, ModeClusters
-from .farm import Branch, FarmDescription, WtParams, farm_to_dict, nodal_network
+from .farm import Branch, FarmDescription, WtParams, nodal_network, save_farm
 from .modal import ConcernSet, ModalSolution, eig_biorthogonal, select_concern_modes
-from .powerflow import BusSolution, solve_powerflow
+from .powerflow import solve_powerflow
 from .wt import dc_link_seconds
 
 
@@ -136,14 +135,9 @@ class DemModel:
 
     farm: FarmDescription
     provenance: dict[int, tuple[str, ...]]
-    bus_solution: BusSolution
     state_space: FarmStateSpace
     modal: ModalSolution
     concern: ConcernSet
-
-    @property
-    def n_machines(self) -> int:
-        return self.farm.n_wt
 
     def group_capacity_mva(self, group: int) -> float:
         wt = self.farm.wts[group][0]
@@ -173,16 +167,14 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     )
     dem_farm.validate()
 
-    dem_sol = solve_powerflow(dem_farm)
-    fss = linear_model(dem_farm, dem_sol)
+    fss = linear_model(dem_farm, solve_powerflow(dem_farm))
     modal = eig_biorthogonal(fss.a_s, fss.labels)
     concern = select_concern_modes(modal, n_expected=dem_farm.n_wt)
 
     members = _group_members(farm, groups)
     provenance = {g: tuple(wt.id for wt, _ in members[g])
                   for g in sorted(members)}
-    return DemModel(farm=dem_farm, provenance=provenance,
-                    bus_solution=dem_sol, state_space=fss,
+    return DemModel(farm=dem_farm, provenance=provenance, state_space=fss,
                     modal=modal, concern=concern)
 
 
@@ -192,5 +184,4 @@ def write_dem_json(dem: DemModel, path: str | Path) -> None:
         "group_capacity_mva": {
             str(g): dem.group_capacity_mva(g) for g in dem.provenance},
     }
-    doc = farm_to_dict(dem.farm, provenance=provenance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    save_farm(dem.farm, path, provenance=provenance)

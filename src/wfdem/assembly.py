@@ -7,6 +7,9 @@ terminal voltages gives
     A_s = A + B Z C
     B_s = B K
 
+The network is series-only, so K stacks one 2x2 identity per WT and B_s is
+the row-stack of the block inputs.
+
 The admittance form A + B Y^-1 C with Y = Z^-1 is algebraically the same
 whenever Z is invertible and is kept as a cross-check; the Z form is primary
 because Kron reduction always yields Z while Y may not exist for
@@ -45,7 +48,6 @@ class FarmStateSpace:
     wt_order: tuple[str, ...]
     c_out: np.ndarray        # (2N, 4N)
     z_poi: np.ndarray        # (2, 2N)
-    k_poi: np.ndarray        # (2, 2)
     u_poi0: np.ndarray       # (2,)
     i_poi0: np.ndarray       # (2,)
 
@@ -96,12 +98,11 @@ def assemble_farm(blocks: list[WtStateSpace],
 
     return FarmStateSpace(
         a_s=a + b @ (net.z @ c),
-        b_s=b @ net.k_src,
+        b_s=b.reshape(len(b), n, 2).sum(axis=1),
         labels=tuple(labels),
         wt_order=net.wt_order,
         c_out=c,
         z_poi=net.z_poi,
-        k_poi=net.k_poi,
         u_poi0=u_poi0,
         i_poi0=i_poi0,
     )

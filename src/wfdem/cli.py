@@ -75,7 +75,6 @@ class PipelineState:
     groups: clustering.GroupAssignment | None = None
     dem: aggregation.DemModel | None = None
     report: validation.ValidationReport | None = None
-    chosen_c: int = 0
 
 
 def _run_stage(stage: str, fn, *args):
@@ -129,7 +128,6 @@ def _stage_cluster(state: PipelineState) -> None:
                                                   cfg.seed)
     else:
         state.clusters = _pick_cluster_count(state)
-    state.chosen_c = state.clusters.n_clusters
     rep_rows = {wt_id: state.fss.state_index(wt_id, STATE_FILTER[0])
                 for wt_id in state.fss.wt_order}
     state.features = clustering.superimpose_mpf(state.modal_sol.mpf,
@@ -168,7 +166,7 @@ def _stage_validate(state: PipelineState) -> None:
     metadata = {
         "farm": str(cfg.farm_path.name),
         "farm_sha256": state.farm_hash,
-        "clusters": state.chosen_c,
+        "clusters": state.clusters.n_clusters,
         "clusters_requested": cfg.clusters if cfg.clusters else "auto",
         "seed": cfg.seed,
         "state_filter": list(STATE_FILTER),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,9 @@ import numpy as np
 
 from .gridcsv import write_grid
 from .modal import ConcernSet
+
+# dominance margin below which groups.json lists a WT as low-margin
+LOW_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,11 @@ class _Seeder:
                     self.seeds[r, k] = pts[rng.choice(n, p=self.d2[r] / total)]
             self.drawn = k + 1
         return self.seeds[:, :c]
+
+
+# held while a seeder is fetched and grown: its generators and `drawn`
+# count are shared state
+_SEED_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=1)
@@ -176,14 +185,18 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     of its first c + 1 (same generator, same draws), so the `--auto-clusters`
     sweep over C = 1, 2, ... draws one new centre per restart per C, and a
     call at any C, in any order, returns what a fresh call returns.  The
-    cache holds live generators and assumes a single thread.
+    cache holds live generators, so a module lock serialises the seeding;
+    the seeds a call has taken are never rewritten, and the Lloyd
+    iterations run outside the lock.
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not 1 <= c <= len(pts):
         raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
 
-    seeder = _cached_seeder(pts.tobytes(), len(pts), seed, n_restarts)
-    all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeder.take(c))
+    with _SEED_LOCK:
+        seeds = _cached_seeder(pts.tobytes(), len(pts), seed,
+                               n_restarts).take(c)
+    all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeds)
     tied = np.flatnonzero(all_inertia == all_inertia.min())
     best = min(tied, key=lambda r: tuple(sorted(map(tuple, all_centres[r]))))
     centres, labels = all_centres[best], all_labels[best]
@@ -302,13 +315,12 @@ def write_features_csv(features: FeatureTable, path: str | Path) -> None:
                features.table, labels=("wt_id", features.wt_ids))
 
 
-def write_groups_json(groups: GroupAssignment, path: str | Path,
-                      low_margin: float = 0.1) -> None:
+def write_groups_json(groups: GroupAssignment, path: str | Path) -> None:
     doc = {
         "assignment": groups.group_of,
         "margins": groups.margins,
         "low_margin_wts": sorted(
-            wt for wt, m in groups.margins.items() if m < low_margin),
+            wt for wt, m in groups.margins.items() if m < LOW_MARGIN),
         "merge_log": [list(pair) for pair in groups.merged],
         "n_groups": groups.n_groups,
     }

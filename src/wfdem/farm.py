@@ -378,15 +378,14 @@ class NetworkMatrices:
     """Quasi-static collector matrices over the WT terminal ports.
 
     `z` maps WT current-injection deviations (positive toward the grid) to WT
-    terminal-voltage deviations with the infinite bus held fixed; `k_src`
-    maps an infinite-bus voltage deviation to terminal-voltage deviations
-    with the injections held fixed.  2x2 blocks are in the XY frame.
+    terminal-voltage deviations with the infinite bus held fixed.  The
+    network is series-only, so with the injections held fixed an
+    infinite-bus voltage deviation shifts every terminal and the POI one to
+    one.  2x2 blocks are in the XY frame.
     """
 
     z: np.ndarray          # real (2N, 2N)
-    k_src: np.ndarray      # real (2N, 2)
     z_poi: np.ndarray      # real (2, 2N): POI voltage response to injections
-    k_poi: np.ndarray      # real (2, 2)
     grid_block: np.ndarray  # real (2, 2), Thevenin branch impedance
     wt_order: tuple[str, ...]
 
@@ -433,14 +432,9 @@ def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
     zc = z_ports[:n_wt, :n_wt]
     poi_c = z_ports[n_wt, :n_wt]
 
-    # series-only network: a source deviation shifts every node one-to-one
-    k_src = np.tile(np.eye(2), (n_wt, 1))
-
     return NetworkMatrices(
         z=_expand_blocks(zc),
-        k_src=k_src,
         z_poi=_expand_blocks(poi_c.reshape(1, -1)),
-        k_poi=np.eye(2),
         grid_block=xy_block(net.grid_z),
         wt_order=farm.wt_ids,
     )

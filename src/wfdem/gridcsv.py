@@ -1,8 +1,9 @@
 """Text format of the float-grid CSV artifacts.
 
-`mpf.csv`, `features.csv` and `responses.csv` share one format: every
-number is written `%.12g`, every line ends in CRLF, and string cells are
-quoted the way `csv.writer` quotes them.  A complex grid cell expands to the
+`bus_solution.csv`, `modes.csv`, `mpf.csv`, `features.csv` and
+`responses.csv` share one format: every number is written `%.12g`, every
+line ends in CRLF, and string cells are quoted the way `csv.writer` quotes
+them.  A complex grid cell expands to the
 three columns |z|, Re z, Im z, with |z| from `magnitude`.
 
 Rows are formatted one at a time with a single `%` template, so memory stays

@@ -14,7 +14,6 @@ a bound cannot decide, so every decision is the one the SVD values give.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import StateLabel
-from .gridcsv import write_grid
+from .gridcsv import magnitude, write_grid
 
 _PAIR_RTOL = 1e-7
 # cond_2(U) above which the eigenvector basis counts as defective
@@ -217,7 +216,6 @@ class ConcernSet:
 
     mode_indices: tuple[int, ...]
     eigenvalues: np.ndarray      # complex, aligned with mode_indices
-    kinds: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.mode_indices)
@@ -248,30 +246,27 @@ def select_concern_modes(sol: ModalSolution, n_expected: int,
         warnings.warn(
             "selected modes span more than [0.2x, 5x] the median frequency; "
             "the state filter may be mixing bands", stacklevel=2)
-    return ConcernSet(mode_indices=tuple(chosen), eigenvalues=eigs,
-                      kinds=tuple(kinds))
+    return ConcernSet(mode_indices=tuple(chosen), eigenvalues=eigs)
 
 
 # ---------------------------------------------------------------------------
 # artifacts
 
 
-def write_modes_csv(sol: ModalSolution, concern: ConcernSet | None,
+def write_modes_csv(sol: ModalSolution, concern: ConcernSet,
                     path: str | Path) -> None:
-    selected = set(concern.mode_indices) if concern else set()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "freq_hz", "damping_ratio",
-                         "pair_id", "selected"])
-        for i, lam in enumerate(sol.eigenvalues):
-            mag = abs(lam)
-            writer.writerow([
-                f"{lam.real:.12g}", f"{lam.imag:.12g}",
-                f"{abs(lam.imag) / (2 * np.pi):.12g}",
-                f"{-lam.real / mag:.12g}" if mag > 0 else "nan",
-                sol.pair_of[i],
-                int(i in selected),
-            ])
+    """One row per mode; a zero-magnitude mode has damping ratio nan."""
+    lam = sol.eigenvalues
+    mag = magnitude(lam)
+    selected = np.zeros(sol.n_modes)
+    selected[list(concern.mode_indices)] = 1
+    with np.errstate(invalid="ignore"):
+        damping = -lam.real / mag
+    write_grid(path, ["re", "im", "freq_hz", "damping_ratio", "pair_id",
+                      "selected"],
+               np.column_stack([lam.real, lam.imag,
+                                np.abs(lam.imag) / (2 * np.pi), damping,
+                                sol.pair_of, selected]))
 
 
 def write_mpf_csv(sol: ModalSolution, path: str | Path) -> None:

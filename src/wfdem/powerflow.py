@@ -8,13 +8,13 @@ where noted machine-base.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .farm import FarmDescription, WtParams, nodal_network
+from .gridcsv import write_grid
 
 SLACK_E0 = 1.0 + 0.0j   # infinite-bus voltage, p.u.
 
@@ -43,9 +43,6 @@ class BusSolution:
     mismatch: float
     iterations: int
     mismatch_history: tuple[float, ...]
-
-    def voltage(self, bus: str) -> complex:
-        return self.v[self.bus_ids.index(bus)]
 
 
 def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
@@ -196,9 +193,7 @@ def write_bus_csv(farm: FarmDescription, sol: BusSolution,
     s_inj: dict[str, complex] = {bus: 0.0 + 0.0j for bus in farm.buses}
     for wt, bus in farm.wts:
         s_inj[bus] += wt.p_m0 * farm.capacity_ratio(wt)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bus_id", "vx", "vy", "p", "q"])
-        for bus, v in zip(sol.bus_ids, sol.v):
-            writer.writerow([bus, f"{v.real:.12g}", f"{v.imag:.12g}",
-                             f"{s_inj[bus].real:.12g}", f"{s_inj[bus].imag:.12g}"])
+    s = np.array([s_inj[bus] for bus in sol.bus_ids], dtype=complex)
+    write_grid(path, ["vx", "vy", "p", "q"],
+               np.column_stack([sol.v.real, sol.v.imag, s.real, s.imag]),
+               labels=("bus_id", sol.bus_ids))

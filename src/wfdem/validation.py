@@ -11,7 +11,7 @@ and comparing normalized RMS errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,7 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     t = np.arange(int(round(horizon / dt)) + 1) * dt
     k_on = int(np.searchsorted(t, sag.t_start))
 
-    # output rows: u_dc per WT, POI current, POI voltage less k_poi de
+    # output rows: u_dc per WT, POI current, POI voltage less de
     n_wt = len(fss.wt_order)
     c_poi = np.vstack([fss.c_out.reshape(n_wt, 2, -1).sum(axis=0),
                        fss.z_poi @ fss.c_out])
@@ -131,7 +131,7 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     y[:, k_on:] = w.real @ g.real - w.imag @ g.imag
 
     poi_i = y[n_wt:n_wt + 2]
-    du_poi = y[n_wt + 2:] + np.outer(fss.k_poi @ de, t >= sag.t_start)
+    du_poi = y[n_wt + 2:] + np.outer(de, t >= sag.t_start)
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(t=t, u_dc=dict(zip(fss.wt_order, y[:n_wt])),
                           poi_p=poi_p, poi_i=poi_i)
@@ -231,17 +231,6 @@ class ValidationReport:
     dem_unstable: bool
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "e_prime": self.e_prime,
-            "mode_errors": self.mode_errors,
-            "nrmse": self.nrmse,
-            "detailed_unstable": self.detailed_unstable,
-            "dem_unstable": self.dem_unstable,
-            "metadata": self.metadata,
-        }
-
 
 def build_report(concern: ConcernSet, clusters: ModeClusters, dem: DemModel,
                  nrmse_by_signal: dict[str, float],
@@ -275,7 +264,7 @@ def build_report(concern: ConcernSet, clusters: ModeClusters, dem: DemModel,
 
 def write_report_json(report: ValidationReport, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,

@@ -38,11 +38,9 @@ def _rotation_ddelta(delta: float) -> np.ndarray:
     return np.array([[-s, c], [-c, -s]])
 
 
-def dc_link_seconds(wt: WtParams, bases: PerUnitBases,
-                    s_mva: float | None = None) -> float:
+def dc_link_seconds(wt: WtParams, bases: PerUnitBases) -> float:
     """Energy-equivalent per-unit DC capacitance, in seconds."""
-    s = (s_mva if s_mva is not None
-         else (wt.s_mva if wt.s_mva is not None else bases.s_wt_mva))
+    s = wt.s_mva if wt.s_mva is not None else bases.s_wt_mva
     return wt.c_dc * (bases.u_dc_base_kv * 1e3) ** 2 / (s * 1e6)
 
 
@@ -139,10 +137,6 @@ class WtTrajectory:
     t: np.ndarray
     u_dc: np.ndarray
     delta: np.ndarray
-    i_d: np.ndarray
-    i_q: np.ndarray
-    u_d: np.ndarray
-    u_q: np.ndarray
     p_e: np.ndarray
 
 
@@ -230,15 +224,8 @@ def simulate_wt_nonlinear(wt: WtParams, bases: PerUnitBases,
             raise RuntimeError(f"nonlinear integration diverged at t={t[k + 1]:.4f}")
         xs[k + 1] = x
 
-    u_d = np.empty(n + 1)
-    u_q = np.empty(n + 1)
-    i_d = np.empty(n + 1)
-    p_e = np.empty(n + 1)
-    for k in range(n + 1):
-        e = e_post if t[k] >= sag.t_start else e_pre
-        u_dq, i_dq, pe = terminal_quantities(xs[k], e, wt, grid)
-        u_d[k], u_q[k] = u_dq
-        i_d[k] = i_dq[0]
-        p_e[k] = pe
-    return WtTrajectory(t=t, u_dc=xs[:, 0], delta=xs[:, 2], i_d=i_d,
-                        i_q=np.zeros(n + 1), u_d=u_d, u_q=u_q, p_e=p_e)
+    p_e = np.array([
+        terminal_quantities(xs[k], e_post if t[k] >= sag.t_start else e_pre,
+                            wt, grid)[2]
+        for k in range(n + 1)])
+    return WtTrajectory(t=t, u_dc=xs[:, 0], delta=xs[:, 2], p_e=p_e)

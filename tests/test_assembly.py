@@ -11,7 +11,8 @@ import pytest
 from helpers import random_radial_farm, solved_case
 from wfdem.assembly import (AssemblyError, assemble_farm,
                             closed_loop_via_admittance)
-from wfdem.cases import identical_zero_network_farm, single_wt_farm
+from wfdem.cases import (case_farm, identical_zero_network_farm,
+                         single_wt_farm)
 from wfdem.farm import build_network_matrices
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import linearize_wt
@@ -58,6 +59,15 @@ def test_single_wt_spectrum_matches_grid_connected_model():
     fss = assemble_farm(blocks, net)
     oracle = dae_elimination_oracle(blocks, net)
     assert np.abs(sorted_eigs(fss.a_s) - sorted_eigs(oracle)).max() < 1e-10
+
+
+def test_b_s_stacks_the_block_inputs():
+    # the series-only network ties the source to every terminal one to one
+    for farm in (case_farm("b"), single_wt_farm(), random_radial_farm(7),
+                 identical_zero_network_farm(33, p_m0=0.8)):
+        blocks, net = solved_blocks(farm)
+        fss = assemble_farm(blocks, net)
+        assert np.array_equal(fss.b_s, np.vstack([blk.b for blk in blocks]))
 
 
 def test_zero_network_reduces_to_block_diagonal():

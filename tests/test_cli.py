@@ -140,7 +140,7 @@ def test_auto_cluster_count_needs_three_for_split_bands(tmp_path):
                     out_dir=tmp_path / "auto_c", clusters=None,
                     e_target=0.02)
     state = run_pipeline(cfg, upto="cluster")
-    assert state.chosen_c == 3
+    assert state.clusters.n_clusters == 3
 
 
 def test_case_b_summary_lists_ground_truth_groups(tmp_path, capsys):

@@ -5,6 +5,8 @@ controller groups; k-means never sees them.
 """
 
 import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from wfdem.modal import ConcernSet
 def concern_from_points(values) -> ConcernSet:
     eig = np.asarray(values, dtype=complex)
     return ConcernSet(mode_indices=tuple(range(len(eig))),
-                      eigenvalues=eig, kinds=("u_dc",))
+                      eigenvalues=eig)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,39 @@ def test_cached_seeds_survive_interleaved_calls(case_b, case_c):
         assert_same_clusters(
             cluster_modes(concerns[name], c, seed, n_restarts=n_r),
             expected[keys[i]])
+
+
+def test_threads_sharing_the_seed_cache_get_fresh_clusterings():
+    # two threads grow one cached seeder in lockstep over C = 1..30, so both
+    # ask for each new centre at once; unguarded, they draw from the same
+    # generators and overwrite each other's seeds
+    xy = np.random.default_rng(0).standard_normal((100, 2))
+    concern = concern_from_points(xy[:, 0] + 1j * xy[:, 1])
+    cs = range(1, 31)
+    fresh = {}
+    for c in cs:
+        _cached_seeder.cache_clear()
+        fresh[c] = cluster_modes(concern, c, 0)
+
+    def sweep(step):
+        out = []
+        for c in cs:
+            step.wait()
+            out.append((c, cluster_modes(concern, c, 0)))
+        return out
+
+    wrong = []
+    for _ in range(2):
+        _cached_seeder.cache_clear()
+        step = threading.Barrier(2, timeout=30)
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(sweep, step) for _ in range(2)]
+            for run in runs:
+                wrong += [c for c, got in run.result()
+                          if got.members != fresh[c].members
+                          or not np.array_equal(got.centres, fresh[c].centres)
+                          or got.inertia != fresh[c].inertia]
+    assert wrong == []
 
 
 def test_exact_inertia_tie_goes_to_the_smallest_centres():

@@ -5,13 +5,14 @@ full complex admittance over every bus plus the source straight from the
 description, ground the source, and push unit current injections through it.
 """
 
+import importlib.util
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_radial_farm
+from helpers import ROOT, random_radial_farm
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,
@@ -163,6 +164,20 @@ def test_dem_provenance_key_is_loadable(tmp_path):
     assert load_farm(path).n_wt == 1
 
 
+def test_shipped_farms_are_what_make_farms_writes(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_farms", ROOT / "scripts" / "make_farms.py")
+    make_farms = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_farms)
+    monkeypatch.setattr(make_farms, "OUT", tmp_path)
+    make_farms.main()
+    shipped = sorted(p.name for p in (ROOT / "farms").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() \
+            == (ROOT / "farms" / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # network matrices
 
@@ -237,15 +252,8 @@ def test_internal_relabeling_leaves_z_unchanged():
                        atol=1e-14)
 
 
-def test_k_src_blocks_exactly_identity():
-    for farm in (case_farm("b"), single_wt_farm(), random_radial_farm(7)):
-        net = build_network_matrices(farm)
-        assert np.array_equal(net.k_src, np.tile(np.eye(2), (farm.n_wt, 1)))
-        assert np.array_equal(net.k_poi, np.eye(2))
-
-
 def test_k_src_matches_admittance_oracle():
-    # -Y_red^-1 Y_rs should reproduce the constructed identity
+    # -Y_red^-1 Y_rs is the one-to-one source tie that assembly assumes
     farm = case_farm("a")
     net = nodal_network(farm)
     k = np.linalg.solve(net.y_red, net.y_src)

@@ -1,4 +1,5 @@
-"""Float-grid CSV artifacts: mpf.csv, features.csv and responses.csv.
+"""Float-grid CSV artifacts: mpf.csv, features.csv, responses.csv,
+bus_solution.csv and modes.csv.
 
 Oracle: the per-cell writers below, which format every cell with its own
 f-string and pass each row through `csv.writer`.  The grid writers must
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import solved_case
+from helpers import ROOT, SolvedFarm, solved_case
 from wfdem.clustering import FeatureTable, write_features_csv
-from wfdem.modal import ModalSolution, write_mpf_csv
+from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
+                        load_farm)
+from wfdem.modal import ConcernSet, ModalSolution, write_modes_csv, write_mpf_csv
+from wfdem.powerflow import BusSolution, write_bus_csv
 from wfdem.validation import LinearResponse, simulate_linear, write_responses_csv
 from wfdem.wt import SagSpec
 
@@ -67,6 +71,35 @@ def reference_responses_csv(detailed, dem, path):
             writer.writerow([f"{arr[k]:.12g}" for _, arr in cols])
 
 
+def reference_bus_csv(farm, sol, path):
+    s_inj = {bus: 0.0 + 0.0j for bus in farm.buses}
+    for wt, bus in farm.wts:
+        s_inj[bus] += wt.p_m0 * farm.capacity_ratio(wt)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bus_id", "vx", "vy", "p", "q"])
+        for bus, v in zip(sol.bus_ids, sol.v):
+            writer.writerow([bus, f"{v.real:.12g}", f"{v.imag:.12g}",
+                             f"{s_inj[bus].real:.12g}", f"{s_inj[bus].imag:.12g}"])
+
+
+def reference_modes_csv(sol, concern, path):
+    selected = set(concern.mode_indices)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["re", "im", "freq_hz", "damping_ratio",
+                         "pair_id", "selected"])
+        for i, lam in enumerate(sol.eigenvalues):
+            mag = abs(lam)
+            writer.writerow([
+                f"{lam.real:.12g}", f"{lam.imag:.12g}",
+                f"{abs(lam.imag) / (2 * np.pi):.12g}",
+                f"{-lam.real / mag:.12g}" if mag > 0 else "nan",
+                sol.pair_of[i],
+                int(i in selected),
+            ])
+
+
 def assert_same_bytes(tmp_path, write, reference, *args):
     ours, theirs = tmp_path / "ours.csv", tmp_path / "reference.csv"
     write(*args, ours)
@@ -92,6 +125,16 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
                       features)
     assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
                       detailed, dem_resp)
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
+                                  "zero_network", "single_wt"])
+def test_bus_and_modes_csv_match_reference_on_shipped_farms(tmp_path, name):
+    s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
+    assert_same_bytes(tmp_path, write_bus_csv, reference_bus_csv, s.farm,
+                      s.sol)
+    assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
+                      s.modal, s.concern)
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +203,48 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
                       detailed, dem)
 
+    # column 0 as a spectrum, half its modes selected, pairs made up
+    modal = ModalSolution(eigenvalues=table[:, 0], right=None, left=None,
+                          mpf=None, pair_of=np.arange(n_rows)[::-1] - 1,
+                          labels=())
+    concern = ConcernSet(mode_indices=tuple(range(0, n_rows, 2)),
+                         eigenvalues=table[::2, 0])
+    # the reference's numpy-scalar -Re/|lam| warns on an infinite mode
+    with np.errstate(invalid="ignore"):
+        assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
+                          modal, concern)
+
+    # the ids as buses, the table as voltages, one WT on the last bus
+    wt = WtParams(id="w", p_m0=0.7, c_dc=0.09, u_dc0=1.0, kp_dvc=1.0,
+                  ki_dvc=300.0, s_mva=3.0)
+    farm = FarmDescription(
+        bases=PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0), buses=tuple(ids),
+        poi=ids[0], branches=(), wts=((wt, ids[-1]),),
+        grid=GridThevenin(0.0, 0.01))
+    sol = BusSolution(bus_ids=tuple(ids), v=table[:, -1], branch_flows=None,
+                      grid_flow=0j, slack_power=0j, wt_terminal={},
+                      mismatch=0.0, iterations=0, mismatch_history=())
+    assert_same_bytes(tmp_path, write_bus_csv, reference_bus_csv, farm, sol)
+
+
+# -Re lam / np.abs(lam) prints a different last digit for these
+DAMPING_ABS_NE_HYPOT = [complex(-0.8812565813042883, -0.10447796803538134),
+                        complex(-0.48424685966949155, 0.22729738506525177),
+                        complex(0.8006234835712931, 0.878758256284105)]
+
+
+def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
+    lam = np.array([0j, complex(-0.0, 0.0), -1.0, -2.0 - 30.0j, -2.0 + 30.0j]
+                   + DAMPING_ABS_NE_HYPOT)
+    modal = ModalSolution(eigenvalues=lam, right=None, left=None, mpf=None,
+                          pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]),
+                          labels=())
+    concern = ConcernSet(mode_indices=(4,), eigenvalues=lam[4:])
+    write_modes_csv(modal, concern, tmp_path / "modes.csv")
+    reference_modes_csv(modal, concern, tmp_path / "reference.csv")
+    text = (tmp_path / "modes.csv").read_text()
+    assert text == (tmp_path / "reference.csv").read_text()
+    rows = text.splitlines()
+    assert rows[1] == "0,0,0,nan,-1,0"
+    assert rows[2] == "-0,0,0,nan,-1,0"
+    assert rows[5].endswith(",3,1")

@@ -78,8 +78,8 @@ def test_wt_names_change_no_number(pipeline, case):
     renamed = dataclasses.replace(farm, wts=tuple(
         (dataclasses.replace(wt, id=new_id[wt.id]), bus)
         for wt, bus in farm.wts))
-    base = pipeline(case, farm).report.to_dict()
-    got = pipeline(f"{case}_renamed", renamed).report.to_dict()
+    base = dataclasses.asdict(pipeline(case, farm).report)
+    got = dataclasses.asdict(pipeline(f"{case}_renamed", renamed).report)
 
     meta = base["metadata"]
     base["metadata"] = {
@@ -93,5 +93,5 @@ def test_wt_names_change_no_number(pipeline, case):
 def test_one_cluster_per_mode_has_zero_centre_error(pipeline, case):
     farm = case_farm(case)
     state = pipeline(f"{case}_c{farm.n_wt}", farm, clusters=farm.n_wt)
-    assert state.chosen_c == farm.n_wt
+    assert state.clusters.n_clusters == farm.n_wt
     assert state.report.e == 0.0

@@ -33,7 +33,7 @@ BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0)
 def concern_of(values) -> ConcernSet:
     eig = np.asarray(values, dtype=complex)
     return ConcernSet(mode_indices=tuple(range(len(eig))),
-                      eigenvalues=eig, kinds=("u_dc",))
+                      eigenvalues=eig)
 
 
 def one_cluster(concern: ConcernSet) -> ModeClusters:
@@ -72,7 +72,7 @@ def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
         xs[:, k + 1] = x_aug[:n]
     di = fss.c_out @ xs
     poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
-    du_poi = fss.z_poi @ di + np.outer(fss.k_poi @ de, t >= sag.t_start)
+    du_poi = fss.z_poi @ di + np.outer(de, t >= sag.t_start)
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(
         t=t, u_dc={wt_id: xs[fss.state_index(wt_id, "u_dc")]
@@ -343,7 +343,7 @@ def near_defective_model(seed: int, lam: float, delta: float,
         a_s=s @ j @ np.linalg.inv(s), b_s=rng.standard_normal((4, 2)),
         labels=tuple(("wt01", kind) for kind in STATE_KINDS),
         wt_order=("wt01",), c_out=rng.standard_normal((2, 4)),
-        z_poi=rng.standard_normal((2, 2)), k_poi=np.eye(2),
+        z_poi=rng.standard_normal((2, 2)),
         u_poi0=np.array([1.0, 0.0]), i_poi0=np.array([0.9, 0.1]))
 
 
