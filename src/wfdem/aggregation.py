@@ -48,7 +48,7 @@ def aggregate_wts(farm: FarmDescription,
         wts = [wt for wt, _ in members[g]]
         if not wts:
             raise AggregationError(f"group {g} is empty")
-        caps = np.array([farm.wt_capacity_mva(wt) for wt in wts])
+        caps = np.array([wt.capacity_mva(farm.bases) for wt in wts])
         s_agg = float(caps.sum())
         weight = caps / s_agg
 
@@ -96,7 +96,7 @@ def equivalent_network(farm: FarmDescription,
         inj = np.zeros(net.n_nodes, dtype=complex)
         p_total = 0.0
         for wt, bus in members[g]:
-            p_sys = wt.p_m0 * farm.capacity_ratio(wt)
+            p_sys = wt.p_m0 * wt.capacity_ratio(farm.bases)
             p_total += p_sys
             node = net.node_of[bus]
             if node >= 0:
@@ -138,10 +138,7 @@ class DemModel:
     state_space: FarmStateSpace
     modal: ModalSolution
     concern: ConcernSet
-
-    def group_capacity_mva(self, group: int) -> float:
-        wt = self.farm.wts[group][0]
-        return self.farm.wt_capacity_mva(wt)
+    capacity_mva: dict[int, float]   # machine capacity base per group id
 
 
 def build_dem(farm: FarmDescription, groups: GroupAssignment,
@@ -174,14 +171,15 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     members = _group_members(farm, groups)
     provenance = {g: tuple(wt.id for wt, _ in members[g])
                   for g in sorted(members)}
+    capacity = {g: wt.s_mva for g, wt in zip(sorted(members), aggregates)}
     return DemModel(farm=dem_farm, provenance=provenance, state_space=fss,
-                    modal=modal, concern=concern)
+                    modal=modal, concern=concern, capacity_mva=capacity)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:
     provenance = {
         "groups": {str(g): list(ids) for g, ids in dem.provenance.items()},
         "group_capacity_mva": {
-            str(g): dem.group_capacity_mva(g) for g in dem.provenance},
+            str(g): mva for g, mva in dem.capacity_mva.items()},
     }
     save_farm(dem.farm, path, provenance=provenance)

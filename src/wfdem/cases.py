@@ -91,7 +91,7 @@ def _gains(case: str) -> tuple[np.ndarray, np.ndarray]:
     return kp, ki
 
 
-def case_farm(case: str, f_grid_hz: float = 50.0) -> FarmDescription:
+def case_farm(case: str) -> FarmDescription:
     """Synthesized 33-WT farm for study case 'a', 'b', 'c', or 'd'."""
     kp, ki = _gains(case)
 
@@ -123,8 +123,7 @@ def case_farm(case: str, f_grid_hz: float = 50.0) -> FarmDescription:
             prev = bus
 
     farm = FarmDescription(
-        bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV,
-                           f_grid_hz=f_grid_hz),
+        bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV),
         buses=tuple(buses),
         poi="poi",
         branches=tuple(branches),

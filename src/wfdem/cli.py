@@ -36,9 +36,6 @@ ARTIFACTS = {
     "validate": ("report.json", "responses.csv", "responses.svg"),
 }
 
-STATE_FILTER = ("u_dc",)  # state kinds that rank modes; [0] gives features
-GROUP_TAU = 0.1           # relative centroid distance that merges WT groups
-
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -100,8 +97,7 @@ def _stage_modes(state: PipelineState) -> None:
     state.fss = linear_model(state.farm, state.sol)
     state.modal_sol = modal.eig_biorthogonal(state.fss.a_s, state.fss.labels)
     state.concern = modal.select_concern_modes(
-        state.modal_sol, n_expected=state.farm.n_wt,
-        kinds=STATE_FILTER)
+        state.modal_sol, n_expected=state.farm.n_wt)
     modal.write_modes_csv(state.modal_sol, state.concern,
                           state.cfg.out_dir / "modes.csv")
     modal.write_mpf_csv(state.modal_sol, state.cfg.out_dir / "mpf.csv")
@@ -128,11 +124,12 @@ def _stage_cluster(state: PipelineState) -> None:
                                                   cfg.seed)
     else:
         state.clusters = _pick_cluster_count(state)
-    rep_rows = {wt_id: state.fss.state_index(wt_id, STATE_FILTER[0])
+    kind = modal.STATE_FILTER[0]
+    rep_rows = {wt_id: state.fss.state_index(wt_id, kind)
                 for wt_id in state.fss.wt_order}
     state.features = clustering.superimpose_mpf(state.modal_sol.mpf,
                                                 state.clusters, rep_rows)
-    state.groups = clustering.group_wts(state.features, tau=GROUP_TAU)
+    state.groups = clustering.group_wts(state.features)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
     _features_svg(cfg.out_dir, state.features.wt_ids, [
@@ -151,16 +148,16 @@ def _stage_aggregate(state: PipelineState) -> None:
 
 def _stage_validate(state: PipelineState) -> None:
     cfg = state.cfg
-    sag = SagSpec(fraction=cfg.sag, t_start=0.1)
+    sag = SagSpec(fraction=cfg.sag)
     detailed = validation.simulate_linear(state.fss, state.modal_sol, sag,
                                           cfg.horizon, cfg.dt)
     dem_resp = validation.simulate_linear(state.dem.state_space,
                                           state.dem.modal, sag, cfg.horizon,
                                           cfg.dt)
-    mapping = {
-        g: tuple((wt_id, _capacity(state.farm, wt_id)) for wt_id in ids)
-        for g, ids in state.dem.provenance.items()
-    }
+    capacity = {wt.id: wt.capacity_mva(state.farm.bases)
+                for wt, _ in state.farm.wts}
+    mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
+               for g, ids in state.dem.provenance.items()}
     nrmse_by_signal = validation.compare_responses(detailed, dem_resp,
                                                    mapping)
     metadata = {
@@ -169,14 +166,13 @@ def _stage_validate(state: PipelineState) -> None:
         "clusters": state.clusters.n_clusters,
         "clusters_requested": cfg.clusters if cfg.clusters else "auto",
         "seed": cfg.seed,
-        "state_filter": list(STATE_FILTER),
+        "state_filter": list(modal.STATE_FILTER),
         "sag": cfg.sag,
         "horizon": cfg.horizon,
         "dt": cfg.dt,
         "groups": state.groups.group_of,
         "group_capacity_mva": {
-            str(g): state.dem.group_capacity_mva(g)
-            for g in state.dem.provenance},
+            str(g): mva for g, mva in state.dem.capacity_mva.items()},
         "cluster_centres": [[c.real, c.imag] for c in state.clusters.centres],
         "dem_modes": [[lam.real, lam.imag]
                       for lam in state.dem.concern.eigenvalues],
@@ -189,13 +185,6 @@ def _stage_validate(state: PipelineState) -> None:
                                    cfg.out_dir / "responses.csv")
     _responses_svg(cfg.out_dir, *(as_printed(a) for a in (
         detailed.t, detailed.poi_p, dem_resp.poi_p)))
-
-
-def _capacity(farm: FarmDescription, wt_id: str) -> float:
-    for wt, _ in farm.wts:
-        if wt.id == wt_id:
-            return farm.wt_capacity_mva(wt)
-    raise KeyError(wt_id)
 
 
 _STAGE_FN = {
@@ -376,13 +365,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--farm", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--clusters", type=int, default=None)
+        p.add_argument("--clusters", type=int)
         p.add_argument("--auto-clusters", action="store_true")
-        p.add_argument("--e-target", type=float, default=0.02)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--sag", type=float, default=0.05)
-        p.add_argument("--horizon", type=float, default=2.0)
-        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--e-target", type=float, default=RunConfig.e_target)
+        p.add_argument("--seed", type=int, default=RunConfig.seed)
+        p.add_argument("--sag", type=float, default=RunConfig.sag)
+        p.add_argument("--horizon", type=float, default=RunConfig.horizon)
+        p.add_argument("--dt", type=float, default=RunConfig.dt)
         return p
 
     for name, help_text in (

@@ -22,6 +22,8 @@ from .modal import ConcernSet
 
 # dominance margin below which groups.json lists a WT as low-margin
 LOW_MARGIN = 0.1
+# relative centroid distance below which two WT groups merge
+GROUP_TAU = 0.1
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ class GroupAssignment:
         return len(set(self.group_of.values()))
 
 
-def group_wts(features: FeatureTable, tau: float = 0.1) -> GroupAssignment:
+def group_wts(features: FeatureTable,
+              tau: float = GROUP_TAU) -> GroupAssignment:
     """Assign each WT to its dominant cluster, then merge look-alike groups.
 
     Grouping works on feature magnitudes.  Two groups merge when their

@@ -10,7 +10,7 @@ legal and are handled by merging their end nodes before any matrix is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -70,6 +70,13 @@ class WtParams:
     ki_pll: float = 1400.0
     s_mva: float | None = None
 
+    def capacity_mva(self, bases: PerUnitBases) -> float:
+        return self.s_mva if self.s_mva is not None else bases.s_wt_mva
+
+    def capacity_ratio(self, bases: PerUnitBases) -> float:
+        """Machine capacity over the system (per-turbine) base."""
+        return self.capacity_mva(bases) / bases.s_wt_mva
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -104,13 +111,6 @@ class FarmDescription:
     @property
     def wt_ids(self) -> tuple[str, ...]:
         return tuple(wt.id for wt, _ in self.wts)
-
-    def wt_capacity_mva(self, wt: WtParams) -> float:
-        return wt.s_mva if wt.s_mva is not None else self.bases.s_wt_mva
-
-    def capacity_ratio(self, wt: WtParams) -> float:
-        """Machine capacity over the system (per-turbine) base."""
-        return self.wt_capacity_mva(wt) / self.bases.s_wt_mva
 
     def validate(self) -> None:
         b = self.bases
@@ -172,45 +172,33 @@ _SCHEMA = json.loads(
 _VALIDATOR = Draft7Validator(_SCHEMA)
 
 
+# file keys that differ from their dataclass field names
+_KEY_OF = {"p_m0": "p_m0_pu", "c_dc": "c_dc_f", "u_dc0": "u_dc0_pu"}
+
+
+def _record(obj) -> dict:
+    """A dataclass's fields under their file keys, leaving out None ones."""
+    return {_KEY_OF.get(f.name, f.name): getattr(obj, f.name)
+            for f in fields(obj) if getattr(obj, f.name) is not None}
+
+
+def _from_record(cls, rec: dict):
+    """Inverse of `_record`; an absent key takes the field default."""
+    return cls(**{f.name: rec[key] for f in fields(cls)
+                  if (key := _KEY_OF.get(f.name, f.name)) in rec})
+
+
 def farm_to_dict(farm: FarmDescription,
                  provenance: dict | None = None) -> dict:
     doc = {
-        "bases": {
-            "s_wt_mva": farm.bases.s_wt_mva,
-            "v_coll_kv": farm.bases.v_coll_kv,
-            "f_grid_hz": farm.bases.f_grid_hz,
-            "u_dc_base_kv": farm.bases.u_dc_base_kv,
-        },
+        "bases": _record(farm.bases),
         "buses": [
             {"id": bus, "poi": True} if bus == farm.poi else {"id": bus}
             for bus in farm.buses
         ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "length_km": br.length_km,
-                "r_ohm_per_km": br.r_ohm_per_km,
-                "l_h_per_km": br.l_h_per_km,
-            }
-            for br in farm.branches
-        ],
-        "wts": [
-            {
-                "id": wt.id,
-                "bus": bus,
-                "p_m0_pu": wt.p_m0,
-                "c_dc_f": wt.c_dc,
-                "u_dc0_pu": wt.u_dc0,
-                "kp_dvc": wt.kp_dvc,
-                "ki_dvc": wt.ki_dvc,
-                "kp_pll": wt.kp_pll,
-                "ki_pll": wt.ki_pll,
-                **({"s_mva": wt.s_mva} if wt.s_mva is not None else {}),
-            }
-            for wt, bus in farm.wts
-        ],
-        "grid": {"r_pu": farm.grid.r_pu, "l_pu": farm.grid.l_pu},
+        "branches": [_record(br) for br in farm.branches],
+        "wts": [{"bus": bus, **_record(wt)} for wt, bus in farm.wts],
+        "grid": _record(farm.grid),
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -223,38 +211,17 @@ def farm_from_dict(doc: dict) -> FarmDescription:
         where = "/".join(str(p) for p in errors[0].path) or "<root>"
         raise FarmFileError(f"farm description rejected at {where}: "
                             f"{errors[0].message}")
-    bases = PerUnitBases(
-        s_wt_mva=doc["bases"]["s_wt_mva"],
-        v_coll_kv=doc["bases"]["v_coll_kv"],
-        f_grid_hz=doc["bases"].get("f_grid_hz", 50.0),
-        u_dc_base_kv=doc["bases"].get("u_dc_base_kv", 1.2),
-    )
     poi = [b["id"] for b in doc["buses"] if b.get("poi")]
     if len(poi) != 1:
         raise FarmValidationError(
             f"exactly one bus must be flagged as POI, found {len(poi)}")
     farm = FarmDescription(
-        bases=bases,
+        bases=_from_record(PerUnitBases, doc["bases"]),
         buses=tuple(b["id"] for b in doc["buses"]),
         poi=poi[0],
-        branches=tuple(
-            Branch(b["from_bus"], b["to_bus"], b["length_km"],
-                   b["r_ohm_per_km"], b["l_h_per_km"])
-            for b in doc["branches"]),
-        wts=tuple(
-            (WtParams(
-                id=w["id"],
-                p_m0=w["p_m0_pu"],
-                c_dc=w["c_dc_f"],
-                u_dc0=w["u_dc0_pu"],
-                kp_dvc=w["kp_dvc"],
-                ki_dvc=w["ki_dvc"],
-                kp_pll=w.get("kp_pll", 60.0),
-                ki_pll=w.get("ki_pll", 1400.0),
-                s_mva=w.get("s_mva"),
-            ), w["bus"])
-            for w in doc["wts"]),
-        grid=GridThevenin(doc["grid"]["r_pu"], doc["grid"]["l_pu"]),
+        branches=tuple(_from_record(Branch, b) for b in doc["branches"]),
+        wts=tuple((_from_record(WtParams, w), w["bus"]) for w in doc["wts"]),
+        grid=_from_record(GridThevenin, doc["grid"]),
     )
     farm.validate()
     return farm

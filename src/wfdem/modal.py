@@ -34,6 +34,8 @@ _CERT_MAX = _COND_MAX / 100.0
 _BOUND_SLACK = 1e-6
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
+# state kinds whose participation ranks the concern modes; [0] gives features
+STATE_FILTER = ("u_dc",)
 
 
 class DefectiveMatrixError(RuntimeError):
@@ -222,7 +224,7 @@ class ConcernSet:
 
 
 def select_concern_modes(sol: ModalSolution, n_expected: int,
-                         kinds: tuple[str, ...] = ("u_dc",)) -> ConcernSet:
+                         kinds: tuple[str, ...] = STATE_FILTER) -> ConcernSet:
     """Rank pair representatives by summed |MPF| over the filtered states."""
     rows = sol.kind_rows(kinds)
     if rows.size == 0:

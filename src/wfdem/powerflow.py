@@ -91,7 +91,7 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
     s_spec = np.zeros(n, dtype=complex)
     for wt, bus in farm.wts:
         node = net.node_of[bus]
-        p_sys = wt.p_m0 * farm.capacity_ratio(wt)
+        p_sys = wt.p_m0 * wt.capacity_ratio(farm.bases)
         if node >= 0:
             s_spec[node] += p_sys
 
@@ -122,7 +122,7 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
             raise PowerflowError(f"zero terminal voltage at WT {wt.id!r}")
         i_machine = np.conj(wt.p_m0 / u)
         wt_terminal[wt.id] = (u, i_machine)
-        grid_flow += i_machine * farm.capacity_ratio(wt)
+        grid_flow += i_machine * wt.capacity_ratio(farm.bases)
 
     slack_power = SLACK_E0 * np.conj(grid_flow)
 
@@ -192,7 +192,7 @@ def write_bus_csv(farm: FarmDescription, sol: BusSolution,
     """Dump the bus solution (`bus_id, vx, vy, p, q`), injections in system p.u."""
     s_inj: dict[str, complex] = {bus: 0.0 + 0.0j for bus in farm.buses}
     for wt, bus in farm.wts:
-        s_inj[bus] += wt.p_m0 * farm.capacity_ratio(wt)
+        s_inj[bus] += wt.p_m0 * wt.capacity_ratio(farm.bases)
     s = np.array([s_inj[bus] for bus in sol.bus_ids], dtype=complex)
     write_grid(path, ["vx", "vy", "p", "q"],
                np.column_stack([sol.v.real, sol.v.imag, s.real, s.imag]),

@@ -233,7 +233,7 @@ def lines_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     ys = [y for _, _, sy, _, _ in series for y in sy]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    dy = (max(ys) - min(ys)) or max(abs(max(ys)), 1e-9) * 0.1
+    dy = _data_span(ys)
     frame = Frame(min(xs), max(xs), min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
     el = _axes(frame, title, xlabel, ylabel)
     legend = []

@@ -190,13 +190,12 @@ class LinearizationCheck:
 
 def linearization_check(wt: WtParams, bases: PerUnitBases,
                         grid: GridThevenin, sag_fraction: float = 0.001,
-                        horizon: float = 2.0, dt: float = 1e-3,
-                        e_mag: float = 1.0) -> LinearizationCheck:
+                        horizon: float = 2.0,
+                        dt: float = 1e-3) -> LinearizationCheck:
     """Nonlinear vs linear single-WT response under the same source sag."""
-    sag = SagSpec(fraction=sag_fraction, t_start=0.1)
-    traj = simulate_wt_nonlinear(wt, bases, grid, sag, horizon, dt,
-                                 e_mag=e_mag)
-    x0, _ = stiff_equilibrium(wt, bases, grid, e_mag)
+    sag = SagSpec(fraction=sag_fraction)
+    traj = simulate_wt_nonlinear(wt, bases, grid, sag, horizon, dt)
+    x0, _ = stiff_equilibrium(wt, bases, grid)
     du_dc_nl = traj.u_dc - x0[0]
 
     farm = FarmDescription(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farm import GridThevenin, PerUnitBases, WtParams, xy_block
-from .powerflow import WtOperatingPoint
+from .powerflow import SLACK_E0, WtOperatingPoint
 
 STATE_KINDS = ("u_dc", "dvc_int", "pll_angle", "pll_int")
 
@@ -40,8 +40,8 @@ def _rotation_ddelta(delta: float) -> np.ndarray:
 
 def dc_link_seconds(wt: WtParams, bases: PerUnitBases) -> float:
     """Energy-equivalent per-unit DC capacitance, in seconds."""
-    s = wt.s_mva if wt.s_mva is not None else bases.s_wt_mva
-    return wt.c_dc * (bases.u_dc_base_kv * 1e3) ** 2 / (s * 1e6)
+    return (wt.c_dc * (bases.u_dc_base_kv * 1e3) ** 2
+            / (wt.capacity_mva(bases) * 1e6))
 
 
 def _c_prime(wt: WtParams, bases: PerUnitBases) -> float:
@@ -95,7 +95,7 @@ def linearize_wt(wt: WtParams, op: WtOperatingPoint,
     c[:, 1] = t0.T[:, 0] * wt.ki_dvc
     c[:, 2] = v
 
-    ratio = wt.s_mva / bases.s_wt_mva if wt.s_mva is not None else 1.0
+    ratio = wt.capacity_ratio(bases)
     return WtStateSpace(
         a=a, b=b, c=ratio * c,
         wt_id=wt.id,
@@ -173,16 +173,17 @@ def nonlinear_rhs(x: np.ndarray, e_xy: np.ndarray, wt: WtParams,
     ])
 
 
-def stiff_equilibrium(wt: WtParams, bases: PerUnitBases, grid: GridThevenin,
-                      e_mag: float = 1.0) -> tuple[np.ndarray, complex]:
+def stiff_equilibrium(wt: WtParams, bases: PerUnitBases,
+                      grid: GridThevenin) -> tuple[np.ndarray, complex]:
     """Steady state of the single WT behind its Thevenin grid.
 
-    Fixed point of u = e + z conj(p/u); returns (x0, terminal voltage).
+    Fixed point of u = e + z conj(p/u) with e = SLACK_E0; returns (x0,
+    terminal voltage).
     """
     z = complex(grid.r_pu, grid.l_pu)
-    u = complex(e_mag)
+    u = SLACK_E0
     for _ in range(500):
-        u_next = e_mag + z * np.conj(wt.p_m0 / u)
+        u_next = SLACK_E0 + z * np.conj(wt.p_m0 / u)
         if abs(u_next - u) < 1e-14:
             u = u_next
             break
@@ -197,16 +198,15 @@ def stiff_equilibrium(wt: WtParams, bases: PerUnitBases, grid: GridThevenin,
 
 def simulate_wt_nonlinear(wt: WtParams, bases: PerUnitBases,
                           grid: GridThevenin, sag: SagSpec,
-                          horizon: float, dt: float,
-                          e_mag: float = 1.0) -> WtTrajectory:
+                          horizon: float, dt: float) -> WtTrajectory:
     """Fixed-step RK4 integration of the nonlinear model under a source sag."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x0, _ = stiff_equilibrium(wt, bases, grid, e_mag)
+    x0, _ = stiff_equilibrium(wt, bases, grid)
     n = int(round(horizon / dt))
     t = np.arange(n + 1) * dt
-    e_pre = np.array([e_mag, 0.0])
-    e_post = np.array([e_mag * (1.0 - sag.fraction), 0.0])
+    e_pre = np.array([SLACK_E0.real, SLACK_E0.imag])
+    e_post = e_pre * (1.0 - sag.fraction)
 
     xs = np.empty((n + 1, 4))
     xs[0] = x0

@@ -193,7 +193,8 @@ def test_c10_powerflow_on_all_shipped_farms():
     for path in SHIPPED:
         farm = load_farm(path)
         sol = solve_powerflow(farm)
-        total = sum(wt.p_m0 * farm.capacity_ratio(wt) for wt, _ in farm.wts)
+        total = sum(wt.p_m0 * wt.capacity_ratio(farm.bases)
+                    for wt, _ in farm.wts)
         balance = abs(sol.slack_power - (total - network_losses(farm, sol)))
         worst_mis = max(worst_mis, sol.mismatch)
         worst_bal = max(worst_bal, float(balance))

@@ -99,8 +99,8 @@ def test_mw_and_mva_conservation(case_b):
     agg = aggregate_wts(farm, groups)
     mva = sum(a.s_mva for a in agg)
     mw = sum(a.p_m0 * a.s_mva for a in agg)
-    mva_ref = sum(farm.wt_capacity_mva(wt) for wt, _ in farm.wts)
-    mw_ref = sum(wt.p_m0 * farm.wt_capacity_mva(wt) for wt, _ in farm.wts)
+    mva_ref = sum(wt.capacity_mva(farm.bases) for wt, _ in farm.wts)
+    mw_ref = sum(wt.p_m0 * wt.capacity_mva(farm.bases) for wt, _ in farm.wts)
     assert abs(mva - mva_ref) < 1e-12 * mva_ref
     assert abs(mw - mw_ref) < 1e-12 * mw_ref
 
@@ -141,7 +141,8 @@ def test_equal_loss_identity_against_tree_walk(case_b):
     p_at = {}
     for wt, bus in farm.wts:
         p_at.setdefault(bus, {}).setdefault(groups.group_of[wt.id], 0.0)
-        p_at[bus][groups.group_of[wt.id]] += wt.p_m0 * farm.capacity_ratio(wt)
+        p_at[bus][groups.group_of[wt.id]] += \
+            wt.p_m0 * wt.capacity_ratio(farm.bases)
 
     def downstream(bus, g):
         total = p_at.get(bus, {}).get(g, 0.0)
@@ -153,7 +154,7 @@ def test_equal_loss_identity_against_tree_walk(case_b):
         loss = 0.0 + 0.0j
         for br in farm.branches:
             loss += branch_z_pu(farm, br) * downstream(br.to_bus, g) ** 2
-        p_total = sum(wt.p_m0 * farm.capacity_ratio(wt)
+        p_total = sum(wt.p_m0 * wt.capacity_ratio(farm.bases)
                       for wt, _ in farm.wts if groups.group_of[wt.id] == g)
         z_eq = equivalent_z_pu(farm, eq[g])
         assert abs(loss - p_total**2 * z_eq) < 1e-10
@@ -202,10 +203,25 @@ def test_dem_json_round_trip(tmp_path, case_b):
     loaded = load_farm(path)
     assert loaded.n_wt == 3
     assert {farm_wt.s_mva for farm_wt, _ in loaded.wts} \
-        == {dem.farm.wt_capacity_mva(wt) for wt, _ in dem.farm.wts}
+        == {wt.capacity_mva(dem.farm.bases) for wt, _ in dem.farm.wts}
     import json
     doc = json.loads(path.read_text())
     assert set(doc["provenance"]["groups"]) == {"0", "1", "2"}
+
+
+def test_group_capacities_are_keyed_by_group_id(tmp_path, case_b):
+    # ids {1, 2} rather than 0..G-1: three WTs in group 1, thirty in group 2
+    ids = case_b.farm.wt_ids
+    groups = GroupAssignment(
+        group_of={wt_id: 1 if k < 3 else 2 for k, wt_id in enumerate(ids)},
+        margins={wt_id: 1.0 for wt_id in ids}, merged=())
+    dem = build_dem(case_b.farm, groups)
+    assert dem.capacity_mva == {1: 4.5, 2: 45.0}
+    path = tmp_path / "dem.json"
+    write_dem_json(dem, path)
+    import json
+    doc = json.loads(path.read_text())
+    assert doc["provenance"]["group_capacity_mva"] == {"1": 4.5, "2": 45.0}
 
 
 def test_dem_concern_count_matches_machine_count(case_b):

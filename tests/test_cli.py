@@ -1,15 +1,17 @@
 """Pipeline driver: subcommands, artifacts, determinism, error paths."""
 
 import hashlib
+import importlib.util
 import json
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from helpers import run_python_bounded
-from wfdem.cli import (ARTIFACTS, RunConfig, emit_plot, emit_report, main,
-                       run_pipeline)
+from helpers import ROOT, run_python_bounded
+from wfdem.cli import (ARTIFACTS, RunConfig, _build_parser, _config_from_args,
+                       emit_plot, emit_report, main, run_pipeline)
 
 FARMS = Path(__file__).resolve().parent.parent / "farms"
 
@@ -244,3 +246,33 @@ def test_auto_clusters_writes_what_its_chosen_count_writes(tmp_path, case,
     assert reports[1]["metadata"].pop("clusters_requested") == chosen
     assert reports[0] == reports[1]
     assert reports[0]["metadata"]["clusters"] == chosen
+
+
+def test_bare_run_commands_take_the_run_config_defaults():
+    for command in ("flow", "modes", "cluster", "aggregate", "validate",
+                    "all"):
+        args = _build_parser().parse_args(
+            [command, "--farm", "farm.json", "--out", "out"])
+        assert _config_from_args(args) \
+            == RunConfig(Path("farm.json"), Path("out"), clusters=1)
+
+
+def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
+                                                 capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_cases", ROOT / "scripts" / "run_cases.py")
+    run_cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_cases)
+    monkeypatch.setattr(sys, "argv", ["run_cases.py", "--out", str(tmp_path)])
+    # case a's three mode clusters merge into two WT groups
+    with pytest.warns(UserWarning, match="3 mode clusters vs 2 WT groups"):
+        run_cases.main()
+    runs = sorted(p.name for p in tmp_path.iterdir())
+    assert runs == [f"case_{x}_c{c}" for x in "abcd" for c in (1, 3)]
+    for run in runs:
+        assert (tmp_path / run / "report.json").exists(), run
+    table = capsys.readouterr().out.splitlines()
+    assert len(table) == 9
+    assert table[0].split() == ["case", "C", "E", "E_prime", "poi", "NRMSE"]
+    assert [row.split()[:2] for row in table[1:]] \
+        == [[x.upper(), str(c)] for x in "abcd" for c in (1, 3)]

@@ -5,6 +5,7 @@ full complex admittance over every bus plus the source straight from the
 description, ground the source, and push unit current injections through it.
 """
 
+import dataclasses
 import importlib.util
 import json
 
@@ -156,6 +157,42 @@ def test_self_loop_rejected():
                           branches=loop, wts=farm.wts, grid=farm.grid)
     with pytest.raises(FarmValidationError, match="self-loop"):
         bad.validate()
+
+
+def test_optional_keys_take_the_field_defaults(tmp_path):
+    doc = {
+        "bases": {"s_wt_mva": 2.0, "v_coll_kv": 33.0},
+        "buses": [{"id": "poi", "poi": True}],
+        "branches": [],
+        "wts": [{"id": "wt01", "bus": "poi", "p_m0_pu": 0.9, "c_dc_f": 0.09,
+                 "u_dc0_pu": 1.0, "kp_dvc": 1.0, "ki_dvc": 300.0}],
+        "grid": {"r_pu": 0.001, "l_pu": 0.01},
+    }
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(doc))
+    farm = load_farm(path)
+    assert farm.bases == PerUnitBases(s_wt_mva=2.0, v_coll_kv=33.0)
+    wt, bus = farm.wts[0]
+    assert bus == "poi"
+    assert wt == WtParams(id="wt01", p_m0=0.9, c_dc=0.09, u_dc0=1.0,
+                          kp_dvc=1.0, ki_dvc=300.0)
+    assert wt.s_mva is None
+    assert wt.capacity_mva(farm.bases) == 2.0
+
+
+def test_s_mva_is_written_only_when_set(tmp_path):
+    farm = single_wt_farm()
+    save_farm(farm, tmp_path / "plain.json")
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    assert "s_mva" not in plain["wts"][0]
+
+    wt, bus = farm.wts[0]
+    machine = dataclasses.replace(
+        farm, wts=((dataclasses.replace(wt, s_mva=4.5), bus),))
+    save_farm(machine, tmp_path / "machine.json")
+    doc = json.loads((tmp_path / "machine.json").read_text())
+    assert doc["wts"][0]["s_mva"] == 4.5
+    assert load_farm(tmp_path / "machine.json") == machine
 
 
 def test_dem_provenance_key_is_loadable(tmp_path):

@@ -74,7 +74,7 @@ def reference_responses_csv(detailed, dem, path):
 def reference_bus_csv(farm, sol, path):
     s_inj = {bus: 0.0 + 0.0j for bus in farm.buses}
     for wt, bus in farm.wts:
-        s_inj[bus] += wt.p_m0 * farm.capacity_ratio(wt)
+        s_inj[bus] += wt.p_m0 * wt.capacity_ratio(farm.bases)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bus_id", "vx", "vy", "p", "q"])

@@ -28,7 +28,7 @@ def fixed_point_terminal(p: float, z: complex, e: complex = 1.0 + 0j,
 
 
 def total_injection(farm) -> complex:
-    return sum(wt.p_m0 * farm.capacity_ratio(wt) for wt, _ in farm.wts)
+    return sum(wt.p_m0 * wt.capacity_ratio(farm.bases) for wt, _ in farm.wts)
 
 
 # ---------------------------------------------------------------------------

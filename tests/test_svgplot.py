@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 from helpers import run_python_bounded
 from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_T, _ticks, bars_svg,
-                          scatter_svg)
+                          lines_svg, scatter_svg)
 
 # Runs in a child capped in memory and time: a step that cannot advance
 # the value would make `_ticks` append ticks until memory runs out.
@@ -93,4 +93,18 @@ def test_scatter_draws_an_ulp_wide_span_as_a_point(tmp_path):
     centre_y = [(float(d[2]) + float(d[5])) / 2 for d in cross]
     assert len(dots) == 3 and len(centre_y) == 1
     for y in dots + centre_y:
+        assert abs(y - middle) < 0.5
+
+
+def test_lines_draw_an_ulp_wide_span_as_a_flat_line(tmp_path):
+    path = tmp_path / "lines.svg"
+    lines_svg(path, "response", "t", "p",
+              [("p", [0.0, 1.0], [1.0, math.nextafter(1.0, 2.0)],
+                "#1f77b4", False)])
+    root = ET.parse(path).getroot()
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    ys = [float(pt.split(",")[1]) for pt in line.get("points").split()]
+    middle = (MARGIN_T + HEIGHT - MARGIN_B) / 2
+    assert len(ys) == 2
+    for y in ys:
         assert abs(y - middle) < 0.5

@@ -25,8 +25,8 @@ def make_wt(p=0.9, kp=1.0, ki=300.0, kp_pll=60.0, ki_pll=1400.0):
                     kp_dvc=kp, ki_dvc=ki, kp_pll=kp_pll, ki_pll=ki_pll)
 
 
-def equilibrium_state(wt, grid, e_mag=1.0):
-    x0, _ = stiff_equilibrium(wt, BASES, grid, e_mag)
+def equilibrium_state(wt, grid):
+    x0, _ = stiff_equilibrium(wt, BASES, grid)
     return x0
 
 
