@@ -3,7 +3,8 @@
 from .aggregation import DemModel, aggregate_wts, build_dem, equivalent_network
 from .assembly import FarmStateSpace, assemble_farm
 from .clustering import (FeatureTable, GroupAssignment, ModeClusters,
-                         cluster_modes, group_wts, superimpose_mpf)
+                         cluster_modes, group_wts, superimpose_mpf,
+                         sweep_cluster_counts)
 from .farm import (Branch, FarmDescription, GridThevenin, NetworkMatrices,
                    PerUnitBases, WtParams, build_network_matrices, load_farm,
                    save_farm)

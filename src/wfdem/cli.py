@@ -109,12 +109,9 @@ def _pick_cluster_count(state: PipelineState) -> clustering.ModeClusters:
     E(C) is not monotone in C, so C is scanned linearly from 1; when no C
     meets the target, every mode gets its own cluster.
     """
-    concern = state.concern
-    for c in range(1, len(concern) + 1):
-        cl = clustering.cluster_modes(concern, c, state.cfg.seed)
-        if validation.error_E(concern, cl) <= state.cfg.e_target:
-            break
-    return cl
+    return clustering.sweep_cluster_counts(
+        state.concern, state.cfg.seed,
+        lambda cl: validation.error_E(state.concern, cl) <= state.cfg.e_target)
 
 
 def _stage_cluster(state: PipelineState) -> None:
@@ -365,9 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--farm", required=True, type=Path)
         p.add_argument("--out", required=True, type=Path)
-        p.add_argument("--clusters", type=int)
-        p.add_argument("--auto-clusters", action="store_true")
-        p.add_argument("--e-target", type=float, default=RunConfig.e_target)
+        count = p.add_mutually_exclusive_group()
+        count.add_argument("--clusters", type=int)
+        count.add_argument("--auto-clusters", action="store_true")
+        p.add_argument("--e-target", type=float)
         p.add_argument("--seed", type=int, default=RunConfig.seed)
         p.add_argument("--sag", type=float, default=RunConfig.sag)
         p.add_argument("--horizon", type=float, default=RunConfig.horizon)
@@ -396,14 +394,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.clusters is not None and args.clusters < 1:
         raise ValueError("--clusters must be >= 1")
-    clusters = None if args.auto_clusters else args.clusters
-    if clusters is None and not args.auto_clusters:
-        clusters = 1     # single-machine DEM unless told otherwise
+    if args.e_target is not None and not args.auto_clusters:
+        raise ValueError("--e-target needs --auto-clusters")
     return RunConfig(
         farm_path=args.farm,
         out_dir=args.out,
-        clusters=clusters,
-        e_target=args.e_target,
+        # single-machine DEM unless told otherwise
+        clusters=None if args.auto_clusters else args.clusters or 1,
+        e_target=(RunConfig.e_target if args.e_target is None
+                  else args.e_target),
         seed=args.seed,
         sag=args.sag,
         horizon=args.horizon,

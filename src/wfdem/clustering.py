@@ -9,11 +9,11 @@ whose centroid features nearly coincide are merged, which is what turns
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .modal import ConcernSet
 LOW_MARGIN = 0.1
 # relative centroid distance below which two WT groups merge
 GROUP_TAU = 0.1
+# k-means restarts per clustering, each seeded by its own child generator
+N_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -58,54 +60,34 @@ def _inertia(pts: np.ndarray, centres: np.ndarray,
     return float(((pts - centres[labels]) ** 2).sum())
 
 
-class _Seeder:
-    """k-means++ seeds for R restarts, grown one centre at a time.
+def _seed_prefixes(pts: np.ndarray, seed: int, n_restarts: int
+                   ) -> Iterator[np.ndarray]:
+    """The first c k-means++ seeds of every restart, (R, c, 2), for
+    c = 1, 2, ..., N in turn; views whose rows are never rewritten.
 
     Restart r draws only from its own child generator, in the order a lone
     restart would (one `integers`, then one `choice` per further centre),
-    so batching changes no draw.  k-means++ is sequential: the first c
-    seeds do not depend on how many follow, so `take(c)` returns an exact
-    prefix of any longer seeding.  `d2` holds each point's squared distance
-    to its nearest drawn centre and is lowered against the newest one only.
+    so batching changes no draw.  k-means++ is sequential, so each prefix
+    is exact, and a centre is drawn only when its prefix is asked for.
+    `d2` holds each point's squared distance to its nearest drawn centre
+    and is lowered against the newest one only.
     """
-
-    def __init__(self, pts: np.ndarray, seed: int, n_restarts: int) -> None:
-        self.pts = pts
-        self.rngs = [np.random.default_rng(child) for child in
-                     np.random.SeedSequence(seed).spawn(n_restarts)]
-        self.seeds = np.empty((n_restarts, len(pts), 2))
-        self.d2 = np.full((n_restarts, len(pts)), np.inf)
-        self.drawn = 0
-
-    def take(self, c: int) -> np.ndarray:
-        """The first c seeds of every restart, (R, c, 2); a view."""
-        pts, n = self.pts, len(self.pts)
-        if not self.drawn:
-            self.seeds[:, 0] = pts[[rng.integers(n) for rng in self.rngs]]
-            self.drawn = 1
-        for k in range(self.drawn, c):
-            self.d2 = np.minimum(
-                self.d2, _sqdist(pts, self.seeds[:, k - 1:k])[..., 0])
-            for r, rng in enumerate(self.rngs):
-                total = self.d2[r].sum()
-                if total == 0:
-                    self.seeds[r, k] = pts[rng.integers(n)]
-                else:
-                    self.seeds[r, k] = pts[rng.choice(n, p=self.d2[r] / total)]
-            self.drawn = k + 1
-        return self.seeds[:, :c]
-
-
-# held while a seeder is fetched and grown: its generators and `drawn`
-# count are shared state
-_SEED_LOCK = threading.Lock()
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_seeder(pts_bytes: bytes, n: int, seed: int,
-                   n_restarts: int) -> _Seeder:
-    pts = np.frombuffer(pts_bytes, dtype=float).reshape(n, 2)
-    return _Seeder(pts, seed, n_restarts)
+    n = len(pts)
+    rngs = [np.random.default_rng(child) for child in
+            np.random.SeedSequence(seed).spawn(n_restarts)]
+    seeds = np.empty((n_restarts, n, 2))
+    seeds[:, 0] = pts[[rng.integers(n) for rng in rngs]]
+    yield seeds[:, :1]
+    d2 = np.full((n_restarts, n), np.inf)
+    for k in range(1, n):
+        d2 = np.minimum(d2, _sqdist(pts, seeds[:, k - 1:k])[..., 0])
+        for r, rng in enumerate(rngs):
+            total = d2[r].sum()
+            if total == 0:
+                seeds[r, k] = pts[rng.integers(n)]
+            else:
+                seeds[r, k] = pts[rng.choice(n, p=d2[r] / total)]
+        yield seeds[:, :k + 1]
 
 
 def _revive_empty(d2: np.ndarray, labels: np.ndarray, c: int) -> None:
@@ -172,32 +154,10 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
     return centres, labels, inertia
 
 
-def cluster_modes(concern: ConcernSet, c: int, seed: int,
-                  n_restarts: int = 32) -> ModeClusters:
-    """Seeded k-means over the concern representatives.
-
-    All restarts run together as array operations.  Each restart keeps its
-    own child seed spawned from `seed`, so the batch reproduces running the
-    restarts one by one, in any order; the lowest inertia wins and exact
-    ties fall back to lexicographic centre order.  Cluster indices are
-    canonical: sorted by centre (Re, Im).
-
-    The k-means++ seeds come from a one-entry cache keyed by the points,
-    `seed` and `n_restarts`.  Restart r's first c seeds are an exact prefix
-    of its first c + 1 (same generator, same draws), so the `--auto-clusters`
-    sweep over C = 1, 2, ... draws one new centre per restart per C, and a
-    call at any C, in any order, returns what a fresh call returns.  The
-    cache holds live generators, so a module lock serialises the seeding;
-    the seeds a call has taken are never rewritten, and the Lloyd
-    iterations run outside the lock.
-    """
-    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
-    if not 1 <= c <= len(pts):
-        raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
-
-    with _SEED_LOCK:
-        seeds = _cached_seeder(pts.tobytes(), len(pts), seed,
-                               n_restarts).take(c)
+def _best_clustering(concern: ConcernSet, pts: np.ndarray,
+                     seeds: np.ndarray) -> ModeClusters:
+    """Lloyd from each restart's seeds (R, c, 2); the best, canonical."""
+    c = seeds.shape[1]
     all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeds)
     tied = np.flatnonzero(all_inertia == all_inertia.min())
     best = min(tied, key=lambda r: tuple(sorted(map(tuple, all_centres[r]))))
@@ -214,6 +174,46 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
         for k in order])
     return ModeClusters(members=members, centres=centre_cx,
                         inertia=inertia)
+
+
+def cluster_modes(concern: ConcernSet, c: int, seed: int,
+                  n_restarts: int = N_RESTARTS) -> ModeClusters:
+    """Seeded k-means over the concern representatives.
+
+    All restarts run together as array operations.  Each restart keeps its
+    own child seed spawned from `seed` and draws its k-means++ seeds from
+    it, so the batch reproduces running the restarts one by one, in any
+    order; the lowest inertia wins and exact ties fall back to
+    lexicographic centre order.  Cluster indices are canonical: sorted by
+    centre (Re, Im).  Each call draws its own seeds and shares no state
+    with any other call.
+    """
+    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    if not 1 <= c <= len(pts):
+        raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
+    seeds = next(itertools.islice(_seed_prefixes(pts, seed, n_restarts),
+                                  c - 1, None))
+    return _best_clustering(concern, pts, seeds)
+
+
+def sweep_cluster_counts(concern: ConcernSet, seed: int,
+                         accept: Callable[[ModeClusters], bool],
+                         ) -> ModeClusters:
+    """Clusters at the smallest C = 1, 2, ... that `accept` takes, else C = N.
+
+    `accept` sees the clusterings in ascending C, each equal to
+    `cluster_modes(concern, C, seed)`, and none after it first returns
+    True.  One seed generator serves every C, so each C draws one new
+    centre per restart.
+    """
+    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    if not len(pts):
+        raise ValueError("no concern modes to cluster")
+    for seeds in _seed_prefixes(pts, seed, N_RESTARTS):
+        clusters = _best_clustering(concern, pts, seeds)
+        if accept(clusters):
+            break
+    return clusters
 
 
 # ---------------------------------------------------------------------------

@@ -31,22 +31,13 @@ def _escape(text: str) -> str:
 
 @dataclass
 class Frame:
-    """Maps data coordinates into the fixed plot viewport."""
+    """Maps data coordinates into the fixed plot viewport; both spans must
+    be positive (see `_data_span`)."""
 
     x_min: float
     x_max: float
     y_min: float
     y_max: float
-
-    def __post_init__(self) -> None:
-        if self.x_max <= self.x_min:
-            pad = max(abs(self.x_min), 1.0) * 0.05
-            self.x_min -= pad
-            self.x_max += pad
-        if self.y_max <= self.y_min:
-            pad = max(abs(self.y_min), 1.0) * 0.05
-            self.y_min -= pad
-            self.y_max += pad
 
     def x(self, v: float) -> float:
         span = self.x_max - self.x_min
@@ -196,11 +187,13 @@ def scatter_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
 def bars_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
              categories: list[str], series: list[tuple[str, list[float]]],
              ) -> None:
-    """Grouped bars: one category per x slot, one bar per series inside."""
+    """Grouped bars of values >= 0: one category per x slot, one bar per
+    series inside, each rising from 0 at the bottom edge."""
     n_cat = len(categories)
     n_ser = max(len(series), 1)
     top = max((max(vals) for _, vals in series if vals), default=1.0)
-    frame = Frame(0.0, float(n_cat), 0.0, top * 1.08)
+    frame = Frame(0.0, float(max(n_cat, 1)), 0.0,
+                  _data_span([0.0, top]) * 1.08)
     el = _axes(frame, title, xlabel, ylabel)
     slot = (WIDTH - MARGIN_L - MARGIN_R) / max(n_cat, 1)
     bar_w = slot * 0.8 / n_ser
@@ -234,7 +227,8 @@ def lines_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     dy = _data_span(ys)
-    frame = Frame(min(xs), max(xs), min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
+    frame = Frame(min(xs), min(xs) + _data_span(xs),
+                  min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
     el = _axes(frame, title, xlabel, ylabel)
     legend = []
     for label, sx, sy, color, dashed in series:

@@ -257,6 +257,29 @@ def test_bare_run_commands_take_the_run_config_defaults():
             == RunConfig(Path("farm.json"), Path("out"), clusters=1)
 
 
+def test_clusters_and_auto_clusters_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(["all", "--farm", "farm.json", "--out",
+                                    "out", "--clusters", "3",
+                                    "--auto-clusters"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_e_target_needs_auto_clusters(tmp_path, capsys):
+    argv = ["all", "--farm", str(FARMS / "case_a.json"), "--out",
+            str(tmp_path / "out"), "--e-target", "0.05"]
+    with pytest.raises(ValueError, match="--e-target needs --auto-clusters"):
+        _config_from_args(_build_parser().parse_args(argv))
+    assert main(argv) == 1
+    assert "--e-target needs --auto-clusters" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert _config_from_args(_build_parser().parse_args(
+        argv + ["--auto-clusters"])) == RunConfig(
+            FARMS / "case_a.json", tmp_path / "out", clusters=None,
+            e_target=0.05)
+
+
 def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
                                                  capsys):
     spec = importlib.util.spec_from_file_location(

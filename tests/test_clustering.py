@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (FeatureTable, _cached_seeder, _lloyd_batch,
-                              cluster_modes, group_wts,
-                              superimpose_mpf, write_features_csv,
+from wfdem.clustering import (FeatureTable, _lloyd_batch, cluster_modes,
+                              group_wts, superimpose_mpf,
+                              sweep_cluster_counts, write_features_csv,
                               write_groups_json)
 from wfdem.modal import ConcernSet
 
@@ -126,6 +126,8 @@ def test_k_out_of_range_rejected():
         cluster_modes(concern, 3, seed=0)
     with pytest.raises(ValueError):
         cluster_modes(concern, 0, seed=0)
+    with pytest.raises(ValueError, match="no concern modes"):
+        sweep_cluster_counts(concern_from_points([]), 0, lambda cl: True)
 
 
 def test_identical_points_do_not_break_kmeans():
@@ -200,8 +202,8 @@ def grid_points(draw):
 
 
 # coincident seeds leave clusters empty (revival), and C above the number
-# of distinct points exhausts them during seeding (total == 0); the calls
-# after the first take their seeds from the cache, grown or cut back
+# of distinct points exhausts them during seeding (total == 0); up to five
+# further calls at other Cs follow, each of which must draw its own seeds
 @given(grid_points(), st.integers(0, 2**32 - 1), st.integers(1, 8),
        st.lists(st.integers(0, 23), max_size=5))
 @example(([(1, 2)] * 5, 4), 7, 4, [])
@@ -212,35 +214,75 @@ def test_batched_kmeans_matches_serial_reference(points, seed, n_restarts,
                                                  then):
     grid, c = points
     concern = concern_from_points([0.37 * x + 1.9j * y for x, y in grid])
-    _cached_seeder.cache_clear()
     for c in [c] + [1 + pick % len(grid) for pick in then]:
         assert_matches_serial(concern, c, seed, n_restarts)
 
 
-@pytest.mark.parametrize("case", ["b", "c", "d"])
-def test_batched_kmeans_matches_serial_on_study_cases(request, case):
-    # ascending is the --auto-clusters sweep; the cached seeds must give
-    # what a fresh call gives in any other call order too
-    concern = request.getfixturevalue(f"case_{case}").concern
-    expected = {c: serial_cluster_modes(concern, c, 42) for c in range(1, 34)}
+@pytest.fixture(scope="module", params=["b", "c", "d"])
+def study_serial(request):
+    """A study case's concern set and its serial clusterings at C = 1..33."""
+    concern = request.getfixturevalue(f"case_{request.param}").concern
+    return concern, {c: serial_cluster_modes(concern, c, 42)
+                     for c in range(1, 34)}
+
+
+def test_batched_kmeans_matches_serial_on_study_cases(study_serial):
+    # every call order gives what a lone call gives
+    concern, expected = study_serial
     shuffled = np.random.default_rng(3).permutation(np.arange(1, 34))
     for order in (range(1, 34), range(33, 0, -1), shuffled):
-        _cached_seeder.cache_clear()
         for c in order:
             assert_same_clusters(cluster_modes(concern, int(c), seed=42),
                                  expected[c])
 
 
 # ---------------------------------------------------------------------------
-# the cached k-means++ seeder: any call order gives what a fresh call gives
+# the C = 1, 2, ... sweep
 
 
-def test_cached_seeds_survive_interleaved_calls(case_b, case_c):
+def test_sweep_returns_the_clustering_accept_takes(study_serial):
+    concern, expected = study_serial
+    for c in expected:
+        assert_same_clusters(
+            sweep_cluster_counts(concern, 42,
+                                 lambda cl, c=c: cl.n_clusters == c),
+            expected[c])
+
+
+def test_sweep_without_an_accepted_count_gives_one_mode_per_cluster(
+        study_serial):
+    concern, expected = study_serial
+    seen = []
+
+    def reject(cl):
+        seen.append(cl.n_clusters)
+        return False
+
+    assert_same_clusters(sweep_cluster_counts(concern, 42, reject),
+                         expected[33])
+    assert seen == list(range(1, 34))
+
+
+def test_sweep_stops_at_the_first_accepted_count(case_b):
+    seen = []
+
+    def accept(cl):
+        seen.append(cl.n_clusters)
+        return cl.n_clusters in (3, 4, 7)
+
+    assert sweep_cluster_counts(case_b.concern, 42, accept).n_clusters == 3
+    assert seen == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# calls share no state: any call order gives what a lone call gives
+
+
+def test_interleaved_calls_share_no_state(case_b, case_c):
     concerns = {"b": case_b.concern, "c": case_c.concern}
     keys = list(itertools.product("bc", (42, 7), (32, 5), (1, 2, 3, 8, 21)))
     expected = {(name, seed, n_r, c): serial_cluster_modes(
         concerns[name], c, seed, n_r) for name, seed, n_r, c in keys}
-    _cached_seeder.cache_clear()
     for i in np.random.default_rng(5).permutation(len(keys)):
         name, seed, n_r, c = keys[i]
         assert_same_clusters(
@@ -248,17 +290,14 @@ def test_cached_seeds_survive_interleaved_calls(case_b, case_c):
             expected[keys[i]])
 
 
-def test_threads_sharing_the_seed_cache_get_fresh_clusterings():
-    # two threads grow one cached seeder in lockstep over C = 1..30, so both
-    # ask for each new centre at once; unguarded, they draw from the same
-    # generators and overwrite each other's seeds
+def test_threads_clustering_at_once_share_no_state():
+    # two threads step through C = 1..30 in lockstep on one concern set and
+    # seed, so both draw each new centre at once; generators or seeds
+    # shared between calls would corrupt each other's draws
     xy = np.random.default_rng(0).standard_normal((100, 2))
     concern = concern_from_points(xy[:, 0] + 1j * xy[:, 1])
     cs = range(1, 31)
-    fresh = {}
-    for c in cs:
-        _cached_seeder.cache_clear()
-        fresh[c] = cluster_modes(concern, c, 0)
+    fresh = {c: cluster_modes(concern, c, 0) for c in cs}
 
     def sweep(step):
         out = []
@@ -269,7 +308,6 @@ def test_threads_sharing_the_seed_cache_get_fresh_clusterings():
 
     wrong = []
     for _ in range(2):
-        _cached_seeder.cache_clear()
         step = threading.Barrier(2, timeout=30)
         with ThreadPoolExecutor(2) as pool:
             runs = [pool.submit(sweep, step) for _ in range(2)]

@@ -4,8 +4,8 @@ import math
 import xml.etree.ElementTree as ET
 
 from helpers import run_python_bounded
-from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_T, _ticks, bars_svg,
-                          lines_svg, scatter_svg)
+from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_T, PALETTE, _ticks,
+                          bars_svg, lines_svg, scatter_svg)
 
 # Runs in a child capped in memory and time: a step that cannot advance
 # the value would make `_ticks` append ticks until memory runs out.
@@ -108,3 +108,28 @@ def test_lines_draw_an_ulp_wide_span_as_a_flat_line(tmp_path):
     assert len(ys) == 2
     for y in ys:
         assert abs(y - middle) < 0.5
+
+
+def test_all_zero_bars_sit_on_the_baseline(tmp_path):
+    path = tmp_path / "bars.svg"
+    bars_svg(path, "features", "WT", "|F|", ["a", "b"],
+             [("s0", [0.0, 0.0]), ("s1", [0.0, 0.0])])
+    bars = [el for el in ET.parse(path).getroot().iter()
+            if el.tag.endswith("rect") and el.get("fill") in PALETTE]
+    assert len(bars) == 4
+    for bar in bars:
+        assert float(bar.get("height")) == 0.0
+        assert float(bar.get("y")) == HEIGHT - MARGIN_B
+
+
+def test_degenerate_x_spans_still_draw(tmp_path):
+    # no categories, and a single time sample
+    bars_svg(tmp_path / "bars.svg", "features", "WT", "|F|", [], [])
+    lines_svg(tmp_path / "lines.svg", "response", "t", "p",
+              [("p", [0.5], [1.0], "#1f77b4", False)])
+    for name in ("bars.svg", "lines.svg"):
+        ET.parse(tmp_path / name)
+    (line,) = [el for el in ET.parse(tmp_path / "lines.svg").getroot().iter()
+               if el.tag.endswith("polyline")]
+    x, y = map(float, line.get("points").split(","))
+    assert 0.0 < x < 640.0 and MARGIN_T < y < HEIGHT - MARGIN_B
