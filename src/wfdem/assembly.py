@@ -24,7 +24,7 @@ import numpy as np
 
 from .farm import FarmDescription, NetworkMatrices, build_network_matrices
 from .powerflow import SLACK_E0, BusSolution, wt_operating_point
-from .wt import WtStateSpace, linearize_wt
+from .wt import STATE_KINDS, WtStateSpace, linearize_wt
 
 StateLabel = tuple[str, str]   # (wt id, state kind)
 
@@ -87,7 +87,7 @@ def assemble_farm(blocks: list[WtStateSpace],
         if blk.wt_id != wt_id:
             raise ValueError(
                 f"block order mismatch: {blk.wt_id!r} vs port {wt_id!r}")
-    labels = [(blk.wt_id, kind) for blk in blocks for kind in blk.state_kinds]
+    labels = [(blk.wt_id, kind) for blk in blocks for kind in STATE_KINDS]
     if len(set(labels)) != len(labels):
         raise ValueError("state labels are not unique")
 

@@ -6,15 +6,14 @@ exactly, which is the normalization every downstream superposition relies on.
 Desk-scale farms (a few hundred states) make full dense decomposition the
 right tool; no selective or iterative solver is attempted.
 
-`eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms.  Its two
-threshold tests, cond_2(U) against 1e12 and |Im lam| against a multiple of
-||A||_2, are first decided by bounds that need no SVD; an SVD runs only where
-a bound cannot decide, so every decision is the one the SVD values give.
+`eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms, and
+reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide its
+gates, cond_2(U) > 1e12 and |Im lam| > 1e-7 ||A||_2, where they can; an SVD
+runs only for the cond(U) gate or for a pair below 1e-7 ||A||_F.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +29,6 @@ _COND_MAX = 1e12
 # ||U||_F ||V||_F >= cond_2(U) accepts the basis without an SVD below this,
 # two decades under _COND_MAX to absorb the roundoff in V and in cond(U)
 _CERT_MAX = _COND_MAX / 100.0
-# relative widening of the SVD-free bounds on ||A||_2, far above their roundoff
-_BOUND_SLACK = 1e-6
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
 # state kinds whose participation ranks the concern modes; [0] gives features
@@ -48,7 +45,7 @@ class ModalSolution:
 
     `right[:, i]` and `left[i, :]` satisfy left @ right = I.  Modes are
     sorted by (Re, Im); `pair_of[i]` is the index of the conjugate partner
-    (-1 for real modes).  `mpf[k, i]` couples state k to mode i.
+    (-1 for real and near-real modes).  `mpf[k, i]` couples state k to mode i.
     """
 
     eigenvalues: np.ndarray      # complex (n,)
@@ -77,10 +74,6 @@ class ModalSolution:
                          if self.pair_of[i] >= 0 and lam.imag > 0], dtype=int)
 
 
-def _generic_labels(n: int) -> tuple[StateLabel, ...]:
-    return tuple((f"x{k}", "state") for k in range(n))
-
-
 def eig_biorthogonal(a_s: np.ndarray,
                      labels: tuple[StateLabel, ...] | None = None,
                      ) -> ModalSolution:
@@ -91,23 +84,22 @@ def eig_biorthogonal(a_s: np.ndarray,
     Left rows come from the inverse of the right basis, which enforces
     biorthonormality globally (repeated eigenvalues included).
 
-    Cost: one `eig`, one `inv` and O(n^2) norms.  An SVD runs only when
-    ||U||_F ||V||_F exceeds `_CERT_MAX` (then `cond(U)` decides) or when
-    an |Im lam| falls inside the bracket on ||A||_2, or a partner check
-    fails against its lower end (then `norm(A, 2)` decides).
+    Conjugate pairs are read from `eig`'s layout.  Cost: one `eig`, one
+    `inv` and O(n^2) norms.  An SVD runs only when ||U||_F ||V||_F exceeds
+    `_CERT_MAX` (then `cond(U)` decides) or when a pair has |Im lam| at or
+    below 1e-7 max(1, ||A||_F) (then `norm(A, 2)` decides).
     """
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
     if n == 0 or a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
         raise ValueError("state matrix must be non-empty, square and finite")
     if labels is None:
-        labels = _generic_labels(n)
+        labels = tuple((f"x{k}", "state") for k in range(n))
     if len(labels) != n:
         raise ValueError("label count does not match the state dimension")
 
     lam, u = np.linalg.eig(a_s)
     order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
     u = u[:, order]
 
     # phase fix: rotate each column so its largest entry is real positive
@@ -117,10 +109,10 @@ def eig_biorthogonal(a_s: np.ndarray,
         u[:, i] *= np.conj(pivot) / abs(pivot)
 
     v = _inverse_basis(u)
-    pair_of = _pair_modes(a_s, lam)
+    pair_of = _pair_modes(a_s, lam, order)
     mpf = v.T * u   # mpf[k, i] = v[i, k] * u[k, i]
 
-    return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=mpf,
+    return ModalSolution(eigenvalues=lam[order], right=u, left=v, mpf=mpf,
                          pair_of=pair_of, labels=tuple(labels))
 
 
@@ -148,64 +140,27 @@ def _inverse_basis(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _norm2_bracket(a: np.ndarray, lam: np.ndarray,
-                   ) -> tuple[float, float] | None:
-    """SVD-free lo <= max(1, ||A||_2) <= hi, or None if ||A||_F overflows.
-
-    lo: the spectral radius and the largest column and row 2-norms;
-    hi: ||A||_F and sqrt(||A||_1 ||A||_inf).  Both are widened by
-    `_BOUND_SLACK` so that roundoff cannot put the SVD value outside.
+def _pair_modes(a: np.ndarray, lam: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`pair_of` of the modes sorted by `order`, read from `eig`'s layout:
+    each complex pair of a real matrix sits in consecutive slots as exact
+    conjugates, Im > 0 first (LAPACK dgeev).  A pair oscillates when |Im lam|
+    > `_PAIR_RTOL` max(1, ||A||_2); the bound ||A||_F >= ||A||_2 decides first.
     """
-    with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(a))
-    if not math.isfinite(fro):
-        return None
-    lo = max(float(np.abs(lam).max()),
-             float(np.linalg.norm(a, axis=0).max()),
-             float(np.linalg.norm(a, axis=1).max()))
-    hi = min(fro, math.sqrt(float(np.linalg.norm(a, 1)))
-             * math.sqrt(float(np.linalg.norm(a, np.inf))))
-    return (max(1.0, lo * (1.0 - _BOUND_SLACK)),
-            max(1.0, hi * (1.0 + _BOUND_SLACK)))
-
-
-def _pair_modes(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Conjugate pairing at the scale max(1, ||A||_2).
-
-    Inside the SVD-free bracket [lo, hi], a threshold that no |Im lam| falls
-    between decides alike for every scale, and a partner check passed at lo
-    passes at any larger scale.  Otherwise the exact norm decides.
-    """
-    bracket = _norm2_bracket(a, lam)
-    if bracket is not None:
-        lo, hi = bracket
-        im = np.abs(lam.imag)
-        if not np.any((im > _PAIR_RTOL * lo) & (im <= _PAIR_RTOL * hi)):
-            try:
-                return _pair_conjugates(lam, lo)
-            except DefectiveMatrixError:
-                pass
-    return _pair_conjugates(lam, max(1.0, float(np.linalg.norm(a, ord=2))))
-
-
-def _pair_conjugates(lam: np.ndarray, scale: float) -> np.ndarray:
-    """Greedy conjugate pairing of the modes with |Im lam| > rtol * scale.
-
-    Upper-half modes are taken in index order; each takes the nearest
-    still-unpaired lower-half mode, the lowest index on a tie.
-    """
+    upper = lam.imag > 0
+    broken = (upper & (np.append(lam[1:], 0.0) != np.conj(lam))) \
+        | (np.append(False, upper[:-1]) != (lam.imag < 0))
+    if np.any(broken):
+        raise DefectiveMatrixError(
+            f"no conjugate partner for eigenvalue {lam[broken][0]:.6g}")
+    up = np.flatnonzero(upper)
+    with np.errstate(over="ignore"):    # an inf ||A||_F defers to the SVD
+        scale = max(1.0, float(np.linalg.norm(a)))
+    if np.any(lam.imag[up] <= _PAIR_RTOL * scale):
+        scale = max(1.0, float(np.linalg.norm(a, ord=2)))
+    up = up[lam.imag[up] > _PAIR_RTOL * scale]
+    rank = np.argsort(order)
     pair_of = np.full(len(lam), -1, dtype=int)
-    oscillatory = np.abs(lam.imag) > _PAIR_RTOL * scale
-    neg = np.flatnonzero(oscillatory & (lam.imag < 0))
-    free = lam[neg]              # a paired entry is set to inf
-    for i in np.flatnonzero(oscillatory & (lam.imag > 0)):
-        dist = np.abs(free - np.conj(lam[i]))
-        k = int(np.argmin(dist)) if neg.size else -1
-        if k < 0 or dist[k] > 1e-6 * scale:
-            raise DefectiveMatrixError(
-                f"no conjugate partner for eigenvalue {lam[i]:.6g}")
-        pair_of[i], pair_of[neg[k]] = neg[k], i
-        free[k] = np.inf
+    pair_of[rank[up]], pair_of[rank[up + 1]] = rank[up + 1], rank[up]
     return pair_of
 
 

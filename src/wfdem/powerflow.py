@@ -79,7 +79,8 @@ def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
         vm += dx[n:]
     raise PowerflowError(
         f"no convergence after {max_iter} iterations, "
-        f"max |P,Q| mismatch = {history[-1]:.3e} p.u.")
+        f"max |P,Q| mismatch = {history[-1]:.3e} p.u. (history: "
+        + ", ".join(f"{h:.3g}" for h in history) + ")")
 
 
 def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
@@ -88,16 +89,22 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
     net = nodal_network(farm)
     n = net.n_nodes
 
+    p_sys = [wt.p_m0 * wt.capacity_ratio(farm.bases) for wt, _ in farm.wts]
     s_spec = np.zeros(n, dtype=complex)
-    for wt, bus in farm.wts:
-        node = net.node_of[bus]
-        p_sys = wt.p_m0 * wt.capacity_ratio(farm.bases)
-        if node >= 0:
-            s_spec[node] += p_sys
+    for (_, bus), p in zip(farm.wts, p_sys):
+        if net.node_of[bus] >= 0:
+            s_spec[net.node_of[bus]] += p
 
     if n:
-        v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec,
-                                          tol, max_iter)
+        try:
+            v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec,
+                                              tol, max_iter)
+        except PowerflowError as exc:
+            s_sc = abs(SLACK_E0) ** 2 / abs(net.grid_z) if net.grid_z \
+                else np.inf
+            raise PowerflowError(
+                f"{exc}; farm P = {sum(p_sys):.6g} p.u. against the grid tie's "
+                f"|E0|^2/|Z_grid| = {s_sc:.6g} p.u. (system base)") from exc
         mismatch = history[-1]
     else:
         # whole farm merged with the infinite bus
@@ -158,7 +165,7 @@ class WtOperatingPoint:
     """Steady state of one WT in its own per-unit base.
 
     The PLL locks the d axis onto the terminal voltage, so u_q0 = 0 and
-    delta0 is the terminal-voltage angle; unity power factor forces i_q0 = 0.
+    delta0 is the terminal-voltage angle; unity power factor makes i_q0 = 0.
     """
 
     u_xy0: np.ndarray    # (2,)
@@ -166,7 +173,6 @@ class WtOperatingPoint:
     delta0: float
     u_d0: float
     i_d0: float
-    i_q0: float = 0.0
 
 
 def wt_operating_point(sol: BusSolution, wt: WtParams) -> WtOperatingPoint:

@@ -62,7 +62,6 @@ class WtStateSpace:
     c: np.ndarray            # (2, 4)
     wt_id: str
     i_xy0_sys: np.ndarray    # (2,)
-    state_kinds: tuple[str, ...] = STATE_KINDS
 
 
 def linearize_wt(wt: WtParams, op: WtOperatingPoint,
@@ -73,8 +72,8 @@ def linearize_wt(wt: WtParams, op: WtOperatingPoint,
     dt0 = _rotation_ddelta(op.delta0)
     # du_dq = w * ddelta + t0 @ du_xy ; with u_q0 = 0, w = [0, -u_d0]
     w = dt0 @ op.u_xy0
-    # di_xy = v * ddelta + t0.T @ di_dq
-    v = dt0.T @ np.array([op.i_d0, op.i_q0])
+    # di_xy = v * ddelta + t0.T @ di_dq ; unity power factor, i_q0 = 0
+    v = dt0.T @ np.array([op.i_d0, 0.0])
 
     a = np.zeros((4, 4))
     a[0, 0] = -op.u_d0 * wt.kp_dvc / cpr

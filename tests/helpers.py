@@ -4,6 +4,7 @@ Kept out of conftest.py so that test modules import it by a name no other
 test suite's conftest shadows.
 """
 
+import dataclasses
 import importlib.util
 import os
 import resource
@@ -95,6 +96,25 @@ def random_radial_farm(seed: int) -> FarmDescription:
         grid=GridThevenin(r_pu=float(rng.uniform(0.0, 0.002)),
                           l_pu=float(rng.uniform(1e-4, 0.02))),
     )
+    farm.validate()
+    return farm
+
+
+def random_pll_grid_farm(seed: int) -> FarmDescription:
+    """`random_radial_farm(seed)` with per-WT PLL gains and the grid tie
+    drawn wide: kp_pll 0.5-60, ki_pll 5-1400, l_pu 0.01-0.3, r_pu 0-0.03.
+
+    Overdamped PLL modes give near-real pairs, and the weakest ties cannot
+    carry the farm's power, so some of these flows do not converge.
+    """
+    farm = random_radial_farm(seed)
+    rng = np.random.default_rng((seed, 1))
+    wts = tuple((dataclasses.replace(wt, kp_pll=float(rng.uniform(0.5, 60.0)),
+                                     ki_pll=float(rng.uniform(5.0, 1400.0))),
+                 bus) for wt, bus in farm.wts)
+    grid = GridThevenin(r_pu=float(rng.uniform(0.0, 0.03)),
+                        l_pu=float(rng.uniform(0.01, 0.3)))
+    farm = dataclasses.replace(farm, wts=wts, grid=grid)
     farm.validate()
     return farm
 

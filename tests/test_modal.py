@@ -15,10 +15,8 @@ from wfdem.cases import identical_zero_network_farm
 from wfdem.assembly import assemble_farm
 from wfdem.farm import build_network_matrices, load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
-                         _norm2_bracket, _pair_conjugates,
-                         eig_biorthogonal,
-                         select_concern_modes, write_modes_csv,
-                         write_mpf_csv)
+                         eig_biorthogonal, select_concern_modes,
+                         write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import linearize_wt, stiff_grid_mode
 
@@ -341,22 +339,34 @@ def test_matches_svd_reference_on_block_diagonal_copies(block, copies):
     assert_matches_reference(np.kron(np.eye(copies), block))
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.99))
-@example(1, 0.5)
-def test_matches_svd_reference_between_the_pairing_thresholds(seed, where):
-    # an oscillator whose |Im lam| lies inside the bracket on ||A||_2, so only
-    # the exact norm decides whether it is paired
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["below", "between",
+                                                   "above"]),
+       st.floats(0.01, 0.99))
+@example(1, "between", 0.5)
+def test_matches_svd_reference_between_the_pairing_thresholds(seed, where,
+                                                              frac):
+    # an oscillator with |Im lam| = w below 1e-7 ||A||_2, between it and
+    # 1e-7 ||A||_F (only the exact norm decides) or above both
     rng = np.random.default_rng(seed)
     g = 50.0 * rng.normal(size=(8, 8))
     a = np.zeros((10, 10))
     a[:8, :8] = g - (np.abs(np.linalg.eigvals(g)).max() + 1.0) * np.eye(8)
     a[8, 8] = a[9, 9] = -1.0
-    lo, hi = _norm2_bracket(a, np.linalg.eigvals(a))
-    w = _PAIR_RTOL * (lo + where * (hi - lo))
+    norm2, fro = np.linalg.norm(a, 2), np.linalg.norm(a)
+    lo, hi = {"below": (0.5 * norm2, norm2), "between": (norm2, fro),
+              "above": (fro, 2.0 * fro)}[where]
+    w = _PAIR_RTOL * (lo + frac * (hi - lo))
     a[8, 9], a[9, 8] = w, -w
-    lo, hi = _norm2_bracket(a, np.linalg.eigvals(a))
-    assume(_PAIR_RTOL * lo < w <= _PAIR_RTOL * hi)
-    assert_matches_reference(a)
+    norm2, fro = np.linalg.norm(a, 2), np.linalg.norm(a)
+    assume((w <= _PAIR_RTOL * norm2) == (where == "below"))
+    assume((w <= _PAIR_RTOL * fro) == (where != "above"))
+    got = eig_biorthogonal(a)
+    assert_same_solution(got, reference_eig_biorthogonal(a))
+    # the modes -1 +- jw, at distance w from -1
+    oscillator = np.flatnonzero(
+        np.abs(np.abs(got.eigenvalues + 1.0) - w) <= 1e-6 * w)
+    assert len(oscillator) == 2
+    assert np.all(got.pair_of[oscillator] >= 0) == (where != "below")
 
 
 @given(st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
@@ -371,23 +381,12 @@ def test_matches_svd_reference_on_near_defective_matrices(log_gap, seed):
     assert_matches_reference(q @ a @ q.T)
 
 
-def test_partner_check_failing_at_the_lower_bound_retries_exactly(
-        monkeypatch):
-    # ||A||_2 = 2 while the bracket's lower end is sqrt(2): a partner
-    # 1.7e-6 away fails against the lower end and passes against the norm
-    a = np.ones((2, 2))
-    lam = np.array([1.0j, -1.7e-6 - 1.0j])
-    monkeypatch.setattr(np.linalg, "eig",
-                        lambda _: (lam.copy(), np.eye(2, dtype=complex)))
-    got = eig_biorthogonal(a)
-    assert list(got.pair_of) == [1, 0]
-    assert_same_solution(got, reference_eig_biorthogonal(a))
-    lam[1] = -2.1e-6 - 1.0j     # too far for any scale in the bracket
-    assert_matches_reference(a)
-    assert "no conjugate partner" in outcome(eig_biorthogonal, a)
-
-
 def test_common_path_needs_no_svd(monkeypatch, case_b):
+    # solved before the patch: only eig_biorthogonal runs without svd
+    solved = [case_b,
+              SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
+              SolvedFarm(ladder_farm(10, 10, 7))]
+
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD called")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
@@ -395,65 +394,67 @@ def test_common_path_needs_no_svd(monkeypatch, case_b):
     monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", no_svd)
     with pytest.raises(AssertionError, match="SVD called"):
         np.linalg.cond(np.eye(2))
-    sol = eig_biorthogonal(case_b.fss.a_s, case_b.fss.labels)
-    assert_same_solution(sol, case_b.modal)
+    for s in solved:
+        sol = eig_biorthogonal(s.fss.a_s, s.fss.labels)
+        assert_same_solution(sol, s.modal)
 
 
 # ---------------------------------------------------------------------------
-# conjugate pairing against the greedy loop
-
-
-def pairing_outcome(fn, lam, scale):
-    try:
-        return list(fn(lam, scale))
-    except DefectiveMatrixError as exc:
-        return str(exc)
+# conjugate pairing against the reference's greedy loop
 
 
 @st.composite
 def spectra_with_repeats(draw):
-    """Sorted spectra on a coarse grid: repeated eigenvalues, equidistant
-    candidates and, now and then, a conjugate missing or moved."""
-    grid = draw(st.lists(st.tuples(st.integers(-3, 0), st.integers(0, 3)),
-                         min_size=1, max_size=20))
-    lam = []
-    for x, y in grid:
-        lam.append(complex(x, y))
+    """Real block-diagonal matrices on a coarse grid, exact repeats likely:
+    1x1 blocks [x] and 2x2 blocks [[x, y], [-y, x]] (modes x +- jy), with y
+    now and then near the 1e-7 max(1, ||A||_2) pairing threshold."""
+    blocks = draw(st.lists(
+        st.tuples(st.integers(-3, 0),
+                  st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e-9, 3e-7])),
+        min_size=1, max_size=12))
+    n = sum(2 if y else 1 for _, y in blocks)
+    a = np.zeros((n, n))
+    k = 0
+    for x, y in blocks:
         if y:
-            lam.append(complex(x, -y))
-    lam = np.array(lam)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, len(lam) - 1))
-        lam[k] += draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0])) * 1j
-    order = np.lexsort((lam.imag, lam.real))
-    return lam[order]
+            a[k:k + 2, k:k + 2] = [[x, y], [-y, x]]
+            k += 2
+        else:
+            a[k, k] = x
+            k += 1
+    return draw(st.sampled_from([1e-3, 1.0, 1e6])) * a
 
 
-@given(spectra_with_repeats(), st.sampled_from([1.0, 10.0, 1e6]))
-@example(np.array([-1 - 2j, -1 - 2j, -1 - 2j, -1 + 2j, -1 + 2j, -1 + 2j]),
-         1.0)
-@example(np.array([-1 - 2j, -1 - 1j, -1 + 1.5j]), 1.0)
-def test_pairing_matches_greedy_loop(lam, scale):
-    assert pairing_outcome(_pair_conjugates, lam, scale) \
-        == pairing_outcome(greedy_pair_conjugates, lam, scale)
+@given(spectra_with_repeats())
+@example(np.diag([-1.0, -2.0, -1.0]))
+@example(np.kron(np.eye(2), [[0.0, 3e-7], [-3e-7, 0.0]]))
+def test_pairing_matches_greedy_loop(a):
+    assert_matches_reference(a)
 
 
 def test_pairing_ties_go_to_the_lowest_index():
-    # three exact copies of one pair, and an upper mode whose conjugate is
-    # equidistant from two lower modes
-    lam = np.array([-1 - 2j, -1 - 2j, -1 - 2j, -1 + 2j, -1 + 2j, -1 + 2j])
-    assert list(_pair_conjugates(lam, 1.0)) == [3, 4, 5, 0, 1, 2]
-    lam = np.array([-1.25 - 2j, -1 + 2j, -0.75 - 2j])
-    assert list(_pair_conjugates(lam, 1e6)) == [1, 0, -1]
+    # three exact copies of one pair: the k-th upper copy takes the k-th
+    # lower copy, as the greedy loop's lowest-index rule has it
+    a = np.kron(np.eye(3), [[-1.0, 2.0], [-2.0, -1.0]])
+    sol = eig_biorthogonal(a)
+    assert list(sol.pair_of) == [3, 4, 5, 0, 1, 2]
+    assert_same_solution(sol, reference_eig_biorthogonal(a))
 
 
 @pytest.mark.parametrize("lam", [
-    pytest.param(np.array([-1 - 3j, -1 + 2j]), id="partner_too_far"),
-    pytest.param(np.array([-3.0, -1 + 2j]), id="no_lower_mode"),
-    pytest.param(np.array([-1 - 2j, -1 + 2j, -1 + 2j]), id="one_short"),
+    pytest.param([1j, -2.1e-6 - 1j], id="near_partner"),
+    pytest.param([-1 + 2j, -1 - 3j], id="partner_too_far"),
+    pytest.param([-1 + 2j, -3.0], id="no_lower_mode"),
+    pytest.param([-1 + 2j, -1 - 2j, -1 + 2j], id="one_short"),
 ])
-def test_pairing_raises_for_a_missing_partner(lam):
+def test_pairing_raises_for_a_missing_partner(monkeypatch, lam):
+    # an `eig` output that breaks the pair layout, which no real `eig` returns
+    lam = np.array(lam, dtype=complex)
+    n = len(lam)
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda _: (lam.copy(), np.eye(n, dtype=complex)))
+    a = np.ones((n, n))
     with pytest.raises(DefectiveMatrixError,
-                       match="no conjugate partner for eigenvalue") as exc:
-        _pair_conjugates(lam, 1.0)
-    assert str(exc.value) == pairing_outcome(greedy_pair_conjugates, lam, 1.0)
+                       match="no conjugate partner for eigenvalue"):
+        eig_biorthogonal(a)
+    assert_matches_reference(a)

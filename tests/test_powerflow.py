@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_radial_farm
+from helpers import random_pll_grid_farm, random_radial_farm
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.powerflow import (SLACK_E0, BusSolution, PowerflowError,
                              network_losses, solve_powerflow,
@@ -73,6 +73,21 @@ def test_nonconvergence_reports_final_mismatch():
         solve_powerflow(farm, max_iter=1)
 
 
+def test_nonconvergence_reports_history_and_grid_loading():
+    # a 6-WT farm past the tie's loadability: Newton diverges from flat start
+    farm = random_pll_grid_farm(3)
+    with pytest.raises(PowerflowError) as exc:
+        solve_powerflow(farm)
+    msg = str(exc.value)
+    history = msg[msg.index("(history: ") + 10:msg.index(")")].split(", ")
+    assert len(history) == 51                 # flat start + 50 iterations
+    assert all(np.isfinite(float(h)) for h in history)
+    p_total = total_injection(farm)
+    s_sc = abs(SLACK_E0) ** 2 / abs(complex(farm.grid.r_pu, farm.grid.l_pu))
+    assert f"P = {p_total:.6g} p.u." in msg
+    assert f"|E0|^2/|Z_grid| = {s_sc:.6g} p.u." in msg
+
+
 @given(st.integers(0, 150))
 def test_power_balance_on_random_farms(seed):
     farm = random_radial_farm(seed)
@@ -115,7 +130,9 @@ def test_operating_point_aligned_case():
     assert op.delta0 == 0.0
     assert op.u_d0 == 1.0
     assert op.i_d0 == 0.9
-    assert op.i_q0 == 0.0
+    # unity power factor: the current lies along the terminal voltage
+    cross = op.i_xy0[0] * op.u_xy0[1] - op.i_xy0[1] * op.u_xy0[0]
+    assert abs(cross) <= 1e-15
 
 
 def test_operating_point_rotated_case():
