@@ -13,9 +13,7 @@ from .modal import (ConcernSet, ModalSolution, eig_biorthogonal,
 from .powerflow import (BusSolution, WtOperatingPoint, solve_powerflow,
                         wt_operating_point)
 from .validation import (LinearResponse, ValidationReport, compare_responses,
-                         error_E, error_Eprime, linearization_check, nrmse,
-                         simulate_linear)
-from .wt import (SagSpec, WtStateSpace, WtTrajectory, linearize_wt,
-                 simulate_wt_nonlinear, stiff_grid_mode)
+                         error_E, error_Eprime, nrmse, simulate_linear)
+from .wt import SagSpec, WtStateSpace, linearize_wt
 
 __version__ = "0.1.0"

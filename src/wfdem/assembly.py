@@ -8,12 +8,9 @@ terminal voltages gives
     B_s = B K
 
 The network is series-only, so K stacks one 2x2 identity per WT and B_s is
-the row-stack of the block inputs.
-
-The admittance form A + B Y^-1 C with Y = Z^-1 is algebraically the same
-whenever Z is invertible and is kept as a cross-check; the Z form is primary
-because Kron reduction always yields Z while Y may not exist for
-zero-impedance ties.
+the row-stack of the block inputs.  The closure uses Z, never Y = Z^-1:
+Kron reduction always yields Z, while Y does not exist for zero-impedance
+ties.
 """
 
 from __future__ import annotations
@@ -27,10 +24,6 @@ from .powerflow import SLACK_E0, BusSolution, wt_operating_point
 from .wt import STATE_KINDS, WtStateSpace, linearize_wt
 
 StateLabel = tuple[str, str]   # (wt id, state kind)
-
-
-class AssemblyError(RuntimeError):
-    """Z is singular, so the admittance form does not exist."""
 
 
 @dataclass(frozen=True)
@@ -113,18 +106,3 @@ def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
     blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
               for wt, _ in farm.wts]
     return assemble_farm(blocks, build_network_matrices(farm))
-
-
-def closed_loop_via_admittance(blocks: list[WtStateSpace],
-                               net: NetworkMatrices) -> np.ndarray:
-    """A_s through the admittance form A + B Y^-1 C.
-
-    Requires Z invertible; used as an independent cross-check of the primary
-    closure.
-    """
-    a, b, c = _stack_blocks(blocks)
-    try:
-        y = np.linalg.inv(net.z)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError("Z is singular; admittance form unavailable") from exc
-    return a + b @ np.linalg.solve(y, c)

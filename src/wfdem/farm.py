@@ -113,6 +113,17 @@ class FarmDescription:
         return tuple(wt.id for wt, _ in self.wts)
 
     def validate(self) -> None:
+        # json reads NaN and Infinity; both pass the schema, and a NaN makes
+        # every comparison below False
+        for where, rec in [("bases", self.bases), ("grid", self.grid),
+                           *((f"branch {br.from_bus!r}-{br.to_bus!r}", br)
+                             for br in self.branches),
+                           *((f"WT {wt.id!r}", wt) for wt, _ in self.wts)]:
+            for f in fields(rec):
+                value = getattr(rec, f.name)
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise FarmValidationError(
+                        f"{where}: {f.name} must be finite, got {value}")
         b = self.bases
         if min(b.s_wt_mva, b.v_coll_kv, b.f_grid_hz, b.u_dc_base_kv) <= 0:
             raise FarmValidationError("per-unit bases must be strictly positive")

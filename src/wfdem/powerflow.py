@@ -28,15 +28,11 @@ class BusSolution:
     """Converged farm steady state.
 
     `wt_terminal` maps each WT id to (terminal voltage, injected current on
-    the machine's own base).  Branch flows follow branch orientation
-    (from_bus -> to_bus); flows through zero-impedance branches are reported
-    as 0 (they carry no drop and are individually indeterminate when zero
-    paths are paralleled).
+    the machine's own base).
     """
 
     bus_ids: tuple[str, ...]
     v: np.ndarray                       # complex, per bus
-    branch_flows: np.ndarray            # complex, per farm branch
     grid_flow: complex                  # current exported into the Thevenin branch
     slack_power: complex                # S absorbed by the infinite bus
     wt_terminal: dict[str, tuple[complex, complex]]
@@ -115,12 +111,6 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
                   else SLACK_E0 for bus in farm.buses])
     bus_index = {bus: k for k, bus in enumerate(farm.buses)}
 
-    flows = np.zeros(len(farm.branches), dtype=complex)
-    for k, (br, z) in enumerate(zip(farm.branches, net.branch_z)):
-        if z != 0:
-            flows[k] = (v[bus_index[br.from_bus]]
-                        - v[bus_index[br.to_bus]]) / z
-
     wt_terminal: dict[str, tuple[complex, complex]] = {}
     grid_flow = 0.0 + 0.0j
     for wt, bus in farm.wts:
@@ -136,7 +126,6 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
     return BusSolution(
         bus_ids=farm.buses,
         v=v,
-        branch_flows=flows,
         grid_flow=grid_flow,
         slack_power=slack_power,
         wt_terminal=wt_terminal,
@@ -144,16 +133,6 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
         iterations=iters,
         mismatch_history=tuple(history),
     )
-
-
-def network_losses(farm: FarmDescription, sol: BusSolution) -> complex:
-    """Total series I^2 Z losses, Thevenin branch included."""
-    net = nodal_network(farm)
-    loss = 0.0 + 0.0j
-    for flow, z in zip(sol.branch_flows, net.branch_z):
-        loss += abs(flow) ** 2 * z
-    loss += abs(sol.grid_flow) ** 2 * net.grid_z
-    return loss
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ detailed one: the worst relative distance from each concern mode to its
 cluster centre, and the worst relative distance to the nearest mode of the
 aggregated model.  Time-domain adequacy is checked by driving both models
 with the same grid-voltage sag, in closed form from their modal solutions,
-and comparing normalized RMS errors.
+and comparing normalized RMS errors.  Both sides are linearized models; the
+nonlinear single-WT reference that checks the linearization itself belongs
+to the tests.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import DemModel
-from .assembly import FarmStateSpace, linear_model
+from .assembly import FarmStateSpace
 from .clustering import ModeClusters
-from .farm import FarmDescription, GridThevenin, PerUnitBases, WtParams
 from .gridcsv import write_grid
-from .modal import ConcernSet, ModalSolution, eig_biorthogonal
-from .powerflow import SLACK_E0, solve_powerflow
-from .wt import SagSpec, simulate_wt_nonlinear, stiff_equilibrium
+from .modal import ConcernSet, ModalSolution
+from .powerflow import SLACK_E0
+from .wt import SagSpec
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +177,6 @@ def compare_responses(detailed: LinearResponse, dem: LinearResponse,
                        for (wt, _), w in zip(members, weights))
         out[f"group{g}_u_dc"], _ = nrmse(mean_udc, dem.u_dc[f"group{g}"])
     return out
-
-
-# ---------------------------------------------------------------------------
-# single-WT linearization check
-
-
-@dataclass(frozen=True)
-class LinearizationCheck:
-    nrmse_u_dc: float
-    in_regime: bool      # sag within the small-signal band (<= 0.5%)
-
-
-def linearization_check(wt: WtParams, bases: PerUnitBases,
-                        grid: GridThevenin, sag_fraction: float = 0.001,
-                        horizon: float = 2.0,
-                        dt: float = 1e-3) -> LinearizationCheck:
-    """Nonlinear vs linear single-WT response under the same source sag."""
-    sag = SagSpec(fraction=sag_fraction)
-    traj = simulate_wt_nonlinear(wt, bases, grid, sag, horizon, dt)
-    x0, _ = stiff_equilibrium(wt, bases, grid)
-    du_dc_nl = traj.u_dc - x0[0]
-
-    farm = FarmDescription(
-        bases=bases,
-        buses=("poi",),
-        poi="poi",
-        branches=(),
-        wts=((wt, "poi"),),
-        grid=grid,
-    )
-    farm.validate()
-    fss = linear_model(farm, solve_powerflow(farm))
-    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s, fss.labels), sag,
-                          horizon, dt)
-
-    value, _ = nrmse(du_dc_nl, lin.u_dc[wt.id])
-    return LinearizationCheck(nrmse_u_dc=value,
-                              in_regime=sag_fraction <= 0.005)
 
 
 # ---------------------------------------------------------------------------

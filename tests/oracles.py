@@ -1,0 +1,186 @@
+"""Reference models that the tests hold the pipeline against.
+
+None of these runs in the pipeline.  Each is a second route to a quantity
+the package computes: the closed-form stiff-grid DVC mode, the single-WT
+nonlinear model, the series network losses and the admittance form of the
+farm closure.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from wfdem.assembly import _stack_blocks, linear_model
+from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
+                        PerUnitBases, WtParams, nodal_network, xy_block)
+from wfdem.modal import eig_biorthogonal
+from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
+                             solve_powerflow)
+from wfdem.validation import nrmse, simulate_linear
+from wfdem.wt import SagSpec, WtStateSpace, dc_link_seconds, rotation
+
+
+def stiff_grid_mode(wt: WtParams, op: WtOperatingPoint,
+                    bases: PerUnitBases) -> np.ndarray:
+    """Closed-form DVC eigenpair with the terminal voltage held fixed.
+
+    Returns the two roots; a conjugate pair in the oscillatory case, two
+    reals when the discriminant is overdamped.
+    """
+    cpr = dc_link_seconds(wt, bases) * wt.u_dc0
+    disc = 4.0 * cpr * wt.ki_dvc * op.u_d0 - (wt.kp_dvc * op.u_d0) ** 2
+    re = -wt.kp_dvc * op.u_d0 / (2.0 * cpr)
+    if disc >= 0:
+        im = np.sqrt(disc) / (2.0 * cpr)
+        return np.array([re + 1j * im, re - 1j * im])
+    spread = np.sqrt(-disc) / (2.0 * cpr)
+    return np.array([re + spread, re - spread], dtype=complex)
+
+
+def fixed_point_terminal(p: float, z: complex) -> complex:
+    """Terminal voltage of one WT injecting p behind z from SLACK_E0.
+
+    The scalar fixed point u = e + z conj(p/u), iterated far below the
+    Newton tolerance.
+    """
+    u = SLACK_E0
+    for _ in range(10_000):
+        u_next = SLACK_E0 + z * np.conj(p / u)
+        if abs(u_next - u) < 1e-14:
+            return u_next
+        u = u_next
+    raise AssertionError("terminal fixed point did not converge")
+
+
+# ---------------------------------------------------------------------------
+# single-WT nonlinear model
+
+
+@dataclass
+class WtTrajectory:
+    t: np.ndarray
+    u_dc: np.ndarray
+    delta: np.ndarray
+    p_e: np.ndarray
+
+
+def terminal_quantities(x: np.ndarray, e_xy: np.ndarray, wt: WtParams,
+                        grid: GridThevenin) -> tuple[np.ndarray, np.ndarray, float]:
+    """Algebraic terminal solution (u_dq, i_dq, p_e) for the state x.
+
+    The current reference depends on states only, so the Thevenin relation
+    u = e + Z i closes without iteration.
+    """
+    u_dc, z1, delta, _ = x
+    i_d = wt.kp_dvc * (u_dc - wt.u_dc0) + wt.ki_dvc * z1
+    i_dq = np.array([i_d, 0.0])
+    t = rotation(delta)
+    i_xy = t.T @ i_dq
+    z = xy_block(complex(grid.r_pu, grid.l_pu))
+    u_xy = e_xy + z @ i_xy
+    u_dq = t @ u_xy
+    p_e = float(u_dq @ i_dq)
+    return u_dq, i_dq, p_e
+
+
+def nonlinear_rhs(x: np.ndarray, e_xy: np.ndarray, wt: WtParams,
+                  bases: PerUnitBases, grid: GridThevenin) -> np.ndarray:
+    u_dc = x[0]
+    c_pu = dc_link_seconds(wt, bases)
+    u_dq, _, p_e = terminal_quantities(x, e_xy, wt, grid)
+    return np.array([
+        (wt.p_m0 - p_e) / (c_pu * u_dc),
+        u_dc - wt.u_dc0,
+        wt.kp_pll * u_dq[1] + wt.ki_pll * x[3],
+        u_dq[1],
+    ])
+
+
+def stiff_equilibrium(wt: WtParams, grid: GridThevenin) -> np.ndarray:
+    """Steady state of the single WT behind its Thevenin grid."""
+    u = fixed_point_terminal(wt.p_m0, complex(grid.r_pu, grid.l_pu))
+    i_d0 = wt.p_m0 / abs(u)
+    return np.array([wt.u_dc0, i_d0 / wt.ki_dvc, float(np.angle(u)), 0.0])
+
+
+def simulate_wt_nonlinear(wt: WtParams, bases: PerUnitBases,
+                          grid: GridThevenin, sag: SagSpec,
+                          horizon: float, dt: float) -> WtTrajectory:
+    """Fixed-step RK4 integration of the nonlinear model under a source sag."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    x0 = stiff_equilibrium(wt, grid)
+    n = int(round(horizon / dt))
+    t = np.arange(n + 1) * dt
+    e_pre = np.array([SLACK_E0.real, SLACK_E0.imag])
+    e_post = e_pre * (1.0 - sag.fraction)
+
+    xs = np.empty((n + 1, 4))
+    xs[0] = x0
+    x = x0.copy()
+    for k in range(n):
+        # source value is held over each step; the sag lands on the first
+        # step whose start time has reached t_start
+        e = e_post if t[k] >= sag.t_start else e_pre
+        k1 = nonlinear_rhs(x, e, wt, bases, grid)
+        k2 = nonlinear_rhs(x + 0.5 * dt * k1, e, wt, bases, grid)
+        k3 = nonlinear_rhs(x + 0.5 * dt * k2, e, wt, bases, grid)
+        k4 = nonlinear_rhs(x + dt * k3, e, wt, bases, grid)
+        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"nonlinear integration diverged at t={t[k + 1]:.4f}")
+        xs[k + 1] = x
+
+    p_e = np.array([
+        terminal_quantities(xs[k], e_post if t[k] >= sag.t_start else e_pre,
+                            wt, grid)[2]
+        for k in range(n + 1)])
+    return WtTrajectory(t=t, u_dc=xs[:, 0], delta=xs[:, 2], p_e=p_e)
+
+
+def linearization_check(wt: WtParams, bases: PerUnitBases,
+                        grid: GridThevenin, sag_fraction: float = 0.001,
+                        horizon: float = 2.0, dt: float = 1e-3) -> float:
+    """NRMSE of the linear single-WT u_dc response against the nonlinear one
+    under the same source sag."""
+    sag = SagSpec(fraction=sag_fraction)
+    traj = simulate_wt_nonlinear(wt, bases, grid, sag, horizon, dt)
+    farm = FarmDescription(bases=bases, buses=("poi",), poi="poi",
+                           branches=(), wts=((wt, "poi"),), grid=grid)
+    farm.validate()
+    fss = linear_model(farm, solve_powerflow(farm))
+    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s, fss.labels), sag,
+                          horizon, dt)
+    value, _ = nrmse(traj.u_dc - traj.u_dc[0], lin.u_dc[wt.id])
+    return value
+
+
+# ---------------------------------------------------------------------------
+# power balance and closure
+
+
+def network_losses(farm: FarmDescription, sol: BusSolution) -> complex:
+    """Total series I^2 Z losses, Thevenin branch included.
+
+    Branch flows follow from the bus voltages; a zero-impedance branch
+    carries no drop and adds no loss.
+    """
+    net = nodal_network(farm)
+    v = dict(zip(sol.bus_ids, sol.v))
+    loss = 0.0 + 0.0j
+    for br, z in zip(farm.branches, net.branch_z):
+        if z != 0:
+            loss += abs((v[br.from_bus] - v[br.to_bus]) / z) ** 2 * z
+    loss += abs(sol.grid_flow) ** 2 * net.grid_z
+    return loss
+
+
+def closed_loop_via_admittance(blocks: list[WtStateSpace],
+                               net: NetworkMatrices) -> np.ndarray:
+    """A_s through the admittance form A + B Y^-1 C with Y = Z^-1.
+
+    Algebraically equal to `assemble_farm`'s A + B Z C whenever Z is
+    invertible; a singular Z raises `numpy.linalg.LinAlgError`.
+    """
+    a, b, c = _stack_blocks(blocks)
+    return a + b @ np.linalg.solve(np.linalg.inv(net.z), c)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import random_radial_farm, solved_case
-from wfdem.assembly import (AssemblyError, assemble_farm,
-                            closed_loop_via_admittance)
+from oracles import closed_loop_via_admittance
+from wfdem.assembly import assemble_farm, linear_model
 from wfdem.cases import (case_farm, identical_zero_network_farm,
                          single_wt_farm)
 from wfdem.farm import build_network_matrices
@@ -104,12 +104,7 @@ def test_spectrum_closed_under_conjugation():
 
 
 def test_wt_permutation_leaves_spectrum_fixed():
-    farm = solved_case("b").farm
-    sol = solve_powerflow(farm)
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    net = build_network_matrices(farm)
-    fss = assemble_farm(blocks, net)
+    farm, fss = solved_case("b").farm, solved_case("b").fss
 
     from wfdem.farm import FarmDescription
     perm = list(reversed(range(farm.n_wt)))
@@ -118,10 +113,7 @@ def test_wt_permutation_leaves_spectrum_fixed():
         branches=farm.branches,
         wts=tuple(farm.wts[k] for k in perm), grid=farm.grid)
     farm_p.validate()
-    sol_p = solve_powerflow(farm_p)
-    blocks_p = [linearize_wt(wt, wt_operating_point(sol_p, wt), farm.bases)
-                for wt, _ in farm_p.wts]
-    fss_p = assemble_farm(blocks_p, build_network_matrices(farm_p))
+    fss_p = linear_model(farm_p, solve_powerflow(farm_p))
 
     assert fss_p.labels != fss.labels
     assert set(fss_p.labels) == set(fss.labels)
@@ -135,13 +127,6 @@ def test_closure_forms_agree(case):
     scale = max(1.0, np.abs(sorted_eigs(s.fss.a_s)).max())
     assert np.abs(sorted_eigs(s.fss.a_s) - sorted_eigs(alt)).max() \
         < 1e-10 * scale
-
-
-def test_admittance_form_rejects_singular_z():
-    farm = identical_zero_network_farm(2)
-    blocks, net = solved_blocks(farm)
-    with pytest.raises(AssemblyError):
-        closed_loop_via_admittance(blocks, net)
 
 
 def test_block_count_mismatch_rejected():

@@ -374,18 +374,13 @@ def test_row_totals_conserved_across_cluster_count(case_b, c):
 
 
 def test_identical_decoupled_wts_split_symmetrically():
+    from wfdem.assembly import linear_model
     from wfdem.cases import identical_zero_network_farm
-    from wfdem.powerflow import solve_powerflow, wt_operating_point
-    from wfdem.wt import linearize_wt
-    from wfdem.farm import build_network_matrices
-    from wfdem.assembly import assemble_farm
     from wfdem.modal import eig_biorthogonal, select_concern_modes
+    from wfdem.powerflow import solve_powerflow
 
     farm = identical_zero_network_farm(2, p_m0=0.9)
-    sol = solve_powerflow(farm)
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
     msol = eig_biorthogonal(fss.a_s, fss.labels)
     concern = select_concern_modes(msol, n_expected=2)
     cl = cluster_modes(concern, 2, seed=42)

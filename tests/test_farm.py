@@ -8,6 +8,7 @@ description, ground the source, and push unit current injections through it.
 import dataclasses
 import importlib.util
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,28 @@ def test_two_pois_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FarmValidationError, match="exactly one"):
         load_farm(path)
+
+
+@pytest.mark.parametrize("section, k, key, value, message", [
+    ("wts", 4, "c_dc_f", float("nan"), "WT 'wt05': c_dc must be finite"),
+    ("wts", 0, "u_dc0_pu", float("inf"), "WT 'wt01': u_dc0 must be finite"),
+    ("branches", 1, "length_km", float("inf"),
+     "branch 'f1b1'-'f1b2': length_km must be finite"),
+    ("wts", 32, "s_mva", float("inf"), "WT 'wt33': s_mva must be finite"),
+], ids=["c_dc_f", "u_dc0_pu", "length_km", "s_mva"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, section, k, key, value,
+                                     message):
+    # json writes and reads the literals NaN and Infinity
+    doc = json.loads((ROOT / "farms" / "case_b.json").read_text())
+    doc[section][k][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FarmValidationError, match=re.escape(message)):
+        load_farm(path)
+    from wfdem.cli import main
+    assert main(["all", "--farm", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "error in stage load" in capsys.readouterr().err
 
 
 def test_self_loop_rejected():

@@ -11,23 +11,20 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
 from helpers import ROOT, SolvedFarm, ladder_farm
+from oracles import stiff_grid_mode
 from wfdem.cases import identical_zero_network_farm
-from wfdem.assembly import assemble_farm
-from wfdem.farm import build_network_matrices, load_farm
+from wfdem.assembly import linear_model
+from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
                          eig_biorthogonal, select_concern_modes,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
-from wfdem.wt import linearize_wt, stiff_grid_mode
 
 
 def solved_zero_farm(n=5, p=0.8):
     farm = identical_zero_network_farm(n, p_m0=p)
     sol = solve_powerflow(farm)
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
-    return farm, sol, fss
+    return farm, sol, linear_model(farm, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +151,7 @@ def test_symmetric_two_wt_farm_has_equal_udc_participation():
         branches=(Branch("poi", "shared", 2.0, 0.1153, 1.05e-3),),
         wts=wts, grid=GridThevenin(0.001, 0.01))
     farm.validate()
-    sol = solve_powerflow(farm)
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
     msol = eig_biorthogonal(fss.a_s, fss.labels)
     concern = select_concern_modes(msol, n_expected=2)
     r1 = fss.state_index("wt01", "u_dc")

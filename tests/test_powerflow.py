@@ -1,7 +1,7 @@
 """Steady-state solver and linearization points.
 
-Oracle for the single-WT case: the scalar fixed point u = e + z conj(P/u),
-iterated far below the Newton tolerance.
+Oracles: for the single-WT case, the scalar fixed point u = e + z conj(P/u);
+for the power balance, the series losses from the bus voltages.
 """
 
 import numpy as np
@@ -9,22 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_pll_grid_farm, random_radial_farm
+from oracles import fixed_point_terminal, network_losses
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.powerflow import (SLACK_E0, BusSolution, PowerflowError,
-                             network_losses, solve_powerflow,
-                             wt_operating_point, write_bus_csv)
+                             solve_powerflow, wt_operating_point,
+                             write_bus_csv)
 from wfdem.wt import rotation
-
-
-def fixed_point_terminal(p: float, z: complex, e: complex = 1.0 + 0j,
-                         tol: float = 1e-12) -> complex:
-    u = e
-    for _ in range(10_000):
-        u_next = e + z * np.conj(p / u)
-        if abs(u_next - u) < tol:
-            return u_next
-        u = u_next
-    raise AssertionError("oracle did not converge")
 
 
 def total_injection(farm) -> complex:
@@ -117,7 +107,6 @@ def test_deterministic_solution():
 def _solution_with_terminal(u: complex, p: float) -> BusSolution:
     return BusSolution(
         bus_ids=("poi",), v=np.array([u]),
-        branch_flows=np.zeros(0, dtype=complex),
         grid_flow=np.conj(p / u), slack_power=0j,
         wt_terminal={"wt01": (u, np.conj(p / u))},
         mismatch=0.0, iterations=0, mismatch_history=(0.0,))

@@ -16,6 +16,7 @@ from scipy.linalg import expm
 
 from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
                      solved_case)
+from oracles import linearization_check
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
 from wfdem.clustering import ModeClusters, cluster_modes
@@ -23,8 +24,7 @@ from wfdem.farm import GridThevenin, PerUnitBases, WtParams, load_farm
 from wfdem.modal import ConcernSet, ModalSolution, eig_biorthogonal
 from wfdem.powerflow import SLACK_E0
 from wfdem.validation import (LinearResponse, compare_responses, error_E,
-                              error_Eprime, linearization_check, nrmse,
-                              simulate_linear)
+                              error_Eprime, nrmse, simulate_linear)
 from wfdem.wt import STATE_KINDS, SagSpec
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0)
@@ -101,15 +101,10 @@ def max_relative_difference(resp: LinearResponse,
 
 
 def stiff_single_wt_fss() -> tuple[FarmStateSpace, WtParams]:
-    from wfdem.assembly import assemble_farm
-    from wfdem.farm import build_network_matrices
-    from wfdem.powerflow import solve_powerflow, wt_operating_point
-    from wfdem.wt import linearize_wt
+    from wfdem.assembly import linear_model
+    from wfdem.powerflow import solve_powerflow
     farm = identical_zero_network_farm(1, p_m0=0.9)
-    sol = solve_powerflow(farm)
-    wt = farm.wts[0][0]
-    block = linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-    return assemble_farm([block], build_network_matrices(farm)), wt
+    return linear_model(farm, solve_powerflow(farm)), farm.wts[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +419,13 @@ def test_compare_responses_grid_mismatch_rejected():
 def test_linearization_check_zero_sag_is_zero():
     wt = WtParams(id="wt01", p_m0=0.9, c_dc=0.09, u_dc0=1.0,
                   kp_dvc=1.0, ki_dvc=300.0)
-    chk = linearization_check(wt, BASES, GridThevenin(0.001, 0.01),
-                              sag_fraction=0.0, horizon=0.3)
-    assert chk.nrmse_u_dc == 0.0
-
-
-def test_linearization_check_small_sag_within_band():
-    wt = WtParams(id="wt01", p_m0=0.9, c_dc=0.09, u_dc0=1.0,
-                  kp_dvc=1.0, ki_dvc=300.0)
-    chk = linearization_check(wt, BASES, GridThevenin(0.001, 0.01),
-                              sag_fraction=0.001)
-    assert chk.in_regime
-    assert chk.nrmse_u_dc < 0.01
+    assert linearization_check(wt, BASES, GridThevenin(0.001, 0.01),
+                               sag_fraction=0.0, horizon=0.3) == 0.0
 
 
 def test_linearization_check_large_sag_flagged():
     wt = WtParams(id="wt01", p_m0=0.9, c_dc=0.09, u_dc0=1.0,
                   kp_dvc=1.0, ki_dvc=300.0)
-    chk = linearization_check(wt, BASES, GridThevenin(0.001, 0.01),
-                              sag_fraction=0.10)
-    assert not chk.in_regime
-    assert chk.nrmse_u_dc > 0.005      # visible nonlinear departure
+    nrmse_u_dc = linearization_check(wt, BASES, GridThevenin(0.001, 0.01),
+                                     sag_fraction=0.10)
+    assert nrmse_u_dc > 0.005      # visible nonlinear departure

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wfdem.assembly import assemble_farm
+from oracles import (nonlinear_rhs, simulate_wt_nonlinear, stiff_equilibrium,
+                     stiff_grid_mode, terminal_quantities)
+from wfdem.assembly import linear_model
 from wfdem.cases import single_wt_farm
-from wfdem.farm import GridThevenin, PerUnitBases, WtParams, build_network_matrices
+from wfdem.farm import GridThevenin, PerUnitBases, WtParams
 from wfdem.powerflow import solve_powerflow, wt_operating_point
-from wfdem.wt import (SagSpec, dc_link_seconds, linearize_wt, nonlinear_rhs,
-                      simulate_wt_nonlinear, stiff_equilibrium,
-                      stiff_grid_mode, terminal_quantities)
+from wfdem.wt import SagSpec, dc_link_seconds, linearize_wt
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0, u_dc_base_kv=1.2)
 
@@ -23,11 +23,6 @@ BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0, u_dc_base_kv=1.2)
 def make_wt(p=0.9, kp=1.0, ki=300.0, kp_pll=60.0, ki_pll=1400.0):
     return WtParams(id="wt01", p_m0=p, c_dc=0.09, u_dc0=1.0,
                     kp_dvc=kp, ki_dvc=ki, kp_pll=kp_pll, ki_pll=ki_pll)
-
-
-def equilibrium_state(wt, grid):
-    x0, _ = stiff_equilibrium(wt, BASES, grid)
-    return x0
 
 
 def fd_jacobian(fn, x0, eps=1e-5):
@@ -75,7 +70,7 @@ def test_block_matches_finite_differences_stiff_terminal(p, kp, ki, rg, xl):
     must equal Jacobians of the nonlinear right-hand side."""
     wt = make_wt(p, kp, ki)
     stiff = GridThevenin(0.0, 0.0)
-    x0 = equilibrium_state(wt, stiff)
+    x0 = stiff_equilibrium(wt, stiff)
     e0 = np.array([1.0, 0.0])
 
     farm = single_wt_farm(p_m0=p, kp_dvc=kp, ki_dvc=ki,
@@ -100,11 +95,9 @@ def test_closed_loop_matches_finite_differences(p, kp, ki, rg, xl):
     grid = GridThevenin(rg, xl)
     farm = single_wt_farm(p_m0=p, kp_dvc=kp, ki_dvc=ki,
                           grid_r_pu=rg, grid_l_pu=xl)
-    sol = solve_powerflow(farm)
-    blk = linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-    fss = assemble_farm([blk], build_network_matrices(farm))
+    fss = linear_model(farm, solve_powerflow(farm))
 
-    x0 = equilibrium_state(wt, grid)
+    x0 = stiff_equilibrium(wt, grid)
     e0 = np.array([1.0, 0.0])
     a_fd = fd_jacobian(lambda x: nonlinear_rhs(x, e0, wt, BASES, grid), x0)
     b_fd = fd_jacobian(lambda e: nonlinear_rhs(x0, e, wt, BASES, grid), e0)
@@ -120,7 +113,7 @@ def test_output_matrix_matches_finite_differences():
     farm = single_wt_farm(p_m0=0.8, kp_dvc=1.5, ki_dvc=250.0)
     sol = solve_powerflow(farm)
     blk = linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-    x0 = equilibrium_state(wt, grid)
+    x0 = stiff_equilibrium(wt, grid)
 
     def injected_current(x):
         i_d = wt.kp_dvc * (x[0] - wt.u_dc0) + wt.ki_dvc * x[1]
@@ -182,7 +175,7 @@ def test_stiff_grid_mode_overdamped_returns_two_reals():
 def test_equilibrium_is_fixed_point_of_rhs():
     wt = make_wt(p=0.95)
     grid = GridThevenin(0.001, 0.01)
-    x0, _ = stiff_equilibrium(wt, BASES, grid)
+    x0 = stiff_equilibrium(wt, grid)
     rhs = nonlinear_rhs(x0, np.array([1.0, 0.0]), wt, BASES, grid)
     assert np.abs(rhs).max() < 1e-9
 
@@ -229,14 +222,6 @@ def test_ringdown_frequency_matches_analytic_mode():
     op = wt_operating_point(solve_powerflow(farm), wt)
     f_mode = abs(stiff_grid_mode(wt, op, BASES)[0].imag) / (2 * np.pi)
     assert abs(peak_hz - f_mode) / f_mode < 0.15
-
-
-def test_small_sag_matches_linear_closure():
-    from wfdem.validation import linearization_check
-    chk = linearization_check(make_wt(), BASES, GridThevenin(0.001, 0.01),
-                              sag_fraction=0.001)
-    assert chk.in_regime
-    assert chk.nrmse_u_dc < 0.01
 
 
 def test_bad_dt_rejected():
