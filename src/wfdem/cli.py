@@ -100,7 +100,8 @@ def _stage_modes(state: PipelineState) -> None:
         state.modal_sol, n_expected=state.farm.n_wt)
     modal.write_modes_csv(state.modal_sol, state.concern,
                           state.cfg.out_dir / "modes.csv")
-    modal.write_mpf_csv(state.modal_sol, state.cfg.out_dir / "mpf.csv")
+    modal.write_mpf_csv(state.modal_sol, state.concern,
+                        state.cfg.out_dir / "mpf.csv")
 
 
 def _pick_cluster_count(state: PipelineState) -> clustering.ModeClusters:
@@ -124,7 +125,7 @@ def _stage_cluster(state: PipelineState) -> None:
     kind = modal.STATE_FILTER[0]
     rep_rows = {wt_id: state.fss.state_index(wt_id, kind)
                 for wt_id in state.fss.wt_order}
-    state.features = clustering.superimpose_mpf(state.modal_sol.mpf,
+    state.features = clustering.superimpose_mpf(state.modal_sol,
                                                 state.clusters, rep_rows)
     state.groups = clustering.group_wts(state.features)
     clustering.write_features_csv(state.features,
@@ -178,7 +179,7 @@ def _stage_validate(state: PipelineState) -> None:
         state.concern, state.clusters, state.dem, nrmse_by_signal,
         state.modal_sol.unstable, state.dem.modal.unstable, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
-    validation.write_responses_csv(detailed, dem_resp,
+    validation.write_responses_csv(detailed, dem_resp, mapping,
                                    cfg.out_dir / "responses.csv")
     _responses_svg(cfg.out_dir, *(as_printed(a) for a in (
         detailed.t, detailed.poi_p, dem_resp.poi_p)))

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .gridcsv import write_grid
-from .modal import ConcernSet
+from .modal import ConcernSet, ModalSolution
 
 # dominance margin below which groups.json lists a WT as low-margin
 LOW_MARGIN = 0.1
@@ -229,15 +229,19 @@ class FeatureTable:
     table: np.ndarray            # complex (n_wt, n_clusters)
 
 
-def superimpose_mpf(mpf: np.ndarray, clusters: ModeClusters,
+def superimpose_mpf(sol: ModalSolution, clusters: ModeClusters,
                     rep_rows: dict[str, int]) -> FeatureTable:
-    """Sum each representative row of the MPF table over every cluster."""
+    """Sum each WT's representative-state MPFs over every cluster's modes.
+
+    Only the representative rows x the cluster's modes are formed, and each
+    row is summed left to right in member order.
+    """
     wt_ids = tuple(rep_rows)
+    rows = [rep_rows[wt] for wt in wt_ids]
     table = np.zeros((len(wt_ids), clusters.n_clusters), dtype=complex)
-    for r, wt in enumerate(wt_ids):
-        k = rep_rows[wt]
-        for c, group in enumerate(clusters.members):
-            table[r, c] = sum(mpf[k, i] for i in group)
+    for c, group in enumerate(clusters.members):
+        for r, mpf in enumerate(sol.participation(rows, group)):
+            table[r, c] = sum(mpf)
     return FeatureTable(wt_ids=wt_ids, table=table)
 
 

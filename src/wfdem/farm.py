@@ -113,17 +113,20 @@ class FarmDescription:
         return tuple(wt.id for wt, _ in self.wts)
 
     def validate(self) -> None:
-        # json reads NaN and Infinity; both pass the schema, and a NaN makes
-        # every comparison below False
+        # json reads NaN and Infinity, and integers of any size; all pass
+        # the schema, a NaN makes every comparison below False, and an
+        # integer beyond the float range fails in the first float operation
         for where, rec in [("bases", self.bases), ("grid", self.grid),
                            *((f"branch {br.from_bus!r}-{br.to_bus!r}", br)
                              for br in self.branches),
                            *((f"WT {wt.id!r}", wt) for wt, _ in self.wts)]:
             for f in fields(rec):
                 value = getattr(rec, f.name)
-                if isinstance(value, float) and not np.isfinite(value):
+                if isinstance(value, (int, float)) and not _finite(value):
+                    shown = (value if isinstance(value, float)
+                             else "an integer beyond the float range")
                     raise FarmValidationError(
-                        f"{where}: {f.name} must be finite, got {value}")
+                        f"{where}: {f.name} must be finite, got {shown}")
         b = self.bases
         if min(b.s_wt_mva, b.v_coll_kv, b.f_grid_hz, b.u_dc_base_kv) <= 0:
             raise FarmValidationError("per-unit bases must be strictly positive")
@@ -173,6 +176,14 @@ class FarmDescription:
         if unreachable:
             raise FarmValidationError(
                 f"buses not connected to the POI: {sorted(unreachable)}")
+
+
+def _finite(value: int | float) -> bool:
+    """Whether `float(value)` is finite; a huge int overflows instead."""
+    try:
+        return bool(np.isfinite(float(value)))
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------

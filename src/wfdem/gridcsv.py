@@ -4,7 +4,9 @@
 `responses.csv` share one format: every number is written `%.12g`, every
 line ends in CRLF, and string cells are quoted the way `csv.writer` quotes
 them.  A complex grid cell expands to the
-three columns |z|, Re z, Im z, with |z| from `magnitude`.
+three columns |z|, Re z, Im z, with |z| from `magnitude`.  The grids hold
+what the method reads: `mpf.csv` every state row but only the concern-mode
+columns, `responses.csv` only the signals that the NRMSEs compare.
 
 Rows are formatted one at a time with a single `%` template, so memory stays
 at one row of Python floats however large the grid is.

@@ -3,8 +3,10 @@
 Participation of state k in mode i is f_ki = V_ik * U_ki with the left rows
 rescaled so V_i U_i = 1; columns of the participation matrix then sum to one
 exactly, which is the normalization every downstream superposition relies on.
-Desk-scale farms (a few hundred states) make full dense decomposition the
-right tool; no selective or iterative solver is attempted.
+The pipeline reads only slices of that n x n matrix (the `u_dc` rows, the
+concern columns), so `ModalSolution.participation` forms just the block
+asked for.  Desk-scale farms (a few hundred states) make full dense
+decomposition the right tool; no selective or iterative solver is attempted.
 
 `eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms, and
 reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide its
@@ -17,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -41,17 +44,17 @@ class DefectiveMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModalSolution:
-    """Eigensolution with biorthonormal left/right vectors and MPF table.
+    """Eigensolution with biorthonormal left/right vectors.
 
     `right[:, i]` and `left[i, :]` satisfy left @ right = I.  Modes are
     sorted by (Re, Im); `pair_of[i]` is the index of the conjugate partner
-    (-1 for real and near-real modes).  `mpf[k, i]` couples state k to mode i.
+    (-1 for real and near-real modes).  `participation(rows, cols)` gives
+    the MPFs that couple those states to those modes.
     """
 
     eigenvalues: np.ndarray      # complex (n,)
     right: np.ndarray            # complex (n, n), columns
     left: np.ndarray             # complex (n, n), rows
-    mpf: np.ndarray              # complex (n, n)
     pair_of: np.ndarray          # int (n,)
     labels: tuple[StateLabel, ...]
 
@@ -67,6 +70,21 @@ class ModalSolution:
     def kind_rows(self, kinds: tuple[str, ...]) -> np.ndarray:
         return np.array([k for k, (_, kd) in enumerate(self.labels)
                          if kd in kinds], dtype=int)
+
+    def participation(self, rows: Sequence[int],
+                      cols: Sequence[int]) -> np.ndarray:
+        """MPF block f[k, i] = left[i, k] * right[k, i], k in rows, i in cols.
+
+        Both factors are made C-contiguous.  numpy's vectorised complex
+        multiply, which runs on contiguous operands, can round differently
+        from its strided loop; the full table `left.T * right` of `eig`'s
+        F-ordered basis runs the vectorised one, so every entry here equals
+        that table's bit for bit.
+        """
+        rows = np.asarray(rows, dtype=int)
+        cols = np.asarray(cols, dtype=int)
+        return (np.ascontiguousarray(self.left[np.ix_(cols, rows)].T)
+                * np.ascontiguousarray(self.right[np.ix_(rows, cols)]))
 
     def representatives(self) -> np.ndarray:
         """Indices of upper-half-plane members of oscillatory pairs."""
@@ -110,9 +128,8 @@ def eig_biorthogonal(a_s: np.ndarray,
 
     v = _inverse_basis(u)
     pair_of = _pair_modes(a_s, lam, order)
-    mpf = v.T * u   # mpf[k, i] = v[i, k] * u[k, i]
 
-    return ModalSolution(eigenvalues=lam[order], right=u, left=v, mpf=mpf,
+    return ModalSolution(eigenvalues=lam[order], right=u, left=v,
                          pair_of=pair_of, labels=tuple(labels))
 
 
@@ -189,7 +206,7 @@ def select_concern_modes(sol: ModalSolution, n_expected: int,
         raise ValueError(
             f"only {len(reps)} oscillatory pairs available, "
             f"{n_expected} requested")
-    scores = np.abs(sol.mpf[np.ix_(rows, reps)]).sum(axis=0)
+    scores = np.abs(sol.participation(rows, reps)).sum(axis=0)
     ranked = sorted(
         range(len(reps)),
         key=lambda k: (-scores[k], sol.eigenvalues[reps[k]].real,
@@ -226,7 +243,14 @@ def write_modes_csv(sol: ModalSolution, concern: ConcernSet,
                                 sol.pair_of, selected]))
 
 
-def write_mpf_csv(sol: ModalSolution, path: str | Path) -> None:
-    """State-by-mode |f_ki| grid with re/im companion columns."""
-    write_grid(path, [f"mode{i}" for i in range(sol.n_modes)], sol.mpf,
+def write_mpf_csv(sol: ModalSolution, concern: ConcernSet,
+                  path: str | Path) -> None:
+    """|f_ki| with re/im companions: every state k, the concern modes i.
+
+    Columns are named by the mode's index in `modes.csv` and come in
+    `concern.mode_indices` order.
+    """
+    cols = list(concern.mode_indices)
+    write_grid(path, [f"mode{i}" for i in cols],
+               sol.participation(np.arange(len(sol.labels)), cols),
                labels=("state", [f"{wt}:{kind}" for wt, kind in sol.labels]))

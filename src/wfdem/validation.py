@@ -157,24 +157,36 @@ def nrmse(y_ref: np.ndarray, y_hat: np.ndarray) -> tuple[float, bool]:
     return rmse / span, False
 
 
+def group_u_dc(detailed: LinearResponse,
+               mapping: dict[int, tuple[tuple[str, float], ...]],
+               ) -> dict[int, np.ndarray]:
+    """Capacity-weighted mean DC-voltage deviation of each WT group.
+
+    `mapping` gives, per group id, the member WT ids with their capacity
+    weights; the means are the detailed side of the group signals.
+    """
+    out: dict[int, np.ndarray] = {}
+    for g, members in mapping.items():
+        weights = np.array([w for _, w in members])
+        weights = weights / weights.sum()
+        out[g] = sum(w * detailed.u_dc[wt]
+                     for (wt, _), w in zip(members, weights))
+    return out
+
+
 def compare_responses(detailed: LinearResponse, dem: LinearResponse,
                       mapping: dict[int, tuple[tuple[str, float], ...]],
                       ) -> dict[str, float]:
     """NRMSE per monitored signal.
 
-    `mapping` gives, per group id, the member WT ids with their capacity
-    weights; the detailed side of each group signal is the capacity-weighted
-    mean DC-voltage deviation, compared against the aggregate machine's.
+    Each group's `group_u_dc` mean is compared against the aggregate
+    machine's DC-voltage deviation.
     """
     if len(detailed.t) != len(dem.t) or not np.allclose(detailed.t, dem.t):
         raise ValueError("trajectories must share a common time grid")
     out: dict[str, float] = {}
     out["poi_p"], _ = nrmse(detailed.poi_p, dem.poi_p)
-    for g, members in mapping.items():
-        weights = np.array([w for _, w in members])
-        weights = weights / weights.sum()
-        mean_udc = sum(w * detailed.u_dc[wt]
-                       for (wt, _), w in zip(members, weights))
+    for g, mean_udc in group_u_dc(detailed, mapping).items():
         out[f"group{g}_u_dc"], _ = nrmse(mean_udc, dem.u_dc[f"group{g}"])
     return out
 
@@ -230,14 +242,19 @@ def write_report_json(report: ValidationReport, path: str | Path) -> None:
 
 
 def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,
+                        mapping: dict[int, tuple[tuple[str, float], ...]],
                         path: str | Path) -> None:
-    """Time grid plus every monitored signal, detailed and DEM side by side."""
+    """The signals `compare_responses` scores, on the time grid.
+
+    Columns: `t`, `detailed_poi_p`, `dem_poi_p`, then per group g of
+    `mapping`, `detailed_u_dc_group{g}` (the `group_u_dc` mean) and
+    `dem_u_dc_group{g}`.  Per-WT traces stay in `LinearResponse.u_dc`.
+    """
     cols: list[tuple[str, np.ndarray]] = [("t", detailed.t)]
     cols.append(("detailed_poi_p", detailed.poi_p))
     cols.append(("dem_poi_p", dem.poi_p))
-    for wt_id in sorted(detailed.u_dc):
-        cols.append((f"detailed_u_dc_{wt_id}", detailed.u_dc[wt_id]))
-    for wt_id in sorted(dem.u_dc):
-        cols.append((f"dem_u_dc_{wt_id}", dem.u_dc[wt_id]))
+    for g, mean_udc in group_u_dc(detailed, mapping).items():
+        cols.append((f"detailed_u_dc_group{g}", mean_udc))
+        cols.append((f"dem_u_dc_group{g}", dem.u_dc[f"group{g}"]))
     write_grid(path, [name for name, _ in cols],
                np.column_stack([arr for _, arr in cols]))

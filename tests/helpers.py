@@ -45,7 +45,7 @@ class SolvedFarm:
 
     def clustered(self, c: int, seed: int = 42):
         clusters = cluster_modes(self.concern, c, seed)
-        features = superimpose_mpf(self.modal.mpf, clusters, self.rep_rows)
+        features = superimpose_mpf(self.modal, clusters, self.rep_rows)
         groups = group_wts(features)
         return clusters, features, groups
 
@@ -119,13 +119,15 @@ def random_pll_grid_farm(seed: int) -> FarmDescription:
     return farm
 
 
-def ladder_farm(feeders: int, spans: int, seed: int) -> FarmDescription:
-    """The benchmark's seeded F x S ladder farm with planted DVC groups."""
+def ladder_farm(feeders: int, spans: int, seed: int | tuple[int, ...],
+                planted: bool = True) -> FarmDescription:
+    """The benchmark's seeded F x S ladder farm, with planted DVC groups
+    or with free per-WT gains; farm k of a seed-s workload has seed (s, k)."""
     spec = importlib.util.spec_from_file_location(
         "farmgen", ROOT / "perfbench" / "farmgen.py")
     farmgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(farmgen)
-    return farmgen.ladder_farm(feeders, spans, seed, planted=True)[0]
+    return farmgen.ladder_farm(feeders, spans, seed, planted)[0]
 
 
 def run_python_bounded(args: list[str], timeout: float,

@@ -2,8 +2,8 @@
 
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
-nonlinear model, the series network losses and the admittance form of the
-farm closure.
+nonlinear model, the series network losses, the admittance form of the
+farm closure, and the dense MPF table with its full state x mode CSV.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,8 @@ import numpy as np
 from wfdem.assembly import _stack_blocks, linear_model
 from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
                         PerUnitBases, WtParams, nodal_network, xy_block)
-from wfdem.modal import eig_biorthogonal
+from wfdem.gridcsv import write_grid
+from wfdem.modal import ModalSolution, eig_biorthogonal
 from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
                              solve_powerflow)
 from wfdem.validation import nrmse, simulate_linear
@@ -184,3 +185,19 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
     """
     a, b, c = _stack_blocks(blocks)
     return a + b @ np.linalg.solve(np.linalg.inv(net.z), c)
+
+
+# ---------------------------------------------------------------------------
+# participation factors
+
+
+def full_mpf(sol: ModalSolution) -> np.ndarray:
+    """The dense n x n MPF table, mpf[k, i] = left[i, k] * right[k, i]."""
+    return sol.left.T * sol.right
+
+
+def write_full_mpf_csv(sol: ModalSolution, path) -> None:
+    """`mpf.csv` as it was before it held only the concern columns: every
+    state x every mode, |f_ki| with re/im companion columns."""
+    write_grid(path, [f"mode{i}" for i in range(sol.n_modes)], full_mpf(sol),
+               labels=("state", [f"{wt}:{kind}" for wt, kind in sol.labels]))

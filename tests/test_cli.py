@@ -299,3 +299,25 @@ def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
     assert table[0].split() == ["case", "C", "E", "E_prime", "poi", "NRMSE"]
     assert [row.split()[:2] for row in table[1:]] \
         == [[x.upper(), str(c)] for x in "abcd" for c in (1, 3)]
+
+
+def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = script.acceptance_runs(tmp_path / "farms")
+    assert len(runs) == 21
+    assert len({name for name, _, _ in runs}) == 21
+    single = [run for run in runs if run[0] == "single_wt_c1"]
+    first = script.digest_runs(single, tmp_path / "first")
+    second = script.digest_runs(single, tmp_path / "second")
+    assert sorted(first) == sorted(
+        f"single_wt_c1/{name}" for files in ARTIFACTS.values()
+        for name in files)
+    assert first == second
+    assert script.differing(first, second) == []
+    changed = dict(first, **{"single_wt_c1/mpf.csv": "0" * 64})
+    del changed["single_wt_c1/dem.json"]
+    assert script.differing(first, changed) \
+        == ["single_wt_c1/dem.json", "single_wt_c1/mpf.csv"]

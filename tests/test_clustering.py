@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from oracles import full_mpf
 from wfdem.cases import ground_truth_groups
 from wfdem.clustering import (FeatureTable, _lloyd_batch, cluster_modes,
                               group_wts, superimpose_mpf,
@@ -144,13 +145,14 @@ def test_case_b_bands_match_parameter_groups(case_b):
             for wt in case_b.fss.wt_order}
     group_sizes = {g: sum(1 for v in truth.values() if v == g)
                    for g in set(truth.values())}
+    mpf = full_mpf(case_b.modal)
     seen_labels = []
     for members in cl.members:
         # every mode in a band must belong to WTs of one parameter group;
         # attribute each mode to its dominant DC-voltage state
         labels = set()
         for m in members:
-            scores = {wt: abs(case_b.modal.mpf[row, m])
+            scores = {wt: abs(mpf[row, m])
                       for wt, row in rows.items()}
             labels.add(truth[max(scores, key=scores.get)])
         assert len(labels) == 1
@@ -354,20 +356,21 @@ def test_fixed_seed_is_deterministic(case_b):
 
 def test_single_cluster_sums_whole_row(case_a):
     cl = cluster_modes(case_a.concern, 1, seed=42)
-    ft = superimpose_mpf(case_a.modal.mpf, cl, case_a.rep_rows)
+    ft = superimpose_mpf(case_a.modal, cl, case_a.rep_rows)
+    mpf = full_mpf(case_a.modal)
     for r, wt in enumerate(ft.wt_ids):
         row = case_a.rep_rows[wt]
-        total = sum(case_a.modal.mpf[row, m]
+        total = sum(mpf[row, m]
                     for m in case_a.concern.mode_indices)
         assert abs(ft.table[r, 0] - total) < 1e-12
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 5])
 def test_row_totals_conserved_across_cluster_count(case_b, c):
-    ft = superimpose_mpf(case_b.modal.mpf,
+    ft = superimpose_mpf(case_b.modal,
                          cluster_modes(case_b.concern, c, seed=42),
                          case_b.rep_rows)
-    full = superimpose_mpf(case_b.modal.mpf,
+    full = superimpose_mpf(case_b.modal,
                            cluster_modes(case_b.concern, 1, seed=42),
                            case_b.rep_rows)
     assert np.abs(ft.table.sum(axis=1) - full.table[:, 0]).max() < 1e-10
@@ -385,7 +388,7 @@ def test_identical_decoupled_wts_split_symmetrically():
     concern = select_concern_modes(msol, n_expected=2)
     cl = cluster_modes(concern, 2, seed=42)
     rep = {wt: fss.state_index(wt, "u_dc") for wt in fss.wt_order}
-    ft = superimpose_mpf(msol.mpf, cl, rep)
+    ft = superimpose_mpf(msol, cl, rep)
     totals = ft.table.sum(axis=1)
     assert np.abs(totals - totals[0]).max() < 1e-9
 

@@ -157,10 +157,16 @@ def test_two_pois_rejected(tmp_path):
     ("branches", 1, "length_km", float("inf"),
      "branch 'f1b1'-'f1b2': length_km must be finite"),
     ("wts", 32, "s_mva", float("inf"), "WT 'wt33': s_mva must be finite"),
-], ids=["c_dc_f", "u_dc0_pu", "length_km", "s_mva"])
+    ("branches", 1, "length_km", 10**400,
+     "branch 'f1b1'-'f1b2': length_km must be finite, got an integer"),
+    ("wts", 2, "ki_dvc", -10**400,
+     "WT 'wt03': ki_dvc must be finite, got an integer"),
+], ids=["c_dc_f", "u_dc0_pu", "length_km", "s_mva", "length_km_int",
+        "ki_dvc_int"])
 def test_non_finite_numbers_rejected(tmp_path, capsys, section, k, key, value,
                                      message):
-    # json writes and reads the literals NaN and Infinity
+    # json writes and reads the literals NaN and Infinity, and integers
+    # beyond the float range
     doc = json.loads((ROOT / "farms" / "case_b.json").read_text())
     doc[section][k][key] = value
     path = tmp_path / "bad.json"

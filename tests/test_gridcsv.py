@@ -3,7 +3,9 @@ bus_solution.csv and modes.csv.
 
 Oracle: the per-cell writers below, which format every cell with its own
 f-string and pass each row through `csv.writer`.  The grid writers must
-produce the same bytes.
+produce the same bytes.  `reference_responses_csv` forms each group's
+capacity-weighted mean trace itself, and `reference_mpf_csv` reads the
+dense MPF table of `oracles.full_mpf`.
 """
 
 import csv
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import ROOT, SolvedFarm, solved_case
+from oracles import full_mpf
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
                         load_farm)
@@ -25,17 +28,18 @@ from wfdem.wt import SagSpec
 # per-cell references
 
 
-def reference_mpf_csv(sol, path):
+def reference_mpf_csv(sol, concern, path):
+    mpf = full_mpf(sol)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["state"]
-        for i in range(sol.n_modes):
+        for i in concern.mode_indices:
             header += [f"mode{i}_abs", f"mode{i}_re", f"mode{i}_im"]
         writer.writerow(header)
         for k, (wt, kind) in enumerate(sol.labels):
             row = [f"{wt}:{kind}"]
-            for i in range(sol.n_modes):
-                f = sol.mpf[k, i]
+            for i in concern.mode_indices:
+                f = mpf[k, i]
                 row += [f"{abs(f):.12g}", f"{f.real:.12g}", f"{f.imag:.12g}"]
             writer.writerow(row)
 
@@ -56,14 +60,17 @@ def reference_features_csv(features, path):
             writer.writerow(row)
 
 
-def reference_responses_csv(detailed, dem, path):
+def reference_responses_csv(detailed, dem, mapping, path):
     cols = [("t", detailed.t)]
     cols.append(("detailed_poi_p", detailed.poi_p))
     cols.append(("dem_poi_p", dem.poi_p))
-    for wt_id in sorted(detailed.u_dc):
-        cols.append((f"detailed_u_dc_{wt_id}", detailed.u_dc[wt_id]))
-    for wt_id in sorted(dem.u_dc):
-        cols.append((f"dem_u_dc_{wt_id}", dem.u_dc[wt_id]))
+    for g, members in mapping.items():
+        total = sum(cap for _, cap in members)
+        mean = 0
+        for wt_id, cap in members:
+            mean = mean + (cap / total) * detailed.u_dc[wt_id]
+        cols.append((f"detailed_u_dc_group{g}", mean))
+        cols.append((f"dem_u_dc_group{g}", dem.u_dc[f"group{g}"]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in cols])
@@ -120,11 +127,15 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     sag = SagSpec(0.05, 0.1)
     detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
     dem_resp = simulate_linear(dem.state_space, dem.modal, sag, 2.0, 1e-3)
-    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.modal)
+    capacity = {wt.id: wt.capacity_mva(s.farm.bases) for wt, _ in s.farm.wts}
+    mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
+               for g, ids in dem.provenance.items()}
+    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.modal,
+                      s.concern)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)
     assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
-                      detailed, dem_resp)
+                      detailed, dem_resp, mapping)
 
 
 @pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
@@ -182,10 +193,18 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     ids, table = grid
     n_rows, n_cols = table.shape
 
+    # the MPF is left.T * right: the table times 1 + 0j, the concern
+    # columns in reverse order
     sol = ModalSolution(eigenvalues=np.zeros(n_cols, dtype=complex),
-                        right=None, left=None, mpf=table, pair_of=None,
+                        right=table, left=np.ones((n_cols, n_rows)),
+                        pair_of=None,
                         labels=tuple((wt, "u_dc") for wt in ids))
-    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, sol)
+    concern = ConcernSet(mode_indices=tuple(range(n_cols))[::-1],
+                         eigenvalues=np.zeros(n_cols, dtype=complex))
+    # inf * 0 in the product's cross terms
+    with np.errstate(invalid="ignore"):
+        assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, sol,
+                          concern)
 
     features = FeatureTable(wt_ids=tuple(ids), table=table)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
@@ -198,15 +217,21 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
               for k in range(n_rows)]
     detailed = LinearResponse(t=t, u_dc=dict(zip(ids, traces)),
                               poi_p=traces[0], poi_i=None)
-    dem = LinearResponse(t=t, u_dc={"group0": traces[-1]}, poi_p=-t,
-                         poi_i=None)
-    assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
-                      detailed, dem)
+    # group 0 the first id, group 1 the rest, with capacities 1, 2, ...
+    mapping = {0: ((ids[0], 1.0),)}
+    if n_rows > 1:
+        mapping[1] = tuple((wt, k + 1.0) for k, wt in enumerate(ids[1:]))
+    dem = LinearResponse(t=t, u_dc={f"group{g}": traces[-1 - g]
+                                    for g in mapping},
+                         poi_p=-t, poi_i=None)
+    # the weighted means add inf to -inf and overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_same_bytes(tmp_path, write_responses_csv,
+                          reference_responses_csv, detailed, dem, mapping)
 
     # column 0 as a spectrum, half its modes selected, pairs made up
     modal = ModalSolution(eigenvalues=table[:, 0], right=None, left=None,
-                          mpf=None, pair_of=np.arange(n_rows)[::-1] - 1,
-                          labels=())
+                          pair_of=np.arange(n_rows)[::-1] - 1, labels=())
     concern = ConcernSet(mode_indices=tuple(range(0, n_rows, 2)),
                          eigenvalues=table[::2, 0])
     # the reference's numpy-scalar -Re/|lam| warns on an infinite mode
@@ -236,7 +261,7 @@ DAMPING_ABS_NE_HYPOT = [complex(-0.8812565813042883, -0.10447796803538134),
 def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
     lam = np.array([0j, complex(-0.0, 0.0), -1.0, -2.0 - 30.0j, -2.0 + 30.0j]
                    + DAMPING_ABS_NE_HYPOT)
-    modal = ModalSolution(eigenvalues=lam, right=None, left=None, mpf=None,
+    modal = ModalSolution(eigenvalues=lam, right=None, left=None,
                           pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]),
                           labels=())
     concern = ConcernSet(mode_indices=(4,), eigenvalues=lam[4:])

@@ -1,9 +1,11 @@
 """Eigendecomposition, participation factors, and concern-mode selection.
 
 Oracles: closed-form roots for 2x2 cases, the matrix exponential for the
-zero-input response reconstruction, and the analytic stiff-grid mode for the
-decoupled farm.
+zero-input response reconstruction, the analytic stiff-grid mode for the
+decoupled farm, and the dense MPF table with its full state x mode CSV.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
 from helpers import ROOT, SolvedFarm, ladder_farm
-from oracles import stiff_grid_mode
+from oracles import full_mpf, stiff_grid_mode, write_full_mpf_csv
 from wfdem.cases import identical_zero_network_farm
 from wfdem.assembly import linear_model
 from wfdem.farm import load_farm
@@ -35,8 +37,8 @@ def test_diagonal_matrix():
     assert np.allclose(sol.eigenvalues, [-2.0, -1.0])     # sorted by Re
     # each mode participates only in its own state: f is the permutation
     # aligning sorted modes with their diagonal entries
-    assert np.allclose(sol.mpf, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-    assert np.allclose(sol.mpf.sum(axis=0), 1.0, atol=1e-14)
+    assert np.allclose(full_mpf(sol), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    assert np.allclose(full_mpf(sol).sum(axis=0), 1.0, atol=1e-14)
     assert np.all(sol.pair_of == -1)
 
 
@@ -48,7 +50,7 @@ def test_oscillatory_2x2():
     assert abs(sol.eigenvalues[0] - (-1 - 9.9498743710662j)) < 1e-9 \
         or abs(sol.eigenvalues[0] - (-1 + 9.9498743710662j)) < 1e-9
     assert sol.pair_of[0] == 1 and sol.pair_of[1] == 0
-    assert np.allclose(sol.mpf.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(full_mpf(sol).sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_residuals_and_biorthonormality_on_farm_matrix(case_a):
@@ -60,29 +62,63 @@ def test_residuals_and_biorthonormality_on_farm_matrix(case_a):
                              - sol.eigenvalues[i] * sol.right[:, i])
         assert res < 1e-8 * norm_a
     assert np.abs(sol.left @ sol.right - np.eye(sol.n_modes)).max() < 1e-8
-    assert np.abs(sol.mpf.sum(axis=0) - 1.0).max() < 1e-8
+    assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
 
 
 def test_participation_matrix_definition(case_a):
     sol = case_a.modal
-    assert np.array_equal(sol.mpf, sol.left.T * sol.right)
+    every = np.arange(sol.n_modes)
+    assert np.array_equal(sol.participation(every, every),
+                          sol.left.T * sol.right)
     k, i = 7, 12
-    assert sol.mpf[k, i] == sol.left[i, k] * sol.right[k, i]
+    assert sol.participation([k], [i])[0, 0] \
+        == sol.left[i, k] * sol.right[k, i]
+
+
+def bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+index_lists = st.lists(st.integers(0, 131), max_size=40)
+
+
+@given(rows=index_lists, cols=index_lists)
+@example(rows=[], cols=[])
+@example(rows=[5, 5, 0], cols=[])
+@example(rows=[], cols=[131, 0, 131])
+@example(rows=list(range(132)), cols=list(range(132)))
+@example(rows=list(range(131, -1, -1)) * 2, cols=list(range(0, 132, 3)))
+def test_participation_slices_the_full_table_bit_for_bit(case_b, rows, cols):
+    """Any rows x cols block, repeats and empty sets included, holds the
+    full table's entries to the last bit.
+
+    numpy multiplies a block under its 8192-element buffer through
+    contiguous copies whatever the layout, so only the larger examples
+    can tell a strided product from the full table's contiguous one.
+    """
+    sol = case_b.modal
+    block = sol.participation(rows, cols)
+    want = full_mpf(sol)[np.ix_(np.array(rows, dtype=int),
+                                np.array(cols, dtype=int))]
+    assert block.shape == (len(rows), len(cols))
+    assert np.array_equal(block, want)
+    assert np.array_equal(bits(block), bits(want))
 
 
 def test_repeated_eigenvalues_stay_biorthonormal():
     _, _, fss = solved_zero_farm(6)
     sol = eig_biorthogonal(fss.a_s, fss.labels)
     assert np.abs(sol.left @ sol.right - np.eye(sol.n_modes)).max() < 1e-8
-    assert np.abs(sol.mpf.sum(axis=0) - 1.0).max() < 1e-8
+    assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
 
 
 def test_conjugate_modes_carry_conjugate_mpfs(case_b):
     sol = case_b.modal
+    mpf = full_mpf(sol)
     for i in range(sol.n_modes):
         j = sol.pair_of[i]
         if j >= 0:
-            assert np.abs(sol.mpf[:, i] - np.conj(sol.mpf[:, j])).max() < 1e-8
+            assert np.abs(mpf[:, i] - np.conj(mpf[:, j])).max() < 1e-8
 
 
 def test_phase_fixing_is_deterministic(case_a):
@@ -156,8 +192,9 @@ def test_symmetric_two_wt_farm_has_equal_udc_participation():
     concern = select_concern_modes(msol, n_expected=2)
     r1 = fss.state_index("wt01", "u_dc")
     r2 = fss.state_index("wt02", "u_dc")
+    mpf = full_mpf(msol)
     for m in concern.mode_indices:
-        f1, f2 = abs(msol.mpf[r1, m]), abs(msol.mpf[r2, m])
+        f1, f2 = abs(mpf[r1, m]), abs(mpf[r2, m])
         assert abs(f1 - f2) < 1e-9 * max(f1, f2)
 
 
@@ -218,13 +255,54 @@ def test_band_mixing_warns():
 
 def test_modes_and_mpf_csv(tmp_path, case_a):
     write_modes_csv(case_a.modal, case_a.concern, tmp_path / "modes.csv")
-    write_mpf_csv(case_a.modal, tmp_path / "mpf.csv")
+    write_mpf_csv(case_a.modal, case_a.concern, tmp_path / "mpf.csv")
     modes = (tmp_path / "modes.csv").read_text().strip().splitlines()
     assert modes[0] == "re,im,freq_hz,damping_ratio,pair_id,selected"
     assert len(modes) == 1 + 132
     assert sum(line.endswith(",1") for line in modes[1:]) == 33
     mpf = (tmp_path / "mpf.csv").read_text().strip().splitlines()
     assert len(mpf) == 1 + 132
+    assert all(len(line.split(",")) == 1 + 3 * 33 for line in mpf)
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(tmp_path, s):
+    write_modes_csv(s.modal, s.concern, tmp_path / "modes.csv")
+    write_mpf_csv(s.modal, s.concern, tmp_path / "mpf.csv")
+    write_full_mpf_csv(s.modal, tmp_path / "full.csv")
+    header, body = read_csv(tmp_path / "mpf.csv")
+    full_header, full_body = read_csv(tmp_path / "full.csv")
+
+    # the columns join with the selected rows of modes.csv, in concern order
+    _, modes = read_csv(tmp_path / "modes.csv")
+    selected = [i for i, row in enumerate(modes) if row[-1] == "1"]
+    names = [f"mode{i}" for i in s.concern.mode_indices]
+    assert sorted(s.concern.mode_indices) == selected
+    assert header == ["state"] + [f"{name}_{part}" for name in names
+                                  for part in ("abs", "re", "im")]
+
+    # every row, and each kept column byte for byte as the full grid's
+    assert len(body) == len(full_body) == s.modal.n_modes
+    where = [full_header.index(name) for name in header]
+    assert [[row[k] for k in where] for row in full_body] == body
+
+
+@pytest.mark.parametrize("case", "abcd")
+def test_mpf_csv_columns_match_the_full_grid_on_study_cases(
+        request, tmp_path, case):
+    assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(
+        tmp_path, request.getfixturevalue(f"case_{case}"))
+
+
+def test_mpf_csv_columns_match_the_full_grid_on_ladder300(tmp_path):
+    # the benchmark's first seed-7 ladder300 farm: 1200 states
+    assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(
+        tmp_path, SolvedFarm(ladder_farm(10, 30, (7, 0))))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +349,7 @@ def reference_eig_biorthogonal(a_s, labels=None):
     v = np.linalg.inv(u)
     pair_of = greedy_pair_conjugates(
         lam, max(1.0, float(np.linalg.norm(a_s, ord=2))))
-    return ModalSolution(eigenvalues=lam, right=u, left=v, mpf=v.T * u,
+    return ModalSolution(eigenvalues=lam, right=u, left=v,
                          pair_of=pair_of, labels=tuple(labels))
 
 
@@ -286,8 +364,11 @@ def assert_same_solution(got, ref):
     if isinstance(ref, str) or isinstance(got, str):
         assert got == ref
         return
-    for field in ("eigenvalues", "right", "left", "mpf", "pair_of"):
+    for field in ("eigenvalues", "right", "left", "pair_of"):
         assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    every = np.arange(got.n_modes)
+    assert np.array_equal(got.participation(every, every),
+                          ref.participation(every, every)), "mpf"
     assert got.labels == ref.labels
 
 

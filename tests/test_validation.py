@@ -7,7 +7,9 @@ matrix exponential of the augmented state matrix, then one mat-vec a step)
 for the modal closed form.
 """
 
+import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
 from oracles import linearization_check
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
+from wfdem.cli import RunConfig, emit_plot, run_pipeline
 from wfdem.clustering import ModeClusters, cluster_modes
-from wfdem.farm import GridThevenin, PerUnitBases, WtParams, load_farm
+from wfdem.farm import (GridThevenin, PerUnitBases, WtParams, load_farm,
+                        save_farm)
 from wfdem.modal import ConcernSet, ModalSolution, eig_biorthogonal
 from wfdem.powerflow import SLACK_E0
 from wfdem.validation import (LinearResponse, compare_responses, error_E,
@@ -410,6 +414,63 @@ def test_compare_responses_grid_mismatch_rejected():
     b = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 2e-3)
     with pytest.raises(ValueError, match="time grid"):
         compare_responses(a, b, {})
+
+
+def rescored_from_responses_csv(out) -> tuple[dict, dict]:
+    """Every NRMSE recomputed from responses.csv, with the error bound that
+    the csv's 12 significant digits allow for each."""
+    with open(out / "responses.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = {name: np.array([float(r[k]) for r in rows[1:]])
+           for k, name in enumerate(rows[0])}
+    groups = [name[len("dem_u_dc_group"):] for name in rows[0]
+              if name.startswith("dem_u_dc_group")]
+    assert rows[0] == ["t", "detailed_poi_p", "dem_poi_p"] + [
+        f"{side}_u_dc_group{g}" for g in groups
+        for side in ("detailed", "dem")]
+    signals = {"poi_p": ("detailed_poi_p", "dem_poi_p")}
+    signals.update({f"group{g}_u_dc": (f"detailed_u_dc_group{g}",
+                                       f"dem_u_dc_group{g}")
+                    for g in groups})
+    value, bound = {}, {}
+    for name, (ref, hat) in signals.items():
+        y, y_hat = col[ref], col[hat]
+        rmse = float(np.sqrt(np.mean((y - y_hat) ** 2)))
+        span = float(y.max() - y.min())
+        # each printed value is within 5e-12 of the computed one, relative
+        drift = 5e-12 * (np.abs(y).max() + np.abs(y_hat).max())
+        if span == 0.0:
+            value[name], bound[name] = rmse, drift
+        else:
+            value[name] = rmse / span
+            bound[name] = (drift + value[name] * 1e-11
+                           * np.abs(y).max()) / span
+    return value, bound
+
+
+@pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
+@pytest.mark.parametrize("farm, clusters", [
+    ("case_b", 3), ("case_c", 3), ("case_d", 3), ("auto_sweep100_0", None)])
+def test_report_nrmse_is_recomputed_from_responses_csv(tmp_path, farm,
+                                                       clusters):
+    if farm.startswith("case_"):
+        path = ROOT / "farms" / f"{farm}.json"
+    else:
+        # the benchmark's first seed-7 auto_sweep100 farm
+        path = tmp_path / f"{farm}.json"
+        save_farm(ladder_farm(10, 10, (7, 0), planted=False), path)
+    out = tmp_path / "out"
+    run_pipeline(RunConfig(farm_path=path, out_dir=out, clusters=clusters))
+    report = json.loads((out / "report.json").read_text())
+    value, bound = rescored_from_responses_csv(out)
+    assert sorted(value) == sorted(report["nrmse"])
+    for name, want in report["nrmse"].items():
+        assert abs(value[name] - want) <= 2 * bound[name] + 1e-14 * want, \
+            (name, value[name], want, bound[name])
+    # the POI power plot redraws from the csv byte for byte
+    svg = (out / "responses.svg").read_bytes()
+    emit_plot(out, "responses")
+    assert (out / "responses.svg").read_bytes() == svg
 
 
 # ---------------------------------------------------------------------------
