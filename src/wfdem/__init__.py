@@ -8,8 +8,8 @@ from .clustering import (FeatureTable, GroupAssignment, ModeClusters,
 from .farm import (Branch, FarmDescription, GridThevenin, NetworkMatrices,
                    PerUnitBases, WtParams, build_network_matrices, load_farm,
                    save_farm)
-from .modal import (ConcernSet, ModalSolution, eig_biorthogonal,
-                    select_concern_modes)
+from .modal import (ConcernSet, FarmModel, ModalSolution, eig_biorthogonal,
+                    select_concern_modes, solve_modes)
 from .powerflow import (BusSolution, WtOperatingPoint, solve_powerflow,
                         wt_operating_point)
 from .validation import (LinearResponse, ValidationReport, compare_responses,

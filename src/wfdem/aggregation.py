@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import FarmStateSpace, linear_model
 from .clustering import GroupAssignment, ModeClusters
 from .farm import Branch, FarmDescription, WtParams, nodal_network, save_farm
-from .modal import ConcernSet, ModalSolution, eig_biorthogonal, select_concern_modes
+from .modal import FarmModel, solve_modes
 from .powerflow import solve_powerflow
 from .wt import dc_link_seconds
 
@@ -131,13 +130,11 @@ def equivalent_network(farm: FarmDescription,
 
 @dataclass(frozen=True)
 class DemModel:
-    """Aggregated farm with its own solved pipeline stages."""
+    """Aggregated farm with its own solved linear model."""
 
     farm: FarmDescription
     provenance: dict[int, tuple[str, ...]]
-    state_space: FarmStateSpace
-    modal: ModalSolution
-    concern: ConcernSet
+    model: FarmModel
     capacity_mva: dict[int, float]   # machine capacity base per group id
 
 
@@ -164,16 +161,14 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     )
     dem_farm.validate()
 
-    fss = linear_model(dem_farm, solve_powerflow(dem_farm))
-    modal = eig_biorthogonal(fss.a_s, fss.labels)
-    concern = select_concern_modes(modal, n_expected=dem_farm.n_wt)
+    model = solve_modes(dem_farm, solve_powerflow(dem_farm))
 
     members = _group_members(farm, groups)
     provenance = {g: tuple(wt.id for wt, _ in members[g])
                   for g in sorted(members)}
     capacity = {g: wt.s_mva for g, wt in zip(sorted(members), aggregates)}
-    return DemModel(farm=dem_farm, provenance=provenance, state_space=fss,
-                    modal=modal, concern=concern, capacity_mva=capacity)
+    return DemModel(farm=dem_farm, provenance=provenance, model=model,
+                    capacity_mva=capacity)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:

@@ -48,8 +48,11 @@ class FarmStateSpace:
     def n_states(self) -> int:
         return self.a_s.shape[0]
 
-    def state_index(self, wt_id: str, kind: str) -> int:
-        return self.labels.index((wt_id, kind))
+    def kind_rows(self, kinds: tuple[str, ...]) -> np.ndarray:
+        """Rows of the states of `kinds`, ascending; for one kind, one row
+        per WT in `wt_order`."""
+        return np.array([k for k, (_, kind) in enumerate(self.labels)
+                         if kind in kinds], dtype=int)
 
 
 def _stack_blocks(blocks: list[WtStateSpace],

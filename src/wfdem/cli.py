@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import aggregation, clustering, modal, validation
-from .assembly import FarmStateSpace, linear_model
 from .farm import FarmDescription, load_farm
 from .gridcsv import as_printed, magnitude
 from .powerflow import BusSolution, solve_powerflow, write_bus_csv
@@ -64,9 +63,7 @@ class PipelineState:
     farm: FarmDescription | None = None
     farm_hash: str = ""
     sol: BusSolution | None = None
-    fss: FarmStateSpace | None = None
-    modal_sol: modal.ModalSolution | None = None
-    concern: modal.ConcernSet | None = None
+    model: modal.FarmModel | None = None
     clusters: clustering.ModeClusters | None = None
     features: clustering.FeatureTable | None = None
     groups: clustering.GroupAssignment | None = None
@@ -94,39 +91,22 @@ def _stage_flow(state: PipelineState) -> None:
 
 
 def _stage_modes(state: PipelineState) -> None:
-    state.fss = linear_model(state.farm, state.sol)
-    state.modal_sol = modal.eig_biorthogonal(state.fss.a_s, state.fss.labels)
-    state.concern = modal.select_concern_modes(
-        state.modal_sol, n_expected=state.farm.n_wt)
-    modal.write_modes_csv(state.modal_sol, state.concern,
-                          state.cfg.out_dir / "modes.csv")
-    modal.write_mpf_csv(state.modal_sol, state.concern,
-                        state.cfg.out_dir / "mpf.csv")
-
-
-def _pick_cluster_count(state: PipelineState) -> clustering.ModeClusters:
-    """Clusters at the smallest C whose centre error meets the target.
-
-    E(C) is not monotone in C, so C is scanned linearly from 1; when no C
-    meets the target, every mode gets its own cluster.
-    """
-    return clustering.sweep_cluster_counts(
-        state.concern, state.cfg.seed,
-        lambda cl: validation.error_E(state.concern, cl) <= state.cfg.e_target)
+    state.model = modal.solve_modes(state.farm, state.sol)
+    modal.write_modes_csv(state.model, state.cfg.out_dir / "modes.csv")
+    modal.write_mpf_csv(state.model, state.cfg.out_dir / "mpf.csv")
 
 
 def _stage_cluster(state: PipelineState) -> None:
-    cfg = state.cfg
+    cfg, concern = state.cfg, state.model.concern
     if cfg.clusters:
-        state.clusters = clustering.cluster_modes(state.concern, cfg.clusters,
+        state.clusters = clustering.cluster_modes(concern, cfg.clusters,
                                                   cfg.seed)
     else:
-        state.clusters = _pick_cluster_count(state)
-    kind = modal.STATE_FILTER[0]
-    rep_rows = {wt_id: state.fss.state_index(wt_id, kind)
-                for wt_id in state.fss.wt_order}
-    state.features = clustering.superimpose_mpf(state.modal_sol,
-                                                state.clusters, rep_rows)
+        # E(C) is not monotone in C, so the sweep scans C = 1, 2, ...
+        state.clusters = clustering.sweep_cluster_counts(
+            concern, cfg.seed,
+            lambda cl: validation.error_E(concern, cl) <= cfg.e_target)
+    state.features = clustering.superimpose_mpf(state.model, state.clusters)
     state.groups = clustering.group_wts(state.features)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
@@ -147,11 +127,10 @@ def _stage_aggregate(state: PipelineState) -> None:
 def _stage_validate(state: PipelineState) -> None:
     cfg = state.cfg
     sag = SagSpec(fraction=cfg.sag)
-    detailed = validation.simulate_linear(state.fss, state.modal_sol, sag,
-                                          cfg.horizon, cfg.dt)
-    dem_resp = validation.simulate_linear(state.dem.state_space,
-                                          state.dem.modal, sag, cfg.horizon,
-                                          cfg.dt)
+    detailed = validation.simulate_linear(
+        state.model.fss, state.model.modal, sag, cfg.horizon, cfg.dt)
+    dem_resp = validation.simulate_linear(
+        state.dem.model.fss, state.dem.model.modal, sag, cfg.horizon, cfg.dt)
     capacity = {wt.id: wt.capacity_mva(state.farm.bases)
                 for wt, _ in state.farm.wts}
     mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
@@ -173,11 +152,10 @@ def _stage_validate(state: PipelineState) -> None:
             str(g): mva for g, mva in state.dem.capacity_mva.items()},
         "cluster_centres": [[c.real, c.imag] for c in state.clusters.centres],
         "dem_modes": [[lam.real, lam.imag]
-                      for lam in state.dem.concern.eigenvalues],
+                      for lam in state.dem.model.concern.eigenvalues],
     }
     state.report = validation.build_report(
-        state.concern, state.clusters, state.dem, nrmse_by_signal,
-        state.modal_sol.unstable, state.dem.modal.unstable, metadata)
+        state.model, state.clusters, state.dem, nrmse_by_signal, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
     validation.write_responses_csv(detailed, dem_resp, mapping,
                                    cfg.out_dir / "responses.csv")
@@ -253,12 +231,12 @@ def _responses_svg(out_dir: Path, t: list[float], detailed_p: list[float],
 
 
 def _write_scatter(state: PipelineState) -> None:
-    concern, clusters = state.concern, state.clusters
+    concern, clusters = state.model.concern, state.clusters
     idx_of = {m: k for k, m in enumerate(concern.mode_indices)}
     points = [[_xy(concern.eigenvalues[idx_of[m]]) for m in group]
               for group in clusters.members]
     dem_modes = None if state.dem is None else [
-        _xy(lam) for lam in state.dem.concern.eigenvalues]
+        _xy(lam) for lam in state.dem.model.concern.eigenvalues]
     _scatter_svg(state.cfg.out_dir, points,
                  [_xy(c) for c in clusters.centres], dem_modes)
 

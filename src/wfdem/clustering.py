@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .gridcsv import write_grid
-from .modal import ConcernSet, ModalSolution
+from .modal import STATE_FILTER, ConcernSet, FarmModel
 
 # dominance margin below which groups.json lists a WT as low-margin
 LOW_MARGIN = 0.1
@@ -26,6 +26,9 @@ LOW_MARGIN = 0.1
 GROUP_TAU = 0.1
 # k-means restarts per clustering, each seeded by its own child generator
 N_RESTARTS = 32
+# distance, relative to the largest |mode|, within which cluster centres
+# coincide and merge
+COINCIDENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,6 @@ def _sqdist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
     dy *= dy
     d2 += dy
     return d2
-
-
-def _inertia(pts: np.ndarray, centres: np.ndarray,
-             labels: np.ndarray) -> float:
-    return float(((pts - centres[labels]) ** 2).sum())
 
 
 def _seed_prefixes(pts: np.ndarray, seed: int, n_restarts: int
@@ -104,9 +102,7 @@ def _revive_empty(d2: np.ndarray, labels: np.ndarray, c: int) -> None:
             labels[int(np.argmax(dist))] = k
 
 
-def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
-                 trace: list[list[float]] | None = None,
-                 max_iter: int = 200,
+def _lloyd_batch(pts: np.ndarray, centres: np.ndarray, max_iter: int = 200,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd iteration on R restarts at once.
 
@@ -115,9 +111,7 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
     empty clusters, stop as soon as its labels repeat (before moving its
     centres), else move each centre to its members' mean.  The means are
     per-(restart, cluster) bincount sums in point order, which equal the
-    sequential axis-0 sums of `pts[labels == k].mean(axis=0)`.  `trace`, if
-    given, holds one list per restart and receives that restart's inertia
-    at every iteration it runs.
+    sequential axis-0 sums of `pts[labels == k].mean(axis=0)`.
     """
     centres = np.array(centres, dtype=float)
     n_r, c, _ = centres.shape
@@ -134,9 +128,6 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
                              minlength=len(active) * c).reshape(-1, c)
         for a in np.flatnonzero((counts == 0).any(axis=1)):
             _revive_empty(d2[a], new_labels[a], c)
-        if trace is not None:
-            for a, r in enumerate(active):
-                trace[r].append(_inertia(pts, centres[r], new_labels[a]))
         moved = (new_labels != labels[active]).any(axis=1)
         active, new_labels = active[moved], new_labels[moved]
         labels[active] = new_labels
@@ -149,14 +140,22 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray,
                         minlength=size) for j in (0, 1)], axis=-1)
         means = sums.reshape(-1, c, 2) / np.maximum(counts, 1)
         centres[active] = np.where(counts > 0, means, centres[active])
-    inertia = np.array([_inertia(pts, centres[r], labels[r])
+    inertia = np.array([((pts - centres[r, labels[r]]) ** 2).sum()
                         for r in range(n_r)])
     return centres, labels, inertia
 
 
 def _best_clustering(concern: ConcernSet, pts: np.ndarray,
                      seeds: np.ndarray) -> ModeClusters:
-    """Lloyd from each restart's seeds (R, c, 2); the best, canonical."""
+    """Lloyd from each restart's seeds (R, c, 2); the best, canonical.
+
+    Centres within `COINCIDENT_RTOL` max|lam| of each other, directly or
+    through a chain of such centres, merge into the first of them in
+    canonical order, so fewer than c clusters may come back.  Only the
+    participation summed over all copies of a repeated eigenvalue is
+    independent of the eigenvector basis, so such copies must share a
+    cluster.  `inertia` stays that of the Lloyd solution.
+    """
     c = seeds.shape[1]
     all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeds)
     tied = np.flatnonzero(all_inertia == all_inertia.min())
@@ -165,13 +164,19 @@ def _best_clustering(concern: ConcernSet, pts: np.ndarray,
     inertia = float(all_inertia[best])
 
     order = sorted(range(c), key=lambda k: (centres[k, 0], centres[k, 1]))
+    cx = centres[order, 0] + 1j * centres[order, 1]
+    near = np.abs(cx[:, None] - cx) <= \
+        COINCIDENT_RTOL * np.abs(concern.eigenvalues).max()
+    while near.sum() > c and not np.array_equal(reach := near @ near, near):
+        near = reach                    # chains of coincident centres
+    first = near.argmax(axis=1)         # canonical index of each merged set
+    merged, kept = first[np.argsort(order)[labels]], np.unique(first)
     members = tuple(
-        tuple(concern.mode_indices[p] for p in np.flatnonzero(labels == k))
-        for k in order)
+        tuple(concern.mode_indices[p] for p in np.flatnonzero(merged == k))
+        for k in kept)
     # exact member means in the canonical order
     centre_cx = np.array([
-        complex(np.mean(concern.eigenvalues[labels == k]))
-        for k in order])
+        complex(np.mean(concern.eigenvalues[merged == k])) for k in kept])
     return ModeClusters(members=members, centres=centre_cx,
                         inertia=inertia)
 
@@ -185,8 +190,9 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     it, so the batch reproduces running the restarts one by one, in any
     order; the lowest inertia wins and exact ties fall back to
     lexicographic centre order.  Cluster indices are canonical: sorted by
-    centre (Re, Im).  Each call draws its own seeds and shares no state
-    with any other call.
+    centre (Re, Im).  Coincident centres merge, so `n_clusters` may be
+    below c.  Each call draws its own seeds and shares no state with any
+    other call.
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not 1 <= c <= len(pts):
@@ -229,20 +235,20 @@ class FeatureTable:
     table: np.ndarray            # complex (n_wt, n_clusters)
 
 
-def superimpose_mpf(sol: ModalSolution, clusters: ModeClusters,
-                    rep_rows: dict[str, int]) -> FeatureTable:
+def superimpose_mpf(model: FarmModel,
+                    clusters: ModeClusters) -> FeatureTable:
     """Sum each WT's representative-state MPFs over every cluster's modes.
 
-    Only the representative rows x the cluster's modes are formed, and each
-    row is summed left to right in member order.
+    A WT's representative state is its `STATE_FILTER[0]` state; the rows
+    come in `wt_order`.  Only those rows x the cluster's modes are formed,
+    and each row is summed left to right in member order.
     """
-    wt_ids = tuple(rep_rows)
-    rows = [rep_rows[wt] for wt in wt_ids]
-    table = np.zeros((len(wt_ids), clusters.n_clusters), dtype=complex)
+    rows = model.fss.kind_rows(STATE_FILTER[:1])
+    table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
     for c, group in enumerate(clusters.members):
-        for r, mpf in enumerate(sol.participation(rows, group)):
+        for r, mpf in enumerate(model.modal.participation(rows, group)):
             table[r, c] = sum(mpf)
-    return FeatureTable(wt_ids=wt_ids, table=table)
+    return FeatureTable(wt_ids=model.fss.wt_order, table=table)
 
 
 @dataclass(frozen=True)

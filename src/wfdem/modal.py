@@ -7,6 +7,8 @@ The pipeline reads only slices of that n x n matrix (the `u_dc` rows, the
 concern columns), so `ModalSolution.participation` forms just the block
 asked for.  Desk-scale farms (a few hundred states) make full dense
 decomposition the right tool; no selective or iterative solver is attempted.
+`solve_modes` is the one linearize -> decompose -> select chain; the
+detailed farm and the DEM each come out of it as a `FarmModel`.
 
 `eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms, and
 reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide its
@@ -23,8 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import StateLabel
+from .assembly import FarmStateSpace, linear_model
+from .farm import FarmDescription
 from .gridcsv import magnitude, write_grid
+from .powerflow import BusSolution
 
 _PAIR_RTOL = 1e-7
 # cond_2(U) above which the eigenvector basis counts as defective
@@ -49,14 +53,14 @@ class ModalSolution:
     `right[:, i]` and `left[i, :]` satisfy left @ right = I.  Modes are
     sorted by (Re, Im); `pair_of[i]` is the index of the conjugate partner
     (-1 for real and near-real modes).  `participation(rows, cols)` gives
-    the MPFs that couple those states to those modes.
+    the MPFs that couple those states to those modes.  The states are
+    named by the `FarmStateSpace` that was decomposed.
     """
 
     eigenvalues: np.ndarray      # complex (n,)
     right: np.ndarray            # complex (n, n), columns
     left: np.ndarray             # complex (n, n), rows
     pair_of: np.ndarray          # int (n,)
-    labels: tuple[StateLabel, ...]
 
     @property
     def n_modes(self) -> int:
@@ -66,10 +70,6 @@ class ModalSolution:
     def unstable(self) -> bool:
         """Whether some mode lies right of `UNSTABLE_ABSCISSA`."""
         return float(np.max(self.eigenvalues.real)) > UNSTABLE_ABSCISSA
-
-    def kind_rows(self, kinds: tuple[str, ...]) -> np.ndarray:
-        return np.array([k for k, (_, kd) in enumerate(self.labels)
-                         if kd in kinds], dtype=int)
 
     def participation(self, rows: Sequence[int],
                       cols: Sequence[int]) -> np.ndarray:
@@ -92,9 +92,7 @@ class ModalSolution:
                          if self.pair_of[i] >= 0 and lam.imag > 0], dtype=int)
 
 
-def eig_biorthogonal(a_s: np.ndarray,
-                     labels: tuple[StateLabel, ...] | None = None,
-                     ) -> ModalSolution:
+def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
     """Full eigendecomposition with deterministic phase fixing.
 
     The largest-magnitude entry of each right vector is made real positive,
@@ -111,10 +109,6 @@ def eig_biorthogonal(a_s: np.ndarray,
     n = a_s.shape[0]
     if n == 0 or a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
         raise ValueError("state matrix must be non-empty, square and finite")
-    if labels is None:
-        labels = tuple((f"x{k}", "state") for k in range(n))
-    if len(labels) != n:
-        raise ValueError("label count does not match the state dimension")
 
     lam, u = np.linalg.eig(a_s)
     order = np.lexsort((lam.imag, lam.real))
@@ -130,7 +124,7 @@ def eig_biorthogonal(a_s: np.ndarray,
     pair_of = _pair_modes(a_s, lam, order)
 
     return ModalSolution(eigenvalues=lam[order], right=u, left=v,
-                         pair_of=pair_of, labels=tuple(labels))
+                         pair_of=pair_of)
 
 
 def _inverse_basis(u: np.ndarray) -> np.ndarray:
@@ -185,7 +179,7 @@ def _pair_modes(a: np.ndarray, lam: np.ndarray, order: np.ndarray) -> np.ndarray
 class ConcernSet:
     """Selected oscillatory pairs, one upper-half-plane representative each.
 
-    Ordered by descending participation in the filtered state kinds.
+    Ordered by descending participation in the ranking states.
     """
 
     mode_indices: tuple[int, ...]
@@ -195,12 +189,11 @@ class ConcernSet:
         return len(self.mode_indices)
 
 
-def select_concern_modes(sol: ModalSolution, n_expected: int,
-                         kinds: tuple[str, ...] = STATE_FILTER) -> ConcernSet:
-    """Rank pair representatives by summed |MPF| over the filtered states."""
-    rows = sol.kind_rows(kinds)
-    if rows.size == 0:
-        raise ValueError(f"no states of kinds {kinds!r}")
+def select_concern_modes(sol: ModalSolution, rows: Sequence[int],
+                         n_expected: int) -> ConcernSet:
+    """Rank pair representatives by summed |MPF| over the states `rows`."""
+    if len(rows) == 0:
+        raise ValueError("no states to rank the modes by")
     reps = sol.representatives()
     if len(reps) < n_expected:
         raise ValueError(
@@ -223,13 +216,32 @@ def select_concern_modes(sol: ModalSolution, n_expected: int,
     return ConcernSet(mode_indices=tuple(chosen), eigenvalues=eigs)
 
 
+@dataclass(frozen=True)
+class FarmModel:
+    """One farm's linear model: its state space, the modal solution of
+    that state space and the concern modes selected from it."""
+
+    fss: FarmStateSpace
+    modal: ModalSolution
+    concern: ConcernSet
+
+
+def solve_modes(farm: FarmDescription, flow: BusSolution) -> FarmModel:
+    """Linearize the farm at the power flow, decompose it and select one
+    concern mode per WT, ranked by the `STATE_FILTER` states."""
+    fss = linear_model(farm, flow)
+    sol = eig_biorthogonal(fss.a_s)
+    return FarmModel(fss, sol, select_concern_modes(
+        sol, fss.kind_rows(STATE_FILTER), farm.n_wt))
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
 
-def write_modes_csv(sol: ModalSolution, concern: ConcernSet,
-                    path: str | Path) -> None:
+def write_modes_csv(model: FarmModel, path: str | Path) -> None:
     """One row per mode; a zero-magnitude mode has damping ratio nan."""
+    sol, concern = model.modal, model.concern
     lam = sol.eigenvalues
     mag = magnitude(lam)
     selected = np.zeros(sol.n_modes)
@@ -243,14 +255,14 @@ def write_modes_csv(sol: ModalSolution, concern: ConcernSet,
                                 sol.pair_of, selected]))
 
 
-def write_mpf_csv(sol: ModalSolution, concern: ConcernSet,
-                  path: str | Path) -> None:
+def write_mpf_csv(model: FarmModel, path: str | Path) -> None:
     """|f_ki| with re/im companions: every state k, the concern modes i.
 
     Columns are named by the mode's index in `modes.csv` and come in
     `concern.mode_indices` order.
     """
-    cols = list(concern.mode_indices)
+    cols = list(model.concern.mode_indices)
+    labels = model.fss.labels
     write_grid(path, [f"mode{i}" for i in cols],
-               sol.participation(np.arange(len(sol.labels)), cols),
-               labels=("state", [f"{wt}:{kind}" for wt, kind in sol.labels]))
+               model.modal.participation(np.arange(len(labels)), cols),
+               labels=("state", [f"{wt}:{kind}" for wt, kind in labels]))

@@ -22,7 +22,7 @@ from .aggregation import DemModel
 from .assembly import FarmStateSpace
 from .clustering import ModeClusters
 from .gridcsv import write_grid
-from .modal import ConcernSet, ModalSolution
+from .modal import ConcernSet, FarmModel, ModalSolution
 from .powerflow import SLACK_E0
 from .wt import SagSpec
 
@@ -116,8 +116,8 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     n_wt = len(fss.wt_order)
     c_poi = np.vstack([fss.c_out.reshape(n_wt, 2, -1).sum(axis=0),
                        fss.z_poi @ fss.c_out])
-    rows = [fss.state_index(wt_id, "u_dc") for wt_id in fss.wt_order]
-    w_all = np.vstack([modal.right[rows], c_poi @ modal.right]) \
+    w_all = np.vstack([modal.right[fss.kind_rows(("u_dc",))],
+                       c_poi @ modal.right]) \
         * (modal.left @ (fss.b_s @ de))
     real, upper = np.flatnonzero(modal.pair_of < 0), modal.representatives()
     w = np.hstack([w_all[:, real], w_all[:, upper]
@@ -206,12 +206,12 @@ class ValidationReport:
     metadata: dict = field(default_factory=dict)
 
 
-def build_report(concern: ConcernSet, clusters: ModeClusters, dem: DemModel,
+def build_report(model: FarmModel, clusters: ModeClusters, dem: DemModel,
                  nrmse_by_signal: dict[str, float],
-                 detailed_unstable: bool, dem_unstable: bool,
                  metadata: dict) -> ValidationReport:
+    concern = model.concern
     cen = centre_errors(concern, clusters)
-    near = nearest_errors(concern, dem.concern)
+    near = nearest_errors(concern, dem.model.concern)
     cluster_of = {m: c for c, group in enumerate(clusters.members)
                   for m in group}
     breakdown = [
@@ -230,8 +230,8 @@ def build_report(concern: ConcernSet, clusters: ModeClusters, dem: DemModel,
         e_prime=float(np.max(near)),
         mode_errors=breakdown,
         nrmse=nrmse_by_signal,
-        detailed_unstable=detailed_unstable,
-        dem_unstable=dem_unstable,
+        detailed_unstable=model.modal.unstable,
+        dem_unstable=dem.model.modal.unstable,
         metadata=metadata,
     )
 

@@ -5,6 +5,7 @@ test suite's conftest shadows.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import os
 import resource
@@ -15,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from wfdem.aggregation import build_dem
-from wfdem.assembly import assemble_farm
 from wfdem.cases import case_farm
 from wfdem.clustering import cluster_modes, group_wts, superimpose_mpf
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, build_network_matrices)
-from wfdem.modal import eig_biorthogonal, select_concern_modes
+from wfdem.modal import solve_modes
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 from wfdem.wt import linearize_wt
 
@@ -28,24 +28,33 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class SolvedFarm:
-    """Detailed pipeline products for one farm, computed once."""
+    """Detailed pipeline products for one farm, computed once.
+
+    `fss`, `modal` and `concern` are the parts of `model`; `blocks` and
+    `net`, the inputs of the closure, are formed when first asked for.
+    """
 
     def __init__(self, farm: FarmDescription):
         self.farm = farm
         self.sol = solve_powerflow(farm)
-        self.ops = [wt_operating_point(self.sol, wt) for wt, _ in farm.wts]
-        self.blocks = [linearize_wt(wt, op, farm.bases)
-                       for (wt, _), op in zip(farm.wts, self.ops)]
-        self.net = build_network_matrices(farm)
-        self.fss = assemble_farm(self.blocks, self.net)
-        self.modal = eig_biorthogonal(self.fss.a_s, self.fss.labels)
-        self.concern = select_concern_modes(self.modal, n_expected=farm.n_wt)
-        self.rep_rows = {wt_id: self.fss.state_index(wt_id, "u_dc")
-                         for wt_id in self.fss.wt_order}
+        self.model = solve_modes(farm, self.sol)
+
+    fss = property(lambda self: self.model.fss)
+    modal = property(lambda self: self.model.modal)
+    concern = property(lambda self: self.model.concern)
+
+    @functools.cached_property
+    def blocks(self):
+        return [linearize_wt(wt, wt_operating_point(self.sol, wt),
+                             self.farm.bases) for wt, _ in self.farm.wts]
+
+    @functools.cached_property
+    def net(self):
+        return build_network_matrices(self.farm)
 
     def clustered(self, c: int, seed: int = 42):
         clusters = cluster_modes(self.concern, c, seed)
-        features = superimpose_mpf(self.modal, clusters, self.rep_rows)
+        features = superimpose_mpf(self.model, clusters)
         groups = group_wts(features)
         return clusters, features, groups
 

@@ -14,7 +14,7 @@ from wfdem.assembly import _stack_blocks, linear_model
 from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
                         PerUnitBases, WtParams, nodal_network, xy_block)
 from wfdem.gridcsv import write_grid
-from wfdem.modal import ModalSolution, eig_biorthogonal
+from wfdem.modal import FarmModel, ModalSolution, eig_biorthogonal
 from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
                              solve_powerflow)
 from wfdem.validation import nrmse, simulate_linear
@@ -150,8 +150,7 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
                            branches=(), wts=((wt, "poi"),), grid=grid)
     farm.validate()
     fss = linear_model(farm, solve_powerflow(farm))
-    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s, fss.labels), sag,
-                          horizon, dt)
+    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s), sag, horizon, dt)
     value, _ = nrmse(traj.u_dc - traj.u_dc[0], lin.u_dc[wt.id])
     return value
 
@@ -196,8 +195,10 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
     return sol.left.T * sol.right
 
 
-def write_full_mpf_csv(sol: ModalSolution, path) -> None:
+def write_full_mpf_csv(model: FarmModel, path) -> None:
     """`mpf.csv` as it was before it held only the concern columns: every
     state x every mode, |f_ki| with re/im companion columns."""
+    sol = model.modal
     write_grid(path, [f"mode{i}" for i in range(sol.n_modes)], full_mpf(sol),
-               labels=("state", [f"{wt}:{kind}" for wt, kind in sol.labels]))
+               labels=("state",
+                       [f"{wt}:{kind}" for wt, kind in model.fss.labels]))

@@ -47,7 +47,7 @@ def case_errors():
             clusters, groups, dem = s.dem(c)
             entry[c] = {
                 "e": error_E(s.concern, clusters),
-                "e_prime": error_Eprime(s.concern, dem.concern),
+                "e_prime": error_Eprime(s.concern, dem.model.concern),
                 "clusters": clusters,
                 "groups": groups,
                 "dem": dem,
@@ -62,17 +62,10 @@ def test_c01_mpf_columns_sum_to_one():
         sol = solved_case(case).modal
         worst = max(worst,
                     float(np.abs(full_mpf(sol).sum(axis=0) - 1.0).max()))
-    from wfdem.assembly import assemble_farm
-    from wfdem.farm import build_network_matrices
-    from wfdem.modal import eig_biorthogonal
-    from wfdem.wt import linearize_wt
+    from wfdem.modal import solve_modes
     for farm in (identical_zero_network_farm(33, p_m0=0.8),
                  load_farm(FARMS / "single_wt.json")):
-        sol_pf = solve_powerflow(farm)
-        blocks = [linearize_wt(wt, wt_operating_point(sol_pf, wt), farm.bases)
-                  for wt, _ in farm.wts]
-        fss = assemble_farm(blocks, build_network_matrices(farm))
-        msol = eig_biorthogonal(fss.a_s, fss.labels)
+        msol = solve_modes(farm, solve_powerflow(farm)).modal
         worst = max(worst,
                     float(np.abs(full_mpf(msol).sum(axis=0) - 1.0).max()))
     report("criterion 1 (MPF normalization)", worst < 1e-8,
@@ -97,15 +90,8 @@ def test_c02_eigen_residuals_on_33wt_farm():
 def test_c03_degenerate_network_identity():
     farm = identical_zero_network_farm(33, p_m0=0.8)
     sol = solve_powerflow(farm)
-    from wfdem.assembly import assemble_farm
-    from wfdem.farm import build_network_matrices
-    from wfdem.modal import eig_biorthogonal, select_concern_modes
-    from wfdem.wt import linearize_wt
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    fss = assemble_farm(blocks, build_network_matrices(farm))
-    concern = select_concern_modes(eig_biorthogonal(fss.a_s, fss.labels),
-                                   n_expected=33)
+    from wfdem.modal import solve_modes
+    concern = solve_modes(farm, sol).concern
     wt = farm.wts[0][0]
     lam = stiff_grid_mode(wt, wt_operating_point(sol, wt), farm.bases)[0]
     rel = float((np.abs(concern.eigenvalues - lam) / abs(lam)).max())
@@ -173,8 +159,8 @@ def test_c08_time_domain_fidelity(case_errors):
     vals = {}
     for c in (1, 3):
         dem = case_errors["b"][c]["dem"]
-        resp = simulate_linear(dem.state_space, dem.modal, sag, horizon=2.0,
-                               dt=1e-3)
+        resp = simulate_linear(dem.model.fss, dem.model.modal, sag,
+                               horizon=2.0, dt=1e-3)
         mapping = {g: tuple((wt_id, 1.5) for wt_id in ids)
                    for g, ids in dem.provenance.items()}
         vals[c] = compare_responses(detailed, resp, mapping)["poi_p"]

@@ -10,12 +10,11 @@ import pytest
 from helpers import SolvedFarm, random_radial_farm
 from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
                                write_dem_json)
-from wfdem.assembly import linear_model
 from wfdem.cases import identical_zero_network_farm, single_wt_farm
 from wfdem.clustering import GroupAssignment
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, load_farm, nodal_network)
-from wfdem.modal import eig_biorthogonal, select_concern_modes
+from wfdem.modal import solve_modes
 from wfdem.powerflow import solve_powerflow
 from wfdem.wt import dc_link_seconds
 
@@ -175,12 +174,10 @@ def test_singleton_groups_reduce_to_path_impedance():
 
 def test_homogeneous_zero_network_dem_keeps_modes():
     farm = identical_zero_network_farm(8, p_m0=0.9)
-    fss = linear_model(farm, solve_powerflow(farm))
-    concern = select_concern_modes(eig_biorthogonal(fss.a_s, fss.labels),
-                                   n_expected=8)
+    concern = solve_modes(farm, solve_powerflow(farm)).concern
     dem = build_dem(farm, all_in_one_group(farm))
     assert dem.farm.n_wt == 1
-    lam_dem = dem.concern.eigenvalues[0]
+    lam_dem = dem.model.concern.eigenvalues[0]
     rel = np.abs(concern.eigenvalues - lam_dem) / np.abs(concern.eigenvalues)
     assert rel.max() < 1e-6
 
@@ -188,12 +185,10 @@ def test_homogeneous_zero_network_dem_keeps_modes():
 def test_identity_aggregation_is_exact():
     from wfdem.validation import error_Eprime
     farm = identical_zero_network_farm(5, p_m0=0.7)
-    fss = linear_model(farm, solve_powerflow(farm))
-    concern = select_concern_modes(eig_biorthogonal(fss.a_s, fss.labels),
-                                   n_expected=5)
+    concern = solve_modes(farm, solve_powerflow(farm)).concern
     dem = build_dem(farm, singleton_groups(farm))
     assert dem.farm.n_wt == 5
-    assert error_Eprime(concern, dem.concern) < 1e-9
+    assert error_Eprime(concern, dem.model.concern) < 1e-9
 
 
 def test_dem_json_round_trip(tmp_path, case_b):
@@ -226,7 +221,7 @@ def test_group_capacities_are_keyed_by_group_id(tmp_path, case_b):
 
 def test_dem_concern_count_matches_machine_count(case_b):
     _, _, dem = case_b.dem(3)
-    assert len(dem.concern) == dem.farm.n_wt == 3
+    assert len(dem.model.concern) == dem.farm.n_wt == 3
 
 
 @pytest.mark.parametrize("seed,c", [(25, 2), (25, 3), (31, 3), (43, 3),
@@ -250,4 +245,4 @@ def test_group_on_the_poi_node_gets_an_exact_tie(seed, c):
     for g in tied:
         br = dem.farm.branches[g]
         assert br.r_ohm_per_km == br.l_h_per_km == 0.0
-    assert np.isfinite(error_Eprime(solved.concern, dem.concern))
+    assert np.isfinite(error_Eprime(solved.concern, dem.model.concern))

@@ -5,6 +5,8 @@ with per-block matrix-vector products instead of forming the closed-loop
 product.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from wfdem.cases import (case_farm, identical_zero_network_farm,
                          single_wt_farm)
 from wfdem.farm import build_network_matrices
 from wfdem.powerflow import solve_powerflow, wt_operating_point
-from wfdem.wt import linearize_wt
+from wfdem.wt import STATE_KINDS, linearize_wt
 
 
 def solved_blocks(farm):
@@ -136,8 +138,22 @@ def test_block_count_mismatch_rejected():
         assemble_farm(blocks + blocks, net)
 
 
+@pytest.mark.parametrize("kind", STATE_KINDS)
+def test_kind_rows_follow_wt_order_on_a_permuted_farm(kind):
+    farm = case_farm("b")
+    perm = np.random.default_rng(1).permutation(farm.n_wt)
+    farm_p = dataclasses.replace(farm, wts=tuple(farm.wts[k] for k in perm))
+    fss = linear_model(farm_p, solve_powerflow(farm_p))
+    bus_of = {wt.id: bus for wt, bus in farm.wts}
+    assert list(fss.wt_order) != sorted(
+        fss.wt_order, key=lambda wt: farm.buses.index(bus_of[wt]))
+    rows = fss.kind_rows((kind,))
+    assert [fss.labels[k] for k in rows] == [(wt, kind)
+                                             for wt in fss.wt_order]
+
+
 def test_labels_unique_and_ordered():
     fss = solved_case("a").fss
     assert len(set(fss.labels)) == len(fss.labels)
     assert fss.labels[0] == ("wt01", "u_dc")
-    assert fss.state_index("wt07", "pll_angle") == 4 * 6 + 2
+    assert fss.kind_rows(("pll_angle",))[6] == 4 * 6 + 2

@@ -165,7 +165,7 @@ def test_library_pipeline_prefix(tmp_path):
     cfg = RunConfig(farm_path=FARMS / "case_b.json",
                     out_dir=tmp_path / "prefix", clusters=3)
     state = run_pipeline(cfg, upto="modes")
-    assert state.concern is not None
+    assert state.model is not None
     assert state.clusters is None
     assert (tmp_path / "prefix" / "modes.csv").exists()
 

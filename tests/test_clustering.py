@@ -14,8 +14,8 @@ from hypothesis import example, given, strategies as st
 
 from oracles import full_mpf
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (FeatureTable, _lloyd_batch, cluster_modes,
-                              group_wts, superimpose_mpf,
+from wfdem.clustering import (COINCIDENT_RTOL, FeatureTable, _lloyd_batch,
+                              cluster_modes, group_wts, superimpose_mpf,
                               sweep_cluster_counts, write_features_csv,
                               write_groups_json)
 from wfdem.modal import ConcernSet
@@ -81,11 +81,22 @@ def serial_cluster_modes(concern, c, seed, n_restarts=32):
             best = (inertia, key, centres, labels)
     inertia, _, centres, labels = best
     order = sorted(range(c), key=lambda k: (centres[k, 0], centres[k, 1]))
+    # coincident centres merge: each centre, in canonical order, joins
+    # every set holding a centre within the tolerance; the sets go by
+    # their first centre in canonical order
+    tol = COINCIDENT_RTOL * np.abs(concern.eigenvalues).max()
+    sets = []
+    for k in order:
+        hit = [s for s in sets if any(
+            abs(complex(*centres[k]) - complex(*centres[j])) <= tol
+            for j in s)]
+        sets = [s for s in sets if s not in hit] + [sum(hit, []) + [k]]
+    sets.sort(key=lambda s: min(map(order.index, s)))
     members = tuple(
-        tuple(concern.mode_indices[p] for p in np.flatnonzero(labels == k))
-        for k in order)
-    centre_cx = np.array([complex(np.mean(concern.eigenvalues[labels == k]))
-                          for k in order])
+        tuple(concern.mode_indices[p] for p in range(len(pts))
+              if labels[p] in s) for s in sets)
+    centre_cx = np.array([complex(np.mean(concern.eigenvalues[
+        np.isin(labels, s)])) for s in sets])
     return members, centre_cx, inertia
 
 
@@ -138,11 +149,30 @@ def test_identical_points_do_not_break_kmeans():
     assert sum(len(g) for g in cl.members) == 5
 
 
+LAM = -5.787 + 58.6407j
+
+
+@pytest.mark.parametrize("points,members", [
+    # three copies of one mode, up to 1 ulp apart, beside a distant mode
+    ([LAM, LAM + 7.1e-15j, LAM, -1 + 10j], ((0, 1, 2), (3,))),
+    # the tolerance is 1e-9 |10 + 10j| = 1.4e-8
+    ([1 + 1j, 1 + 1j + 1e-9, 10 + 10j], ((0, 1), (2,))),
+    ([1 + 1j, 1 + 1j + 1e-7, 10 + 10j], ((0,), (1,), (2,))),
+    # a chain of 1e-8 steps merges, though its ends are 2e-8 apart
+    ([1, 1 + 1e-8, 1 + 2e-8, 10 + 10j], ((0, 1, 2), (3,))),
+])
+def test_coincident_centres_merge(points, members):
+    # C = N: k-means puts every distinct point in a cluster of its own
+    concern = concern_from_points(points)
+    for seed in range(5):
+        assert cluster_modes(concern, len(points), seed).members == members
+        assert_matches_serial(concern, len(points), seed)
+
+
 def test_case_b_bands_match_parameter_groups(case_b):
     cl = cluster_modes(case_b.concern, 3, seed=42)
     truth = ground_truth_groups()
-    rows = {wt: case_b.fss.state_index(wt, "u_dc")
-            for wt in case_b.fss.wt_order}
+    rows = dict(zip(case_b.fss.wt_order, case_b.fss.kind_rows(("u_dc",))))
     group_sizes = {g: sum(1 for v in truth.values() if v == g)
                    for g in set(truth.values())}
     mpf = full_mpf(case_b.modal)
@@ -189,9 +219,10 @@ def test_lloyd_inertia_non_increasing(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(20, 2))
     centres0 = pts[rng.choice(20, 4, replace=False)]
-    trace: list[float] = []
-    _lloyd_batch(pts, centres0[None], trace=[trace])
-    assert trace
+    # the inertia after 1, 2, ... iterations, then at convergence
+    trace = [float(_lloyd_batch(pts, centres0[None], max_iter=k)[2][0])
+             for k in range(1, 30)]
+    trace.append(float(_lloyd_batch(pts, centres0[None])[2][0]))
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
@@ -356,10 +387,11 @@ def test_fixed_seed_is_deterministic(case_b):
 
 def test_single_cluster_sums_whole_row(case_a):
     cl = cluster_modes(case_a.concern, 1, seed=42)
-    ft = superimpose_mpf(case_a.modal, cl, case_a.rep_rows)
+    ft = superimpose_mpf(case_a.model, cl)
     mpf = full_mpf(case_a.modal)
+    assert ft.wt_ids == case_a.fss.wt_order
     for r, wt in enumerate(ft.wt_ids):
-        row = case_a.rep_rows[wt]
+        row = case_a.fss.labels.index((wt, "u_dc"))
         total = sum(mpf[row, m]
                     for m in case_a.concern.mode_indices)
         assert abs(ft.table[r, 0] - total) < 1e-12
@@ -367,28 +399,22 @@ def test_single_cluster_sums_whole_row(case_a):
 
 @pytest.mark.parametrize("c", [1, 2, 3, 5])
 def test_row_totals_conserved_across_cluster_count(case_b, c):
-    ft = superimpose_mpf(case_b.modal,
-                         cluster_modes(case_b.concern, c, seed=42),
-                         case_b.rep_rows)
-    full = superimpose_mpf(case_b.modal,
-                           cluster_modes(case_b.concern, 1, seed=42),
-                           case_b.rep_rows)
+    ft = superimpose_mpf(case_b.model,
+                         cluster_modes(case_b.concern, c, seed=42))
+    full = superimpose_mpf(case_b.model,
+                           cluster_modes(case_b.concern, 1, seed=42))
     assert np.abs(ft.table.sum(axis=1) - full.table[:, 0]).max() < 1e-10
 
 
 def test_identical_decoupled_wts_split_symmetrically():
-    from wfdem.assembly import linear_model
     from wfdem.cases import identical_zero_network_farm
-    from wfdem.modal import eig_biorthogonal, select_concern_modes
+    from wfdem.modal import solve_modes
     from wfdem.powerflow import solve_powerflow
 
     farm = identical_zero_network_farm(2, p_m0=0.9)
-    fss = linear_model(farm, solve_powerflow(farm))
-    msol = eig_biorthogonal(fss.a_s, fss.labels)
-    concern = select_concern_modes(msol, n_expected=2)
-    cl = cluster_modes(concern, 2, seed=42)
-    rep = {wt: fss.state_index(wt, "u_dc") for wt in fss.wt_order}
-    ft = superimpose_mpf(msol, cl, rep)
+    model = solve_modes(farm, solve_powerflow(farm))
+    cl = cluster_modes(model.concern, 2, seed=42)
+    ft = superimpose_mpf(model, cl)
     totals = ft.table.sum(axis=1)
     assert np.abs(totals - totals[0]).max() < 1e-9
 

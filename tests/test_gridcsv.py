@@ -16,10 +16,12 @@ from hypothesis import example, given, strategies as st
 
 from helpers import ROOT, SolvedFarm, solved_case
 from oracles import full_mpf
+from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
                         load_farm)
-from wfdem.modal import ConcernSet, ModalSolution, write_modes_csv, write_mpf_csv
+from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
+                         write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
 from wfdem.validation import LinearResponse, simulate_linear, write_responses_csv
 from wfdem.wt import SagSpec
@@ -28,15 +30,15 @@ from wfdem.wt import SagSpec
 # per-cell references
 
 
-def reference_mpf_csv(sol, concern, path):
-    mpf = full_mpf(sol)
+def reference_mpf_csv(model, path):
+    mpf, concern = full_mpf(model.modal), model.concern
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["state"]
         for i in concern.mode_indices:
             header += [f"mode{i}_abs", f"mode{i}_re", f"mode{i}_im"]
         writer.writerow(header)
-        for k, (wt, kind) in enumerate(sol.labels):
+        for k, (wt, kind) in enumerate(model.fss.labels):
             row = [f"{wt}:{kind}"]
             for i in concern.mode_indices:
                 f = mpf[k, i]
@@ -90,8 +92,9 @@ def reference_bus_csv(farm, sol, path):
                              f"{s_inj[bus].real:.12g}", f"{s_inj[bus].imag:.12g}"])
 
 
-def reference_modes_csv(sol, concern, path):
-    selected = set(concern.mode_indices)
+def reference_modes_csv(model, path):
+    sol = model.modal
+    selected = set(model.concern.mode_indices)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "freq_hz", "damping_ratio",
@@ -105,6 +108,15 @@ def reference_modes_csv(sol, concern, path):
                 sol.pair_of[i],
                 int(i in selected),
             ])
+
+
+def made_up_model(modal, concern, labels=()):
+    """A `FarmModel` around a made-up modal solution; of its state space
+    the writers read only the labels."""
+    fss = FarmStateSpace(a_s=None, b_s=None, labels=tuple(labels),
+                         wt_order=(), c_out=None, z_poi=None, u_poi0=None,
+                         i_poi0=None)
+    return FarmModel(fss, modal, concern)
 
 
 def assert_same_bytes(tmp_path, write, reference, *args):
@@ -126,12 +138,12 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     _, _, dem = s.dem(c)
     sag = SagSpec(0.05, 0.1)
     detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
-    dem_resp = simulate_linear(dem.state_space, dem.modal, sag, 2.0, 1e-3)
+    dem_resp = simulate_linear(dem.model.fss, dem.model.modal, sag, 2.0,
+                               1e-3)
     capacity = {wt.id: wt.capacity_mva(s.farm.bases) for wt, _ in s.farm.wts}
     mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
                for g, ids in dem.provenance.items()}
-    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.modal,
-                      s.concern)
+    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.model)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)
     assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
@@ -145,7 +157,7 @@ def test_bus_and_modes_csv_match_reference_on_shipped_farms(tmp_path, name):
     assert_same_bytes(tmp_path, write_bus_csv, reference_bus_csv, s.farm,
                       s.sol)
     assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
-                      s.modal, s.concern)
+                      s.model)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +209,13 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     # columns in reverse order
     sol = ModalSolution(eigenvalues=np.zeros(n_cols, dtype=complex),
                         right=table, left=np.ones((n_cols, n_rows)),
-                        pair_of=None,
-                        labels=tuple((wt, "u_dc") for wt in ids))
+                        pair_of=None)
     concern = ConcernSet(mode_indices=tuple(range(n_cols))[::-1],
                          eigenvalues=np.zeros(n_cols, dtype=complex))
+    model = made_up_model(sol, concern, ((wt, "u_dc") for wt in ids))
     # inf * 0 in the product's cross terms
     with np.errstate(invalid="ignore"):
-        assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, sol,
-                          concern)
+        assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, model)
 
     features = FeatureTable(wt_ids=tuple(ids), table=table)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
@@ -231,13 +242,13 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
 
     # column 0 as a spectrum, half its modes selected, pairs made up
     modal = ModalSolution(eigenvalues=table[:, 0], right=None, left=None,
-                          pair_of=np.arange(n_rows)[::-1] - 1, labels=())
+                          pair_of=np.arange(n_rows)[::-1] - 1)
     concern = ConcernSet(mode_indices=tuple(range(0, n_rows, 2)),
                          eigenvalues=table[::2, 0])
     # the reference's numpy-scalar -Re/|lam| warns on an infinite mode
     with np.errstate(invalid="ignore"):
         assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
-                          modal, concern)
+                          made_up_model(modal, concern))
 
     # the ids as buses, the table as voltages, one WT on the last bus
     wt = WtParams(id="w", p_m0=0.7, c_dc=0.09, u_dc0=1.0, kp_dvc=1.0,
@@ -262,11 +273,11 @@ def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
     lam = np.array([0j, complex(-0.0, 0.0), -1.0, -2.0 - 30.0j, -2.0 + 30.0j]
                    + DAMPING_ABS_NE_HYPOT)
     modal = ModalSolution(eigenvalues=lam, right=None, left=None,
-                          pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]),
-                          labels=())
-    concern = ConcernSet(mode_indices=(4,), eigenvalues=lam[4:])
-    write_modes_csv(modal, concern, tmp_path / "modes.csv")
-    reference_modes_csv(modal, concern, tmp_path / "reference.csv")
+                          pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]))
+    model = made_up_model(modal, ConcernSet(mode_indices=(4,),
+                                            eigenvalues=lam[4:]))
+    write_modes_csv(model, tmp_path / "modes.csv")
+    reference_modes_csv(model, tmp_path / "reference.csv")
     text = (tmp_path / "modes.csv").read_text()
     assert text == (tmp_path / "reference.csv").read_text()
     rows = text.splitlines()

@@ -1,13 +1,15 @@
 """Whole-pipeline relations between runs on transformed farm files.
 
-Each relation is checked through `run_pipeline` on the study cases b-d at
-C = 3, so that the canonical orderings (eigenvalue sort, k-means tie-break,
-group numbering) are exercised end to end:
+The first three relations are checked through `run_pipeline` on the study
+cases b-d at C = 3, so that the canonical orderings (eigenvalue sort,
+k-means tie-break, group numbering) are exercised end to end:
 
 - listing the WTs in another order moves E, E' and the NRMSE values only by
   roundoff and leaves the partition as it is;
 - renaming the WTs changes no number;
-- one cluster per concern mode gives E = 0 exactly.
+- one cluster per concern mode gives E = 0 exactly;
+- identical WTs on `farms/zero_network.json` form one group and a
+  one-machine DEM at C = 1, 2 and 3.
 """
 
 import dataclasses
@@ -15,9 +17,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import ROOT
 from wfdem.cases import case_farm
 from wfdem.cli import RunConfig, run_pipeline
-from wfdem.farm import FarmDescription, save_farm
+from wfdem.farm import FarmDescription, load_farm, save_farm
 
 CASES = ("b", "c", "d")
 
@@ -95,3 +98,13 @@ def test_one_cluster_per_mode_has_zero_centre_error(pipeline, case):
     state = pipeline(f"{case}_c{farm.n_wt}", farm, clusters=farm.n_wt)
     assert state.clusters.n_clusters == farm.n_wt
     assert state.report.e == 0.0
+
+
+@pytest.mark.parametrize("clusters", [1, 2, 3])
+def test_identical_wts_form_one_group_at_any_count(pipeline, clusters):
+    # the 33 coincident modes share one cluster, whatever C asks for
+    farm = load_farm(ROOT / "farms" / "zero_network.json")
+    state = pipeline(f"zero_network_c{clusters}", farm, clusters=clusters)
+    assert state.clusters.n_clusters == 1
+    assert state.groups.n_groups == 1
+    assert state.dem.farm.n_wt == 1

@@ -15,10 +15,9 @@ from scipy.linalg import expm
 from helpers import ROOT, SolvedFarm, ladder_farm
 from oracles import full_mpf, stiff_grid_mode, write_full_mpf_csv
 from wfdem.cases import identical_zero_network_farm
-from wfdem.assembly import linear_model
 from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
-                         eig_biorthogonal, select_concern_modes,
+                         eig_biorthogonal, select_concern_modes, solve_modes,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import solve_powerflow, wt_operating_point
 
@@ -26,7 +25,7 @@ from wfdem.powerflow import solve_powerflow, wt_operating_point
 def solved_zero_farm(n=5, p=0.8):
     farm = identical_zero_network_farm(n, p_m0=p)
     sol = solve_powerflow(farm)
-    return farm, sol, linear_model(farm, sol)
+    return farm, sol, solve_modes(farm, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +105,8 @@ def test_participation_slices_the_full_table_bit_for_bit(case_b, rows, cols):
 
 
 def test_repeated_eigenvalues_stay_biorthonormal():
-    _, _, fss = solved_zero_farm(6)
-    sol = eig_biorthogonal(fss.a_s, fss.labels)
+    _, _, model = solved_zero_farm(6)
+    sol = model.modal
     assert np.abs(sol.left @ sol.right - np.eye(sol.n_modes)).max() < 1e-8
     assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
 
@@ -153,7 +152,7 @@ def test_zero_input_reconstruction_on_concern_states(case_a):
     a = case_a.fss.a_s
     rng = np.random.default_rng(11)
     x0 = np.zeros(a.shape[0])
-    rows = sol.kind_rows(("u_dc",))
+    rows = case_a.fss.kind_rows(("u_dc",))
     x0[rows] = rng.normal(size=len(rows))
     t = 0.2
     modal_sum = (sol.right * np.exp(sol.eigenvalues * t)) @ (sol.left @ x0)
@@ -187,13 +186,10 @@ def test_symmetric_two_wt_farm_has_equal_udc_participation():
         branches=(Branch("poi", "shared", 2.0, 0.1153, 1.05e-3),),
         wts=wts, grid=GridThevenin(0.001, 0.01))
     farm.validate()
-    fss = linear_model(farm, solve_powerflow(farm))
-    msol = eig_biorthogonal(fss.a_s, fss.labels)
-    concern = select_concern_modes(msol, n_expected=2)
-    r1 = fss.state_index("wt01", "u_dc")
-    r2 = fss.state_index("wt02", "u_dc")
-    mpf = full_mpf(msol)
-    for m in concern.mode_indices:
+    model = solve_modes(farm, solve_powerflow(farm))
+    r1, r2 = model.fss.kind_rows(("u_dc",))
+    mpf = full_mpf(model.modal)
+    for m in model.concern.mode_indices:
         f1, f2 = abs(mpf[r1, m]), abs(mpf[r2, m])
         assert abs(f1 - f2) < 1e-9 * max(f1, f2)
 
@@ -203,9 +199,8 @@ def test_symmetric_two_wt_farm_has_equal_udc_participation():
 
 
 def test_decoupled_farm_selects_stiff_grid_modes():
-    farm, sol, fss = solved_zero_farm(5, p=0.8)
-    msol = eig_biorthogonal(fss.a_s, fss.labels)
-    concern = select_concern_modes(msol, n_expected=5)
+    farm, sol, model = solved_zero_farm(5, p=0.8)
+    concern = model.concern
     wt = farm.wts[0][0]
     lam_ref = stiff_grid_mode(wt, wt_operating_point(sol, wt), farm.bases)[0]
     rel = np.abs(concern.eigenvalues - lam_ref) / abs(lam_ref)
@@ -214,8 +209,8 @@ def test_decoupled_farm_selects_stiff_grid_modes():
 
 def test_pll_filter_selects_disjoint_band(case_a):
     dvc = case_a.concern
-    pll = select_concern_modes(case_a.modal, n_expected=33,
-                               kinds=("pll_angle", "pll_int"))
+    pll = select_concern_modes(
+        case_a.modal, case_a.fss.kind_rows(("pll_angle", "pll_int")), 33)
     assert set(dvc.mode_indices).isdisjoint(pll.mode_indices)
     assert pll.eigenvalues.imag.max() < dvc.eigenvalues.imag.min()
 
@@ -227,9 +222,10 @@ def test_selection_invariant_to_state_reordering(case_a):
     rng = np.random.default_rng(5)
     perm = rng.permutation(n)
     p = np.eye(n)[perm]
-    sol_p = eig_biorthogonal(p @ a @ p.T,
-                             tuple(labels[k] for k in perm))
-    concern_p = select_concern_modes(sol_p, n_expected=33)
+    # state k of the permuted matrix is state perm[k] of the original
+    rows_p = [k for k in range(n) if labels[perm[k]][1] == "u_dc"]
+    concern_p = select_concern_modes(eig_biorthogonal(p @ a @ p.T), rows_p,
+                                     33)
     ref = np.sort_complex(case_a.concern.eigenvalues)
     got = np.sort_complex(concern_p.eigenvalues)
     assert np.abs(ref - got).max() < 1e-8
@@ -238,7 +234,7 @@ def test_selection_invariant_to_state_reordering(case_a):
 def test_too_few_oscillatory_pairs_raises():
     sol = eig_biorthogonal(np.diag([-1.0, -2.0]))
     with pytest.raises(ValueError, match="oscillatory"):
-        select_concern_modes(sol, n_expected=1, kinds=("state",))
+        select_concern_modes(sol, [0, 1], 1)
 
 
 def test_band_mixing_warns():
@@ -246,16 +242,14 @@ def test_band_mixing_warns():
     a = np.zeros((4, 4))
     a[0, 1], a[1, 0] = 1.0, -4.0        # ~2 rad/s
     a[2, 3], a[3, 2] = 1.0, -40000.0    # ~200 rad/s
-    labels = (("wt01", "u_dc"), ("wt01", "dvc_int"),
-              ("wt02", "u_dc"), ("wt02", "dvc_int"))
-    sol = eig_biorthogonal(a, labels)
+    sol = eig_biorthogonal(a)
     with pytest.warns(UserWarning, match="median frequency"):
-        select_concern_modes(sol, n_expected=2)
+        select_concern_modes(sol, [0, 2], 2)      # the two u_dc states
 
 
 def test_modes_and_mpf_csv(tmp_path, case_a):
-    write_modes_csv(case_a.modal, case_a.concern, tmp_path / "modes.csv")
-    write_mpf_csv(case_a.modal, case_a.concern, tmp_path / "mpf.csv")
+    write_modes_csv(case_a.model, tmp_path / "modes.csv")
+    write_mpf_csv(case_a.model, tmp_path / "mpf.csv")
     modes = (tmp_path / "modes.csv").read_text().strip().splitlines()
     assert modes[0] == "re,im,freq_hz,damping_ratio,pair_id,selected"
     assert len(modes) == 1 + 132
@@ -272,9 +266,9 @@ def read_csv(path):
 
 
 def assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(tmp_path, s):
-    write_modes_csv(s.modal, s.concern, tmp_path / "modes.csv")
-    write_mpf_csv(s.modal, s.concern, tmp_path / "mpf.csv")
-    write_full_mpf_csv(s.modal, tmp_path / "full.csv")
+    write_modes_csv(s.model, tmp_path / "modes.csv")
+    write_mpf_csv(s.model, tmp_path / "mpf.csv")
+    write_full_mpf_csv(s.model, tmp_path / "full.csv")
     header, body = read_csv(tmp_path / "mpf.csv")
     full_header, full_body = read_csv(tmp_path / "full.csv")
 
@@ -328,11 +322,9 @@ def greedy_pair_conjugates(lam, scale):
     return pair_of
 
 
-def reference_eig_biorthogonal(a_s, labels=None):
+def reference_eig_biorthogonal(a_s):
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
-    if labels is None:
-        labels = tuple((f"x{k}", "state") for k in range(n))
     lam, u = np.linalg.eig(a_s)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
@@ -349,13 +341,12 @@ def reference_eig_biorthogonal(a_s, labels=None):
     v = np.linalg.inv(u)
     pair_of = greedy_pair_conjugates(
         lam, max(1.0, float(np.linalg.norm(a_s, ord=2))))
-    return ModalSolution(eigenvalues=lam, right=u, left=v,
-                         pair_of=pair_of, labels=tuple(labels))
+    return ModalSolution(eigenvalues=lam, right=u, left=v, pair_of=pair_of)
 
 
-def outcome(fn, a, labels=None):
+def outcome(fn, a):
     try:
-        return fn(a, labels)
+        return fn(a)
     except DefectiveMatrixError as exc:
         return str(exc)
 
@@ -369,19 +360,17 @@ def assert_same_solution(got, ref):
     every = np.arange(got.n_modes)
     assert np.array_equal(got.participation(every, every),
                           ref.participation(every, every)), "mpf"
-    assert got.labels == ref.labels
 
 
-def assert_matches_reference(a, labels=None):
-    assert_same_solution(outcome(eig_biorthogonal, a, labels),
-                         outcome(reference_eig_biorthogonal, a, labels))
+def assert_matches_reference(a):
+    assert_same_solution(outcome(eig_biorthogonal, a),
+                         outcome(reference_eig_biorthogonal, a))
 
 
 @pytest.mark.parametrize("case", ["a", "b", "c", "d"])
 def test_matches_svd_reference_on_study_cases(request, case):
     s = request.getfixturevalue(f"case_{case}")
-    assert_same_solution(s.modal,
-                         reference_eig_biorthogonal(s.fss.a_s, s.fss.labels))
+    assert_same_solution(s.modal, reference_eig_biorthogonal(s.fss.a_s))
 
 
 @pytest.mark.parametrize("farm", [
@@ -390,8 +379,7 @@ def test_matches_svd_reference_on_study_cases(request, case):
     pytest.param(lambda: ladder_farm(10, 10, 7), id="ladder10x10"),
 ])
 def test_matches_svd_reference_on_farms(farm):
-    fss = SolvedFarm(farm()).fss
-    assert_matches_reference(fss.a_s, fss.labels)
+    assert_matches_reference(SolvedFarm(farm()).fss.a_s)
 
 
 @st.composite
@@ -470,8 +458,7 @@ def test_common_path_needs_no_svd(monkeypatch, case_b):
     with pytest.raises(AssertionError, match="SVD called"):
         np.linalg.cond(np.eye(2))
     for s in solved:
-        sol = eig_biorthogonal(s.fss.a_s, s.fss.labels)
-        assert_same_solution(sol, s.modal)
+        assert_same_solution(eig_biorthogonal(s.fss.a_s), s.modal)
 
 
 # ---------------------------------------------------------------------------

@@ -49,5 +49,4 @@ def test_pipeline_finishes_or_names_its_error(farm_seed):
         sol = solve_powerflow(farm)
     except PowerflowError:
         return
-    fss = linear_model(farm, sol)
-    assert_matches_reference(fss.a_s, fss.labels)
+    assert_matches_reference(linear_model(farm, sol).a_s)

@@ -79,7 +79,7 @@ def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
     du_poi = fss.z_poi @ di + np.outer(de, t >= sag.t_start)
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(
-        t=t, u_dc={wt_id: xs[fss.state_index(wt_id, "u_dc")]
+        t=t, u_dc={wt_id: xs[fss.labels.index((wt_id, "u_dc"))]
                    for wt_id in fss.wt_order},
         poi_p=poi_p, poi_i=poi_i)
 
@@ -188,7 +188,7 @@ def test_case_a_centre_and_nearest_errors_comparable(case_a):
     s = solved_case("a")
     clusters, _, dem = s.dem(1)
     e = error_E(s.concern, clusters)
-    ep = error_Eprime(s.concern, dem.concern)
+    ep = error_Eprime(s.concern, dem.model.concern)
     assert 0.4 <= ep / e <= 2.5
 
 
@@ -199,8 +199,8 @@ def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
     vals = {}
     for c in (1, 3):
         _, _, dem = s.dem(c)
-        resp = simulate_linear(dem.state_space, dem.modal, sag, horizon=2.0,
-                               dt=1e-3)
+        resp = simulate_linear(dem.model.fss, dem.model.modal, sag,
+                               horizon=2.0, dt=1e-3)
         mapping = {g: tuple((wt, 1.5) for wt in ids)
                    for g, ids in dem.provenance.items()}
         vals[c] = compare_responses(detailed, resp, mapping)["poi_p"]
@@ -213,7 +213,7 @@ def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
 
 def stiff_single_wt_modal():
     fss, wt = stiff_single_wt_fss()
-    return fss, eig_biorthogonal(fss.a_s, fss.labels), wt
+    return fss, eig_biorthogonal(fss.a_s), wt
 
 
 def test_zero_sag_gives_identically_zero_response():
@@ -268,14 +268,14 @@ def test_matrix_exponential_agrees_with_fine_rk4(case_a):
             x = x + fine / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         xs.append(x.copy())
     xs = np.array(xs).T
-    udc_rk4 = xs[fss.state_index("wt01", "u_dc")]
+    udc_rk4 = xs[fss.labels.index(("wt01", "u_dc"))]
     assert np.abs(resp.u_dc["wt01"] - udc_rk4).max() < 1e-7
 
 
 def test_unstable_matrix_is_flagged():
     fss, _ = stiff_single_wt_fss()
     unstable = dataclasses.replace(fss, a_s=-fss.a_s)
-    modal = eig_biorthogonal(unstable.a_s, unstable.labels)
+    modal = eig_biorthogonal(unstable.a_s)
     resp = simulate_linear(unstable, modal, SagSpec(0.05, 0.0), horizon=0.05,
                            dt=1e-3)
     assert np.all(np.isfinite(resp.u_dc["wt01"]))
@@ -288,7 +288,7 @@ def parity_models(name: str,
     if name in ("a", "b", "c", "d"):
         s = solved_case(name)
         return [(s.fss, s.modal)] + [
-            (dem.state_space, dem.modal)
+            (dem.model.fss, dem.model.modal)
             for dem in (s.dem(c)[2] for c in (1, 3))]
     if name == "ladder":
         s = SolvedFarm(ladder_farm(10, 10, 7))
@@ -357,7 +357,7 @@ def test_modal_form_on_near_defective_matrices(seed, lam, log_delta, real):
     # adding its partner's, exceeds the asserted bound 8.5-fold.
     delta = (1.0 if real else -1.0) * 10.0**log_delta
     fss = near_defective_model(seed, lam, delta)
-    modal = eig_biorthogonal(fss.a_s, fss.labels)
+    modal = eig_biorthogonal(fss.a_s)
     sag = SagSpec(0.05, 0.1)
     resp = simulate_linear(fss, modal, sag, horizon=0.5, dt=1e-3)
     ref = stepper_response(fss, sag, horizon=0.5, dt=1e-3)
@@ -397,7 +397,7 @@ def test_nrmse_shape_mismatch_rejected():
 
 def test_compare_responses_identical(case_b):
     _, _, dem = solved_case("b").dem(3)
-    resp = simulate_linear(dem.state_space, dem.modal, SagSpec(0.05, 0.1),
+    resp = simulate_linear(dem.model.fss, dem.model.modal, SagSpec(0.05, 0.1),
                            0.5, 1e-3)
     mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.provenance}
     # compare the DEM against itself with each group mapped to its machine
@@ -405,7 +405,7 @@ def test_compare_responses_identical(case_b):
                              poi_p=resp.poi_p, poi_i=resp.poi_i)
     out = compare_responses(resp, renamed, mapping)
     assert max(out.values()) == 0.0
-    assert not dem.modal.unstable
+    assert not dem.model.modal.unstable
 
 
 def test_compare_responses_grid_mismatch_rejected():
