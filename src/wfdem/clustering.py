@@ -167,7 +167,7 @@ def _best_clustering(concern: ConcernSet, pts: np.ndarray,
     cx = centres[order, 0] + 1j * centres[order, 1]
     near = np.abs(cx[:, None] - cx) <= \
         COINCIDENT_RTOL * np.abs(concern.eigenvalues).max()
-    while near.sum() > c and not np.array_equal(reach := near @ near, near):
+    while not np.array_equal(reach := near @ near, near):
         near = reach                    # chains of coincident centres
     first = near.argmax(axis=1)         # canonical index of each merged set
     merged, kept = first[np.argsort(order)[labels]], np.unique(first)

@@ -156,4 +156,5 @@ def test_labels_unique_and_ordered():
     fss = solved_case("a").fss
     assert len(set(fss.labels)) == len(fss.labels)
     assert fss.labels[0] == ("wt01", "u_dc")
+    assert fss.labels[4 * 6 + 2] == ("wt07", "pll_angle")
     assert fss.kind_rows(("pll_angle",))[6] == 4 * 6 + 2

@@ -414,6 +414,7 @@ def test_identical_decoupled_wts_split_symmetrically():
     farm = identical_zero_network_farm(2, p_m0=0.9)
     model = solve_modes(farm, solve_powerflow(farm))
     cl = cluster_modes(model.concern, 2, seed=42)
+    assert cl.n_clusters == 1
     ft = superimpose_mpf(model, cl)
     totals = ft.table.sum(axis=1)
     assert np.abs(totals - totals[0]).max() < 1e-9
