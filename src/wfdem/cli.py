@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -371,17 +372,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.clusters is not None and args.clusters < 1:
-        raise ValueError("--clusters must be >= 1")
     if args.e_target is not None and not args.auto_clusters:
         raise ValueError("--e-target needs --auto-clusters")
+    e_target = RunConfig.e_target if args.e_target is None else args.e_target
+    for flag, ok, bound in (
+            ("--clusters", args.clusters is None or args.clusters >= 1, ">= 1"),
+            ("--dt", 0 < args.dt < math.inf, "finite and > 0"),
+            ("--horizon", SagSpec.t_start + args.dt <= args.horizon < math.inf,
+             f"finite and >= {SagSpec.t_start:g} s (the sag's start) + --dt"),
+            ("--sag", 0 < args.sag <= 1, "in (0, 1]"),
+            ("--e-target", 0 < e_target < math.inf, "finite and > 0")):
+        if not ok:   # NaN fails every comparison
+            raise ValueError(f"{flag} must be {bound}")
     return RunConfig(
         farm_path=args.farm,
         out_dir=args.out,
         # single-machine DEM unless told otherwise
         clusters=None if args.auto_clusters else args.clusters or 1,
-        e_target=(RunConfig.e_target if args.e_target is None
-                  else args.e_target),
+        e_target=e_target,
         seed=args.seed,
         sag=args.sag,
         horizon=args.horizon,

@@ -10,16 +10,14 @@ legal and are handled by merging their end nodes before any matrix is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from importlib import resources
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 
 class FarmFileError(ValueError):
-    """Farm description file cannot be parsed or violates the schema."""
+    """Farm file is unreadable, or has a missing, unknown or mistyped key."""
 
 
 class FarmValidationError(ValueError):
@@ -113,9 +111,7 @@ class FarmDescription:
         return tuple(wt.id for wt, _ in self.wts)
 
     def validate(self) -> None:
-        # json reads NaN and Infinity, and integers of any size; all pass
-        # the schema, a NaN makes every comparison below False, and an
-        # integer beyond the float range fails in the first float operation
+        # json loads NaN, Infinity and huge ints; NaN fails no test below
         for where, rec in [("bases", self.bases), ("grid", self.grid),
                            *((f"branch {br.from_bus!r}-{br.to_bus!r}", br)
                              for br in self.branches),
@@ -189,11 +185,6 @@ def _finite(value: int | float) -> bool:
 # ---------------------------------------------------------------------------
 # description files
 
-_SCHEMA = json.loads(
-    resources.files("wfdem").joinpath("farm_schema.json").read_text())
-_VALIDATOR = Draft7Validator(_SCHEMA)
-
-
 # file keys that differ from their dataclass field names
 _KEY_OF = {"p_m0": "p_m0_pu", "c_dc": "c_dc_f", "u_dc0": "u_dc0_pu"}
 
@@ -204,10 +195,38 @@ def _record(obj) -> dict:
             for f in fields(obj) if getattr(obj, f.name) is not None}
 
 
-def _from_record(cls, rec: dict):
-    """Inverse of `_record`; an absent key takes the field default."""
-    return cls(**{f.name: rec[key] for f in fields(cls)
-                  if (key := _KEY_OF.get(f.name, f.name)) in rec})
+def _rejected(where: str, what: str) -> FarmFileError:
+    return FarmFileError(
+        f"farm description rejected at {where or '<root>'}: {what}")
+
+
+def _checked(rec, where: str, spec: dict[str, tuple[type | tuple, bool]]):
+    """`rec` if it is an object with the keys of `spec`: (type, required)."""
+    if not isinstance(rec, dict):
+        raise _rejected(where, f"expected dict, got {rec!r}")
+    for key in {**spec, **rec}:
+        if key not in spec or spec[key][1] and key not in rec:
+            raise _rejected(where, ("unknown" if key not in spec
+                                    else "missing") + f" key {key!r}")
+    for key, value in rec.items():
+        kind = spec[key][0]
+        # bool is an int to Python, but a JSON true is not a number
+        if not isinstance(value, kind) or type(value) is bool is not kind:
+            raise _rejected(f"{where}/{key}".lstrip("/"), f"expected "
+                            f"{getattr(kind, '__name__', 'number')}, got {value!r}")
+    if rec.get("id") == "":
+        raise _rejected(f"{where}/id", "empty id")
+    return rec
+
+
+def _from_record(cls, rec, where: str, *extra: str):
+    """Inverse of `_record`, once `rec` holds the fields of `cls` (a field
+    that is not a str holds a number) and the required string keys `extra`."""
+    keyed = {_KEY_OF.get(f.name, f.name): f for f in fields(cls)}
+    _checked(rec, where, dict.fromkeys(extra, (str, True)) | {
+        key: (str if f.type == "str" else (int, float), f.default is MISSING)
+        for key, f in keyed.items()})
+    return cls(**{f.name: rec[key] for key, f in keyed.items() if key in rec})
 
 
 def farm_to_dict(farm: FarmDescription,
@@ -228,23 +247,26 @@ def farm_to_dict(farm: FarmDescription,
 
 
 def farm_from_dict(doc: dict) -> FarmDescription:
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        where = "/".join(str(p) for p in errors[0].path) or "<root>"
-        raise FarmFileError(f"farm description rejected at {where}: "
-                            f"{errors[0].message}")
-    poi = [b["id"] for b in doc["buses"] if b.get("poi")]
+    _checked(doc, "", {"bases": (dict, True), "buses": (list, True),
+                       "branches": (list, True), "wts": (list, True),
+                       "grid": (dict, True), "provenance": (dict, False)})
+    for key in ("buses", "wts"):
+        if not doc[key]:
+            raise _rejected(key, "empty list")
+    buses = [_checked(b, f"buses/{k}", {"id": (str, True), "poi": (bool, False)})
+             for k, b in enumerate(doc["buses"])]
+    bases = _from_record(PerUnitBases, doc["bases"], "bases")
+    branches = tuple(_from_record(Branch, b, f"branches/{k}")
+                     for k, b in enumerate(doc["branches"]))
+    wts = tuple((_from_record(WtParams, w, f"wts/{k}", "bus"), w["bus"])
+                for k, w in enumerate(doc["wts"]))
+    grid = _from_record(GridThevenin, doc["grid"], "grid")
+    poi = [b["id"] for b in buses if b.get("poi")]
     if len(poi) != 1:
         raise FarmValidationError(
             f"exactly one bus must be flagged as POI, found {len(poi)}")
-    farm = FarmDescription(
-        bases=_from_record(PerUnitBases, doc["bases"]),
-        buses=tuple(b["id"] for b in doc["buses"]),
-        poi=poi[0],
-        branches=tuple(_from_record(Branch, b) for b in doc["branches"]),
-        wts=tuple((_from_record(WtParams, w), w["bus"]) for w in doc["wts"]),
-        grid=_from_record(GridThevenin, doc["grid"]),
-    )
+    farm = FarmDescription(bases=bases, buses=tuple(b["id"] for b in buses),
+                           poi=poi[0], branches=branches, wts=wts, grid=grid)
     farm.validate()
     return farm
 

@@ -280,6 +280,45 @@ def test_e_target_needs_auto_clusters(tmp_path, capsys):
             e_target=0.05)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--horizon", "0.05"], "--horizon must be finite and >= 0.1 s"),
+    (["--horizon", "-1"], "--horizon must be finite and >= 0.1 s"),
+    (["--horizon", "nan"], "--horizon must be finite and >= 0.1 s"),
+    (["--horizon", "inf"], "--horizon must be finite and >= 0.1 s"),
+    # a step past the horizon leaves no sample after the sag starts
+    (["--dt", "5"], "--horizon must be finite and >= 0.1 s"),
+    (["--dt", "0"], "--dt must be finite and > 0"),
+    (["--dt", "nan"], "--dt must be finite and > 0"),
+    (["--sag", "0"], "--sag must be in (0, 1]"),
+    (["--sag", "nan"], "--sag must be in (0, 1]"),
+    (["--sag", "1.5"], "--sag must be in (0, 1]"),
+    (["--auto-clusters", "--e-target", "nan"],
+     "--e-target must be finite and > 0"),
+    (["--auto-clusters", "--e-target", "0"],
+     "--e-target must be finite and > 0"),
+    (["--clusters", "0"], "--clusters must be >= 1"),
+], ids=["horizon_short", "horizon_negative", "horizon_nan", "horizon_inf",
+        "dt_past_horizon", "dt_zero", "dt_nan", "sag_zero", "sag_nan",
+        "sag_above_one", "e_target_nan", "e_target_zero", "clusters_zero"])
+def test_bad_run_flags_are_named_before_anything_is_written(tmp_path, capsys,
+                                                            flags, message):
+    out = tmp_path / "out"
+    assert main(["all", "--farm", str(FARMS / "case_b.json"), "--out",
+                 str(out)] + flags) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_run_flags_at_their_limits_are_accepted():
+    args = _build_parser().parse_args(
+        ["all", "--farm", "farm.json", "--out", "out", "--sag", "1",
+         "--dt", "0.01", "--horizon", "0.11", "--auto-clusters",
+         "--e-target", "1e-12"])
+    assert _config_from_args(args) == RunConfig(
+        Path("farm.json"), Path("out"), clusters=None, e_target=1e-12,
+        sag=1.0, horizon=0.11, dt=0.01)
+
+
 def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
                                                  capsys):
     spec = importlib.util.spec_from_file_location(

@@ -5,6 +5,7 @@ full complex admittance over every bus plus the source straight from the
 description, ground the source, and push unit current injections through it.
 """
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -12,14 +13,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft7Validator
 
 from helpers import ROOT, random_radial_farm
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,
-                        WtParams, build_network_matrices, farm_to_dict,
-                        load_farm, nodal_network, save_farm, xy_block)
+                        WtParams, build_network_matrices, farm_from_dict,
+                        farm_to_dict, load_farm, nodal_network, save_farm,
+                        xy_block)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +102,6 @@ def test_unreachable_wt_bus_rejected():
     doc = farm_to_dict(single_wt_farm())
     doc["buses"].append({"id": "island"})
     doc["wts"][0]["bus"] = "island"
-    from wfdem.farm import farm_from_dict
     with pytest.raises(FarmValidationError, match="not connected"):
         farm_from_dict(doc)
 
@@ -126,12 +128,22 @@ def test_nonpositive_base_rejected():
         bad.validate()
 
 
-def test_unknown_key_rejected(tmp_path):
-    doc = farm_to_dict(single_wt_farm())
-    doc["wts"][0]["color"] = "teal"
+@pytest.mark.parametrize("mutate, where", [
+    (lambda doc: doc["wts"][0].update(color="teal"), "wts/0"),
+    (lambda doc: doc["wts"][0].update(kp_dvc=True), "wts/0/kp_dvc"),
+    (lambda doc: doc["wts"][0].update(kp_dvc="1"), "wts/0/kp_dvc"),
+    (lambda doc: doc["wts"][0].pop("ki_dvc"), "wts/0"),
+    (lambda doc: doc["buses"][1].update(poi="yes"), "buses/1/poi"),
+    (lambda doc: doc.update(color="teal"), "<root>"),
+], ids=["wt_color", "kp_dvc_true", "kp_dvc_string", "no_ki_dvc", "poi_yes",
+        "root_color"])
+def test_unknown_key_rejected(tmp_path, mutate, where):
+    doc = json.loads((ROOT / "farms" / "case_b.json").read_text())
+    mutate(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(FarmFileError):
+    with pytest.raises(FarmFileError, match=re.escape(
+            f"farm description rejected at {where}: ")):
         load_farm(path)
 
 
@@ -228,6 +240,80 @@ def test_dem_provenance_key_is_loadable(tmp_path):
     path = tmp_path / "dem.json"
     save_farm(single_wt_farm(), path, provenance={"groups": {"0": ["wt01"]}})
     assert load_farm(path).n_wt == 1
+
+
+# ---------------------------------------------------------------------------
+# the codec against the JSON Schema it is documented by
+
+SCHEMA = Draft7Validator(json.loads(
+    (ROOT / "tests" / "farm_schema.json").read_text()))
+FUZZED = {name: json.loads((ROOT / "farms" / f"{name}.json").read_text())
+          for name in ("case_b", "single_wt", "zero_network")}
+# wrong types, a bool for a number, negatives, NaN, empty strings and lists,
+# and values that fit some keys
+ODD_VALUES = ["1", "", True, False, None, -1, -0.5, 0, 2.5, float("nan"),
+              [], {}, ["poi"], "poi", "wt01"]
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root's () included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(FUZZED)),
+       st.sampled_from(["drop", "add", "set", "negate", "empty",
+                        "provenance"]),
+       st.sampled_from(ODD_VALUES), st.data())
+def test_codec_rejects_what_the_schema_rejects(name, how, value, data):
+    """Whatever the schema rejects fails to load; whatever it accepts loads
+    or fails only on a value out of range."""
+    doc = copy.deepcopy(FUZZED[name])
+
+    def draw_path(usable):
+        # depth first, so that the few shallow paths, which hold the
+        # document's structure, come up as often as the many deep ones
+        paths = [p for p in json_paths(doc) if usable(p)]
+        depth = data.draw(st.sampled_from(sorted({len(p) for p in paths})))
+        return data.draw(st.sampled_from(
+            [p for p in paths if len(p) == depth]))
+
+    if how == "drop":
+        path = draw_path(lambda p: p and isinstance(at(doc, p[:-1]), dict))
+        del at(doc, path[:-1])[path[-1]]
+    elif how == "add":
+        path = draw_path(lambda p: isinstance(at(doc, p), dict))
+        at(doc, path)["color"] = value
+    elif how == "set":
+        path = draw_path(bool)
+        at(doc, path[:-1])[path[-1]] = value
+    elif how == "negate":
+        path = draw_path(lambda p: isinstance(at(doc, p), (int, float))
+                         and not isinstance(at(doc, p), bool))
+        at(doc, path[:-1])[path[-1]] *= -1
+    elif how == "empty":
+        path = draw_path(lambda p: isinstance(at(doc, p), (str, list)))
+        at(doc, path[:-1])[path[-1]] = type(at(doc, path))()
+    else:
+        doc["provenance"] = value
+    if SCHEMA.is_valid(doc):
+        try:
+            farm_from_dict(doc)
+        except FarmValidationError:
+            pass   # a bad value or reference, which the schema allows
+    else:
+        with pytest.raises((FarmFileError, FarmValidationError)):
+            farm_from_dict(doc)
 
 
 def test_shipped_farms_are_what_make_farms_writes(tmp_path, monkeypatch):

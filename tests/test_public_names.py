@@ -1,12 +1,14 @@
-"""Every public name of the package has a user outside the tests.
+"""Every public name of the package has a user outside the tests, and the
+package imports nothing but the standard library and numpy.
 
 A name only the tests reach is a test oracle and belongs in `tests/`.
 """
 
 import ast
 import re
+import sys
 
-from helpers import ROOT
+from helpers import ROOT, run_python_bounded
 
 
 def test_every_public_definition_is_used_outside_the_tests():
@@ -34,3 +36,26 @@ def test_every_public_definition_is_used_outside_the_tests():
             if not any(re.search(rf"\b{node.name}\b", t) for t in corpus):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"used only by the tests: {', '.join(unused)}"
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wfdem"}
+    foreign = []
+    for path in sorted(ROOT.glob("src/wfdem/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue      # not an import, or a relative one
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside stdlib and numpy: {foreign}"
+    # nor does anything it imports pull in the former schema stack
+    child = run_python_bounded(["-c", (
+        "import wfdem.cli, sys; print(sorted(m for m in sys.modules if "
+        "m.split('.')[0] in {'jsonschema', 'referencing', 'rpds', "
+        "'attrs'}))")], timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
