@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the acceptance set and write the sha256 of every artifact.
 
-The set is 21 `wfdem all` runs, 231 artifacts: `farms/case_{a,b,c,d}.json`
+The set is 22 `wfdem all` runs, 242 artifacts: `farms/case_{a,b,c,d}.json`
 at `--clusters 1`, `--clusters 3` and `--auto-clusters`; `zero_network.json`
-at C = 1 and 3; `single_wt.json`; and the benchmark's seed-7 `ladder300`
-and `auto_sweep100` farms, drawn by `perfbench/farmgen.py`.
+at C = 1 and 3; `single_wt.json`; `case_b.json` with its grid tie set to
+r = l = 0 at C = 3, so the POI sits on the infinite bus's node while the
+collector stays live; and the benchmark's seed-7 `ladder300` and
+`auto_sweep100` farms, drawn by `perfbench/farmgen.py`.
 
     python3 scripts/acceptance_digests.py --out out/acceptance
     python3 scripts/acceptance_digests.py --out out/acceptance \\
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -31,14 +34,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import farmgen                        # noqa: E402
 from run import FARMS                 # noqa: E402
 from wfdem import cli                 # noqa: E402
-from wfdem.farm import save_farm      # noqa: E402
+from wfdem.farm import GridThevenin, load_farm, save_farm  # noqa: E402
 
 SEED = 7
 
 
 def acceptance_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
     """(run name, farm file, count flags) of every run in the set; the
-    benchmark farms are written to `farm_dir`."""
+    stiff-grid and benchmark farms are written to `farm_dir`."""
     shipped = ROOT / "farms"
     runs = [(f"case_{x}_{tag}", shipped / f"case_{x}.json", flags)
             for x in "abcd"
@@ -50,6 +53,11 @@ def acceptance_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
     runs.append(("single_wt_c1", shipped / "single_wt.json",
                  ["--clusters", "1"]))
     farm_dir.mkdir(parents=True, exist_ok=True)
+    stiff = dataclasses.replace(load_farm(shipped / "case_b.json"),
+                                grid=GridThevenin(0.0, 0.0))
+    save_farm(stiff, farm_dir / "case_b_stiff.json")
+    runs.append(("case_b_stiff_c3", farm_dir / "case_b_stiff.json",
+                 ["--clusters", "3"]))
     for workload, (feeders, spans, planted, flags, n_farms) in FARMS.items():
         for k in range(n_farms):
             farm, _ = farmgen.ladder_farm(feeders, spans, (SEED, k), planted)

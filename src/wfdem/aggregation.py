@@ -45,8 +45,6 @@ def aggregate_wts(farm: FarmDescription,
     out: list[WtParams] = []
     for g in sorted(members):
         wts = [wt for wt, _ in members[g]]
-        if not wts:
-            raise AggregationError(f"group {g} is empty")
         caps = np.array([wt.capacity_mva(farm.bases) for wt in wts])
         s_agg = float(caps.sum())
         weight = caps / s_agg
@@ -81,8 +79,8 @@ def equivalent_network(farm: FarmDescription,
     operating point (uniform-voltage approximation); the resulting branch
     currents weight each collector impedance by the squared group power it
     carries.  The shared Thevenin branch stays out of the equivalent.  A
-    group whose members all sit on the POI's node carries no branch current
-    and gets an exact zero-impedance tie.
+    group whose members all sit on the POI's node or the infinite bus's
+    carries no branch current and gets an exact zero-impedance tie.
     """
     net = nodal_network(farm)
     poi_node = net.node_of[farm.poi]
@@ -92,30 +90,28 @@ def equivalent_network(farm: FarmDescription,
     omega = farm.bases.omega_grid
 
     for g in sorted(members):
-        inj = np.zeros(net.n_nodes, dtype=complex)
+        # node n is the infinite bus, held at zero voltage deviation
+        inj = np.zeros(net.n_nodes + 1, dtype=complex)
         p_total = 0.0
         for wt, bus in members[g]:
             p_sys = wt.p_m0 * wt.capacity_ratio(farm.bases)
             p_total += p_sys
-            node = net.node_of[bus]
-            if node >= 0:
-                inj[node] += p_sys
+            inj[net.node_of[bus]] += p_sys
         if p_total <= 0:
             z_eq = 0.0 + 0.0j
             warnings.warn(f"group {g} carries no power; zero-impedance tie",
                           stacklevel=2)
-        elif all(net.node_of[bus] in (poi_node, -1) for _, bus in members[g]):
+        elif all(net.node_of[bus] in (poi_node, net.n_nodes)
+                 for _, bus in members[g]):
             z_eq = 0.0 + 0.0j
         else:
-            v = (np.linalg.solve(net.y_red, inj)
-                 if net.n_nodes else np.zeros(0, dtype=complex))
-            v_of = {bus: (v[net.node_of[bus]] if net.node_of[bus] >= 0 else 0.0)
-                    for bus in farm.buses}
+            v = np.append(np.linalg.solve(net.y_red, inj[:-1]), 0.0)
             z_eq = 0.0 + 0.0j
             for br, z in zip(farm.branches, net.branch_z):
                 if z == 0:
                     continue
-                i_b = (v_of[br.from_bus] - v_of[br.to_bus]) / z
+                i_b = (v[net.node_of[br.from_bus]]
+                       - v[net.node_of[br.to_bus]]) / z
                 z_eq += z * abs(i_b) ** 2
             z_eq /= p_total ** 2
         branches.append(Branch(
@@ -133,7 +129,8 @@ class DemModel:
     """Aggregated farm with its own solved linear model."""
 
     farm: FarmDescription
-    provenance: dict[int, tuple[str, ...]]
+    # group id -> (member WT id, its capacity MVA) in assignment order
+    members: dict[int, tuple[tuple[str, float], ...]]
     model: FarmModel
     capacity_mva: dict[int, float]   # machine capacity base per group id
 
@@ -163,17 +160,18 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
 
     model = solve_modes(dem_farm, solve_powerflow(dem_farm))
 
-    members = _group_members(farm, groups)
-    provenance = {g: tuple(wt.id for wt, _ in members[g])
-                  for g in sorted(members)}
-    capacity = {g: wt.s_mva for g, wt in zip(sorted(members), aggregates)}
-    return DemModel(farm=dem_farm, provenance=provenance, model=model,
+    by_group = _group_members(farm, groups)
+    members = {g: tuple((wt.id, wt.capacity_mva(farm.bases))
+                        for wt, _ in by_group[g]) for g in sorted(by_group)}
+    capacity = {g: wt.s_mva for g, wt in zip(sorted(by_group), aggregates)}
+    return DemModel(farm=dem_farm, members=members, model=model,
                     capacity_mva=capacity)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:
     provenance = {
-        "groups": {str(g): list(ids) for g, ids in dem.provenance.items()},
+        "groups": {str(g): [wt_id for wt_id, _ in pairs]
+                   for g, pairs in dem.members.items()},
         "group_capacity_mva": {
             str(g): mva for g, mva in dem.capacity_mva.items()},
     }

@@ -132,12 +132,8 @@ def _stage_validate(state: PipelineState) -> None:
         state.model.fss, state.model.modal, sag, cfg.horizon, cfg.dt)
     dem_resp = validation.simulate_linear(
         state.dem.model.fss, state.dem.model.modal, sag, cfg.horizon, cfg.dt)
-    capacity = {wt.id: wt.capacity_mva(state.farm.bases)
-                for wt, _ in state.farm.wts}
-    mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
-               for g, ids in state.dem.provenance.items()}
     nrmse_by_signal = validation.compare_responses(detailed, dem_resp,
-                                                   mapping)
+                                                   state.dem.members)
     metadata = {
         "farm": str(cfg.farm_path.name),
         "farm_sha256": state.farm_hash,
@@ -158,7 +154,7 @@ def _stage_validate(state: PipelineState) -> None:
     state.report = validation.build_report(
         state.model, state.clusters, state.dem, nrmse_by_signal, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
-    validation.write_responses_csv(detailed, dem_resp, mapping,
+    validation.write_responses_csv(detailed, dem_resp, state.dem.members,
                                    cfg.out_dir / "responses.csv")
     _responses_svg(cfg.out_dir, *(as_printed(a) for a in (
         detailed.t, detailed.poi_p, dem_resp.poi_p)))

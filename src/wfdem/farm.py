@@ -5,6 +5,8 @@ wind-turbine terminals to a point of interconnection (POI), which connects to
 an infinite bus through a Thevenin branch.  All network quantities are held in
 per-unit on (bases.s_wt_mva, bases.v_coll_kv).  Zero-impedance branches are
 legal and are handled by merging their end nodes before any matrix is built.
+The nodal network numbers the n merged farm nodes 0..n-1 and the infinite bus
+n, so a bus merged with the infinite bus (through a zero grid tie) is node n.
 """
 
 from __future__ import annotations
@@ -300,13 +302,14 @@ class NodalNetwork:
     """Complex nodal system after merging zero-impedance ties.
 
     Nodes 0..n-1 are the merged farm nodes that are *not* electrically
-    identical to the infinite bus; the source is held separately.  `y_red` is
-    the nodal admittance with the source grounded and `y_src` the (positive)
-    admittance tying each node to the source, so injections I at the nodes
-    with source voltage E satisfy  y_red @ V = I + y_src * E.
+    identical to the infinite bus, and node n is the infinite bus itself:
+    every bus merged with it maps to n.  `y_red` is the nodal admittance with
+    the source grounded and `y_src` the (positive) admittance tying each node
+    to the source, so injections I at the nodes with source voltage E satisfy
+    y_red @ V = I + y_src * E.
     """
 
-    node_of: dict[str, int]          # bus id -> node index, -1 if merged w/ source
+    node_of: dict[str, int]          # bus id -> node index, n if merged w/ source
     n_nodes: int
     y_red: np.ndarray                # complex (n, n)
     y_src: np.ndarray                # complex (n,)
@@ -335,12 +338,7 @@ def nodal_network(farm: FarmDescription) -> NodalNetwork:
         return x
 
     def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the source as its own root so it never disappears
-            if rb == SOURCE:
-                ra, rb = rb, ra
-            parent[rb] = ra
+        parent[find(b)] = find(a)
 
     for br, z in zip(farm.branches, branch_z):
         if z == 0:
@@ -350,34 +348,28 @@ def nodal_network(farm: FarmDescription) -> NodalNetwork:
 
     src_root = find(SOURCE)
     roots = sorted({find(bus) for bus in farm.buses} - {src_root})
-    index = {root: k for k, root in enumerate(roots)}
-    node_of = {bus: index.get(find(bus), -1) for bus in farm.buses}
-
     n = len(roots)
-    y_red = np.zeros((n, n), dtype=complex)
-    y_src = np.zeros(n, dtype=complex)
+    index = {root: k for k, root in enumerate(roots)} | {src_root: n}
+    node_of = {bus: index[find(bus)] for bus in farm.buses}
 
-    def stamp(i: int, j: int, y: complex) -> None:
-        if i == j:
-            return   # both ends merged; branch is internal to a node
-        for a, b in ((i, j), (j, i)):
-            if a >= 0:
-                y_red[a, a] += y
-                if b >= 0:
-                    y_red[a, b] -= y
-                else:
-                    y_src[a] += y
+    y = np.zeros((n + 1, n + 1), dtype=complex)
+
+    def stamp(i: int, j: int, y_ij: complex) -> None:
+        if i != j:   # both ends merged: the branch is internal to a node
+            y[i, i] += y_ij
+            y[j, j] += y_ij
+            y[i, j] -= y_ij
+            y[j, i] -= y_ij
 
     for br, z in zip(farm.branches, branch_z):
         if z != 0:
             stamp(node_of[br.from_bus], node_of[br.to_bus], 1.0 / z)
     if grid_z != 0:
-        poi_node = node_of[farm.poi]
-        y_red[poi_node, poi_node] += 1.0 / grid_z
-        y_src[poi_node] += 1.0 / grid_z
+        stamp(node_of[farm.poi], n, 1.0 / grid_z)
 
-    return NodalNetwork(node_of=node_of, n_nodes=n, y_red=y_red,
-                        y_src=y_src, branch_z=branch_z, grid_z=grid_z)
+    # 0 - y, not -y, so a node with no tie to the source keeps y_src = +0
+    return NodalNetwork(node_of=node_of, n_nodes=n, y_red=y[:n, :n],
+                        y_src=0.0 - y[:n, n], branch_z=branch_z, grid_z=grid_z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +413,21 @@ def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
     net = nodal_network(farm)
     n_wt = farm.n_wt
 
-    if net.n_nodes:
-        try:
-            z_nodes = np.linalg.inv(net.y_red)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetworkError(
-                "collector admittance is singular; no path to the infinite "
-                "bus") from exc
-        if not np.all(np.isfinite(z_nodes)):
-            raise SingularNetworkError("collector impedance is not finite")
-    else:
-        z_nodes = np.zeros((0, 0), dtype=complex)
+    try:
+        z_nodes = np.linalg.inv(net.y_red)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetworkError(
+            "collector admittance is singular; no path to the infinite "
+            "bus") from exc
+    if not np.all(np.isfinite(z_nodes)):
+        raise SingularNetworkError("collector impedance is not finite")
+    # the source's row and column, node n, hold the zero impedance of a port
+    # pinned to the infinite bus
+    z_all = np.pad(z_nodes, (0, 1))
 
-    # ports: the WT terminals, then the POI; a port pinned to the source
-    # (node -1) keeps a zero impedance row and column
-    ports = np.array([net.node_of[bus] for _, bus in farm.wts]
-                     + [net.node_of[farm.poi]])
-    live = ports >= 0
-    z_ports = np.zeros((n_wt + 1, n_wt + 1), dtype=complex)
-    z_ports[np.ix_(live, live)] = z_nodes[np.ix_(ports[live], ports[live])]
+    # ports: the WT terminals, then the POI
+    ports = [net.node_of[bus] for _, bus in farm.wts] + [net.node_of[farm.poi]]
+    z_ports = z_all[np.ix_(ports, ports)]
     zc = z_ports[:n_wt, :n_wt]
     poi_c = z_ports[n_wt, :n_wt]
 

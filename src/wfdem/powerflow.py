@@ -17,6 +17,7 @@ from .farm import FarmDescription, WtParams, nodal_network
 from .gridcsv import write_grid
 
 SLACK_E0 = 1.0 + 0.0j   # infinite-bus voltage, p.u.
+TOL = 1e-8              # Newton stop: max |P, Q| mismatch, p.u.
 
 
 class PowerflowError(RuntimeError):
@@ -36,13 +37,12 @@ class BusSolution:
     grid_flow: complex                  # current exported into the Thevenin branch
     slack_power: complex                # S absorbed by the infinite bus
     wt_terminal: dict[str, tuple[complex, complex]]
-    mismatch: float
     iterations: int
     mismatch_history: tuple[float, ...]
 
 
 def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
-            tol: float, max_iter: int) -> tuple[np.ndarray, int, list[float]]:
+            max_iter: int) -> tuple[np.ndarray, int, list[float]]:
     """Polar NR on the source-grounded nodal system.  Returns node voltages."""
     n = len(s_spec)
     vm = np.ones(n)
@@ -54,9 +54,10 @@ def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
         # y_src stores the positive branch admittance
         i_bus = y_red @ v - y_src * SLACK_E0
         mis = v * np.conj(i_bus) - s_spec
-        err = float(np.max(np.abs(np.r_[mis.real, mis.imag])))
+        # with no node left (the whole farm on the infinite bus) err is 0
+        err = float(np.max(np.abs(np.r_[mis.real, mis.imag]), initial=0.0))
         history.append(err)
-        if err < tol:
+        if err < TOL:
             return v, it, history
         if it == max_iter:
             break
@@ -79,36 +80,29 @@ def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
         + ", ".join(f"{h:.3g}" for h in history) + ")")
 
 
-def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
+def solve_powerflow(farm: FarmDescription,
                     max_iter: int = 50) -> BusSolution:
     """Solve the farm power flow from a flat start."""
     net = nodal_network(farm)
     n = net.n_nodes
 
+    # node n is the infinite bus: what is injected there flows straight out
     p_sys = [wt.p_m0 * wt.capacity_ratio(farm.bases) for wt, _ in farm.wts]
-    s_spec = np.zeros(n, dtype=complex)
+    s_spec = np.zeros(n + 1, dtype=complex)
     for (_, bus), p in zip(farm.wts, p_sys):
-        if net.node_of[bus] >= 0:
-            s_spec[net.node_of[bus]] += p
+        s_spec[net.node_of[bus]] += p
 
-    if n:
-        try:
-            v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec,
-                                              tol, max_iter)
-        except PowerflowError as exc:
-            s_sc = abs(SLACK_E0) ** 2 / abs(net.grid_z) if net.grid_z \
-                else np.inf
-            raise PowerflowError(
-                f"{exc}; farm P = {sum(p_sys):.6g} p.u. against the grid tie's "
-                f"|E0|^2/|Z_grid| = {s_sc:.6g} p.u. (system base)") from exc
-        mismatch = history[-1]
-    else:
-        # whole farm merged with the infinite bus
-        v_nodes = np.zeros(0, dtype=complex)
-        iters, history, mismatch = 0, [0.0], 0.0
+    try:
+        v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec[:n],
+                                          max_iter)
+    except PowerflowError as exc:
+        s_sc = abs(SLACK_E0) ** 2 / abs(net.grid_z) if net.grid_z \
+            else np.inf
+        raise PowerflowError(
+            f"{exc}; farm P = {sum(p_sys):.6g} p.u. against the grid tie's "
+            f"|E0|^2/|Z_grid| = {s_sc:.6g} p.u. (system base)") from exc
 
-    v = np.array([v_nodes[net.node_of[bus]] if net.node_of[bus] >= 0
-                  else SLACK_E0 for bus in farm.buses])
+    v = np.append(v_nodes, SLACK_E0)[[net.node_of[bus] for bus in farm.buses]]
     bus_index = {bus: k for k, bus in enumerate(farm.buses)}
 
     wt_terminal: dict[str, tuple[complex, complex]] = {}
@@ -129,7 +123,6 @@ def solve_powerflow(farm: FarmDescription, tol: float = 1e-8,
         grid_flow=grid_flow,
         slack_power=slack_power,
         wt_terminal=wt_terminal,
-        mismatch=mismatch,
         iterations=iters,
         mismatch_history=tuple(history),
     )

@@ -72,6 +72,12 @@ def solved_case(case: str) -> SolvedFarm:
     return _CACHE[case]
 
 
+def stiff_grid(farm: FarmDescription) -> FarmDescription:
+    """`farm` with a zero grid tie: the POI merges with the infinite bus
+    while the collector branches stay live."""
+    return dataclasses.replace(farm, grid=GridThevenin(0.0, 0.0))
+
+
 def random_radial_farm(seed: int) -> FarmDescription:
     """Small seeded farm: 1-3 radial feeders, occasional zero-length spans."""
     rng = np.random.default_rng(seed)

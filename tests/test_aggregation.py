@@ -7,7 +7,7 @@ tree-walk loss computation that never touches the nodal solver.
 import numpy as np
 import pytest
 
-from helpers import SolvedFarm, random_radial_farm
+from helpers import SolvedFarm, random_radial_farm, stiff_grid
 from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
                                write_dem_json)
 from wfdem.cases import identical_zero_network_farm, single_wt_farm
@@ -125,12 +125,10 @@ def test_chain_matches_closed_form(m):
     assert abs(equivalent_z_pu(farm, eq[0]) - expected) < 1e-12 * abs(expected)
 
 
-def test_equal_loss_identity_against_tree_walk(case_b):
+def assert_equal_loss_identity(farm, groups) -> None:
     """Uniform-voltage injections: sum over branches of |i_b|^2 z_b must
     equal |total group current|^2 z_eq, with branch currents obtained by a
     plain downstream walk of the radial tree."""
-    farm = case_b.farm
-    _, groups, _ = case_b.dem(3)
     eq = equivalent_network(farm, groups)
 
     children = {}
@@ -157,6 +155,17 @@ def test_equal_loss_identity_against_tree_walk(case_b):
                       for wt, _ in farm.wts if groups.group_of[wt.id] == g)
         z_eq = equivalent_z_pu(farm, eq[g])
         assert abs(loss - p_total**2 * z_eq) < 1e-10
+
+
+def test_equal_loss_identity_against_tree_walk(case_b):
+    _, groups, _ = case_b.dem(3)
+    assert_equal_loss_identity(case_b.farm, groups)
+
+
+def test_equal_loss_identity_on_a_stiff_grid(case_b):
+    # the POI on the infinite bus's node, the 33 collector nodes live
+    _, groups, _ = case_b.dem(3)
+    assert_equal_loss_identity(stiff_grid(case_b.farm), groups)
 
 
 def test_singleton_groups_reduce_to_path_impedance():
@@ -235,8 +244,9 @@ def test_group_on_the_poi_node_gets_an_exact_tie(seed, c):
     clusters, _, groups = solved.clustered(c)
     dem = build_dem(solved.farm, groups, clusters)
 
-    node_of = nodal_network(solved.farm).node_of
-    on_poi = (node_of[solved.farm.poi], -1)
+    net = nodal_network(solved.farm)
+    node_of = net.node_of
+    on_poi = (node_of[solved.farm.poi], net.n_nodes)
     bus_of = {wt.id: bus for wt, bus in solved.farm.wts}
     tied = [g for g in sorted(set(groups.group_of.values()))
             if all(node_of[bus_of[wt]] in on_poi

@@ -346,8 +346,8 @@ def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     runs = script.acceptance_runs(tmp_path / "farms")
-    assert len(runs) == 21
-    assert len({name for name, _, _ in runs}) == 21
+    assert len(runs) == 22
+    assert len({name for name, _, _ in runs}) == 22
     single = [run for run in runs if run[0] == "single_wt_c1"]
     first = script.digest_runs(single, tmp_path / "first")
     second = script.digest_runs(single, tmp_path / "second")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft7Validator
 
-from helpers import ROOT, random_radial_farm
+from helpers import ROOT, random_radial_farm, stiff_grid
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,
@@ -368,6 +368,14 @@ def test_three_feeder_farm_matches_unit_injection_oracle():
     assert np.abs(blocks_to_complex(net.z) - oracle).max() < 1e-10
 
 
+def test_stiff_grid_farm_matches_unit_injection_oracle():
+    # the POI on the infinite bus's node, the 33 collector nodes live
+    farm = stiff_grid(case_farm("b"))
+    net = build_network_matrices(farm)
+    oracle = unit_injection_impedance(farm)
+    assert np.abs(blocks_to_complex(net.z) - oracle).max() < 1e-10
+
+
 @given(st.integers(0, 200))
 def test_random_farm_matches_unit_injection_oracle(seed):
     farm = random_radial_farm(seed)
@@ -402,6 +410,24 @@ def test_internal_relabeling_leaves_z_unchanged():
     permuted.validate()
     assert np.allclose(build_network_matrices(permuted).z, z_ref,
                        atol=1e-14)
+
+
+ZERO_NETWORK = load_farm(ROOT / "farms" / "zero_network.json")
+
+
+@pytest.mark.parametrize("farm, n_nodes, at_source", [
+    (ZERO_NETWORK, 0, set(ZERO_NETWORK.buses)),
+    (stiff_grid(case_farm("b")), 33, {"poi"}),
+], ids=["zero_network", "stiff_case_b"])
+def test_the_infinite_bus_is_node_n(farm, n_nodes, at_source):
+    """Farm nodes are 0..n-1; a bus merged with the infinite bus maps to n."""
+    net = nodal_network(farm)
+    assert net.n_nodes == n_nodes
+    assert sorted(set(net.node_of.values())) == list(range(n_nodes + 1))
+    assert {bus for bus, node in net.node_of.items()
+            if node == n_nodes} == at_source
+    assert net.y_red.shape == (n_nodes, n_nodes)
+    assert net.y_src.shape == (n_nodes,)
 
 
 def test_k_src_matches_admittance_oracle():

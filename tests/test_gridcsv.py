@@ -140,14 +140,11 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
     dem_resp = simulate_linear(dem.model.fss, dem.model.modal, sag, 2.0,
                                1e-3)
-    capacity = {wt.id: wt.capacity_mva(s.farm.bases) for wt, _ in s.farm.wts}
-    mapping = {g: tuple((wt_id, capacity[wt_id]) for wt_id in ids)
-               for g, ids in dem.provenance.items()}
     assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.model)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)
     assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
-                      detailed, dem_resp, mapping)
+                      detailed, dem_resp, dem.members)
 
 
 @pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
@@ -259,7 +256,7 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
         grid=GridThevenin(0.0, 0.01))
     sol = BusSolution(bus_ids=tuple(ids), v=table[:, -1], grid_flow=0j,
                       slack_power=0j, wt_terminal={},
-                      mismatch=0.0, iterations=0, mismatch_history=())
+                      iterations=0, mismatch_history=())
     assert_same_bytes(tmp_path, write_bus_csv, reference_bus_csv, farm, sol)
 
 

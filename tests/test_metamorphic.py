@@ -48,8 +48,9 @@ def nrmse_by_member_set(state) -> dict:
     move when the WTs are listed in another order; member sets do not.
     """
     out = {"poi_p": state.report.nrmse["poi_p"]}
-    for g, ids in state.dem.provenance.items():
-        out[frozenset(ids)] = state.report.nrmse[f"group{g}_u_dc"]
+    for g, pairs in state.dem.members.items():
+        out[frozenset(wt_id for wt_id, _ in pairs)] = \
+            state.report.nrmse[f"group{g}_u_dc"]
     return out
 
 

@@ -201,9 +201,7 @@ def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
         _, _, dem = s.dem(c)
         resp = simulate_linear(dem.model.fss, dem.model.modal, sag,
                                horizon=2.0, dt=1e-3)
-        mapping = {g: tuple((wt, 1.5) for wt in ids)
-                   for g, ids in dem.provenance.items()}
-        vals[c] = compare_responses(detailed, resp, mapping)["poi_p"]
+        vals[c] = compare_responses(detailed, resp, dem.members)["poi_p"]
     assert vals[1] > 2.0 * vals[3]
 
 
@@ -399,7 +397,7 @@ def test_compare_responses_identical(case_b):
     _, _, dem = solved_case("b").dem(3)
     resp = simulate_linear(dem.model.fss, dem.model.modal, SagSpec(0.05, 0.1),
                            0.5, 1e-3)
-    mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.provenance}
+    mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.members}
     # compare the DEM against itself with each group mapped to its machine
     renamed = LinearResponse(t=resp.t, u_dc=dict(resp.u_dc),
                              poi_p=resp.poi_p, poi_i=resp.poi_i)
