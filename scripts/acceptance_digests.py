@@ -15,16 +15,22 @@ collector stays live; and the benchmark's seed-7 `ladder300` and
 Runs go under --out, next to `digests.json`, a `{run/file: sha256}` map.
 With --compare, the keys whose digest differs from the other file's (or
 that only one file has) are listed, and the exit status is 1 if any do.
+For a differing CSV that both sides wrote, the other side's copy is read
+from the `runs/` directory beside its `digests.json`, and the listing adds
+the columns only one side has and the largest absolute and relative
+difference over the cells both share, matched by header and row label.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +95,59 @@ def differing(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
                   if ours.get(k) != theirs.get(k))
 
 
+# header of the leading string column that labels the rows of a grid CSV;
+# a grid without one is matched row by row
+LABEL_COLUMNS = ("state", "wt_id", "bus_id")
+
+
+def read_grid(path: Path) -> tuple[list[str], dict[str, dict[str, str]]]:
+    """Column names and {row label: {column: cell}} of a grid CSV."""
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    if header[0] in LABEL_COLUMNS:
+        return header[1:], {r[0]: dict(zip(header[1:], r[1:])) for r in body}
+    return header, {str(k): dict(zip(header, r)) for k, r in enumerate(body)}
+
+
+def cell_difference(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference; equal cells, nan included, differ
+    by 0, and a non-finite difference is inf."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    d = abs(a - b)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(a), abs(b))
+
+
+def grid_difference(ours: Path, theirs: Path) -> list[str]:
+    """Report lines: the columns and rows only one side has, then the
+    largest differences over the shared cells."""
+    our_cols, our_rows = read_grid(ours)
+    their_cols, their_rows = read_grid(theirs)
+    shared = set(our_cols) & set(their_cols)
+    cols = [c for c in our_cols if c in shared]
+    rows = [k for k in our_rows if k in their_rows]
+    lines = [f"  {what} only {side}: {', '.join(names)}"
+             for what, side, names in (
+                 ("columns", "ours", [c for c in our_cols if c not in shared]),
+                 ("columns", "theirs",
+                  [c for c in their_cols if c not in shared]),
+                 ("rows", "ours", [k for k in our_rows if k not in their_rows]),
+                 ("rows", "theirs",
+                  [k for k in their_rows if k not in our_rows]))
+             if names]
+    max_abs = max_rel = 0.0
+    for k in rows:
+        for c in cols:
+            d_abs, d_rel = cell_difference(float(our_rows[k][c]),
+                                           float(their_rows[k][c]))
+            max_abs, max_rel = max(max_abs, d_abs), max(max_rel, d_rel)
+    lines.append(f"  shared {len(cols)} columns x {len(rows)} rows: "
+                 f"max abs diff {max_abs:g}, max rel diff {max_rel:g}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -107,6 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(changed)} differ from {args.compare}")
     for key in changed:
         print(key)
+        ours = args.out / "runs" / key
+        theirs = args.compare.parent / "runs" / key
+        if key.endswith(".csv") and ours.exists() and theirs.exists():
+            print("\n".join(grid_difference(ours, theirs)))
     return 1 if changed else 0
 
 

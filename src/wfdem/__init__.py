@@ -1,6 +1,7 @@
 """Dynamic equivalent models of wind farms by oscillation-mode clustering."""
 
-from .aggregation import DemModel, aggregate_wts, build_dem, equivalent_network
+from .aggregation import (DemModel, aggregate_wts, build_dem, equivalent_network,
+                          group_members)
 from .assembly import FarmStateSpace, assemble_farm
 from .clustering import (FeatureTable, GroupAssignment, ModeClusters,
                          cluster_modes, group_wts, superimpose_mpf,

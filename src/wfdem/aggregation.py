@@ -27,8 +27,13 @@ class AggregationError(ValueError):
     pass
 
 
-def _group_members(farm: FarmDescription,
-                   groups: GroupAssignment) -> dict[int, list[tuple[WtParams, str]]]:
+# group id -> (WT, its bus) of each member, in assignment order
+GroupMembers = dict[int, list[tuple[WtParams, str]]]
+
+
+def group_members(farm: FarmDescription,
+                  groups: GroupAssignment) -> GroupMembers:
+    """Each group's member WTs with their buses, in assignment order."""
     by_id = {wt.id: (wt, bus) for wt, bus in farm.wts}
     members: dict[int, list[tuple[WtParams, str]]] = {}
     for wt_id, g in groups.group_of.items():
@@ -39,9 +44,8 @@ def _group_members(farm: FarmDescription,
 
 
 def aggregate_wts(farm: FarmDescription,
-                  groups: GroupAssignment) -> list[WtParams]:
+                  members: GroupMembers) -> list[WtParams]:
     """One equivalent machine per group, ordered by group id."""
-    members = _group_members(farm, groups)
     out: list[WtParams] = []
     for g in sorted(members):
         wts = [wt for wt, _ in members[g]]
@@ -72,7 +76,7 @@ def aggregate_wts(farm: FarmDescription,
 
 
 def equivalent_network(farm: FarmDescription,
-                       groups: GroupAssignment) -> list[Branch]:
+                       members: GroupMembers) -> list[Branch]:
     """Equal-loss equivalent branch POI -> aggregate bus, one per group.
 
     Member injections are taken proportional to their active powers at the
@@ -84,7 +88,6 @@ def equivalent_network(farm: FarmDescription,
     """
     net = nodal_network(farm)
     poi_node = net.node_of[farm.poi]
-    members = _group_members(farm, groups)
     branches: list[Branch] = []
     z_base = farm.bases.z_base_ohm
     omega = farm.bases.omega_grid
@@ -134,6 +137,11 @@ class DemModel:
     model: FarmModel
     capacity_mva: dict[int, float]   # machine capacity base per group id
 
+    @property
+    def group_capacity_mva(self) -> dict[str, float]:
+        """`capacity_mva` keyed by the group id as a JSON key."""
+        return {str(g): mva for g, mva in self.capacity_mva.items()}
+
 
 def build_dem(farm: FarmDescription, groups: GroupAssignment,
               clusters: ModeClusters | None = None) -> DemModel:
@@ -143,8 +151,9 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
             f"{clusters.n_clusters} mode clusters vs {groups.n_groups} WT "
             "groups after merging", stacklevel=2)
 
-    aggregates = aggregate_wts(farm, groups)
-    eq_branches = equivalent_network(farm, groups)
+    by_group = group_members(farm, groups)
+    aggregates = aggregate_wts(farm, by_group)
+    eq_branches = equivalent_network(farm, by_group)
 
     buses = (farm.poi,) + tuple(br.to_bus for br in eq_branches)
     dem_farm = FarmDescription(
@@ -160,7 +169,6 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
 
     model = solve_modes(dem_farm, solve_powerflow(dem_farm))
 
-    by_group = _group_members(farm, groups)
     members = {g: tuple((wt.id, wt.capacity_mva(farm.bases))
                         for wt, _ in by_group[g]) for g in sorted(by_group)}
     capacity = {g: wt.s_mva for g, wt in zip(sorted(by_group), aggregates)}
@@ -172,7 +180,6 @@ def write_dem_json(dem: DemModel, path: str | Path) -> None:
     provenance = {
         "groups": {str(g): [wt_id for wt_id, _ in pairs]
                    for g, pairs in dem.members.items()},
-        "group_capacity_mva": {
-            str(g): mva for g, mva in dem.capacity_mva.items()},
+        "group_capacity_mva": dem.group_capacity_mva,
     }
     save_farm(dem.farm, path, provenance=provenance)

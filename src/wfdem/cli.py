@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import aggregation, clustering, modal, validation
 from .farm import FarmDescription, load_farm
-from .gridcsv import as_printed, magnitude
+from .gridcsv import as_printed
 from .powerflow import BusSolution, solve_powerflow, write_bus_csv
 from .svgplot import PALETTE, bars_svg, lines_svg, scatter_svg
 from .wt import SagSpec
@@ -105,14 +107,14 @@ def _stage_cluster(state: PipelineState) -> None:
     else:
         # E(C) is not monotone in C, so the sweep scans C = 1, 2, ...
         state.clusters = clustering.sweep_cluster_counts(
-            concern, cfg.seed,
-            lambda cl: validation.error_E(concern, cl) <= cfg.e_target)
+            concern, cfg.seed, cfg.e_target,
+            lambda cl: validation.error_E(concern, cl))
     state.features = clustering.superimpose_mpf(state.model, state.clusters)
     state.groups = clustering.group_wts(state.features)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
     _features_svg(cfg.out_dir, state.features.wt_ids, [
-        as_printed(magnitude(col))
+        (as_printed(col.real), as_printed(col.imag))
         for col in state.features.table.T])
     clustering.write_groups_json(state.groups, cfg.out_dir / "groups.json")
     _write_scatter(state)
@@ -145,8 +147,7 @@ def _stage_validate(state: PipelineState) -> None:
         "horizon": cfg.horizon,
         "dt": cfg.dt,
         "groups": state.groups.group_of,
-        "group_capacity_mva": {
-            str(g): mva for g, mva in state.dem.capacity_mva.items()},
+        "group_capacity_mva": state.dem.group_capacity_mva,
         "cluster_centres": [[c.real, c.imag] for c in state.clusters.centres],
         "dem_modes": [[lam.real, lam.imag]
                       for lam in state.dem.model.concern.eigenvalues],
@@ -209,9 +210,11 @@ def _scatter_svg(out_dir: Path, points: list[list[tuple[float, float]]],
 
 
 def _features_svg(out_dir: Path, wt_ids: Sequence[str],
-                  magnitudes: list[list[float]]) -> None:
-    """|superimposed MPF| bars per WT, one series per cluster."""
-    series = [(f"cluster {c}", vals) for c, vals in enumerate(magnitudes)]
+                  columns: list[tuple[list[float], list[float]]]) -> None:
+    """|superimposed MPF| bars per WT, one series per cluster; each
+    cluster's column comes as its (Re, Im) parts, |f| = hypot(re, im)."""
+    series = [(f"cluster {c}", np.hypot(re, im).tolist())
+              for c, (re, im) in enumerate(columns)]
     bars_svg(out_dir / "features.svg", "Feature vectors per WT",
              "WT", "|superimposed MPF|", list(wt_ids), series)
 
@@ -268,10 +271,10 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
     elif kind == "features":
         path = out_dir / "features.svg"
         header, body = _read_csv(out_dir / "features.csv")
-        n_c = (len(header) - 1) // 3
+        # cluster c's Re and Im are columns 1 + 2c and 2 + 2c
+        cols = [[float(r[k]) for r in body] for k in range(1, len(header))]
         _features_svg(out_dir, [r[0] for r in body],
-                      [[float(r[1 + 3 * c]) for r in body]
-                       for c in range(n_c)])
+                      list(zip(cols[0::2], cols[1::2])))
     elif kind == "responses":
         path = out_dir / "responses.svg"
         header, body = _read_csv(out_dir / "responses.csv")

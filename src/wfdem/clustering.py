@@ -29,6 +29,9 @@ N_RESTARTS = 32
 # distance, relative to the largest |mode|, within which cluster centres
 # coincide and merge
 COINCIDENT_RTOL = 1e-9
+# relative margin by which an E lower bound must exceed the target before
+# the --auto-clusters sweep skips that C; covers the roundoff of both sides
+FLOOR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -202,22 +205,52 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     return _best_clustering(concern, pts, seeds)
 
 
-def sweep_cluster_counts(concern: ConcernSet, seed: int,
-                         accept: Callable[[ModeClusters], bool],
-                         ) -> ModeClusters:
-    """Clusters at the smallest C = 1, 2, ... that `accept` takes, else C = N.
+def error_floors(concern: ConcernSet) -> np.ndarray:
+    """Lower bounds on the centre error E of any C-cluster partition of
+    the concern modes, for C = 1, ..., N - 1 at index C - 1.
 
-    `accept` sees the clusterings in ascending C, each equal to
-    `cluster_modes(concern, C, seed)`, and none after it first returns
-    True.  One seed generator serves every C, so each C draws one new
-    centre per restart.
+    Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
+    since |p - q| <= |p - c| + |q - c|.  A farthest-first pass under that
+    distance picks the modes one by one; the (C + 1)-th pick lies at least
+    r_C from every earlier pick, and r_C does not grow with C.  Any C
+    clusters hold two of the first C + 1 picks together, so E >= r_C.
+    Coincident zero modes give nan, which bounds nothing.
+    """
+    lam = concern.eigenvalues
+    mag = np.abs(lam)
+    floors = np.empty(max(len(lam) - 1, 0))
+    with np.errstate(invalid="ignore"):
+        nearest = np.abs(lam - lam[:1]) / (mag + mag[:1])
+        for c in range(len(floors)):
+            k = int(np.argmax(nearest))
+            floors[c] = nearest[k]
+            nearest = np.minimum(nearest,
+                                 np.abs(lam - lam[k]) / (mag + mag[k]))
+    return floors
+
+
+def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
+                         error: Callable[[ModeClusters], float],
+                         ) -> ModeClusters:
+    """Clusters at the smallest C = 1, 2, ... whose centre error
+    `error(clusters)` is at most `e_target`, else C = N.
+
+    `error` is E on `concern` (`validation.error_E`).  A C < N whose
+    `error_floors` bound exceeds `e_target` by more than `FLOOR_RTOL`
+    cannot pass and is not clustered.  `error` sees the other clusterings
+    in ascending C, each equal to `cluster_modes(concern, C, seed)`, and
+    none after the first that passes.  One seed generator serves every C,
+    skipped ones too, so each C draws one new centre per restart.
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not len(pts):
         raise ValueError("no concern modes to cluster")
-    for seeds in _seed_prefixes(pts, seed, N_RESTARTS):
+    floors = error_floors(concern)
+    for c, seeds in enumerate(_seed_prefixes(pts, seed, N_RESTARTS), 1):
+        if c < len(pts) and floors[c - 1] > e_target * (1 + FLOOR_RTOL):
+            continue
         clusters = _best_clustering(concern, pts, seeds)
-        if accept(clusters):
+        if error(clusters) <= e_target:
             break
     return clusters
 
@@ -324,6 +357,8 @@ def group_wts(features: FeatureTable,
 
 
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
+    """F_kc as Re, Im columns per cluster c, one row per WT; |F_kc| is
+    `hypot(re, im)`."""
     write_grid(path, [f"cluster{c}" for c in range(features.table.shape[1])],
                features.table, labels=("wt_id", features.wt_ids))
 

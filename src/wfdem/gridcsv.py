@@ -3,10 +3,10 @@
 `bus_solution.csv`, `modes.csv`, `mpf.csv`, `features.csv` and
 `responses.csv` share one format: every number is written `%.12g`, every
 line ends in CRLF, and string cells are quoted the way `csv.writer` quotes
-them.  A complex grid cell expands to the
-three columns |z|, Re z, Im z, with |z| from `magnitude`.  The grids hold
-what the method reads: `mpf.csv` every state row but only the concern-mode
-columns, `responses.csv` only the signals that the NRMSEs compare.
+them.  A complex grid cell expands to the two columns Re z, Im z; a reader
+forms |z| as `hypot(re, im)`.  The grids hold what the method reads:
+`mpf.csv` every state row but only the concern-mode columns,
+`responses.csv` only the signals that the NRMSEs compare.
 
 Rows are formatted one at a time with a single `%` template, so memory stays
 at one row of Python floats however large the grid is.
@@ -36,33 +36,23 @@ def write_grid(path: str | Path, columns: Sequence[str], grid: np.ndarray,
     """One header line, then one line per row of `grid`.
 
     `columns` names the columns of `grid`; a complex column `name` is
-    written as `name_abs`, `name_re`, `name_im`.  `labels`, a header and
-    one cell per row, adds a leading string column.
+    written as `name_re`, `name_im`, through the grid's float view, which
+    holds each cell's Re and Im side by side.  `labels`, a header and one
+    cell per row, adds a leading string column.
     """
     grid = np.asarray(grid)
     if np.iscomplexobj(grid):
-        header = [f"{name}_{part}" for name in columns
-                  for part in ("abs", "re", "im")]
-        cells = np.empty((grid.shape[1], 3))
-
-        def values(row: np.ndarray) -> list[float]:
-            cells[:, 0] = magnitude(row)
-            cells[:, 1] = row.real
-            cells[:, 2] = row.imag
-            return cells.ravel().tolist()
-    else:
-        header = list(columns)
-
-        def values(row: np.ndarray) -> list[float]:
-            return row.tolist()
-
+        columns = [f"{name}_{part}" for name in columns
+                   for part in ("re", "im")]
+        grid = np.ascontiguousarray(grid, dtype=complex).view(float)
+    header = list(columns)
     template = ",".join([CELL] * len(header)) + "\r\n"
     if labels is None:
-        lines = (template % tuple(values(row)) for row in grid)
+        lines = (template % tuple(row.tolist()) for row in grid)
     else:
         header.insert(0, labels[0])
         template = "%s," + template
-        lines = (template % (_quoted(label), *values(row))
+        lines = (template % (_quoted(label), *row.tolist())
                  for label, row in zip(labels[1], grid, strict=True))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)

@@ -256,10 +256,10 @@ def write_modes_csv(model: FarmModel, path: str | Path) -> None:
 
 
 def write_mpf_csv(model: FarmModel, path: str | Path) -> None:
-    """|f_ki| with re/im companions: every state k, the concern modes i.
+    """f_ki as Re, Im columns: every state k, the concern modes i.
 
     Columns are named by the mode's index in `modes.csv` and come in
-    `concern.mode_indices` order.
+    `concern.mode_indices` order; |f_ki| is `hypot(re, im)`.
     """
     cols = list(model.concern.mode_indices)
     labels = model.fss.labels

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import SolvedFarm, random_radial_farm, stiff_grid
 from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
-                               write_dem_json)
+                               group_members, write_dem_json)
 from wfdem.cases import identical_zero_network_farm, single_wt_farm
 from wfdem.clustering import GroupAssignment
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
@@ -68,7 +68,7 @@ def equivalent_z_pu(farm, br) -> complex:
 
 def test_homogeneous_group_keeps_per_unit_parameters():
     farm = identical_zero_network_farm(6, p_m0=0.8)
-    agg = aggregate_wts(farm, all_in_one_group(farm))
+    agg = aggregate_wts(farm, group_members(farm, all_in_one_group(farm)))
     assert len(agg) == 1
     machine = agg[0]
     wt = farm.wts[0][0]
@@ -87,7 +87,7 @@ def test_two_wt_power_aggregation():
            (replace(farm.wts[1][0], p_m0=0.5), farm.wts[1][1]))
     farm = FarmDescription(bases=farm.bases, buses=farm.buses, poi=farm.poi,
                            branches=farm.branches, wts=wts, grid=farm.grid)
-    agg = aggregate_wts(farm, all_in_one_group(farm))[0]
+    agg = aggregate_wts(farm, group_members(farm, all_in_one_group(farm)))[0]
     assert agg.s_mva == pytest.approx(3.0, abs=1e-12)
     assert agg.p_m0 == pytest.approx(0.75, abs=1e-12)   # (1.5 + 0.75) / 3
 
@@ -95,7 +95,7 @@ def test_two_wt_power_aggregation():
 def test_mw_and_mva_conservation(case_b):
     farm = case_b.farm
     _, groups, _ = case_b.dem(3)
-    agg = aggregate_wts(farm, groups)
+    agg = aggregate_wts(farm, group_members(farm, groups))
     mva = sum(a.s_mva for a in agg)
     mw = sum(a.p_m0 * a.s_mva for a in agg)
     mva_ref = sum(wt.capacity_mva(farm.bases) for wt, _ in farm.wts)
@@ -110,7 +110,7 @@ def test_mw_and_mva_conservation(case_b):
 
 def test_single_wt_equivalent_is_the_branch():
     farm = single_wt_farm(link_km=2.0)
-    eq = equivalent_network(farm, singleton_groups(farm))
+    eq = equivalent_network(farm, group_members(farm, singleton_groups(farm)))
     z_eq = equivalent_z_pu(farm, eq[0])
     z_ref = branch_z_pu(farm, farm.branches[0])
     assert abs(z_eq - z_ref) < 1e-12
@@ -119,7 +119,7 @@ def test_single_wt_equivalent_is_the_branch():
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_chain_matches_closed_form(m):
     farm = chain_farm(m)
-    eq = equivalent_network(farm, all_in_one_group(farm))
+    eq = equivalent_network(farm, group_members(farm, all_in_one_group(farm)))
     z_span = branch_z_pu(farm, farm.branches[0])
     expected = z_span * (m + 1) * (2 * m + 1) / (6 * m)
     assert abs(equivalent_z_pu(farm, eq[0]) - expected) < 1e-12 * abs(expected)
@@ -129,7 +129,7 @@ def assert_equal_loss_identity(farm, groups) -> None:
     """Uniform-voltage injections: sum over branches of |i_b|^2 z_b must
     equal |total group current|^2 z_eq, with branch currents obtained by a
     plain downstream walk of the radial tree."""
-    eq = equivalent_network(farm, groups)
+    eq = equivalent_network(farm, group_members(farm, groups))
 
     children = {}
     for br in farm.branches:
@@ -170,7 +170,7 @@ def test_equal_loss_identity_on_a_stiff_grid(case_b):
 
 def test_singleton_groups_reduce_to_path_impedance():
     farm = chain_farm(3)
-    eq = equivalent_network(farm, singleton_groups(farm))
+    eq = equivalent_network(farm, group_members(farm, singleton_groups(farm)))
     z_span = branch_z_pu(farm, farm.branches[0])
     for k, br in enumerate(eq):
         assert abs(equivalent_z_pu(farm, br) - z_span * (k + 1)) \

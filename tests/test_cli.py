@@ -171,17 +171,21 @@ def test_library_pipeline_prefix(tmp_path):
 
 
 def test_plot_redraws_the_pipeline_svgs_byte_for_byte(tmp_path):
-    out = tmp_path / "b"
-    code = main(["all", "--farm", str(FARMS / "case_b.json"),
-                 "--clusters", "3", "--out", str(out)])
-    assert code == 0
-    for kind, name in (("scatter", "modescatter.svg"),
-                       ("features", "features.svg"),
-                       ("responses", "responses.svg")):
-        before = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert main(["plot", "--kind", kind, "--out", str(out)]) == 0
-        after = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert after == before, kind
+    # one bar series per cluster in features.svg: C = 1, 3 and the sweep's
+    for farm, flags in (("case_b", ["--clusters", "3"]),
+                        ("case_b", ["--clusters", "1"]),
+                        ("case_c", ["--auto-clusters"])):
+        out = tmp_path / f"{farm}_{flags[-1]}"
+        code = main(["all", "--farm", str(FARMS / f"{farm}.json"),
+                     *flags, "--out", str(out)])
+        assert code == 0
+        for kind, name in (("scatter", "modescatter.svg"),
+                           ("features", "features.svg"),
+                           ("responses", "responses.svg")):
+            before = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert main(["plot", "--kind", kind, "--out", str(out)]) == 0
+            after = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert after == before, (farm, flags, kind)
 
 
 def test_plot_scatter_needs_the_report(tmp_path):
@@ -360,3 +364,30 @@ def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
     del changed["single_wt_c1/dem.json"]
     assert script.differing(first, changed) \
         == ["single_wt_c1/dem.json", "single_wt_c1/mpf.csv"]
+
+
+def test_acceptance_digests_script_reports_grid_differences(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    # rows matched by label, columns by header, whatever their order
+    ours.write_text("state,a_re,a_im,b\r\nw2:u,4,-0,nan\r\nw1:u,1,2,3\r\n")
+    theirs.write_text("state,a_abs,a_re,a_im,b\r\n"
+                      "w1:u,2.2,1,2,3\r\nw2:u,4,4,0,nan\r\nw3:u,0,0,0,0\r\n")
+    assert script.grid_difference(ours, theirs) == [
+        "  columns only theirs: a_abs", "  rows only theirs: w3:u",
+        "  shared 3 columns x 2 rows: max abs diff 0, max rel diff 0"]
+    theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,inf\r\n")
+    assert script.grid_difference(ours, theirs)[-1] \
+        == "  shared 3 columns x 2 rows: max abs diff inf, max rel diff inf"
+    theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,nan\r\n")
+    assert script.grid_difference(ours, theirs) == [
+        "  shared 3 columns x 2 rows: max abs diff 0.5, max rel diff 0.333333"]
+    # a grid without a label column is matched row by row
+    ours.write_text("t,p\r\n0,1\r\n1,2\r\n")
+    theirs.write_text("t,p\r\n0,1\r\n1,2.5\r\n2,3\r\n")
+    assert script.grid_difference(ours, theirs) == [
+        "  rows only theirs: 2",
+        "  shared 2 columns x 2 rows: max abs diff 0.5, max rel diff 0.2"]

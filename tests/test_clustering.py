@@ -14,11 +14,13 @@ from hypothesis import example, given, strategies as st
 
 from oracles import full_mpf
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (COINCIDENT_RTOL, FeatureTable, _lloyd_batch,
-                              cluster_modes, group_wts, superimpose_mpf,
+from wfdem.clustering import (COINCIDENT_RTOL, FeatureTable, ModeClusters,
+                              _lloyd_batch, cluster_modes, error_floors,
+                              group_wts, superimpose_mpf,
                               sweep_cluster_counts, write_features_csv,
                               write_groups_json)
 from wfdem.modal import ConcernSet
+from wfdem.validation import error_E
 
 
 def concern_from_points(values) -> ConcernSet:
@@ -100,6 +102,10 @@ def serial_cluster_modes(concern, c, seed, n_restarts=32):
     return members, centre_cx, inertia
 
 
+def astuple_clusters(clusters):
+    return clusters.members, clusters.centres, clusters.inertia
+
+
 def assert_same_clusters(got, expected):
     members, centres, inertia = expected
     assert got.members == members
@@ -139,7 +145,7 @@ def test_k_out_of_range_rejected():
     with pytest.raises(ValueError):
         cluster_modes(concern, 0, seed=0)
     with pytest.raises(ValueError, match="no concern modes"):
-        sweep_cluster_counts(concern_from_points([]), 0, lambda cl: True)
+        sweep_cluster_counts(concern_from_points([]), 0, 1.0, lambda cl: 0.0)
 
 
 def test_identical_points_do_not_break_kmeans():
@@ -273,12 +279,18 @@ def test_batched_kmeans_matches_serial_on_study_cases(study_serial):
 # the C = 1, 2, ... sweep
 
 
+# |p - q| <= |p| + |q| keeps every E floor at or below 1, so a target of 1
+# skips no C, and an error of 2 rejects a clustering, 0.5 accepts it
+NO_SKIP = 1.0
+
+
 def test_sweep_returns_the_clustering_accept_takes(study_serial):
     concern, expected = study_serial
     for c in expected:
         assert_same_clusters(
-            sweep_cluster_counts(concern, 42,
-                                 lambda cl, c=c: cl.n_clusters == c),
+            sweep_cluster_counts(
+                concern, 42, NO_SKIP,
+                lambda cl, c=c: 0.5 if cl.n_clusters == c else 2.0),
             expected[c])
 
 
@@ -289,9 +301,9 @@ def test_sweep_without_an_accepted_count_gives_one_mode_per_cluster(
 
     def reject(cl):
         seen.append(cl.n_clusters)
-        return False
+        return 2.0
 
-    assert_same_clusters(sweep_cluster_counts(concern, 42, reject),
+    assert_same_clusters(sweep_cluster_counts(concern, 42, NO_SKIP, reject),
                          expected[33])
     assert seen == list(range(1, 34))
 
@@ -301,10 +313,91 @@ def test_sweep_stops_at_the_first_accepted_count(case_b):
 
     def accept(cl):
         seen.append(cl.n_clusters)
-        return cl.n_clusters in (3, 4, 7)
+        return 0.5 if cl.n_clusters in (3, 4, 7) else 2.0
 
-    assert sweep_cluster_counts(case_b.concern, 42, accept).n_clusters == 3
+    assert sweep_cluster_counts(case_b.concern, 42, NO_SKIP,
+                                accept).n_clusters == 3
     assert seen == [1, 2, 3]
+
+
+def full_scan(concern, seed, e_target):
+    """The sweep's reference: `cluster_modes` at C = 1, 2, ... until E
+    meets the target, else C = N."""
+    for c in range(1, len(concern) + 1):
+        clusters = cluster_modes(concern, c, seed)
+        if error_E(concern, clusters) <= e_target:
+            break
+    return clusters
+
+
+# modes away from zero, each drawn once or repeated exactly
+mode_sets = st.lists(
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=100.0,
+                       allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=6).flatmap(lambda pool: st.lists(
+        st.sampled_from(pool), min_size=1, max_size=9))
+
+
+@given(mode_sets, st.one_of(st.sampled_from([1e-3, 0.02, 0.1, 0.3, 1.0]),
+                            st.integers(1, 9)),
+       st.integers(0, 2**16))
+@example([-1 + 10j], 0.02, 0)
+@example([-1 + 10j] * 4 + [-1 - 10j] * 2, 0.02, 0)
+@example([-1 + 10j, -1 + 20j, -1 + 40j, -1 + 80j], 0.02, 7)
+@example([-1 + 10j, -1 + 20j, -1 + 40j, -1 + 80j], 2, 7)
+def test_skipping_sweep_returns_the_full_scan(modes, target, seed):
+    concern = concern_from_points(modes)
+    # an integer target is met exactly by the clustering at that C
+    e_target = target if isinstance(target, float) else error_E(
+        concern, cluster_modes(concern, min(target, len(modes)), seed))
+    assert_same_clusters(
+        sweep_cluster_counts(concern, seed, e_target,
+                             lambda cl: error_E(concern, cl)),
+        astuple_clusters(full_scan(concern, seed, e_target)))
+
+
+@given(mode_sets, st.integers(0, 2**16))
+def test_error_floors_bound_every_partition(modes, seed):
+    # k-means' partitions and random ones, each at its members' mean
+    concern = concern_from_points(modes)
+    floors = error_floors(concern)
+    assert len(floors) == len(modes) - 1
+    rng = np.random.default_rng(seed)
+    for c in range(1, len(modes)):
+        assert error_E(concern, cluster_modes(concern, c, seed)) \
+            >= floors[c - 1] * (1 - 1e-12)
+        labels = rng.integers(c, size=len(modes))
+        members = tuple(tuple(np.flatnonzero(labels == k))
+                        for k in range(c) if np.any(labels == k))
+        centres = np.array([np.mean(concern.eigenvalues[list(m)])
+                            for m in members])
+        clusters = ModeClusters(members=members, centres=centres, inertia=0.0)
+        assert error_E(concern, clusters) >= floors[c - 1] * (1 - 1e-12)
+
+
+def test_sweep_keeps_a_count_whose_error_equals_its_floor():
+    # a conjugate pair's centre is its real part, so at C = 1 E equals the
+    # floor |p - q| / (|p| + |q|) but for roundoff
+    rng = np.random.default_rng(11)
+    for p in rng.uniform(-10, 0, 200) + 1j * rng.uniform(0.1, 50, 200):
+        concern = concern_from_points([p, p.conjugate()])
+        e_target = error_E(concern, cluster_modes(concern, 1, 3))
+        assert sweep_cluster_counts(
+            concern, 3, e_target,
+            lambda cl: error_E(concern, cl)).n_clusters == 1
+
+
+def test_sweep_skips_counts_whose_floor_exceeds_the_target():
+    # each mode at least 1/3 from the others: no C < 4 can meet 2%
+    concern = concern_from_points([-1 + 10j, -1 + 20j, -1 + 40j, -1 + 80j])
+    seen = []
+
+    def error(cl):
+        seen.append(cl.n_clusters)
+        return error_E(concern, cl)
+
+    assert sweep_cluster_counts(concern, 7, 0.02, error).n_clusters == 4
+    assert seen == [4]
 
 
 # ---------------------------------------------------------------------------
@@ -509,4 +602,5 @@ def test_features_csv(tmp_path, case_b):
     write_features_csv(features, tmp_path / "features.csv")
     lines = (tmp_path / "features.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 33
-    assert lines[0].startswith("wt_id,cluster0_abs")
+    assert lines[0] == "wt_id," + ",".join(
+        f"cluster{c}_{part}" for c in range(3) for part in ("re", "im"))

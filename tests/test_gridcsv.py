@@ -5,7 +5,8 @@ Oracle: the per-cell writers below, which format every cell with its own
 f-string and pass each row through `csv.writer`.  The grid writers must
 produce the same bytes.  `reference_responses_csv` forms each group's
 capacity-weighted mean trace itself, and `reference_mpf_csv` reads the
-dense MPF table of `oracles.full_mpf`.
+dense MPF table of `oracles.full_mpf`.  A complex grid writes the bytes of
+its float grid of interleaved Re, Im columns.
 """
 
 import csv
@@ -20,6 +21,7 @@ from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
                         load_farm)
+from wfdem.gridcsv import write_grid
 from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
@@ -36,13 +38,13 @@ def reference_mpf_csv(model, path):
         writer = csv.writer(fh)
         header = ["state"]
         for i in concern.mode_indices:
-            header += [f"mode{i}_abs", f"mode{i}_re", f"mode{i}_im"]
+            header += [f"mode{i}_re", f"mode{i}_im"]
         writer.writerow(header)
         for k, (wt, kind) in enumerate(model.fss.labels):
             row = [f"{wt}:{kind}"]
             for i in concern.mode_indices:
                 f = mpf[k, i]
-                row += [f"{abs(f):.12g}", f"{f.real:.12g}", f"{f.imag:.12g}"]
+                row += [f"{f.real:.12g}", f"{f.imag:.12g}"]
             writer.writerow(row)
 
 
@@ -52,13 +54,13 @@ def reference_features_csv(features, path):
         writer = csv.writer(fh)
         header = ["wt_id"]
         for c in range(n_c):
-            header += [f"cluster{c}_abs", f"cluster{c}_re", f"cluster{c}_im"]
+            header += [f"cluster{c}_re", f"cluster{c}_im"]
         writer.writerow(header)
         for r, wt in enumerate(features.wt_ids):
             row = [wt]
             for c in range(n_c):
                 f = features.table[r, c]
-                row += [f"{abs(f):.12g}", f"{f.real:.12g}", f"{f.imag:.12g}"]
+                row += [f"{f.real:.12g}", f"{f.imag:.12g}"]
             writer.writerow(row)
 
 
@@ -188,8 +190,6 @@ def grids(draw):
     return ids, table
 
 
-# |z| of the largest finite values overflows to inf, on both writers
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(grids())
 @example((QUOTED_IDS[:3], np.array(
     [ABS_NE_HYPOT, SPECIAL[:3], SPECIAL[3:6]], dtype=complex)))
@@ -258,6 +258,28 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                       slack_power=0j, wt_terminal={},
                       iterations=0, mismatch_history=())
     assert_same_bytes(tmp_path, write_bus_csv, reference_bus_csv, farm, sol)
+
+
+@given(grids(), st.booleans())
+@example((QUOTED_IDS[:2], np.array(
+    [[complex(-0.0, np.nan), complex(np.inf, -np.inf)],
+     [complex(5e-324, -1.7976931348623157e308), complex(1e300, -2.5e-310)]])),
+    True)
+def test_complex_grid_writes_as_its_re_im_float_grid(tmp_path_factory, grid,
+                                                     labelled):
+    tmp_path = tmp_path_factory.mktemp("complex")
+    ids, table = grid
+    table = table[:, ::-1]            # a view that is not contiguous
+    names = [f"z{k}" for k in range(table.shape[1])]
+    parts = np.stack([table.real, table.imag], axis=-1).reshape(
+        len(table), -1)
+    labels = ("id", ids) if labelled else None
+    write_grid(tmp_path / "complex.csv", names, table, labels)
+    write_grid(tmp_path / "parts.csv",
+               [f"{name}_{part}" for name in names for part in ("re", "im")],
+               parts, labels)
+    assert (tmp_path / "complex.csv").read_bytes() \
+        == (tmp_path / "parts.csv").read_bytes()
 
 
 # -Re lam / np.abs(lam) prints a different last digit for these

@@ -256,7 +256,7 @@ def test_modes_and_mpf_csv(tmp_path, case_a):
     assert sum(line.endswith(",1") for line in modes[1:]) == 33
     mpf = (tmp_path / "mpf.csv").read_text().strip().splitlines()
     assert len(mpf) == 1 + 132
-    assert all(len(line.split(",")) == 1 + 3 * 33 for line in mpf)
+    assert all(len(line.split(",")) == 1 + 2 * 33 for line in mpf)
 
 
 def read_csv(path):
@@ -278,7 +278,7 @@ def assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(tmp_path, s):
     names = [f"mode{i}" for i in s.concern.mode_indices]
     assert sorted(s.concern.mode_indices) == selected
     assert header == ["state"] + [f"{name}_{part}" for name in names
-                                  for part in ("abs", "re", "im")]
+                                  for part in ("re", "im")]
 
     # every row, and each kept column byte for byte as the full grid's
     assert len(body) == len(full_body) == s.modal.n_modes
