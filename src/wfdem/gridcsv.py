@@ -63,9 +63,12 @@ def magnitude(z: np.ndarray) -> np.ndarray:
     """|z| rounded like Python's `abs(complex)`.
 
     `np.abs` on a complex array can differ from it in the last bit, and
-    then the last printed `%.12g` digit can differ too.
+    then the last printed `%.12g` digit can differ too.  A |z| beyond the
+    largest float is inf, without the overflow warning that `abs` of a numpy
+    complex does not give either.
     """
-    return np.hypot(z.real, z.imag)
+    with np.errstate(over="ignore"):
+        return np.hypot(z.real, z.imag)
 
 
 def as_printed(values: np.ndarray) -> list[float]:

@@ -196,6 +196,9 @@ def grids(draw):
 @example((QUOTED_IDS[3:], np.array(
     [SPECIAL[6:9], [complex(np.nan, -0.0), complex(-np.inf, 5e-324),
                     complex(-0.0, np.inf)], ABS_NE_HYPOT], dtype=complex)))
+# |lam| of the largest finite parts overflows to inf
+@example((QUOTED_IDS[:1], np.array(
+    [[complex(SPECIAL[8], SPECIAL[8])]], dtype=complex)))
 def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                                                         grid):
     tmp_path = tmp_path_factory.mktemp("grid")
