@@ -15,10 +15,14 @@ collector stays live; and the benchmark's seed-7 `ladder300` and
 Runs go under --out, next to `digests.json`, a `{run/file: sha256}` map.
 With --compare, the keys whose digest differs from the other file's (or
 that only one file has) are listed, and the exit status is 1 if any do.
-For a differing CSV that both sides wrote, the other side's copy is read
-from the `runs/` directory beside its `digests.json`, and the listing adds
-the columns only one side has and the largest absolute and relative
-difference over the cells both share, matched by header and row label.
+For a differing artifact that both sides wrote, the other side's copy is
+read from the `runs/` directory beside its `digests.json`.  For a CSV the
+listing adds the columns only one side has and, over the cells both share
+(matched by header and row label), the largest absolute and relative
+difference and the largest difference over its column's largest |value|;
+an MPF cell near 1e-17 makes the relative figure meaningless, the column
+figure is not.  For a JSON file it adds every differing leaf, by path, and
+the largest absolute and relative difference over the numeric leaves.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def cell_difference(a: float, b: float) -> tuple[float, float]:
 
 def grid_difference(ours: Path, theirs: Path) -> list[str]:
     """Report lines: the columns and rows only one side has, then the
-    largest differences over the shared cells."""
+    largest differences over the shared cells, the last one scaled by the
+    largest finite |value| of the cell's column on either side."""
     our_cols, our_rows = read_grid(ours)
     their_cols, their_rows = read_grid(theirs)
     shared = set(our_cols) & set(their_cols)
@@ -137,14 +142,68 @@ def grid_difference(ours: Path, theirs: Path) -> list[str]:
                  ("rows", "theirs",
                   [k for k in their_rows if k not in our_rows]))
              if names]
-    max_abs = max_rel = 0.0
-    for k in rows:
-        for c in cols:
-            d_abs, d_rel = cell_difference(float(our_rows[k][c]),
-                                           float(their_rows[k][c]))
-            max_abs, max_rel = max(max_abs, d_abs), max(max_rel, d_rel)
+    max_abs = max_rel = max_col = 0.0
+    worst = ""
+    for c in cols:
+        col_abs = col_max = 0.0
+        for k in rows:
+            a, b = float(our_rows[k][c]), float(their_rows[k][c])
+            d_abs, d_rel = cell_difference(a, b)
+            col_abs, max_rel = max(col_abs, d_abs), max(max_rel, d_rel)
+            col_max = max([col_max] + [abs(x) for x in (a, b)
+                                       if math.isfinite(x)])
+        max_abs = max(max_abs, col_abs)
+        scaled = col_abs / col_max if col_max else math.inf if col_abs else 0.0
+        if scaled > max_col:
+            max_col, worst = scaled, f" ({c})"
     lines.append(f"  shared {len(cols)} columns x {len(rows)} rows: "
-                 f"max abs diff {max_abs:g}, max rel diff {max_rel:g}")
+                 f"max abs diff {max_abs:g}, max rel diff {max_rel:g}, "
+                 f"max abs diff / column max |value| {max_col:g}{worst}")
+    return lines
+
+
+def json_leaves(node, path: str = "") -> dict[str, object]:
+    """{path: value} of every leaf of a parsed JSON document; keys and list
+    indices join with '/', and an empty object or list is a leaf."""
+    if isinstance(node, dict) and node:
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = enumerate(node)
+    else:
+        return {path: node}
+    leaves = {}
+    for key, value in items:
+        leaves.update(json_leaves(value, f"{path}/{key}"))
+    return leaves
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_difference(ours: Path, theirs: Path) -> list[str]:
+    """Report lines: each differing leaf, by path, as `ours -> theirs` and
+    each leaf only one side has, then the largest differences over the
+    leaves that are numbers on both sides."""
+    our_leaves = json_leaves(json.loads(ours.read_text()))
+    their_leaves = json_leaves(json.loads(theirs.read_text()))
+    lines = [f"  {path or '/'}: only {side}: {leaves[path]!r}"
+             for side, leaves, other in (("ours", our_leaves, their_leaves),
+                                         ("theirs", their_leaves, our_leaves))
+             for path in leaves if path not in other]
+    max_abs = max_rel = 0.0
+    for path in [p for p in our_leaves if p in their_leaves]:
+        a, b = our_leaves[path], their_leaves[path]
+        if is_number(a) and is_number(b):
+            d_abs, d_rel = cell_difference(float(a), float(b))
+            if d_abs == 0.0 and type(a) is type(b):
+                continue
+            max_abs, max_rel = max(max_abs, d_abs), max(max_rel, d_rel)
+        elif a == b and type(a) is type(b):
+            continue
+        lines.append(f"  {path or '/'}: {a!r} -> {b!r}")
+    lines.append(f"  numeric leaves: max abs diff {max_abs:g}, "
+                 f"max rel diff {max_rel:g}")
     return lines
 
 
@@ -168,8 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         print(key)
         ours = args.out / "runs" / key
         theirs = args.compare.parent / "runs" / key
-        if key.endswith(".csv") and ours.exists() and theirs.exists():
+        if not (ours.exists() and theirs.exists()):
+            continue
+        if key.endswith(".csv"):
             print("\n".join(grid_difference(ours, theirs)))
+        elif key.endswith(".json"):
+            print("\n".join(json_difference(ours, theirs)))
     return 1 if changed else 0
 
 

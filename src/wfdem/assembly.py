@@ -88,12 +88,13 @@ def assemble_farm(blocks: list[WtStateSpace],
         raise ValueError("state labels are not unique")
 
     a, b, c = _stack_blocks(blocks)
+    a += b @ (net.z @ c)
     i_poi0 = np.sum([blk.i_xy0_sys for blk in blocks], axis=0)
     e0 = np.array([SLACK_E0.real, SLACK_E0.imag])
     u_poi0 = e0 + net.grid_block @ i_poi0
 
     return FarmStateSpace(
-        a_s=a + b @ (net.z @ c),
+        a_s=a,
         b_s=b.reshape(len(b), n, 2).sum(axis=1),
         labels=tuple(labels),
         wt_order=net.wt_order,

@@ -63,6 +63,7 @@ class PipelineState:
     """Everything computed so far; filled stage by stage."""
 
     cfg: RunConfig
+    upto: str = "validate"           # the last stage this run goes through
     farm: FarmDescription | None = None
     farm_hash: str = ""
     sol: BusSolution | None = None
@@ -117,14 +118,15 @@ def _stage_cluster(state: PipelineState) -> None:
         (as_printed(col.real), as_printed(col.imag))
         for col in state.features.table.T])
     clustering.write_groups_json(state.groups, cfg.out_dir / "groups.json")
-    _write_scatter(state)
+    if state.upto == "cluster":    # else the aggregate stage draws it
+        _write_scatter(state)
 
 
 def _stage_aggregate(state: PipelineState) -> None:
     state.dem = aggregation.build_dem(state.farm, state.groups,
                                       state.clusters)
     aggregation.write_dem_json(state.dem, state.cfg.out_dir / "dem.json")
-    _write_scatter(state)          # refresh with the DEM modes overlaid
+    _write_scatter(state)          # with the DEM modes overlaid
 
 
 def _stage_validate(state: PipelineState) -> None:
@@ -176,7 +178,7 @@ def run_pipeline(cfg: RunConfig, upto: str = "validate") -> PipelineState:
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    state = PipelineState(cfg=cfg)
+    state = PipelineState(cfg=cfg, upto=upto)
     for stage in STAGES[:STAGES.index(upto) + 1]:
         _run_stage(stage, _STAGE_FN[stage], state)
     return state

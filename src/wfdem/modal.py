@@ -10,10 +10,15 @@ decomposition the right tool; no selective or iterative solver is attempted.
 `solve_modes` is the one linearize -> decompose -> select chain; the
 detailed farm and the DEM each come out of it as a `FarmModel`.
 
-`eig_biorthogonal` costs one `eig` and one `inv` plus O(n^2) norms, and
-reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide its
-gates, cond_2(U) > 1e12 and |Im lam| > 1e-7 ||A||_2, where they can; an SVD
-runs only for the cond(U) gate or for a pair below 1e-7 ||A||_F.
+The state matrix is real, so the solution is kept in LAPACK's real
+eigenbasis: R holds u for a real mode and Re u, Im u for a conjugate pair,
+and W = R^-1 holds the left vectors in the same form.  U and V, complex,
+are formed only for the rows and modes a caller reads.
+
+`eig_biorthogonal` costs one `eig` and one real `inv` plus O(n^2) norms,
+and reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide
+its gates, cond_2(U) > 1e12 and |Im lam| > 1e-7 ||A||_2, where they can; an
+SVD runs only for the cond(U) gate or for a pair below 1e-7 ||A||_F.
 """
 
 from __future__ import annotations
@@ -48,18 +53,25 @@ class DefectiveMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModalSolution:
-    """Eigensolution with biorthonormal left/right vectors.
+    """Eigensolution with biorthonormal left/right vectors, in real form.
 
-    `right[:, i]` and `left[i, :]` satisfy left @ right = I.  Modes are
-    sorted by (Re, Im); `pair_of[i]` is the index of the conjugate partner
-    (-1 for real and near-real modes).  `participation(rows, cols)` gives
-    the MPFs that couple those states to those modes.  The states are
+    Modes are sorted by (Re, Im).  `conj_of[i]` is the slot of mode i's
+    exact conjugate (i itself for a real mode); of a pair, the lower member
+    (Im < 0) sorts first.  `basis` is R: column i is u_i for a real mode;
+    a pair's upper slot holds Re u and its lower slot Im u of the upper
+    member, so u_up = R_up + j R_lo and u_lo = conj(u_up).  `inverse` is
+    W = R^-1, and the left rows are v_i = W_i for a real mode and
+    v_up = (W_up - j W_lo) / 2, v_lo = conj(v_up) for a pair, so V U = I.
+    `right`, `left` and `participation` form complex entries only for the
+    states and modes asked for.  `pair_of[i]` is the conjugate partner of an
+    oscillatory mode (-1 for real and near-real modes).  The states are
     named by the `FarmStateSpace` that was decomposed.
     """
 
     eigenvalues: np.ndarray      # complex (n,)
-    right: np.ndarray            # complex (n, n), columns
-    left: np.ndarray             # complex (n, n), rows
+    basis: np.ndarray            # float (n, n), R
+    inverse: np.ndarray          # float (n, n), W = R^-1
+    conj_of: np.ndarray          # int (n,)
     pair_of: np.ndarray          # int (n,)
 
     @property
@@ -71,20 +83,45 @@ class ModalSolution:
         """Whether some mode lies right of `UNSTABLE_ABSCISSA`."""
         return float(np.max(self.eigenvalues.real)) > UNSTABLE_ABSCISSA
 
+    def _block(self, real_form: np.ndarray, pair_scale: float,
+               im_sign: float, rows: Sequence[int],
+               modes: Sequence[int]) -> np.ndarray:
+        """Complex block z_i[k], k in rows, i in modes, C-contiguous, of the
+        vectors whose real form has columns `real_form`: z_i = X_re +
+        im_sign sign(Im lam_i) j X_im, times `pair_scale` for a pair member,
+        where X_re and X_im are the upper and lower slots of i's pair (both
+        i for a real mode, whose Im part is +0)."""
+        modes = np.asarray(modes, dtype=int)
+        partner = self.conj_of[modes]
+        re, im = np.maximum(modes, partner), np.minimum(modes, partner)
+        sign = np.sign(self.eigenvalues.imag[modes])
+        scale = np.where(re == im, 1.0, pair_scale)
+        ix = np.asarray(rows, dtype=int)[:, None]
+        z = np.zeros((len(ix), len(modes)), dtype=complex)
+        z.real = real_form[ix, re] * scale
+        np.multiply(real_form[ix, im], im_sign * sign * scale, out=z.imag,
+                    where=sign != 0)
+        return z
+
+    def right(self, rows: Sequence[int], modes: Sequence[int]) -> np.ndarray:
+        """Block u_i[k], k in rows, i in modes, C-contiguous."""
+        return self._block(self.basis, 1.0, 1.0, rows, modes)
+
+    def left(self, rows: Sequence[int], modes: Sequence[int]) -> np.ndarray:
+        """Block v_i[k], k in rows, i in modes (V transposed), C-contiguous."""
+        return self._block(self.inverse.T, 0.5, -1.0, rows, modes)
+
     def participation(self, rows: Sequence[int],
                       cols: Sequence[int]) -> np.ndarray:
-        """MPF block f[k, i] = left[i, k] * right[k, i], k in rows, i in cols.
+        """MPF block f[k, i] = v_i[k] * u_i[k], k in rows, i in cols.
 
-        Both factors are made C-contiguous.  numpy's vectorised complex
-        multiply, which runs on contiguous operands, can round differently
-        from its strided loop; the full table `left.T * right` of `eig`'s
-        F-ordered basis runs the vectorised one, so every entry here equals
-        that table's bit for bit.
+        Both factors are C-contiguous and the product is formed out of
+        place, so numpy runs one multiply loop whatever the block (an
+        in-place product of a single entry takes its scalar loop, which can
+        round differently); every entry equals the full table's, formed
+        from the same basis, bit for bit.
         """
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        return (np.ascontiguousarray(self.left[np.ix_(cols, rows)].T)
-                * np.ascontiguousarray(self.right[np.ix_(rows, cols)]))
+        return self.left(rows, cols) * self.right(rows, cols)
 
     def representatives(self) -> np.ndarray:
         """Indices of upper-half-plane members of oscillatory pairs."""
@@ -97,13 +134,17 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
 
     The largest-magnitude entry of each right vector is made real positive,
     so participation factors are reproducible across runs and platforms.
-    Left rows come from the inverse of the right basis, which enforces
+    The phase-fixed vectors go straight into the real basis R in sorted
+    mode order; the left vectors come from W = R^-1, which enforces
     biorthonormality globally (repeated eigenvalues included).
 
     Conjugate pairs are read from `eig`'s layout.  Cost: one `eig`, one
-    `inv` and O(n^2) norms.  An SVD runs only when ||U||_F ||V||_F exceeds
-    `_CERT_MAX` (then `cond(U)` decides) or when a pair has |Im lam| at or
-    below 1e-7 max(1, ||A||_F) (then `norm(A, 2)` decides).
+    real `inv` and O(n^2) norms.  With D = diag(1 for a real mode, sqrt 2
+    for a pair member), U = R D Q for a unitary Q, so ||U||_F ||V||_F =
+    ||R D||_F ||D^-1 W||_F and cond_2(U) = cond_2(R D).  An SVD runs only
+    when that product exceeds `_CERT_MAX` (then `cond(R D)` decides) or
+    when a pair has |Im lam| at or below 1e-7 max(1, ||A||_F) (then
+    `norm(A, 2)` decides).
     """
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
@@ -111,68 +152,86 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
         raise ValueError("state matrix must be non-empty, square and finite")
 
     lam, u = np.linalg.eig(a_s)
+    up = _conjugate_layout(lam)
     order = np.lexsort((lam.imag, lam.real))
-    u = u[:, order]
+    rank = np.argsort(order)
+    upper = np.zeros(n, dtype=bool)
+    upper[up] = True
+    lower = np.roll(upper, 1)
 
-    # phase fix: rotate each column so its largest entry is real positive
-    for i in range(n):
+    # phase fix: rotate each column so its largest entry is real positive;
+    # a lower member is its upper partner's conjugate and is not read
+    basis = np.empty((n, n), order="F")
+    for i in np.flatnonzero(~lower):
         k = int(np.argmax(np.abs(u[:, i])))
         pivot = u[k, i]
         u[:, i] *= np.conj(pivot) / abs(pivot)
+        basis[:, rank[i]] = u[:, i].real
+        if upper[i]:
+            basis[:, rank[i + 1]] = u[:, i].imag
+    del u
 
-    v = _inverse_basis(u)
-    pair_of = _pair_modes(a_s, lam, order)
+    conj_of = np.arange(n)
+    conj_of[rank[up]], conj_of[rank[up + 1]] = rank[up + 1], rank[up]
+    lam = lam[order]
+    return ModalSolution(eigenvalues=lam, basis=basis,
+                         inverse=_inverse_basis(basis, conj_of),
+                         conj_of=conj_of,
+                         pair_of=_pair_modes(a_s, lam, conj_of))
 
-    return ModalSolution(eigenvalues=lam[order], right=u, left=v,
-                         pair_of=pair_of)
 
+def _inverse_basis(r: np.ndarray, conj_of: np.ndarray) -> np.ndarray:
+    """W = R^-1, or DefectiveMatrixError when cond_2(U) > `_COND_MAX`.
 
-def _inverse_basis(u: np.ndarray) -> np.ndarray:
-    """V = U^-1, or DefectiveMatrixError when cond_2(U) > `_COND_MAX`.
-
-    ||U||_F ||V||_F bounds cond_2(U) from above, so a small product accepts
-    the basis without an SVD.  A larger product, or a basis `inv` calls
-    singular, is judged by the SVD `cond(U)`.
+    With d_i^2 = 2 for a pair member and 1 for a real mode, ||U||_F ||V||_F
+    = ||R D||_F ||D^-1 W||_F bounds cond_2(U) from above, so a small
+    product accepts the basis without an SVD.  A larger product, or a basis
+    `inv` calls singular, is judged by the SVD `cond(R D)`.
     """
+    d2 = np.where(conj_of == np.arange(len(conj_of)), 1.0, 2.0)
     try:
-        v = np.linalg.inv(u)
+        w = np.linalg.inv(r)
         with np.errstate(over="ignore"):
-            certified = np.linalg.norm(u) * np.linalg.norm(v) <= _CERT_MAX
+            certified = np.sqrt(np.einsum("ij,ij->j", r, r) @ d2) \
+                * np.sqrt(np.einsum("ij,ij->i", w, w) @ (1.0 / d2)) \
+                <= _CERT_MAX
     except np.linalg.LinAlgError:
-        v, certified = None, False
+        w, certified = None, False
     if not certified:
-        cond = np.linalg.cond(u)
+        cond = np.linalg.cond(r * np.sqrt(d2))
         if not np.isfinite(cond) or cond > _COND_MAX:
             raise DefectiveMatrixError(
                 f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
                 "matrix is defective within working precision")
-        if v is None:
-            v = np.linalg.inv(u)    # a zero LU pivot despite cond(U): raise
-    return v
+        if w is None:
+            w = np.linalg.inv(r)    # a zero LU pivot despite cond(U): raise
+    return w
 
 
-def _pair_modes(a: np.ndarray, lam: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """`pair_of` of the modes sorted by `order`, read from `eig`'s layout:
-    each complex pair of a real matrix sits in consecutive slots as exact
-    conjugates, Im > 0 first (LAPACK dgeev).  A pair oscillates when |Im lam|
-    > `_PAIR_RTOL` max(1, ||A||_2); the bound ||A||_F >= ||A||_2 decides first.
-    """
+def _conjugate_layout(lam: np.ndarray) -> np.ndarray:
+    """Upper pair members, read from `eig`'s layout: each complex pair of a
+    real matrix sits in consecutive slots as exact conjugates, Im > 0 first
+    (LAPACK dgeev).  A layout that breaks this raises."""
     upper = lam.imag > 0
     broken = (upper & (np.append(lam[1:], 0.0) != np.conj(lam))) \
         | (np.append(False, upper[:-1]) != (lam.imag < 0))
     if np.any(broken):
         raise DefectiveMatrixError(
             f"no conjugate partner for eigenvalue {lam[broken][0]:.6g}")
-    up = np.flatnonzero(upper)
+    return np.flatnonzero(upper)
+
+
+def _pair_modes(a: np.ndarray, lam: np.ndarray,
+                conj_of: np.ndarray) -> np.ndarray:
+    """`pair_of` of the sorted modes `lam`: a conjugate pair oscillates when
+    |Im lam| > `_PAIR_RTOL` max(1, ||A||_2); the bound ||A||_F >= ||A||_2
+    decides first."""
+    im = np.abs(lam.imag)
     with np.errstate(over="ignore"):    # an inf ||A||_F defers to the SVD
         scale = max(1.0, float(np.linalg.norm(a)))
-    if np.any(lam.imag[up] <= _PAIR_RTOL * scale):
+    if np.any((im > 0) & (im <= _PAIR_RTOL * scale)):
         scale = max(1.0, float(np.linalg.norm(a, ord=2)))
-    up = up[lam.imag[up] > _PAIR_RTOL * scale]
-    rank = np.argsort(order)
-    pair_of = np.full(len(lam), -1, dtype=int)
-    pair_of[rank[up]], pair_of[rank[up + 1]] = rank[up + 1], rank[up]
-    return pair_of
+    return np.where(im > _PAIR_RTOL * scale, conj_of, -1)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ from .modal import ConcernSet, FarmModel, ModalSolution
 from .powerflow import SLACK_E0
 from .wt import SagSpec
 
+# time steps per block of the closed-form response: the time factors of a
+# block are a modes x _STEPS complex array, a few MB at 1200 states, where
+# the whole horizon at once would be tens of MB
+_STEPS = 256
+
 
 # ---------------------------------------------------------------------------
 # frequency-domain errors
@@ -100,11 +105,13 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
         x(t) = U diag(V B_s de) (e^(lam tau) - 1) / lam   (tau where lam = 0)
 
     and x = 0 before t_on; only the outputs (u_dc per WT, POI current and
-    voltage) are formed.  The time factor is evaluated for the real modes
-    and the upper pair members; each of these also carries its partner's
-    weight, conjugated, rather than its own doubled, so that the roundoff
-    in V cancels as in the full sum.  Stability is not checked here:
-    `modal.unstable` flags a non-Hurwitz state matrix.
+    voltage) are formed, in the real basis: M = [R_u_dc; C_poi R] and
+    q = W B_s de.  The time factor is evaluated for the real modes, with
+    weight M_i q_i, and for the upper pair members, whose weight
+    (M_up + j M_lo)(q_up - j q_lo) is twice the member's own and stands for
+    the conjugate partner too.  The time factor is formed `_STEPS` grid
+    times at a time.  Stability is not checked here: `modal.unstable`
+    flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -116,20 +123,26 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     n_wt = len(fss.wt_order)
     c_poi = np.vstack([fss.c_out.reshape(n_wt, 2, -1).sum(axis=0),
                        fss.z_poi @ fss.c_out])
-    w_all = np.vstack([modal.right[fss.kind_rows(("u_dc",))],
-                       c_poi @ modal.right]) \
-        * (modal.left @ (fss.b_s @ de))
-    real, upper = np.flatnonzero(modal.pair_of < 0), modal.representatives()
-    w = np.hstack([w_all[:, real], w_all[:, upper]
-                   + np.conj(w_all[:, modal.pair_of[upper]])])
+    m = np.vstack([modal.basis[fss.kind_rows(("u_dc",))],
+                   c_poi @ modal.basis])
+    q = modal.inverse @ (fss.b_s @ de)
+    real = np.flatnonzero(modal.conj_of == np.arange(modal.n_modes))
+    upper = np.flatnonzero(modal.eigenvalues.imag > 0)
+    lower = modal.conj_of[upper]
+    w_re = np.hstack([m[:, real] * q[real],
+                      m[:, upper] * q[upper] + m[:, lower] * q[lower]])
+    w_im = np.hstack([np.zeros((len(m), len(real))),
+                      m[:, lower] * q[upper] - m[:, upper] * q[lower]])
     lam = modal.eigenvalues[np.concatenate([real, upper])]
-    tau = t[:len(t) - k_on]
     zero = lam == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.expm1(np.outer(lam, tau)) / np.where(zero, 1.0, lam)[:, None]
-    g[zero] = tau
     y = np.zeros((n_wt + 4, len(t)))
-    y[:, k_on:] = w.real @ g.real - w.imag @ g.imag
+    for k in range(k_on, len(t), _STEPS):
+        tau = t[k - k_on:min(k + _STEPS, len(t)) - k_on]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.expm1(np.outer(lam, tau)) \
+                / np.where(zero, 1.0, lam)[:, None]
+        g[zero] = tau
+        y[:, k:k + len(tau)] = w_re @ g.real - w_im @ g.imag
 
     poi_i = y[n_wt:n_wt + 2]
     du_poi = y[n_wt + 2:] + np.outer(de, t >= sag.t_start)

@@ -3,7 +3,8 @@
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
 nonlinear model, the series network losses, the admittance form of the
-farm closure, and the dense MPF table with its full state x mode CSV.
+farm closure, the eigensolution in complex arithmetic, and the dense MPF
+table with its full state x mode CSV.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,9 @@ from wfdem.assembly import _stack_blocks, linear_model
 from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
                         PerUnitBases, WtParams, nodal_network, xy_block)
 from wfdem.gridcsv import write_grid
-from wfdem.modal import FarmModel, ModalSolution, eig_biorthogonal
+from wfdem.modal import (_CERT_MAX, _COND_MAX, DefectiveMatrixError,
+                         FarmModel, ModalSolution, _conjugate_layout,
+                         _pair_modes, eig_biorthogonal)
 from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
                              solve_powerflow)
 from wfdem.validation import nrmse, simulate_linear
@@ -187,12 +190,85 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
 
 
 # ---------------------------------------------------------------------------
-# participation factors
+# eigensolution and participation factors
+
+
+@dataclass(frozen=True)
+class ComplexModes:
+    """Sorted eigenvalues, right vectors U (columns), left vectors
+    V = U^-1 (rows) and `pair_of`, all in complex arithmetic."""
+
+    eigenvalues: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    pair_of: np.ndarray
+
+
+def complex_eig_biorthogonal(a_s: np.ndarray) -> ComplexModes:
+    """The eigensolution with a complex basis: `eig`'s vectors sorted by
+    (Re, Im), each phase-fixed so its largest entry is real positive, and
+    V = inv(U) under the same gates as `eig_biorthogonal`, ||U||_F ||V||_F
+    and then cond(U)."""
+    a_s = np.asarray(a_s, dtype=float)
+    lam, u = np.linalg.eig(a_s)
+    _conjugate_layout(lam)
+    order = np.lexsort((lam.imag, lam.real))
+    u = u[:, order]
+    for i in range(len(lam)):
+        k = int(np.argmax(np.abs(u[:, i])))
+        pivot = u[k, i]
+        u[:, i] *= np.conj(pivot) / abs(pivot)
+    try:
+        v = np.linalg.inv(u)
+        with np.errstate(over="ignore"):
+            certified = np.linalg.norm(u) * np.linalg.norm(v) <= _CERT_MAX
+    except np.linalg.LinAlgError:
+        v, certified = None, False
+    if not certified:
+        cond = np.linalg.cond(u)
+        if not np.isfinite(cond) or cond > _COND_MAX:
+            raise DefectiveMatrixError(
+                f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
+                "matrix is defective within working precision")
+        if v is None:
+            v = np.linalg.inv(u)
+    lam = lam[order]
+    return ComplexModes(lam, u, v,
+                        _pair_modes(a_s, lam, exact_conjugates(lam)))
+
+
+def exact_conjugates(lam: np.ndarray) -> np.ndarray:
+    """Slot of each sorted mode's exact conjugate, itself for a real mode:
+    the k-th copy of an upper mode goes with the k-th copy of its
+    conjugate."""
+    conj_of = np.arange(len(lam))
+    for i in np.flatnonzero(lam.imag > 0):
+        copy = sum(lam[j] == lam[i] for j in range(i))
+        conj_of[i] = np.flatnonzero(lam == np.conj(lam[i]))[copy]
+        conj_of[conj_of[i]] = i
+    return conj_of
+
+
+def complex_basis(sol: ModalSolution) -> tuple[np.ndarray, np.ndarray]:
+    """U and V formed in full from the real basis R and W = R^-1:
+    U_up = R_up + j R_lo, U_lo = conj(U_up); V_up = (W_up - j W_lo) / 2,
+    V_lo = conj(V_up); a real mode's column and row are R's and W's."""
+    r, w = sol.basis, sol.inverse
+    up = np.flatnonzero(sol.eigenvalues.imag > 0)
+    lo = sol.conj_of[up]
+    u = r.astype(complex)
+    u.real[:, lo], u.imag[:, up], u.imag[:, lo] = r[:, up], r[:, lo], -r[:, lo]
+    v = w.astype(complex)
+    v.real[up], v.real[lo] = w[up] / 2, w[up] / 2
+    v.imag[up], v.imag[lo] = -w[lo] / 2, w[lo] / 2
+    return u, v
 
 
 def full_mpf(sol: ModalSolution) -> np.ndarray:
-    """The dense n x n MPF table, mpf[k, i] = left[i, k] * right[k, i]."""
-    return sol.left.T * sol.right
+    """The dense n x n MPF table f[k, i] = v_i[k] u_i[k], formed from
+    `complex_basis` with both factors C-contiguous."""
+    u, v = complex_basis(sol)
+    return np.ascontiguousarray(v.T) * np.ascontiguousarray(u)
 
 
 def write_full_mpf_csv(model: FarmModel, path) -> None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ROOT, run_python_bounded
+from wfdem import cli
 from wfdem.cli import (ARTIFACTS, RunConfig, _build_parser, _config_from_args,
                        emit_plot, emit_report, main, run_pipeline)
 
@@ -124,6 +125,24 @@ def test_cluster_stage_scatter_has_no_dem_modes(tmp_path):
     svg = (out / "modescatter.svg").read_text()
     assert "DEM modes" not in svg
     assert not (out / "dem.json").exists()
+
+
+@pytest.mark.parametrize("upto,dem_modes", [("cluster", False),
+                                             ("aggregate", True),
+                                             ("validate", True)])
+def test_modescatter_is_drawn_once(tmp_path, monkeypatch, upto, dem_modes):
+    drawn = []
+
+    def scatter_svg(path, *args):
+        drawn.append(path)
+        real_scatter_svg(path, *args)
+    real_scatter_svg = cli.scatter_svg
+    monkeypatch.setattr(cli, "scatter_svg", scatter_svg)
+    run_pipeline(RunConfig(farm_path=FARMS / "single_wt.json",
+                           out_dir=tmp_path, clusters=1), upto=upto)
+    assert drawn == [tmp_path / "modescatter.svg"]
+    svg = (tmp_path / "modescatter.svg").read_text()
+    assert ("DEM modes" in svg) is dem_modes
 
 
 def test_auto_cluster_count_picks_one_for_uniform_farm(tmp_path):
@@ -378,16 +397,42 @@ def test_acceptance_digests_script_reports_grid_differences(tmp_path):
                       "w1:u,2.2,1,2,3\r\nw2:u,4,4,0,nan\r\nw3:u,0,0,0,0\r\n")
     assert script.grid_difference(ours, theirs) == [
         "  columns only theirs: a_abs", "  rows only theirs: w3:u",
-        "  shared 3 columns x 2 rows: max abs diff 0, max rel diff 0"]
+        "  shared 3 columns x 2 rows: max abs diff 0, max rel diff 0, "
+        "max abs diff / column max |value| 0"]
     theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,inf\r\n")
     assert script.grid_difference(ours, theirs)[-1] \
-        == "  shared 3 columns x 2 rows: max abs diff inf, max rel diff inf"
+        == "  shared 3 columns x 2 rows: max abs diff inf, max rel diff inf, " \
+        "max abs diff / column max |value| inf (b)"
     theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,nan\r\n")
     assert script.grid_difference(ours, theirs) == [
-        "  shared 3 columns x 2 rows: max abs diff 0.5, max rel diff 0.333333"]
+        "  shared 3 columns x 2 rows: max abs diff 0.5, max rel diff 0.333333, "
+        "max abs diff / column max |value| 0.125 (a_re)"]
     # a grid without a label column is matched row by row
     ours.write_text("t,p\r\n0,1\r\n1,2\r\n")
     theirs.write_text("t,p\r\n0,1\r\n1,2.5\r\n2,3\r\n")
     assert script.grid_difference(ours, theirs) == [
         "  rows only theirs: 2",
-        "  shared 2 columns x 2 rows: max abs diff 0.5, max rel diff 0.2"]
+        "  shared 2 columns x 2 rows: max abs diff 0.5, max rel diff 0.2, "
+        "max abs diff / column max |value| 0.2 (p)"]
+
+
+def test_acceptance_digests_script_reports_json_differences(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    ours.write_text(json.dumps({"e": 0.01, "groups": {"w1": 0, "w2": 1},
+                                "merged": [], "note": "a", "xs": [1.0, 2.0],
+                                "n": 3}))
+    theirs.write_text(json.dumps({"e": 0.0125, "groups": {"w1": 0, "w2": 1},
+                                  "merged": [[0, 1]], "note": "b",
+                                  "xs": [1.0], "n": 3.0, "extra": None}))
+    assert script.json_difference(ours, theirs) == [
+        "  /merged: only ours: []", "  /xs/1: only ours: 2.0",
+        "  /merged/0/0: only theirs: 0", "  /merged/0/1: only theirs: 1",
+        "  /extra: only theirs: None",
+        "  /e: 0.01 -> 0.0125", "  /note: 'a' -> 'b'", "  /n: 3 -> 3.0",
+        "  numeric leaves: max abs diff 0.0025, max rel diff 0.2"]
+    assert script.json_difference(ours, ours) == [
+        "  numeric leaves: max abs diff 0, max rel diff 0"]

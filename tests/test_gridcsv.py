@@ -205,13 +205,17 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     ids, table = grid
     n_rows, n_cols = table.shape
 
-    # the MPF is left.T * right: the table times 1 + 0j, the concern
-    # columns in reverse order
-    sol = ModalSolution(eigenvalues=np.zeros(n_cols, dtype=complex),
-                        right=table, left=np.ones((n_cols, n_rows)),
-                        pair_of=None)
-    concern = ConcernSet(mode_indices=tuple(range(n_cols))[::-1],
-                         eigenvalues=np.zeros(n_cols, dtype=complex))
+    # the MPF is v * u: the table times 1 - 0j, the concern columns in
+    # reverse order.  Column k of the table is the right vector of the
+    # upper mode n_cols + k, whose lower partner k holds the Im parts.
+    lam = np.repeat([-1j, 1j], n_cols)
+    sol = ModalSolution(
+        eigenvalues=lam,
+        basis=np.hstack([table.imag, table.real]),
+        inverse=np.repeat([0.0, 2.0], n_cols)[:, None] * np.ones(n_rows),
+        conj_of=np.roll(np.arange(2 * n_cols), n_cols), pair_of=None)
+    concern = ConcernSet(mode_indices=tuple(range(n_cols, 2 * n_cols))[::-1],
+                         eigenvalues=lam[n_cols:])
     model = made_up_model(sol, concern, ((wt, "u_dc") for wt in ids))
     # inf * 0 in the product's cross terms
     with np.errstate(invalid="ignore"):
@@ -241,8 +245,8 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                           reference_responses_csv, detailed, dem, mapping)
 
     # column 0 as a spectrum, half its modes selected, pairs made up
-    modal = ModalSolution(eigenvalues=table[:, 0], right=None, left=None,
-                          pair_of=np.arange(n_rows)[::-1] - 1)
+    modal = ModalSolution(eigenvalues=table[:, 0], basis=None, inverse=None,
+                          conj_of=None, pair_of=np.arange(n_rows)[::-1] - 1)
     concern = ConcernSet(mode_indices=tuple(range(0, n_rows, 2)),
                          eigenvalues=table[::2, 0])
     # the reference's numpy-scalar -Re/|lam| warns on an infinite mode
@@ -294,7 +298,8 @@ DAMPING_ABS_NE_HYPOT = [complex(-0.8812565813042883, -0.10447796803538134),
 def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
     lam = np.array([0j, complex(-0.0, 0.0), -1.0, -2.0 - 30.0j, -2.0 + 30.0j]
                    + DAMPING_ABS_NE_HYPOT)
-    modal = ModalSolution(eigenvalues=lam, right=None, left=None,
+    modal = ModalSolution(eigenvalues=lam, basis=None, inverse=None,
+                          conj_of=None,
                           pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]))
     model = made_up_model(modal, ConcernSet(mode_indices=(4,),
                                             eigenvalues=lam[4:]))

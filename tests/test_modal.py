@@ -2,7 +2,8 @@
 
 Oracles: closed-form roots for 2x2 cases, the matrix exponential for the
 zero-input response reconstruction, the analytic stiff-grid mode for the
-decoupled farm, and the dense MPF table with its full state x mode CSV.
+decoupled farm, the eigensolution in complex arithmetic, and the dense MPF
+table with its full state x mode CSV.
 """
 
 import csv
@@ -13,7 +14,9 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
 from helpers import ROOT, SolvedFarm, ladder_farm
-from oracles import full_mpf, stiff_grid_mode, write_full_mpf_csv
+from oracles import (complex_basis, complex_eig_biorthogonal,
+                     exact_conjugates, full_mpf, stiff_grid_mode,
+                     write_full_mpf_csv)
 from wfdem.cases import identical_zero_network_farm
 from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
@@ -56,22 +59,21 @@ def test_residuals_and_biorthonormality_on_farm_matrix(case_a):
     a = case_a.fss.a_s
     sol = case_a.modal
     norm_a = np.linalg.norm(a, 2)
+    u, v = complex_basis(sol)
     for i in range(sol.n_modes):
-        res = np.linalg.norm(a @ sol.right[:, i]
-                             - sol.eigenvalues[i] * sol.right[:, i])
+        res = np.linalg.norm(a @ u[:, i] - sol.eigenvalues[i] * u[:, i])
         assert res < 1e-8 * norm_a
-    assert np.abs(sol.left @ sol.right - np.eye(sol.n_modes)).max() < 1e-8
+    assert np.abs(v @ u - np.eye(sol.n_modes)).max() < 1e-8
     assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
 
 
 def test_participation_matrix_definition(case_a):
     sol = case_a.modal
     every = np.arange(sol.n_modes)
-    assert np.array_equal(sol.participation(every, every),
-                          sol.left.T * sol.right)
+    u, v = complex_basis(sol)
+    assert np.array_equal(sol.participation(every, every), v.T * u)
     k, i = 7, 12
-    assert sol.participation([k], [i])[0, 0] \
-        == sol.left[i, k] * sol.right[k, i]
+    assert sol.participation([k], [i])[0, 0] == v[i, k] * u[k, i]
 
 
 def bits(z):
@@ -107,7 +109,8 @@ def test_participation_slices_the_full_table_bit_for_bit(case_b, rows, cols):
 def test_repeated_eigenvalues_stay_biorthonormal():
     _, _, model = solved_zero_farm(6)
     sol = model.modal
-    assert np.abs(sol.left @ sol.right - np.eye(sol.n_modes)).max() < 1e-8
+    u, v = complex_basis(sol)
+    assert np.abs(v @ u - np.eye(sol.n_modes)).max() < 1e-8
     assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
 
 
@@ -124,11 +127,12 @@ def test_phase_fixing_is_deterministic(case_a):
     a = case_a.fss.a_s
     s1 = eig_biorthogonal(a)
     s2 = eig_biorthogonal(a)
-    assert np.array_equal(s1.right, s2.right)
-    assert np.array_equal(s1.left, s2.left)
+    assert np.array_equal(s1.basis, s2.basis)
+    assert np.array_equal(s1.inverse, s2.inverse)
+    u, _ = complex_basis(s1)
     for i in range(s1.n_modes):
-        k = int(np.argmax(np.abs(s1.right[:, i])))
-        pivot = s1.right[k, i]
+        k = int(np.argmax(np.abs(u[:, i])))
+        pivot = u[k, i]
         assert pivot.real > 0
         assert abs(pivot.imag) < 1e-12 * abs(pivot)
 
@@ -138,9 +142,10 @@ def test_zero_input_response_reconstruction():
     a = rng.normal(size=(8, 8))
     a -= 6.0 * np.eye(8)           # keep it comfortably stable
     sol = eig_biorthogonal(a)
+    u, v = complex_basis(sol)
     x0 = rng.normal(size=8)
     for t in (0.0, 0.05, 0.3, 1.0):
-        modal_sum = (sol.right * np.exp(sol.eigenvalues * t)) @ (sol.left @ x0)
+        modal_sum = (u * np.exp(sol.eigenvalues * t)) @ (v @ x0)
         direct = expm(a * t) @ x0
         assert np.abs(modal_sum.real - direct).max() < 1e-8
         assert np.abs(modal_sum.imag).max() < 1e-8
@@ -155,7 +160,8 @@ def test_zero_input_reconstruction_on_concern_states(case_a):
     rows = case_a.fss.kind_rows(("u_dc",))
     x0[rows] = rng.normal(size=len(rows))
     t = 0.2
-    modal_sum = (sol.right * np.exp(sol.eigenvalues * t)) @ (sol.left @ x0)
+    u, v = complex_basis(sol)
+    modal_sum = (u * np.exp(sol.eigenvalues * t)) @ (v @ x0)
     direct = expm(a * t) @ x0
     assert np.abs(modal_sum.real - direct).max() < 1e-8
 
@@ -323,6 +329,8 @@ def greedy_pair_conjugates(lam, scale):
 
 
 def reference_eig_biorthogonal(a_s):
+    """The real basis cut from the sorted, phase-fixed complex basis U,
+    gated by cond(U) and paired by the greedy loop."""
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
     lam, u = np.linalg.eig(a_s)
@@ -338,10 +346,14 @@ def reference_eig_biorthogonal(a_s):
         raise DefectiveMatrixError(
             f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
             "matrix is defective within working precision")
-    v = np.linalg.inv(u)
     pair_of = greedy_pair_conjugates(
         lam, max(1.0, float(np.linalg.norm(a_s, ord=2))))
-    return ModalSolution(eigenvalues=lam, right=u, left=v, pair_of=pair_of)
+    conj_of = exact_conjugates(lam)
+    up = np.flatnonzero(lam.imag > 0)
+    r = np.array(u.real)
+    r[:, conj_of[up]] = u.imag[:, up]
+    return ModalSolution(eigenvalues=lam, basis=r, inverse=np.linalg.inv(r),
+                         conj_of=conj_of, pair_of=pair_of)
 
 
 def outcome(fn, a):
@@ -355,7 +367,7 @@ def assert_same_solution(got, ref):
     if isinstance(ref, str) or isinstance(got, str):
         assert got == ref
         return
-    for field in ("eigenvalues", "right", "left", "pair_of"):
+    for field in ("eigenvalues", "basis", "inverse", "conj_of", "pair_of"):
         assert np.array_equal(getattr(got, field), getattr(ref, field)), field
     every = np.arange(got.n_modes)
     assert np.array_equal(got.participation(every, every),
@@ -520,3 +532,93 @@ def test_pairing_raises_for_a_missing_partner(monkeypatch, lam):
                        match="no conjugate partner for eigenvalue"):
         eig_biorthogonal(a)
     assert_matches_reference(a)
+
+
+# ---------------------------------------------------------------------------
+# the real basis against the complex-arithmetic oracle
+
+
+@st.composite
+def real_repeated_near_real(draw):
+    """Block-diagonal matrices with repeated modes (copies of one random
+    block), real modes (a diagonal block) and a near-real pair (a block
+    [[x, y], [-y, x]] with 0 < y <= 1e-7 ||A||), now and then mixed by an
+    orthogonal similarity so that their vectors are dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.normal(size=(draw(st.integers(1, 6)),) * 2)
+    blocks = [block] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        blocks.append(np.diag(rng.normal(size=draw(st.integers(1, 3)))))
+    if draw(st.booleans()):
+        x, y = rng.normal(), draw(st.floats(1e-12, 1.0)) * 1e-7
+        blocks.append(np.array([[x, y], [-y, x]]) * np.linalg.norm(block))
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n))
+    k = 0
+    for b in blocks:
+        a[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = q @ a @ q.T
+    return a
+
+
+@given(real_repeated_near_real())
+@example(np.kron(np.eye(2), [[-1.0, 2.0], [-2.0, -1.0]]))
+@example(np.array([[-1.0, 1e-9], [-1e-9, -1.0]]))
+@example(np.diag([-1.0, -2.0, -1.0]))
+def test_real_basis_rebuilds_the_complex_oracle(a):
+    """U rebuilt from R equals the complex oracle's value for value, that
+    is bit for bit up to the sign of a zero; V = U^-1 agrees to roundoff
+    and the MPF columns sum to one."""
+    ref = outcome(complex_eig_biorthogonal, a)
+    sol = outcome(eig_biorthogonal, a)
+    if isinstance(ref, str) or isinstance(sol, str):
+        assert isinstance(ref, str) and isinstance(sol, str)
+        return
+    u, v = complex_basis(sol)
+    every = np.arange(sol.n_modes)
+    assert np.array_equal(sol.right(every, every), u)
+    assert np.array_equal(sol.left(every, every), v.T)
+    assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(sol.pair_of, ref.pair_of)
+    assert np.array_equal(u, ref.right)
+    assert np.abs(v - ref.left).max() <= 1e-10 * np.abs(ref.left).max()
+    assert np.abs(full_mpf(sol).sum(axis=0) - 1.0).max() < 1e-8
+    # the near-real and oscillatory pairs alike are exact conjugates
+    assert np.array_equal(sol.eigenvalues[sol.conj_of],
+                          np.conj(sol.eigenvalues))
+    assert np.array_equal(u[:, sol.conj_of], np.conj(u))
+    assert np.array_equal(v[sol.conj_of], np.conj(v))
+
+
+@given(real_repeated_near_real())
+def test_real_basis_gates_equal_the_complex_ones(a):
+    """With D = diag(1 for a real mode, sqrt 2 for a pair member),
+    cond(R D) = cond_2(U) and ||R D||_F ||D^-1 W||_F = ||U||_F ||V||_F."""
+    sol = outcome(eig_biorthogonal, a)
+    assume(not isinstance(sol, str))
+    u, v = complex_basis(sol)
+    d = np.where(sol.conj_of == np.arange(sol.n_modes), 1.0, np.sqrt(2.0))
+    cond = np.linalg.cond(u)
+    assert abs(np.linalg.cond(sol.basis * d) - cond) <= 1e-10 * cond
+    cert = np.linalg.norm(u) * np.linalg.norm(v)
+    assert abs(np.linalg.norm(sol.basis * d)
+               * np.linalg.norm(sol.inverse / d[:, None]) - cert) \
+        <= 1e-10 * cert
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
+    """Guard against re-materialising U or V: the n x n arrays a solution
+    holds are R and W, real, 2 * 8 * n^2 bytes, and own their memory."""
+    sol = request.getfixturevalue(f"case_{case}").modal
+    n = sol.n_modes
+    arrays = [value for value in vars(sol).values()
+              if isinstance(value, np.ndarray)]
+    assert all(x.shape in ((n,), (n, n)) for x in arrays)
+    square = [x for x in arrays if x.ndim == 2]
+    assert sum(x.nbytes for x in square) == 2 * 8 * n * n
+    assert not any(np.iscomplexobj(x) for x in square)
+    assert all(x.base is None for x in square)
