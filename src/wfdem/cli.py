@@ -31,11 +31,11 @@ STAGES = ("load", "flow", "modes", "cluster", "aggregate", "validate")
 
 ARTIFACTS = {
     "flow": ("bus_solution.csv",),
-    "modes": ("modes.csv", "mpf.csv"),
+    "modes": ("modes.csv", "mpf.npz"),
     "cluster": ("features.csv", "features.svg", "groups.json",
                 "modescatter.svg"),
     "aggregate": ("dem.json",),
-    "validate": ("report.json", "responses.csv", "responses.svg"),
+    "validate": ("report.json", "responses.npz", "responses.svg"),
 }
 
 
@@ -97,7 +97,7 @@ def _stage_flow(state: PipelineState) -> None:
 def _stage_modes(state: PipelineState) -> None:
     state.model = modal.solve_modes(state.farm, state.sol)
     modal.write_modes_csv(state.model, state.cfg.out_dir / "modes.csv")
-    modal.write_mpf_csv(state.model, state.cfg.out_dir / "mpf.csv")
+    modal.write_mpf_csv(state.model, state.cfg.out_dir / "mpf.npz")
 
 
 def _stage_cluster(state: PipelineState) -> None:
@@ -158,9 +158,8 @@ def _stage_validate(state: PipelineState) -> None:
         state.model, state.clusters, state.dem, nrmse_by_signal, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
     validation.write_responses_csv(detailed, dem_resp, state.dem.members,
-                                   cfg.out_dir / "responses.csv")
-    _responses_svg(cfg.out_dir, *(as_printed(a) for a in (
-        detailed.t, detailed.poi_p, dem_resp.poi_p)))
+                                   cfg.out_dir / "responses.npz")
+    _responses_svg(cfg.out_dir, detailed.t, detailed.poi_p, dem_resp.poi_p)
 
 
 _STAGE_FN = {
@@ -189,8 +188,8 @@ def run_pipeline(cfg: RunConfig, upto: str = "validate") -> PipelineState:
 
 
 # One drawer per SVG.  The pipeline feeds it from memory, with numbers
-# rounded the way its CSV artifact prints them; `wfdem plot` feeds it from
-# the artifacts on disk, so both sources draw the same bytes.
+# rounded the way features.csv prints them; `wfdem plot` feeds it from the
+# artifacts on disk, so both sources draw the same bytes.
 
 
 def _xy(z: complex) -> tuple[float, float]:
@@ -221,11 +220,12 @@ def _features_svg(out_dir: Path, wt_ids: Sequence[str],
              "WT", "|superimposed MPF|", list(wt_ids), series)
 
 
-def _responses_svg(out_dir: Path, t: list[float], detailed_p: list[float],
-                   dem_p: list[float]) -> None:
+def _responses_svg(out_dir: Path, t: np.ndarray, detailed_p: np.ndarray,
+                   dem_p: np.ndarray) -> None:
+    t = t.tolist()
     series = [
-        ("detailed POI P", t, detailed_p, PALETTE[0], False),
-        ("DEM POI P", t, dem_p, PALETTE[1], True),
+        ("detailed POI P", t, detailed_p.tolist(), PALETTE[0], False),
+        ("DEM POI P", t, dem_p.tolist(), PALETTE[1], True),
     ]
     lines_svg(out_dir / "responses.svg",
               "POI active-power deviation under the sag",
@@ -279,11 +279,9 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
                       list(zip(cols[0::2], cols[1::2])))
     elif kind == "responses":
         path = out_dir / "responses.svg"
-        header, body = _read_csv(out_dir / "responses.csv")
-        col = {name: k for k, name in enumerate(header)}
-        _responses_svg(out_dir, *([float(r[col[name]]) for r in body]
-                                  for name in ("t", "detailed_poi_p",
-                                               "dem_poi_p")))
+        with np.load(out_dir / "responses.npz", allow_pickle=False) as npz:
+            _responses_svg(out_dir, npz["t"], npz["detailed_poi_p"],
+                           npz["dem_poi_p"])
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     return path

@@ -1,15 +1,15 @@
-"""Text format of the float-grid CSV artifacts.
+"""Formats of the grid artifacts.
 
-`bus_solution.csv`, `modes.csv`, `mpf.csv`, `features.csv` and
-`responses.csv` share one format: every number is written `%.12g`, every
-line ends in CRLF, and string cells are quoted the way `csv.writer` quotes
-them.  A complex grid cell expands to the two columns Re z, Im z; a reader
-forms |z| as `hypot(re, im)`.  The grids hold what the method reads:
-`mpf.csv` every state row but only the concern-mode columns,
-`responses.csv` only the signals that the NRMSEs compare.
+`bus_solution.csv`, `modes.csv` and `features.csv` share one text format:
+every number is written `%.12g`, every line ends in CRLF, and string cells
+are quoted the way `csv.writer` quotes them.  A complex grid cell expands
+to the two columns Re z, Im z; a reader forms |z| as `hypot(re, im)`.
+Rows are formatted one at a time with a single `%` template, so memory
+stays at one row of Python floats however large the grid is.
 
-Rows are formatted one at a time with a single `%` template, so memory stays
-at one row of Python floats however large the grid is.
+The two large grids, the MPF block and the scored sag responses, are
+written by `write_arrays` as uncompressed `.npz` archives instead: exact
+in float64 and complex128, with their labels as string arrays.
 """
 
 from __future__ import annotations
@@ -57,6 +57,18 @@ def write_grid(path: str | Path, columns: Sequence[str], grid: np.ndarray,
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(lines)
+
+
+def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """`arrays` as an uncompressed `.npz` archive at exactly `path`.
+
+    `np.savez` is given an open file, since it appends `.npz` to a path
+    that lacks it.  Its zip members carry the fixed date 1980-01-01, so the
+    bytes depend only on the arrays.  No object array is written, and
+    `np.load(path, allow_pickle=False)` reads every one back.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **arrays)
 
 
 def magnitude(z: np.ndarray) -> np.ndarray:

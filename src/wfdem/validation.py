@@ -21,7 +21,7 @@ import numpy as np
 from .aggregation import DemModel
 from .assembly import FarmStateSpace
 from .clustering import ModeClusters
-from .gridcsv import write_grid
+from .gridcsv import write_arrays
 from .modal import ConcernSet, FarmModel, ModalSolution
 from .powerflow import SLACK_E0
 from .wt import SagSpec
@@ -257,17 +257,18 @@ def write_report_json(report: ValidationReport, path: str | Path) -> None:
 def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,
                         mapping: dict[int, tuple[tuple[str, float], ...]],
                         path: str | Path) -> None:
-    """The signals `compare_responses` scores, on the time grid.
+    """The signals `compare_responses` scores, as `responses.npz` at `path`.
 
-    Columns: `t`, `detailed_poi_p`, `dem_poi_p`, then per group g of
-    `mapping`, `detailed_u_dc_group{g}` (the `group_u_dc` mean) and
-    `dem_u_dc_group{g}`.  Per-WT traces stay in `LinearResponse.u_dc`.
+    One float64 array per signal, on the time grid, keyed `t`,
+    `detailed_poi_p`, `dem_poi_p`, then per group g of `mapping`,
+    `detailed_u_dc_group{g}` (the `group_u_dc` mean) and `dem_u_dc_group{g}`.
+    Per-WT traces stay in `LinearResponse.u_dc`.  The name keeps the `_csv`
+    of the former text artifact because the benchmark's tracer looks the
+    writer up by name.
     """
-    cols: list[tuple[str, np.ndarray]] = [("t", detailed.t)]
-    cols.append(("detailed_poi_p", detailed.poi_p))
-    cols.append(("dem_poi_p", dem.poi_p))
+    signals = {"t": detailed.t, "detailed_poi_p": detailed.poi_p,
+               "dem_poi_p": dem.poi_p}
     for g, mean_udc in group_u_dc(detailed, mapping).items():
-        cols.append((f"detailed_u_dc_group{g}", mean_udc))
-        cols.append((f"dem_u_dc_group{g}", dem.u_dc[f"group{g}"]))
-    write_grid(path, [name for name, _ in cols],
-               np.column_stack([arr for _, arr in cols]))
+        signals[f"detailed_u_dc_group{g}"] = mean_udc
+        signals[f"dem_u_dc_group{g}"] = dem.u_dc[f"group{g}"]
+    write_arrays(path, signals)

@@ -4,7 +4,7 @@ None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
 nonlinear model, the series network losses, the admittance form of the
 farm closure, the eigensolution in complex arithmetic, and the dense MPF
-table with its full state x mode CSV.
+table of every state and mode.
 """
 
 from dataclasses import dataclass
@@ -14,10 +14,9 @@ import numpy as np
 from wfdem.assembly import _stack_blocks, linear_model
 from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
                         PerUnitBases, WtParams, nodal_network, xy_block)
-from wfdem.gridcsv import write_grid
 from wfdem.modal import (_CERT_MAX, _COND_MAX, DefectiveMatrixError,
-                         FarmModel, ModalSolution, _conjugate_layout,
-                         _pair_modes, eig_biorthogonal)
+                         ModalSolution, _conjugate_layout, _pair_modes,
+                         eig_biorthogonal)
 from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
                              solve_powerflow)
 from wfdem.validation import nrmse, simulate_linear
@@ -269,12 +268,3 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
     `complex_basis` with both factors C-contiguous."""
     u, v = complex_basis(sol)
     return np.ascontiguousarray(v.T) * np.ascontiguousarray(u)
-
-
-def write_full_mpf_csv(model: FarmModel, path) -> None:
-    """`mpf.csv` as it was before it held only the concern columns: every
-    state x every mode, |f_ki| with re/im companion columns."""
-    sol = model.modal
-    write_grid(path, [f"mode{i}" for i in range(sol.n_modes)], full_mpf(sol),
-               labels=("state",
-                       [f"{wt}:{kind}" for wt, kind in model.fss.labels]))

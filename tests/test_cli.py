@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import ROOT, run_python_bounded
@@ -258,7 +259,7 @@ def test_auto_clusters_writes_what_its_chosen_count_writes(tmp_path, case,
         runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     auto, fixed = runs["auto"], runs["fixed"]
     assert sorted(auto) == sorted(fixed)
-    for name in ("features.csv", "groups.json", "dem.json", "responses.csv",
+    for name in ("features.csv", "groups.json", "dem.json", "responses.npz",
                  "modescatter.svg"):
         assert name in auto
     for name in auto:
@@ -363,11 +364,16 @@ def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
         == [[x.upper(), str(c)] for x in "abcd" for c in (1, 3)]
 
 
-def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
+def load_digests_script():
     spec = importlib.util.spec_from_file_location(
         "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
+    script = load_digests_script()
     runs = script.acceptance_runs(tmp_path / "farms")
     assert len(runs) == 22
     assert len({name for name, _, _ in runs}) == 22
@@ -379,17 +385,14 @@ def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
         for name in files)
     assert first == second
     assert script.differing(first, second) == []
-    changed = dict(first, **{"single_wt_c1/mpf.csv": "0" * 64})
+    changed = dict(first, **{"single_wt_c1/mpf.npz": "0" * 64})
     del changed["single_wt_c1/dem.json"]
     assert script.differing(first, changed) \
-        == ["single_wt_c1/dem.json", "single_wt_c1/mpf.csv"]
+        == ["single_wt_c1/dem.json", "single_wt_c1/mpf.npz"]
 
 
 def test_acceptance_digests_script_reports_grid_differences(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_digests_script()
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
     # rows matched by label, columns by header, whatever their order
     ours.write_text("state,a_re,a_im,b\r\nw2:u,4,-0,nan\r\nw1:u,1,2,3\r\n")
@@ -417,10 +420,7 @@ def test_acceptance_digests_script_reports_grid_differences(tmp_path):
 
 
 def test_acceptance_digests_script_reports_json_differences(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_digests_script()
     ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
     ours.write_text(json.dumps({"e": 0.01, "groups": {"w1": 0, "w2": 1},
                                 "merged": [], "note": "a", "xs": [1.0, 2.0],
@@ -436,3 +436,99 @@ def test_acceptance_digests_script_reports_json_differences(tmp_path):
         "  numeric leaves: max abs diff 0.0025, max rel diff 0.2"]
     assert script.json_difference(ours, ours) == [
         "  numeric leaves: max abs diff 0, max rel diff 0"]
+
+
+def test_acceptance_digests_script_reports_npz_differences(tmp_path):
+    script = load_digests_script()
+    ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
+    z = np.array([[1 + 2j, 0j], [-4j, np.nan]])
+    with open(ours, "wb") as fh:
+        np.savez(fh, z=z, s=np.array(["a", "b"]), t=np.arange(3.0),
+                 only=np.zeros(1))
+    with open(theirs, "wb") as fh:
+        np.savez(fh, z=z, s=np.array(["a", "b"]), t=np.arange(3.0))
+    assert script.npz_difference(ours, theirs) == [
+        "  keys only ours: only",
+        "  shared 3 keys: max abs diff 0, max rel diff 0, "
+        "max abs diff / column max |value| 0"]
+    z2 = z.copy()
+    z2[1, 0] = -5j                          # |dz| 1, column max |value| 5
+    with open(theirs, "wb") as fh:
+        np.savez(fh, z=z2, s=np.array(["a", "c"]), t=np.arange(4.0),
+                 only=np.zeros(1, dtype=np.float32))
+    assert script.npz_difference(ours, theirs) == [
+        "  z: max abs diff 1, max rel diff 0.2, "
+        "max abs diff / column max |value| 0.2 (column 0)",
+        "  s: 1 of 2 entries differ",
+        "  t: float64[3] -> float64[4]",
+        "  only: float64[1] -> float32[1]",
+        "  shared 4 keys: max abs diff 1, max rel diff 0.2, "
+        "max abs diff / column max |value| 0.2 (z)"]
+
+
+def test_acceptance_digests_script_renders_npz_as_the_former_csv(tmp_path):
+    script = load_digests_script()
+    out = tmp_path / "run"
+    assert main(["all", "--farm", str(FARMS / "single_wt.json"),
+                 "--clusters", "1", "--out", str(out)]) == 0
+    for stem in ("mpf", "responses"):
+        npz = out / f"{stem}.npz"
+        former = tmp_path / f"{stem}.csv"
+        script.render_npz(npz, former)
+        same, lines = script.rendered_difference(npz, former,
+                                                 tmp_path / "rendered")
+        assert same and lines == [f"  rendered as {stem}.csv: identical "
+                                  "to theirs"]
+        # one cell of the former file moved: the cell listing follows
+        header, first, *rest = former.read_bytes().split(b"\r\n")
+        cells = first.split(b",")
+        cells[1] = b"12345"
+        former.write_bytes(b"\r\n".join([header, b",".join(cells), *rest]))
+        same, lines = script.rendered_difference(npz, former,
+                                                 tmp_path / "rendered")
+        assert not same
+        assert lines[0] == f"  rendered as {stem}.csv: differs from theirs"
+        assert lines[-1].startswith("  shared ")
+        assert "max abs diff 0," not in lines[-1]
+
+
+def test_acceptance_digests_script_records_and_checks_the_environment(
+        tmp_path, monkeypatch, capsys):
+    script = load_digests_script()
+    env = script.environment()
+    assert sorted(env) == ["blas", "blas_threads", "numpy"]
+    assert env["numpy"] == np.__version__
+    single = [run for run in script.acceptance_runs(tmp_path / "farms")
+              if run[0] == "single_wt_c1"]
+    monkeypatch.setattr(script, "acceptance_runs", lambda farm_dir: single)
+
+    assert script.main(["--out", str(tmp_path / "first")]) == 0
+    first = tmp_path / "first" / "digests.json"
+    recorded = json.loads(first.read_text())
+    assert recorded["environment"] == env
+    assert sorted(recorded["digests"]) == sorted(
+        f"single_wt_c1/{name}" for files in ARTIFACTS.values()
+        for name in files)
+    assert script.read_digests(first) == (env, recorded["digests"])
+    capsys.readouterr()
+
+    # the same environment: no warning, and no artifact differs
+    assert script.main(["--out", str(tmp_path / "second"),
+                        "--compare", str(first)]) == 0
+    assert not capsys.readouterr().out.startswith("WARNING")
+
+    # another thread count, or none recorded: the first line says so
+    recorded["environment"]["blas_threads"] = "99"
+    first.write_text(json.dumps(recorded))
+    assert script.main(["--out", str(tmp_path / "third"),
+                        "--compare", str(first)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "WARNING: ENVIRONMENTS DIFFER (ours != theirs): blas_threads "
+        f"{env['blas_threads']} != 99. Digests can differ with no code "
+        "change.")
+    first.write_text(json.dumps(recorded["digests"]))
+    assert script.read_digests(first) == (None, recorded["digests"])
+    assert script.main(["--out", str(tmp_path / "fourth"),
+                        "--compare", str(first)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "WARNING: ENVIRONMENT NOT RECORDED")

@@ -1,15 +1,18 @@
-"""Float-grid CSV artifacts: mpf.csv, features.csv, responses.csv,
-bus_solution.csv and modes.csv.
+"""Grid artifacts: features.csv, bus_solution.csv and modes.csv, and the
+exact arrays mpf.npz and responses.npz.
 
 Oracle: the per-cell writers below, which format every cell with its own
-f-string and pass each row through `csv.writer`.  The grid writers must
-produce the same bytes.  `reference_responses_csv` forms each group's
+f-string and pass each row through `csv.writer`.  The CSV grid writers must
+produce the same bytes.  The arrays of an `.npz` must be bit for bit what
+the pipeline computed, and, rendered through `write_grid`, the bytes of
+the CSV it replaced: `reference_responses_csv` forms each group's
 capacity-weighted mean trace itself, and `reference_mpf_csv` reads the
 dense MPF table of `oracles.full_mpf`.  A complex grid writes the bytes of
 its float grid of interleaved Re, Im columns.
 """
 
 import csv
+import zipfile
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from wfdem.gridcsv import write_grid
 from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
-from wfdem.validation import LinearResponse, simulate_linear, write_responses_csv
+from wfdem.validation import (LinearResponse, group_u_dc, simulate_linear,
+                              write_responses_csv)
 from wfdem.wt import SagSpec
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,77 @@ def assert_same_bytes(tmp_path, write, reference, *args):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
+def assert_bits(got, want):
+    """Same dtype, shape and bytes: nan payloads and signed zeros too."""
+    want = np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def assert_npz_renders_as_reference(tmp_path, write, reference, arrays_of,
+                                    render, *args):
+    """`write` makes an `.npz` whose arrays are `arrays_of(*args)` bit for
+    bit, in that key order, with zip members dated 1980-01-01; a second
+    write, to a path without the `.npz` suffix, lands at exactly that path
+    with the same bytes; and `render` of the arrays writes `reference`'s
+    bytes."""
+    path, again = tmp_path / "ours.npz", tmp_path / "again"
+    write(*args, path)
+    write(*args, again)
+    assert path.read_bytes() == again.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        assert {m.date_time for m in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    want = arrays_of(*args)
+    assert list(arrays) == list(want)
+    for key, value in want.items():
+        assert_bits(arrays[key], value)
+    render(arrays, tmp_path / "rendered.csv")
+    reference(*args, tmp_path / "reference.csv")
+    assert (tmp_path / "rendered.csv").read_bytes() \
+        == (tmp_path / "reference.csv").read_bytes()
+
+
+def mpf_arrays(model):
+    cols = list(model.concern.mode_indices)
+    labels = model.fss.labels
+    return {"mpf": model.modal.participation(np.arange(len(labels)), cols),
+            "state": np.array([f"{wt}:{kind}" for wt, kind in labels]),
+            "mode": np.array(cols, dtype=np.int64)}
+
+
+def render_mpf(arrays, path):
+    write_grid(path, [f"mode{i}" for i in arrays["mode"].tolist()],
+               arrays["mpf"], labels=("state", arrays["state"].tolist()))
+
+
+def responses_arrays(detailed, dem, mapping):
+    out = {"t": detailed.t, "detailed_poi_p": detailed.poi_p,
+           "dem_poi_p": dem.poi_p}
+    for g, mean in group_u_dc(detailed, mapping).items():
+        out[f"detailed_u_dc_group{g}"] = mean
+        out[f"dem_u_dc_group{g}"] = dem.u_dc[f"group{g}"]
+    return out
+
+
+def render_responses(arrays, path):
+    write_grid(path, list(arrays), np.column_stack(list(arrays.values())))
+
+
+def assert_mpf_npz(tmp_path, model):
+    assert_npz_renders_as_reference(tmp_path, write_mpf_csv,
+                                    reference_mpf_csv, mpf_arrays,
+                                    render_mpf, model)
+
+
+def assert_responses_npz(tmp_path, detailed, dem, mapping):
+    assert_npz_renders_as_reference(tmp_path, write_responses_csv,
+                                    reference_responses_csv,
+                                    responses_arrays, render_responses,
+                                    detailed, dem, mapping)
+
+
 # ---------------------------------------------------------------------------
 # study cases
 
@@ -142,11 +217,10 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
     dem_resp = simulate_linear(dem.model.fss, dem.model.modal, sag, 2.0,
                                1e-3)
-    assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, s.model)
+    assert_mpf_npz(tmp_path, s.model)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)
-    assert_same_bytes(tmp_path, write_responses_csv, reference_responses_csv,
-                      detailed, dem_resp, dem.members)
+    assert_responses_npz(tmp_path, detailed, dem_resp, dem.members)
 
 
 @pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
@@ -219,7 +293,7 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     model = made_up_model(sol, concern, ((wt, "u_dc") for wt in ids))
     # inf * 0 in the product's cross terms
     with np.errstate(invalid="ignore"):
-        assert_same_bytes(tmp_path, write_mpf_csv, reference_mpf_csv, model)
+        assert_mpf_npz(tmp_path, model)
 
     features = FeatureTable(wt_ids=tuple(ids), table=table)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
@@ -241,8 +315,7 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                          poi_p=-t, poi_i=None)
     # the weighted means add inf to -inf and overflow
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_same_bytes(tmp_path, write_responses_csv,
-                          reference_responses_csv, detailed, dem, mapping)
+        assert_responses_npz(tmp_path, detailed, dem, mapping)
 
     # column 0 as a spectrum, half its modes selected, pairs made up
     modal = ModalSolution(eigenvalues=table[:, 0], basis=None, inverse=None,

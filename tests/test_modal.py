@@ -3,7 +3,7 @@
 Oracles: closed-form roots for 2x2 cases, the matrix exponential for the
 zero-input response reconstruction, the analytic stiff-grid mode for the
 decoupled farm, the eigensolution in complex arithmetic, and the dense MPF
-table with its full state x mode CSV.
+table of every state and mode.
 """
 
 import csv
@@ -15,8 +15,7 @@ from scipy.linalg import expm
 
 from helpers import ROOT, SolvedFarm, ladder_farm
 from oracles import (complex_basis, complex_eig_biorthogonal,
-                     exact_conjugates, full_mpf, stiff_grid_mode,
-                     write_full_mpf_csv)
+                     exact_conjugates, full_mpf, stiff_grid_mode)
 from wfdem.cases import identical_zero_network_farm
 from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
@@ -253,16 +252,23 @@ def test_band_mixing_warns():
         select_concern_modes(sol, [0, 2], 2)      # the two u_dc states
 
 
+def load_npz(path) -> dict:
+    with np.load(path, allow_pickle=False) as npz:
+        return {key: npz[key] for key in npz.files}
+
+
 def test_modes_and_mpf_csv(tmp_path, case_a):
     write_modes_csv(case_a.model, tmp_path / "modes.csv")
-    write_mpf_csv(case_a.model, tmp_path / "mpf.csv")
+    write_mpf_csv(case_a.model, tmp_path / "mpf.npz")
     modes = (tmp_path / "modes.csv").read_text().strip().splitlines()
     assert modes[0] == "re,im,freq_hz,damping_ratio,pair_id,selected"
     assert len(modes) == 1 + 132
     assert sum(line.endswith(",1") for line in modes[1:]) == 33
-    mpf = (tmp_path / "mpf.csv").read_text().strip().splitlines()
-    assert len(mpf) == 1 + 132
-    assert all(len(line.split(",")) == 1 + 2 * 33 for line in mpf)
+    mpf = load_npz(tmp_path / "mpf.npz")
+    assert list(mpf) == ["mpf", "state", "mode"]
+    assert mpf["mpf"].dtype == np.complex128 and mpf["mpf"].shape == (132, 33)
+    assert mpf["state"].shape == (132,) and mpf["mode"].shape == (33,)
+    assert mpf["mode"].dtype == np.int64
 
 
 def read_csv(path):
@@ -273,23 +279,21 @@ def read_csv(path):
 
 def assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(tmp_path, s):
     write_modes_csv(s.model, tmp_path / "modes.csv")
-    write_mpf_csv(s.model, tmp_path / "mpf.csv")
-    write_full_mpf_csv(s.model, tmp_path / "full.csv")
-    header, body = read_csv(tmp_path / "mpf.csv")
-    full_header, full_body = read_csv(tmp_path / "full.csv")
+    write_mpf_csv(s.model, tmp_path / "mpf.npz")
+    mpf = load_npz(tmp_path / "mpf.npz")
 
     # the columns join with the selected rows of modes.csv, in concern order
     _, modes = read_csv(tmp_path / "modes.csv")
     selected = [i for i, row in enumerate(modes) if row[-1] == "1"]
-    names = [f"mode{i}" for i in s.concern.mode_indices]
-    assert sorted(s.concern.mode_indices) == selected
-    assert header == ["state"] + [f"{name}_{part}" for name in names
-                                  for part in ("re", "im")]
+    assert mpf["mode"].tolist() == list(s.concern.mode_indices)
+    assert sorted(mpf["mode"].tolist()) == selected
+    assert mpf["state"].tolist() == [f"{wt}:{kind}"
+                                     for wt, kind in s.fss.labels]
 
-    # every row, and each kept column byte for byte as the full grid's
-    assert len(body) == len(full_body) == s.modal.n_modes
-    where = [full_header.index(name) for name in header]
-    assert [[row[k] for k in where] for row in full_body] == body
+    # every row, and each kept column bit for bit as the full table's
+    want = np.ascontiguousarray(full_mpf(s.modal)[:, mpf["mode"]])
+    assert mpf["mpf"].shape == (s.modal.n_modes, len(selected))
+    assert mpf["mpf"].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", "abcd")

@@ -7,7 +7,6 @@ matrix exponential of the augmented state matrix, then one mat-vec a step)
 for the modal closed form.
 """
 
-import csv
 import dataclasses
 import json
 
@@ -25,7 +24,8 @@ from wfdem.cli import RunConfig, emit_plot, run_pipeline
 from wfdem.clustering import ModeClusters, cluster_modes
 from wfdem.farm import (GridThevenin, PerUnitBases, WtParams, load_farm,
                         save_farm)
-from wfdem.modal import ConcernSet, ModalSolution, eig_biorthogonal
+from wfdem.modal import (_COND_MAX, ConcernSet, DefectiveMatrixError,
+                         ModalSolution, eig_biorthogonal)
 from wfdem.powerflow import SLACK_E0
 from wfdem.validation import (LinearResponse, compare_responses, error_E,
                               error_Eprime, nrmse, simulate_linear)
@@ -347,15 +347,25 @@ def near_defective_model(seed: int, lam: float, delta: float,
 @given(st.integers(0, 2**32 - 1), st.floats(-50.0, -1.0),
        st.floats(-14.0, -1.0), st.booleans())
 @example(907949419, -1.1, -9.8, False)
+# cond(U) = 2.5e14: past the gate, so the basis is refused
+@example(1452157, -40.71114985133396, -14.0, False)
 def test_modal_form_on_near_defective_matrices(seed, lam, log_delta, real):
     # the difference grows with the conditioning of the eigenvector basis,
     # which ||U||_F ||V||_F bounds; over 4000 seeded draws it stayed below
-    # 31 eps times that bound.  The example has a complex pair at
+    # 31 eps times that bound.  The first example has a complex pair at
     # Im = +-1.3e-5; doubling the upper member's weight there, instead of
     # adding its partner's, exceeds the asserted bound 8.5-fold.
     delta = (1.0 if real else -1.0) * 10.0**log_delta
     fss = near_defective_model(seed, lam, delta)
-    modal = eig_biorthogonal(fss.a_s)
+    # cond_2 of eig's unit vectors, which phase fixing and sorting keep;
+    # the gate's own SVD of R D may differ from it in the fourth digit
+    cond = np.linalg.cond(np.linalg.eig(fss.a_s)[1])
+    try:
+        modal = eig_biorthogonal(fss.a_s)
+    except DefectiveMatrixError:
+        assert cond > _COND_MAX * (1 - 1e-3)
+        return
+    assert cond <= _COND_MAX * (1 + 1e-3)
     sag = SagSpec(0.05, 0.1)
     resp = simulate_linear(fss, modal, sag, horizon=0.5, dt=1e-3)
     ref = stepper_response(fss, sag, horizon=0.5, dt=1e-3)
@@ -415,36 +425,28 @@ def test_compare_responses_grid_mismatch_rejected():
         compare_responses(a, b, {})
 
 
-def rescored_from_responses_csv(out) -> tuple[dict, dict]:
-    """Every NRMSE recomputed from responses.csv, with the error bound that
-    the csv's 12 significant digits allow for each."""
-    with open(out / "responses.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    col = {name: np.array([float(r[k]) for r in rows[1:]])
-           for k, name in enumerate(rows[0])}
-    groups = [name[len("dem_u_dc_group"):] for name in rows[0]
+def rescored_from_responses_npz(out) -> dict:
+    """Every NRMSE recomputed from responses.npz, as `nrmse` forms it."""
+    with np.load(out / "responses.npz", allow_pickle=False) as npz:
+        col = {name: npz[name] for name in npz.files}
+    groups = [name[len("dem_u_dc_group"):] for name in col
               if name.startswith("dem_u_dc_group")]
-    assert rows[0] == ["t", "detailed_poi_p", "dem_poi_p"] + [
+    assert list(col) == ["t", "detailed_poi_p", "dem_poi_p"] + [
         f"{side}_u_dc_group{g}" for g in groups
         for side in ("detailed", "dem")]
+    assert all(a.dtype == np.float64 and a.shape == col["t"].shape
+               for a in col.values())
     signals = {"poi_p": ("detailed_poi_p", "dem_poi_p")}
     signals.update({f"group{g}_u_dc": (f"detailed_u_dc_group{g}",
                                        f"dem_u_dc_group{g}")
                     for g in groups})
-    value, bound = {}, {}
+    value = {}
     for name, (ref, hat) in signals.items():
         y, y_hat = col[ref], col[hat]
         rmse = float(np.sqrt(np.mean((y - y_hat) ** 2)))
         span = float(y.max() - y.min())
-        # each printed value is within 5e-12 of the computed one, relative
-        drift = 5e-12 * (np.abs(y).max() + np.abs(y_hat).max())
-        if span == 0.0:
-            value[name], bound[name] = rmse, drift
-        else:
-            value[name] = rmse / span
-            bound[name] = (drift + value[name] * 1e-11
-                           * np.abs(y).max()) / span
-    return value, bound
+        value[name] = rmse if span == 0.0 else rmse / span
+    return value
 
 
 @pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
@@ -461,12 +463,9 @@ def test_report_nrmse_is_recomputed_from_responses_csv(tmp_path, farm,
     out = tmp_path / "out"
     run_pipeline(RunConfig(farm_path=path, out_dir=out, clusters=clusters))
     report = json.loads((out / "report.json").read_text())
-    value, bound = rescored_from_responses_csv(out)
-    assert sorted(value) == sorted(report["nrmse"])
-    for name, want in report["nrmse"].items():
-        assert abs(value[name] - want) <= 2 * bound[name] + 1e-14 * want, \
-            (name, value[name], want, bound[name])
-    # the POI power plot redraws from the csv byte for byte
+    # the arrays are exact, so each NRMSE is the report's to the last bit
+    assert rescored_from_responses_npz(out) == report["nrmse"]
+    # the POI power plot redraws from the arrays byte for byte
     svg = (out / "responses.svg").read_bytes()
     emit_plot(out, "responses")
     assert (out / "responses.svg").read_bytes() == svg
