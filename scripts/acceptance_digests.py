@@ -27,10 +27,7 @@ difference over its column's largest |value|; an MPF cell near 1e-17 makes
 the relative figure meaningless, the column figure is not.  For a JSON file
 it adds every differing leaf, by path, and the largest absolute and
 relative difference over the numeric leaves.  An `.npz` that both sides
-wrote gets the same figures per key, after each key's shape and dtype.  An
-`mpf.npz` or `responses.npz` whose other side is the former `mpf.csv` or
-`responses.csv` is rendered as that CSV through `gridcsv.write_grid` and
-compared byte for byte, with the cell listing on a mismatch.
+wrote gets the same figures per key, after each key's shape and dtype.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import farmgen                        # noqa: E402
 from run import FARMS                 # noqa: E402
 from wfdem import cli                 # noqa: E402
 from wfdem.farm import GridThevenin, load_farm, save_farm  # noqa: E402
-from wfdem.gridcsv import write_grid  # noqa: E402
 
 SEED = 7
 
@@ -271,27 +267,15 @@ def json_difference(ours: Path, theirs: Path) -> list[str]:
     return lines
 
 
-def render_npz(path: Path, csv_path: Path) -> None:
-    """`mpf.npz` or `responses.npz` written as the CSV it replaced, through
-    `write_grid`, with the header and row labels held in the archive."""
-    with np.load(path, allow_pickle=False) as npz:
-        if path.stem == "mpf":
-            write_grid(csv_path, [f"mode{i}" for i in npz["mode"].tolist()],
-                       npz["mpf"], labels=("state", npz["state"].tolist()))
-        elif path.stem == "responses":
-            write_grid(csv_path, npz.files,
-                       np.column_stack([npz[key] for key in npz.files]))
-        else:
-            raise ValueError(f"no CSV layout for {path.name}")
-
-
 def array_difference(ours: np.ndarray, theirs: np.ndarray,
                      ) -> tuple[float, float, float, int]:
     """Largest absolute and relative difference of two numeric arrays of
     one shape, the largest over its column's largest finite |value| on
     either side, and the column (of a 1-D array, 0) where that one is;
-    cells compare as `cell_difference` compares them."""
-    a, b = (np.reshape(x, (len(x), -1) if np.ndim(x) else (1, 1))
+    cells compare as `cell_difference` compares them, in a float or complex
+    dtype, so an integer array differences without wrapping."""
+    a, b = (np.reshape(np.asarray(x, np.result_type(x, 1.0)),
+                       (len(x), -1) if np.ndim(x) else (1, 1))
             for x in (ours, theirs))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         d = np.abs(a - b)
@@ -355,19 +339,6 @@ def npz_difference(ours: Path, theirs: Path) -> list[str]:
     return lines
 
 
-def rendered_difference(ours: Path, theirs_csv: Path, work: Path,
-                        ) -> tuple[bool, list[str]]:
-    """Whether our `.npz`, rendered as their former CSV, is theirs byte for
-    byte, and the report lines: that verdict, else the cell listing."""
-    rendered = work / theirs_csv.name
-    rendered.parent.mkdir(parents=True, exist_ok=True)
-    render_npz(ours, rendered)
-    if rendered.read_bytes() == theirs_csv.read_bytes():
-        return True, [f"  rendered as {theirs_csv.name}: identical to theirs"]
-    return False, [f"  rendered as {theirs_csv.name}: differs from theirs",
-                   *grid_difference(rendered, theirs_csv)]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True)
@@ -391,19 +362,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     changed = differing(digests, theirs)
     print(f"{len(changed)} differ from {args.compare}")
-    rendered_equal = 0
     for key in changed:
         print(key)
         ours = args.out / "runs" / key
         theirs_path = args.compare.parent / "runs" / key
-        former = theirs_path.with_suffix(".csv")
-        if ours.suffix == ".npz" and not theirs_path.exists() \
-                and former.exists():
-            same, lines = rendered_difference(
-                ours, former, args.out / "rendered" / ours.parent.name)
-            rendered_equal += same
-            print("\n".join(lines))
-        elif not (ours.exists() and theirs_path.exists()):
+        if not (ours.exists() and theirs_path.exists()):
             continue
         elif key.endswith(".csv"):
             print("\n".join(grid_difference(ours, theirs_path)))
@@ -411,9 +374,6 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(json_difference(ours, theirs_path)))
         elif key.endswith(".npz"):
             print("\n".join(npz_difference(ours, theirs_path)))
-    if rendered_equal:
-        print(f"{rendered_equal} of our .npz artifacts render as their "
-              "former CSV byte for byte")
     return 1 if changed else 0
 
 if __name__ == "__main__":

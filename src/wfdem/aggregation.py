@@ -135,12 +135,13 @@ class DemModel:
     # group id -> (member WT id, its capacity MVA) in assignment order
     members: dict[int, tuple[tuple[str, float], ...]]
     model: FarmModel
-    capacity_mva: dict[int, float]   # machine capacity base per group id
 
     @property
     def group_capacity_mva(self) -> dict[str, float]:
-        """`capacity_mva` keyed by the group id as a JSON key."""
-        return {str(g): mva for g, mva in self.capacity_mva.items()}
+        """Machine capacity base per group id, keyed as in JSON; the DEM
+        farm holds one machine per group, in sorted group order."""
+        return {str(g): wt.s_mva
+                for g, (wt, _) in zip(self.members, self.farm.wts)}
 
 
 def build_dem(farm: FarmDescription, groups: GroupAssignment,
@@ -171,9 +172,7 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
 
     members = {g: tuple((wt.id, wt.capacity_mva(farm.bases))
                         for wt, _ in by_group[g]) for g in sorted(by_group)}
-    capacity = {g: wt.s_mva for g, wt in zip(sorted(by_group), aggregates)}
-    return DemModel(farm=dem_farm, members=members, model=model,
-                    capacity_mva=capacity)
+    return DemModel(farm=dem_farm, members=members, model=model)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:

@@ -28,19 +28,19 @@ StateLabel = tuple[str, str]   # (wt id, state kind)
 
 @dataclass(frozen=True)
 class FarmStateSpace:
-    """Assembled farm model plus the output map back to terminal quantities.
+    """Assembled farm model plus the output map to the POI.
 
-    State k belongs to `labels[k] = (wt id, kind)`.  `c_out` recovers the
-    system-base current deviations di = c_out @ x.  POI quantities use the
-    stored operating point so power deviations can be reconstructed.
+    State k belongs to `labels[k] = (wt id, kind)`.  `c_poi @ x` gives the
+    system-base POI current deviation (rows 0-1) and POI voltage deviation
+    with the source held fixed (rows 2-3).  POI quantities use the stored
+    operating point so power deviations can be reconstructed.
     """
 
     a_s: np.ndarray          # (4N, 4N)
     b_s: np.ndarray          # (4N, 2)
     labels: tuple[StateLabel, ...]
     wt_order: tuple[str, ...]
-    c_out: np.ndarray        # (2N, 4N)
-    z_poi: np.ndarray        # (2, 2N)
+    c_poi: np.ndarray        # (4, 4N)
     u_poi0: np.ndarray       # (2,)
     i_poi0: np.ndarray       # (2,)
 
@@ -98,8 +98,7 @@ def assemble_farm(blocks: list[WtStateSpace],
         b_s=b.reshape(len(b), n, 2).sum(axis=1),
         labels=tuple(labels),
         wt_order=net.wt_order,
-        c_out=c,
-        z_poi=net.z_poi,
+        c_poi=np.vstack([c.reshape(n, 2, -1).sum(axis=0), net.z_poi @ c]),
         u_poi0=u_poi0,
         i_poi0=i_poi0,
     )

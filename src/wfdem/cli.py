@@ -234,9 +234,11 @@ def _responses_svg(out_dir: Path, t: np.ndarray, detailed_p: np.ndarray,
 
 def _write_scatter(state: PipelineState) -> None:
     concern, clusters = state.model.concern, state.clusters
-    idx_of = {m: k for k, m in enumerate(concern.mode_indices)}
-    points = [[_xy(concern.eigenvalues[idx_of[m]]) for m in group]
-              for group in clusters.members]
+    # the concern order is the order each cluster's members hold
+    cluster_of = clusters.cluster_of
+    points = [[] for _ in clusters.members]
+    for idx, lam in zip(concern.mode_indices, concern.eigenvalues):
+        points[cluster_of[idx]].append(_xy(lam))
     dem_modes = None if state.dem is None else [
         _xy(lam) for lam in state.dem.model.concern.eigenvalues]
     _scatter_svg(state.cfg.out_dir, points,
@@ -376,6 +378,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     e_target = RunConfig.e_target if args.e_target is None else args.e_target
     for flag, ok, bound in (
             ("--clusters", args.clusters is None or args.clusters >= 1, ">= 1"),
+            ("--seed", args.seed >= 0, ">= 0"),
             ("--dt", 0 < args.dt < math.inf, "finite and > 0"),
             ("--horizon", SagSpec.t_start + args.dt <= args.horizon < math.inf,
              f"finite and >= {SagSpec.t_start:g} s (the sag's start) + --dt"),

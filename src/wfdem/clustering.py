@@ -46,6 +46,11 @@ class ModeClusters:
     def n_clusters(self) -> int:
         return len(self.members)
 
+    @property
+    def cluster_of(self) -> dict[int, int]:
+        """Global mode index -> index of the cluster that holds it."""
+        return {m: c for c, group in enumerate(self.members) for m in group}
+
 
 def _sqdist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """Squared distances (R, N, C) from points (N, 2) to centres (R, C, 2).

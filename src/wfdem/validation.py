@@ -36,18 +36,10 @@ _STEPS = 256
 # frequency-domain errors
 
 
-def _centre_by_mode(clusters: ModeClusters) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    for c, group in enumerate(clusters.members):
-        for m in group:
-            out[m] = complex(clusters.centres[c])
-    return out
-
-
 def centre_errors(concern: ConcernSet, clusters: ModeClusters) -> np.ndarray:
     """Relative distance of each concern mode to its cluster centre."""
-    centres = _centre_by_mode(clusters)
-    missing = [i for i in concern.mode_indices if i not in centres]
+    cluster_of = clusters.cluster_of
+    missing = [i for i in concern.mode_indices if i not in cluster_of]
     if missing:
         raise ValueError(f"clusters do not cover concern modes {missing}")
     errs = np.empty(len(concern))
@@ -55,7 +47,8 @@ def centre_errors(concern: ConcernSet, clusters: ModeClusters) -> np.ndarray:
                                        concern.eigenvalues)):
         if abs(lam) == 0:
             raise ZeroDivisionError("zero-magnitude mode has no relative error")
-        errs[k] = abs(lam - centres[idx]) / abs(lam)
+        centre = complex(clusters.centres[cluster_of[idx]])
+        errs[k] = abs(lam - centre) / abs(lam)
     return errs
 
 
@@ -121,10 +114,8 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
 
     # output rows: u_dc per WT, POI current, POI voltage less de
     n_wt = len(fss.wt_order)
-    c_poi = np.vstack([fss.c_out.reshape(n_wt, 2, -1).sum(axis=0),
-                       fss.z_poi @ fss.c_out])
     m = np.vstack([modal.basis[fss.kind_rows(("u_dc",))],
-                   c_poi @ modal.basis])
+                   fss.c_poi @ modal.basis])
     q = modal.inverse @ (fss.b_s @ de)
     real = np.flatnonzero(modal.conj_of == np.arange(modal.n_modes))
     upper = np.flatnonzero(modal.eigenvalues.imag > 0)
@@ -225,8 +216,7 @@ def build_report(model: FarmModel, clusters: ModeClusters, dem: DemModel,
     concern = model.concern
     cen = centre_errors(concern, clusters)
     near = nearest_errors(concern, dem.model.concern)
-    cluster_of = {m: c for c, group in enumerate(clusters.members)
-                  for m in group}
+    cluster_of = clusters.cluster_of
     breakdown = [
         {
             "re": lam.real,

@@ -145,14 +145,24 @@ def ladder_farm(feeders: int, spans: int, seed: int | tuple[int, ...],
     return farmgen.ladder_farm(feeders, spans, seed, planted)[0]
 
 
-def run_python_bounded(args: list[str], timeout: float,
+def load_digests_script():
+    """`scripts/acceptance_digests.py` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def run_python_bounded(args: list[str], timeout: float, blas_threads: int = 1,
                        ) -> subprocess.CompletedProcess:
-    """`python *args` in a child capped at 1 GiB of address space.
+    """`python *args` in a child capped at 1 GiB of address space, with
+    OpenBLAS held to `blas_threads` threads.
 
     For code whose failure mode is an endless loop: the child fails on the
     cap or the timeout instead of hanging the suite or exhausting memory.
     """
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
            "PYTHONPATH": os.pathsep.join(
                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 

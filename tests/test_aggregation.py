@@ -220,7 +220,7 @@ def test_group_capacities_are_keyed_by_group_id(tmp_path, case_b):
         group_of={wt_id: 1 if k < 3 else 2 for k, wt_id in enumerate(ids)},
         margins={wt_id: 1.0 for wt_id in ids}, merged=())
     dem = build_dem(case_b.farm, groups)
-    assert dem.capacity_mva == {1: 4.5, 2: 45.0}
+    assert dem.group_capacity_mva == {"1": 4.5, "2": 45.0}
     path = tmp_path / "dem.json"
     write_dem_json(dem, path)
     import json

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_radial_farm, solved_case
+from helpers import SolvedFarm, random_radial_farm, solved_case, stiff_grid
 from oracles import closed_loop_via_admittance
 from wfdem.assembly import assemble_farm, linear_model
 from wfdem.cases import (case_farm, identical_zero_network_farm,
@@ -129,6 +129,26 @@ def test_closure_forms_agree(case):
     scale = max(1.0, np.abs(sorted_eigs(s.fss.a_s)).max())
     assert np.abs(sorted_eigs(s.fss.a_s) - sorted_eigs(alt)).max() \
         < 1e-10 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: solved_case("b"),
+    lambda: SolvedFarm(single_wt_farm()),
+    lambda: SolvedFarm(random_radial_farm(11)),
+    lambda: SolvedFarm(stiff_grid(case_farm("b")))],
+    ids=["case_b", "single_wt", "radial_11", "stiff_case_b"])
+def test_c_poi_is_the_summed_currents_and_the_poi_voltage(make):
+    # formed WT by WT: the POI current is the sum of the WT currents
+    # c_k x_k, and the POI voltage is z_poi times the stacked currents
+    s = make()
+    currents = np.hstack([blk.c for blk in s.blocks])
+    voltage = np.hstack([s.net.z_poi[:, 2 * k:2 * k + 2] @ blk.c
+                         for k, blk in enumerate(s.blocks)])
+    c_poi = s.fss.c_poi
+    assert c_poi.shape == (4, s.fss.n_states)
+    assert np.array_equal(c_poi[:2], currents)
+    scale = np.abs(voltage).max()
+    assert np.abs(c_poi[2:] - voltage).max() <= 1e-14 * scale
 
 
 def test_block_count_mismatch_rejected():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ROOT, run_python_bounded
+from helpers import ROOT, load_digests_script, run_python_bounded
 from wfdem import cli
 from wfdem.cli import (ARTIFACTS, RunConfig, _build_parser, _config_from_args,
                        emit_plot, emit_report, main, run_pipeline)
@@ -321,9 +321,11 @@ def test_e_target_needs_auto_clusters(tmp_path, capsys):
     (["--auto-clusters", "--e-target", "0"],
      "--e-target must be finite and > 0"),
     (["--clusters", "0"], "--clusters must be >= 1"),
+    (["--seed", "-1"], "--seed must be >= 0"),
 ], ids=["horizon_short", "horizon_negative", "horizon_nan", "horizon_inf",
         "dt_past_horizon", "dt_zero", "dt_nan", "sag_zero", "sag_nan",
-        "sag_above_one", "e_target_nan", "e_target_zero", "clusters_zero"])
+        "sag_above_one", "e_target_nan", "e_target_zero", "clusters_zero",
+        "seed_negative"])
 def test_bad_run_flags_are_named_before_anything_is_written(tmp_path, capsys,
                                                             flags, message):
     out = tmp_path / "out"
@@ -337,10 +339,10 @@ def test_run_flags_at_their_limits_are_accepted():
     args = _build_parser().parse_args(
         ["all", "--farm", "farm.json", "--out", "out", "--sag", "1",
          "--dt", "0.01", "--horizon", "0.11", "--auto-clusters",
-         "--e-target", "1e-12"])
+         "--e-target", "1e-12", "--seed", "0"])
     assert _config_from_args(args) == RunConfig(
         Path("farm.json"), Path("out"), clusters=None, e_target=1e-12,
-        sag=1.0, horizon=0.11, dt=0.01)
+        seed=0, sag=1.0, horizon=0.11, dt=0.01)
 
 
 def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
@@ -362,14 +364,6 @@ def test_run_cases_script_prints_the_error_table(tmp_path, monkeypatch,
     assert table[0].split() == ["case", "C", "E", "E_prime", "poi", "NRMSE"]
     assert [row.split()[:2] for row in table[1:]] \
         == [[x.upper(), str(c)] for x in "abcd" for c in (1, 3)]
-
-
-def load_digests_script():
-    spec = importlib.util.spec_from_file_location(
-        "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def test_acceptance_digests_script_hashes_and_compares(tmp_path, capsys):
@@ -442,54 +436,34 @@ def test_acceptance_digests_script_reports_npz_differences(tmp_path):
     script = load_digests_script()
     ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
     z = np.array([[1 + 2j, 0j], [-4j, np.nan]])
+    # an int64 key such as mpf.npz's mode indices
+    mode = np.array([3, 5], dtype=np.int64)
     with open(ours, "wb") as fh:
         np.savez(fh, z=z, s=np.array(["a", "b"]), t=np.arange(3.0),
-                 only=np.zeros(1))
+                 mode=mode, only=np.zeros(1))
     with open(theirs, "wb") as fh:
-        np.savez(fh, z=z, s=np.array(["a", "b"]), t=np.arange(3.0))
+        np.savez(fh, z=z, s=np.array(["a", "b"]), t=np.arange(3.0),
+                 mode=mode)
     assert script.npz_difference(ours, theirs) == [
         "  keys only ours: only",
-        "  shared 3 keys: max abs diff 0, max rel diff 0, "
+        "  shared 4 keys: max abs diff 0, max rel diff 0, "
         "max abs diff / column max |value| 0"]
     z2 = z.copy()
     z2[1, 0] = -5j                          # |dz| 1, column max |value| 5
     with open(theirs, "wb") as fh:
         np.savez(fh, z=z2, s=np.array(["a", "c"]), t=np.arange(4.0),
+                 mode=np.array([3, 6], dtype=np.int64),
                  only=np.zeros(1, dtype=np.float32))
     assert script.npz_difference(ours, theirs) == [
         "  z: max abs diff 1, max rel diff 0.2, "
         "max abs diff / column max |value| 0.2 (column 0)",
         "  s: 1 of 2 entries differ",
         "  t: float64[3] -> float64[4]",
+        "  mode: max abs diff 1, max rel diff 0.166667, "
+        "max abs diff / column max |value| 0.166667",
         "  only: float64[1] -> float32[1]",
-        "  shared 4 keys: max abs diff 1, max rel diff 0.2, "
+        "  shared 5 keys: max abs diff 1, max rel diff 0.2, "
         "max abs diff / column max |value| 0.2 (z)"]
-
-
-def test_acceptance_digests_script_renders_npz_as_the_former_csv(tmp_path):
-    script = load_digests_script()
-    out = tmp_path / "run"
-    assert main(["all", "--farm", str(FARMS / "single_wt.json"),
-                 "--clusters", "1", "--out", str(out)]) == 0
-    for stem in ("mpf", "responses"):
-        npz = out / f"{stem}.npz"
-        former = tmp_path / f"{stem}.csv"
-        script.render_npz(npz, former)
-        same, lines = script.rendered_difference(npz, former,
-                                                 tmp_path / "rendered")
-        assert same and lines == [f"  rendered as {stem}.csv: identical "
-                                  "to theirs"]
-        # one cell of the former file moved: the cell listing follows
-        header, first, *rest = former.read_bytes().split(b"\r\n")
-        cells = first.split(b",")
-        cells[1] = b"12345"
-        former.write_bytes(b"\r\n".join([header, b",".join(cells), *rest]))
-        same, lines = script.rendered_difference(npz, former,
-                                                 tmp_path / "rendered")
-        assert not same
-        assert lines[0] == f"  rendered as {stem}.csv: differs from theirs"
-        assert lines[-1].startswith("  shared ")
-        assert "max abs diff 0," not in lines[-1]
 
 
 def test_acceptance_digests_script_records_and_checks_the_environment(

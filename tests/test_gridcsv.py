@@ -120,8 +120,7 @@ def made_up_model(modal, concern, labels=()):
     """A `FarmModel` around a made-up modal solution; of its state space
     the writers read only the labels."""
     fss = FarmStateSpace(a_s=None, b_s=None, labels=tuple(labels),
-                         wt_order=(), c_out=None, z_poi=None, u_poi0=None,
-                         i_poi0=None)
+                         wt_order=(), c_poi=None, u_poi0=None, i_poi0=None)
     return FarmModel(fss, modal, concern)
 
 

@@ -74,9 +74,9 @@ def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
             x_aug[n] = 1.0
         x_aug = phi @ x_aug
         xs[:, k + 1] = x_aug[:n]
-    di = fss.c_out @ xs
-    poi_i = di.reshape(len(fss.wt_order), 2, -1).sum(axis=0)
-    du_poi = fss.z_poi @ di + np.outer(de, t >= sag.t_start)
+    y_poi = fss.c_poi @ xs
+    poi_i = y_poi[:2]
+    du_poi = y_poi[2:] + np.outer(de, t >= sag.t_start)
     poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(
         t=t, u_dc={wt_id: xs[fss.labels.index((wt_id, "u_dc"))]
@@ -336,11 +336,14 @@ def near_defective_model(seed: int, lam: float, delta: float,
     j[2:, 2:] = [[-5.0, 40.0], [-40.0, -5.0]]
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     s = q * rng.uniform(1.0, 3.0, 4)
+    b_s = rng.standard_normal((4, 2))
+    # the WT's current map c and the POI impedance z give rows [c; z c]
+    c = rng.standard_normal((2, 4))
     return FarmStateSpace(
-        a_s=s @ j @ np.linalg.inv(s), b_s=rng.standard_normal((4, 2)),
+        a_s=s @ j @ np.linalg.inv(s), b_s=b_s,
         labels=tuple(("wt01", kind) for kind in STATE_KINDS),
-        wt_order=("wt01",), c_out=rng.standard_normal((2, 4)),
-        z_poi=rng.standard_normal((2, 2)),
+        wt_order=("wt01",),
+        c_poi=np.vstack([c, rng.standard_normal((2, 2)) @ c]),
         u_poi0=np.array([1.0, 0.0]), i_poi0=np.array([0.9, 0.1]))
 
 
