@@ -20,21 +20,23 @@ when the other file's environment differs or is not recorded.  It then
 lists the keys whose digest differs from the other file's (or that only
 one file has), and the exit status is 1 if any do.  The other side's copy
 of an artifact is read from the `runs/` directory beside its
-`digests.json`.  For a CSV both sides wrote, the listing adds the columns
-only one side has and, over the cells both share (matched by header and
-row label), the largest absolute and relative difference and the largest
+`digests.json`.  One rule, `array_difference`, measures how far numbers
+moved: the largest absolute and relative difference and the largest
 difference over its column's largest |value|; an MPF cell near 1e-17 makes
-the relative figure meaningless, the column figure is not.  For a JSON file
-it adds every differing leaf, by path, and the largest absolute and
-relative difference over the numeric leaves.  An `.npz` that both sides
-wrote gets the same figures per key, after each key's shape and dtype.
+the relative figure meaningless, the column figure is not.  For a CSV both
+sides wrote, read by `gridcsv.read_grid`, the listing adds the columns and
+rows only one side has, then those figures over the cells both share
+(columns matched by header, rows by label, or by position in a grid
+without labels).  For a JSON file it adds every differing leaf, by path,
+and the first two figures over the differing numeric leaves.  An `.npz`
+that both sides wrote gets the figures per key, after each key's shape and
+dtype.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import ctypes
 import dataclasses
 import hashlib
@@ -54,6 +56,7 @@ import farmgen                        # noqa: E402
 from run import FARMS                 # noqa: E402
 from wfdem import cli                 # noqa: E402
 from wfdem.farm import GridThevenin, load_farm, save_farm  # noqa: E402
+from wfdem.gridcsv import magnitude, read_grid, write_json  # noqa: E402
 
 SEED = 7
 
@@ -159,66 +162,39 @@ def differing(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
                   if ours.get(k) != theirs.get(k))
 
 
-# header of the leading string column that labels the rows of a grid CSV;
-# a grid without one is matched row by row
-LABEL_COLUMNS = ("state", "wt_id", "bus_id")
-
-
-def read_grid(path: Path) -> tuple[list[str], dict[str, dict[str, str]]]:
-    """Column names and {row label: {column: cell}} of a grid CSV."""
-    with open(path, newline="") as fh:
-        header, *body = csv.reader(fh)
-    if header[0] in LABEL_COLUMNS:
-        return header[1:], {r[0]: dict(zip(header[1:], r[1:])) for r in body}
-    return header, {str(k): dict(zip(header, r)) for k, r in enumerate(body)}
-
-
-def cell_difference(a: float, b: float) -> tuple[float, float]:
-    """Absolute and relative difference; equal cells, nan included, differ
-    by 0, and a non-finite difference is inf."""
-    if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0, 0.0
-    d = abs(a - b)
-    if not math.isfinite(d):
-        return math.inf, math.inf
-    return d, d / max(abs(a), abs(b))
+def indexed_grid(path: Path) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """`read_grid` with {row label: row}; a grid without labels is labelled
+    by position."""
+    columns, labels, cells = read_grid(path)
+    if labels is None:
+        labels = [str(k) for k in range(len(cells))]
+    return columns, {label: k for k, label in enumerate(labels)}, cells
 
 
 def grid_difference(ours: Path, theirs: Path) -> list[str]:
     """Report lines: the columns and rows only one side has, then the
-    largest differences over the shared cells, the last one scaled by the
-    largest finite |value| of the cell's column on either side."""
-    our_cols, our_rows = read_grid(ours)
-    their_cols, their_rows = read_grid(theirs)
-    shared = set(our_cols) & set(their_cols)
-    cols = [c for c in our_cols if c in shared]
+    `array_difference` figures over the shared cells, matched by column
+    header and row label."""
+    grids = [indexed_grid(path) for path in (ours, theirs)]
+    (our_cols, our_rows, _), (their_cols, their_rows, _) = grids
+    cols = [c for c in our_cols if c in their_cols]
     rows = [k for k in our_rows if k in their_rows]
     lines = [f"  {what} only {side}: {', '.join(names)}"
              for what, side, names in (
-                 ("columns", "ours", [c for c in our_cols if c not in shared]),
+                 ("columns", "ours", [c for c in our_cols if c not in cols]),
                  ("columns", "theirs",
-                  [c for c in their_cols if c not in shared]),
+                  [c for c in their_cols if c not in cols]),
                  ("rows", "ours", [k for k in our_rows if k not in their_rows]),
                  ("rows", "theirs",
                   [k for k in their_rows if k not in our_rows]))
              if names]
-    max_abs = max_rel = max_col = 0.0
-    worst = ""
-    for c in cols:
-        col_abs = col_max = 0.0
-        for k in rows:
-            a, b = float(our_rows[k][c]), float(their_rows[k][c])
-            d_abs, d_rel = cell_difference(a, b)
-            col_abs, max_rel = max(col_abs, d_abs), max(max_rel, d_rel)
-            col_max = max([col_max] + [abs(x) for x in (a, b)
-                                       if math.isfinite(x)])
-        max_abs = max(max_abs, col_abs)
-        scaled = col_abs / col_max if col_max else math.inf if col_abs else 0.0
-        if scaled > max_col:
-            max_col, worst = scaled, f" ({c})"
+    max_abs, max_rel, max_col, worst = array_difference(*(
+        cells[np.ix_([index[k] for k in rows], [names.index(c) for c in cols])]
+        for names, index, cells in grids))
     lines.append(f"  shared {len(cols)} columns x {len(rows)} rows: "
                  f"max abs diff {max_abs:g}, max rel diff {max_rel:g}, "
-                 f"max abs diff / column max |value| {max_col:g}{worst}")
+                 f"max abs diff / column max |value| {max_col:g}"
+                 + (f" ({cols[worst]})" if max_col else ""))
     return lines
 
 
@@ -243,25 +219,23 @@ def is_number(x) -> bool:
 
 def json_difference(ours: Path, theirs: Path) -> list[str]:
     """Report lines: each differing leaf, by path, as `ours -> theirs` and
-    each leaf only one side has, then the largest differences over the
-    leaves that are numbers on both sides."""
+    each leaf only one side has, then the `array_difference` figures over
+    the differing leaves that are numbers on both sides.  Leaves differ
+    unless they are equal and of one type; two NaNs are equal."""
     our_leaves = json_leaves(json.loads(ours.read_text()))
     their_leaves = json_leaves(json.loads(theirs.read_text()))
     lines = [f"  {path or '/'}: only {side}: {leaves[path]!r}"
              for side, leaves, other in (("ours", our_leaves, their_leaves),
                                          ("theirs", their_leaves, our_leaves))
              for path in leaves if path not in other]
-    max_abs = max_rel = 0.0
-    for path in [p for p in our_leaves if p in their_leaves]:
-        a, b = our_leaves[path], their_leaves[path]
-        if is_number(a) and is_number(b):
-            d_abs, d_rel = cell_difference(float(a), float(b))
-            if d_abs == 0.0 and type(a) is type(b):
-                continue
-            max_abs, max_rel = max(max_abs, d_abs), max(max_rel, d_rel)
-        elif a == b and type(a) is type(b):
-            continue
-        lines.append(f"  {path or '/'}: {a!r} -> {b!r}")
+    shared = [(path, a, their_leaves[path])
+              for path, a in our_leaves.items() if path in their_leaves]
+    changed = [(path, a, b) for path, a, b in shared
+               if type(a) is not type(b) or not (a == b or a != a and b != b)]
+    lines += [f"  {path or '/'}: {a!r} -> {b!r}" for path, a, b in changed]
+    numbers = [(a, b) for _, a, b in changed if is_number(a) and is_number(b)]
+    max_abs, max_rel, _, _ = array_difference(
+        *np.array(numbers, dtype=float).reshape(-1, 2).T)
     lines.append(f"  numeric leaves: max abs diff {max_abs:g}, "
                  f"max rel diff {max_rel:g}")
     return lines
@@ -271,15 +245,19 @@ def array_difference(ours: np.ndarray, theirs: np.ndarray,
                      ) -> tuple[float, float, float, int]:
     """Largest absolute and relative difference of two numeric arrays of
     one shape, the largest over its column's largest finite |value| on
-    either side, and the column (of a 1-D array, 0) where that one is;
-    cells compare as `cell_difference` compares them, in a float or complex
-    dtype, so an integer array differences without wrapping."""
-    a, b = (np.reshape(np.asarray(x, np.result_type(x, 1.0)),
-                       (len(x), -1) if np.ndim(x) else (1, 1))
-            for x in (ours, theirs))
+    either side, and the column (of a 1-D array, 0) where that one is.
+
+    Cells compare in a float or complex dtype, so an integer array
+    differences without wrapping.  Equal cells, NaN included, differ by 0,
+    a non-finite difference is inf, and |z| is `gridcsv.magnitude`, which
+    rounds like Python's `abs`.  A 0-d array is one cell.
+    """
+    a, b = (np.asarray(x, np.result_type(x, 1.0)) for x in (ours, theirs))
+    a, b = (x.reshape(len(x) if x.ndim else 1, math.prod(x.shape[1:]))
+            for x in (a, b))
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        d = np.abs(a - b)
-        a_mag, b_mag = np.abs(a), np.abs(b)
+        d = magnitude(a - b)
+        a_mag, b_mag = magnitude(a), magnitude(b)
         mag = np.fmax(a_mag, b_mag)
         d[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
         d[np.isnan(d)] = np.inf
@@ -353,9 +331,8 @@ def main(argv: list[str] | None = None) -> int:
             print(warning)
     runs = acceptance_runs(args.out / "farms")
     digests = digest_runs(runs, args.out / "runs")
-    (args.out / "digests.json").write_text(json.dumps(
-        {"environment": env, "digests": digests}, indent=2, sort_keys=True)
-        + "\n")
+    write_json(args.out / "digests.json",
+               {"environment": env, "digests": digests})
     print(f"{len(digests)} artifacts of {len(runs)} runs: "
           f"{args.out / 'digests.json'}")
     if args.compare is None:

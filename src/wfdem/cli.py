@@ -3,26 +3,26 @@
 Each subcommand runs the pipeline prefix it names and writes that prefix's
 artifacts under --out with fixed file names, so every intermediate product
 is inspectable and two runs with the same farm, config, and seed produce
-byte-identical outputs.
+byte-identical outputs.  The pipeline draws `features.svg` and
+`responses.svg` from the artifacts it has just written, with the code that
+`wfdem plot` runs, so a redraw writes the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import aggregation, clustering, modal, validation
 from .farm import FarmDescription, load_farm
-from .gridcsv import as_printed
+from .gridcsv import read_grid
 from .powerflow import BusSolution, solve_powerflow, write_bus_csv
 from .svgplot import PALETTE, bars_svg, lines_svg, scatter_svg
 from .wt import SagSpec
@@ -114,9 +114,7 @@ def _stage_cluster(state: PipelineState) -> None:
     state.groups = clustering.group_wts(state.features)
     clustering.write_features_csv(state.features,
                                   cfg.out_dir / "features.csv")
-    _features_svg(cfg.out_dir, state.features.wt_ids, [
-        (as_printed(col.real), as_printed(col.imag))
-        for col in state.features.table.T])
+    emit_plot(cfg.out_dir, "features")
     clustering.write_groups_json(state.groups, cfg.out_dir / "groups.json")
     if state.upto == "cluster":    # else the aggregate stage draws it
         _write_scatter(state)
@@ -159,7 +157,7 @@ def _stage_validate(state: PipelineState) -> None:
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
     validation.write_responses_csv(detailed, dem_resp, state.dem.members,
                                    cfg.out_dir / "responses.npz")
-    _responses_svg(cfg.out_dir, detailed.t, detailed.poi_p, dem_resp.poi_p)
+    emit_plot(cfg.out_dir, "responses")
 
 
 _STAGE_FN = {
@@ -187,9 +185,11 @@ def run_pipeline(cfg: RunConfig, upto: str = "validate") -> PipelineState:
 # plots
 
 
-# One drawer per SVG.  The pipeline feeds it from memory, with numbers
-# rounded the way features.csv prints them; `wfdem plot` feeds it from the
-# artifacts on disk, so both sources draw the same bytes.
+# The pipeline draws features.svg and responses.svg with `emit_plot`, from
+# the artifacts it has just written.  modescatter.svg has one drawer and two
+# sources: the pipeline feeds it from memory, since `cluster` and
+# `aggregate` runs write no report.json, and `wfdem plot` from report.json,
+# which holds the same numbers exactly.
 
 
 def _xy(z: complex) -> tuple[float, float]:
@@ -210,28 +210,6 @@ def _scatter_svg(out_dir: Path, points: list[list[tuple[float, float]]],
                 "Re (rad/s)", "Im (rad/s)", dots, crosses)
 
 
-def _features_svg(out_dir: Path, wt_ids: Sequence[str],
-                  columns: list[tuple[list[float], list[float]]]) -> None:
-    """|superimposed MPF| bars per WT, one series per cluster; each
-    cluster's column comes as its (Re, Im) parts, |f| = hypot(re, im)."""
-    series = [(f"cluster {c}", np.hypot(re, im).tolist())
-              for c, (re, im) in enumerate(columns)]
-    bars_svg(out_dir / "features.svg", "Feature vectors per WT",
-             "WT", "|superimposed MPF|", list(wt_ids), series)
-
-
-def _responses_svg(out_dir: Path, t: np.ndarray, detailed_p: np.ndarray,
-                   dem_p: np.ndarray) -> None:
-    t = t.tolist()
-    series = [
-        ("detailed POI P", t, detailed_p.tolist(), PALETTE[0], False),
-        ("DEM POI P", t, dem_p.tolist(), PALETTE[1], True),
-    ]
-    lines_svg(out_dir / "responses.svg",
-              "POI active-power deviation under the sag",
-              "t (s)", "dP (p.u.)", series)
-
-
 def _write_scatter(state: PipelineState) -> None:
     concern, clusters = state.model.concern, state.clusters
     # the concern order is the order each cluster's members hold
@@ -243,12 +221,6 @@ def _write_scatter(state: PipelineState) -> None:
         _xy(lam) for lam in state.dem.model.concern.eigenvalues]
     _scatter_svg(state.cfg.out_dir, points,
                  [_xy(c) for c in clusters.centres], dem_modes)
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
 
 
 def _load_report(out_dir: Path) -> dict:
@@ -273,17 +245,22 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
                      [tuple(p) for p in meta["cluster_centres"]],
                      [tuple(p) for p in meta["dem_modes"]])
     elif kind == "features":
+        # |superimposed MPF| bars per WT, one series per cluster c, whose
+        # Re and Im are cell columns 2c and 2c + 1
         path = out_dir / "features.svg"
-        header, body = _read_csv(out_dir / "features.csv")
-        # cluster c's Re and Im are columns 1 + 2c and 2 + 2c
-        cols = [[float(r[k]) for r in body] for k in range(1, len(header))]
-        _features_svg(out_dir, [r[0] for r in body],
-                      list(zip(cols[0::2], cols[1::2])))
+        _, wt_ids, cells = read_grid(out_dir / "features.csv")
+        mags = np.hypot(cells[:, 0::2], cells[:, 1::2]).T.tolist()
+        bars_svg(path, "Feature vectors per WT", "WT", "|superimposed MPF|",
+                 wt_ids, [(f"cluster {c}", m) for c, m in enumerate(mags)])
     elif kind == "responses":
         path = out_dir / "responses.svg"
         with np.load(out_dir / "responses.npz", allow_pickle=False) as npz:
-            _responses_svg(out_dir, npz["t"], npz["detailed_poi_p"],
-                           npz["dem_poi_p"])
+            t, detailed, dem = (npz[k].tolist() for k in (
+                "t", "detailed_poi_p", "dem_poi_p"))
+        lines_svg(path, "POI active-power deviation under the sag",
+                  "t (s)", "dP (p.u.)",
+                  [("detailed POI P", t, detailed, PALETTE[0], False),
+                   ("DEM POI P", t, dem, PALETTE[1], True)])
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     return path

@@ -10,14 +10,13 @@ whose centroid features nearly coincide are merged, which is what turns
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .gridcsv import write_grid
+from .gridcsv import write_grid, write_json
 from .modal import STATE_FILTER, ConcernSet, FarmModel
 
 # dominance margin below which groups.json lists a WT as low-margin
@@ -377,4 +376,4 @@ def write_groups_json(groups: GroupAssignment, path: str | Path) -> None:
         "merge_log": [list(pair) for pair in groups.merged],
         "n_groups": groups.n_groups,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .gridcsv import write_json
+
 
 class FarmFileError(ValueError):
     """Farm file is unreadable, or has a missing, unknown or mistyped key."""
@@ -286,9 +288,7 @@ def load_farm(path: str | Path) -> FarmDescription:
 
 def save_farm(farm: FarmDescription, path: str | Path,
               provenance: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(farm_to_dict(farm, provenance), indent=2, sort_keys=True)
-        + "\n")
+    write_json(path, farm_to_dict(farm, provenance))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
-"""Formats of the grid artifacts.
+"""Formats of the artifacts: CSV grids, exact `.npz` arrays and JSON.
 
 `bus_solution.csv`, `modes.csv` and `features.csv` share one text format:
 every number is written `%.12g`, every line ends in CRLF, and string cells
 are quoted the way `csv.writer` quotes them.  A complex grid cell expands
 to the two columns Re z, Im z; a reader forms |z| as `hypot(re, im)`.
 Rows are formatted one at a time with a single `%` template, so memory
-stays at one row of Python floats however large the grid is.
+stays at one row of Python floats however large the grid is.  `read_grid`
+reads any of them back; the leading column holds row labels when its
+header ends in `_id`.
 
 The two large grids, the MPF block and the scored sag responses, are
 written by `write_arrays` as uncompressed `.npz` archives instead: exact
 in float64 and complex128, with their labels as string arrays.
+
+The JSON artifacts (`groups.json`, `dem.json`, `report.json`) and farm
+files are written by `write_json`: two-space indent, sorted keys and a
+final newline.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 from typing import Sequence
 
@@ -59,6 +66,22 @@ def write_grid(path: str | Path, columns: Sequence[str], grid: np.ndarray,
         fh.writelines(lines)
 
 
+def read_grid(path: str | Path,
+              ) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """Column names, row labels (None without them) and float cells, rows x
+    columns, of a grid that `write_grid` wrote.
+
+    The leading column holds the labels when its header ends in `_id`
+    (`bus_id`, `wt_id`); its header is not among the column names.
+    """
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    k = int(header[0].endswith("_id"))
+    cells = np.array([row[k:] for row in rows], dtype=float)
+    return (header[k:], [row[0] for row in rows] if k else None,
+            cells.reshape(len(rows), len(header) - k))
+
+
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """`arrays` as an uncompressed `.npz` archive at exactly `path`.
 
@@ -83,6 +106,6 @@ def magnitude(z: np.ndarray) -> np.ndarray:
         return np.hypot(z.real, z.imag)
 
 
-def as_printed(values: np.ndarray) -> list[float]:
-    """`values` as a reader of a grid artifact parses them back."""
-    return [float(CELL % x) for x in np.asarray(values, dtype=float).tolist()]
+def write_json(path: str | Path, doc: object) -> None:
+    """`doc` as JSON text: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -123,6 +123,26 @@ class ModalSolution:
         """
         return self.left(rows, cols) * self.right(rows, cols)
 
+    def residues(self, m: np.ndarray, q: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights w_re + j w_im of the modes that stand for the whole
+        spectrum, and their eigenvalues: the real modes, then the upper
+        pair members.
+
+        `m` = C R holds output rows in the real basis and `q` = W b the
+        input in it.  A real mode's weight is (C u_i)(v_i b) = M_i q_i; an
+        upper member's, (M_up + j M_lo)(q_up - j q_lo), is twice its own
+        (C u_i)(v_i b) and stands for its conjugate partner too.
+        """
+        real = np.flatnonzero(self.conj_of == np.arange(self.n_modes))
+        upper = np.flatnonzero(self.eigenvalues.imag > 0)
+        lower = self.conj_of[upper]
+        w_re = np.hstack([m[:, real] * q[real],
+                          m[:, upper] * q[upper] + m[:, lower] * q[lower]])
+        w_im = np.hstack([np.zeros((len(m), len(real))),
+                          m[:, lower] * q[upper] - m[:, upper] * q[lower]])
+        return w_re, w_im, self.eigenvalues[np.concatenate([real, upper])]
+
     def representatives(self) -> np.ndarray:
         """Indices of upper-half-plane members of oscillatory pairs."""
         return np.array([i for i, lam in enumerate(self.eigenvalues)

@@ -12,7 +12,6 @@ to the tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 from .aggregation import DemModel
 from .assembly import FarmStateSpace
 from .clustering import ModeClusters
-from .gridcsv import write_arrays
+from .gridcsv import write_arrays, write_json
 from .modal import ConcernSet, FarmModel, ModalSolution
 from .powerflow import SLACK_E0
 from .wt import SagSpec
@@ -99,12 +98,10 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
 
     and x = 0 before t_on; only the outputs (u_dc per WT, POI current and
     voltage) are formed, in the real basis: M = [R_u_dc; C_poi R] and
-    q = W B_s de.  The time factor is evaluated for the real modes, with
-    weight M_i q_i, and for the upper pair members, whose weight
-    (M_up + j M_lo)(q_up - j q_lo) is twice the member's own and stands for
-    the conjugate partner too.  The time factor is formed `_STEPS` grid
-    times at a time.  Stability is not checked here: `modal.unstable`
-    flags a non-Hurwitz state matrix.
+    q = W B_s de.  The time factor is evaluated for the real modes and the
+    upper pair members, with the weights `ModalSolution.residues` forms
+    from M and q, `_STEPS` grid times at a time.  Stability is not checked
+    here: `modal.unstable` flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -117,14 +114,7 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     m = np.vstack([modal.basis[fss.kind_rows(("u_dc",))],
                    fss.c_poi @ modal.basis])
     q = modal.inverse @ (fss.b_s @ de)
-    real = np.flatnonzero(modal.conj_of == np.arange(modal.n_modes))
-    upper = np.flatnonzero(modal.eigenvalues.imag > 0)
-    lower = modal.conj_of[upper]
-    w_re = np.hstack([m[:, real] * q[real],
-                      m[:, upper] * q[upper] + m[:, lower] * q[lower]])
-    w_im = np.hstack([np.zeros((len(m), len(real))),
-                      m[:, lower] * q[upper] - m[:, upper] * q[lower]])
-    lam = modal.eigenvalues[np.concatenate([real, upper])]
+    w_re, w_im, lam = modal.residues(m, q)
     zero = lam == 0
     y = np.zeros((n_wt + 4, len(t)))
     for k in range(k_on, len(t), _STEPS):
@@ -240,8 +230,7 @@ def build_report(model: FarmModel, clusters: ModeClusters, dem: DemModel,
 
 
 def write_report_json(report: ValidationReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    write_json(path, asdict(report))
 
 
 def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,

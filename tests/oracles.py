@@ -3,10 +3,13 @@
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
 nonlinear model, the series network losses, the admittance form of the
-farm closure, the eigensolution in complex arithmetic, and the dense MPF
-table of every state and mode.
+farm closure, the eigensolution in complex arithmetic, the dense MPF
+table of every state and mode, and the per-cell difference of two artifact
+numbers.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,3 +271,14 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
     `complex_basis` with both factors C-contiguous."""
     u, v = complex_basis(sol)
     return np.ascontiguousarray(v.T) * np.ascontiguousarray(u)
+
+
+def cell_difference(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference; equal cells, nan included, differ
+    by 0, and a non-finite difference is inf."""
+    if a == b or (cmath.isnan(a) and cmath.isnan(b)):
+        return 0.0, 0.0
+    d = abs(a - b)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(a), abs(b))

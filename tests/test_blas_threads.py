@@ -11,13 +11,13 @@ MPF columns are not bounded: near-coincident modes (case a) have no unique
 columns, only their cluster sums, which `features.csv` holds.
 """
 
-import csv
 import json
 
 import numpy as np
 import pytest
 
 from helpers import ROOT, load_digests_script, run_python_bounded
+from wfdem.gridcsv import read_grid
 
 RUNS = {"case_a_c1": ("case_a.json", 1), "case_a_c3": ("case_a.json", 3),
         "case_b_c3": ("case_b.json", 3)}
@@ -47,29 +47,20 @@ BOUNDS = {"bus_solution.csv": 1e-12, "modes.csv": 1e-10,
 SCRIPT = load_digests_script()
 
 
-def read_grid(path):
-    """Header, label column (or None) and float cells of a CSV grid."""
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    if header[0] in SCRIPT.LABEL_COLUMNS:
-        return header, [r[0] for r in rows], np.array(
-            [[float(x) for x in r[1:]] for r in rows])
-    return header, None, np.array([[float(x) for x in r] for r in rows])
-
-
 def json_difference(a, b):
     """Largest relative difference of the numeric leaves; every other leaf,
     and the set of leaves, must be equal."""
     a, b = SCRIPT.json_leaves(a), SCRIPT.json_leaves(b)
     assert a.keys() == b.keys()
-    worst = 0.0
+    floats = []
     for path, x in a.items():
         y = b[path]
         if isinstance(x, float) and isinstance(y, float):
-            worst = max(worst, SCRIPT.cell_difference(x, y)[1])
+            floats.append((x, y))
         else:
             assert x == y and type(x) is type(y), path
-    return worst
+    return SCRIPT.array_difference(
+        *np.array(floats, dtype=float).reshape(-1, 2).T)[1]
 
 
 def artifact_difference(name, ours, theirs):

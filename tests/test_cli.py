@@ -3,14 +3,17 @@
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import ROOT, load_digests_script, run_python_bounded
+from oracles import cell_difference
 from wfdem import cli
 from wfdem.cli import (ARTIFACTS, RunConfig, _build_parser, _config_from_args,
                        emit_plot, emit_report, main, run_pipeline)
@@ -234,17 +237,20 @@ def test_all_finishes_on_identical_modes(tmp_path):
 
 
 def test_svgs_escape_wt_ids(tmp_path):
-    farm = json.loads((FARMS / "single_wt.json").read_text())
-    farm["wts"][0]["id"] = "wt<1&2"
-    path = tmp_path / "odd_id.json"
-    path.write_text(json.dumps(farm))
-    out = tmp_path / "odd"
-    assert main(["all", "--farm", str(path), "--clusters", "1",
-                 "--out", str(out)]) == 0
-    for name in ("features.svg", "modescatter.svg", "responses.svg"):
-        ET.parse(out / name)
-    texts = [el.text for el in ET.parse(out / "features.svg").iter()]
-    assert "wt<1&2" in texts
+    # features.svg takes its labels from features.csv, where a comma or a
+    # double quote makes csv.writer quote the cell
+    for k, wt_id in enumerate(("wt<1&2", 'wt "1,2"')):
+        farm = json.loads((FARMS / "single_wt.json").read_text())
+        farm["wts"][0]["id"] = wt_id
+        path = tmp_path / f"odd_id{k}.json"
+        path.write_text(json.dumps(farm))
+        out = tmp_path / f"odd{k}"
+        assert main(["all", "--farm", str(path), "--clusters", "1",
+                     "--out", str(out)]) == 0
+        for name in ("features.svg", "modescatter.svg", "responses.svg"):
+            ET.parse(out / name)
+        texts = [el.text for el in ET.parse(out / "features.svg").iter()]
+        assert wt_id in texts
 
 
 @pytest.mark.parametrize("case,chosen", [("b", 3), ("c", 3), ("d", 14)])
@@ -389,18 +395,18 @@ def test_acceptance_digests_script_reports_grid_differences(tmp_path):
     script = load_digests_script()
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
     # rows matched by label, columns by header, whatever their order
-    ours.write_text("state,a_re,a_im,b\r\nw2:u,4,-0,nan\r\nw1:u,1,2,3\r\n")
-    theirs.write_text("state,a_abs,a_re,a_im,b\r\n"
+    ours.write_text("wt_id,a_re,a_im,b\r\nw2:u,4,-0,nan\r\nw1:u,1,2,3\r\n")
+    theirs.write_text("wt_id,a_abs,a_re,a_im,b\r\n"
                       "w1:u,2.2,1,2,3\r\nw2:u,4,4,0,nan\r\nw3:u,0,0,0,0\r\n")
     assert script.grid_difference(ours, theirs) == [
         "  columns only theirs: a_abs", "  rows only theirs: w3:u",
         "  shared 3 columns x 2 rows: max abs diff 0, max rel diff 0, "
         "max abs diff / column max |value| 0"]
-    theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,inf\r\n")
+    theirs.write_text("wt_id,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,inf\r\n")
     assert script.grid_difference(ours, theirs)[-1] \
         == "  shared 3 columns x 2 rows: max abs diff inf, max rel diff inf, " \
         "max abs diff / column max |value| inf (b)"
-    theirs.write_text("state,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,nan\r\n")
+    theirs.write_text("wt_id,a_re,a_im,b\r\nw1:u,1.5,2,3\r\nw2:u,4,0,nan\r\n")
     assert script.grid_difference(ours, theirs) == [
         "  shared 3 columns x 2 rows: max abs diff 0.5, max rel diff 0.333333, "
         "max abs diff / column max |value| 0.125 (a_re)"]
@@ -411,6 +417,18 @@ def test_acceptance_digests_script_reports_grid_differences(tmp_path):
         "  rows only theirs: 2",
         "  shared 2 columns x 2 rows: max abs diff 0.5, max rel diff 0.2, "
         "max abs diff / column max |value| 0.2 (p)"]
+
+
+def test_acceptance_digests_script_compares_grids_with_no_shared_row(
+        tmp_path):
+    script = load_digests_script()
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    ours.write_text("wt_id,a_re,a_im\r\nw1,1,2\r\n")
+    theirs.write_text("wt_id,a_re,a_im\r\nw2,1,2\r\nw3,0,0\r\n")
+    assert script.grid_difference(ours, theirs) == [
+        "  rows only ours: w1", "  rows only theirs: w2, w3",
+        "  shared 2 columns x 0 rows: max abs diff 0, max rel diff 0, "
+        "max abs diff / column max |value| 0"]
 
 
 def test_acceptance_digests_script_reports_json_differences(tmp_path):
@@ -464,6 +482,75 @@ def test_acceptance_digests_script_reports_npz_differences(tmp_path):
         "  only: float64[1] -> float32[1]",
         "  shared 5 keys: max abs diff 1, max rel diff 0.2, "
         "max abs diff / column max |value| 0.2 (z)"]
+
+
+def test_acceptance_digests_script_compares_zero_row_keys(tmp_path):
+    script = load_digests_script()
+    ours, theirs = tmp_path / "ours.npz", tmp_path / "theirs.npz"
+    for path in (ours, theirs):
+        with open(path, "wb") as fh:
+            np.savez(fh, flat=np.zeros(0), grid=np.zeros((0, 2)))
+    assert script.npz_difference(ours, theirs) == [
+        "  shared 2 keys: max abs diff 0, max rel diff 0, "
+        "max abs diff / column max |value| 0"]
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+
+
+@st.composite
+def array_pairs(draw):
+    """Two arrays of one dtype and shape whose cells are often equal; the
+    float parts mix nan, +-inf and +-0 with finite values, and complex ones
+    stay below 1e300 so that Python's abs does not overflow."""
+    dtype = draw(st.sampled_from(["float64", "complex128", "int64"]))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 4)),
+                           st.tuples(st.integers(0, 4), st.integers(1, 3))))
+    if dtype == "int64":
+        cell = st.integers(-2**63, 2**63 - 1)
+    elif dtype == "float64":
+        cell = st.one_of(st.sampled_from(SPECIAL),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        part = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300))
+        cell = st.builds(complex, part, part)
+    size = math.prod(shape)
+    ours = draw(st.lists(cell, min_size=size, max_size=size))
+    theirs = [x if keep else y for x, (keep, y) in zip(ours, draw(st.lists(
+        st.tuples(st.booleans(), cell), min_size=size, max_size=size)))]
+    return tuple(np.array(x, dtype=dtype).reshape(shape)
+                 for x in (ours, theirs))
+
+
+@given(array_pairs())
+# |-1 + 5j| as np.abs forms it differs from Python's abs in the last bit
+@example((np.array(5j), np.array(1 + 0j)))
+def test_array_difference_equals_the_per_cell_rule(pair):
+    """The largest absolute and relative differences are the largest of
+    `oracles.cell_difference` over the cells, and the column figure is the
+    largest per-column one: the largest cell difference over the largest
+    finite |value| of either side; cells compare in a float dtype."""
+    ours, theirs = pair
+    max_abs, max_rel, max_col, worst = \
+        load_digests_script().array_difference(ours, theirs)
+    a, b = (x.astype(np.result_type(x, 1.0)) for x in pair)
+    a, b = (x.tolist() if x.ndim == 2 else x.reshape(-1, 1).tolist()
+            for x in (a, b))
+    cells = [cell_difference(x, y) for ra, rb in zip(a, b)
+             for x, y in zip(ra, rb)]
+    assert max_abs == max([d for d, _ in cells], default=0.0)
+    assert max_rel == max([r for _, r in cells], default=0.0)
+    scaled = []
+    for c in range(ours.shape[1] if ours.ndim == 2 else 1):
+        col = [(ra[c], rb[c]) for ra, rb in zip(a, b)]
+        col_abs = max([cell_difference(x, y)[0] for x, y in col],
+                      default=0.0)
+        col_max = max([abs(x) for pair in col for x in pair
+                       if math.isfinite(abs(x))], default=0.0)
+        scaled.append(col_abs / col_max if col_max
+                      else math.inf if col_abs else 0.0)
+    assert max_col == max(scaled)
+    assert worst == scaled.index(max_col)
 
 
 def test_acceptance_digests_script_records_and_checks_the_environment(

@@ -24,7 +24,7 @@ from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
                         load_farm)
-from wfdem.gridcsv import write_grid
+from wfdem.gridcsv import read_grid, write_grid
 from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
@@ -359,6 +359,40 @@ def test_complex_grid_writes_as_its_re_im_float_grid(tmp_path_factory, grid,
                parts, labels)
     assert (tmp_path / "complex.csv").read_bytes() \
         == (tmp_path / "parts.csv").read_bytes()
+
+
+@given(grids(), st.booleans())
+@example((QUOTED_IDS, np.array([SPECIAL[:6], SPECIAL[4:]]).T), True)
+def test_read_grid_reads_back_what_write_grid_wrote(tmp_path_factory, grid,
+                                                    labelled):
+    """Labels come back intact, and every cell as `%.12g` printed it; the
+    leading column holds labels only under a header ending in `_id`."""
+    path = tmp_path_factory.mktemp("read") / "grid.csv"
+    ids, table = grid
+    names = [f"z{k}" for k in range(table.shape[1])]
+    write_grid(path, names, table, ("wt_id", ids) if labelled else None)
+    columns, labels, cells = read_grid(path)
+    parts = np.ascontiguousarray(table).view(float)
+    printed = np.array([[float("%.12g" % x) for x in row]
+                        for row in parts.tolist()])
+    if np.iscomplexobj(table):
+        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
+    assert columns == names
+    assert labels == (list(ids) if labelled else None)
+    assert np.array_equal(cells, printed, equal_nan=True)
+    assert np.array_equal(np.signbit(cells), np.signbit(printed))
+
+
+def test_read_grid_of_zero_rows_has_the_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_grid(path, ["a", "b"], np.zeros((0, 2), dtype=complex),
+               ("bus_id", []))
+    columns, labels, cells = read_grid(path)
+    assert (columns, labels) == (["a_re", "a_im", "b_re", "b_im"], [])
+    assert cells.shape == (0, 4)
+    write_grid(path, ["a", "b", "c"], np.zeros((0, 3)))
+    columns, labels, cells = read_grid(path)
+    assert (columns, labels, cells.shape) == (["a", "b", "c"], None, (0, 3))
 
 
 # -Re lam / np.abs(lam) prints a different last digit for these

@@ -626,3 +626,23 @@ def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
     assert sum(x.nbytes for x in square) == 2 * 8 * n * n
     assert not any(np.iscomplexobj(x) for x in square)
     assert all(x.base is None for x in square)
+
+
+@given(real_repeated_near_real(), st.integers(0, 2**32 - 1))
+def test_residues_equal_the_complex_oracle(a, seed):
+    """w_re + j w_im is (C u_i)(v_i b) for a real mode and twice it for an
+    upper pair member, from M = C R and q = W b, in that mode order."""
+    sol = outcome(eig_biorthogonal, a)
+    assume(not isinstance(sol, str))
+    rng = np.random.default_rng(seed)
+    c, b = rng.normal(size=(3, sol.n_modes)), rng.normal(size=sol.n_modes)
+    w_re, w_im, lam = sol.residues(c @ sol.basis, sol.inverse @ b)
+    u, v = complex_basis(sol)
+    real = np.flatnonzero(sol.conj_of == np.arange(sol.n_modes))
+    upper = np.flatnonzero(sol.eigenvalues.imag > 0)
+    modes = np.concatenate([real, upper])
+    ref = (c @ u[:, modes]) * (v[modes] @ b) \
+        * np.where(np.isin(modes, upper), 2.0, 1.0)
+    assert np.array_equal(lam, sol.eigenvalues[modes])
+    assert np.abs(w_re + 1j * w_im - ref).max() \
+        <= 1e-12 * np.abs(ref).max()
