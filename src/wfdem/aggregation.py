@@ -6,6 +6,9 @@ of identical machines aggregates without any parameter change.  The collector
 reduces per group to a single series impedance chosen by the equal-loss
 criterion: under uniform-voltage injections proportional to member powers,
 the equivalent dissipates exactly the losses of the branches it replaces.
+All groups come from one solve of the collector with the POI grounded, and
+each group's losses are read as p^T v; a group on the POI's node gets an
+exact zero tie.
 """
 
 from __future__ import annotations
@@ -79,52 +82,33 @@ def equivalent_network(farm: FarmDescription,
                        members: GroupMembers) -> list[Branch]:
     """Equal-loss equivalent branch POI -> aggregate bus, one per group.
 
-    Member injections are taken proportional to their active powers at the
-    operating point (uniform-voltage approximation); the resulting branch
-    currents weight each collector impedance by the squared group power it
-    carries.  The shared Thevenin branch stays out of the equivalent.  A
-    group whose members all sit on the POI's node or the infinite bus's
-    carries no branch current and gets an exact zero-impedance tie.
+    Each group's members inject their system-base active powers p, summed
+    per node (uniform-voltage approximation).  With the POI's node grounded
+    they drive v = Y_c^-1 p through the collector alone, one solve for all
+    groups, and by Tellegen's theorem the branch losses sum_b z_b |i_b|^2
+    equal p^T v, as p is real: z_eq = p^T v / P^2.  Grounding the source
+    instead would only shift every collector voltage by v_poi, so the
+    Thevenin branch stays out of the equivalent.  A group whose members all
+    sit on the POI's node or the infinite bus's drives no live node and
+    gets an exact zero tie.
     """
     net = nodal_network(farm)
-    poi_node = net.node_of[farm.poi]
-    branches: list[Branch] = []
+    live = np.arange(net.n_nodes) != net.node_of[farm.poi]
+    groups = sorted(members)
+    p = np.zeros((net.n_nodes + 1, len(groups)))
+    for col, g in enumerate(groups):
+        for wt, bus in members[g]:
+            p[net.node_of[bus], col] += wt.p_system(farm.bases)
+    p_live = p[:-1][live]
+    v = np.linalg.solve(net.y_red[np.ix_(live, live)], p_live)
+    z_eq = (p_live * v).sum(axis=0) / p.sum(axis=0) ** 2
+
     z_base = farm.bases.z_base_ohm
     omega = farm.bases.omega_grid
-
-    for g in sorted(members):
-        # node n is the infinite bus, held at zero voltage deviation
-        inj = np.zeros(net.n_nodes + 1, dtype=complex)
-        p_total = 0.0
-        for wt, bus in members[g]:
-            p_sys = wt.p_m0 * wt.capacity_ratio(farm.bases)
-            p_total += p_sys
-            inj[net.node_of[bus]] += p_sys
-        if p_total <= 0:
-            z_eq = 0.0 + 0.0j
-            warnings.warn(f"group {g} carries no power; zero-impedance tie",
-                          stacklevel=2)
-        elif all(net.node_of[bus] in (poi_node, net.n_nodes)
-                 for _, bus in members[g]):
-            z_eq = 0.0 + 0.0j
-        else:
-            v = np.append(np.linalg.solve(net.y_red, inj[:-1]), 0.0)
-            z_eq = 0.0 + 0.0j
-            for br, z in zip(farm.branches, net.branch_z):
-                if z == 0:
-                    continue
-                i_b = (v[net.node_of[br.from_bus]]
-                       - v[net.node_of[br.to_bus]]) / z
-                z_eq += z * abs(i_b) ** 2
-            z_eq /= p_total ** 2
-        branches.append(Branch(
-            from_bus=farm.poi,
-            to_bus=f"group{g}_bus",
-            length_km=1.0,
-            r_ohm_per_km=z_eq.real * z_base,
-            l_h_per_km=z_eq.imag * z_base / omega,
-        ))
-    return branches
+    return [Branch(from_bus=farm.poi, to_bus=f"group{g}_bus", length_km=1.0,
+                   r_ohm_per_km=z.real * z_base,
+                   l_h_per_km=z.imag * z_base / omega)
+            for g, z in zip(groups, z_eq)]
 
 
 @dataclass(frozen=True)
@@ -155,6 +139,11 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     by_group = group_members(farm, groups)
     aggregates = aggregate_wts(farm, by_group)
     eq_branches = equivalent_network(farm, by_group)
+    for g, br in zip(sorted(by_group), eq_branches):
+        if br.to_bus == farm.poi:
+            raise AggregationError(
+                f"POI id {farm.poi!r} is the DEM bus name of group {g}; "
+                "rename the POI")
 
     buses = (farm.poi,) + tuple(br.to_bus for br in eq_branches)
     dem_farm = FarmDescription(

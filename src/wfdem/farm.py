@@ -79,6 +79,10 @@ class WtParams:
         """Machine capacity over the system (per-turbine) base."""
         return self.capacity_mva(bases) / bases.s_wt_mva
 
+    def p_system(self, bases: PerUnitBases) -> float:
+        """Steady active-power injection on the system (per-turbine) base."""
+        return self.p_m0 * self.capacity_ratio(bases)
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -294,8 +298,6 @@ def save_farm(farm: FarmDescription, path: str | Path,
 # ---------------------------------------------------------------------------
 # nodal network
 
-SOURCE = "__infinite_bus__"
-
 
 @dataclass(frozen=True)
 class NodalNetwork:
@@ -313,7 +315,6 @@ class NodalNetwork:
     n_nodes: int
     y_red: np.ndarray                # complex (n, n)
     y_src: np.ndarray                # complex (n,)
-    branch_z: tuple[complex, ...]    # per farm branch, p.u. (may be 0)
     grid_z: complex
 
 
@@ -328,25 +329,26 @@ def nodal_network(farm: FarmDescription) -> NodalNetwork:
     branch_z = tuple(_branch_impedance_pu(br, farm.bases)
                      for br in farm.branches)
 
-    parent: dict[str, str] = {bus: bus for bus in farm.buses}
-    parent[SOURCE] = SOURCE
+    # None keys the infinite bus, as no bus id can equal it
+    parent: dict[str | None, str | None] = {bus: bus for bus in farm.buses}
+    parent[None] = None
 
-    def find(x: str) -> str:
+    def find(x: str | None) -> str | None:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a: str, b: str) -> None:
+    def union(a: str | None, b: str) -> None:
         parent[find(b)] = find(a)
 
     for br, z in zip(farm.branches, branch_z):
         if z == 0:
             union(br.from_bus, br.to_bus)
     if grid_z == 0:
-        union(SOURCE, farm.poi)
+        union(None, farm.poi)
 
-    src_root = find(SOURCE)
+    src_root = find(None)
     roots = sorted({find(bus) for bus in farm.buses} - {src_root})
     n = len(roots)
     index = {root: k for k, root in enumerate(roots)} | {src_root: n}
@@ -369,7 +371,7 @@ def nodal_network(farm: FarmDescription) -> NodalNetwork:
 
     # 0 - y, not -y, so a node with no tie to the source keeps y_src = +0
     return NodalNetwork(node_of=node_of, n_nodes=n, y_red=y[:n, :n],
-                        y_src=0.0 - y[:n, n], branch_z=branch_z, grid_z=grid_z)
+                        y_src=0.0 - y[:n, n], grid_z=grid_z)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def solve_powerflow(farm: FarmDescription,
     n = net.n_nodes
 
     # node n is the infinite bus: what is injected there flows straight out
-    p_sys = [wt.p_m0 * wt.capacity_ratio(farm.bases) for wt, _ in farm.wts]
+    p_sys = [wt.p_system(farm.bases) for wt, _ in farm.wts]
     s_spec = np.zeros(n + 1, dtype=complex)
     for (_, bus), p in zip(farm.wts, p_sys):
         s_spec[net.node_of[bus]] += p
@@ -170,7 +170,7 @@ def write_bus_csv(farm: FarmDescription, sol: BusSolution,
     """Dump the bus solution (`bus_id, vx, vy, p, q`), injections in system p.u."""
     s_inj: dict[str, complex] = {bus: 0.0 + 0.0j for bus in farm.buses}
     for wt, bus in farm.wts:
-        s_inj[bus] += wt.p_m0 * wt.capacity_ratio(farm.bases)
+        s_inj[bus] += wt.p_system(farm.bases)
     s = np.array([s_inj[bus] for bus in sol.bus_ids], dtype=complex)
     write_grid(path, ["vx", "vy", "p", "q"],
                np.column_stack([sol.v.real, sol.v.imag, s.real, s.imag]),

@@ -2,10 +2,10 @@
 
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
-nonlinear model, the series network losses, the admittance form of the
-farm closure, the eigensolution in complex arithmetic, the dense MPF
-table of every state and mode, and the per-cell difference of two artifact
-numbers.
+nonlinear model, the series network losses, the equal-loss impedance of a
+WT group branch by branch, the admittance form of the farm closure, the
+eigensolution in complex arithmetic, the dense MPF table of every state and
+mode, and the per-cell difference of two artifact numbers.
 """
 
 import cmath
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from wfdem.assembly import _stack_blocks, linear_model
-from wfdem.farm import (FarmDescription, GridThevenin, NetworkMatrices,
-                        PerUnitBases, WtParams, nodal_network, xy_block)
+from wfdem.farm import (Branch, FarmDescription, GridThevenin,
+                        NetworkMatrices, PerUnitBases, WtParams,
+                        nodal_network, xy_block)
 from wfdem.modal import (_CERT_MAX, _COND_MAX, DefectiveMatrixError,
                          ModalSolution, _conjugate_layout, _pair_modes,
                          eig_biorthogonal)
@@ -164,20 +165,47 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
 # power balance and closure
 
 
-def network_losses(farm: FarmDescription, sol: BusSolution) -> complex:
-    """Total series I^2 Z losses, Thevenin branch included.
+def branch_z_pu(farm: FarmDescription, br: Branch) -> complex:
+    """Series impedance of a collector branch on the system base."""
+    omega = farm.bases.omega_grid
+    zb = farm.bases.z_base_ohm
+    return (br.r_ohm_per_km + 1j * omega * br.l_h_per_km) * br.length_km / zb
 
-    Branch flows follow from the bus voltages; a zero-impedance branch
-    carries no drop and adds no loss.
+
+def series_losses(farm: FarmDescription, v: dict[str, complex]) -> complex:
+    """Sum of z_b |i_b|^2 over the collector branches at bus voltages `v`.
+
+    A zero-impedance branch carries no drop and adds no loss.
     """
-    net = nodal_network(farm)
-    v = dict(zip(sol.bus_ids, sol.v))
     loss = 0.0 + 0.0j
-    for br, z in zip(farm.branches, net.branch_z):
+    for br in farm.branches:
+        z = branch_z_pu(farm, br)
         if z != 0:
             loss += abs((v[br.from_bus] - v[br.to_bus]) / z) ** 2 * z
-    loss += abs(sol.grid_flow) ** 2 * net.grid_z
     return loss
+
+
+def network_losses(farm: FarmDescription, sol: BusSolution) -> complex:
+    """Total series I^2 Z losses, Thevenin branch included."""
+    loss = series_losses(farm, dict(zip(sol.bus_ids, sol.v)))
+    return loss + abs(sol.grid_flow) ** 2 * complex(farm.grid.r_pu,
+                                                    farm.grid.l_pu)
+
+
+def equal_loss_impedance(farm: FarmDescription,
+                         members: list[tuple[WtParams, str]]) -> complex:
+    """z_eq = sum_b z_b |i_b|^2 / P^2 of one group, branch by branch.
+
+    The members inject their system-base active powers into the collector
+    with the infinite bus grounded; the Thevenin branch stays out.
+    """
+    net = nodal_network(farm)
+    inj = np.zeros(net.n_nodes + 1, dtype=complex)
+    for wt, bus in members:
+        inj[net.node_of[bus]] += wt.p_m0 * wt.capacity_ratio(farm.bases)
+    v_nodes = np.append(np.linalg.solve(net.y_red, inj[:-1]), 0.0)
+    v = {bus: v_nodes[node] for bus, node in net.node_of.items()}
+    return series_losses(farm, v) / inj.real.sum() ** 2
 
 
 def closed_loop_via_admittance(blocks: list[WtStateSpace],

@@ -1,16 +1,21 @@
 """Machine aggregation and network equivalencing.
 
-Oracles: the closed-form chain sum for equal machines on one feeder, and a
-tree-walk loss computation that never touches the nodal solver.
+Oracles: the closed-form chain sum for equal machines on one feeder, a
+tree-walk loss computation that never touches the nodal solver, and the
+branch-by-branch loss sum of `oracles.equal_loss_impedance`.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from helpers import SolvedFarm, random_radial_farm, stiff_grid
-from wfdem.aggregation import (aggregate_wts, build_dem, equivalent_network,
-                               group_members, write_dem_json)
-from wfdem.cases import identical_zero_network_farm, single_wt_farm
+from oracles import branch_z_pu, equal_loss_impedance
+from wfdem.aggregation import (AggregationError, aggregate_wts, build_dem,
+                               equivalent_network, group_members,
+                               write_dem_json)
+from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.clustering import GroupAssignment
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, load_farm, nodal_network)
@@ -50,12 +55,6 @@ def chain_farm(m: int, span_km: float = 1.0, p: float = 0.8):
         grid=GridThevenin(0.001, 0.01))
     farm.validate()
     return farm
-
-
-def branch_z_pu(farm, br) -> complex:
-    omega = farm.bases.omega_grid
-    zb = farm.bases.z_base_ohm
-    return (br.r_ohm_per_km + 1j * omega * br.l_h_per_km) * br.length_km / zb
 
 
 def equivalent_z_pu(farm, br) -> complex:
@@ -166,6 +165,68 @@ def test_equal_loss_identity_on_a_stiff_grid(case_b):
     # the POI on the infinite bus's node, the 33 collector nodes live
     _, groups, _ = case_b.dem(3)
     assert_equal_loss_identity(stiff_grid(case_b.farm), groups)
+
+
+@pytest.mark.parametrize("grouping", [singleton_groups, all_in_one_group])
+@pytest.mark.parametrize("seed", [0, 9, 12, 25, 31])
+def test_equal_loss_identity_with_zero_length_spans(seed, grouping):
+    # every seed has a zero-length span; on 25 and 31 one meets the POI
+    farm = random_radial_farm(seed)
+    assert any(br.length_km == 0 for br in farm.branches)
+    assert_equal_loss_identity(farm, grouping(farm))
+
+
+def meshed_case_b() -> FarmDescription:
+    """Case b with a tie between two feeder ends, a zero-impedance
+    cross-tie between the other two feeders, and a ring from the third
+    feeder's end back to the POI."""
+    farm = case_farm("b")
+    extra = (Branch("f1b11", "f2b11", 2.0, 0.1153, 1.05e-3),
+             Branch("f2b6", "f3b6", 0.0, 0.1153, 1.05e-3),
+             Branch("f3b11", "poi", 9.0, 0.1153, 1.05e-3))
+    farm = dataclasses.replace(farm, branches=farm.branches + extra)
+    farm.validate()
+    return farm
+
+
+def test_meshed_collector_matches_the_branch_loss_sum(case_b):
+    farm = meshed_case_b()
+    _, groups, _ = case_b.dem(3)
+    members = group_members(farm, groups)
+    eq = equivalent_network(farm, members)
+    for g, br in zip(sorted(members), eq):
+        z_ref = equal_loss_impedance(farm, members[g])
+        assert abs(equivalent_z_pu(farm, br) - z_ref) <= 1e-12 * abs(z_ref)
+
+
+def test_lossless_collector_gets_lossless_ties(case_b):
+    farm = case_b.farm
+    farm = dataclasses.replace(
+        farm, grid=GridThevenin(0.0, farm.grid.l_pu),
+        branches=tuple(dataclasses.replace(br, r_ohm_per_km=0.0)
+                       for br in farm.branches))
+    _, groups, _ = case_b.dem(3)
+    dem = build_dem(farm, groups)
+    assert dem.farm.n_wt == 3
+    for br in dem.farm.branches:
+        assert br.r_ohm_per_km == 0.0 < br.l_h_per_km
+
+
+def test_poi_named_like_a_dem_bus_is_refused(case_b):
+    farm = case_b.farm
+    renamed = {farm.poi: "group1_bus"}
+    farm = dataclasses.replace(
+        farm, poi="group1_bus",
+        buses=tuple(renamed.get(bus, bus) for bus in farm.buses),
+        branches=tuple(dataclasses.replace(
+            br, from_bus=renamed.get(br.from_bus, br.from_bus))
+            for br in farm.branches))
+    farm.validate()
+    _, groups, _ = case_b.dem(3)
+    assert 1 in groups.group_of.values()
+    with pytest.raises(AggregationError,
+                       match="POI id 'group1_bus' .* group 1"):
+        build_dem(farm, groups)
 
 
 def test_singleton_groups_reduce_to_path_impedance():

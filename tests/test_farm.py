@@ -23,6 +23,7 @@ from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         WtParams, build_network_matrices, farm_from_dict,
                         farm_to_dict, load_farm, nodal_network, save_farm,
                         xy_block)
+from wfdem.powerflow import solve_powerflow
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +411,23 @@ def test_internal_relabeling_leaves_z_unchanged():
     permuted.validate()
     assert np.allclose(build_network_matrices(permuted).z, z_ref,
                        atol=1e-14)
+
+
+def test_any_bus_id_is_an_ordinary_bus():
+    # the infinite bus has no id, so no bus id can merge with it
+    farm = case_farm("b")
+    name = {"f1b1": "__infinite_bus__"}
+    relabeled = dataclasses.replace(
+        farm, buses=tuple(name.get(bus, bus) for bus in farm.buses),
+        branches=tuple(dataclasses.replace(
+            br, from_bus=name.get(br.from_bus, br.from_bus),
+            to_bus=name.get(br.to_bus, br.to_bus)) for br in farm.branches),
+        wts=tuple((wt, name.get(bus, bus)) for wt, bus in farm.wts))
+    relabeled.validate()
+    assert np.allclose(build_network_matrices(relabeled).z,
+                       build_network_matrices(farm).z, atol=1e-14)
+    assert np.allclose(solve_powerflow(relabeled).v, solve_powerflow(farm).v,
+                       rtol=0, atol=1e-14)
 
 
 ZERO_NETWORK = load_farm(ROOT / "farms" / "zero_network.json")
