@@ -15,10 +15,11 @@ eigenbasis: R holds u for a real mode and Re u, Im u for a conjugate pair,
 and W = R^-1 holds the left vectors in the same form.  U and V, complex,
 are formed only for the rows and modes a caller reads.
 
-`eig_biorthogonal` costs one `eig` and one real `inv` plus O(n^2) norms,
-and reads the conjugate pairs from `eig`'s layout.  Frobenius bounds decide
-its gates, cond_2(U) > 1e12 and |Im lam| > 1e-7 ||A||_2, where they can; an
-SVD runs only for the cond(U) gate or for a pair below 1e-7 ||A||_F.
+`eig_biorthogonal` costs one LAPACK dgeev and one real dgesv (`_lapack`)
+plus O(n^2) norms, and reads the conjugate pairs from dgeev's layout.
+Frobenius bounds decide its gates, cond_2(U) > 1e12 and |Im lam| > 1e-7
+||A||_2, where they can; an SVD runs only for the cond(U) gate or for a
+pair below 1e-7 ||A||_F.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _lapack
 from .assembly import FarmStateSpace, linear_model
 from .farm import FarmDescription
 from .gridcsv import magnitude, write_arrays, write_grid
@@ -154,12 +156,14 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
 
     The largest-magnitude entry of each right vector is made real positive,
     so participation factors are reproducible across runs and platforms.
-    The phase-fixed vectors go straight into the real basis R in sorted
-    mode order; the left vectors come from W = R^-1, which enforces
-    biorthonormality globally (repeated eigenvalues included).
+    dgeev returns the right vectors in real form; each is phase-fixed in a
+    length-n buffer, in the arithmetic `np.linalg.eig`'s U would take, and
+    goes straight into the real basis R in sorted mode order, so no complex
+    n x n array is formed.  The left vectors come from W = R^-1, which
+    enforces biorthonormality globally (repeated eigenvalues included).
 
-    Conjugate pairs are read from `eig`'s layout.  Cost: one `eig`, one
-    real `inv` and O(n^2) norms.  With D = diag(1 for a real mode, sqrt 2
+    Conjugate pairs are read from dgeev's layout.  Cost: one dgeev, one
+    real dgesv and O(n^2) norms.  With D = diag(1 for a real mode, sqrt 2
     for a pair member), U = R D Q for a unitary Q, so ||U||_F ||V||_F =
     ||R D||_F ||D^-1 W||_F and cond_2(U) = cond_2(R D).  An SVD runs only
     when that product exceeds `_CERT_MAX` (then `cond(R D)` decides) or
@@ -171,7 +175,12 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
     if n == 0 or a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
         raise ValueError("state matrix must be non-empty, square and finite")
 
-    lam, u = np.linalg.eig(a_s)
+    wr, wi, vr = _lapack.geev(a_s)
+    if np.all(wi == 0):
+        lam = wr        # a real spectrum stays real, as np.linalg.eig has it
+    else:
+        lam = np.empty(n, dtype=complex)
+        lam.real, lam.imag = wr, wi
     up = _conjugate_layout(lam)
     order = np.lexsort((lam.imag, lam.real))
     rank = np.argsort(order)
@@ -179,17 +188,22 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
     upper[up] = True
     lower = np.roll(upper, 1)
 
-    # phase fix: rotate each column so its largest entry is real positive;
-    # a lower member is its upper partner's conjugate and is not read
+    # phase fix: rotate each u_i so its largest entry is real positive, in
+    # the arithmetic of np.linalg.eig's u (complex unless every mode is
+    # real); a lower member is its upper partner's conjugate and is not read
     basis = np.empty((n, n), order="F")
+    u = np.empty(n, dtype=lam.dtype)
     for i in np.flatnonzero(~lower):
-        k = int(np.argmax(np.abs(u[:, i])))
-        pivot = u[k, i]
-        u[:, i] *= np.conj(pivot) / abs(pivot)
-        basis[:, rank[i]] = u[:, i].real
+        u.real = vr[:, i]
+        if np.iscomplexobj(u):
+            u.imag = vr[:, i + 1] if upper[i] else 0.0
+        k = int(np.argmax(np.abs(u)))
+        pivot = u[k]
+        u *= np.conj(pivot) / abs(pivot)
+        basis[:, rank[i]] = u.real
         if upper[i]:
-            basis[:, rank[i + 1]] = u[:, i].imag
-    del u
+            basis[:, rank[i + 1]] = u.imag
+    del vr
 
     conj_of = np.arange(n)
     conj_of[rank[up]], conj_of[rank[up + 1]] = rank[up + 1], rank[up]
@@ -206,11 +220,11 @@ def _inverse_basis(r: np.ndarray, conj_of: np.ndarray) -> np.ndarray:
     With d_i^2 = 2 for a pair member and 1 for a real mode, ||U||_F ||V||_F
     = ||R D||_F ||D^-1 W||_F bounds cond_2(U) from above, so a small
     product accepts the basis without an SVD.  A larger product, or a basis
-    `inv` calls singular, is judged by the SVD `cond(R D)`.
+    dgesv calls singular, is judged by the SVD `cond(R D)`.
     """
     d2 = np.where(conj_of == np.arange(len(conj_of)), 1.0, 2.0)
     try:
-        w = np.linalg.inv(r)
+        w = _lapack.inv(r)
         with np.errstate(over="ignore"):
             certified = np.sqrt(np.einsum("ij,ij->j", r, r) @ d2) \
                 * np.sqrt(np.einsum("ij,ij->i", w, w) @ (1.0 / d2)) \
@@ -224,14 +238,14 @@ def _inverse_basis(r: np.ndarray, conj_of: np.ndarray) -> np.ndarray:
                 f"eigenvector basis is ill-conditioned (cond = {cond:.3e}); "
                 "matrix is defective within working precision")
         if w is None:
-            w = np.linalg.inv(r)    # a zero LU pivot despite cond(U): raise
+            w = _lapack.inv(r)      # a zero LU pivot despite cond(U): raise
     return w
 
 
 def _conjugate_layout(lam: np.ndarray) -> np.ndarray:
-    """Upper pair members, read from `eig`'s layout: each complex pair of a
-    real matrix sits in consecutive slots as exact conjugates, Im > 0 first
-    (LAPACK dgeev).  A layout that breaks this raises."""
+    """Upper pair members, read from dgeev's layout: each complex pair of a
+    real matrix sits in consecutive slots as exact conjugates, Im > 0
+    first.  A layout that breaks this raises."""
     upper = lam.imag > 0
     broken = (upper & (np.append(lam[1:], 0.0) != np.conj(lam))) \
         | (np.append(False, upper[:-1]) != (lam.imag < 0))

@@ -2,11 +2,13 @@
 
 Oracles: closed-form roots for 2x2 cases, the matrix exponential for the
 zero-input response reconstruction, the analytic stiff-grid mode for the
-decoupled farm, the eigensolution in complex arithmetic, and the dense MPF
-table of every state and mode.
+decoupled farm, the eigensolution in complex arithmetic, the dense MPF
+table of every state and mode, and np.linalg's eig and inv for the LAPACK
+routines that `wfdem._lapack` calls directly.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scipy.linalg import expm
 from helpers import ROOT, SolvedFarm, ladder_farm
 from oracles import (complex_basis, complex_eig_biorthogonal,
                      exact_conjugates, full_mpf, stiff_grid_mode)
+from wfdem import _lapack
 from wfdem.cases import identical_zero_network_farm
 from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
@@ -372,7 +375,8 @@ def assert_same_solution(got, ref):
         assert got == ref
         return
     for field in ("eigenvalues", "basis", "inverse", "conj_of", "pair_of"):
-        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        x, y = getattr(got, field), getattr(ref, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
     every = np.arange(got.n_modes)
     assert np.array_equal(got.participation(every, every),
                           ref.participation(every, every)), "mpf"
@@ -448,16 +452,20 @@ def test_matches_svd_reference_between_the_pairing_thresholds(seed, where,
     assert np.all(got.pair_of[oscillator] >= 0) == (where != "below")
 
 
-@given(st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
-@example(-12.0 + np.log10(2.0), 0)
-def test_matches_svd_reference_on_near_defective_matrices(log_gap, seed):
-    # a 2x2 block with eigenvalues 1e-14 .. 1e-8 apart has cond(U) near
-    # 2 / gap: both sides of the 1e12 gate and of the Frobenius certificate
+def near_defective(log_gap, seed):
+    """A 2x2 block with eigenvalues 1e-14 .. 1e-8 apart has cond(U) near
+    2 / gap: both sides of the 1e12 gate and of the Frobenius certificate."""
     rng = np.random.default_rng(seed)
     a = np.diag(-rng.uniform(2.0, 5.0, 4))
     a[:2, :2] = [[-1.0, 1.0], [0.0, -1.0 - 10.0 ** log_gap]]
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    assert_matches_reference(q @ a @ q.T)
+    return q @ a @ q.T
+
+
+@given(st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
+@example(-12.0 + np.log10(2.0), 0)
+def test_matches_svd_reference_on_near_defective_matrices(log_gap, seed):
+    assert_matches_reference(near_defective(log_gap, seed))
 
 
 def test_common_path_needs_no_svd(monkeypatch, case_b):
@@ -526,9 +534,13 @@ def test_pairing_ties_go_to_the_lowest_index():
     pytest.param([-1 + 2j, -1 - 2j, -1 + 2j], id="one_short"),
 ])
 def test_pairing_raises_for_a_missing_partner(monkeypatch, lam):
-    # an `eig` output that breaks the pair layout, which no real `eig` returns
+    # an eigensolver output that breaks the pair layout, which no real
+    # dgeev returns: as (wr, wi, vr) for eig_biorthogonal and as `eig`'s
+    # (lam, u) for the reference
     lam = np.array(lam, dtype=complex)
     n = len(lam)
+    monkeypatch.setattr(_lapack, "geev",
+                        lambda _: (lam.real, lam.imag, np.eye(n, order="F")))
     monkeypatch.setattr(np.linalg, "eig",
                         lambda _: (lam.copy(), np.eye(n, dtype=complex)))
     a = np.ones((n, n))
@@ -626,6 +638,8 @@ def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
     assert sum(x.nbytes for x in square) == 2 * 8 * n * n
     assert not any(np.iscomplexobj(x) for x in square)
     assert all(x.base is None for x in square)
+    # W in np.linalg.inv's layout: participation's products round by layout
+    assert sol.inverse.flags.c_contiguous
 
 
 @given(real_repeated_near_real(), st.integers(0, 2**32 - 1))
@@ -646,3 +660,144 @@ def test_residues_equal_the_complex_oracle(a, seed):
     assert np.array_equal(lam, sol.eigenvalues[modes])
     assert np.abs(w_re + 1j * w_im - ref).max() \
         <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the bundled LAPACK route against the np.linalg route
+
+bundled = pytest.mark.skipif(
+    _lapack._bundled() is None,
+    reason="numpy bundles no scipy-openblas LAPACK in this build, so "
+           "np.linalg is the only route")
+
+
+def on_numpy_route(fn, *args):
+    """fn(*args) with the library lookup finding no bundled LAPACK."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_lapack, "_bundled", lambda: None)
+        return fn(*args)
+
+
+def assert_identical(got, ref):
+    """The same error message, or dataclasses whose every field is equal;
+    arrays of one dtype, shape and memory layout, byte for byte."""
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+        return
+    assert type(got) is type(ref)
+    for field in dataclasses.fields(ref):
+        x, y = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape, x.flags.c_contiguous,
+                    x.flags.f_contiguous) == (y.dtype, y.shape,
+                                              y.flags.c_contiguous,
+                                              y.flags.f_contiguous), field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def assert_routes_agree(a):
+    assert_identical(outcome(eig_biorthogonal, a),
+                     on_numpy_route(outcome, eig_biorthogonal, a))
+
+
+@bundled
+@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
+                                  "zero_network", "single_wt", "ladder10x10"])
+def test_numpy_route_gives_the_same_bits_on_farms(name):
+    farm = ladder_farm(10, 10, 7) if name == "ladder10x10" \
+        else load_farm(ROOT / "farms" / f"{name}.json")
+    flow = solve_powerflow(farm)
+    got = solve_modes(farm, flow)
+    ref = on_numpy_route(solve_modes, farm, flow)
+    assert_identical(got.modal, ref.modal)
+    assert_identical(got.concern, ref.concern)
+
+
+@bundled
+@given(st.one_of(stable_matrices(), spectra_with_repeats(),
+                 real_repeated_near_real()))
+@example(np.diag([-1.0, -2.0, -1.0]))
+@example(np.kron(np.eye(2), [[0.0, 3e-7], [-3e-7, 0.0]]))
+@example(np.array([[-1.0, 1e-9], [-1e-9, -1.0]]))
+@example(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_numpy_route_gives_the_same_bits_on_random_spectra(a):
+    assert_routes_agree(a)
+
+
+@bundled
+@given(st.floats(-14.0, -8.0), st.integers(0, 2**32 - 1))
+@example(-12.0 + np.log10(2.0), 0)
+def test_numpy_route_gives_the_same_bits_on_near_defective_matrices(
+        log_gap, seed):
+    assert_routes_agree(near_defective(log_gap, seed))
+
+
+@bundled
+def test_bundled_route_calls_neither_eig_nor_inv(monkeypatch, case_b):
+    # solved before the patch; np.linalg.eig would form a complex n x n U
+    solved = [case_b,
+              SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
+              SolvedFarm(ladder_farm(10, 10, 7))]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        return call
+    monkeypatch.setattr(np.linalg, "eig", refuse("eig"))
+    monkeypatch.setattr(np.linalg, "inv", refuse("inv"))
+    with pytest.raises(AssertionError, match="np.linalg.eig called"):
+        on_numpy_route(eig_biorthogonal, np.eye(2))
+    for s in solved:
+        assert_identical(eig_biorthogonal(s.fss.a_s), s.modal)
+
+
+class Reporting:
+    """The bundled routines, except that `routine` reports INFO = `info`
+    once its work is done (dgeev's workspace query excepted)."""
+
+    def __init__(self, routine, info):
+        self.lapack, self.routine, self.info = _lapack._bundled(), routine, info
+
+    def dgeev(self, a, wr, wi, vr, work, lwork):
+        got = self.lapack.dgeev(a, wr, wi, vr, work, lwork)
+        return self.info if self.routine == "dgeev" and lwork != -1 else got
+
+    def dgesv(self, a, ipiv, b):
+        got = self.lapack.dgesv(a, ipiv, b)
+        return self.info if self.routine == "dgesv" else got
+
+
+@bundled
+@pytest.mark.parametrize("routine,info,error,match", [
+    ("dgeev", 3, np.linalg.LinAlgError, "^Eigenvalues did not converge$"),
+    # the SVD accepts the basis, and the second solve meets the same pivot
+    ("dgesv", 2, np.linalg.LinAlgError, "^Singular matrix$"),
+    ("dgeev", -13, RuntimeError, r"dgeev rejected argument 13 \(LWORK\)"),
+    ("dgesv", -7, RuntimeError, r"dgesv rejected argument 7 \(LDB\)"),
+])
+def test_lapack_info_raises(monkeypatch, routine, info, error, match):
+    fake = Reporting(routine, info)
+    monkeypatch.setattr(_lapack, "_bundled", lambda: fake)
+    with pytest.raises(error, match=match):
+        eig_biorthogonal(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+
+
+@bundled
+def test_singular_solve_falls_to_the_svd_gate(monkeypatch):
+    fake = Reporting("dgesv", 1)
+    monkeypatch.setattr(_lapack, "_bundled", lambda: fake)
+    with pytest.raises(DefectiveMatrixError, match="ill-conditioned"):
+        eig_biorthogonal(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@bundled
+@pytest.mark.parametrize("a,ipiv", [
+    pytest.param(np.ones((3, 3)), np.empty(3, dtype=np.int64), id="C_order"),
+    pytest.param(np.ones((3, 3), order="F"), np.empty(3, dtype=np.int32),
+                 id="int32_pivots"),
+])
+def test_lapack_refuses_a_buffer_of_another_form(a, ipiv):
+    with pytest.raises(ValueError, match="writeable Fortran-ordered"):
+        _lapack._bundled().dgesv(a, ipiv, np.eye(3, order="F"))
