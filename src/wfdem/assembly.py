@@ -8,9 +8,9 @@ terminal voltages gives
     B_s = B K
 
 The network is series-only, so K stacks one 2x2 identity per WT and B_s is
-the row-stack of the block inputs.  The closure uses Z, never Y = Z^-1:
-Kron reduction always yields Z, while Y does not exist for zero-impedance
-ties.
+the row-stack of the block inputs, and the POI power is one output row
+plus a feedthrough.  The closure uses Z, never Y = Z^-1: Kron reduction
+always yields Z, while Y does not exist for zero-impedance ties.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farm import FarmDescription, NetworkMatrices, build_network_matrices
+from .farm import (FarmDescription, FarmValidationError, NetworkMatrices,
+                   build_network_matrices)
 from .powerflow import SLACK_E0, BusSolution, wt_operating_point
 from .wt import STATE_KINDS, WtStateSpace, linearize_wt
 
@@ -28,21 +29,21 @@ StateLabel = tuple[str, str]   # (wt id, state kind)
 
 @dataclass(frozen=True)
 class FarmStateSpace:
-    """Assembled farm model plus the output map to the POI.
+    """Assembled farm model plus its POI active-power output.
 
-    State k belongs to `labels[k] = (wt id, kind)`.  `c_poi @ x` gives the
-    system-base POI current deviation (rows 0-1) and POI voltage deviation
-    with the source held fixed (rows 2-3).  POI quantities use the stored
-    operating point so power deviations can be reconstructed.
+    State k belongs to `labels[k] = (wt id, kind)`.  A source deviation de
+    moves the POI power by dP = c_p x + d_p de, where c_p = (u0 + Z_g^T
+    i0)^T S and d_p = i0: S sums the WT current maps (di = S x), i0 the
+    system-base operating currents, and u0 = e0 + Z_g i0 is the POI
+    voltage, so dP = u0 di + i0 du with du = Z_g di + de.
     """
 
     a_s: np.ndarray          # (4N, 4N)
     b_s: np.ndarray          # (4N, 2)
     labels: tuple[StateLabel, ...]
     wt_order: tuple[str, ...]
-    c_poi: np.ndarray        # (4, 4N)
-    u_poi0: np.ndarray       # (2,)
-    i_poi0: np.ndarray       # (2,)
+    c_p: np.ndarray          # (4N,)
+    d_p: np.ndarray          # (2,)
 
     @property
     def n_states(self) -> int:
@@ -89,23 +90,30 @@ def assemble_farm(blocks: list[WtStateSpace],
 
     a, b, c = _stack_blocks(blocks)
     a += b @ (net.z @ c)
-    i_poi0 = np.sum([blk.i_xy0_sys for blk in blocks], axis=0)
-    e0 = np.array([SLACK_E0.real, SLACK_E0.imag])
-    u_poi0 = e0 + net.grid_block @ i_poi0
+    i0 = np.sum([blk.i_xy0_sys for blk in blocks], axis=0)
+    u0 = np.array([SLACK_E0.real, SLACK_E0.imag]) + net.grid_block @ i0
 
     return FarmStateSpace(
         a_s=a,
         b_s=b.reshape(len(b), n, 2).sum(axis=1),
         labels=tuple(labels),
         wt_order=net.wt_order,
-        c_poi=np.vstack([c.reshape(n, 2, -1).sum(axis=0), net.z_poi @ c]),
-        u_poi0=u_poi0,
-        i_poi0=i_poi0,
+        c_p=(u0 + net.grid_block.T @ i0) @ c.reshape(n, 2, -1).sum(axis=0),
+        d_p=i0,
     )
 
 
 def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
-    """Linearize every WT at the power-flow solution and close the farm."""
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
-    return assemble_farm(blocks, build_network_matrices(farm))
+    """Linearize every WT at the power-flow solution and close the farm;
+    `FarmValidationError` names the first WT whose rows overflowed."""
+    net = build_network_matrices(farm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fss = assemble_farm(
+            [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
+             for wt, _ in farm.wts], net)
+    bad = ~np.isfinite(np.column_stack([fss.a_s, fss.b_s, fss.c_p])).all(1)
+    if bad.any():
+        raise FarmValidationError(
+            f"WT {fss.labels[np.argmax(bad)][0]!r}: linearized model is not "
+            "finite; its parameters are out of range")
+    return fss

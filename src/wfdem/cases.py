@@ -69,25 +69,18 @@ def ground_truth_groups() -> dict[str, int]:
 
 def _gains(case: str) -> tuple[np.ndarray, np.ndarray]:
     case = case.lower()
-    kp = np.ones(N_WT)
-    ki = np.full(N_WT, 300.0)
+    if case not in ("a", "b", "c", "d"):
+        raise ValueError(f"unknown case {case!r}")
     label_of = ground_truth_groups()
-    if case == "a":
-        pass
-    elif case == "b":
-        for n in range(1, N_WT + 1):
-            kp[n - 1] = KP_DVC_BY_CASE["b"][label_of[wt_name(n)]]
-    elif case == "c":
-        for n in range(1, N_WT + 1):
-            ki[n - 1] = KI_DVC_BY_CASE["c"][label_of[wt_name(n)]]
-    elif case == "d":
-        for n in range(1, N_WT + 1):
-            kp[n - 1] = KP_DVC_BY_CASE["b"][label_of[wt_name(n)]]
+    labels = [label_of[wt_name(n)] for n in range(1, N_WT + 1)]
+    kp = np.array([KP_DVC_BY_CASE["b"][g] for g in labels]) \
+        if case in ("b", "d") else np.ones(N_WT)
+    ki = np.array([KI_DVC_BY_CASE["c"][g] for g in labels]) \
+        if case == "c" else np.full(N_WT, 300.0)
+    if case == "d":
         rng = np.random.default_rng(CASE_D_SEED)
         kp = kp * (1.0 + CASE_D_SPREAD * rng.uniform(-1.0, 1.0, N_WT))
         ki = ki * (1.0 + CASE_D_SPREAD * rng.uniform(-1.0, 1.0, N_WT))
-    else:
-        raise ValueError(f"unknown case {case!r}")
     return kp, ki
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .gridcsv import write_grid, write_json
-from .modal import STATE_FILTER, ConcernSet, FarmModel
+from .modal import STATE_FILTER, ConcernSet, FarmModel, ModeCountError
 
 # dominance margin below which groups.json lists a WT as low-margin
 LOW_MARGIN = 0.1
@@ -203,7 +203,7 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not 1 <= c <= len(pts):
-        raise ValueError(f"cluster count {c} not in [1, {len(pts)}]")
+        raise ModeCountError(f"cluster count {c} not in [1, {len(pts)}]")
     seeds = next(itertools.islice(_seed_prefixes(pts, seed, n_restarts),
                                   c - 1, None))
     return _best_clustering(concern, pts, seeds)
@@ -248,7 +248,7 @@ def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
     """
     pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
     if not len(pts):
-        raise ValueError("no concern modes to cluster")
+        raise ModeCountError("no concern modes to cluster")
     floors = error_floors(concern)
     for c, seeds in enumerate(_seed_prefixes(pts, seed, N_RESTARTS), 1):
         if c < len(pts) and floors[c - 1] > e_target * (1 + FLOOR_RTOL):

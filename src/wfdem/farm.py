@@ -25,7 +25,7 @@ class FarmFileError(ValueError):
 
 
 class FarmValidationError(ValueError):
-    """Parsed farm violates a structural invariant."""
+    """Parsed farm violates a structural invariant or overflows its model."""
 
 
 class SingularNetworkError(RuntimeError):
@@ -386,11 +386,11 @@ class NetworkMatrices:
     terminal-voltage deviations with the infinite bus held fixed.  The
     network is series-only, so with the injections held fixed an
     infinite-bus voltage deviation shifts every terminal and the POI one to
-    one.  2x2 blocks are in the XY frame.
+    one; with the source fixed, the POI deviates by `grid_block` times the
+    summed injections.  2x2 blocks are in the XY frame.
     """
 
     z: np.ndarray          # real (2N, 2N)
-    z_poi: np.ndarray      # real (2, 2N): POI voltage response to injections
     grid_block: np.ndarray  # real (2, 2), Thevenin branch impedance
     wt_order: tuple[str, ...]
 
@@ -411,9 +411,9 @@ def _expand_blocks(zc: np.ndarray) -> np.ndarray:
 
 
 def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
-    """Kron-reduce the collector network to the WT terminal ports."""
+    """Kron-reduce the collector network to the WT terminal ports alone:
+    the POI needs no port, as the grid tie fixes its voltage."""
     net = nodal_network(farm)
-    n_wt = farm.n_wt
 
     try:
         z_nodes = np.linalg.inv(net.y_red)
@@ -427,15 +427,9 @@ def build_network_matrices(farm: FarmDescription) -> NetworkMatrices:
     # pinned to the infinite bus
     z_all = np.pad(z_nodes, (0, 1))
 
-    # ports: the WT terminals, then the POI
-    ports = [net.node_of[bus] for _, bus in farm.wts] + [net.node_of[farm.poi]]
-    z_ports = z_all[np.ix_(ports, ports)]
-    zc = z_ports[:n_wt, :n_wt]
-    poi_c = z_ports[n_wt, :n_wt]
-
+    ports = [net.node_of[bus] for _, bus in farm.wts]
     return NetworkMatrices(
-        z=_expand_blocks(zc),
-        z_poi=_expand_blocks(poi_c.reshape(1, -1)),
+        z=_expand_blocks(z_all[np.ix_(ports, ports)]),
         grid_block=xy_block(net.grid_z),
         wt_order=farm.wt_ids,
     )

@@ -53,6 +53,11 @@ class DefectiveMatrixError(RuntimeError):
     """Eigenvector basis is numerically defective."""
 
 
+class ModeCountError(ValueError):
+    """A mode count out of range: concern modes beyond the oscillatory
+    pairs, or a cluster count outside 1 to the number of concern modes."""
+
+
 @dataclass(frozen=True)
 class ModalSolution:
     """Eigensolution with biorthonormal left/right vectors, in real form.
@@ -147,8 +152,8 @@ class ModalSolution:
 
     def representatives(self) -> np.ndarray:
         """Indices of upper-half-plane members of oscillatory pairs."""
-        return np.array([i for i, lam in enumerate(self.eigenvalues)
-                         if self.pair_of[i] >= 0 and lam.imag > 0], dtype=int)
+        return np.flatnonzero((self.pair_of >= 0)
+                              & (self.eigenvalues.imag > 0))
 
 
 def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
@@ -289,7 +294,7 @@ def select_concern_modes(sol: ModalSolution, rows: Sequence[int],
         raise ValueError("no states to rank the modes by")
     reps = sol.representatives()
     if len(reps) < n_expected:
-        raise ValueError(
+        raise ModeCountError(
             f"only {len(reps)} oscillatory pairs available, "
             f"{n_expected} requested")
     scores = np.abs(sol.participation(rows, reps)).sum(axis=0)

@@ -84,7 +84,6 @@ class LinearResponse:
     t: np.ndarray
     u_dc: dict[str, np.ndarray]      # per machine, machine p.u.
     poi_p: np.ndarray                # active-power deviation at the POI
-    poi_i: np.ndarray                # (2, nt) current deviation at the POI
 
 
 def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
@@ -96,12 +95,13 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
 
         x(t) = U diag(V B_s de) (e^(lam tau) - 1) / lam   (tau where lam = 0)
 
-    and x = 0 before t_on; only the outputs (u_dc per WT, POI current and
-    voltage) are formed, in the real basis: M = [R_u_dc; C_poi R] and
-    q = W B_s de.  The time factor is evaluated for the real modes and the
-    upper pair members, with the weights `ModalSolution.residues` forms
-    from M and q, `_STEPS` grid times at a time.  Stability is not checked
-    here: `modal.unstable` flags a non-Hurwitz state matrix.
+    and x = 0 before t_on; only the outputs (u_dc per WT, POI power c_p x)
+    are formed, in the real basis: M = [R_u_dc; c_p R] and q = W B_s de,
+    and the POI power adds d_p de from t_on on.  The time factor is
+    evaluated for the real modes and the upper pair members, with the
+    weights `ModalSolution.residues` forms from M and q, `_STEPS` grid
+    times at a time.  Stability is not checked here: `modal.unstable`
+    flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -109,14 +109,14 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     t = np.arange(int(round(horizon / dt)) + 1) * dt
     k_on = int(np.searchsorted(t, sag.t_start))
 
-    # output rows: u_dc per WT, POI current, POI voltage less de
+    # output rows: u_dc per WT, then the POI power less its feedthrough
     n_wt = len(fss.wt_order)
     m = np.vstack([modal.basis[fss.kind_rows(("u_dc",))],
-                   fss.c_poi @ modal.basis])
+                   fss.c_p @ modal.basis])
     q = modal.inverse @ (fss.b_s @ de)
     w_re, w_im, lam = modal.residues(m, q)
     zero = lam == 0
-    y = np.zeros((n_wt + 4, len(t)))
+    y = np.zeros((n_wt + 1, len(t)))
     for k in range(k_on, len(t), _STEPS):
         tau = t[k - k_on:min(k + _STEPS, len(t)) - k_on]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -125,11 +125,9 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
         g[zero] = tau
         y[:, k:k + len(tau)] = w_re @ g.real - w_im @ g.imag
 
-    poi_i = y[n_wt:n_wt + 2]
-    du_poi = y[n_wt + 2:] + np.outer(de, t >= sag.t_start)
-    poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
+    poi_p = y[n_wt] + (fss.d_p @ de) * (t >= sag.t_start)
     return LinearResponse(t=t, u_dc=dict(zip(fss.wt_order, y[:n_wt])),
-                          poi_p=poi_p, poi_i=poi_i)
+                          poi_p=poi_p)
 
 
 # ---------------------------------------------------------------------------

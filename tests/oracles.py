@@ -3,7 +3,8 @@
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: the closed-form stiff-grid DVC mode, the single-WT
 nonlinear model, the series network losses, the equal-loss impedance of a
-WT group branch by branch, the admittance form of the farm closure, the
+WT group branch by branch, the POI port of the collector's Kron reduction,
+the admittance form of the farm closure, the
 eigensolution in complex arithmetic, the dense MPF table of every state and
 mode, and the per-cell difference of two artifact numbers.
 """
@@ -206,6 +207,17 @@ def equal_loss_impedance(farm: FarmDescription,
     v_nodes = np.append(np.linalg.solve(net.y_red, inj[:-1]), 0.0)
     v = {bus: v_nodes[node] for bus, node in net.node_of.items()}
     return series_losses(farm, v) / inj.real.sum() ** 2
+
+
+def poi_port_impedance(farm: FarmDescription) -> np.ndarray:
+    """The POI voltage response to the WT injections, (2, 2N) in XY blocks,
+    with the infinite bus held fixed: the POI row of the collector
+    impedance, Kron-reduced to the WT terminals plus a port at the POI."""
+    net = nodal_network(farm)
+    z_all = np.pad(np.linalg.inv(net.y_red), (0, 1))
+    ports = [net.node_of[bus] for _, bus in farm.wts]
+    row = z_all[net.node_of[farm.poi], ports]
+    return np.hstack([xy_block(z) for z in row])
 
 
 def closed_loop_via_admittance(blocks: list[WtStateSpace],

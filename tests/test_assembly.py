@@ -10,13 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import SolvedFarm, random_radial_farm, solved_case, stiff_grid
-from oracles import closed_loop_via_admittance
+from helpers import (ROOT, SolvedFarm, random_radial_farm, solved_case,
+                     stiff_grid)
+from oracles import closed_loop_via_admittance, poi_port_impedance
 from wfdem.assembly import assemble_farm, linear_model
 from wfdem.cases import (case_farm, identical_zero_network_farm,
                          single_wt_farm)
-from wfdem.farm import build_network_matrices
-from wfdem.powerflow import solve_powerflow, wt_operating_point
+from wfdem.farm import FarmValidationError, build_network_matrices, load_farm
+from wfdem.powerflow import SLACK_E0, solve_powerflow, wt_operating_point
 from wfdem.wt import STATE_KINDS, linearize_wt
 
 
@@ -137,18 +138,48 @@ def test_closure_forms_agree(case):
     lambda: SolvedFarm(random_radial_farm(11)),
     lambda: SolvedFarm(stiff_grid(case_farm("b")))],
     ids=["case_b", "single_wt", "radial_11", "stiff_case_b"])
-def test_c_poi_is_the_summed_currents_and_the_poi_voltage(make):
+def test_poi_power_row_is_the_port_voltage_form(make):
     # formed WT by WT: the POI current is the sum of the WT currents
-    # c_k x_k, and the POI voltage is z_poi times the stacked currents
+    # c_k x_k, the POI voltage the Kron port's response to the stacked
+    # currents plus de, and dP = u0 . di + i0 . du
     s = make()
-    currents = np.hstack([blk.c for blk in s.blocks])
-    voltage = np.hstack([s.net.z_poi[:, 2 * k:2 * k + 2] @ blk.c
-                         for k, blk in enumerate(s.blocks)])
-    c_poi = s.fss.c_poi
-    assert c_poi.shape == (4, s.fss.n_states)
-    assert np.array_equal(c_poi[:2], currents)
-    scale = np.abs(voltage).max()
-    assert np.abs(c_poi[2:] - voltage).max() <= 1e-14 * scale
+    i0 = np.sum([blk.i_xy0_sys for blk in s.blocks], axis=0)
+    u0 = np.array([SLACK_E0.real, SLACK_E0.imag]) + s.net.grid_block @ i0
+    port = poi_port_impedance(s.farm)
+    c = np.hstack([blk.c for blk in s.blocks])
+    fss = s.fss
+    assert fss.c_p.shape == (fss.n_states,)
+    assert np.array_equal(fss.d_p, i0)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, de = rng.standard_normal(fss.n_states), rng.standard_normal(2)
+        stacked = [blk.c @ x[4 * k:4 * k + 4]
+                   for k, blk in enumerate(s.blocks)]
+        want = u0 @ (c @ x) + i0 @ (port @ np.concatenate(stacked) + de)
+        # the same sum over |terms|, which bounds the roundoff of both sides
+        stacked = [np.abs(blk.c) @ np.abs(x[4 * k:4 * k + 4])
+                   for k, blk in enumerate(s.blocks)]
+        scale = np.abs(u0) @ (np.abs(c) @ np.abs(x)) + np.abs(i0) @ (
+            np.abs(port) @ np.concatenate(stacked) + np.abs(de))
+        assert abs(fss.c_p @ x + fss.d_p @ de - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("change", [{"c_dc": 1e-310}, {"kp_dvc": 1e308}],
+                         ids=["c_dc", "kp_dvc"])
+@pytest.mark.parametrize("farm_file", ["single_wt", "case_b"])
+def test_overflowing_linearization_names_the_wt(change, farm_file):
+    # valid parameters whose linearization overflows; the suite turns any
+    # RuntimeWarning on the way into an error
+    farm = load_farm(ROOT / "farms" / f"{farm_file}.json")
+    k = farm.n_wt // 2
+    wt, bus = farm.wts[k]
+    farm = dataclasses.replace(farm, wts=(
+        *farm.wts[:k], (dataclasses.replace(wt, **change), bus),
+        *farm.wts[k + 1:]))
+    farm.validate()
+    with pytest.raises(FarmValidationError,
+                       match=f"^WT {wt.id!r}: linearized model is not finite"):
+        linear_model(farm, solve_powerflow(farm))
 
 
 def test_block_count_mismatch_rejected():

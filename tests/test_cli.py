@@ -15,8 +15,10 @@ from hypothesis import example, given, strategies as st
 from helpers import ROOT, load_digests_script, run_python_bounded
 from oracles import cell_difference
 from wfdem import cli
-from wfdem.cli import (ARTIFACTS, RunConfig, _build_parser, _config_from_args,
-                       emit_plot, emit_report, main, run_pipeline)
+from wfdem.cli import (ARTIFACTS, RunConfig, StageError, _build_parser,
+                       _config_from_args, emit_plot, emit_report, main,
+                       run_pipeline)
+from wfdem.modal import ModeCountError
 
 FARMS = Path(__file__).resolve().parent.parent / "farms"
 
@@ -90,6 +92,29 @@ def test_invalid_farm_fails_in_load_stage(tmp_path, capsys):
                  str(tmp_path / "out")])
     assert code == 2
     assert "error in stage load" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wt, clusters, stage, message", [
+    ({"kp_dvc": 10, "ki_dvc": 10, "kp_pll": 60, "ki_pll": 5}, None, "modes",
+     "only 0 oscillatory pairs available, 1 requested"),
+    ({}, 3, "cluster", "cluster count 3 not in [1, 1]")],
+    ids=["too_few_modes", "too_many_clusters"])
+def test_single_wt_corners_name_a_wfdem_error(tmp_path, capsys, wt, clusters,
+                                              stage, message):
+    doc = json.loads((FARMS / "single_wt.json").read_text())
+    doc["wts"][0].update(wt)
+    farm = tmp_path / "farm.json"
+    farm.write_text(json.dumps(doc))
+    flags = ["--clusters", str(clusters)] if clusters else []
+    assert main(["all", "--farm", str(farm), "--out", str(tmp_path / "cli"),
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"error in stage {stage}: {message}\n"
+    with pytest.raises(StageError) as info:
+        run_pipeline(RunConfig(farm_path=farm, out_dir=tmp_path / "lib",
+                               clusters=clusters))
+    assert info.value.stage == stage
+    assert type(info.value.cause).__module__.startswith("wfdem.")
+    assert isinstance(info.value.cause, ModeCountError)
 
 
 @pytest.mark.parametrize("stage", list(ARTIFACTS))

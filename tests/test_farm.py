@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from jsonschema import Draft7Validator
 
 from helpers import ROOT, random_radial_farm, stiff_grid
+from oracles import poi_port_impedance
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,
@@ -339,11 +340,10 @@ def test_single_wt_z_equals_grid_block():
     farm = single_wt_farm(link_km=0.0, grid_r_pu=0.001, grid_l_pu=0.01)
     net = build_network_matrices(farm)
     assert np.allclose(net.z, xy_block(0.001 + 0.01j), atol=1e-15)
-    assert np.allclose(net.z_poi, xy_block(0.001 + 0.01j), atol=1e-15)
 
 
-def test_shared_bus_blocks_all_equal_grid_block():
-    # two WTs on one bus joined to the POI by a zero-length branch
+def shared_bus_farm() -> FarmDescription:
+    """Two WTs on one bus joined to the POI by a zero-length branch."""
     wts = tuple(
         (WtParams(id=f"wt0{k}", p_m0=0.8, c_dc=0.09, u_dc0=1.0,
                   kp_dvc=1.0, ki_dvc=300.0), "shared")
@@ -354,7 +354,45 @@ def test_shared_bus_blocks_all_equal_grid_block():
         branches=(Branch("poi", "shared", 0.0, 0.1153, 1.05e-3),),
         wts=wts, grid=GridThevenin(0.002, 0.015))
     farm.validate()
+    return farm
+
+
+def meshed_case_b() -> FarmDescription:
+    """Case b with a tie between the ends of feeders 1 and 2."""
+    farm = case_farm("b")
+    tie = Branch("f1b11", "f2b11", 2.0, 0.1153, 1.05e-3)
+    farm = dataclasses.replace(farm, branches=farm.branches + (tie,))
+    farm.validate()
+    return farm
+
+
+# random_radial_farm seeds that each draw a zero-length span
+ZERO_SPAN_SEEDS = (0, 9, 12, 25, 31)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: case_farm("b"), single_wt_farm,
+    *(lambda seed=seed: random_radial_farm(seed) for seed in ZERO_SPAN_SEEDS),
+    lambda: stiff_grid(case_farm("b")), shared_bus_farm, meshed_case_b],
+    ids=["case_b", "single_wt", *(f"radial_{s}" for s in ZERO_SPAN_SEEDS),
+         "stiff_case_b", "shared_bus", "meshed_case_b"])
+def test_poi_port_is_the_tiled_grid_block(make):
+    # the collector meets the source only through the grid tie, so the POI
+    # voltage responds to every injection alike: by the grid impedance.
+    # The oracle inverts Y_red, whose forward error eps cond(Y_red) bounds;
+    # radial_12 (cond 814) differs by 3.0e-14 of its largest entry
+    farm = make()
     net = build_network_matrices(farm)
+    port = poi_port_impedance(farm)
+    tiled = np.tile(net.grid_block, farm.n_wt)
+    assert port.shape == tiled.shape
+    cond = np.linalg.cond(nodal_network(farm).y_red)
+    assert np.abs(port - tiled).max() \
+        <= np.finfo(float).eps * cond * np.abs(port).max()
+
+
+def test_shared_bus_blocks_all_equal_grid_block():
+    net = build_network_matrices(shared_bus_farm())
     g = xy_block(0.002 + 0.015j)
     for a in range(2):
         for b in range(2):

@@ -120,7 +120,7 @@ def made_up_model(modal, concern, labels=()):
     """A `FarmModel` around a made-up modal solution; of its state space
     the writers read only the labels."""
     fss = FarmStateSpace(a_s=None, b_s=None, labels=tuple(labels),
-                         wt_order=(), c_poi=None, u_poi0=None, i_poi0=None)
+                         wt_order=(), c_p=None, d_p=None)
     return FarmModel(fss, modal, concern)
 
 
@@ -304,14 +304,14 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                               table.imag[:, k % n_cols]])
               for k in range(n_rows)]
     detailed = LinearResponse(t=t, u_dc=dict(zip(ids, traces)),
-                              poi_p=traces[0], poi_i=None)
+                              poi_p=traces[0])
     # group 0 the first id, group 1 the rest, with capacities 1, 2, ...
     mapping = {0: ((ids[0], 1.0),)}
     if n_rows > 1:
         mapping[1] = tuple((wt, k + 1.0) for k, wt in enumerate(ids[1:]))
     dem = LinearResponse(t=t, u_dc={f"group{g}": traces[-1 - g]
                                     for g in mapping},
-                         poi_p=-t, poi_i=None)
+                         poi_p=-t)
     # the weighted means add inf to -inf and overflow
     with np.errstate(invalid="ignore", over="ignore"):
         assert_responses_npz(tmp_path, detailed, dem, mapping)

@@ -312,6 +312,20 @@ def test_mpf_csv_columns_match_the_full_grid_on_ladder300(tmp_path):
         tmp_path, SolvedFarm(ladder_farm(10, 30, (7, 0))))
 
 
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda request, c=c: request.getfixturevalue(f"case_{c}"),
+                   id=f"case_{c}") for c in "abcd"),
+    pytest.param(lambda request: SolvedFarm(ladder_farm(10, 10, 7)),
+                 id="ladder10x10")])
+def test_representatives_are_the_upper_pair_members(request, make):
+    sol = make(request).modal
+    loop = np.array([i for i, lam in enumerate(sol.eigenvalues)
+                     if sol.pair_of[i] >= 0 and lam.imag > 0], dtype=int)
+    reps = sol.representatives()
+    assert reps.dtype == loop.dtype
+    assert np.array_equal(reps, loop)
+
+
 # ---------------------------------------------------------------------------
 # SVD reference: cond(U) gates the basis and ||A||_2 scales the pairing
 

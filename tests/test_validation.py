@@ -74,29 +74,25 @@ def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
             x_aug[n] = 1.0
         x_aug = phi @ x_aug
         xs[:, k + 1] = x_aug[:n]
-    y_poi = fss.c_poi @ xs
-    poi_i = y_poi[:2]
-    du_poi = y_poi[2:] + np.outer(de, t >= sag.t_start)
-    poi_p = fss.u_poi0 @ poi_i + fss.i_poi0 @ du_poi
     return LinearResponse(
         t=t, u_dc={wt_id: xs[fss.labels.index((wt_id, "u_dc"))]
                    for wt_id in fss.wt_order},
-        poi_p=poi_p, poi_i=poi_i)
+        poi_p=fss.c_p @ xs + (fss.d_p @ de) * (t >= sag.t_start))
 
 
 def max_relative_difference(resp: LinearResponse,
                             ref: LinearResponse) -> float:
     """Worst difference per signal family over that family's largest value.
 
-    The families are the u_dc set, the POI current and the POI power; a
-    family that is zero throughout in `ref` must be zero in `resp` too.
+    The families are the u_dc set and the POI power; a family that is zero
+    throughout in `ref` must be zero in `resp` too.
     """
     assert np.array_equal(resp.t, ref.t)
     assert list(resp.u_dc) == list(ref.u_dc)
     worst = 0.0
     for got, want in ((np.array(list(resp.u_dc.values())),
                        np.array(list(ref.u_dc.values()))),
-                      (resp.poi_i, ref.poi_i), (resp.poi_p, ref.poi_p)):
+                      (resp.poi_p, ref.poi_p)):
         diff = float(np.abs(got - want).max())
         scale = float(np.abs(want).max())
         worst = max(worst, diff / scale if scale > 0 else
@@ -337,14 +333,16 @@ def near_defective_model(seed: int, lam: float, delta: float,
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     s = q * rng.uniform(1.0, 3.0, 4)
     b_s = rng.standard_normal((4, 2))
-    # the WT's current map c and the POI impedance z give rows [c; z c]
+    # the WT's current map c and a POI impedance z at u0 = (1, 0) and
+    # i0 = (0.9, 0.1) give the power row (u0 + z^T i0)^T c
     c = rng.standard_normal((2, 4))
+    i0 = np.array([0.9, 0.1])
     return FarmStateSpace(
         a_s=s @ j @ np.linalg.inv(s), b_s=b_s,
         labels=tuple(("wt01", kind) for kind in STATE_KINDS),
         wt_order=("wt01",),
-        c_poi=np.vstack([c, rng.standard_normal((2, 2)) @ c]),
-        u_poi0=np.array([1.0, 0.0]), i_poi0=np.array([0.9, 0.1]))
+        c_p=(np.array([1.0, 0.0]) + rng.standard_normal((2, 2)).T @ i0) @ c,
+        d_p=i0)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-50.0, -1.0),
@@ -414,7 +412,7 @@ def test_compare_responses_identical(case_b):
     mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.members}
     # compare the DEM against itself with each group mapped to its machine
     renamed = LinearResponse(t=resp.t, u_dc=dict(resp.u_dc),
-                             poi_p=resp.poi_p, poi_i=resp.poi_i)
+                             poi_p=resp.poi_p)
     out = compare_responses(resp, renamed, mapping)
     assert max(out.values()) == 0.0
     assert not dem.model.modal.unstable
