@@ -11,8 +11,7 @@ from .farm import (Branch, FarmDescription, GridThevenin, NetworkMatrices,
                    save_farm)
 from .modal import (ConcernSet, FarmModel, ModalSolution, eig_biorthogonal,
                     select_concern_modes, solve_modes)
-from .powerflow import (BusSolution, WtOperatingPoint, solve_powerflow,
-                        wt_operating_point)
+from .powerflow import BusSolution, solve_powerflow
 from .validation import (LinearResponse, ValidationReport, compare_responses,
                          error_E, error_Eprime, nrmse, simulate_linear)
 from .wt import SagSpec, WtStateSpace, linearize_wt

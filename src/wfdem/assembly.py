@@ -21,7 +21,7 @@ import numpy as np
 
 from .farm import (FarmDescription, FarmValidationError, NetworkMatrices,
                    build_network_matrices)
-from .powerflow import SLACK_E0, BusSolution, wt_operating_point
+from .powerflow import SLACK_E0, BusSolution, PowerflowError
 from .wt import STATE_KINDS, WtStateSpace, linearize_wt
 
 StateLabel = tuple[str, str]   # (wt id, state kind)
@@ -104,13 +104,17 @@ def assemble_farm(blocks: list[WtStateSpace],
 
 
 def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
-    """Linearize every WT at the power-flow solution and close the farm;
-    `FarmValidationError` names the first WT whose rows overflowed."""
+    """Linearize every WT at its bus voltage in `sol` and close the farm;
+    `PowerflowError` names a WT at zero voltage, `FarmValidationError` the
+    first WT whose rows overflowed."""
     net = build_network_matrices(farm)
+    v = dict(zip(sol.bus_ids, sol.v))
+    for wt, bus in farm.wts:
+        if v[bus] == 0:
+            raise PowerflowError(f"zero terminal voltage at WT {wt.id!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        fss = assemble_farm(
-            [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-             for wt, _ in farm.wts], net)
+        fss = assemble_farm([linearize_wt(wt, v[bus], farm.bases)
+                             for wt, bus in farm.wts], net)
     bad = ~np.isfinite(np.column_stack([fss.a_s, fss.b_s, fss.c_p])).all(1)
     if bad.any():
         raise FarmValidationError(

@@ -1,9 +1,9 @@
-"""Newton-Raphson steady state of the farm and per-WT linearization points.
+"""Newton-Raphson steady state of the farm: the complex voltage of every bus.
 
 Every WT bus is a PQ node injecting its mechanical power at unity power
 factor; the infinite bus is the sole slack, held at SLACK_E0.  Per-unit is
-the farm's system base (bases.s_wt_mva, bases.v_coll_kv) throughout, except
-where noted machine-base.
+the farm's system base (bases.s_wt_mva, bases.v_coll_kv) throughout.  A
+WT's terminal voltage is all its linearization needs (`wt.linearize_wt`).
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .farm import FarmDescription, WtParams, nodal_network
+from .farm import FarmDescription, nodal_network
 from .gridcsv import write_grid
 
 SLACK_E0 = 1.0 + 0.0j   # infinite-bus voltage, p.u.
 TOL = 1e-8              # Newton stop: max |P, Q| mismatch, p.u.
+MAX_ITER = 50           # Newton steps after the flat start
 
 
 class PowerflowError(RuntimeError):
@@ -26,29 +27,23 @@ class PowerflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class BusSolution:
-    """Converged farm steady state.
-
-    `wt_terminal` maps each WT id to (terminal voltage, injected current on
-    the machine's own base).
-    """
+    """Converged farm steady state: the voltage of each bus of `bus_ids`."""
 
     bus_ids: tuple[str, ...]
     v: np.ndarray                       # complex, per bus
-    grid_flow: complex                  # current exported into the Thevenin branch
-    slack_power: complex                # S absorbed by the infinite bus
-    wt_terminal: dict[str, tuple[complex, complex]]
     iterations: int
     mismatch_history: tuple[float, ...]
 
 
-def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
-            max_iter: int) -> tuple[np.ndarray, int, list[float]]:
+@np.errstate(over="ignore", invalid="ignore")
+def _newton(y_red: np.ndarray, y_src: np.ndarray,
+            s_spec: np.ndarray) -> tuple[np.ndarray, int, list[float]]:
     """Polar NR on the source-grounded nodal system.  Returns node voltages."""
     n = len(s_spec)
     vm = np.ones(n)
     va = np.zeros(n)
     history: list[float] = []
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         # node injections; the slack tie enters with opposite sign because
         # y_src stores the positive branch admittance
@@ -59,7 +54,9 @@ def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
         history.append(err)
         if err < TOL:
             return v, it, history
-        if it == max_iter:
+        if not np.isfinite(err):
+            raise PowerflowError(f"mismatch is not finite at iteration {it}")
+        if it == MAX_ITER:
             break
         diag_v = np.diag(v)
         diag_i = np.diag(i_bus)
@@ -75,13 +72,12 @@ def _newton(y_red: np.ndarray, y_src: np.ndarray, s_spec: np.ndarray,
         va += dx[:n]
         vm += dx[n:]
     raise PowerflowError(
-        f"no convergence after {max_iter} iterations, "
+        f"no convergence after {MAX_ITER} iterations, "
         f"max |P,Q| mismatch = {history[-1]:.3e} p.u. (history: "
         + ", ".join(f"{h:.3g}" for h in history) + ")")
 
 
-def solve_powerflow(farm: FarmDescription,
-                    max_iter: int = 50) -> BusSolution:
+def solve_powerflow(farm: FarmDescription) -> BusSolution:
     """Solve the farm power flow from a flat start."""
     net = nodal_network(farm)
     n = net.n_nodes
@@ -93,8 +89,7 @@ def solve_powerflow(farm: FarmDescription,
         s_spec[net.node_of[bus]] += p
 
     try:
-        v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec[:n],
-                                          max_iter)
+        v_nodes, iters, history = _newton(net.y_red, net.y_src, s_spec[:n])
     except PowerflowError as exc:
         s_sc = abs(SLACK_E0) ** 2 / abs(net.grid_z) if net.grid_z \
             else np.inf
@@ -103,66 +98,8 @@ def solve_powerflow(farm: FarmDescription,
             f"|E0|^2/|Z_grid| = {s_sc:.6g} p.u. (system base)") from exc
 
     v = np.append(v_nodes, SLACK_E0)[[net.node_of[bus] for bus in farm.buses]]
-    bus_index = {bus: k for k, bus in enumerate(farm.buses)}
-
-    wt_terminal: dict[str, tuple[complex, complex]] = {}
-    grid_flow = 0.0 + 0.0j
-    for wt, bus in farm.wts:
-        u = v[bus_index[bus]]
-        if abs(u) == 0:
-            raise PowerflowError(f"zero terminal voltage at WT {wt.id!r}")
-        i_machine = np.conj(wt.p_m0 / u)
-        wt_terminal[wt.id] = (u, i_machine)
-        grid_flow += i_machine * wt.capacity_ratio(farm.bases)
-
-    slack_power = SLACK_E0 * np.conj(grid_flow)
-
-    return BusSolution(
-        bus_ids=farm.buses,
-        v=v,
-        grid_flow=grid_flow,
-        slack_power=slack_power,
-        wt_terminal=wt_terminal,
-        iterations=iters,
-        mismatch_history=tuple(history),
-    )
-
-
-# ---------------------------------------------------------------------------
-# linearization point
-
-
-@dataclass(frozen=True)
-class WtOperatingPoint:
-    """Steady state of one WT in its own per-unit base.
-
-    The PLL locks the d axis onto the terminal voltage, so u_q0 = 0 and
-    delta0 is the terminal-voltage angle; unity power factor makes i_q0 = 0.
-    """
-
-    u_xy0: np.ndarray    # (2,)
-    i_xy0: np.ndarray    # (2,) machine-base injection
-    delta0: float
-    u_d0: float
-    i_d0: float
-
-
-def wt_operating_point(sol: BusSolution, wt: WtParams) -> WtOperatingPoint:
-    if wt.id not in sol.wt_terminal:
-        raise KeyError(f"no terminal solution for WT {wt.id!r}")
-    u, _ = sol.wt_terminal[wt.id]
-    u_d0 = abs(u)
-    if u_d0 == 0:
-        raise PowerflowError(f"zero terminal voltage at WT {wt.id!r}")
-    delta0 = float(np.angle(u))
-    i_d0 = wt.p_m0 / u_d0
-    return WtOperatingPoint(
-        u_xy0=np.array([u.real, u.imag]),
-        i_xy0=i_d0 * np.array([np.cos(delta0), np.sin(delta0)]),
-        delta0=delta0,
-        u_d0=u_d0,
-        i_d0=i_d0,
-    )
+    return BusSolution(bus_ids=farm.buses, v=v, iterations=iters,
+                       mismatch_history=tuple(history))
 
 
 def write_bus_csv(farm: FarmDescription, sol: BusSolution,

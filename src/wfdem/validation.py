@@ -20,7 +20,7 @@ import numpy as np
 from .aggregation import DemModel
 from .assembly import FarmStateSpace
 from .clustering import ModeClusters
-from .gridcsv import write_arrays, write_json
+from .gridcsv import magnitude, write_arrays, write_json
 from .modal import ConcernSet, FarmModel, ModalSolution
 from .powerflow import SLACK_E0
 from .wt import SagSpec
@@ -35,20 +35,23 @@ _STEPS = 256
 # frequency-domain errors
 
 
+def _relative(distance: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """distance / |lam|, rounded like Python's `abs` of each mode."""
+    size = magnitude(lam)
+    if not size.all():
+        raise ZeroDivisionError("zero-magnitude mode has no relative error")
+    return distance / size
+
+
 def centre_errors(concern: ConcernSet, clusters: ModeClusters) -> np.ndarray:
     """Relative distance of each concern mode to its cluster centre."""
     cluster_of = clusters.cluster_of
     missing = [i for i in concern.mode_indices if i not in cluster_of]
     if missing:
         raise ValueError(f"clusters do not cover concern modes {missing}")
-    errs = np.empty(len(concern))
-    for k, (idx, lam) in enumerate(zip(concern.mode_indices,
-                                       concern.eigenvalues)):
-        if abs(lam) == 0:
-            raise ZeroDivisionError("zero-magnitude mode has no relative error")
-        centre = complex(clusters.centres[cluster_of[idx]])
-        errs[k] = abs(lam - centre) / abs(lam)
-    return errs
+    centre = clusters.centres[[cluster_of[i] for i in concern.mode_indices]]
+    lam = concern.eigenvalues
+    return _relative(magnitude(lam - centre), lam)
 
 
 def error_E(concern: ConcernSet, clusters: ModeClusters) -> float:
@@ -60,12 +63,9 @@ def nearest_errors(concern: ConcernSet, dem_concern: ConcernSet) -> np.ndarray:
     """Relative distance of each concern mode to the nearest DEM mode."""
     if len(dem_concern) == 0:
         raise ValueError("DEM concern set is empty")
-    errs = np.empty(len(concern))
-    for k, lam in enumerate(concern.eigenvalues):
-        if abs(lam) == 0:
-            raise ZeroDivisionError("zero-magnitude mode has no relative error")
-        errs[k] = min(abs(lam - mu) for mu in dem_concern.eigenvalues) / abs(lam)
-    return errs
+    lam = concern.eigenvalues
+    return _relative(
+        magnitude(lam[:, None] - dem_concern.eigenvalues).min(axis=1), lam)
 
 
 def error_Eprime(concern: ConcernSet, dem_concern: ConcernSet) -> float:

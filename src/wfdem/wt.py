@@ -13,6 +13,8 @@ block is identically zero.  States, in order:
 The block input is the terminal-voltage deviation in XY, the output the
 injected-current deviation in XY on the *system* base (the machine-capacity
 ratio is folded into the output matrix so heterogeneous machines compose).
+The block is linearized at its steady-state terminal voltage, which fixes
+the whole operating point: the PLL angle and the unity-power-factor current.
 `SagSpec` is the source-voltage sag that drives the time-domain validation.
 """
 
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farm import PerUnitBases, WtParams
-from .powerflow import WtOperatingPoint
 
 STATE_KINDS = ("u_dc", "dvc_int", "pll_angle", "pll_int")
 
@@ -61,28 +62,36 @@ class WtStateSpace:
     i_xy0_sys: np.ndarray    # (2,)
 
 
-def linearize_wt(wt: WtParams, op: WtOperatingPoint,
+def linearize_wt(wt: WtParams, u: complex,
                  bases: PerUnitBases) -> WtStateSpace:
-    """Linearized DVC/PLL block at the given operating point."""
+    """Linearized DVC/PLL block at the terminal voltage `u` (system p.u.).
+
+    The PLL locks the d axis onto u, so u_q0 = 0 and delta0 = arg u; unity
+    power factor makes i_q0 = 0 and i_d0 = p_m0 / |u| on the machine base.
+    """
+    u_d0 = abs(u)
+    delta0 = float(np.angle(u))
+    i_d0 = wt.p_m0 / u_d0
+    i_xy0 = i_d0 * np.array([np.cos(delta0), np.sin(delta0)])
     cpr = dc_link_seconds(wt, bases) * wt.u_dc0
-    t0 = rotation(op.delta0)
-    dt0 = _rotation_ddelta(op.delta0)
+    t0 = rotation(delta0)
+    dt0 = _rotation_ddelta(delta0)
     # du_dq = w * ddelta + t0 @ du_xy ; with u_q0 = 0, w = [0, -u_d0]
-    w = dt0 @ op.u_xy0
+    w = dt0 @ np.array([u.real, u.imag])
     # di_xy = v * ddelta + t0.T @ di_dq ; unity power factor, i_q0 = 0
-    v = dt0.T @ np.array([op.i_d0, 0.0])
+    v = dt0.T @ np.array([i_d0, 0.0])
 
     a = np.zeros((4, 4))
-    a[0, 0] = -op.u_d0 * wt.kp_dvc / cpr
-    a[0, 1] = -op.u_d0 * wt.ki_dvc / cpr
-    a[0, 2] = -op.i_d0 * w[0] / cpr
+    a[0, 0] = -u_d0 * wt.kp_dvc / cpr
+    a[0, 1] = -u_d0 * wt.ki_dvc / cpr
+    a[0, 2] = -i_d0 * w[0] / cpr
     a[1, 0] = 1.0
     a[2, 2] = wt.kp_pll * w[1]
     a[2, 3] = wt.ki_pll
     a[3, 2] = w[1]
 
     b = np.zeros((4, 2))
-    b[0, :] = -op.i_d0 * t0[0, :] / cpr
+    b[0, :] = -i_d0 * t0[0, :] / cpr
     b[2, :] = wt.kp_pll * t0[1, :]
     b[3, :] = t0[1, :]
 
@@ -95,7 +104,7 @@ def linearize_wt(wt: WtParams, op: WtOperatingPoint,
     return WtStateSpace(
         a=a, b=b, c=ratio * c,
         wt_id=wt.id,
-        i_xy0_sys=ratio * op.i_xy0,
+        i_xy0_sys=ratio * i_xy0,
     )
 
 

@@ -21,7 +21,7 @@ from wfdem.clustering import cluster_modes, group_wts, superimpose_mpf
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, build_network_matrices)
 from wfdem.modal import solve_modes
-from wfdem.powerflow import solve_powerflow, wt_operating_point
+from wfdem.powerflow import BusSolution, solve_powerflow
 from wfdem.wt import linearize_wt
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,8 +45,8 @@ class SolvedFarm:
 
     @functools.cached_property
     def blocks(self):
-        return [linearize_wt(wt, wt_operating_point(self.sol, wt),
-                             self.farm.bases) for wt, _ in self.farm.wts]
+        return [linearize_wt(wt, u, self.farm.bases)
+                for wt, u in terminal_voltages(self.farm, self.sol)]
 
     @functools.cached_property
     def net(self):
@@ -61,6 +61,13 @@ class SolvedFarm:
     def dem(self, c: int, seed: int = 42):
         clusters, _, groups = self.clustered(c, seed)
         return clusters, groups, build_dem(self.farm, groups, clusters)
+
+
+def terminal_voltages(farm: FarmDescription, sol: BusSolution,
+                      ) -> list[tuple[WtParams, complex]]:
+    """Each WT of `farm`, in order, with its bus voltage in `sol`."""
+    v = dict(zip(sol.bus_ids, sol.v))
+    return [(wt, v[bus]) for wt, bus in farm.wts]
 
 
 _CACHE: dict[str, SolvedFarm] = {}

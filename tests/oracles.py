@@ -1,12 +1,14 @@
 """Reference models that the tests hold the pipeline against.
 
 None of these runs in the pipeline.  Each is a second route to a quantity
-the package computes: the closed-form stiff-grid DVC mode, the single-WT
-nonlinear model, the series network losses, the equal-loss impedance of a
-WT group branch by branch, the POI port of the collector's Kron reduction,
-the admittance form of the farm closure, the
-eigensolution in complex arithmetic, the dense MPF table of every state and
-mode, and the per-cell difference of two artifact numbers.
+the package computes: a WT's operating point and its block's input and
+output maps, the closed-form stiff-grid DVC mode, the single-WT nonlinear
+model, the POI current and slack power, the series network losses, the
+equal-loss impedance of a WT group branch by branch, the POI port of the
+collector's Kron reduction, the admittance form of the farm closure, the
+relative mode errors mode by mode, the eigensolution in complex
+arithmetic, the dense MPF table of every state and mode, and the per-cell
+difference of two artifact numbers.
 """
 
 import cmath
@@ -19,25 +21,74 @@ from wfdem.assembly import _stack_blocks, linear_model
 from wfdem.farm import (Branch, FarmDescription, GridThevenin,
                         NetworkMatrices, PerUnitBases, WtParams,
                         nodal_network, xy_block)
-from wfdem.modal import (_CERT_MAX, _COND_MAX, DefectiveMatrixError,
-                         ModalSolution, _conjugate_layout, _pair_modes,
-                         eig_biorthogonal)
-from wfdem.powerflow import (SLACK_E0, BusSolution, WtOperatingPoint,
-                             solve_powerflow)
+from wfdem.clustering import ModeClusters
+from wfdem.modal import (_CERT_MAX, _COND_MAX, ConcernSet,
+                         DefectiveMatrixError, ModalSolution,
+                         _conjugate_layout, _pair_modes, eig_biorthogonal)
+from wfdem.powerflow import SLACK_E0, BusSolution, solve_powerflow
 from wfdem.validation import nrmse, simulate_linear
-from wfdem.wt import SagSpec, WtStateSpace, dc_link_seconds, rotation
+from wfdem.wt import (SagSpec, WtStateSpace, _rotation_ddelta,
+                      dc_link_seconds, rotation)
 
 
-def stiff_grid_mode(wt: WtParams, op: WtOperatingPoint,
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Steady state of one WT in its own per-unit base.
+
+    The PLL locks the d axis onto the terminal voltage, so u_q0 = 0 and
+    delta0 is the terminal-voltage angle; unity power factor makes i_q0 = 0.
+    """
+
+    u_xy0: np.ndarray    # (2,)
+    i_xy0: np.ndarray    # (2,) machine-base injection
+    delta0: float
+    u_d0: float
+    i_d0: float
+
+
+def operating_point(u: complex, wt: WtParams) -> OperatingPoint:
+    """The operating point of `wt` at terminal voltage `u`."""
+    u_d0 = abs(u)
+    delta0 = float(np.angle(u))
+    i_d0 = wt.p_m0 / u_d0
+    return OperatingPoint(
+        u_xy0=np.array([u.real, u.imag]),
+        i_xy0=i_d0 * np.array([np.cos(delta0), np.sin(delta0)]),
+        delta0=delta0,
+        u_d0=u_d0,
+        i_d0=i_d0,
+    )
+
+
+def block_io_at(op: OperatingPoint, wt: WtParams, bases: PerUnitBases,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input map b, system-base output map c and system-base current
+    i_xy0_sys of the linearized block at `op`, formed from its fields."""
+    cpr = dc_link_seconds(wt, bases) * wt.u_dc0
+    t0 = rotation(op.delta0)
+    b = np.zeros((4, 2))
+    b[0, :] = -op.i_d0 * t0[0, :] / cpr
+    b[2, :] = wt.kp_pll * t0[1, :]
+    b[3, :] = t0[1, :]
+    c = np.zeros((2, 4))
+    c[:, 0] = t0.T[:, 0] * wt.kp_dvc
+    c[:, 1] = t0.T[:, 0] * wt.ki_dvc
+    c[:, 2] = _rotation_ddelta(op.delta0).T @ np.array([op.i_d0, 0.0])
+    ratio = wt.capacity_ratio(bases)
+    return b, ratio * c, ratio * op.i_xy0
+
+
+def stiff_grid_mode(wt: WtParams, u_d0: float,
                     bases: PerUnitBases) -> np.ndarray:
-    """Closed-form DVC eigenpair with the terminal voltage held fixed.
+    """Closed-form DVC eigenpair with the terminal voltage held fixed at
+    magnitude `u_d0`.
 
     Returns the two roots; a conjugate pair in the oscillatory case, two
     reals when the discriminant is overdamped.
     """
     cpr = dc_link_seconds(wt, bases) * wt.u_dc0
-    disc = 4.0 * cpr * wt.ki_dvc * op.u_d0 - (wt.kp_dvc * op.u_d0) ** 2
-    re = -wt.kp_dvc * op.u_d0 / (2.0 * cpr)
+    disc = 4.0 * cpr * wt.ki_dvc * u_d0 - (wt.kp_dvc * u_d0) ** 2
+    re = -wt.kp_dvc * u_d0 / (2.0 * cpr)
     if disc >= 0:
         im = np.sqrt(disc) / (2.0 * cpr)
         return np.array([re + 1j * im, re - 1j * im])
@@ -186,11 +237,27 @@ def series_losses(farm: FarmDescription, v: dict[str, complex]) -> complex:
     return loss
 
 
+def grid_current(farm: FarmDescription, sol: BusSolution) -> complex:
+    """Current exported into the Thevenin branch, system base: the sum of
+    each WT's unity-power-factor injection conj(p_m0 / u), scaled by its
+    capacity ratio."""
+    v = dict(zip(sol.bus_ids, sol.v))
+    total = 0.0 + 0.0j
+    for wt, bus in farm.wts:
+        total += np.conj(wt.p_m0 / v[bus]) * wt.capacity_ratio(farm.bases)
+    return total
+
+
+def slack_power(farm: FarmDescription, sol: BusSolution) -> complex:
+    """Complex power absorbed by the infinite bus."""
+    return SLACK_E0 * np.conj(grid_current(farm, sol))
+
+
 def network_losses(farm: FarmDescription, sol: BusSolution) -> complex:
     """Total series I^2 Z losses, Thevenin branch included."""
     loss = series_losses(farm, dict(zip(sol.bus_ids, sol.v)))
-    return loss + abs(sol.grid_flow) ** 2 * complex(farm.grid.r_pu,
-                                                    farm.grid.l_pu)
+    return loss + abs(grid_current(farm, sol)) ** 2 * complex(
+        farm.grid.r_pu, farm.grid.l_pu)
 
 
 def equal_loss_impedance(farm: FarmDescription,
@@ -229,6 +296,27 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
     """
     a, b, c = _stack_blocks(blocks)
     return a + b @ np.linalg.solve(np.linalg.inv(net.z), c)
+
+
+# ---------------------------------------------------------------------------
+# relative mode errors
+
+
+def centre_errors_by_mode(concern: ConcernSet,
+                          clusters: ModeClusters) -> np.ndarray:
+    """|lam - centre| / |lam| of each concern mode, with Python's `abs`."""
+    cluster_of = clusters.cluster_of
+    return np.array([
+        abs(lam - complex(clusters.centres[cluster_of[idx]])) / abs(lam)
+        for idx, lam in zip(concern.mode_indices, concern.eigenvalues)])
+
+
+def nearest_errors_by_mode(concern: ConcernSet,
+                           dem_concern: ConcernSet) -> np.ndarray:
+    """min over DEM modes mu of |lam - mu| / |lam|, with Python's `abs`."""
+    return np.array([
+        min(abs(lam - mu) for mu in dem_concern.eigenvalues) / abs(lam)
+        for lam in concern.eigenvalues])
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 
 from helpers import (ROOT, SolvedFarm, random_radial_farm, solved_case,
-                     stiff_grid)
-from oracles import closed_loop_via_admittance, poi_port_impedance
+                     stiff_grid, terminal_voltages)
+from oracles import (closed_loop_via_admittance, grid_current,
+                     poi_port_impedance)
 from wfdem.assembly import assemble_farm, linear_model
 from wfdem.cases import (case_farm, identical_zero_network_farm,
                          single_wt_farm)
 from wfdem.farm import FarmValidationError, build_network_matrices, load_farm
-from wfdem.powerflow import SLACK_E0, solve_powerflow, wt_operating_point
+from wfdem.powerflow import SLACK_E0, solve_powerflow
 from wfdem.wt import STATE_KINDS, linearize_wt
 
 
 def solved_blocks(farm):
     sol = solve_powerflow(farm)
-    blocks = [linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
-              for wt, _ in farm.wts]
+    blocks = [linearize_wt(wt, u, farm.bases)
+              for wt, u in terminal_voltages(farm, sol)]
     return blocks, build_network_matrices(farm)
 
 
@@ -162,6 +163,20 @@ def test_poi_power_row_is_the_port_voltage_form(make):
         scale = np.abs(u0) @ (np.abs(c) @ np.abs(x)) + np.abs(i0) @ (
             np.abs(port) @ np.concatenate(stacked) + np.abs(de))
         assert abs(fss.c_p @ x + fss.d_p @ de - want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda case=case: solved_case(case) for case in "abcd"),
+    lambda: SolvedFarm(stiff_grid(case_farm("b"))),
+    lambda: SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json"))],
+    ids=["case_a", "case_b", "case_c", "case_d", "stiff_case_b",
+         "zero_network"])
+def test_poi_current_is_the_summed_wt_injections(make):
+    # d_p sums ratio i_d0 (cos, sin)(arg u) over the blocks; the oracle
+    # sums ratio conj(p_m0 / u) over the bus voltages of the power flow
+    s = make()
+    want = grid_current(s.farm, s.sol)
+    assert abs(complex(*s.fss.d_p) - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("change", [{"c_dc": 1e-310}, {"kp_dvc": 1e308}],

@@ -19,6 +19,7 @@ from wfdem.cli import (ARTIFACTS, RunConfig, StageError, _build_parser,
                        _config_from_args, emit_plot, emit_report, main,
                        run_pipeline)
 from wfdem.modal import ModeCountError
+from wfdem.powerflow import PowerflowError
 
 FARMS = Path(__file__).resolve().parent.parent / "farms"
 
@@ -115,6 +116,24 @@ def test_single_wt_corners_name_a_wfdem_error(tmp_path, capsys, wt, clusters,
     assert info.value.stage == stage
     assert type(info.value.cause).__module__.startswith("wfdem.")
     assert isinstance(info.value.cause, ModeCountError)
+
+
+def test_overflowing_power_flow_names_a_powerflow_error(tmp_path, capsys):
+    # a valid farm whose Newton mismatch overflows; the suite turns any
+    # RuntimeWarning on the way into an error
+    doc = json.loads((FARMS / "single_wt.json").read_text())
+    doc["wts"][0]["s_mva"] = 1e300
+    farm = tmp_path / "farm.json"
+    farm.write_text(json.dumps(doc))
+    assert main(["all", "--farm", str(farm), "--out",
+                 str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error in stage flow: mismatch is not finite at iteration 1; "
+        "farm P = 6e+299 p.u.")
+    with pytest.raises(StageError) as info:
+        run_pipeline(RunConfig(farm_path=farm, out_dir=tmp_path / "lib"))
+    assert info.value.stage == "flow"
+    assert isinstance(info.value.cause, PowerflowError)
 
 
 @pytest.mark.parametrize("stage", list(ARTIFACTS))

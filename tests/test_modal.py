@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
-from helpers import ROOT, SolvedFarm, ladder_farm
+from helpers import ROOT, SolvedFarm, ladder_farm, terminal_voltages
 from oracles import (complex_basis, complex_eig_biorthogonal,
                      exact_conjugates, full_mpf, stiff_grid_mode)
 from wfdem import _lapack
@@ -24,7 +24,7 @@ from wfdem.farm import load_farm
 from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
                          eig_biorthogonal, select_concern_modes, solve_modes,
                          write_modes_csv, write_mpf_csv)
-from wfdem.powerflow import solve_powerflow, wt_operating_point
+from wfdem.powerflow import solve_powerflow
 
 
 def solved_zero_farm(n=5, p=0.8):
@@ -209,8 +209,8 @@ def test_symmetric_two_wt_farm_has_equal_udc_participation():
 def test_decoupled_farm_selects_stiff_grid_modes():
     farm, sol, model = solved_zero_farm(5, p=0.8)
     concern = model.concern
-    wt = farm.wts[0][0]
-    lam_ref = stiff_grid_mode(wt, wt_operating_point(sol, wt), farm.bases)[0]
+    wt, u = terminal_voltages(farm, sol)[0]
+    lam_ref = stiff_grid_mode(wt, abs(u), farm.bases)[0]
     rel = np.abs(concern.eigenvalues - lam_ref) / abs(lam_ref)
     assert rel.max() < 1e-6
 

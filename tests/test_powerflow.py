@@ -1,20 +1,24 @@
-"""Steady-state solver and linearization points.
+"""Steady-state solver and the linearization point it fixes.
 
 Oracles: for the single-WT case, the scalar fixed point u = e + z conj(P/u);
-for the power balance, the series losses from the bus voltages.
+for the power balance, the slack power and the series losses from the bus
+voltages; for the linearization point, the WT operating point and its
+block's input and output maps formed from the terminal voltage.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_pll_grid_farm, random_radial_farm, stiff_grid
-from oracles import fixed_point_terminal, network_losses
+from helpers import (random_pll_grid_farm, random_radial_farm, stiff_grid,
+                     terminal_voltages)
+from oracles import (block_io_at, fixed_point_terminal, network_losses,
+                     operating_point, slack_power)
+from wfdem import powerflow
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
-from wfdem.powerflow import (SLACK_E0, BusSolution, PowerflowError,
-                             solve_powerflow, wt_operating_point,
+from wfdem.powerflow import (SLACK_E0, PowerflowError, solve_powerflow,
                              write_bus_csv)
-from wfdem.wt import rotation
+from wfdem.wt import linearize_wt, rotation
 
 
 def total_injection(farm) -> complex:
@@ -24,8 +28,8 @@ def total_injection(farm) -> complex:
 def assert_converges_and_balances(farm) -> None:
     sol = solve_powerflow(farm)
     assert sol.mismatch_history[-1] < 1e-8
-    balance = sol.slack_power - (total_injection(farm)
-                                 - network_losses(farm, sol))
+    balance = slack_power(farm, sol) - (total_injection(farm)
+                                        - network_losses(farm, sol))
     assert abs(balance) < 1e-8
 
 
@@ -34,17 +38,15 @@ def assert_converges_and_balances(farm) -> None:
 
 def test_zero_impedance_link_gives_flat_voltage():
     farm = identical_zero_network_farm(1, p_m0=0.8)
-    sol = solve_powerflow(farm)
-    u, i = sol.wt_terminal["wt01"]
+    wt, u = terminal_voltages(farm, solve_powerflow(farm))[0]
     assert u == SLACK_E0
-    assert abs(i - 0.8) < 1e-15
+    assert abs(complex(*operating_point(u, wt).i_xy0) - 0.8) < 1e-15
 
 
 def test_single_wt_matches_fixed_point_oracle():
     farm = single_wt_farm(p_m0=1.0, grid_r_pu=0.001, grid_l_pu=0.01)
-    sol = solve_powerflow(farm)
     u_oracle = fixed_point_terminal(1.0, 0.001 + 0.01j)
-    u, _ = sol.wt_terminal["wt01"]
+    _, u = terminal_voltages(farm, solve_powerflow(farm))[0]
     assert abs(u - u_oracle) < 1e-10
 
 
@@ -65,10 +67,11 @@ def test_mismatch_history_monotone_on_shipped_farms(case):
     assert all(hist[k + 1] < hist[k] for k in range(len(hist) - 1))
 
 
-def test_nonconvergence_reports_final_mismatch():
-    farm = case_farm("a")
-    with pytest.raises(PowerflowError, match="mismatch"):
-        solve_powerflow(farm, max_iter=1)
+def test_nonconvergence_reports_final_mismatch(monkeypatch):
+    monkeypatch.setattr(powerflow, "MAX_ITER", 1)
+    with pytest.raises(PowerflowError, match="no convergence after 1 "
+                       "iterations, max [|]P,Q[|] mismatch"):
+        solve_powerflow(case_farm("a"))
 
 
 def test_nonconvergence_reports_history_and_grid_loading():
@@ -96,60 +99,65 @@ def test_deterministic_solution():
     s1 = solve_powerflow(farm)
     s2 = solve_powerflow(farm)
     assert np.array_equal(s1.v, s2.v)
-    assert s1.wt_terminal == s2.wt_terminal
-    wt = farm.wts[0][0]
-    op1, op2 = wt_operating_point(s1, wt), wt_operating_point(s2, wt)
-    assert np.array_equal(op1.u_xy0, op2.u_xy0)
-    assert op1.delta0 == op2.delta0
+    assert s1.mismatch_history == s2.mismatch_history
+    wt, u1 = terminal_voltages(farm, s1)[0]
+    _, u2 = terminal_voltages(farm, s2)[0]
+    b1, b2 = linearize_wt(wt, u1, farm.bases), linearize_wt(wt, u2, farm.bases)
+    for name in ("a", "b", "c", "i_xy0_sys"):
+        assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
 
 # ---------------------------------------------------------------------------
 # operating point
 
 
-def _solution_with_terminal(u: complex, p: float) -> BusSolution:
-    return BusSolution(
-        bus_ids=("poi",), v=np.array([u]),
-        grid_flow=np.conj(p / u), slack_power=0j,
-        wt_terminal={"wt01": (u, np.conj(p / u))},
-        iterations=0, mismatch_history=(0.0,))
+def assert_block_at_point(u: complex, wt) -> None:
+    """`linearize_wt` at u has, bit for bit, the input and output maps and
+    the operating current formed from the operating point at u."""
+    bases = single_wt_farm().bases
+    blk = linearize_wt(wt, u, bases)
+    b, c, i_xy0_sys = block_io_at(operating_point(u, wt), wt, bases)
+    assert np.array_equal(blk.b, b)
+    assert np.array_equal(blk.c, c)
+    assert np.array_equal(blk.i_xy0_sys, i_xy0_sys)
 
 
 def test_operating_point_aligned_case():
-    sol = _solution_with_terminal(1.0 + 0j, 0.9)
+    u = 1.0 + 0j
     wt = single_wt_farm(p_m0=0.9).wts[0][0]
-    op = wt_operating_point(sol, wt)
+    op = operating_point(u, wt)
     assert op.delta0 == 0.0
     assert op.u_d0 == 1.0
     assert op.i_d0 == 0.9
     # unity power factor: the current lies along the terminal voltage
     cross = op.i_xy0[0] * op.u_xy0[1] - op.i_xy0[1] * op.u_xy0[0]
     assert abs(cross) <= 1e-15
+    assert_block_at_point(u, wt)
 
 
 def test_operating_point_rotated_case():
     u = 1.02 * np.exp(0.05j)
-    sol = _solution_with_terminal(u, 1.0)
     wt = single_wt_farm(p_m0=1.0).wts[0][0]
-    op = wt_operating_point(sol, wt)
+    op = operating_point(u, wt)
     assert abs(op.delta0 - 0.05) < 1e-14
     assert abs(op.u_d0 - 1.02) < 1e-14
     assert abs(op.i_d0 - 1.0 / 1.02) < 1e-14      # 0.9804
     assert abs(op.i_d0 - 0.9804) < 1e-4
+    assert_block_at_point(u, wt)
 
 
 @given(st.floats(0.9, 1.1), st.floats(-0.5, 0.5), st.floats(0.2, 1.0))
 def test_pll_lock_round_trip(mag, angle, p):
     u = mag * np.exp(1j * angle)
-    sol = _solution_with_terminal(u, p)
     wt = single_wt_farm(p_m0=p).wts[0][0]
-    op = wt_operating_point(sol, wt)
+    op = operating_point(u, wt)
     u_dq = rotation(op.delta0) @ op.u_xy0
     assert abs(u_dq[0] - op.u_d0) < 1e-12
     assert abs(u_dq[1]) < 1e-12
     i_dq = rotation(op.delta0) @ op.i_xy0
     assert abs(i_dq[0] - op.i_d0) < 1e-12
     assert abs(i_dq[1]) < 1e-12
+    assert_block_at_point(u, wt)
 
 
 def test_bus_csv_dump(tmp_path):

@@ -17,7 +17,8 @@ from scipy.linalg import expm
 
 from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
                      solved_case)
-from oracles import complex_basis, linearization_check
+from oracles import (centre_errors_by_mode, complex_basis, linearization_check,
+                     nearest_errors_by_mode)
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
 from wfdem.cli import RunConfig, emit_plot, run_pipeline
@@ -27,8 +28,9 @@ from wfdem.farm import (GridThevenin, PerUnitBases, WtParams, load_farm,
 from wfdem.modal import (_COND_MAX, ConcernSet, DefectiveMatrixError,
                          ModalSolution, eig_biorthogonal)
 from wfdem.powerflow import SLACK_E0
-from wfdem.validation import (LinearResponse, compare_responses, error_E,
-                              error_Eprime, nrmse, simulate_linear)
+from wfdem.validation import (LinearResponse, centre_errors, compare_responses,
+                              error_E, error_Eprime, nearest_errors, nrmse,
+                              simulate_linear)
 from wfdem.wt import STATE_KINDS, SagSpec
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0)
@@ -176,6 +178,40 @@ def test_error_eprime_matches_brute_force(detailed, dem):
 def test_error_eprime_empty_dem_rejected():
     with pytest.raises(ValueError, match="empty"):
         error_Eprime(concern_of([-1 + 10j]), concern_of([]))
+
+
+def test_zero_mode_has_no_relative_error():
+    concern = concern_of([-1 + 10j, 0j])
+    with pytest.raises(ZeroDivisionError, match="zero-magnitude mode"):
+        error_E(concern, one_cluster(concern))
+    with pytest.raises(ZeroDivisionError, match="zero-magnitude mode"):
+        error_Eprime(concern, concern_of([-1 + 9j]))
+
+
+MODES = st.builds(complex, st.floats(-1e3, 1e3),
+                  st.floats(-1e3, 1e3)).filter(bool)
+
+
+@given(st.lists(MODES, min_size=1, max_size=12),
+       st.lists(MODES, min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12),
+       st.lists(MODES, min_size=1, max_size=6))
+# np.abs rounds |z| of these modes differently from Python's abs
+@example([82.551 - 23.264j, 8.725 + 37.108j, 45.931 + 5.071j],
+         [-64.869 - 37.952j], [0], [8.292 + 77.898j])
+def test_mode_errors_equal_the_per_mode_abs_loop(modes, centres, labels,
+                                                 dem):
+    concern, dem_set = concern_of(modes), concern_of(dem)
+    label = [labels[k % len(labels)] % len(centres)
+             for k in range(len(modes))]
+    clusters = ModeClusters(
+        members=tuple(tuple(m for m, c in enumerate(label) if c == j)
+                      for j in range(len(centres))),
+        centres=np.array(centres, dtype=complex), inertia=0.0)
+    assert np.array_equal(centre_errors(concern, clusters),
+                          centre_errors_by_mode(concern, clusters))
+    assert np.array_equal(nearest_errors(concern, dem_set),
+                          nearest_errors_by_mode(concern, dem_set))
 
 
 def test_case_a_centre_and_nearest_errors_comparable(case_a):

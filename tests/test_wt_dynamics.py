@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (nonlinear_rhs, simulate_wt_nonlinear, stiff_equilibrium,
-                     stiff_grid_mode, terminal_quantities)
+from helpers import terminal_voltages
+from oracles import (nonlinear_rhs, operating_point, simulate_wt_nonlinear,
+                     stiff_equilibrium, stiff_grid_mode, terminal_quantities)
 from wfdem.assembly import linear_model
 from wfdem.cases import single_wt_farm
 from wfdem.farm import GridThevenin, PerUnitBases, WtParams
-from wfdem.powerflow import solve_powerflow, wt_operating_point
+from wfdem.powerflow import solve_powerflow
 from wfdem.wt import SagSpec, dc_link_seconds, linearize_wt
 
 BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0, u_dc_base_kv=1.2)
@@ -23,6 +24,11 @@ BASES = PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0, u_dc_base_kv=1.2)
 def make_wt(p=0.9, kp=1.0, ki=300.0, kp_pll=60.0, ki_pll=1400.0):
     return WtParams(id="wt01", p_m0=p, c_dc=0.09, u_dc0=1.0,
                     kp_dvc=kp, ki_dvc=ki, kp_pll=kp_pll, ki_pll=ki_pll)
+
+
+def terminal_voltage(farm) -> complex:
+    """The solved terminal voltage of a single-WT farm."""
+    return terminal_voltages(farm, solve_powerflow(farm))[0][1]
 
 
 def fd_jacobian(fn, x0, eps=1e-5):
@@ -47,11 +53,10 @@ def test_dc_link_constant_nominal_value():
 
 def test_aligned_frame_block_structure():
     farm = single_wt_farm(p_m0=0.9, grid_r_pu=0.0, grid_l_pu=0.0)
-    sol = solve_powerflow(farm)
-    wt = farm.wts[0][0]
-    op = wt_operating_point(sol, wt)
+    wt, u = farm.wts[0][0], terminal_voltage(farm)
+    op = operating_point(u, wt)
     assert op.delta0 == 0.0
-    blk = linearize_wt(wt, op, farm.bases)
+    blk = linearize_wt(wt, u, farm.bases)
     cpr = dc_link_seconds(wt, farm.bases) * wt.u_dc0
     assert np.allclose(blk.b[0], [-op.i_d0 / cpr, 0.0], atol=1e-14)
     assert np.allclose(blk.c[:, 2], [0.0, op.i_d0], atol=1e-14)
@@ -75,8 +80,7 @@ def test_block_matches_finite_differences_stiff_terminal(p, kp, ki, rg, xl):
 
     farm = single_wt_farm(p_m0=p, kp_dvc=kp, ki_dvc=ki,
                           grid_r_pu=0.0, grid_l_pu=0.0)
-    sol = solve_powerflow(farm)
-    blk = linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
+    blk = linearize_wt(wt, terminal_voltage(farm), farm.bases)
 
     a_fd = fd_jacobian(lambda x: nonlinear_rhs(x, e0, wt, BASES, stiff), x0)
     b_fd = fd_jacobian(
@@ -111,8 +115,7 @@ def test_output_matrix_matches_finite_differences():
     wt = make_wt(0.8, 1.5, 250.0)
     grid = GridThevenin(0.001, 0.01)
     farm = single_wt_farm(p_m0=0.8, kp_dvc=1.5, ki_dvc=250.0)
-    sol = solve_powerflow(farm)
-    blk = linearize_wt(wt, wt_operating_point(sol, wt), farm.bases)
+    blk = linearize_wt(wt, terminal_voltage(farm), farm.bases)
     x0 = stiff_equilibrium(wt, grid)
 
     def injected_current(x):
@@ -130,8 +133,7 @@ def test_output_matrix_matches_finite_differences():
 def test_stiff_grid_mode_nominal():
     wt = make_wt(kp=1.0, ki=300.0)
     farm = single_wt_farm(grid_r_pu=0.0, grid_l_pu=0.0)
-    op = wt_operating_point(solve_powerflow(farm), farm.wts[0][0])
-    lam = stiff_grid_mode(wt, op, BASES)
+    lam = stiff_grid_mode(wt, abs(terminal_voltage(farm)), BASES)
     # oracle: companion-matrix roots of C' s^2 + kp u s + ki u
     cpr = 0.0864
     roots = np.roots([cpr, 1.0, 300.0])
@@ -143,25 +145,25 @@ def test_stiff_grid_mode_nominal():
 
 def test_stiff_grid_mode_integrator_removed_limit():
     farm = single_wt_farm(grid_r_pu=0.0, grid_l_pu=0.0)
-    op = wt_operating_point(solve_powerflow(farm), farm.wts[0][0])
+    u_d0 = abs(terminal_voltage(farm))
     wt = make_wt(kp=1.0, ki=1e-6)
-    lam = sorted(stiff_grid_mode(wt, op, BASES), key=abs)
+    lam = sorted(stiff_grid_mode(wt, u_d0, BASES), key=abs)
     assert abs(lam[0]) < 1e-5                       # integrator root at 0
     assert abs(lam[1] - (-1.0 / 0.0864)) < 1e-3     # -kp u / C'
 
 
 def test_stiff_grid_mode_real_part_scales_with_kp():
     farm = single_wt_farm(grid_r_pu=0.0, grid_l_pu=0.0)
-    op = wt_operating_point(solve_powerflow(farm), farm.wts[0][0])
-    lam1 = stiff_grid_mode(make_wt(kp=1.0), op, BASES)
-    lam2 = stiff_grid_mode(make_wt(kp=2.0), op, BASES)
+    u_d0 = abs(terminal_voltage(farm))
+    lam1 = stiff_grid_mode(make_wt(kp=1.0), u_d0, BASES)
+    lam2 = stiff_grid_mode(make_wt(kp=2.0), u_d0, BASES)
     assert abs(lam2[0].real / lam1[0].real - 2.0) < 1e-12
 
 
 def test_stiff_grid_mode_overdamped_returns_two_reals():
     farm = single_wt_farm(grid_r_pu=0.0, grid_l_pu=0.0)
-    op = wt_operating_point(solve_powerflow(farm), farm.wts[0][0])
-    lam = stiff_grid_mode(make_wt(kp=25.0, ki=300.0), op, BASES)
+    u_d0 = abs(terminal_voltage(farm))
+    lam = stiff_grid_mode(make_wt(kp=25.0, ki=300.0), u_d0, BASES)
     assert np.all(lam.imag == 0)
     assert np.all(lam.real < 0)
     roots = np.roots([0.0864, 25.0, 300.0])
@@ -184,7 +186,7 @@ def test_powerflow_point_is_nonlinear_equilibrium():
     # the two steady-state paths (Newton vs fixed point) must agree
     farm = single_wt_farm(p_m0=0.85, grid_r_pu=0.001, grid_l_pu=0.01)
     wt = farm.wts[0][0]
-    op = wt_operating_point(solve_powerflow(farm), wt)
+    op = operating_point(terminal_voltage(farm), wt)
     x = np.array([wt.u_dc0, op.i_d0 / wt.ki_dvc, op.delta0, 0.0])
     rhs = nonlinear_rhs(x, np.array([1.0, 0.0]), wt, farm.bases,
                         GridThevenin(0.001, 0.01))
@@ -219,8 +221,8 @@ def test_ringdown_frequency_matches_analytic_mode():
     peak_hz = freqs[np.argmax(amp[1:]) + 1]
 
     farm = single_wt_farm(grid_r_pu=0.0, grid_l_pu=0.0, p_m0=0.9)
-    op = wt_operating_point(solve_powerflow(farm), wt)
-    f_mode = abs(stiff_grid_mode(wt, op, BASES)[0].imag) / (2 * np.pi)
+    u_d0 = abs(terminal_voltage(farm))
+    f_mode = abs(stiff_grid_mode(wt, u_d0, BASES)[0].imag) / (2 * np.pi)
     assert abs(peak_hz - f_mode) / f_mode < 0.15
 
 
