@@ -107,9 +107,10 @@ def geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The eigenvalues are wr + j wi, each complex pair in consecutive slots,
     Im > 0 first.  Column i of vr is u_i for a real mode; a pair's two
-    columns hold Re u and Im u of its first member.  No complex array is
-    formed on the bundled route.  LinAlgError when the QR iteration does
-    not converge.
+    columns hold Re u and Im u of its first member.  On both routes each
+    u_i has unit 2-norm and its largest component real, as dgeev
+    normalises it.  No complex array is formed on the bundled route.
+    LinAlgError when the QR iteration does not converge.
     """
     lapack = _bundled()
     if lapack is None:

@@ -13,7 +13,8 @@ detailed farm and the DEM each come out of it as a `FarmModel`.
 The state matrix is real, so the solution is kept in LAPACK's real
 eigenbasis: R holds u for a real mode and Re u, Im u for a conjugate pair,
 and W = R^-1 holds the left vectors in the same form.  U and V, complex,
-are formed only for the rows and modes a caller reads.
+are formed only for the rows and modes a caller reads.  Each u_i keeps
+dgeev's unit 2-norm and phase, which no result reads.
 
 `eig_biorthogonal` costs one LAPACK dgeev and one real dgesv (`_lapack`)
 plus O(n^2) norms, and reads the conjugate pairs from dgeev's layout.
@@ -157,23 +158,25 @@ class ModalSolution:
 
 
 def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
-    """Full eigendecomposition with deterministic phase fixing.
+    """Full eigendecomposition in LAPACK's real eigenbasis.
 
-    The largest-magnitude entry of each right vector is made real positive,
-    so participation factors are reproducible across runs and platforms.
-    dgeev returns the right vectors in real form; each is phase-fixed in a
-    length-n buffer, in the arithmetic `np.linalg.eig`'s U would take, and
-    goes straight into the real basis R in sorted mode order, so no complex
-    n x n array is formed.  The left vectors come from W = R^-1, which
-    enforces biorthonormality globally (repeated eigenvalues included).
+    R is dgeev's right vectors in real form with the columns in sorted
+    mode order (a pair's Re u and Im u land in its upper and lower slots),
+    so no complex n x n array is formed.  Each u_i keeps dgeev's unit
+    2-norm and largest component real; no further phase is fixed:
+    u_i e^{jt} goes with v_i e^{-jt}, and neither a participation factor
+    v_i[k] u_i[k] nor a residue (C u_i)(v_i b) reads the phase.  W = R^-1
+    gives the left vectors and enforces biorthonormality globally
+    (repeated eigenvalues included).
 
     Conjugate pairs are read from dgeev's layout.  Cost: one dgeev, one
     real dgesv and O(n^2) norms.  With D = diag(1 for a real mode, sqrt 2
     for a pair member), U = R D Q for a unitary Q, so ||U||_F ||V||_F =
-    ||R D||_F ||D^-1 W||_F and cond_2(U) = cond_2(R D).  An SVD runs only
-    when that product exceeds `_CERT_MAX` (then `cond(R D)` decides) or
-    when a pair has |Im lam| at or below 1e-7 max(1, ||A||_F) (then
-    `norm(A, 2)` decides).
+    ||R D||_F ||D^-1 W||_F and cond_2(U) = cond_2(R D); the 1e12 gate on
+    cond_2(U) measures a basis of unit vectors.  An SVD runs only when
+    that product exceeds `_CERT_MAX` (then `cond(R D)` decides) or when a
+    pair has |Im lam| at or below 1e-7 max(1, ||A||_F) (then `norm(A, 2)`
+    decides).
     """
     a_s = np.asarray(a_s, dtype=float)
     n = a_s.shape[0]
@@ -181,33 +184,15 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
         raise ValueError("state matrix must be non-empty, square and finite")
 
     wr, wi, vr = _lapack.geev(a_s)
-    if np.all(wi == 0):
-        lam = wr        # a real spectrum stays real, as np.linalg.eig has it
-    else:
-        lam = np.empty(n, dtype=complex)
-        lam.real, lam.imag = wr, wi
+    lam = np.empty(n, dtype=complex)
+    lam.real, lam.imag = wr, wi
     up = _conjugate_layout(lam)
     order = np.lexsort((lam.imag, lam.real))
     rank = np.argsort(order)
-    upper = np.zeros(n, dtype=bool)
-    upper[up] = True
-    lower = np.roll(upper, 1)
-
-    # phase fix: rotate each u_i so its largest entry is real positive, in
-    # the arithmetic of np.linalg.eig's u (complex unless every mode is
-    # real); a lower member is its upper partner's conjugate and is not read
+    # R's columns are vr's in sorted order, taken as rows of vr.T into R's
+    # own memory; mode="clip" (order is a permutation) spares an n^2 buffer
     basis = np.empty((n, n), order="F")
-    u = np.empty(n, dtype=lam.dtype)
-    for i in np.flatnonzero(~lower):
-        u.real = vr[:, i]
-        if np.iscomplexobj(u):
-            u.imag = vr[:, i + 1] if upper[i] else 0.0
-        k = int(np.argmax(np.abs(u)))
-        pivot = u[k]
-        u *= np.conj(pivot) / abs(pivot)
-        basis[:, rank[i]] = u.real
-        if upper[i]:
-            basis[:, rank[i + 1]] = u.imag
+    np.take(vr.T, order, axis=0, out=basis.T, mode="clip")
     del vr
 
     conj_of = np.arange(n)

@@ -335,19 +335,14 @@ class ComplexModes:
 
 
 def complex_eig_biorthogonal(a_s: np.ndarray) -> ComplexModes:
-    """The eigensolution with a complex basis: `eig`'s vectors sorted by
-    (Re, Im), each phase-fixed so its largest entry is real positive, and
-    V = inv(U) under the same gates as `eig_biorthogonal`, ||U||_F ||V||_F
-    and then cond(U)."""
+    """The eigensolution with a complex basis: `eig`'s eigenvalues and unit
+    vectors as complex arrays, sorted by (Re, Im), and V = inv(U) under the
+    same gates as `eig_biorthogonal`, ||U||_F ||V||_F and then cond(U)."""
     a_s = np.asarray(a_s, dtype=float)
-    lam, u = np.linalg.eig(a_s)
+    lam, u = (x.astype(complex) for x in np.linalg.eig(a_s))
     _conjugate_layout(lam)
     order = np.lexsort((lam.imag, lam.real))
     u = u[:, order]
-    for i in range(len(lam)):
-        k = int(np.argmax(np.abs(u[:, i])))
-        pivot = u[k, i]
-        u[:, i] *= np.conj(pivot) / abs(pivot)
     try:
         v = np.linalg.inv(u)
         with np.errstate(over="ignore"):

@@ -10,7 +10,6 @@ Tolerances are fixed here and nowhere else.
 """
 
 import filecmp
-import json
 from pathlib import Path
 
 import numpy as np

@@ -1,5 +1,6 @@
-"""Every public name of the package has a user outside the tests, and the
-package imports nothing but the standard library and numpy.
+"""Every public name of the package has a user outside the tests, the
+package imports nothing but the standard library and numpy, and no module
+imports a name it never uses.
 
 A name only the tests reach is a test oracle and belongs in `tests/`.
 """
@@ -59,3 +60,26 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
         "'attrs'}))")], timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name an import binds in a module of `src/wfdem`, `scripts` or
+    `tests` is read somewhere in that module.  A package `__init__.py`
+    imports to re-export, and `from __future__` binds no name."""
+    unused = []
+    for path in sorted(p for d in ("src/wfdem", "scripts", "tests")
+                       for p in (ROOT / d).glob("*.py")
+                       if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0]
+                          for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {name}"
+                   for name in sorted(bound - read)]
+    assert not unused, f"imported and never used: {unused}"

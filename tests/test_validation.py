@@ -394,7 +394,7 @@ def test_modal_form_on_near_defective_matrices(seed, lam, log_delta, real):
     # adding its partner's, exceeds the asserted bound 8.5-fold.
     delta = (1.0 if real else -1.0) * 10.0**log_delta
     fss = near_defective_model(seed, lam, delta)
-    # cond_2 of eig's unit vectors, which phase fixing and sorting keep;
+    # cond_2 of eig's unit vectors U, equal to cond_2(R D) in exact arithmetic;
     # the gate's own SVD of R D may differ from it in the fourth digit
     cond = np.linalg.cond(np.linalg.eig(fss.a_s)[1])
     try:
