@@ -116,8 +116,11 @@ class DemModel:
     """Aggregated farm with its own solved linear model."""
 
     farm: FarmDescription
-    # group id -> (member WT id, its capacity MVA) in assignment order
-    members: dict[int, tuple[tuple[str, float], ...]]
+    # group id -> member WT ids in assignment order, groups sorted
+    members: dict[int, tuple[str, ...]]
+    # row r: each farm WT's capacity share in group list(members)[r], whose
+    # machine is the DEM's r-th; columns in farm WT order
+    shares: np.ndarray
     model: FarmModel
 
     @property
@@ -159,15 +162,20 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
 
     model = solve_modes(dem_farm, solve_powerflow(dem_farm))
 
-    members = {g: tuple((wt.id, wt.capacity_mva(farm.bases))
-                        for wt, _ in by_group[g]) for g in sorted(by_group)}
-    return DemModel(farm=dem_farm, members=members, model=model)
+    column = {wt_id: k for k, wt_id in enumerate(farm.wt_ids)}
+    shares = np.zeros((len(by_group), farm.n_wt))
+    members = {}
+    for row, g in enumerate(sorted(by_group)):
+        members[g] = tuple(wt.id for wt, _ in by_group[g])
+        caps = np.array([wt.capacity_mva(farm.bases) for wt, _ in by_group[g]])
+        shares[row, [column[w] for w in members[g]]] = caps / caps.sum()
+    return DemModel(farm=dem_farm, members=members, shares=shares,
+                    model=model)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:
     provenance = {
-        "groups": {str(g): [wt_id for wt_id, _ in pairs]
-                   for g, pairs in dem.members.items()},
+        "groups": {str(g): list(ids) for g, ids in dem.members.items()},
         "group_capacity_mva": dem.group_capacity_mva,
     }
     save_farm(dem.farm, path, provenance=provenance)

@@ -128,14 +128,17 @@ def _stage_aggregate(state: PipelineState) -> None:
 
 
 def _stage_validate(state: PipelineState) -> None:
-    cfg = state.cfg
+    cfg, dem = state.cfg, state.dem
     sag = SagSpec(fraction=cfg.sag)
     detailed = validation.simulate_linear(
-        state.model.fss, state.model.modal, sag, cfg.horizon, cfg.dt)
+        state.model.fss, state.model.modal, sag, cfg.horizon, cfg.dt,
+        dem.shares)
     dem_resp = validation.simulate_linear(
-        state.dem.model.fss, state.dem.model.modal, sag, cfg.horizon, cfg.dt)
+        dem.model.fss, dem.model.modal, sag, cfg.horizon, cfg.dt,
+        np.eye(len(dem.shares)))            # each machine is one group
+    group_ids = tuple(dem.members)
     nrmse_by_signal = validation.compare_responses(detailed, dem_resp,
-                                                   state.dem.members)
+                                                   group_ids)
     metadata = {
         "farm": str(cfg.farm_path.name),
         "farm_sha256": state.farm_hash,
@@ -147,15 +150,15 @@ def _stage_validate(state: PipelineState) -> None:
         "horizon": cfg.horizon,
         "dt": cfg.dt,
         "groups": state.groups.group_of,
-        "group_capacity_mva": state.dem.group_capacity_mva,
+        "group_capacity_mva": dem.group_capacity_mva,
         "cluster_centres": [[c.real, c.imag] for c in state.clusters.centres],
         "dem_modes": [[lam.real, lam.imag]
-                      for lam in state.dem.model.concern.eigenvalues],
+                      for lam in dem.model.concern.eigenvalues],
     }
     state.report = validation.build_report(
-        state.model, state.clusters, state.dem, nrmse_by_signal, metadata)
+        state.model, state.clusters, dem, nrmse_by_signal, metadata)
     validation.write_report_json(state.report, cfg.out_dir / "report.json")
-    validation.write_responses_csv(detailed, dem_resp, state.dem.members,
+    validation.write_responses_csv(detailed, dem_resp, group_ids,
                                    cfg.out_dir / "responses.npz")
     emit_plot(cfg.out_dir, "responses")
 

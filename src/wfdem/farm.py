@@ -282,11 +282,13 @@ def farm_from_dict(doc: dict) -> FarmDescription:
 def load_farm(path: str | Path) -> FarmDescription:
     """Load and validate a farm description file (JSON)."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FarmFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FarmFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FarmFileError(f"{path} nests JSON too deeply: {exc}") from exc
     return farm_from_dict(doc)
 
 

@@ -5,13 +5,15 @@ detailed one: the worst relative distance from each concern mode to its
 cluster centre, and the worst relative distance to the nearest mode of the
 aggregated model.  Time-domain adequacy is checked by driving both models
 with the same grid-voltage sag, in closed form from their modal solutions,
-and comparing normalized RMS errors.  Both sides are linearized models; the
-nonlinear single-WT reference that checks the linearization itself belongs
-to the tests.
+and comparing normalized RMS errors of the POI power and of one DC-voltage
+row per WT group, the only signals simulated.  Both sides are linearized
+models; the nonlinear single-WT reference that checks the linearization
+itself belongs to the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -82,12 +84,13 @@ class LinearResponse:
     """Deviation trajectories of one assembled farm under a source sag."""
 
     t: np.ndarray
-    u_dc: dict[str, np.ndarray]      # per machine, machine p.u.
-    poi_p: np.ndarray                # active-power deviation at the POI
+    u_dc: np.ndarray      # (k, T): u_dc per share row, machine p.u.
+    poi_p: np.ndarray     # active-power deviation at the POI
 
 
 def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
-                    horizon: float, dt: float) -> LinearResponse:
+                    horizon: float, dt: float,
+                    shares: np.ndarray) -> LinearResponse:
     """Sag response in closed form from the model's modal solution.
 
     The input B_s de switches on at t_on, the first grid time at or after
@@ -95,13 +98,14 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
 
         x(t) = U diag(V B_s de) (e^(lam tau) - 1) / lam   (tau where lam = 0)
 
-    and x = 0 before t_on; only the outputs (u_dc per WT, POI power c_p x)
-    are formed, in the real basis: M = [R_u_dc; c_p R] and q = W B_s de,
-    and the POI power adds d_p de from t_on on.  The time factor is
-    evaluated for the real modes and the upper pair members, with the
-    weights `ModalSolution.residues` forms from M and q, `_STEPS` grid
-    times at a time.  Stability is not checked here: `modal.unstable`
-    flags a non-Hurwitz state matrix.
+    and x = 0 before t_on; only the outputs are formed: row r of the
+    (k, machines) `shares` weights the machines' u_dc, in `fss.wt_order`,
+    and the POI power is c_p x.  In the real basis they are
+    M = [shares R_u_dc; c_p R] and q = W B_s de, and the POI power adds
+    d_p de from t_on on.  The time factor is evaluated for the real modes
+    and the upper pair members, with the weights `ModalSolution.residues`
+    forms from M and q, `_STEPS` grid times at a time.  Stability is not
+    checked here: `modal.unstable` flags a non-Hurwitz state matrix.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -109,14 +113,14 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
     t = np.arange(int(round(horizon / dt)) + 1) * dt
     k_on = int(np.searchsorted(t, sag.t_start))
 
-    # output rows: u_dc per WT, then the POI power less its feedthrough
-    n_wt = len(fss.wt_order)
-    m = np.vstack([modal.basis[fss.kind_rows(("u_dc",))],
+    # output rows: shares' u_dc, then the POI power less its feedthrough
+    n_out = len(shares)
+    m = np.vstack([shares @ modal.basis[fss.kind_rows(("u_dc",))],
                    fss.c_p @ modal.basis])
     q = modal.inverse @ (fss.b_s @ de)
     w_re, w_im, lam = modal.residues(m, q)
     zero = lam == 0
-    y = np.zeros((n_wt + 1, len(t)))
+    y = np.zeros((n_out + 1, len(t)))
     for k in range(k_on, len(t), _STEPS):
         tau = t[k - k_on:min(k + _STEPS, len(t)) - k_on]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -125,9 +129,8 @@ def simulate_linear(fss: FarmStateSpace, modal: ModalSolution, sag: SagSpec,
         g[zero] = tau
         y[:, k:k + len(tau)] = w_re @ g.real - w_im @ g.imag
 
-    poi_p = y[n_wt] + (fss.d_p @ de) * (t >= sag.t_start)
-    return LinearResponse(t=t, u_dc=dict(zip(fss.wt_order, y[:n_wt])),
-                          poi_p=poi_p)
+    poi_p = y[n_out] + (fss.d_p @ de) * (t >= sag.t_start)
+    return LinearResponse(t=t, u_dc=y[:n_out], poi_p=poi_p)
 
 
 # ---------------------------------------------------------------------------
@@ -149,37 +152,20 @@ def nrmse(y_ref: np.ndarray, y_hat: np.ndarray) -> tuple[float, bool]:
     return rmse / span, False
 
 
-def group_u_dc(detailed: LinearResponse,
-               mapping: dict[int, tuple[tuple[str, float], ...]],
-               ) -> dict[int, np.ndarray]:
-    """Capacity-weighted mean DC-voltage deviation of each WT group.
-
-    `mapping` gives, per group id, the member WT ids with their capacity
-    weights; the means are the detailed side of the group signals.
-    """
-    out: dict[int, np.ndarray] = {}
-    for g, members in mapping.items():
-        weights = np.array([w for _, w in members])
-        weights = weights / weights.sum()
-        out[g] = sum(w * detailed.u_dc[wt]
-                     for (wt, _), w in zip(members, weights))
-    return out
-
-
 def compare_responses(detailed: LinearResponse, dem: LinearResponse,
-                      mapping: dict[int, tuple[tuple[str, float], ...]],
-                      ) -> dict[str, float]:
+                      group_ids: Sequence[int]) -> dict[str, float]:
     """NRMSE per monitored signal.
 
-    Each group's `group_u_dc` mean is compared against the aggregate
-    machine's DC-voltage deviation.
+    Row r of each side's u_dc is group `group_ids[r]`: the detailed side's
+    capacity-weighted mean against the aggregate machine's deviation.
     """
-    if len(detailed.t) != len(dem.t) or not np.allclose(detailed.t, dem.t):
+    if not np.array_equal(detailed.t, dem.t):
         raise ValueError("trajectories must share a common time grid")
     out: dict[str, float] = {}
     out["poi_p"], _ = nrmse(detailed.poi_p, dem.poi_p)
-    for g, mean_udc in group_u_dc(detailed, mapping).items():
-        out[f"group{g}_u_dc"], _ = nrmse(mean_udc, dem.u_dc[f"group{g}"])
+    for g, mean_udc, dem_udc in zip(group_ids, detailed.u_dc, dem.u_dc,
+                                    strict=True):
+        out[f"group{g}_u_dc"], _ = nrmse(mean_udc, dem_udc)
     return out
 
 
@@ -232,20 +218,19 @@ def write_report_json(report: ValidationReport, path: str | Path) -> None:
 
 
 def write_responses_csv(detailed: LinearResponse, dem: LinearResponse,
-                        mapping: dict[int, tuple[tuple[str, float], ...]],
-                        path: str | Path) -> None:
+                        group_ids: Sequence[int], path: str | Path) -> None:
     """The signals `compare_responses` scores, as `responses.npz` at `path`.
 
     One float64 array per signal, on the time grid, keyed `t`,
-    `detailed_poi_p`, `dem_poi_p`, then per group g of `mapping`,
-    `detailed_u_dc_group{g}` (the `group_u_dc` mean) and `dem_u_dc_group{g}`.
-    Per-WT traces stay in `LinearResponse.u_dc`.  The name keeps the `_csv`
-    of the former text artifact because the benchmark's tracer looks the
-    writer up by name.
+    `detailed_poi_p`, `dem_poi_p`, then per group g = `group_ids[r]`,
+    `detailed_u_dc_group{g}` and `dem_u_dc_group{g}`, row r of each side's
+    u_dc.  The name keeps the `_csv` of the former text artifact because the
+    benchmark's tracer looks the writer up by name.
     """
     signals = {"t": detailed.t, "detailed_poi_p": detailed.poi_p,
                "dem_poi_p": dem.poi_p}
-    for g, mean_udc in group_u_dc(detailed, mapping).items():
+    for g, mean_udc, dem_udc in zip(group_ids, detailed.u_dc, dem.u_dc,
+                                    strict=True):
         signals[f"detailed_u_dc_group{g}"] = mean_udc
-        signals[f"dem_u_dc_group{g}"] = dem.u_dc[f"group{g}"]
+        signals[f"dem_u_dc_group{g}"] = dem_udc
     write_arrays(path, signals)

@@ -4,11 +4,12 @@ None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: a WT's operating point and its block's input and
 output maps, the closed-form stiff-grid DVC mode, the single-WT nonlinear
 model, the POI current and slack power, the series network losses, the
-equal-loss impedance of a WT group branch by branch, the POI port of the
-collector's Kron reduction, the admittance form of the farm closure, the
-relative mode errors mode by mode, the eigensolution in complex
-arithmetic, the dense MPF table of every state and mode, and the per-cell
-difference of two artifact numbers.
+equal-loss impedance of a WT group branch by branch, each WT group's
+capacity-weighted mean DC voltage, the POI port of the collector's Kron
+reduction, the admittance form of the farm closure, the relative mode
+errors mode by mode, the eigensolution in complex arithmetic, the dense MPF
+table of every state and mode, and the per-cell difference of two artifact
+numbers.
 """
 
 import cmath
@@ -208,9 +209,30 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
                            branches=(), wts=((wt, "poi"),), grid=grid)
     farm.validate()
     fss = linear_model(farm, solve_powerflow(farm))
-    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s), sag, horizon, dt)
-    value, _ = nrmse(traj.u_dc - traj.u_dc[0], lin.u_dc[wt.id])
+    lin = simulate_linear(fss, eig_biorthogonal(fss.a_s), sag, horizon, dt,
+                          np.array([[1.0]]))
+    value, _ = nrmse(traj.u_dc - traj.u_dc[0], lin.u_dc[0])
     return value
+
+
+def group_means_by_member(farm: FarmDescription,
+                          members: dict[int, tuple[str, ...]],
+                          per_wt: np.ndarray) -> np.ndarray:
+    """Capacity-weighted mean of each group's member rows of `per_wt`.
+
+    `per_wt` holds one u_dc row per WT in farm order (identity shares); each
+    group's weights cap_w / sum(cap) come from the farm, member by member,
+    and the mean is summed in member order.
+    """
+    row = {wt.id: k for k, (wt, _) in enumerate(farm.wts)}
+    cap = {wt.id: wt.capacity_mva(farm.bases) for wt, _ in farm.wts}
+    out = []
+    for wt_ids in members.values():
+        caps = np.array([cap[wt_id] for wt_id in wt_ids])
+        weights = caps / caps.sum()
+        out.append(sum(w * per_wt[row[wt_id]]
+                       for wt_id, w in zip(wt_ids, weights)))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

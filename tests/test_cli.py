@@ -95,6 +95,24 @@ def test_invalid_farm_fails_in_load_stage(tmp_path, capsys):
     assert "error in stage load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00garbage", "is not valid JSON: 'utf-8' codec"),
+    (b"[" * 100_000, "nests JSON too deeply")],
+    ids=["non_utf8", "deep_nesting"])
+def test_unreadable_farm_file_names_a_wfdem_error(tmp_path, capsys, content,
+                                                  message):
+    farm = tmp_path / "farm.json"
+    farm.write_bytes(content)
+    assert main(["all", "--farm", str(farm), "--out",
+                 str(tmp_path / "cli")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in stage load: {farm} {message}")
+    with pytest.raises(StageError) as info:
+        run_pipeline(RunConfig(farm_path=farm, out_dir=tmp_path / "lib"))
+    assert info.value.stage == "load"
+    assert type(info.value.cause).__module__.startswith("wfdem.")
+
+
 @pytest.mark.parametrize("wt, clusters, stage, message", [
     ({"kp_dvc": 10, "ki_dvc": 10, "kp_pll": 60, "ki_pll": 5}, None, "modes",
      "only 0 oscillatory pairs available, 1 requested"),

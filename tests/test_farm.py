@@ -156,6 +156,22 @@ def test_malformed_json_rejected(tmp_path):
         load_farm(path)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(FarmFileError, match="not valid JSON") as info:
+        load_farm(path)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_json_nested_past_the_recursion_limit_rejected(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(FarmFileError, match="nests JSON too deeply") as info:
+        load_farm(path)
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
 def test_two_pois_rejected(tmp_path):
     doc = farm_to_dict(case_farm("a"))
     doc["buses"][1]["poi"] = True

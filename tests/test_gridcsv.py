@@ -28,7 +28,7 @@ from wfdem.gridcsv import read_grid, write_grid
 from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
-from wfdem.validation import (LinearResponse, group_u_dc, simulate_linear,
+from wfdem.validation import (LinearResponse, simulate_linear,
                               write_responses_csv)
 from wfdem.wt import SagSpec
 
@@ -68,17 +68,13 @@ def reference_features_csv(features, path):
             writer.writerow(row)
 
 
-def reference_responses_csv(detailed, dem, mapping, path):
+def reference_responses_csv(detailed, dem, group_ids, path):
     cols = [("t", detailed.t)]
     cols.append(("detailed_poi_p", detailed.poi_p))
     cols.append(("dem_poi_p", dem.poi_p))
-    for g, members in mapping.items():
-        total = sum(cap for _, cap in members)
-        mean = 0
-        for wt_id, cap in members:
-            mean = mean + (cap / total) * detailed.u_dc[wt_id]
-        cols.append((f"detailed_u_dc_group{g}", mean))
-        cols.append((f"dem_u_dc_group{g}", dem.u_dc[f"group{g}"]))
+    for r, g in enumerate(group_ids):
+        cols.append((f"detailed_u_dc_group{g}", detailed.u_dc[r]))
+        cols.append((f"dem_u_dc_group{g}", dem.u_dc[r]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([name for name, _ in cols])
@@ -176,12 +172,12 @@ def render_mpf(arrays, path):
                arrays["mpf"], labels=("state", arrays["state"].tolist()))
 
 
-def responses_arrays(detailed, dem, mapping):
+def responses_arrays(detailed, dem, group_ids):
     out = {"t": detailed.t, "detailed_poi_p": detailed.poi_p,
            "dem_poi_p": dem.poi_p}
-    for g, mean in group_u_dc(detailed, mapping).items():
-        out[f"detailed_u_dc_group{g}"] = mean
-        out[f"dem_u_dc_group{g}"] = dem.u_dc[f"group{g}"]
+    for r, g in enumerate(group_ids):
+        out[f"detailed_u_dc_group{g}"] = detailed.u_dc[r]
+        out[f"dem_u_dc_group{g}"] = dem.u_dc[r]
     return out
 
 
@@ -195,11 +191,11 @@ def assert_mpf_npz(tmp_path, model):
                                     render_mpf, model)
 
 
-def assert_responses_npz(tmp_path, detailed, dem, mapping):
+def assert_responses_npz(tmp_path, detailed, dem, group_ids):
     assert_npz_renders_as_reference(tmp_path, write_responses_csv,
                                     reference_responses_csv,
                                     responses_arrays, render_responses,
-                                    detailed, dem, mapping)
+                                    detailed, dem, group_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +209,13 @@ def test_grid_artifacts_match_reference_on_study_cases(tmp_path, case):
     _, features, _ = s.clustered(c)
     _, _, dem = s.dem(c)
     sag = SagSpec(0.05, 0.1)
-    detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3)
+    detailed = simulate_linear(s.fss, s.modal, sag, 2.0, 1e-3, dem.shares)
     dem_resp = simulate_linear(dem.model.fss, dem.model.modal, sag, 2.0,
-                               1e-3)
+                               1e-3, np.eye(len(dem.shares)))
     assert_mpf_npz(tmp_path, s.model)
     assert_same_bytes(tmp_path, write_features_csv, reference_features_csv,
                       features)
-    assert_responses_npz(tmp_path, detailed, dem_resp, dem.members)
+    assert_responses_npz(tmp_path, detailed, dem_resp, tuple(dem.members))
 
 
 @pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
@@ -303,18 +299,14 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
     traces = [np.concatenate([table.real[:, k % n_cols],
                               table.imag[:, k % n_cols]])
               for k in range(n_rows)]
-    detailed = LinearResponse(t=t, u_dc=dict(zip(ids, traces)),
+    # groups 0 and 1 (one group for one id), each side's rows made up
+    group_ids = (0, 1)[:n_rows]
+    detailed = LinearResponse(t=t, u_dc=np.array(traces[:len(group_ids)]),
                               poi_p=traces[0])
-    # group 0 the first id, group 1 the rest, with capacities 1, 2, ...
-    mapping = {0: ((ids[0], 1.0),)}
-    if n_rows > 1:
-        mapping[1] = tuple((wt, k + 1.0) for k, wt in enumerate(ids[1:]))
-    dem = LinearResponse(t=t, u_dc={f"group{g}": traces[-1 - g]
-                                    for g in mapping},
+    dem = LinearResponse(t=t, u_dc=np.array([traces[-1 - g]
+                                             for g in group_ids]),
                          poi_p=-t)
-    # the weighted means add inf to -inf and overflow
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert_responses_npz(tmp_path, detailed, dem, mapping)
+    assert_responses_npz(tmp_path, detailed, dem, group_ids)
 
     # column 0 as a spectrum, half its modes selected, pairs made up
     modal = ModalSolution(eigenvalues=table[:, 0], basis=None, inverse=None,

@@ -48,9 +48,8 @@ def nrmse_by_member_set(state) -> dict:
     move when the WTs are listed in another order; member sets do not.
     """
     out = {"poi_p": state.report.nrmse["poi_p"]}
-    for g, pairs in state.dem.members.items():
-        out[frozenset(wt_id for wt_id, _ in pairs)] = \
-            state.report.nrmse[f"group{g}_u_dc"]
+    for g, wt_ids in state.dem.members.items():
+        out[frozenset(wt_ids)] = state.report.nrmse[f"group{g}_u_dc"]
     return out
 
 

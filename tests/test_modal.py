@@ -9,6 +9,7 @@ routines that `wfdem._lapack` calls directly.
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,6 +644,29 @@ def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
     assert all(x.base is None for x in square)
     # W in np.linalg.inv's layout: participation's products round by layout
     assert sol.inverse.flags.c_contiguous
+
+
+def test_eig_biorthogonal_transient_memory_is_bounded():
+    """Guard against an extra n x n buffer: tracemalloc's peak over the
+    call, the solution's own R and W included, stays below 3.5 * 8 * n^2
+    bytes on the benchmark's seed-7 10 x 10 ladder (400 states).  Measured
+    3.03 * 8 * n^2 (3.01 at 1200 states); filling R by `np.take(vr, order,
+    axis=1, out=np.empty((n, n), order="F"))` reads 4.02."""
+    a_s = SolvedFarm(ladder_farm(10, 10, 7)).fss.a_s
+    n = a_s.shape[0]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = eig_biorthogonal(a_s)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sol.n_modes == n == 400
+    assert peak < 3.5 * 8 * n * n
 
 
 @given(real_repeated_near_real(), st.integers(0, 2**32 - 1))

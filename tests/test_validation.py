@@ -17,7 +17,8 @@ from scipy.linalg import expm
 
 from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
                      solved_case)
-from oracles import (centre_errors_by_mode, complex_basis, linearization_check,
+from oracles import (centre_errors_by_mode, complex_basis,
+                     group_means_by_member, linearization_check,
                      nearest_errors_by_mode)
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
@@ -77,9 +78,14 @@ def stepper_response(fss: FarmStateSpace, sag: SagSpec, horizon: float,
         x_aug = phi @ x_aug
         xs[:, k + 1] = x_aug[:n]
     return LinearResponse(
-        t=t, u_dc={wt_id: xs[fss.labels.index((wt_id, "u_dc"))]
-                   for wt_id in fss.wt_order},
+        t=t, u_dc=np.array([xs[fss.labels.index((wt_id, "u_dc"))]
+                            for wt_id in fss.wt_order]),
         poi_p=fss.c_p @ xs + (fss.d_p @ de) * (t >= sag.t_start))
+
+
+def per_wt(fss: FarmStateSpace) -> np.ndarray:
+    """Identity shares: one u_dc row per WT, in `fss.wt_order`."""
+    return np.eye(len(fss.wt_order))
 
 
 def max_relative_difference(resp: LinearResponse,
@@ -90,11 +96,9 @@ def max_relative_difference(resp: LinearResponse,
     throughout in `ref` must be zero in `resp` too.
     """
     assert np.array_equal(resp.t, ref.t)
-    assert list(resp.u_dc) == list(ref.u_dc)
+    assert resp.u_dc.shape == ref.u_dc.shape
     worst = 0.0
-    for got, want in ((np.array(list(resp.u_dc.values())),
-                       np.array(list(ref.u_dc.values()))),
-                      (resp.poi_p, ref.poi_p)):
+    for got, want in ((resp.u_dc, ref.u_dc), (resp.poi_p, ref.poi_p)):
         diff = float(np.abs(got - want).max())
         scale = float(np.abs(want).max())
         worst = max(worst, diff / scale if scale > 0 else
@@ -227,13 +231,16 @@ def test_case_a_centre_and_nearest_errors_comparable(case_a):
 def test_case_c_single_machine_dem_much_worse_in_time_domain(case_c):
     s = solved_case("c")
     sag = SagSpec(0.05, 0.1)
-    detailed = simulate_linear(s.fss, s.modal, sag, horizon=2.0, dt=1e-3)
     vals = {}
     for c in (1, 3):
         _, _, dem = s.dem(c)
+        detailed = simulate_linear(s.fss, s.modal, sag, horizon=2.0,
+                                   dt=1e-3, shares=dem.shares)
         resp = simulate_linear(dem.model.fss, dem.model.modal, sag,
-                               horizon=2.0, dt=1e-3)
-        vals[c] = compare_responses(detailed, resp, dem.members)["poi_p"]
+                               horizon=2.0, dt=1e-3,
+                               shares=per_wt(dem.model.fss))
+        vals[c] = compare_responses(detailed, resp,
+                                    tuple(dem.members))["poi_p"]
     assert vals[1] > 2.0 * vals[3]
 
 
@@ -249,8 +256,8 @@ def stiff_single_wt_modal():
 def test_zero_sag_gives_identically_zero_response():
     fss, modal, _ = stiff_single_wt_modal()
     resp = simulate_linear(fss, modal, SagSpec(0.0, 0.1), horizon=0.5,
-                           dt=1e-3)
-    assert np.abs(resp.u_dc["wt01"]).max() == 0.0
+                           dt=1e-3, shares=per_wt(fss))
+    assert np.abs(resp.u_dc[0]).max() == 0.0
     assert np.abs(resp.poi_p).max() == 0.0
     assert not modal.unstable
 
@@ -258,7 +265,8 @@ def test_zero_sag_gives_identically_zero_response():
 def test_stiff_wt_step_matches_second_order_closed_form():
     fss, modal, wt = stiff_single_wt_modal()
     sag = SagSpec(0.05, 0.1)
-    resp = simulate_linear(fss, modal, sag, horizon=1.0, dt=1e-3)
+    resp = simulate_linear(fss, modal, sag, horizon=1.0, dt=1e-3,
+                           shares=per_wt(fss))
 
     # forced 2nd-order system: z1'' + a1 z1' + a0 z1 = F, x(0) = 0
     cpr = 0.0864 * wt.u_dc0
@@ -274,7 +282,7 @@ def test_stiff_wt_step_matches_second_order_closed_form():
     expected = (f / omega_d) * np.exp(-zeta * omega * shifted) \
         * np.sin(omega_d * shifted)
     expected[t < sag.t_start] = 0.0
-    assert np.abs(resp.u_dc["wt01"] - expected).max() < 1e-6
+    assert np.abs(resp.u_dc[0] - expected).max() < 1e-6
 
 
 def test_matrix_exponential_agrees_with_fine_rk4(case_a):
@@ -282,7 +290,8 @@ def test_matrix_exponential_agrees_with_fine_rk4(case_a):
     fss = s.fss
     sag = SagSpec(0.05, 0.0)     # start at t=0 so the RK4 forcing is smooth
     dt = 1e-3
-    resp = simulate_linear(fss, s.modal, sag, horizon=0.2, dt=dt)
+    resp = simulate_linear(fss, s.modal, sag, horizon=0.2, dt=dt,
+                           shares=per_wt(fss))
 
     de = fss.b_s @ np.array([-sag.fraction, 0.0])
     n = fss.n_states
@@ -299,7 +308,8 @@ def test_matrix_exponential_agrees_with_fine_rk4(case_a):
         xs.append(x.copy())
     xs = np.array(xs).T
     udc_rk4 = xs[fss.labels.index(("wt01", "u_dc"))]
-    assert np.abs(resp.u_dc["wt01"] - udc_rk4).max() < 1e-7
+    assert fss.wt_order[0] == "wt01"
+    assert np.abs(resp.u_dc[0] - udc_rk4).max() < 1e-7
 
 
 def test_unstable_matrix_is_flagged():
@@ -307,8 +317,8 @@ def test_unstable_matrix_is_flagged():
     unstable = dataclasses.replace(fss, a_s=-fss.a_s)
     modal = eig_biorthogonal(unstable.a_s)
     resp = simulate_linear(unstable, modal, SagSpec(0.05, 0.0), horizon=0.05,
-                           dt=1e-3)
-    assert np.all(np.isfinite(resp.u_dc["wt01"]))
+                           dt=1e-3, shares=per_wt(unstable))
+    assert np.all(np.isfinite(resp.u_dc))
     assert modal.unstable
 
 
@@ -335,7 +345,8 @@ def test_modal_form_matches_exact_stepper(name):
     # is the benchmark's seed-7 10 x 10 farm (400 states)
     sag = SagSpec(0.05, 0.1)
     for fss, modal in parity_models(name):
-        resp = simulate_linear(fss, modal, sag, horizon=2.0, dt=1e-3)
+        resp = simulate_linear(fss, modal, sag, horizon=2.0, dt=1e-3,
+                               shares=per_wt(fss))
         ref = stepper_response(fss, sag, horizon=2.0, dt=1e-3)
         assert max_relative_difference(resp, ref) <= 1e-11
 
@@ -343,13 +354,14 @@ def test_modal_form_matches_exact_stepper(name):
 def test_sag_switches_on_at_the_first_grid_time_past_t_start():
     fss, modal, _ = stiff_single_wt_modal()
     sag = SagSpec(0.05, 0.1005)          # between grid times 0.100 and 0.101
-    resp = simulate_linear(fss, modal, sag, horizon=0.2, dt=1e-3)
+    resp = simulate_linear(fss, modal, sag, horizon=0.2, dt=1e-3,
+                           shares=per_wt(fss))
     ref = stepper_response(fss, sag, horizon=0.2, dt=1e-3)
-    assert np.all(resp.u_dc["wt01"][:102] == 0.0)
-    assert resp.u_dc["wt01"][102] != 0.0
+    assert np.all(resp.u_dc[0, :102] == 0.0)
+    assert resp.u_dc[0, 102] != 0.0
     assert max_relative_difference(resp, ref) <= 1e-11
     late = simulate_linear(fss, modal, SagSpec(0.05, 0.5), horizon=0.2,
-                           dt=1e-3)
+                           dt=1e-3, shares=per_wt(fss))
     assert np.all(late.poi_p == 0.0)
 
 
@@ -404,7 +416,8 @@ def test_modal_form_on_near_defective_matrices(seed, lam, log_delta, real):
         return
     assert cond <= _COND_MAX * (1 + 1e-3)
     sag = SagSpec(0.05, 0.1)
-    resp = simulate_linear(fss, modal, sag, horizon=0.5, dt=1e-3)
+    resp = simulate_linear(fss, modal, sag, horizon=0.5, dt=1e-3,
+                           shares=per_wt(fss))
     ref = stepper_response(fss, sag, horizon=0.5, dt=1e-3)
     u, v = complex_basis(modal)
     cert = np.linalg.norm(u) * np.linalg.norm(v)
@@ -443,23 +456,73 @@ def test_nrmse_shape_mismatch_rejected():
 
 def test_compare_responses_identical(case_b):
     _, _, dem = solved_case("b").dem(3)
-    resp = simulate_linear(dem.model.fss, dem.model.modal, SagSpec(0.05, 0.1),
-                           0.5, 1e-3)
-    mapping = {int(k): ((f"group{k}", 1.0),) for k in dem.members}
-    # compare the DEM against itself with each group mapped to its machine
-    renamed = LinearResponse(t=resp.t, u_dc=dict(resp.u_dc),
-                             poi_p=resp.poi_p)
-    out = compare_responses(resp, renamed, mapping)
+    fss = dem.model.fss
+    resp = simulate_linear(fss, dem.model.modal, SagSpec(0.05, 0.1), 0.5,
+                           1e-3, shares=per_wt(fss))
+    # compare the DEM against itself, row r standing for group r
+    out = compare_responses(resp, resp, tuple(dem.members))
+    assert list(out) == ["poi_p"] + [f"group{g}_u_dc" for g in dem.members]
     assert max(out.values()) == 0.0
     assert not dem.model.modal.unstable
+    # a group id per row, no fewer
+    with pytest.raises(ValueError):
+        compare_responses(resp, resp, tuple(dem.members)[:-1])
 
 
 def test_compare_responses_grid_mismatch_rejected():
     fss, modal, _ = stiff_single_wt_modal()
-    a = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 1e-3)
-    b = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 2e-3)
+    a = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 1e-3,
+                        shares=per_wt(fss))
+    b = simulate_linear(fss, modal, SagSpec(0.05, 0.1), 0.2, 2e-3,
+                        shares=per_wt(fss))
     with pytest.raises(ValueError, match="time grid"):
-        compare_responses(a, b, {})
+        compare_responses(a, b, (0,))
+
+
+def test_compare_responses_rejects_a_grid_within_allclose():
+    # dt = 1.000001e-3 over 2 s gives 2001 samples, as dt = 1e-3 does, each
+    # up to 2e-6 s off: within np.allclose's rtol 1e-5, yet misaligned
+    fss, modal, _ = stiff_single_wt_modal()
+    sag = SagSpec(0.05, 0.1)
+    a = simulate_linear(fss, modal, sag, 2.0, 1e-3, shares=per_wt(fss))
+    b = simulate_linear(fss, modal, sag, 2.0, 1.000001e-3,
+                        shares=per_wt(fss))
+    assert a.t.shape == b.t.shape and np.allclose(a.t, b.t)
+    with pytest.raises(ValueError, match="time grid"):
+        compare_responses(a, b, (0,))
+
+
+@pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
+@pytest.mark.parametrize("farm, clusters", [
+    ("case_b", 3), ("case_c", 3), ("case_d", 3), ("auto_sweep100_0", None)])
+def test_group_rows_are_capacity_weighted_member_means(tmp_path, farm,
+                                                       clusters):
+    if farm.startswith("case_"):
+        path = ROOT / "farms" / f"{farm}.json"
+    else:
+        # the benchmark's first seed-7 auto_sweep100 farm: many groups
+        path = tmp_path / f"{farm}.json"
+        save_farm(ladder_farm(10, 10, (7, 0), planted=False), path)
+    state = run_pipeline(RunConfig(farm_path=path, out_dir=tmp_path / "out",
+                                   clusters=clusters), upto="aggregate")
+    dem, fss, modal = state.dem, state.model.fss, state.model.modal
+    sag = SagSpec(0.05, 0.1)
+    rows = simulate_linear(fss, modal, sag, 2.0, 1e-3, dem.shares).u_dc
+    per = simulate_linear(fss, modal, sag, 2.0, 1e-3, per_wt(fss)).u_dc
+    want = group_means_by_member(state.farm, dem.members, per)
+    assert rows.shape == want.shape == (len(dem.members), 2001)
+    scale = np.abs(want).max(axis=1)
+    assert np.all(scale > 0)
+    assert np.all(np.abs(rows - want).max(axis=1) <= 1e-13 * scale)
+
+    # the DEM's identity shares: row r is machine r simulated alone
+    dem_fss, dem_modal = dem.model.fss, dem.model.modal
+    machines = simulate_linear(dem_fss, dem_modal, sag, 2.0, 1e-3,
+                               per_wt(dem_fss)).u_dc
+    for r, one_hot in enumerate(per_wt(dem_fss)):
+        alone = simulate_linear(dem_fss, dem_modal, sag, 2.0, 1e-3,
+                                one_hot[None]).u_dc
+        assert np.array_equal(machines[r], alone[0])
 
 
 def rescored_from_responses_npz(out) -> dict:
