@@ -1,7 +1,7 @@
 """Dynamic equivalent models of wind farms by oscillation-mode clustering."""
 
 from .aggregation import (DemModel, aggregate_wts, build_dem, equivalent_network,
-                          group_members)
+                          member_indices)
 from .assembly import FarmStateSpace, assemble_farm
 from .clustering import (FeatureTable, GroupAssignment, ModeClusters,
                          cluster_modes, group_wts, superimpose_mpf,

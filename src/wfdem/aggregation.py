@@ -1,8 +1,11 @@
 """Per-unit machine aggregation and collector-network equivalencing.
 
-Each WT group collapses to one machine whose capacity base is the member
-total and whose per-unit parameters are capacity-weighted means, so a group
-of identical machines aggregates without any parameter change.  The collector
+The WT grouping alone decides the DEM: one pass over the assignment gives
+each sorted group id its members' indices in farm order, and every later
+step reads that map.  Each group collapses to one machine whose capacity
+base is the member total and whose per-unit parameters are means weighted
+by cap / sum(cap), the group's row of `DemModel.shares`; a group of
+identical machines aggregates without any parameter change.  The collector
 reduces per group to a single series impedance chosen by the equal-loss
 criterion: under uniform-voltage injections proportional to member powers,
 the equivalent dissipates exactly the losses of the branches it replaces.
@@ -13,13 +16,12 @@ exact zero tie.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import GroupAssignment, ModeClusters
+from .clustering import GroupAssignment
 from .farm import Branch, FarmDescription, WtParams, nodal_network, save_farm
 from .modal import FarmModel, solve_modes
 from .powerflow import solve_powerflow
@@ -30,31 +32,34 @@ class AggregationError(ValueError):
     pass
 
 
-# group id -> (WT, its bus) of each member, in assignment order
-GroupMembers = dict[int, list[tuple[WtParams, str]]]
-
-
-def group_members(farm: FarmDescription,
-                  groups: GroupAssignment) -> GroupMembers:
-    """Each group's member WTs with their buses, in assignment order."""
-    by_id = {wt.id: (wt, bus) for wt, bus in farm.wts}
-    members: dict[int, list[tuple[WtParams, str]]] = {}
+def member_indices(farm: FarmDescription,
+                   groups: GroupAssignment) -> dict[int, list[int]]:
+    """Each group id, sorted, with its members' indices in `farm.wts`, in
+    farm order; an unknown WT, or the first farm WT left out, raises."""
+    index = {wt_id: k for k, wt_id in enumerate(farm.wt_ids)}
+    members: dict[int, list[int]] = {}
     for wt_id, g in groups.group_of.items():
-        if wt_id not in by_id:
+        if wt_id not in index:
             raise AggregationError(f"assignment references unknown WT {wt_id!r}")
-        members.setdefault(g, []).append(by_id[wt_id])
-    return members
+        members.setdefault(g, []).append(index.pop(wt_id))
+    if index:
+        raise AggregationError(f"assignment leaves out WT {next(iter(index))!r}")
+    return {g: sorted(members[g]) for g in sorted(members)}
 
 
-def aggregate_wts(farm: FarmDescription,
-                  members: GroupMembers) -> list[WtParams]:
-    """One equivalent machine per group, ordered by group id."""
-    out: list[WtParams] = []
-    for g in sorted(members):
-        wts = [wt for wt, _ in members[g]]
+def aggregate_wts(farm: FarmDescription, members: dict[int, list[int]],
+                  ) -> tuple[list[WtParams], np.ndarray]:
+    """One equivalent machine per group of `member_indices`, in its order,
+    and the capacity shares: row r holds cap_w / sum(cap) of group r's
+    members in their farm columns and zero elsewhere."""
+    machines: list[WtParams] = []
+    shares = np.zeros((len(members), farm.n_wt))
+    for row, (g, idx) in enumerate(members.items()):
+        wts = [farm.wts[k][0] for k in idx]
         caps = np.array([wt.capacity_mva(farm.bases) for wt in wts])
         s_agg = float(caps.sum())
         weight = caps / s_agg
+        shares[row, idx] = weight
 
         def wmean(values: list[float]) -> float:
             return float(np.dot(weight, values))
@@ -64,7 +69,7 @@ def aggregate_wts(farm: FarmDescription,
         c_pu = wmean([dc_link_seconds(wt, farm.bases) for wt in wts])
         c_dc = c_pu * (s_agg * 1e6) / (farm.bases.u_dc_base_kv * 1e3) ** 2
         p_mw = float(np.dot(caps, [wt.p_m0 for wt in wts]))
-        out.append(WtParams(
+        machines.append(WtParams(
             id=f"group{g}",
             p_m0=p_mw / s_agg,
             c_dc=c_dc,
@@ -75,12 +80,13 @@ def aggregate_wts(farm: FarmDescription,
             ki_pll=wmean([wt.ki_pll for wt in wts]),
             s_mva=s_agg,
         ))
-    return out
+    return machines, shares
 
 
 def equivalent_network(farm: FarmDescription,
-                       members: GroupMembers) -> list[Branch]:
-    """Equal-loss equivalent branch POI -> aggregate bus, one per group.
+                       members: dict[int, list[int]]) -> list[Branch]:
+    """Equal-loss equivalent branch POI -> aggregate bus, one per group of
+    `member_indices`, in its order.
 
     Each group's members inject their system-base active powers p, summed
     per node (uniform-voltage approximation).  With the POI's node grounded
@@ -94,10 +100,10 @@ def equivalent_network(farm: FarmDescription,
     """
     net = nodal_network(farm)
     live = np.arange(net.n_nodes) != net.node_of[farm.poi]
-    groups = sorted(members)
-    p = np.zeros((net.n_nodes + 1, len(groups)))
-    for col, g in enumerate(groups):
-        for wt, bus in members[g]:
+    p = np.zeros((net.n_nodes + 1, len(members)))
+    for col, idx in enumerate(members.values()):
+        for k in idx:
+            wt, bus = farm.wts[k]
             p[net.node_of[bus], col] += wt.p_system(farm.bases)
     p_live = p[:-1][live]
     v = np.linalg.solve(net.y_red[np.ix_(live, live)], p_live)
@@ -108,7 +114,7 @@ def equivalent_network(farm: FarmDescription,
     return [Branch(from_bus=farm.poi, to_bus=f"group{g}_bus", length_km=1.0,
                    r_ohm_per_km=z.real * z_base,
                    l_h_per_km=z.imag * z_base / omega)
-            for g, z in zip(groups, z_eq)]
+            for g, z in zip(members, z_eq)]
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,10 @@ class DemModel:
     """Aggregated farm with its own solved linear model."""
 
     farm: FarmDescription
-    # group id -> member WT ids in assignment order, groups sorted
+    # group id -> member WT ids in farm order, groups sorted
     members: dict[int, tuple[str, ...]]
     # row r: each farm WT's capacity share in group list(members)[r], whose
-    # machine is the DEM's r-th; columns in farm WT order
+    # machine is the DEM's r-th; columns in farm order
     shares: np.ndarray
     model: FarmModel
 
@@ -131,18 +137,12 @@ class DemModel:
                 for g, (wt, _) in zip(self.members, self.farm.wts)}
 
 
-def build_dem(farm: FarmDescription, groups: GroupAssignment,
-              clusters: ModeClusters | None = None) -> DemModel:
-    """Assemble the aggregated farm and solve it end to end."""
-    if clusters is not None and clusters.n_clusters != groups.n_groups:
-        warnings.warn(
-            f"{clusters.n_clusters} mode clusters vs {groups.n_groups} WT "
-            "groups after merging", stacklevel=2)
-
-    by_group = group_members(farm, groups)
-    aggregates = aggregate_wts(farm, by_group)
-    eq_branches = equivalent_network(farm, by_group)
-    for g, br in zip(sorted(by_group), eq_branches):
+def build_dem(farm: FarmDescription, groups: GroupAssignment) -> DemModel:
+    """Assemble the aggregated farm of a grouping and solve it end to end."""
+    members = member_indices(farm, groups)
+    aggregates, shares = aggregate_wts(farm, members)
+    eq_branches = equivalent_network(farm, members)
+    for g, br in zip(members, eq_branches):
         if br.to_bus == farm.poi:
             raise AggregationError(
                 f"POI id {farm.poi!r} is the DEM bus name of group {g}; "
@@ -161,16 +161,11 @@ def build_dem(farm: FarmDescription, groups: GroupAssignment,
     dem_farm.validate()
 
     model = solve_modes(dem_farm, solve_powerflow(dem_farm))
-
-    column = {wt_id: k for k, wt_id in enumerate(farm.wt_ids)}
-    shares = np.zeros((len(by_group), farm.n_wt))
-    members = {}
-    for row, g in enumerate(sorted(by_group)):
-        members[g] = tuple(wt.id for wt, _ in by_group[g])
-        caps = np.array([wt.capacity_mva(farm.bases) for wt, _ in by_group[g]])
-        shares[row, [column[w] for w in members[g]]] = caps / caps.sum()
-    return DemModel(farm=dem_farm, members=members, shares=shares,
-                    model=model)
+    ids = farm.wt_ids
+    return DemModel(
+        farm=dem_farm,
+        members={g: tuple(ids[k] for k in idx) for g, idx in members.items()},
+        shares=shares, model=model)
 
 
 def write_dem_json(dem: DemModel, path: str | Path) -> None:

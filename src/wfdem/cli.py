@@ -121,8 +121,7 @@ def _stage_cluster(state: PipelineState) -> None:
 
 
 def _stage_aggregate(state: PipelineState) -> None:
-    state.dem = aggregation.build_dem(state.farm, state.groups,
-                                      state.clusters)
+    state.dem = aggregation.build_dem(state.farm, state.groups)
     aggregation.write_dem_json(state.dem, state.cfg.out_dir / "dem.json")
     _write_scatter(state)          # with the DEM modes overlaid
 

@@ -4,12 +4,15 @@ Modes are clustered on raw (Re, Im) coordinates.  Each cluster's member
 participation factors are superimposed per WT-representative state, giving a
 per-WT feature vector whose dominant entry assigns the WT to a group; groups
 whose centroid features nearly coincide are merged, which is what turns
-"clusters of modes" into "groups of machines".
+"clusters of modes" into "groups of machines".  The grouping decides the
+WT group count, so it warns when that count falls short of the cluster
+count; the DEM is built from the grouping alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -306,7 +309,9 @@ def group_wts(features: FeatureTable,
     Grouping works on feature magnitudes.  Two groups merge when their
     centroid feature vectors differ by less than tau relative to the larger
     centroid norm.  The margin is (top - second) / top over |F_kc|; with a
-    single cluster it is 1 by convention.
+    single cluster it is 1 by convention.  Fewer groups than clusters warn
+    "k mode clusters vs m WT groups", naming the merges and the clusters
+    that no WT peaks in.
     """
     mags = np.abs(features.table)
     n_wt, n_c = mags.shape
@@ -342,6 +347,17 @@ def group_wts(features: FeatureTable,
         assign[assign == gb] = ga
         merged.append((ga, gb))
         alive.remove(gb)
+
+    idle = sorted(set(range(n_c)) - set(raw.tolist()))
+    if merged or idle:
+        note = f"{n_c} mode clusters vs {len(alive)} WT groups"
+        if merged:
+            note += " after merging " + ", ".join(
+                f"cluster {b} into {a}" for a, b in merged)
+        if idle:
+            note += ("; " if merged else ": ") + "no WT peaks in cluster " \
+                + ", ".join(map(str, idle))
+        warnings.warn(note, stacklevel=2)
 
     # dense ids in order of first appearance over the WT list
     remap: dict[int, int] = {}

@@ -38,11 +38,16 @@ _STEPS = 256
 
 
 def _relative(distance: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """distance / |lam|, rounded like Python's `abs` of each mode."""
+    """distance / |lam|, rounded like Python's `abs` of each mode.
+
+    A quotient beyond the largest float (a subnormal |lam|) is inf, without
+    the overflow warning that Python's float division does not give either.
+    """
     size = magnitude(lam)
     if not size.all():
         raise ZeroDivisionError("zero-magnitude mode has no relative error")
-    return distance / size
+    with np.errstate(over="ignore"):
+        return distance / size
 
 
 def centre_errors(concern: ConcernSet, clusters: ModeClusters) -> np.ndarray:

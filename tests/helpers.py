@@ -60,7 +60,7 @@ class SolvedFarm:
 
     def dem(self, c: int, seed: int = 42):
         clusters, _, groups = self.clustered(c, seed)
-        return clusters, groups, build_dem(self.farm, groups, clusters)
+        return clusters, groups, build_dem(self.farm, groups)
 
 
 def terminal_voltages(farm: FarmDescription, sol: BusSolution,
@@ -161,10 +161,19 @@ def load_digests_script():
     return script
 
 
+def library_example() -> str:
+    """The Python block of the README's "Library use" section."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library use"))
+    return readme[start + len("```python\n"):readme.index("```\n", start + 1)]
+
+
 def run_python_bounded(args: list[str], timeout: float, blas_threads: int = 1,
+                       cwd: Path | None = None,
                        ) -> subprocess.CompletedProcess:
     """`python *args` in a child capped at 1 GiB of address space, with
-    OpenBLAS held to `blas_threads` threads.
+    OpenBLAS held to `blas_threads` threads, run in `cwd` (default: this
+    process's working directory).
 
     For code whose failure mode is an endless loop: the child fails on the
     cap or the timeout instead of hanging the suite or exhausting memory.
@@ -178,4 +187,4 @@ def run_python_bounded(args: list[str], timeout: float, blas_threads: int = 1,
 
     return subprocess.run([sys.executable, *args], env=env,
                           preexec_fn=cap_memory, capture_output=True,
-                          text=True, timeout=timeout)
+                          text=True, timeout=timeout, cwd=cwd)

@@ -5,6 +5,7 @@ the package computes: a WT's operating point and its block's input and
 output maps, the closed-form stiff-grid DVC mode, the single-WT nonlinear
 model, the POI current and slack power, the series network losses, the
 equal-loss impedance of a WT group branch by branch, each WT group's
+members, capacity total and capacity shares, each WT group's
 capacity-weighted mean DC voltage, the POI port of the collector's Kron
 reduction, the admittance form of the farm closure, the relative mode
 errors mode by mode, the eigensolution in complex arithmetic, the dense MPF
@@ -239,6 +240,23 @@ def group_means_by_member(farm: FarmDescription,
 # power balance and closure
 
 
+def shares_by_member(farm: FarmDescription, group_of: dict[str, int],
+                     ) -> tuple[dict[int, tuple[str, ...]], list[float],
+                                np.ndarray]:
+    """Each group id, sorted, with its member WT ids in farm order, its
+    capacity total and its row of capacity shares, WT by WT: cap_w / total
+    for a member w, 0 elsewhere.  Each total is the exact sum
+    (`math.fsum`) of its members' capacities."""
+    members, totals, rows = {}, [], []
+    for g in sorted(set(group_of.values())):
+        caps = [wt.capacity_mva(farm.bases) if group_of[wt.id] == g else 0.0
+                for wt, _ in farm.wts]
+        members[g] = tuple(wt.id for wt, _ in farm.wts if group_of[wt.id] == g)
+        totals.append(math.fsum(caps))
+        rows.append([cap / totals[-1] for cap in caps])
+    return members, totals, np.array(rows).reshape(len(totals), farm.n_wt)
+
+
 def branch_z_pu(farm: FarmDescription, br: Branch) -> complex:
     """Series impedance of a collector branch on the system base."""
     omega = farm.bases.omega_grid
@@ -326,18 +344,22 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
 
 def centre_errors_by_mode(concern: ConcernSet,
                           clusters: ModeClusters) -> np.ndarray:
-    """|lam - centre| / |lam| of each concern mode, with Python's `abs`."""
+    """|lam - centre| / |lam| of each concern mode, with Python's `abs` and
+    float division (inf past the largest float, with no warning)."""
     cluster_of = clusters.cluster_of
     return np.array([
-        abs(lam - complex(clusters.centres[cluster_of[idx]])) / abs(lam)
+        float(abs(lam - complex(clusters.centres[cluster_of[idx]])))
+        / float(abs(lam))
         for idx, lam in zip(concern.mode_indices, concern.eigenvalues)])
 
 
 def nearest_errors_by_mode(concern: ConcernSet,
                            dem_concern: ConcernSet) -> np.ndarray:
-    """min over DEM modes mu of |lam - mu| / |lam|, with Python's `abs`."""
+    """min over DEM modes mu of |lam - mu| / |lam|, with Python's `abs` and
+    float division."""
     return np.array([
-        min(abs(lam - mu) for mu in dem_concern.eigenvalues) / abs(lam)
+        float(min(abs(lam - mu) for mu in dem_concern.eigenvalues))
+        / float(abs(lam))
         for lam in concern.eigenvalues])
 
 

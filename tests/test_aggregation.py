@@ -1,19 +1,22 @@
 """Machine aggregation and network equivalencing.
 
 Oracles: the closed-form chain sum for equal machines on one feeder, a
-tree-walk loss computation that never touches the nodal solver, and the
-branch-by-branch loss sum of `oracles.equal_loss_impedance`.
+tree-walk loss computation that never touches the nodal solver, the
+branch-by-branch loss sum of `oracles.equal_loss_impedance`, and the
+WT-by-WT members and capacity shares of `oracles.shares_by_member`.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import SolvedFarm, random_radial_farm, stiff_grid
-from oracles import branch_z_pu, equal_loss_impedance
+from oracles import branch_z_pu, equal_loss_impedance, shares_by_member
 from wfdem.aggregation import (AggregationError, aggregate_wts, build_dem,
-                               equivalent_network, group_members,
+                               equivalent_network, member_indices,
                                write_dem_json)
 from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
 from wfdem.clustering import GroupAssignment
@@ -67,7 +70,7 @@ def equivalent_z_pu(farm, br) -> complex:
 
 def test_homogeneous_group_keeps_per_unit_parameters():
     farm = identical_zero_network_farm(6, p_m0=0.8)
-    agg = aggregate_wts(farm, group_members(farm, all_in_one_group(farm)))
+    agg, _ = aggregate_wts(farm, member_indices(farm, all_in_one_group(farm)))
     assert len(agg) == 1
     machine = agg[0]
     wt = farm.wts[0][0]
@@ -86,7 +89,8 @@ def test_two_wt_power_aggregation():
            (replace(farm.wts[1][0], p_m0=0.5), farm.wts[1][1]))
     farm = FarmDescription(bases=farm.bases, buses=farm.buses, poi=farm.poi,
                            branches=farm.branches, wts=wts, grid=farm.grid)
-    agg = aggregate_wts(farm, group_members(farm, all_in_one_group(farm)))[0]
+    (agg,), _ = aggregate_wts(farm,
+                              member_indices(farm, all_in_one_group(farm)))
     assert agg.s_mva == pytest.approx(3.0, abs=1e-12)
     assert agg.p_m0 == pytest.approx(0.75, abs=1e-12)   # (1.5 + 0.75) / 3
 
@@ -94,7 +98,7 @@ def test_two_wt_power_aggregation():
 def test_mw_and_mva_conservation(case_b):
     farm = case_b.farm
     _, groups, _ = case_b.dem(3)
-    agg = aggregate_wts(farm, group_members(farm, groups))
+    agg, _ = aggregate_wts(farm, member_indices(farm, groups))
     mva = sum(a.s_mva for a in agg)
     mw = sum(a.p_m0 * a.s_mva for a in agg)
     mva_ref = sum(wt.capacity_mva(farm.bases) for wt, _ in farm.wts)
@@ -109,7 +113,7 @@ def test_mw_and_mva_conservation(case_b):
 
 def test_single_wt_equivalent_is_the_branch():
     farm = single_wt_farm(link_km=2.0)
-    eq = equivalent_network(farm, group_members(farm, singleton_groups(farm)))
+    eq = equivalent_network(farm, member_indices(farm, singleton_groups(farm)))
     z_eq = equivalent_z_pu(farm, eq[0])
     z_ref = branch_z_pu(farm, farm.branches[0])
     assert abs(z_eq - z_ref) < 1e-12
@@ -118,7 +122,7 @@ def test_single_wt_equivalent_is_the_branch():
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_chain_matches_closed_form(m):
     farm = chain_farm(m)
-    eq = equivalent_network(farm, group_members(farm, all_in_one_group(farm)))
+    eq = equivalent_network(farm, member_indices(farm, all_in_one_group(farm)))
     z_span = branch_z_pu(farm, farm.branches[0])
     expected = z_span * (m + 1) * (2 * m + 1) / (6 * m)
     assert abs(equivalent_z_pu(farm, eq[0]) - expected) < 1e-12 * abs(expected)
@@ -128,7 +132,7 @@ def assert_equal_loss_identity(farm, groups) -> None:
     """Uniform-voltage injections: sum over branches of |i_b|^2 z_b must
     equal |total group current|^2 z_eq, with branch currents obtained by a
     plain downstream walk of the radial tree."""
-    eq = equivalent_network(farm, group_members(farm, groups))
+    eq = equivalent_network(farm, member_indices(farm, groups))
 
     children = {}
     for br in farm.branches:
@@ -192,10 +196,10 @@ def meshed_case_b() -> FarmDescription:
 def test_meshed_collector_matches_the_branch_loss_sum(case_b):
     farm = meshed_case_b()
     _, groups, _ = case_b.dem(3)
-    members = group_members(farm, groups)
+    members = member_indices(farm, groups)
     eq = equivalent_network(farm, members)
-    for g, br in zip(sorted(members), eq):
-        z_ref = equal_loss_impedance(farm, members[g])
+    for idx, br in zip(members.values(), eq):
+        z_ref = equal_loss_impedance(farm, [farm.wts[k] for k in idx])
         assert abs(equivalent_z_pu(farm, br) - z_ref) <= 1e-12 * abs(z_ref)
 
 
@@ -231,11 +235,90 @@ def test_poi_named_like_a_dem_bus_is_refused(case_b):
 
 def test_singleton_groups_reduce_to_path_impedance():
     farm = chain_farm(3)
-    eq = equivalent_network(farm, group_members(farm, singleton_groups(farm)))
+    eq = equivalent_network(farm, member_indices(farm, singleton_groups(farm)))
     z_span = branch_z_pu(farm, farm.branches[0])
     for k, br in enumerate(eq):
         assert abs(equivalent_z_pu(farm, br) - z_span * (k + 1)) \
             < 1e-12 * abs(z_span)
+
+
+# ---------------------------------------------------------------------------
+# the assignment
+
+
+def test_assignment_naming_an_unknown_wt_is_refused(case_b):
+    groups = all_in_one_group(case_b.farm)
+    groups = dataclasses.replace(groups,
+                                 group_of={**groups.group_of, "wt99": 0})
+    with pytest.raises(AggregationError,
+                       match="^assignment references unknown WT 'wt99'$"):
+        build_dem(case_b.farm, groups)
+
+
+def test_assignment_leaving_out_a_wt_is_refused():
+    # five of case b's 33 WTs unassigned would give a 42 MVA DEM of a
+    # 49.5 MVA farm; the first left out in farm order is named
+    farm = case_farm("b")
+    ids = farm.wt_ids
+    left_out = {ids[k] for k in (30, 4, 17, 9, 25)}
+    groups = GroupAssignment(
+        group_of={w: 0 for w in reversed(ids) if w not in left_out},
+        margins={w: 1.0 for w in ids}, merged=())
+    with pytest.raises(AggregationError,
+                       match=f"^assignment leaves out WT {ids[4]!r}$"):
+        build_dem(farm, groups)
+
+
+def machine_table(dem) -> np.ndarray:
+    """Every numeric parameter of each DEM machine, one row per machine."""
+    return np.array([dataclasses.astuple(wt)[1:] for wt, _ in dem.farm.wts])
+
+
+def test_dem_ignores_the_insertion_order_of_the_assignment(tmp_path, case_d):
+    _, groups, dem = case_d.dem(3)
+    reordered = build_dem(case_d.farm, dataclasses.replace(
+        groups, group_of=dict(reversed(groups.group_of.items()))))
+    write_dem_json(dem, tmp_path / "dem.json")
+    write_dem_json(reordered, tmp_path / "reordered.json")
+    assert (tmp_path / "reordered.json").read_bytes() \
+        == (tmp_path / "dem.json").read_bytes()
+    assert np.array_equal(reordered.shares, dem.shares)
+    assert list(reordered.members.items()) == list(dem.members.items())
+    assert np.array_equal(machine_table(reordered), machine_table(dem))
+
+
+@st.composite
+def assigned_farms(draw):
+    """A `random_radial_farm`, some of its WTs re-rated to multiples of
+    0.25 MVA, so every capacity total is exact in any order, and an
+    assignment over a random set of group ids, in random insertion order."""
+    farm = random_radial_farm(draw(st.integers(0, 200)))
+    wts = []
+    for wt, bus in farm.wts:
+        quarters = draw(st.one_of(st.none(), st.integers(1, 12)))
+        wts.append((wt if quarters is None
+                    else dataclasses.replace(wt, s_mva=quarters / 4), bus))
+    farm = dataclasses.replace(farm, wts=tuple(wts))
+    farm.validate()
+    ids = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=4)))
+    labels = [draw(st.sampled_from(ids)) for _ in farm.wts]
+    order = draw(st.permutations(range(farm.n_wt)))
+    return farm, {farm.wts[k][0].id: labels[k] for k in order}
+
+
+@given(assigned_farms())
+def test_dem_follows_the_assignment_wt_by_wt(farm_and_assignment):
+    farm, group_of = farm_and_assignment
+    dem = build_dem(farm, GroupAssignment(
+        group_of=group_of, margins={w: 1.0 for w in group_of}, merged=()))
+    members, totals, shares = shares_by_member(farm, group_of)
+    assert np.array_equal(dem.shares, shares)
+    assert [wt.s_mva for wt, _ in dem.farm.wts] == totals
+    assert list(dem.members.items()) == list(members.items())
+    mw = math.fsum(wt.p_m0 * wt.s_mva for wt, _ in dem.farm.wts)
+    mw_ref = math.fsum(wt.p_m0 * wt.capacity_mva(farm.bases)
+                       for wt, _ in farm.wts)
+    assert abs(mw - mw_ref) <= 1e-12 * mw_ref
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +385,7 @@ def test_group_on_the_poi_node_gets_an_exact_tie(seed, c):
     roundoff-level impedance there makes the DEM power flow singular."""
     from wfdem.validation import error_Eprime
     solved = SolvedFarm(random_radial_farm(seed))
-    clusters, _, groups = solved.clustered(c)
-    dem = build_dem(solved.farm, groups, clusters)
+    _, groups, dem = solved.dem(c)
 
     net = nodal_network(solved.farm)
     node_of = net.node_of

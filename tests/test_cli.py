@@ -193,6 +193,19 @@ def test_cluster_stage_scatter_has_no_dem_modes(tmp_path):
     assert not (out / "dem.json").exists()
 
 
+def test_cluster_run_warns_of_fewer_groups_than_clusters(tmp_path):
+    # case a at C = 3: no WT peaks in cluster 0 and nothing merges; the
+    # cluster stage, where the group count is decided, says so
+    cfg = RunConfig(farm_path=FARMS / "case_a.json", out_dir=tmp_path,
+                    clusters=3)
+    with pytest.warns(UserWarning) as caught:
+        state = run_pipeline(cfg, upto="cluster")
+    assert [str(w.message) for w in caught] \
+        == ["3 mode clusters vs 2 WT groups: no WT peaks in cluster 0"]
+    assert caught[0].filename == cli.__file__
+    assert state.groups.merged == () and state.dem is None
+
+
 @pytest.mark.parametrize("upto,dem_modes", [("cluster", False),
                                              ("aggregate", True),
                                              ("validate", True)])

@@ -6,6 +6,7 @@ controller groups; k-means never sees them.
 
 import itertools
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -520,7 +521,9 @@ def test_identical_decoupled_wts_split_symmetrically():
 def test_equal_features_collapse_to_one_group():
     table = np.array([[0.5 + 0j, 0.5 + 0j]] * 4)
     ft = FeatureTable(wt_ids=("w1", "w2", "w3", "w4"), table=table)
-    assert group_wts(ft, tau=0.1).n_groups == 1
+    with pytest.warns(UserWarning, match="^2 mode clusters vs 1 WT groups: "
+                      "no WT peaks in cluster 1$"):
+        assert group_wts(ft, tau=0.1).n_groups == 1
 
 
 def test_near_equal_features_merge_across_argmax_split():
@@ -528,7 +531,9 @@ def test_near_equal_features_merge_across_argmax_split():
     # within tau of each other, so the merge rule collapses them
     table = np.array([[0.501, 0.499], [0.499, 0.501]], dtype=complex)
     ft = FeatureTable(wt_ids=("w1", "w2"), table=table)
-    groups = group_wts(ft, tau=0.1)
+    with pytest.warns(UserWarning, match="^2 mode clusters vs 1 WT groups "
+                      "after merging cluster 1 into 0$"):
+        groups = group_wts(ft, tau=0.1)
     assert groups.n_groups == 1
     assert len(groups.merged) == 1
     assert group_wts(ft, tau=1e-6).n_groups == 2
@@ -554,7 +559,9 @@ def test_case_a_feature_vectors_nearly_equal(case_a):
     _, ft1, _ = case_a.clustered(1)
     mags = np.abs(ft1.table[:, 0])
     assert (mags.max() - mags.min()) / mags.mean() < 0.01
-    _, _, groups2 = case_a.clustered(2)
+    with pytest.warns(UserWarning, match="^2 mode clusters vs 1 WT groups: "
+                      "no WT peaks in cluster 0$"):
+        _, _, groups2 = case_a.clustered(2)
     assert groups2.n_groups == 1
 
 
@@ -573,10 +580,32 @@ def test_case_c_groups_match_ground_truth(case_c):
 def test_fifty_fifty_split_flagged_low_margin():
     table = np.array([[0.5, 0.5], [0.9, 0.1]], dtype=complex)
     ft = FeatureTable(wt_ids=("tied", "clear"), table=table)
-    groups = group_wts(ft, tau=0.0)     # no merging, inspect raw margins
+    # no merging, inspect raw margins; both WTs peak in cluster 0
+    with pytest.warns(UserWarning, match="^2 mode clusters vs 1 WT groups: "
+                      "no WT peaks in cluster 1$"):
+        groups = group_wts(ft, tau=0.0)
     assert groups.group_of["tied"] == 0          # argmax tie -> first cluster
     assert groups.margins["tied"] == 0.0
     assert groups.margins["clear"] > 0.5
+
+
+def test_group_warning_names_merges_and_idle_clusters():
+    # w1 and w2 peak in clusters 0 and 1, whose groups merge; none in 2
+    table = np.array([[0.501, 0.499, 0.0], [0.499, 0.501, 0.0]],
+                     dtype=complex)
+    ft = FeatureTable(wt_ids=("w1", "w2"), table=table)
+    with pytest.warns(UserWarning, match="^3 mode clusters vs 1 WT groups "
+                      "after merging cluster 1 into 0; "
+                      "no WT peaks in cluster 2$"):
+        assert group_wts(ft).merged == ((0, 1),)
+
+
+def test_as_many_groups_as_clusters_do_not_warn():
+    table = np.array([[0.9, 0.1], [0.1, 0.9]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        groups = group_wts(FeatureTable(wt_ids=("w1", "w2"), table=table))
+    assert groups.n_groups == 2
 
 
 def test_grouping_invariant_under_positive_rescale(case_b):

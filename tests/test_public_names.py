@@ -1,6 +1,6 @@
 """Every public name of the package has a user outside the tests, the
-package imports nothing but the standard library and numpy, and no module
-imports a name it never uses.
+package imports nothing but the standard library and numpy, no module
+imports a name it never uses, and the README's library example runs.
 
 A name only the tests reach is a test oracle and belongs in `tests/`.
 """
@@ -9,7 +9,7 @@ import ast
 import re
 import sys
 
-from helpers import ROOT, run_python_bounded
+from helpers import ROOT, library_example, run_python_bounded
 
 
 def test_every_public_definition_is_used_outside_the_tests():
@@ -18,9 +18,7 @@ def test_every_public_definition_is_used_outside_the_tests():
     in `scripts/` or `perfbench/`, or in the README's library example."""
     modules = {p: p.read_text() for p in sorted(ROOT.glob("src/wfdem/*.py"))
                if p.name != "__init__.py"}
-    readme = (ROOT / "README.md").read_text()
-    start = readme.index("```python", readme.index("## Library use"))
-    outside = [readme[start:readme.index("```\n", start + 1)]] + [
+    outside = [library_example()] + [
         p.read_text() for d in ("scripts", "perfbench")
         for p in sorted((ROOT / d).glob("*.py"))]
     unused = []
@@ -60,6 +58,21 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
         "'attrs'}))")], timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+def test_readme_library_example_runs():
+    """The README's "Library use" block runs from the repo root, as
+    written, without a warning, and prints E, E' and one NRMSE per scored
+    signal of its case-b C = 3 DEM."""
+    child = run_python_bounded(["-c", library_example()], timeout=120,
+                               cwd=ROOT)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    errors, nrmse = child.stdout.splitlines()
+    assert all(0 <= float(e) <= 0.02 for e in errors.split())
+    nrmse = ast.literal_eval(nrmse)
+    assert list(nrmse) == ["poi_p"] + [f"group{g}_u_dc" for g in range(3)]
+    assert all(0 < v < 0.05 for v in nrmse.values())
 
 
 def test_no_module_imports_a_name_it_never_uses():

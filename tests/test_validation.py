@@ -203,6 +203,8 @@ MODES = st.builds(complex, st.floats(-1e3, 1e3),
 # np.abs rounds |z| of these modes differently from Python's abs
 @example([82.551 - 23.264j, 8.725 + 37.108j, 45.931 + 5.071j],
          [-64.869 - 37.952j], [0], [8.292 + 77.898j])
+# a subnormal |mode| puts the relative error beyond the largest float
+@example([2.2250738585e-313j], [1j], [0], [1j])
 def test_mode_errors_equal_the_per_mode_abs_loop(modes, centres, labels,
                                                  dem):
     concern, dem_set = concern_of(modes), concern_of(dem)
