@@ -11,7 +11,9 @@ JOBVR = V and the workspace its own query returns; dgesv against the
 identity), so they return numpy's bits.  Where the process finds no such
 library (numpy 1.x, MKL or distribution builds) they take the same LAPACK
 results from `np.linalg.eig` and `np.linalg.inv`.  The library is looked
-up once, on first use.
+up once, on first use.  `geev` hands dgeev its argument to overwrite, so
+its caller decides whether a copy is needed; `inv` copies R for dgesv,
+since R is kept.
 """
 
 from __future__ import annotations
@@ -109,8 +111,10 @@ def geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Im > 0 first.  Column i of vr is u_i for a real mode; a pair's two
     columns hold Re u and Im u of its first member.  On both routes each
     u_i has unit 2-norm and its largest component real, as dgeev
-    normalises it.  No complex array is formed on the bundled route.
-    LinAlgError when the QR iteration does not converge.
+    normalises it.  No complex array is formed on the bundled route, and
+    no copy of `a`: there `a` must be a writeable Fortran-ordered float64
+    array, and dgeev overwrites it.  LinAlgError when the QR iteration
+    does not converge.
     """
     lapack = _bundled()
     if lapack is None:
@@ -120,7 +124,6 @@ def geev(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vr[:, up + 1] = u.imag[:, up]
         return lam.real, lam.imag, vr
     n = len(a)
-    a = np.array(a, dtype=float, order="F")    # dgeev overwrites its A
     wr, wi, vr = np.empty(n), np.empty(n), np.empty((n, n), order="F")
     query = np.empty(1)
     _check("dgeev", lapack.dgeev(a, wr, wi, vr, query, -1))

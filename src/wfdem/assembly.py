@@ -11,6 +11,12 @@ The network is series-only, so K stacks one 2x2 identity per WT and B_s is
 the row-stack of the block inputs, and the POI power is one output row
 plus a feedthrough.  The closure uses Z, never Y = Z^-1: Kron reduction
 always yields Z, while Y does not exist for zero-impedance ties.
+
+No block-diagonal A is formed: `assemble_farm` takes B_s and the POI row
+from the dense B and C, frees C once it has Z C and B once it has B (Z C),
+and adds each WT's A block into its diagonal block of that product.  So
+B, Z C and the product, two n x n arrays' worth, are the most that is live
+at once, where B, C, Z C, B Z C and A were.
 """
 
 from __future__ import annotations
@@ -36,9 +42,12 @@ class FarmStateSpace:
     i0)^T S and d_p = i0: S sums the WT current maps (di = S x), i0 the
     system-base operating currents, and u0 = e0 + Z_g i0 is the POI
     voltage, so dP = u0 di + i0 du with du = Z_g di + de.
+
+    `a_s` is None in a solved `modal.FarmModel`: the decomposition
+    consumed it.  `linear_model` rebuilds it, to the bit.
     """
 
-    a_s: np.ndarray          # (4N, 4N)
+    a_s: np.ndarray | None   # (4N, 4N)
     b_s: np.ndarray          # (4N, 2)
     labels: tuple[StateLabel, ...]
     wt_order: tuple[str, ...]
@@ -47,7 +56,7 @@ class FarmStateSpace:
 
     @property
     def n_states(self) -> int:
-        return self.a_s.shape[0]
+        return len(self.labels)
 
     def kind_rows(self, kinds: tuple[str, ...]) -> np.ndarray:
         """Rows of the states of `kinds`, ascending; for one kind, one row
@@ -56,22 +65,20 @@ class FarmStateSpace:
                          if kind in kinds], dtype=int)
 
 
-def _stack_blocks(blocks: list[WtStateSpace],
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-diagonal (A, B, C) over the WT blocks, in block order."""
+def _stack_ports(blocks: list[WtStateSpace],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Block-diagonal (B, C) over the WT blocks, in block order."""
     ns = sum(blk.a.shape[0] for blk in blocks)
     n = len(blocks)
-    a = np.zeros((ns, ns))
     b = np.zeros((ns, 2 * n))
     c = np.zeros((2 * n, ns))
     row = 0
     for k, blk in enumerate(blocks):
         m = blk.a.shape[0]
-        a[row:row + m, row:row + m] = blk.a
         b[row:row + m, 2 * k:2 * k + 2] = blk.b
         c[2 * k:2 * k + 2, row:row + m] = blk.c
         row += m
-    return a, b, c
+    return b, c
 
 
 def assemble_farm(blocks: list[WtStateSpace],
@@ -88,19 +95,28 @@ def assemble_farm(blocks: list[WtStateSpace],
     if len(set(labels)) != len(labels):
         raise ValueError("state labels are not unique")
 
-    a, b, c = _stack_blocks(blocks)
-    a += b @ (net.z @ c)
+    b, c = _stack_ports(blocks)
     i0 = np.sum([blk.i_xy0_sys for blk in blocks], axis=0)
     u0 = np.array([SLACK_E0.real, SLACK_E0.imag]) + net.grid_block @ i0
+    b_s = b.reshape(len(b), n, 2).sum(axis=1)
+    c_p = (u0 + net.grid_block.T @ i0) @ c.reshape(n, 2, -1).sum(axis=0)
+    zc = net.z @ c
+    del c
+    a = b @ zc
+    del b, zc
+    # add the A blocks into B Z C in place: addition commutes, so every
+    # entry keeps the bits of blockdiag(A) + B Z C, and adding +0.0 off the
+    # blocks turns a -0.0 into the +0.0 that 0.0 + (-0.0) gives
+    row = 0
+    for blk in blocks:
+        band = a[row:row + len(blk.a)]
+        band[:, :row] += 0.0
+        band[:, row:row + len(blk.a)] += blk.a
+        band[:, row + len(blk.a):] += 0.0
+        row += len(blk.a)
 
-    return FarmStateSpace(
-        a_s=a,
-        b_s=b.reshape(len(b), n, 2).sum(axis=1),
-        labels=tuple(labels),
-        wt_order=net.wt_order,
-        c_p=(u0 + net.grid_block.T @ i0) @ c.reshape(n, 2, -1).sum(axis=0),
-        d_p=i0,
-    )
+    return FarmStateSpace(a_s=a, b_s=b_s, labels=tuple(labels),
+                          wt_order=net.wt_order, c_p=c_p, d_p=i0)
 
 
 def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
@@ -115,7 +131,8 @@ def linear_model(farm: FarmDescription, sol: BusSolution) -> FarmStateSpace:
     with np.errstate(over="ignore", invalid="ignore"):
         fss = assemble_farm([linearize_wt(wt, v[bus], farm.bases)
                              for wt, bus in farm.wts], net)
-    bad = ~np.isfinite(np.column_stack([fss.a_s, fss.b_s, fss.c_p])).all(1)
+    bad = ~(np.isfinite(fss.a_s).all(1) & np.isfinite(fss.b_s).all(1)
+            & np.isfinite(fss.c_p))
     if bad.any():
         raise FarmValidationError(
             f"WT {fss.labels[np.argmax(bad)][0]!r}: linearized model is not "

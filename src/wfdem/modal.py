@@ -16,6 +16,12 @@ and W = R^-1 holds the left vectors in the same form.  U and V, complex,
 are formed only for the rows and modes a caller reads.  Each u_i keeps
 dgeev's unit 2-norm and phase, which no result reads.
 
+A `FarmModel` keeps R and W but no state matrix.  `solve_modes` hands A
+to `eig_biorthogonal` as an array-like that keeps no reference to it, so
+A is freed once copied for dgeev; the one pair rule that needs ||A||_2
+relinearizes.  The decomposition's peak is then R, dgesv's copy of it and
+W.
+
 `eig_biorthogonal` costs one LAPACK dgeev and one real dgesv (`_lapack`)
 plus O(n^2) norms, and reads the conjugate pairs from dgeev's layout.
 Frobenius bounds decide its gates, cond_2(U) > 1e12 and |Im lam| > 1e-7
@@ -26,11 +32,12 @@ pair below 1e-7 ||A||_F.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import _lapack
 from .assembly import FarmStateSpace, linear_model
@@ -46,6 +53,8 @@ _COND_MAX = 1e12
 _CERT_MAX = _COND_MAX / 100.0
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
+# rows of the MPF block that `ModalSolution.participation` forms at a time
+_ROW_BLOCK = 64
 # state kinds whose participation ranks the concern modes; [0] gives features
 STATE_FILTER = ("u_dc",)
 
@@ -123,13 +132,21 @@ class ModalSolution:
                       cols: Sequence[int]) -> np.ndarray:
         """MPF block f[k, i] = v_i[k] * u_i[k], k in rows, i in cols.
 
-        Both factors are C-contiguous and the product is formed out of
-        place, so numpy runs one multiply loop whatever the block (an
-        in-place product of a single entry takes its scalar loop, which can
-        round differently); every entry equals the full table's, formed
+        The result is filled `_ROW_BLOCK` rows at a time, so beside it
+        only one row block's factors are live.  Both factors are
+        C-contiguous and their product goes to rows of the result, never
+        into a factor, so numpy runs one multiply loop whatever the block
+        (an in-place product of a single entry takes its scalar loop, which
+        can round differently); every entry equals the full table's, formed
         from the same basis, bit for bit.
         """
-        return self.left(rows, cols) * self.right(rows, cols)
+        rows = np.asarray(rows, dtype=int)
+        f = np.empty((len(rows), len(cols)), dtype=complex)
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            part = rows[lo:lo + _ROW_BLOCK]
+            np.multiply(self.left(part, cols), self.right(part, cols),
+                        out=f[lo:lo + len(part)])
+        return f
 
     def residues(self, m: np.ndarray, q: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,7 +174,7 @@ class ModalSolution:
                               & (self.eigenvalues.imag > 0))
 
 
-def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
+def eig_biorthogonal(a_s: ArrayLike) -> ModalSolution:
     """Full eigendecomposition in LAPACK's real eigenbasis.
 
     R is dgeev's right vectors in real form with the columns in sorted
@@ -177,31 +194,40 @@ def eig_biorthogonal(a_s: np.ndarray) -> ModalSolution:
     that product exceeds `_CERT_MAX` (then `cond(R D)` decides) or when a
     pair has |Im lam| at or below 1e-7 max(1, ||A||_F) (then `norm(A, 2)`
     decides).
-    """
-    a_s = np.asarray(a_s, dtype=float)
-    n = a_s.shape[0]
-    if n == 0 or a_s.shape != (n, n) or not np.all(np.isfinite(a_s)):
-        raise ValueError("state matrix must be non-empty, square and finite")
 
-    wr, wi, vr = _lapack.geev(a_s)
+    `a_s` is left untouched: dgeev overwrites a Fortran-ordered copy.
+    The array `np.asarray` makes of `a_s` is released once copied, and only
+    that pair rule's SVD converts `a_s` again, so an array-like that hands
+    over a matrix nothing else holds (as `solve_modes` does) frees it
+    before dgeev runs.
+    """
+    a = np.asarray(a_s, dtype=float)
+    n = a.shape[0]
+    if n == 0 or a.shape != (n, n) or not np.all(np.isfinite(a)):
+        raise ValueError("state matrix must be non-empty, square and finite")
+    with np.errstate(over="ignore"):    # an inf ||A||_F defers to the SVD
+        norm_f = float(np.linalg.norm(a))
+    a = np.array(a, order="F")          # dgeev's to overwrite
+
+    wr, wi, vr = _lapack.geev(a)
+    del a
     lam = np.empty(n, dtype=complex)
     lam.real, lam.imag = wr, wi
     up = _conjugate_layout(lam)
     order = np.lexsort((lam.imag, lam.real))
     rank = np.argsort(order)
+    conj_of = np.arange(n)
+    conj_of[rank[up]], conj_of[rank[up + 1]] = rank[up + 1], rank[up]
+    lam = lam[order]
+    pair_of = _pair_modes(a_s, lam, conj_of, norm_f)
     # R's columns are vr's in sorted order, taken as rows of vr.T into R's
     # own memory; mode="clip" (order is a permutation) spares an n^2 buffer
     basis = np.empty((n, n), order="F")
     np.take(vr.T, order, axis=0, out=basis.T, mode="clip")
     del vr
-
-    conj_of = np.arange(n)
-    conj_of[rank[up]], conj_of[rank[up + 1]] = rank[up + 1], rank[up]
-    lam = lam[order]
     return ModalSolution(eigenvalues=lam, basis=basis,
                          inverse=_inverse_basis(basis, conj_of),
-                         conj_of=conj_of,
-                         pair_of=_pair_modes(a_s, lam, conj_of))
+                         conj_of=conj_of, pair_of=pair_of)
 
 
 def _inverse_basis(r: np.ndarray, conj_of: np.ndarray) -> np.ndarray:
@@ -245,15 +271,16 @@ def _conjugate_layout(lam: np.ndarray) -> np.ndarray:
     return np.flatnonzero(upper)
 
 
-def _pair_modes(a: np.ndarray, lam: np.ndarray,
-                conj_of: np.ndarray) -> np.ndarray:
+def _pair_modes(a_s: ArrayLike, lam: np.ndarray, conj_of: np.ndarray,
+                norm_f: float) -> np.ndarray:
     """`pair_of` of the sorted modes `lam`: a conjugate pair oscillates when
-    |Im lam| > `_PAIR_RTOL` max(1, ||A||_2); the bound ||A||_F >= ||A||_2
-    decides first."""
+    |Im lam| > `_PAIR_RTOL` max(1, ||A||_2).  The bound `norm_f` = ||A||_F
+    >= ||A||_2 decides first; only a pair at or below it converts the
+    array-like `a_s` for the SVD."""
     im = np.abs(lam.imag)
-    with np.errstate(over="ignore"):    # an inf ||A||_F defers to the SVD
-        scale = max(1.0, float(np.linalg.norm(a)))
+    scale = max(1.0, norm_f)
     if np.any((im > 0) & (im <= _PAIR_RTOL * scale)):
+        a = np.asarray(a_s, dtype=float)
         scale = max(1.0, float(np.linalg.norm(a, ord=2)))
     return np.where(im > _PAIR_RTOL * scale, conj_of, -1)
 
@@ -309,11 +336,32 @@ class FarmModel:
     concern: ConcernSet
 
 
+class _StateMatrix:
+    """The state matrix of `farm` at `flow`, as an array-like that
+    `eig_biorthogonal` can free: the first conversion hands over the matrix
+    `linear_model` built and keeps no reference to it; a later one, which
+    only the pair rule's SVD makes, relinearizes.  `linear_model` is
+    deterministic, so every conversion gives the same bits."""
+
+    def __init__(self, a_s: np.ndarray, farm: FarmDescription,
+                 flow: BusSolution):
+        self._a_s, self._farm, self._flow = a_s, farm, flow
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        a_s, self._a_s = self._a_s, None
+        if a_s is None:
+            a_s = linear_model(self._farm, self._flow).a_s
+        return a_s
+
+
 def solve_modes(farm: FarmDescription, flow: BusSolution) -> FarmModel:
     """Linearize the farm at the power flow, decompose it and select one
-    concern mode per WT, ranked by the `STATE_FILTER` states."""
+    concern mode per WT, ranked by the `STATE_FILTER` states.  The model
+    keeps no state matrix: its `fss.a_s` is None."""
     fss = linear_model(farm, flow)
-    sol = eig_biorthogonal(fss.a_s)
+    a_s = _StateMatrix(fss.a_s, farm, flow)
+    fss = replace(fss, a_s=None)
+    sol = eig_biorthogonal(a_s)
     return FarmModel(fss, sol, select_concern_modes(
         sol, fss.kind_rows(STATE_FILTER), farm.n_wt))
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from wfdem.aggregation import build_dem
+from wfdem.assembly import linear_model
 from wfdem.cases import case_farm
 from wfdem.clustering import cluster_modes, group_wts, superimpose_mpf
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
@@ -61,6 +62,15 @@ class SolvedFarm:
     def dem(self, c: int, seed: int = 42):
         clusters, _, groups = self.clustered(c, seed)
         return clusters, groups, build_dem(self.farm, groups)
+
+
+def state_matrix(farm: FarmDescription, sol: BusSolution) -> np.ndarray:
+    """The closed-loop state matrix of `farm` at the power flow `sol`.
+
+    A solved `FarmModel` keeps none (its `fss.a_s` is None), so this
+    rebuilds it through `linear_model`, which `solve_modes` called with the
+    same arguments: the same bits."""
+    return linear_model(farm, sol).a_s
 
 
 def terminal_voltages(farm: FarmDescription, sol: BusSolution,

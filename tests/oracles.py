@@ -7,10 +7,10 @@ model, the POI current and slack power, the series network losses, the
 equal-loss impedance of a WT group branch by branch, each WT group's
 members, capacity total and capacity shares, each WT group's
 capacity-weighted mean DC voltage, the POI port of the collector's Kron
-reduction, the admittance form of the farm closure, the relative mode
-errors mode by mode, the eigensolution in complex arithmetic, the dense MPF
-table of every state and mode, and the per-cell difference of two artifact
-numbers.
+reduction, the farm closure as a dense block-diagonal sum and in
+admittance form, the relative mode errors mode by mode, the eigensolution
+in complex arithmetic, the dense MPF table of every state and mode, and
+the per-cell difference of two artifact numbers.
 """
 
 import cmath
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wfdem.assembly import _stack_blocks, linear_model
+from wfdem.assembly import linear_model
 from wfdem.farm import (Branch, FarmDescription, GridThevenin,
                         NetworkMatrices, PerUnitBases, WtParams,
                         nodal_network, xy_block)
@@ -327,6 +327,34 @@ def poi_port_impedance(farm: FarmDescription) -> np.ndarray:
     return np.hstack([xy_block(z) for z in row])
 
 
+def stack_blocks(blocks: list[WtStateSpace],
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal (A, B, C) over the WT blocks, in block order."""
+    ns = sum(blk.a.shape[0] for blk in blocks)
+    n = len(blocks)
+    a = np.zeros((ns, ns))
+    b = np.zeros((ns, 2 * n))
+    c = np.zeros((2 * n, ns))
+    row = 0
+    for k, blk in enumerate(blocks):
+        m = blk.a.shape[0]
+        a[row:row + m, row:row + m] = blk.a
+        b[row:row + m, 2 * k:2 * k + 2] = blk.b
+        c[2 * k:2 * k + 2, row:row + m] = blk.c
+        row += m
+    return a, b, c
+
+
+def dense_closed_loop(blocks: list[WtStateSpace],
+                      net: NetworkMatrices) -> np.ndarray:
+    """A_s as the dense sum blockdiag(A) + B (Z C) of the stacked blocks:
+    the bits `assemble_farm` keeps while it adds the A blocks into the
+    product's own buffer."""
+    a, b, c = stack_blocks(blocks)
+    a += b @ (net.z @ c)
+    return a
+
+
 def closed_loop_via_admittance(blocks: list[WtStateSpace],
                                net: NetworkMatrices) -> np.ndarray:
     """A_s through the admittance form A + B Y^-1 C with Y = Z^-1.
@@ -334,7 +362,7 @@ def closed_loop_via_admittance(blocks: list[WtStateSpace],
     Algebraically equal to `assemble_farm`'s A + B Z C whenever Z is
     invertible; a singular Z raises `numpy.linalg.LinAlgError`.
     """
-    a, b, c = _stack_blocks(blocks)
+    a, b, c = stack_blocks(blocks)
     return a + b @ np.linalg.solve(np.linalg.inv(net.z), c)
 
 
@@ -402,8 +430,10 @@ def complex_eig_biorthogonal(a_s: np.ndarray) -> ComplexModes:
         if v is None:
             v = np.linalg.inv(u)
     lam = lam[order]
+    with np.errstate(over="ignore"):
+        norm_f = float(np.linalg.norm(a_s))
     return ComplexModes(lam, u, v,
-                        _pair_modes(a_s, lam, exact_conjugates(lam)))
+                        _pair_modes(a_s, lam, exact_conjugates(lam), norm_f))
 
 
 def exact_conjugates(lam: np.ndarray) -> np.ndarray:

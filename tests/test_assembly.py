@@ -10,10 +10,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import (ROOT, SolvedFarm, random_radial_farm, solved_case,
-                     stiff_grid, terminal_voltages)
-from oracles import (closed_loop_via_admittance, grid_current,
-                     poi_port_impedance)
+from helpers import (ROOT, SolvedFarm, ladder_farm, random_radial_farm,
+                     solved_case, state_matrix, stiff_grid,
+                     terminal_voltages)
+from oracles import (closed_loop_via_admittance, dense_closed_loop,
+                     grid_current, poi_port_impedance)
 from wfdem.assembly import assemble_farm, linear_model
 from wfdem.cases import (case_farm, identical_zero_network_farm,
                          single_wt_farm)
@@ -88,6 +89,26 @@ def test_zero_network_reduces_to_block_diagonal():
         assert np.abs(row - row[0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("farm", [
+    *(pytest.param(lambda c=c: case_farm(c), id=f"case_{c}")
+      for c in "abcd"),
+    pytest.param(lambda: stiff_grid(case_farm("b")), id="stiff_b"),
+    pytest.param(lambda: load_farm(ROOT / "farms" / "zero_network.json"),
+                 id="zero_network"),
+    pytest.param(lambda: load_farm(ROOT / "farms" / "single_wt.json"),
+                 id="single_wt"),
+    pytest.param(lambda: ladder_farm(10, 10, 7), id="ladder10x10"),
+])
+def test_closure_is_the_dense_sum_bit_for_bit(farm):
+    """Adding the A blocks into B Z C gives the bits of the dense
+    blockdiag(A) + B Z C, signed zeros included: the int64 views match."""
+    blocks, net = solved_blocks(farm())
+    got = assemble_farm(blocks, net).a_s
+    want = dense_closed_loop(blocks, net)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("seed", [35, 11, 8])    # seed 35 is exactly N = 2
 def test_farm_matches_dae_elimination(seed):
     farm = random_radial_farm(seed)
@@ -99,8 +120,8 @@ def test_farm_matches_dae_elimination(seed):
 
 
 def test_spectrum_closed_under_conjugation():
-    fss = solved_case("a").fss
-    lam = np.linalg.eigvals(fss.a_s)
+    s = solved_case("a")
+    lam = np.linalg.eigvals(state_matrix(s.farm, s.sol))
     conj_sorted = np.conj(lam)[np.lexsort((np.conj(lam).imag,
                                            np.conj(lam).real))]
     direct = lam[np.lexsort((lam.imag, lam.real))]
@@ -121,16 +142,17 @@ def test_wt_permutation_leaves_spectrum_fixed():
 
     assert fss_p.labels != fss.labels
     assert set(fss_p.labels) == set(fss.labels)
-    assert np.abs(sorted_eigs(fss.a_s) - sorted_eigs(fss_p.a_s)).max() < 1e-9
+    a = state_matrix(farm, solved_case("b").sol)
+    assert np.abs(sorted_eigs(a) - sorted_eigs(fss_p.a_s)).max() < 1e-9
 
 
 @pytest.mark.parametrize("case", ["a", "b"])
 def test_closure_forms_agree(case):
     s = solved_case(case)
     alt = closed_loop_via_admittance(s.blocks, s.net)
-    scale = max(1.0, np.abs(sorted_eigs(s.fss.a_s)).max())
-    assert np.abs(sorted_eigs(s.fss.a_s) - sorted_eigs(alt)).max() \
-        < 1e-10 * scale
+    lam = sorted_eigs(state_matrix(s.farm, s.sol))
+    scale = max(1.0, np.abs(lam).max())
+    assert np.abs(lam - sorted_eigs(alt)).max() < 1e-10 * scale
 
 
 @pytest.mark.parametrize("make", [

@@ -16,15 +16,18 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
-from helpers import ROOT, SolvedFarm, ladder_farm, terminal_voltages
+from helpers import (ROOT, SolvedFarm, ladder_farm, state_matrix,
+                     terminal_voltages)
 from oracles import (complex_basis, complex_eig_biorthogonal,
                      exact_conjugates, full_mpf, stiff_grid_mode)
-from wfdem import _lapack
+from wfdem import _lapack, modal
+from wfdem.assembly import linear_model
 from wfdem.cases import identical_zero_network_farm
 from wfdem.farm import load_farm
-from wfdem.modal import (_PAIR_RTOL, DefectiveMatrixError, ModalSolution,
-                         eig_biorthogonal, select_concern_modes, solve_modes,
-                         write_modes_csv, write_mpf_csv)
+from wfdem.modal import (_PAIR_RTOL, _ROW_BLOCK, DefectiveMatrixError,
+                         ModalSolution, eig_biorthogonal,
+                         select_concern_modes, solve_modes, write_modes_csv,
+                         write_mpf_csv)
 from wfdem.powerflow import solve_powerflow
 
 
@@ -59,7 +62,7 @@ def test_oscillatory_2x2():
 
 
 def test_residuals_and_biorthonormality_on_farm_matrix(case_a):
-    a = case_a.fss.a_s
+    a = state_matrix(case_a.farm, case_a.sol)
     sol = case_a.modal
     norm_a = np.linalg.norm(a, 2)
     u, v = complex_basis(sol)
@@ -84,21 +87,34 @@ def bits(z):
 
 
 index_lists = st.lists(st.integers(0, 131), max_size=40)
+# rows reaching into a third row block, whose tail holds one row
+SPANNING = [k % 132 for k in range(2 * _ROW_BLOCK + 1)]
 
 
-@given(rows=index_lists, cols=index_lists)
+@given(rows=index_lists | st.lists(st.integers(0, 131),
+                                   min_size=_ROW_BLOCK + 1,
+                                   max_size=3 * _ROW_BLOCK),
+       cols=index_lists)
 @example(rows=[], cols=[])
 @example(rows=[5, 5, 0], cols=[])
 @example(rows=[], cols=[131, 0, 131])
 @example(rows=list(range(132)), cols=list(range(132)))
 @example(rows=list(range(131, -1, -1)) * 2, cols=list(range(0, 132, 3)))
+@example(rows=SPANNING, cols=[7])
+@example(rows=SPANNING[::-1], cols=[131, 0])
+@example(rows=SPANNING, cols=[])
+@example(rows=SPANNING[:2 * _ROW_BLOCK], cols=[64])
 def test_participation_slices_the_full_table_bit_for_bit(case_b, rows, cols):
     """Any rows x cols block, repeats and empty sets included, holds the
-    full table's entries to the last bit.
+    full table's entries to the last bit, also where its rows span
+    several of the row blocks `participation` fills and the last block is
+    1 x 1.
 
     numpy multiplies a block under its 8192-element buffer through
     contiguous copies whatever the layout, so only the larger examples
-    can tell a strided product from the full table's contiguous one.
+    can tell a strided product from the full table's contiguous one; a
+    1 x 1 product in place would take numpy's scalar loop, which can round
+    differently.
     """
     sol = case_b.modal
     block = sol.participation(rows, cols)
@@ -127,7 +143,7 @@ def test_conjugate_modes_carry_conjugate_mpfs(case_b):
 
 
 def test_decomposition_is_deterministic(case_a):
-    a = case_a.fss.a_s
+    a = state_matrix(case_a.farm, case_a.sol)
     s1 = eig_biorthogonal(a)
     s2 = eig_biorthogonal(a)
     assert np.array_equal(s1.basis, s2.basis)
@@ -151,7 +167,7 @@ def test_zero_input_response_reconstruction():
 def test_zero_input_reconstruction_on_concern_states(case_a):
     # initial condition supported on the DC-voltage states only
     sol = case_a.modal
-    a = case_a.fss.a_s
+    a = state_matrix(case_a.farm, case_a.sol)
     rng = np.random.default_rng(11)
     x0 = np.zeros(a.shape[0])
     rows = case_a.fss.kind_rows(("u_dc",))
@@ -219,7 +235,7 @@ def test_pll_filter_selects_disjoint_band(case_a):
 
 
 def test_selection_invariant_to_state_reordering(case_a):
-    a = case_a.fss.a_s
+    a = state_matrix(case_a.farm, case_a.sol)
     labels = case_a.fss.labels
     n = a.shape[0]
     rng = np.random.default_rng(5)
@@ -394,7 +410,8 @@ def assert_matches_reference(a):
 @pytest.mark.parametrize("case", ["a", "b", "c", "d"])
 def test_matches_svd_reference_on_study_cases(request, case):
     s = request.getfixturevalue(f"case_{case}")
-    assert_same_solution(s.modal, reference_eig_biorthogonal(s.fss.a_s))
+    a = state_matrix(s.farm, s.sol)
+    assert_same_solution(s.modal, reference_eig_biorthogonal(a))
 
 
 @pytest.mark.parametrize("farm", [
@@ -403,7 +420,8 @@ def test_matches_svd_reference_on_study_cases(request, case):
     pytest.param(lambda: ladder_farm(10, 10, 7), id="ladder10x10"),
 ])
 def test_matches_svd_reference_on_farms(farm):
-    assert_matches_reference(SolvedFarm(farm()).fss.a_s)
+    s = SolvedFarm(farm())
+    assert_matches_reference(state_matrix(s.farm, s.sol))
 
 
 @st.composite
@@ -474,9 +492,9 @@ def test_matches_svd_reference_on_near_defective_matrices(log_gap, seed):
 
 def test_common_path_needs_no_svd(monkeypatch, case_b):
     # solved before the patch: only eig_biorthogonal runs without svd
-    solved = [case_b,
-              SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
-              SolvedFarm(ladder_farm(10, 10, 7))]
+    solved = [(state_matrix(s.farm, s.sol), s.modal) for s in (
+        case_b, SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
+        SolvedFarm(ladder_farm(10, 10, 7)))]
 
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD called")
@@ -485,8 +503,8 @@ def test_common_path_needs_no_svd(monkeypatch, case_b):
     monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", no_svd)
     with pytest.raises(AssertionError, match="SVD called"):
         np.linalg.cond(np.eye(2))
-    for s in solved:
-        assert_same_solution(eig_biorthogonal(s.fss.a_s), s.modal)
+    for a, want in solved:
+        assert_same_solution(eig_biorthogonal(a), want)
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +664,112 @@ def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
     assert sol.inverse.flags.c_contiguous
 
 
-def test_eig_biorthogonal_transient_memory_is_bounded():
-    """Guard against an extra n x n buffer: tracemalloc's peak over the
-    call, the solution's own R and W included, stays below 3.5 * 8 * n^2
-    bytes on the benchmark's seed-7 10 x 10 ladder (400 states).  Measured
-    3.03 * 8 * n^2 (3.01 at 1200 states); filling R by `np.take(vr, order,
-    axis=1, out=np.empty((n, n), order="F"))` reads 4.02."""
-    a_s = SolvedFarm(ladder_farm(10, 10, 7)).fss.a_s
-    n = a_s.shape[0]
+def traced_peak(fn):
+    """fn() and tracemalloc's peak over the call above its start, in
+    bytes."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        sol = eig_biorthogonal(a_s)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_eig_biorthogonal_transient_memory_is_bounded():
+    """Guard against an extra n x n buffer: tracemalloc's peak over the
+    call, the solution's own R and W included, stays below 3.5 * 8 * n^2
+    bytes on the benchmark's seed-7 10 x 10 ladder (400 states).  Measured
+    3.04 * 8 * n^2 (3.01 at 1200 states); filling R by `np.take(vr, order,
+    axis=1, out=np.empty((n, n), order="F"))` reads 4.02."""
+    s = SolvedFarm(ladder_farm(10, 10, 7))
+    a_s = state_matrix(s.farm, s.sol)
+    n = a_s.shape[0]
+    sol, peak = traced_peak(lambda: eig_biorthogonal(a_s))
     assert sol.n_modes == n == 400
     assert peak < 3.5 * 8 * n * n
+
+
+def square_arrays(obj, n: int) -> list[np.ndarray]:
+    """The n x n arrays among the fields of a dataclass tree."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.shape == (n, n) else []
+    if dataclasses.is_dataclass(obj):
+        return [x for f in dataclasses.fields(obj)
+                for x in square_arrays(getattr(obj, f.name), n)]
+    return []
+
+
+def counting_linear_model(monkeypatch) -> list:
+    """Patch `modal.linear_model` to log each call; returns the log."""
+    calls = []
+
+    def counted(farm, flow):
+        calls.append(farm)
+        return linear_model(farm, flow)
+    monkeypatch.setattr(modal, "linear_model", counted)
+    return calls
+
+
+def test_solve_modes_keeps_no_state_matrix(monkeypatch):
+    """The solved model holds R and W and no other n x n array, the farm is
+    linearized once, and tracemalloc's peak over `solve_modes` stays below
+    3.25 * 8 * n^2 bytes on the seed-7 10 x 10 ladder (400 states).
+    Measured 3.04 * 8 * n^2 (3.01 at 1200 states), set by R, dgesv's LU
+    copy of it and W.  Holding A until the pairs were decided, beside
+    dgeev's copy of it and the eigenvectors, read 3.34; keeping A beside
+    the whole decomposition, 4.04."""
+    farm = ladder_farm(10, 10, 7)
+    flow = solve_powerflow(farm)
+    calls = counting_linear_model(monkeypatch)
+    model, peak = traced_peak(lambda: solve_modes(farm, flow))
+    n = model.fss.n_states
+    assert n == 400 and model.fss.a_s is None and len(calls) == 1
+    held = square_arrays(model, n)
+    assert len(held) == 2
+    assert held[0] is model.modal.basis and held[1] is model.modal.inverse
+    assert peak < 3.25 * 8 * n * n
+
+
+def test_write_mpf_csv_transient_memory_is_bounded(tmp_path):
+    """tracemalloc's peak over `write_mpf_csv` stays below 2.5 times the
+    MPF block's bytes on the seed-7 10 x 10 ladder (400 states, 100
+    concern modes).  Measured 2.05: the block and the copy `np.savez`
+    writes out of it; forming the block whole, its two factors beside it,
+    read 3.12."""
+    model = SolvedFarm(ladder_farm(10, 10, 7)).model
+    block = 16 * model.fss.n_states * len(model.concern)
+    _, peak = traced_peak(
+        lambda: write_mpf_csv(model, tmp_path / "mpf.npz"))
+    assert block == 16 * 400 * 100
+    assert peak < 2.5 * block
+
+
+def test_solve_modes_decides_a_near_real_pair_by_the_spectral_norm(
+        monkeypatch):
+    """A PLL integral gain just past critical damping gives the single WT a
+    pair with |Im lam| = 3.536e-4, between 1e-7 ||A||_2 = 3.483e-4 and
+    1e-7 ||A||_F = 3.598e-4, so only the SVD of A calls it oscillatory.
+    `solve_modes` frees A before dgeev and relinearizes for that SVD:
+    pair_of is [1, 0, 3, 2], as it was while the model kept A."""
+    farm = load_farm(ROOT / "farms" / "single_wt.json")
+    (wt, bus), = farm.wts
+    farm = dataclasses.replace(farm, wts=(
+        (dataclasses.replace(wt, ki_pll=899.9071840955), bus),))
+    flow = solve_powerflow(farm)
+    calls = counting_linear_model(monkeypatch)
+    model = solve_modes(farm, flow)
+    assert len(calls) == 2
+    a = state_matrix(farm, flow)
+    im = np.abs(model.modal.eigenvalues.imag)
+    corner = (im > 0) & (im <= _PAIR_RTOL * np.linalg.norm(a))
+    assert np.count_nonzero(corner) == 2
+    assert np.all(im[corner] > _PAIR_RTOL * np.linalg.norm(a, 2))
+    assert model.modal.pair_of.tolist() == [1, 0, 3, 2]
 
 
 @given(real_repeated_near_real(), st.integers(0, 2**32 - 1))
@@ -764,9 +867,9 @@ def test_numpy_route_gives_the_same_bits_on_near_defective_matrices(
 @bundled
 def test_bundled_route_calls_neither_eig_nor_inv(monkeypatch, case_b):
     # solved before the patch; np.linalg.eig would form a complex n x n U
-    solved = [case_b,
-              SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
-              SolvedFarm(ladder_farm(10, 10, 7))]
+    solved = [(state_matrix(s.farm, s.sol), s.modal) for s in (
+        case_b, SolvedFarm(load_farm(ROOT / "farms" / "zero_network.json")),
+        SolvedFarm(ladder_farm(10, 10, 7)))]
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -776,8 +879,8 @@ def test_bundled_route_calls_neither_eig_nor_inv(monkeypatch, case_b):
     monkeypatch.setattr(np.linalg, "inv", refuse("inv"))
     with pytest.raises(AssertionError, match="np.linalg.eig called"):
         on_numpy_route(eig_biorthogonal, np.eye(2))
-    for s in solved:
-        assert_identical(eig_biorthogonal(s.fss.a_s), s.modal)
+    for a, want in solved:
+        assert_identical(eig_biorthogonal(a), want)
 
 
 class Reporting:
@@ -910,7 +1013,8 @@ def assert_unit_vectors(sol):
 @pytest.mark.parametrize("case", ["a", "b", "c", "d"])
 def test_right_vectors_have_unit_norm_on_study_cases(request, case):
     """The cond(U) gate measures dgeev's unit vectors, on both routes."""
-    a = request.getfixturevalue(f"case_{case}").fss.a_s
+    s = request.getfixturevalue(f"case_{case}")
+    a = state_matrix(s.farm, s.sol)
     assert_unit_vectors(eig_biorthogonal(a))
     assert_unit_vectors(on_numpy_route(eig_biorthogonal, a))
 

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import random_pll_grid_farm
+from helpers import random_pll_grid_farm, state_matrix
 from test_modal import assert_matches_reference
-from wfdem.assembly import linear_model
 from wfdem.cli import RunConfig, StageError, run_pipeline
 from wfdem.farm import save_farm
 from wfdem.powerflow import PowerflowError, solve_powerflow
@@ -49,4 +48,4 @@ def test_pipeline_finishes_or_names_its_error(farm_seed):
         sol = solve_powerflow(farm)
     except PowerflowError:
         return
-    assert_matches_reference(linear_model(farm, sol).a_s)
+    assert_matches_reference(state_matrix(farm, sol))

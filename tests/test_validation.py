@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st
 from scipy.linalg import expm
 
 from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
-                     solved_case)
+                     solved_case, state_matrix)
 from oracles import (centre_errors_by_mode, complex_basis,
                      group_means_by_member, linearization_check,
                      nearest_errors_by_mode)
@@ -28,7 +28,7 @@ from wfdem.farm import (GridThevenin, PerUnitBases, WtParams, load_farm,
                         save_farm)
 from wfdem.modal import (_COND_MAX, ConcernSet, DefectiveMatrixError,
                          ModalSolution, eig_biorthogonal)
-from wfdem.powerflow import SLACK_E0
+from wfdem.powerflow import SLACK_E0, solve_powerflow
 from wfdem.validation import (LinearResponse, centre_errors, compare_responses,
                               error_E, error_Eprime, nearest_errors, nrmse,
                               simulate_linear)
@@ -108,7 +108,6 @@ def max_relative_difference(resp: LinearResponse,
 
 def stiff_single_wt_fss() -> tuple[FarmStateSpace, WtParams]:
     from wfdem.assembly import linear_model
-    from wfdem.powerflow import solve_powerflow
     farm = identical_zero_network_farm(1, p_m0=0.9)
     return linear_model(farm, solve_powerflow(farm)), farm.wts[0][0]
 
@@ -296,16 +295,17 @@ def test_matrix_exponential_agrees_with_fine_rk4(case_a):
                            shares=per_wt(fss))
 
     de = fss.b_s @ np.array([-sag.fraction, 0.0])
+    a = state_matrix(s.farm, s.sol)
     n = fss.n_states
     x = np.zeros(n)
     fine = dt / 10.0
     xs = [x.copy()]
     for _ in range(200):
         for _ in range(10):
-            k1 = fss.a_s @ x + de
-            k2 = fss.a_s @ (x + 0.5 * fine * k1) + de
-            k3 = fss.a_s @ (x + 0.5 * fine * k2) + de
-            k4 = fss.a_s @ (x + fine * k3) + de
+            k1 = a @ x + de
+            k2 = a @ (x + 0.5 * fine * k1) + de
+            k3 = a @ (x + 0.5 * fine * k2) + de
+            k4 = a @ (x + fine * k3) + de
             x = x + fine / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         xs.append(x.copy())
     xs = np.array(xs).T
@@ -326,17 +326,22 @@ def test_unstable_matrix_is_flagged():
 
 def parity_models(name: str,
                   ) -> list[tuple[FarmStateSpace, ModalSolution]]:
-    """(state space, modal solution) pairs for one parity case."""
+    """(state space, modal solution) pairs for one parity case, each state
+    space with its state matrix, which the solved model does not keep."""
+    def complete(farm, sol, model):
+        return (dataclasses.replace(model.fss, a_s=state_matrix(farm, sol)),
+                model.modal)
+
     if name in ("a", "b", "c", "d"):
         s = solved_case(name)
-        return [(s.fss, s.modal)] + [
-            (dem.model.fss, dem.model.modal)
+        return [complete(s.farm, s.sol, s.model)] + [
+            complete(dem.farm, solve_powerflow(dem.farm), dem.model)
             for dem in (s.dem(c)[2] for c in (1, 3))]
     if name == "ladder":
         s = SolvedFarm(ladder_farm(10, 10, 7))
     else:
         s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
-    return [(s.fss, s.modal)]
+    return [complete(s.farm, s.sol, s.model)]
 
 
 @pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
