@@ -7,6 +7,12 @@ whose centroid features nearly coincide are merged, which is what turns
 "clusters of modes" into "groups of machines".  The grouping decides the
 WT group count, so it warns when that count falls short of the cluster
 count; the DEM is built from the grouping alone.
+
+k-means runs its restarts together as array operations, each restart on
+its own seed generator.  The `--auto-clusters` sweep carries every
+restart's k-means++ seeds from one C to the next and clusters no C that a
+lower bound on E, or a set of modes too far apart to share a cluster,
+rules out.
 """
 
 from __future__ import annotations
@@ -54,18 +60,65 @@ class ModeClusters:
         return {m: c for c, group in enumerate(self.members) for m in group}
 
 
-def _sqdist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """Squared distances (R, N, C) from points (N, 2) to centres (R, C, 2).
+def _points(concern: ConcernSet) -> tuple[np.ndarray, int]:
+    """The concern modes' (Re, Im) rows (N, 2) times 2**-shift, and shift.
+
+    Every squared distance k-means forms, and every sum of N of them, stays
+    below 8 N max|x|², since each centre is a mean of points; the shift is
+    the least that keeps that bound under 2**1022, so nothing overflows.  A
+    power of two scales every distance exactly (but for a coordinate that it
+    pushes below 2**-1022), so the partition is the one an unbounded
+    exponent would give.  For any farm's modes the shift is 0 and the rows
+    keep their bits.  A mode that is not finite is refused: its weights
+    would silently steer the k-means++ draws.
+    """
+    lam = concern.eigenvalues
+    pts = np.c_[lam.real, lam.imag]
+    if not np.isfinite(pts).all():
+        raise ValueError("concern modes must be finite to cluster")
+    big = np.abs(pts).max(initial=0.0)
+    shift = max(0, int(np.frexp(big)[1])
+                + int(np.frexp(np.sqrt(8 * len(pts)))[1]) - 511)
+    return np.ldexp(pts, -shift), shift
+
+
+def _sqdist(x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+            out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances (x - cx)² + (y - cy)², broadcast, into `out`;
+    `tmp` is scratch of the same shape.
 
     dx² + dy² equals the sum of (p - c)² over the coordinate axis bit for
-    bit, without an (R, N, C, 2) temporary.
+    bit, and filling the caller's buffers allocates nothing.
     """
-    d2 = pts[None, :, None, 0] - centres[:, None, :, 0]
-    d2 *= d2
-    dy = pts[None, :, None, 1] - centres[:, None, :, 1]
-    dy *= dy
-    d2 += dy
-    return d2
+    np.subtract(x, cx, out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(y, cy, out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
+def _draw(weights: np.ndarray, rngs: list[np.random.Generator]
+          ) -> np.ndarray:
+    """One index per row of `weights` (R, N), row r drawn by `rngs[r]`.
+
+    Row w gives what `rngs[r].choice(N, p=w / w.sum())` gives, from the
+    same single `random()` call, and leaves the generator in the same
+    state: every row's cumulative weights at once, normalised as `choice`
+    normalises them, and its right-sided `searchsorted` as a count.  A row
+    that sums to 0 draws `rngs[r].integers(N)` instead.
+    """
+    totals = weights.sum(axis=1)
+    zero = totals == 0
+    with np.errstate(invalid="ignore"):         # 0 / 0 in the zero rows
+        cdf = np.cumsum(weights / totals[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+    u = np.array([np.nan if z else rng.random()
+                  for rng, z in zip(rngs, zero.tolist())])
+    # searchsorted(cdf, u, side="right") on a non-decreasing cdf
+    idx = (cdf <= u[:, None]).sum(axis=1)
+    for r in np.flatnonzero(zero):
+        idx[r] = rngs[r].integers(weights.shape[1])
+    return idx
 
 
 def _seed_prefixes(pts: np.ndarray, seed: int, n_restarts: int
@@ -75,10 +128,11 @@ def _seed_prefixes(pts: np.ndarray, seed: int, n_restarts: int
 
     Restart r draws only from its own child generator, in the order a lone
     restart would (one `integers`, then one `choice` per further centre),
-    so batching changes no draw.  k-means++ is sequential, so each prefix
-    is exact, and a centre is drawn only when its prefix is asked for.
-    `d2` holds each point's squared distance to its nearest drawn centre
-    and is lowered against the newest one only.
+    so batching changes no draw: `_draw` takes every restart's next centre
+    at once, each from its own generator.  k-means++ is sequential, so
+    each prefix is exact, and a centre is drawn only when its prefix is
+    asked for.  `d2` holds each point's squared distance to its nearest
+    drawn centre and is lowered against the newest one only.
     """
     n = len(pts)
     rngs = [np.random.default_rng(child) for child in
@@ -87,14 +141,12 @@ def _seed_prefixes(pts: np.ndarray, seed: int, n_restarts: int
     seeds[:, 0] = pts[[rng.integers(n) for rng in rngs]]
     yield seeds[:, :1]
     d2 = np.full((n_restarts, n), np.inf)
+    new, tmp = np.empty_like(d2), np.empty_like(d2)
     for k in range(1, n):
-        d2 = np.minimum(d2, _sqdist(pts, seeds[:, k - 1:k])[..., 0])
-        for r, rng in enumerate(rngs):
-            total = d2[r].sum()
-            if total == 0:
-                seeds[r, k] = pts[rng.integers(n)]
-            else:
-                seeds[r, k] = pts[rng.choice(n, p=d2[r] / total)]
+        newest = seeds[:, k - 1, :, None]
+        _sqdist(pts[:, 0], pts[:, 1], newest[:, 0], newest[:, 1], new, tmp)
+        np.minimum(d2, new, out=d2)
+        seeds[:, k] = pts[_draw(d2, rngs)]
         yield seeds[:, :k + 1]
 
 
@@ -121,72 +173,87 @@ def _lloyd_batch(pts: np.ndarray, centres: np.ndarray, max_iter: int = 200,
     empty clusters, stop as soon as its labels repeat (before moving its
     centres), else move each centre to its members' mean.  The means are
     per-(restart, cluster) bincount sums in point order, which equal the
-    sequential axis-0 sums of `pts[labels == k].mean(axis=0)`.
+    sequential axis-0 sums of `pts[labels == k].mean(axis=0)`.  The
+    distances of the restarts still moving fill the front of two (R, N, C)
+    buffers that the call allocates once, from each centre coordinate kept
+    C-contiguous; each restart's inertia is its lone flat sum of squares.
     """
-    centres = np.array(centres, dtype=float)
     n_r, c, _ = centres.shape
     n = len(pts)
+    cx, cy = centres[..., 0].astype(float), centres[..., 1].astype(float)
+    # bincount weights: the point coordinates once per restart
+    wx, wy = np.tile(pts[:, 0], n_r), np.tile(pts[:, 1], n_r)
+    d2_buf, dy_buf = np.empty((n_r, n, c)), np.empty((n_r, n, c))
     labels = np.full((n_r, n), -1)
     active = np.arange(n_r)
     for _ in range(max_iter):
         if active.size == 0:
             break
-        d2 = _sqdist(pts, centres[active])
+        n_a = len(active)
+        d2 = _sqdist(pts[:, :1], pts[:, 1:], cx[active, None],
+                     cy[active, None], d2_buf[:n_a], dy_buf[:n_a])
         new_labels = d2.argmin(axis=2)
-        offsets = c * np.arange(len(active))[:, None]
+        offsets = c * np.arange(n_a)[:, None]
         counts = np.bincount((new_labels + offsets).ravel(),
-                             minlength=len(active) * c).reshape(-1, c)
+                             minlength=n_a * c).reshape(-1, c)
         for a in np.flatnonzero((counts == 0).any(axis=1)):
             _revive_empty(d2[a], new_labels[a], c)
         moved = (new_labels != labels[active]).any(axis=1)
         active, new_labels = active[moved], new_labels[moved]
         labels[active] = new_labels
 
-        flat = (new_labels + offsets[:len(active)]).ravel()
-        size = len(active) * c
-        counts = np.bincount(flat, minlength=size).reshape(-1, c, 1)
-        sums = np.stack([
-            np.bincount(flat, weights=np.tile(pts[:, j], len(active)),
-                        minlength=size) for j in (0, 1)], axis=-1)
-        means = sums.reshape(-1, c, 2) / np.maximum(counts, 1)
-        centres[active] = np.where(counts > 0, means, centres[active])
-    inertia = np.array([((pts - centres[r, labels[r]]) ** 2).sum()
-                        for r in range(n_r)])
-    return centres, labels, inertia
+        n_a = len(active)
+        flat = (new_labels + offsets[:n_a]).ravel()
+        counts = np.bincount(flat, minlength=n_a * c).reshape(-1, c)
+        for coord, w in ((cx, wx), (cy, wy)):
+            sums = np.bincount(flat, weights=w[:n_a * n],
+                               minlength=n_a * c).reshape(-1, c)
+            coord[active] = np.where(counts > 0, sums / np.maximum(counts, 1),
+                                     coord[active])
+    centres = np.stack((cx, cy), axis=-1)
+    sq = pts - centres[np.arange(n_r)[:, None], labels]
+    sq *= sq
+    return centres, labels, sq.reshape(n_r, -1).sum(axis=1)
 
 
-def _best_clustering(concern: ConcernSet, pts: np.ndarray,
+def _best_clustering(concern: ConcernSet, pts: np.ndarray, shift: int,
                      seeds: np.ndarray) -> ModeClusters:
     """Lloyd from each restart's seeds (R, c, 2); the best, canonical.
 
-    Centres within `COINCIDENT_RTOL` max|lam| of each other, directly or
-    through a chain of such centres, merge into the first of them in
-    canonical order, so fewer than c clusters may come back.  Only the
-    participation summed over all copies of a repeated eigenvalue is
-    independent of the eigenvector basis, so such copies must share a
-    cluster.  `inertia` stays that of the Lloyd solution.
+    `pts` and `seeds` are scaled by 2**-shift (`_points`).  Centres within
+    `COINCIDENT_RTOL` max|lam| of each other, directly or through a chain
+    of such centres, merge into the first of them in canonical order, so
+    fewer than c clusters may come back.  Only the participation summed
+    over all copies of a repeated eigenvalue is independent of the
+    eigenvector basis, so such copies must share a cluster.  `inertia`
+    stays that of the Lloyd solution, at the modes' own scale (inf past the
+    largest float).
     """
-    c = seeds.shape[1]
     all_centres, all_labels, all_inertia = _lloyd_batch(pts, seeds)
     tied = np.flatnonzero(all_inertia == all_inertia.min())
     best = min(tied, key=lambda r: tuple(sorted(map(tuple, all_centres[r]))))
     centres, labels = all_centres[best], all_labels[best]
-    inertia = float(all_inertia[best])
+    with np.errstate(over="ignore"):
+        inertia = float(np.ldexp(all_inertia[best], 2 * shift))
 
-    order = sorted(range(c), key=lambda k: (centres[k, 0], centres[k, 1]))
+    order = np.lexsort((centres[:, 1], centres[:, 0]))   # by (Re, Im)
     cx = centres[order, 0] + 1j * centres[order, 1]
-    near = np.abs(cx[:, None] - cx) <= \
-        COINCIDENT_RTOL * np.abs(concern.eigenvalues).max()
+    near = np.abs(cx[:, None] - cx) <= np.ldexp(
+        COINCIDENT_RTOL * np.abs(concern.eigenvalues).max(), -shift)
     while not np.array_equal(reach := near @ near, near):
         near = reach                    # chains of coincident centres
     first = near.argmax(axis=1)         # canonical index of each merged set
-    merged, kept = first[np.argsort(order)[labels]], np.unique(first)
-    members = tuple(
-        tuple(concern.mode_indices[p] for p in np.flatnonzero(merged == k))
-        for k in kept)
-    # exact member means in the canonical order
-    centre_cx = np.array([
-        complex(np.mean(concern.eigenvalues[merged == k])) for k in kept])
+    merged = first[np.argsort(order)[labels]]
+    # the modes of each merged set in index order, the sets in canonical
+    # order; each centre is its members' exact mean, as np.mean takes it
+    by_set = np.argsort(merged, kind="stable")
+    counts = np.bincount(merged)[np.unique(first)]
+    ends = np.cumsum(counts).tolist()
+    ids = np.asarray(concern.mode_indices)[by_set].tolist()
+    lam = concern.eigenvalues[by_set]
+    members = tuple(tuple(ids[e - n:e]) for e, n in zip(ends, counts))
+    centre_cx = np.array([lam[e - n:e].sum()
+                          for e, n in zip(ends, counts)]) / counts
     return ModeClusters(members=members, centres=centre_cx,
                         inertia=inertia)
 
@@ -204,12 +271,12 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     below c.  Each call draws its own seeds and shares no state with any
     other call.
     """
-    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    pts, shift = _points(concern)
     if not 1 <= c <= len(pts):
         raise ModeCountError(f"cluster count {c} not in [1, {len(pts)}]")
     seeds = next(itertools.islice(_seed_prefixes(pts, seed, n_restarts),
                                   c - 1, None))
-    return _best_clustering(concern, pts, seeds)
+    return _best_clustering(concern, pts, shift, seeds)
 
 
 def error_floors(concern: ConcernSet) -> np.ndarray:
@@ -236,27 +303,57 @@ def error_floors(concern: ConcernSet) -> np.ndarray:
     return floors
 
 
+def _far_set_size(concern: ConcernSet, gap: float) -> int:
+    """The size of a set of concern modes whose every pair lies more than
+    `gap` apart under `error_floors`' distance |p - q| / (|p| + |q|).
+
+    Each such mode needs a cluster of its own before E can reach `gap`.
+    The set is the larger of two greedy ones: taken in index order, and in
+    descending order of how many modes lie that far from each.  Coincident
+    zero modes give nan, which is never far.
+    """
+    lam = concern.eigenvalues
+    mag = np.abs(lam)
+    with np.errstate(invalid="ignore"):
+        far = np.abs(lam[:, None] - lam) / (mag[:, None] + mag) > gap
+
+    def greedy(order) -> int:
+        free, size = np.ones(len(lam), dtype=bool), 0
+        for i in order:
+            if free[i]:
+                size += 1
+                free &= far[i]
+        return size
+
+    return max(greedy(range(len(lam))),
+               greedy(np.argsort(-far.sum(axis=1), kind="stable")))
+
+
 def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
                          error: Callable[[ModeClusters], float],
                          ) -> ModeClusters:
     """Clusters at the smallest C = 1, 2, ... whose centre error
     `error(clusters)` is at most `e_target`, else C = N.
 
-    `error` is E on `concern` (`validation.error_E`).  A C < N whose
-    `error_floors` bound exceeds `e_target` by more than `FLOOR_RTOL`
-    cannot pass and is not clustered.  `error` sees the other clusterings
-    in ascending C, each equal to `cluster_modes(concern, C, seed)`, and
-    none after the first that passes.  One seed generator serves every C,
-    skipped ones too, so each C draws one new centre per restart.
+    `error` is E on `concern` (`validation.error_E`).  A C < N cannot pass
+    and is not clustered when its `error_floors` bound exceeds `e_target`
+    by more than `FLOOR_RTOL`, or when C is below the size of a set of
+    modes that far apart (`_far_set_size`): two of them would share a
+    cluster.  `error` sees the other clusterings in ascending C, each equal
+    to `cluster_modes(concern, C, seed)`, and none after the first that
+    passes.  One seed generator serves every C, skipped ones too, so each
+    C draws one new centre per restart.
     """
-    pts = np.c_[concern.eigenvalues.real, concern.eigenvalues.imag]
+    pts, shift = _points(concern)
     if not len(pts):
         raise ModeCountError("no concern modes to cluster")
+    gap = e_target * (1 + FLOOR_RTOL)
     floors = error_floors(concern)
+    far = _far_set_size(concern, gap)
     for c, seeds in enumerate(_seed_prefixes(pts, seed, N_RESTARTS), 1):
-        if c < len(pts) and floors[c - 1] > e_target * (1 + FLOOR_RTOL):
+        if c < far or (c < len(pts) and floors[c - 1] > gap):
             continue
-        clusters = _best_clustering(concern, pts, seeds)
+        clusters = _best_clustering(concern, pts, shift, seeds)
         if error(clusters) <= e_target:
             break
     return clusters
@@ -280,14 +377,18 @@ def superimpose_mpf(model: FarmModel,
     """Sum each WT's representative-state MPFs over every cluster's modes.
 
     A WT's representative state is its `STATE_FILTER[0]` state; the rows
-    come in `wt_order`.  Only those rows x the cluster's modes are formed,
-    and each row is summed left to right in member order.
+    come in `wt_order`.  One block of those rows x every cluster's modes is
+    formed, and its columns are added left to right, in member order, into
+    a zero table: each row's sum in the order a Python `sum` takes it.
     """
     rows = model.fss.kind_rows(STATE_FILTER[:1])
+    mpf = model.modal.participation(
+        rows, [m for group in clusters.members for m in group])
     table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
-    for c, group in enumerate(clusters.members):
-        for r, mpf in enumerate(model.modal.participation(rows, group)):
-            table[r, c] = sum(mpf)
+    cluster_of_column = np.repeat(np.arange(clusters.n_clusters),
+                                  [len(g) for g in clusters.members])
+    for col, c in zip(mpf.T, cluster_of_column):
+        table[:, c] += col
     return FeatureTable(wt_ids=model.fss.wt_order, table=table)
 
 
@@ -329,11 +430,11 @@ def group_wts(features: FeatureTable,
     merged: list[tuple[int, int]] = []
     while len(alive) > 1:
         centroids = {g: mags[assign == g].mean(axis=0) for g in alive}
+        norms = {g: np.linalg.norm(centroids[g]) for g in alive}
         best = None
         for a_pos, ga in enumerate(alive):
             for gb in alive[a_pos + 1:]:
-                denom = max(np.linalg.norm(centroids[ga]),
-                            np.linalg.norm(centroids[gb]))
+                denom = max(norms[ga], norms[gb])
                 if denom == 0:
                     dist = 0.0
                 else:

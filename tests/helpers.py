@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -198,3 +199,19 @@ def run_python_bounded(args: list[str], timeout: float, blas_threads: int = 1,
     return subprocess.run([sys.executable, *args], env=env,
                           preexec_fn=cap_memory, capture_output=True,
                           text=True, timeout=timeout, cwd=cwd)
+
+
+def traced_peak(fn):
+    """fn() and tracemalloc's peak over the call above its start, in
+    bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

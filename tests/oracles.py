@@ -9,8 +9,9 @@ members, capacity total and capacity shares, each WT group's
 capacity-weighted mean DC voltage, the POI port of the collector's Kron
 reduction, the farm closure as a dense block-diagonal sum and in
 admittance form, the relative mode errors mode by mode, the eigensolution
-in complex arithmetic, the dense MPF table of every state and mode, and
-the per-cell difference of two artifact numbers.
+in complex arithmetic, the dense MPF table of every state and mode, the
+superimposed MPFs cluster by cluster, and the per-cell difference of two
+artifact numbers.
 """
 
 import cmath
@@ -24,8 +25,8 @@ from wfdem.farm import (Branch, FarmDescription, GridThevenin,
                         NetworkMatrices, PerUnitBases, WtParams,
                         nodal_network, xy_block)
 from wfdem.clustering import ModeClusters
-from wfdem.modal import (_CERT_MAX, _COND_MAX, ConcernSet,
-                         DefectiveMatrixError, ModalSolution,
+from wfdem.modal import (_CERT_MAX, _COND_MAX, STATE_FILTER, ConcernSet,
+                         DefectiveMatrixError, FarmModel, ModalSolution,
                          _conjugate_layout, _pair_modes, eig_biorthogonal)
 from wfdem.powerflow import SLACK_E0, BusSolution, solve_powerflow
 from wfdem.validation import nrmse, simulate_linear
@@ -468,6 +469,18 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
     `complex_basis` with both factors C-contiguous."""
     u, v = complex_basis(sol)
     return np.ascontiguousarray(v.T) * np.ascontiguousarray(u)
+
+
+def superimposed_mpf_by_sum(model: FarmModel,
+                            clusters: ModeClusters) -> np.ndarray:
+    """Each WT's representative-state MPFs over every cluster's modes, one
+    participation block per cluster and one Python `sum` per row of it."""
+    rows = model.fss.kind_rows(STATE_FILTER[:1])
+    table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
+    for c, group in enumerate(clusters.members):
+        for r, mpf in enumerate(model.modal.participation(rows, group)):
+            table[r, c] = sum(mpf)
+    return table
 
 
 def cell_difference(a: float, b: float) -> tuple[float, float]:

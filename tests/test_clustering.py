@@ -13,14 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import full_mpf
+from helpers import SolvedFarm, ladder_farm, traced_peak
+from oracles import full_mpf, superimposed_mpf_by_sum
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (COINCIDENT_RTOL, FeatureTable, ModeClusters,
+from wfdem.clustering import (COINCIDENT_RTOL, FLOOR_RTOL, FeatureTable,
+                              ModeClusters, _draw, _far_set_size,
                               _lloyd_batch, cluster_modes, error_floors,
                               group_wts, superimpose_mpf,
                               sweep_cluster_counts, write_features_csv,
                               write_groups_json)
-from wfdem.modal import ConcernSet
+from wfdem.modal import ConcernSet, solve_modes
+from wfdem.powerflow import solve_powerflow
 from wfdem.validation import error_E
 
 
@@ -154,6 +157,88 @@ def test_identical_points_do_not_break_kmeans():
     cl = cluster_modes(concern, 3, seed=7)
     assert cl.inertia == 0.0
     assert sum(len(g) for g in cl.members) == 5
+
+
+def test_modes_too_large_to_square_cluster_as_if_scaled():
+    # the squared distances of these modes overflow a float; k-means sees
+    # them scaled by a power of two, so the partition is that of the same
+    # modes times 2**-300, with no RuntimeWarning (an error in this suite)
+    values = np.array([-1e200 + 1e200j, 1e200 + 3e200j, -2 + 5j,
+                       -3e199 + 1j, 4e200 + 2e200j])
+    big = concern_from_points(values)
+    small = concern_from_points(values * 2.0 ** -300)
+    got, ref = cluster_modes(big, 2, 42), cluster_modes(small, 2, 42)
+    assert got.members == ref.members
+    assert np.array_equal(got.centres, ref.centres * 2.0 ** 300)
+    assert got.inertia == np.inf and np.isfinite(ref.inertia)
+    swept = sweep_cluster_counts(big, 42, 0.02,
+                                 lambda cl: error_E(big, cl))
+    assert swept.members == sweep_cluster_counts(
+        small, 42, 0.02, lambda cl: error_E(small, cl)).members
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_modes_that_are_not_finite_are_refused(bad):
+    concern = concern_from_points([1 + 1j, bad, 3 + 2j])
+    with pytest.raises(ValueError, match="must be finite"):
+        cluster_modes(concern, 2, 0)
+    with pytest.raises(ValueError, match="must be finite"):
+        sweep_cluster_counts(concern, 0, 0.02, lambda cl: 0.0)
+
+
+@st.composite
+def weight_rows(draw):
+    """Rows of n = 1..300 k-means++ weights: drawn from a small pool, so
+    ties are common, with zeros, subnormals and normals up to 1e300 (every
+    row sum stays finite); or one non-zero; or all zero."""
+    n = draw(st.integers(1, 300))
+    weight = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                       st.floats(2.2e-308, 1e300))
+    pool = draw(st.lists(weight, min_size=1, max_size=4))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["pool", "single", "zero"]),
+                              min_size=1, max_size=4)):
+        row = np.zeros(n)
+        if kind == "pool":
+            row[:] = draw(st.lists(st.sampled_from(pool), min_size=n,
+                                   max_size=n))
+        elif kind == "single":
+            row[draw(st.integers(0, n - 1))] = draw(st.floats(5e-324, 1e300))
+        rows.append(row)
+    return np.array(rows)
+
+
+@given(weight_rows(), st.integers(0, 2**32 - 1))
+# p sums to 1 - 1 ulp and the draw falls between the first cumulative
+# weight and that weight normalised, as choice normalises it
+@example(np.array([[0.9429375528828806, 0.05706244711712061, 0.0]]), 0)
+def test_batched_draw_is_choice_draw_for_draw(weights, seed):
+    # each row's index, and the generator's next number after it, are those
+    # of a lone choice(n, p=w / w.sum()), or integers(n) for a zero row
+    children = np.random.SeedSequence(seed).spawn(len(weights))
+    batch = [np.random.default_rng(child) for child in children]
+    lone = [np.random.default_rng(child) for child in children]
+    got = _draw(weights, batch)
+    n = weights.shape[1]
+    for w, idx, rng, ref in zip(weights, got, batch, lone):
+        assert idx == (ref.choice(n, p=w / w.sum()) if w.sum()
+                       else ref.integers(n))
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n_r,n,c", [(32, 100, 60), (8, 200, 100),
+                                     (32, 300, 3), (32, 100, 1)])
+def test_lloyd_batch_holds_two_distance_buffers(n_r, n, c):
+    # tracemalloc's peak stays within the two (R, N, C) buffers plus
+    # O(R N); measured at most 19 R N doubles beside them.  A third buffer,
+    # as a fresh allocation each iteration beside the last one's makes,
+    # breaks the bound at C = 60 and 100.
+    rng = np.random.default_rng(c)
+    pts = rng.standard_normal((n, 2))
+    seeds = pts[rng.integers(n, size=(n_r, c))]
+    (_, labels, _), peak = traced_peak(lambda: _lloyd_batch(pts, seeds))
+    assert labels.shape == (n_r, n)
+    assert peak <= (2 * c + 32) * n_r * n * 8
 
 
 LAM = -5.787 + 58.6407j
@@ -357,23 +442,27 @@ def test_skipping_sweep_returns_the_full_scan(modes, target, seed):
         astuple_clusters(full_scan(concern, seed, e_target)))
 
 
+def partitions(concern, c, seed, rng):
+    """k-means' partition into c clusters and a random one into at most
+    c, each at its members' mean."""
+    yield cluster_modes(concern, c, seed)
+    labels = rng.integers(c, size=len(concern))
+    members = tuple(tuple(np.flatnonzero(labels == k))
+                    for k in range(c) if np.any(labels == k))
+    centres = np.array([np.mean(concern.eigenvalues[list(m)])
+                        for m in members])
+    yield ModeClusters(members=members, centres=centres, inertia=0.0)
+
+
 @given(mode_sets, st.integers(0, 2**16))
 def test_error_floors_bound_every_partition(modes, seed):
-    # k-means' partitions and random ones, each at its members' mean
     concern = concern_from_points(modes)
     floors = error_floors(concern)
     assert len(floors) == len(modes) - 1
     rng = np.random.default_rng(seed)
     for c in range(1, len(modes)):
-        assert error_E(concern, cluster_modes(concern, c, seed)) \
-            >= floors[c - 1] * (1 - 1e-12)
-        labels = rng.integers(c, size=len(modes))
-        members = tuple(tuple(np.flatnonzero(labels == k))
-                        for k in range(c) if np.any(labels == k))
-        centres = np.array([np.mean(concern.eigenvalues[list(m)])
-                            for m in members])
-        clusters = ModeClusters(members=members, centres=centres, inertia=0.0)
-        assert error_E(concern, clusters) >= floors[c - 1] * (1 - 1e-12)
+        for clusters in partitions(concern, c, seed, rng):
+            assert error_E(concern, clusters) >= floors[c - 1] * (1 - 1e-12)
 
 
 def test_sweep_keeps_a_count_whose_error_equals_its_floor():
@@ -399,6 +488,36 @@ def test_sweep_skips_counts_whose_floor_exceeds_the_target():
 
     assert sweep_cluster_counts(concern, 7, 0.02, error).n_clusters == 4
     assert seen == [4]
+
+
+@given(mode_sets, st.sampled_from([1e-3, 0.02, 0.1, 0.3, 1.0]),
+       st.integers(0, 2**16))
+@example([-1 + 10j, -1 + 20j, -1 + 40j, -1 + 80j], 0.02, 7)
+def test_far_set_rules_out_every_smaller_count(modes, e_target, seed):
+    concern = concern_from_points(modes)
+    far = _far_set_size(concern, e_target * (1 + FLOOR_RTOL))
+    rng = np.random.default_rng(seed)
+    for c in range(1, far):
+        for clusters in partitions(concern, c, seed, rng):
+            assert error_E(concern, clusters) > e_target
+
+
+def test_far_sets_cut_the_benchmark_sweep():
+    # the four seed-7 farms of the auto_sweep100 benchmark at its 2% target
+    # and the CLI's seed: E is evaluated 92 times in all, against 106 with
+    # the error_floors bound alone, and the sweep stops where it did
+    calls, chosen = [], []
+    for k in range(4):
+        farm = ladder_farm(10, 10, (7, k), planted=False)
+        concern = solve_modes(farm, solve_powerflow(farm)).concern
+
+        def error(cl, concern=concern):
+            calls.append(cl.n_clusters)
+            return error_E(concern, cl)
+        chosen.append(sweep_cluster_counts(concern, 42, 0.02, error)
+                      .n_clusters)
+    assert chosen == [56, 67, 62, 53]
+    assert len(calls) == 92
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +617,21 @@ def test_row_totals_conserved_across_cluster_count(case_b, c):
     full = superimpose_mpf(case_b.model,
                            cluster_modes(case_b.concern, 1, seed=42))
     assert np.abs(ft.table.sum(axis=1) - full.table[:, 0]).max() < 1e-10
+
+
+@pytest.fixture(scope="module")
+def ladder10x10():
+    return SolvedFarm(ladder_farm(10, 10, 7))
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
+                                  "ladder10x10"])
+def test_superposition_sums_each_cluster_like_python_sum(request, name):
+    solved = request.getfixturevalue(name)
+    for c in (1, 3, 7):
+        clusters = cluster_modes(solved.concern, c, seed=42)
+        assert superimpose_mpf(solved.model, clusters).table.tobytes() \
+            == superimposed_mpf_by_sum(solved.model, clusters).tobytes()
 
 
 def test_identical_decoupled_wts_split_symmetrically():

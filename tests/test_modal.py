@@ -9,7 +9,6 @@ routines that `wfdem._lapack` calls directly.
 
 import csv
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import expm
 
 from helpers import (ROOT, SolvedFarm, ladder_farm, state_matrix,
-                     terminal_voltages)
+                     terminal_voltages, traced_peak)
 from oracles import (complex_basis, complex_eig_biorthogonal,
                      exact_conjugates, full_mpf, stiff_grid_mode)
 from wfdem import _lapack, modal
@@ -662,22 +661,6 @@ def test_modal_solution_holds_two_real_n_by_n_arrays(request, case):
     assert all(x.base is None for x in square)
     # W in np.linalg.inv's layout: participation's products round by layout
     assert sol.inverse.flags.c_contiguous
-
-
-def traced_peak(fn):
-    """fn() and tracemalloc's peak over the call above its start, in
-    bytes."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def test_eig_biorthogonal_transient_memory_is_bounded():
