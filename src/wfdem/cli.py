@@ -214,11 +214,10 @@ def _scatter_svg(out_dir: Path, points: list[list[tuple[float, float]]],
 
 def _write_scatter(state: PipelineState) -> None:
     concern, clusters = state.model.concern, state.clusters
-    # the concern order is the order each cluster's members hold
-    cluster_of = clusters.cluster_of
-    points = [[] for _ in clusters.members]
-    for idx, lam in zip(concern.mode_indices, concern.eigenvalues):
-        points[cluster_of[idx]].append(_xy(lam))
+    # each cluster's points in concern order
+    points = [[] for _ in clusters.centres]
+    for label, lam in zip(clusters.labels, concern.eigenvalues):
+        points[label].append(_xy(lam))
     dem_modes = None if state.dem is None else [
         _xy(lam) for lam in state.dem.model.concern.eigenvalues]
     _scatter_svg(state.cfg.out_dir, points,
@@ -239,7 +238,7 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
         path = out_dir / "modescatter.svg"
         report = _load_report(out_dir)
         meta = report["metadata"]
-        # mode_errors is in concern order, as are the members of a cluster
+        # mode_errors is in concern order, as _write_scatter bins the points
         points = [[] for _ in meta["cluster_centres"]]
         for m in report["mode_errors"]:
             points[m["cluster"]].append((m["re"], m["im"]))

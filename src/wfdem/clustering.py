@@ -8,11 +8,11 @@ whose centroid features nearly coincide are merged, which is what turns
 WT group count, so it warns when that count falls short of the cluster
 count; the DEM is built from the grouping alone.
 
+A partition is one cluster label per concern mode, in concern order.
 k-means runs its restarts together as array operations, each restart on
 its own seed generator.  The `--auto-clusters` sweep carries every
-restart's k-means++ seeds from one C to the next and clusters no C that a
-lower bound on E, or a set of modes too far apart to share a cluster,
-rules out.
+restart's k-means++ seeds from one C to the next and clusters no C below
+the size of a set of modes too far apart to share a cluster.
 """
 
 from __future__ import annotations
@@ -37,27 +37,24 @@ N_RESTARTS = 32
 # distance, relative to the largest |mode|, within which cluster centres
 # coincide and merge
 COINCIDENT_RTOL = 1e-9
-# relative margin by which an E lower bound must exceed the target before
-# the --auto-clusters sweep skips that C; covers the roundoff of both sides
+# relative margin by which two modes' distance must exceed the target
+# before the --auto-clusters sweep counts them as too far apart to share a
+# cluster; covers the roundoff of both sides
 FLOOR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ModeClusters:
-    """Partition of the concern set; members hold global mode indices."""
+    """Partition of the concern set: `labels[i]` is the cluster of the
+    concern's i-th mode, aligned with `ConcernSet.mode_indices`."""
 
-    members: tuple[tuple[int, ...], ...]
+    labels: np.ndarray           # int, one per concern mode
     centres: np.ndarray          # complex, one per cluster
     inertia: float
 
     @property
     def n_clusters(self) -> int:
-        return len(self.members)
-
-    @property
-    def cluster_of(self) -> dict[int, int]:
-        """Global mode index -> index of the cluster that holds it."""
-        return {m: c for c, group in enumerate(self.members) for m in group}
+        return len(self.centres)
 
 
 def _points(concern: ConcernSet) -> tuple[np.ndarray, int]:
@@ -243,18 +240,13 @@ def _best_clustering(concern: ConcernSet, pts: np.ndarray, shift: int,
     while not np.array_equal(reach := near @ near, near):
         near = reach                    # chains of coincident centres
     first = near.argmax(axis=1)         # canonical index of each merged set
-    merged = first[np.argsort(order)[labels]]
-    # the modes of each merged set in index order, the sets in canonical
-    # order; each centre is its members' exact mean, as np.mean takes it
-    by_set = np.argsort(merged, kind="stable")
-    counts = np.bincount(merged)[np.unique(first)]
-    ends = np.cumsum(counts).tolist()
-    ids = np.asarray(concern.mode_indices)[by_set].tolist()
-    lam = concern.eigenvalues[by_set]
-    members = tuple(tuple(ids[e - n:e]) for e, n in zip(ends, counts))
-    centre_cx = np.array([lam[e - n:e].sum()
-                          for e, n in zip(ends, counts)]) / counts
-    return ModeClusters(members=members, centres=centre_cx,
+    # the merged sets numbered densely, in canonical order; each centre is
+    # its modes' exact mean, as np.mean takes it
+    sets, labels = np.unique(first[np.argsort(order)[labels]],
+                             return_inverse=True)
+    lam = concern.eigenvalues
+    centres = np.array([lam[labels == k].sum() for k in range(len(sets))])
+    return ModeClusters(labels=labels, centres=centres / np.bincount(labels),
                         inertia=inertia)
 
 
@@ -279,43 +271,30 @@ def cluster_modes(concern: ConcernSet, c: int, seed: int,
     return _best_clustering(concern, pts, shift, seeds)
 
 
-def error_floors(concern: ConcernSet) -> np.ndarray:
-    """Lower bounds on the centre error E of any C-cluster partition of
-    the concern modes, for C = 1, ..., N - 1 at index C - 1.
-
-    Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
-    since |p - q| <= |p - c| + |q - c|.  A farthest-first pass under that
-    distance picks the modes one by one; the (C + 1)-th pick lies at least
-    r_C from every earlier pick, and r_C does not grow with C.  Any C
-    clusters hold two of the first C + 1 picks together, so E >= r_C.
-    Coincident zero modes give nan, which bounds nothing.
-    """
-    lam = concern.eigenvalues
-    mag = np.abs(lam)
-    floors = np.empty(max(len(lam) - 1, 0))
-    with np.errstate(invalid="ignore"):
-        nearest = np.abs(lam - lam[:1]) / (mag + mag[:1])
-        for c in range(len(floors)):
-            k = int(np.argmax(nearest))
-            floors[c] = nearest[k]
-            nearest = np.minimum(nearest,
-                                 np.abs(lam - lam[k]) / (mag + mag[k]))
-    return floors
-
-
 def _far_set_size(concern: ConcernSet, gap: float) -> int:
     """The size of a set of concern modes whose every pair lies more than
-    `gap` apart under `error_floors`' distance |p - q| / (|p| + |q|).
+    `gap` apart under the distance |p - q| / (|p| + |q|).
 
-    Each such mode needs a cluster of its own before E can reach `gap`.
-    The set is the larger of two greedy ones: taken in index order, and in
-    descending order of how many modes lie that far from each.  Coincident
-    zero modes give nan, which is never far.
+    Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
+    since |p - q| <= |p - c| + |q - c|; so each mode of the set needs a
+    cluster of its own before E can reach `gap`.  The set is the largest
+    of three greedy ones: taken in index order, in descending order of how
+    many modes lie that far from each, and farthest first (from mode 0,
+    each next pick the mode farthest from its nearest earlier pick).  Any
+    C clusters hold two of the first C + 1 farthest-first picks together,
+    so the (C + 1)-th pick's distance to its nearest earlier one is a floor
+    on E; the farthest-first set holds one mode more than there are floors
+    above `gap`.  Coincident zero modes give nan, which is never far.
     """
     lam = concern.eigenvalues
     mag = np.abs(lam)
     with np.errstate(invalid="ignore"):
-        far = np.abs(lam[:, None] - lam) / (mag[:, None] + mag) > gap
+        dist = np.abs(lam[:, None] - lam) / (mag[:, None] + mag)
+        far = dist > gap
+        farthest, nearest = [0], dist[0]
+        for _ in range(len(lam) - 1):
+            farthest.append(int(np.argmax(nearest)))
+            nearest = np.minimum(nearest, dist[farthest[-1]])
 
     def greedy(order) -> int:
         free, size = np.ones(len(lam), dtype=bool), 0
@@ -326,7 +305,8 @@ def _far_set_size(concern: ConcernSet, gap: float) -> int:
         return size
 
     return max(greedy(range(len(lam))),
-               greedy(np.argsort(-far.sum(axis=1), kind="stable")))
+               greedy(np.argsort(-far.sum(axis=1), kind="stable")),
+               greedy(farthest))
 
 
 def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
@@ -335,23 +315,21 @@ def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
     """Clusters at the smallest C = 1, 2, ... whose centre error
     `error(clusters)` is at most `e_target`, else C = N.
 
-    `error` is E on `concern` (`validation.error_E`).  A C < N cannot pass
-    and is not clustered when its `error_floors` bound exceeds `e_target`
-    by more than `FLOOR_RTOL`, or when C is below the size of a set of
-    modes that far apart (`_far_set_size`): two of them would share a
-    cluster.  `error` sees the other clusterings in ascending C, each equal
-    to `cluster_modes(concern, C, seed)`, and none after the first that
+    `error` is E on `concern` (`validation.error_E`).  A C cannot pass and
+    is not clustered when it is below the size of a set of modes whose
+    every pair lies more than `e_target` (plus `FLOOR_RTOL`) apart
+    (`_far_set_size`): two of them would share a cluster.  `error` sees
+    the other clusterings in ascending C, each equal to
+    `cluster_modes(concern, C, seed)`, and none after the first that
     passes.  One seed generator serves every C, skipped ones too, so each
     C draws one new centre per restart.
     """
     pts, shift = _points(concern)
     if not len(pts):
         raise ModeCountError("no concern modes to cluster")
-    gap = e_target * (1 + FLOOR_RTOL)
-    floors = error_floors(concern)
-    far = _far_set_size(concern, gap)
+    far = _far_set_size(concern, e_target * (1 + FLOOR_RTOL))
     for c, seeds in enumerate(_seed_prefixes(pts, seed, N_RESTARTS), 1):
-        if c < far or (c < len(pts) and floors[c - 1] > gap):
+        if c < far:
             continue
         clusters = _best_clustering(concern, pts, shift, seeds)
         if error(clusters) <= e_target:
@@ -377,18 +355,16 @@ def superimpose_mpf(model: FarmModel,
     """Sum each WT's representative-state MPFs over every cluster's modes.
 
     A WT's representative state is its `STATE_FILTER[0]` state; the rows
-    come in `wt_order`.  One block of those rows x every cluster's modes is
-    formed, and its columns are added left to right, in member order, into
-    a zero table: each row's sum in the order a Python `sum` takes it.
+    come in `wt_order`.  One block of those rows x the concern modes is
+    formed, and each column is added, in concern order, into its cluster's
+    column of a zero table: each row's sum over a cluster in the order a
+    Python `sum` over its modes takes it.
     """
     rows = model.fss.kind_rows(STATE_FILTER[:1])
-    mpf = model.modal.participation(
-        rows, [m for group in clusters.members for m in group])
+    mpf = model.modal.participation(rows, model.concern.mode_indices)
     table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
-    cluster_of_column = np.repeat(np.arange(clusters.n_clusters),
-                                  [len(g) for g in clusters.members])
-    for col, c in zip(mpf.T, cluster_of_column):
-        table[:, c] += col
+    for col, k in zip(mpf.T, clusters.labels):
+        table[:, k] += col
     return FeatureTable(wt_ids=model.fss.wt_order, table=table)
 
 

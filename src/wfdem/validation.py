@@ -52,12 +52,11 @@ def _relative(distance: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def centre_errors(concern: ConcernSet, clusters: ModeClusters) -> np.ndarray:
     """Relative distance of each concern mode to its cluster centre."""
-    cluster_of = clusters.cluster_of
-    missing = [i for i in concern.mode_indices if i not in cluster_of]
-    if missing:
-        raise ValueError(f"clusters do not cover concern modes {missing}")
-    centre = clusters.centres[[cluster_of[i] for i in concern.mode_indices]]
+    if len(clusters.labels) != len(concern):
+        raise ValueError(f"{len(clusters.labels)} cluster labels for "
+                         f"{len(concern)} concern modes")
     lam = concern.eigenvalues
+    centre = clusters.centres[clusters.labels]
     return _relative(magnitude(lam - centre), lam)
 
 
@@ -195,17 +194,16 @@ def build_report(model: FarmModel, clusters: ModeClusters, dem: DemModel,
     concern = model.concern
     cen = centre_errors(concern, clusters)
     near = nearest_errors(concern, dem.model.concern)
-    cluster_of = clusters.cluster_of
     breakdown = [
         {
             "re": lam.real,
             "im": lam.imag,
-            "cluster": cluster_of[idx],
+            "cluster": int(label),
             "centre_error": float(ce),
             "nearest_dem_error": float(ne),
         }
-        for idx, lam, ce, ne in zip(concern.mode_indices, concern.eigenvalues,
-                                    cen, near)
+        for label, lam, ce, ne in zip(clusters.labels, concern.eigenvalues,
+                                      cen, near)
     ]
     return ValidationReport(
         e=float(np.max(cen)),

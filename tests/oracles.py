@@ -10,7 +10,8 @@ capacity-weighted mean DC voltage, the POI port of the collector's Kron
 reduction, the farm closure as a dense block-diagonal sum and in
 admittance form, the relative mode errors mode by mode, the eigensolution
 in complex arithmetic, the dense MPF table of every state and mode, the
-superimposed MPFs cluster by cluster, and the per-cell difference of two
+superimposed MPFs cluster by cluster, the farthest-first lower bounds on
+the centre error of any C clusters, and the per-cell difference of two
 artifact numbers.
 """
 
@@ -375,11 +376,34 @@ def centre_errors_by_mode(concern: ConcernSet,
                           clusters: ModeClusters) -> np.ndarray:
     """|lam - centre| / |lam| of each concern mode, with Python's `abs` and
     float division (inf past the largest float, with no warning)."""
-    cluster_of = clusters.cluster_of
     return np.array([
-        float(abs(lam - complex(clusters.centres[cluster_of[idx]])))
+        float(abs(lam - complex(clusters.centres[int(label)])))
         / float(abs(lam))
-        for idx, lam in zip(concern.mode_indices, concern.eigenvalues)])
+        for label, lam in zip(clusters.labels, concern.eigenvalues)])
+
+
+def farthest_first_floors(concern: ConcernSet) -> np.ndarray:
+    """Lower bounds on the centre error E of any C-cluster partition of
+    the concern modes, for C = 1, ..., N - 1 at index C - 1.
+
+    Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
+    since |p - q| <= |p - c| + |q - c|.  A farthest-first pass under that
+    distance picks the modes one by one; the (C + 1)-th pick lies at least
+    r_C from every earlier pick, and r_C does not grow with C.  Any C
+    clusters hold two of the first C + 1 picks together, so E >= r_C.
+    Coincident zero modes give nan, which bounds nothing.
+    """
+    lam = concern.eigenvalues
+    mag = np.abs(lam)
+    floors = np.empty(max(len(lam) - 1, 0))
+    with np.errstate(invalid="ignore"):
+        nearest = np.abs(lam - lam[:1]) / (mag + mag[:1])
+        for c in range(len(floors)):
+            k = int(np.argmax(nearest))
+            floors[c] = nearest[k]
+            nearest = np.minimum(nearest,
+                                 np.abs(lam - lam[k]) / (mag + mag[k]))
+    return floors
 
 
 def nearest_errors_by_mode(concern: ConcernSet,
@@ -477,7 +501,9 @@ def superimposed_mpf_by_sum(model: FarmModel,
     participation block per cluster and one Python `sum` per row of it."""
     rows = model.fss.kind_rows(STATE_FILTER[:1])
     table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
-    for c, group in enumerate(clusters.members):
+    for c in range(clusters.n_clusters):
+        group = [m for m, label in zip(model.concern.mode_indices,
+                                       clusters.labels) if label == c]
         for r, mpf in enumerate(model.modal.participation(rows, group)):
             table[r, c] = sum(mpf)
     return table

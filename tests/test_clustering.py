@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import SolvedFarm, ladder_farm, traced_peak
-from oracles import full_mpf, superimposed_mpf_by_sum
+from oracles import farthest_first_floors, full_mpf, superimposed_mpf_by_sum
 from wfdem.cases import ground_truth_groups
 from wfdem.clustering import (COINCIDENT_RTOL, FLOOR_RTOL, FeatureTable,
                               ModeClusters, _draw, _far_set_size,
-                              _lloyd_batch, cluster_modes, error_floors,
-                              group_wts, superimpose_mpf,
+                              _lloyd_batch, cluster_modes, group_wts,
+                              superimpose_mpf,
                               sweep_cluster_counts, write_features_csv,
                               write_groups_json)
 from wfdem.modal import ConcernSet, solve_modes
@@ -98,21 +98,20 @@ def serial_cluster_modes(concern, c, seed, n_restarts=32):
             for j in s)]
         sets = [s for s in sets if s not in hit] + [sum(hit, []) + [k]]
     sets.sort(key=lambda s: min(map(order.index, s)))
-    members = tuple(
-        tuple(concern.mode_indices[p] for p in range(len(pts))
-              if labels[p] in s) for s in sets)
+    set_of = [next(j for j, s in enumerate(sets) if labels[p] in s)
+              for p in range(len(pts))]
     centre_cx = np.array([complex(np.mean(concern.eigenvalues[
         np.isin(labels, s)])) for s in sets])
-    return members, centre_cx, inertia
+    return set_of, centre_cx, inertia
 
 
 def astuple_clusters(clusters):
-    return clusters.members, clusters.centres, clusters.inertia
+    return clusters.labels, clusters.centres, clusters.inertia
 
 
 def assert_same_clusters(got, expected):
-    members, centres, inertia = expected
-    assert got.members == members
+    labels, centres, inertia = expected
+    assert np.array_equal(got.labels, labels)
     assert np.array_equal(got.centres, centres)
     assert got.inertia == inertia
 
@@ -130,7 +129,7 @@ def test_separated_pairs_on_real_axis():
     concern = concern_from_points([0.0, 1.0, 10.0, 11.0])
     cl = cluster_modes(concern, 2, seed=42)
     assert cl.centres[0] == 0.5 and cl.centres[1] == 10.5
-    assert cl.members == ((0, 1), (2, 3))
+    assert cl.labels.tolist() == [0, 0, 1, 1]
     assert cl.inertia == pytest.approx(1.0)
 
 
@@ -156,7 +155,7 @@ def test_identical_points_do_not_break_kmeans():
     concern = concern_from_points([2 + 3j] * 5)
     cl = cluster_modes(concern, 3, seed=7)
     assert cl.inertia == 0.0
-    assert sum(len(g) for g in cl.members) == 5
+    assert cl.labels.tolist() == [0] * 5
 
 
 def test_modes_too_large_to_square_cluster_as_if_scaled():
@@ -168,13 +167,13 @@ def test_modes_too_large_to_square_cluster_as_if_scaled():
     big = concern_from_points(values)
     small = concern_from_points(values * 2.0 ** -300)
     got, ref = cluster_modes(big, 2, 42), cluster_modes(small, 2, 42)
-    assert got.members == ref.members
+    assert np.array_equal(got.labels, ref.labels)
     assert np.array_equal(got.centres, ref.centres * 2.0 ** 300)
     assert got.inertia == np.inf and np.isfinite(ref.inertia)
     swept = sweep_cluster_counts(big, 42, 0.02,
                                  lambda cl: error_E(big, cl))
-    assert swept.members == sweep_cluster_counts(
-        small, 42, 0.02, lambda cl: error_E(small, cl)).members
+    assert np.array_equal(swept.labels, sweep_cluster_counts(
+        small, 42, 0.02, lambda cl: error_E(small, cl)).labels)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -256,8 +255,11 @@ LAM = -5.787 + 58.6407j
 def test_coincident_centres_merge(points, members):
     # C = N: k-means puts every distinct point in a cluster of its own
     concern = concern_from_points(points)
+    labels = [next(k for k, group in enumerate(members) if m in group)
+              for m in range(len(points))]
     for seed in range(5):
-        assert cluster_modes(concern, len(points), seed).members == members
+        assert cluster_modes(concern, len(points), seed).labels.tolist() \
+            == labels
         assert_matches_serial(concern, len(points), seed)
 
 
@@ -269,7 +271,8 @@ def test_case_b_bands_match_parameter_groups(case_b):
                    for g in set(truth.values())}
     mpf = full_mpf(case_b.modal)
     seen_labels = []
-    for members in cl.members:
+    for k in range(cl.n_clusters):
+        members = np.compress(cl.labels == k, case_b.concern.mode_indices)
         # every mode in a band must belong to WTs of one parameter group;
         # attribute each mode to its dominant DC-voltage state
         labels = set()
@@ -286,10 +289,8 @@ def test_case_b_bands_match_parameter_groups(case_b):
 
 def test_centres_are_member_means(case_b):
     cl = cluster_modes(case_b.concern, 3, seed=42)
-    idx_of = {m: k for k, m in enumerate(case_b.concern.mode_indices)}
-    for centre, members in zip(cl.centres, cl.members):
-        mean = np.mean([case_b.concern.eigenvalues[idx_of[m]]
-                        for m in members])
+    for k, centre in enumerate(cl.centres):
+        mean = np.mean(case_b.concern.eigenvalues[cl.labels == k])
         assert abs(centre - mean) < 1e-12
 
 
@@ -341,6 +342,25 @@ def test_batched_kmeans_matches_serial_reference(points, seed, n_restarts,
     concern = concern_from_points([0.37 * x + 1.9j * y for x, y in grid])
     for c in [c] + [1 + pick % len(grid) for pick in then]:
         assert_matches_serial(concern, c, seed, n_restarts)
+
+
+@given(grid_points(), st.integers(0, 2**32 - 1))
+# coincident centres merge: one cluster of five copies at c = 4, and three
+# distinct modes at c = 5
+@example(([(1, 2)] * 5, 4), 7)
+@example(([(0, 0), (0, 0), (1, 0), (1, 0), (5, 1)], 5), 3)
+def test_labels_are_dense_one_per_concern_mode(points, seed):
+    # one int label per concern mode, every label in 0..n_clusters - 1 in
+    # use; each centre is np.mean of its labelled modes, bit for bit
+    grid, c = points
+    concern = concern_from_points([0.37 * x + 1.9j * y for x, y in grid])
+    cl = cluster_modes(concern, c, seed)
+    assert cl.labels.shape == (len(grid),)
+    assert np.issubdtype(cl.labels.dtype, np.integer)
+    assert np.array_equal(np.unique(cl.labels), np.arange(cl.n_clusters))
+    means = [np.mean(concern.eigenvalues[cl.labels == k])
+             for k in range(cl.n_clusters)]
+    assert cl.centres.tobytes() == np.array(means).tobytes()
 
 
 @pytest.fixture(scope="module", params=["b", "c", "d"])
@@ -446,23 +466,39 @@ def partitions(concern, c, seed, rng):
     """k-means' partition into c clusters and a random one into at most
     c, each at its members' mean."""
     yield cluster_modes(concern, c, seed)
-    labels = rng.integers(c, size=len(concern))
-    members = tuple(tuple(np.flatnonzero(labels == k))
-                    for k in range(c) if np.any(labels == k))
-    centres = np.array([np.mean(concern.eigenvalues[list(m)])
-                        for m in members])
-    yield ModeClusters(members=members, centres=centres, inertia=0.0)
+    # the labels drawn, numbered densely
+    _, labels = np.unique(rng.integers(c, size=len(concern)),
+                          return_inverse=True)
+    centres = np.array([np.mean(concern.eigenvalues[labels == k])
+                        for k in range(labels.max() + 1)])
+    yield ModeClusters(labels=labels, centres=centres, inertia=0.0)
 
 
 @given(mode_sets, st.integers(0, 2**16))
 def test_error_floors_bound_every_partition(modes, seed):
     concern = concern_from_points(modes)
-    floors = error_floors(concern)
+    floors = farthest_first_floors(concern)
     assert len(floors) == len(modes) - 1
     rng = np.random.default_rng(seed)
     for c in range(1, len(modes)):
         for clusters in partitions(concern, c, seed, rng):
             assert error_E(concern, clusters) >= floors[c - 1] * (1 - 1e-12)
+
+
+@given(mode_sets, st.sampled_from([1e-3, 0.02, 0.1, 0.3, 1.0]))
+# coincident zero modes: their distance is nan, as is every floor after
+@example([0j, 0j, 1 + 1j, -1 + 1j], 0.3)
+@example([1 + 1j, 0j, 0j, -1 + 1j], 0.3)
+# index order and degree order each find 3 modes, farthest first 4
+@example([-1 + 16.3j, -1 + 7.1j, -1 + 2j, -1 + 2.8j, -1 + 1.7j, -1 + 1.5j,
+          -1 + 4.2j, -1 + 8.3j, -1 + 15.3j], 0.3)
+def test_far_set_outnumbers_the_floors_above_the_target(modes, e_target):
+    # so the far set alone skips every C whose farthest-first floor
+    # exceeds the target
+    concern = concern_from_points(modes)
+    gap = e_target * (1 + FLOOR_RTOL)
+    floors = farthest_first_floors(concern)
+    assert _far_set_size(concern, gap) >= 1 + np.count_nonzero(floors > gap)
 
 
 def test_sweep_keeps_a_count_whose_error_equals_its_floor():
@@ -505,7 +541,7 @@ def test_far_set_rules_out_every_smaller_count(modes, e_target, seed):
 def test_far_sets_cut_the_benchmark_sweep():
     # the four seed-7 farms of the auto_sweep100 benchmark at its 2% target
     # and the CLI's seed: E is evaluated 92 times in all, against 106 with
-    # the error_floors bound alone, and the sweep stops where it did
+    # the farthest-first floors alone, and the sweep stops where it did
     calls, chosen = [], []
     for k in range(4):
         farm = ladder_farm(10, 10, (7, k), planted=False)
@@ -559,7 +595,7 @@ def test_threads_clustering_at_once_share_no_state():
             runs = [pool.submit(sweep, step) for _ in range(2)]
             for run in runs:
                 wrong += [c for c, got in run.result()
-                          if got.members != fresh[c].members
+                          if not np.array_equal(got.labels, fresh[c].labels)
                           or not np.array_equal(got.centres, fresh[c].centres)
                           or got.inertia != fresh[c].inertia]
     assert wrong == []
@@ -582,14 +618,14 @@ def test_exact_inertia_tie_goes_to_the_smallest_centres():
     assert min(tied) == ((0.0, 0.5), (1.0, 0.5))
     cl = cluster_modes(concern, 2, seed=5, n_restarts=8)
     assert list(cl.centres) == [0.5j, 1 + 0.5j]
-    assert cl.members == ((0, 2), (1, 3))
+    assert cl.labels.tolist() == [0, 1, 0, 1]
     assert_matches_serial(concern, 2, seed=5, n_restarts=8)
 
 
 def test_fixed_seed_is_deterministic(case_b):
     c1 = cluster_modes(case_b.concern, 3, seed=123)
     c2 = cluster_modes(case_b.concern, 3, seed=123)
-    assert c1.members == c2.members
+    assert np.array_equal(c1.labels, c2.labels)
     assert np.array_equal(c1.centres, c2.centres)
     assert c1.inertia == c2.inertia
 

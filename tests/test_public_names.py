@@ -1,11 +1,13 @@
 """Every public name of the package has a user outside the tests, the
 package imports nothing but the standard library and numpy, no module
-imports a name it never uses, and the README's library example runs.
+imports a name it never uses, the README's library example runs, and every
+name the README gives in the package resolves.
 
 A name only the tests reach is a test oracle and belongs in `tests/`.
 """
 
 import ast
+import importlib
 import re
 import sys
 
@@ -73,6 +75,33 @@ def test_readme_library_example_runs():
     nrmse = ast.literal_eval(nrmse)
     assert list(nrmse) == ["poi_p"] + [f"group{g}_u_dc" for g in range(3)]
     assert all(0 < v < 0.05 for v in nrmse.values())
+
+
+# the extensions of the file names that the README writes in backticks
+FILE_SUFFIXES = {"py", "json", "csv", "svg", "npz", "md"}
+
+
+def test_readme_references_to_the_package_resolve():
+    """Each backticked dotted name in the README that starts with a module
+    of `src/wfdem`, bare or after `wfdem.` (`clustering.group_wts`,
+    `wfdem.farm.farm_from_dict`, `wt.SagSpec.t_start`), resolves by
+    `getattr`, name by name.  A file name such as `cases.py` is not a
+    reference."""
+    modules = sorted(p.stem for p in ROOT.glob("src/wfdem/*.py"))
+    refs = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                          (ROOT / "README.md").read_text()))
+    stale = []
+    for ref in sorted(refs):
+        names = ref.removeprefix("wfdem.").split(".")
+        if names[0] not in modules or names[-1] in FILE_SUFFIXES:
+            continue
+        obj = importlib.import_module(f"wfdem.{names[0]}")
+        try:
+            for name in names[1:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            stale.append(ref)
+    assert not stale, f"README names what wfdem does not define: {stale}"
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -44,13 +44,13 @@ def concern_of(values) -> ConcernSet:
 
 
 def one_cluster(concern: ConcernSet) -> ModeClusters:
-    return ModeClusters(members=(concern.mode_indices,),
+    return ModeClusters(labels=np.zeros(len(concern), dtype=int),
                         centres=np.array([concern.eigenvalues.mean()]),
                         inertia=0.0)
 
 
 def singleton_clusters(concern: ConcernSet) -> ModeClusters:
-    return ModeClusters(members=tuple((m,) for m in concern.mode_indices),
+    return ModeClusters(labels=np.arange(len(concern)),
                         centres=concern.eigenvalues.copy(),
                         inertia=0.0)
 
@@ -135,12 +135,14 @@ def test_error_e_zero_for_singleton_clusters():
     assert error_E(concern, singleton_clusters(concern)) == 0.0
 
 
-def test_error_e_rejects_uncovered_modes():
+def test_error_e_rejects_labels_of_another_length():
     concern = concern_of([-1 + 10j, -2 + 20j])
-    clusters = ModeClusters(members=((0,),), centres=np.array([-1 + 10j]),
-                            inertia=0.0)
-    with pytest.raises(ValueError, match="cover"):
-        error_E(concern, clusters)
+    for labels in ([0], [0, 0, 0], []):
+        clusters = ModeClusters(labels=np.array(labels, dtype=int),
+                                centres=np.array([-1 + 10j]), inertia=0.0)
+        with pytest.raises(ValueError,
+                           match=f"^{len(labels)} cluster labels for 2 "):
+            error_E(concern, clusters)
 
 
 def test_error_e_non_increasing_under_split(case_b):
@@ -209,10 +211,9 @@ def test_mode_errors_equal_the_per_mode_abs_loop(modes, centres, labels,
     concern, dem_set = concern_of(modes), concern_of(dem)
     label = [labels[k % len(labels)] % len(centres)
              for k in range(len(modes))]
-    clusters = ModeClusters(
-        members=tuple(tuple(m for m, c in enumerate(label) if c == j)
-                      for j in range(len(centres))),
-        centres=np.array(centres, dtype=complex), inertia=0.0)
+    clusters = ModeClusters(labels=np.array(label),
+                            centres=np.array(centres, dtype=complex),
+                            inertia=0.0)
     assert np.array_equal(centre_errors(concern, clusters),
                           centre_errors_by_mode(concern, clusters))
     assert np.array_equal(nearest_errors(concern, dem_set),
