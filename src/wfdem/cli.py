@@ -256,7 +256,7 @@ def emit_plot(out_dir: str | Path, kind: str) -> Path:
     elif kind == "responses":
         path = out_dir / "responses.svg"
         with np.load(out_dir / "responses.npz", allow_pickle=False) as npz:
-            t, detailed, dem = (npz[k].tolist() for k in (
+            t, detailed, dem = (npz[k] for k in (
                 "t", "detailed_poi_p", "dem_poi_p"))
         lines_svg(path, "POI active-power deviation under the sag",
                   "t (s)", "dP (p.u.)",

@@ -379,6 +379,23 @@ class GroupAssignment:
         return len(set(self.group_of.values()))
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of `x`, as `np.linalg.norm` forms it: the
+    square root of the row's dot product with itself, summed by the same
+    BLAS dot, so bit for bit."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def _relative_distances(centroids: np.ndarray, norms: np.ndarray, a: int,
+                        others: list[int]) -> np.ndarray:
+    """|c_a - c_b| / max(|c_a|, |c_b|) for each b in `others`, 0 where both
+    norms are 0, each as the scalar expression gives it."""
+    denom = np.maximum(norms[a], norms[others])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = _norms(centroids[a] - centroids[others]) / denom
+    return np.where(denom == 0, 0.0, dist)
+
+
 def group_wts(features: FeatureTable,
               tau: float = GROUP_TAU) -> GroupAssignment:
     """Assign each WT to its dominant cluster, then merge look-alike groups.
@@ -400,30 +417,37 @@ def group_wts(features: FeatureTable,
         top, second = part[:, -1], part[:, -2]
         margins = np.where(top > 0, (top - second) / np.where(top > 0, top, 1.0), 0.0)
 
-    # iterative closest-pair merging on group centroids
+    # closest-pair merging on group centroids: dist[a, b], a < b, is kept
+    # for every live pair, and a merge recomputes only the merged group's
     alive = sorted(set(raw.tolist()))
     assign = raw.copy()
     merged: list[tuple[int, int]] = []
+    centroids = np.zeros((n_c, n_c))
+    for g in alive:
+        centroids[g] = mags[assign == g].mean(axis=0)
+    norms = _norms(centroids)
+    dist = np.zeros((n_c, n_c))
+    for a_pos, ga in enumerate(alive):
+        dist[ga, alive[a_pos + 1:]] = _relative_distances(
+            centroids, norms, ga, alive[a_pos + 1:])
     while len(alive) > 1:
-        centroids = {g: mags[assign == g].mean(axis=0) for g in alive}
-        norms = {g: np.linalg.norm(centroids[g]) for g in alive}
-        best = None
-        for a_pos, ga in enumerate(alive):
-            for gb in alive[a_pos + 1:]:
-                denom = max(norms[ga], norms[gb])
-                if denom == 0:
-                    dist = 0.0
-                else:
-                    dist = float(np.linalg.norm(centroids[ga] - centroids[gb])
-                                 / denom)
-                if best is None or dist < best[0]:
-                    best = (dist, ga, gb)
-        dist, ga, gb = best
-        if dist >= tau:
+        # the first closest pair in (a, b) order, a < b, both alive
+        live = np.array(alive)
+        first, second = np.triu_indices(len(live), 1)
+        pairs = dist[live[first], live[second]]
+        best = int(np.argmin(pairs))
+        if pairs[best] >= tau:
             break
+        ga, gb = int(live[first[best]]), int(live[second[best]])
         assign[assign == gb] = ga
         merged.append((ga, gb))
         alive.remove(gb)
+        centroids[ga] = mags[assign == ga].mean(axis=0)
+        norms[ga] = _norms(centroids[ga:ga + 1])[0]
+        # |c_a - c_b| and |c_b - c_a| have the same bits
+        others = [g for g in alive if g != ga]
+        to_ga = _relative_distances(centroids, norms, ga, others)
+        dist[others, ga] = dist[ga, others] = to_ga
 
     idle = sorted(set(range(n_c)) - set(raw.tolist()))
     if merged or idle:

@@ -23,10 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import zipfile
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib import format as npformat
 
 CELL = "%.12g"
 
@@ -85,13 +87,27 @@ def read_grid(path: str | Path,
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """`arrays` as an uncompressed `.npz` archive at exactly `path`.
 
-    `np.savez` is given an open file, since it appends `.npz` to a path
-    that lacks it.  Its zip members carry the fixed date 1980-01-01, so the
-    bytes depend only on the arrays.  No object array is written, and
-    `np.load(path, allow_pickle=False)` reads every one back.
+    The bytes are those `np.savez` writes: one `<key>.npy` zip member per
+    array, forced to zip64, holding a version 1.0 header and the data in
+    C order, or in Fortran order for an array that is only F-contiguous.
+    A contiguous array's buffer goes to its member as it is, not copied.
+    The members carry the fixed date 1980-01-01, so the bytes depend only
+    on the arrays.  An object array raises `ValueError`; every array
+    written reads back with `np.load(path, allow_pickle=False)`.
     """
-    with open(path, "wb") as fh:
-        np.savez(fh, allow_pickle=False, **arrays)
+    arrays = {key: np.asanyarray(val) for key, val in arrays.items()}
+    for key, val in arrays.items():
+        if val.dtype.hasobject:
+            raise ValueError(f"array {key!r} holds Python objects")
+    with open(path, "wb") as fh, zipfile.ZipFile(
+            fh, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for key, val in arrays.items():
+            with zf.open(key + ".npy", "w", force_zip64=True) as member:
+                npformat.write_array_header_1_0(
+                    member, npformat.header_data_from_array_1_0(val))
+                if val.flags.f_contiguous and not val.flags.c_contiguous:
+                    val = val.T
+                member.write(memoryview(np.ascontiguousarray(val)))
 
 
 def magnitude(z: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 WIDTH, HEIGHT = 640.0, 440.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 36.0, 50.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -31,8 +33,8 @@ def _escape(text: str) -> str:
 
 @dataclass
 class Frame:
-    """Maps data coordinates into the fixed plot viewport; both spans must
-    be positive (see `_data_span`)."""
+    """Maps data coordinates, floats or float arrays, into the fixed plot
+    viewport; both spans must be positive (see `_data_span`)."""
 
     x_min: float
     x_max: float
@@ -201,13 +203,12 @@ def bars_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     for s, (label, vals) in enumerate(series):
         color = PALETTE[s % len(PALETTE)]
         legend.append((label, color, "line"))
-        for k, v in enumerate(vals):
-            x0 = MARGIN_L + k * slot + slot * 0.1 + s * bar_w
-            y0 = frame.y(v)
-            h = (HEIGHT - MARGIN_B) - y0
-            el.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                      f'width="{_fmt(bar_w)}" height="{_fmt(h)}" '
-                      f'fill="{color}"/>')
+        x0 = MARGIN_L + np.arange(len(vals)) * slot + slot * 0.1 + s * bar_w
+        y0 = frame.y(np.asarray(vals, dtype=float))
+        h = (HEIGHT - MARGIN_B) - y0
+        bar = f'<rect x="%.2f" y="%.2f" width="{_fmt(bar_w)}" ' \
+            f'height="%.2f" fill="{color}"/>'
+        el += [bar % xyh for xyh in zip(x0.tolist(), y0.tolist(), h.tolist())]
     step = max(1, n_cat // 16)
     for k in range(0, n_cat, step):
         px = MARGIN_L + (k + 0.5) * slot
@@ -218,23 +219,34 @@ def bars_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
     Path(path).write_text(_document(el))
 
 
-def lines_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
-              series: list[tuple[str, list[float], list[float], str, bool]],
-              ) -> None:
-    """Overlaid polylines; the last tuple flag selects a dashed stroke."""
-    xs = [x for _, sx, _, _, _ in series for x in sx]
-    ys = [y for _, _, sy, _, _ in series for y in sy]
+def _lines_frame(coords: list[tuple[np.ndarray, np.ndarray]]) -> Frame:
+    """The frame of `lines_svg`: x from its least value over one data span,
+    y padded by 5% of its span on both sides.  Its flat lists of every
+    value are freed before the points are formatted."""
+    xs = [x for sx, _ in coords for x in sx.tolist()]
+    ys = [y for _, sy in coords for y in sy.tolist()]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
     dy = _data_span(ys)
-    frame = Frame(min(xs), min(xs) + _data_span(xs),
-                  min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
+    return Frame(min(xs), min(xs) + _data_span(xs),
+                 min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
+
+
+def lines_svg(path: str | Path, title: str, xlabel: str, ylabel: str,
+              series: list[tuple[str, list[float], list[float], str, bool]],
+              ) -> None:
+    """Overlaid polylines; the last tuple flag selects a dashed stroke.
+
+    A series' x and y may be lists or float arrays."""
+    coords = [(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
+              for _, sx, sy, _, _ in series]
+    frame = _lines_frame(coords)
     el = _axes(frame, title, xlabel, ylabel)
     legend = []
-    for label, sx, sy, color, dashed in series:
+    for (label, _, _, color, dashed), (sx, sy) in zip(series, coords):
         legend.append((label, color, "line"))
-        pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}"
-                       for x, y in zip(sx, sy))
+        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(
+            frame.x(sx).tolist(), frame.y(sy).tolist())])
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         el.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                   f'stroke-width="1.6"{dash}/>')

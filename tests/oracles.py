@@ -3,7 +3,8 @@
 None of these runs in the pipeline.  Each is a second route to a quantity
 the package computes: a WT's operating point and its block's input and
 output maps, the closed-form stiff-grid DVC mode, the single-WT nonlinear
-model, the POI current and slack power, the series network losses, the
+model, the linear sag response with expm1 at every grid time, the POI
+current and slack power, the series network losses, the
 equal-loss impedance of a WT group branch by branch, each WT group's
 members, capacity total and capacity shares, each WT group's
 capacity-weighted mean DC voltage, the POI port of the collector's Kron
@@ -11,26 +12,33 @@ reduction, the farm closure as a dense block-diagonal sum and in
 admittance form, the relative mode errors mode by mode, the eigensolution
 in complex arithmetic, the dense MPF table of every state and mode, the
 superimposed MPFs cluster by cluster, the farthest-first lower bounds on
-the centre error of any C clusters, and the per-cell difference of two
-artifact numbers.
+the centre error of any C clusters, the WT grouping with every centroid
+and pair distance recomputed in each merge round, the bar and line SVGs
+point by point, and the per-cell difference of two artifact numbers.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from wfdem.assembly import linear_model
+from wfdem.assembly import FarmStateSpace, linear_model
 from wfdem.farm import (Branch, FarmDescription, GridThevenin,
                         NetworkMatrices, PerUnitBases, WtParams,
                         nodal_network, xy_block)
-from wfdem.clustering import ModeClusters
+from wfdem.clustering import (GROUP_TAU, FeatureTable, GroupAssignment,
+                              ModeClusters)
 from wfdem.modal import (_CERT_MAX, _COND_MAX, STATE_FILTER, ConcernSet,
                          DefectiveMatrixError, FarmModel, ModalSolution,
                          _conjugate_layout, _pair_modes, eig_biorthogonal)
 from wfdem.powerflow import SLACK_E0, BusSolution, solve_powerflow
-from wfdem.validation import nrmse, simulate_linear
+from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, PALETTE,
+                           WIDTH, Frame, _axes, _data_span, _document,
+                           _escape, _fmt, _legend)
+from wfdem.validation import (_STEPS, LinearResponse, nrmse,
+                              simulate_linear)
 from wfdem.wt import (SagSpec, WtStateSpace, _rotation_ddelta,
                       dc_link_seconds, rotation)
 
@@ -216,6 +224,37 @@ def linearization_check(wt: WtParams, bases: PerUnitBases,
                           np.array([[1.0]]))
     value, _ = nrmse(traj.u_dc - traj.u_dc[0], lin.u_dc[0])
     return value
+
+
+def simulate_linear_direct(fss: FarmStateSpace, modal: ModalSolution,
+                           sag: SagSpec, horizon: float, dt: float,
+                           shares: np.ndarray) -> LinearResponse:
+    """`simulate_linear` with expm1 evaluated at every grid time.
+
+    The same closed form, x(t) = U diag(V B_s de) (e^(lam tau) - 1) / lam
+    (tau where lam = 0), with the time factor of each mode formed directly
+    from tau = t - t_on, `_STEPS` grid times at a time, where
+    `simulate_linear` calls expm1 at one grid time in `_ANCHOR` only.
+    """
+    de = -sag.fraction * np.array([SLACK_E0.real, SLACK_E0.imag])
+    t = np.arange(int(round(horizon / dt)) + 1) * dt
+    k_on = int(np.searchsorted(t, sag.t_start))
+    n_out = len(shares)
+    m = np.vstack([shares @ modal.basis[fss.kind_rows(("u_dc",))],
+                   fss.c_p @ modal.basis])
+    q = modal.inverse @ (fss.b_s @ de)
+    w_re, w_im, lam = modal.residues(m, q)
+    zero = lam == 0
+    y = np.zeros((n_out + 1, len(t)))
+    for k in range(k_on, len(t), _STEPS):
+        tau = t[k - k_on:min(k + _STEPS, len(t)) - k_on]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.expm1(np.outer(lam, tau)) \
+                / np.where(zero, 1.0, lam)[:, None]
+        g[zero] = tau
+        y[:, k:k + len(tau)] = w_re @ g.real - w_im @ g.imag
+    poi_p = y[n_out] + (fss.d_p @ de) * (t >= sag.t_start)
+    return LinearResponse(t=t, u_dc=y[:n_out], poi_p=poi_p)
 
 
 def group_means_by_member(farm: FarmDescription,
@@ -507,6 +546,112 @@ def superimposed_mpf_by_sum(model: FarmModel,
         for r, mpf in enumerate(model.modal.participation(rows, group)):
             table[r, c] = sum(mpf)
     return table
+
+
+def group_wts_by_rounds(features: FeatureTable,
+                        tau: float = GROUP_TAU) -> GroupAssignment:
+    """`group_wts` without its warning, recomputing every live group's
+    centroid and norm, and every pair distance, in each merge round."""
+    mags = np.abs(features.table)
+    n_wt, n_c = mags.shape
+    raw = mags.argmax(axis=1)
+    if n_c == 1:
+        margins = np.ones(n_wt)
+    else:
+        part = np.sort(mags, axis=1)
+        top, second = part[:, -1], part[:, -2]
+        margins = np.where(top > 0, (top - second)
+                           / np.where(top > 0, top, 1.0), 0.0)
+    alive = sorted(set(raw.tolist()))
+    assign = raw.copy()
+    merged: list[tuple[int, int]] = []
+    while len(alive) > 1:
+        centroids = {g: mags[assign == g].mean(axis=0) for g in alive}
+        norms = {g: np.linalg.norm(centroids[g]) for g in alive}
+        best = None
+        for a_pos, ga in enumerate(alive):
+            for gb in alive[a_pos + 1:]:
+                denom = max(norms[ga], norms[gb])
+                if denom == 0:
+                    dist = 0.0
+                else:
+                    dist = float(np.linalg.norm(centroids[ga] - centroids[gb])
+                                 / denom)
+                if best is None or dist < best[0]:
+                    best = (dist, ga, gb)
+        dist, ga, gb = best
+        if dist >= tau:
+            break
+        assign[assign == gb] = ga
+        merged.append((ga, gb))
+        alive.remove(gb)
+    remap: dict[int, int] = {}
+    for g in assign:
+        if g not in remap:
+            remap[int(g)] = len(remap)
+    return GroupAssignment(
+        group_of={wt: remap[int(g)] for wt, g in zip(features.wt_ids, assign)},
+        margins={wt: float(m) for wt, m in zip(features.wt_ids, margins)},
+        merged=tuple(merged))
+
+
+def bars_svg_by_point(path, title: str, xlabel: str, ylabel: str,
+                      categories: list[str],
+                      series: list[tuple[str, list[float]]]) -> None:
+    """`svgplot.bars_svg` with each bar mapped by `Frame.y` as a float and
+    written by its own f-string."""
+    n_cat = len(categories)
+    n_ser = max(len(series), 1)
+    top = max((max(vals) for _, vals in series if vals), default=1.0)
+    frame = Frame(0.0, float(max(n_cat, 1)), 0.0,
+                  _data_span([0.0, top]) * 1.08)
+    el = _axes(frame, title, xlabel, ylabel)
+    slot = (WIDTH - MARGIN_L - MARGIN_R) / max(n_cat, 1)
+    bar_w = slot * 0.8 / n_ser
+    legend = []
+    for s, (label, vals) in enumerate(series):
+        color = PALETTE[s % len(PALETTE)]
+        legend.append((label, color, "line"))
+        for k, v in enumerate(vals):
+            x0 = MARGIN_L + k * slot + slot * 0.1 + s * bar_w
+            y0 = frame.y(v)
+            h = (HEIGHT - MARGIN_B) - y0
+            el.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
+                      f'width="{_fmt(bar_w)}" height="{_fmt(h)}" '
+                      f'fill="{color}"/>')
+    step = max(1, n_cat // 16)
+    for k in range(0, n_cat, step):
+        px = MARGIN_L + (k + 0.5) * slot
+        el.append(f'<text x="{_fmt(px)}" y="{_fmt(HEIGHT - MARGIN_B + 18)}" '
+                  'text-anchor="middle" font-size="9">'
+                  f'{_escape(categories[k])}</text>')
+    el += _legend(legend)
+    Path(path).write_text(_document(el))
+
+
+def lines_svg_by_point(path, title: str, xlabel: str, ylabel: str,
+                       series: list[tuple[str, list[float], list[float],
+                                          str, bool]]) -> None:
+    """`svgplot.lines_svg` with each point mapped by `Frame.x` and
+    `Frame.y` as floats and written by its own f-string."""
+    xs = [x for _, sx, _, _, _ in series for x in sx]
+    ys = [y for _, _, sy, _, _ in series for y in sy]
+    if not xs:
+        xs, ys = [0.0, 1.0], [0.0, 1.0]
+    dy = _data_span(ys)
+    frame = Frame(min(xs), min(xs) + _data_span(xs),
+                  min(ys) - 0.05 * dy, max(ys) + 0.05 * dy)
+    el = _axes(frame, title, xlabel, ylabel)
+    legend = []
+    for label, sx, sy, color, dashed in series:
+        legend.append((label, color, "line"))
+        pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}"
+                       for x, y in zip(sx, sy))
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        el.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                  f'stroke-width="1.6"{dash}/>')
+    el += _legend(legend)
+    Path(path).write_text(_document(el))
 
 
 def cell_difference(a: float, b: float) -> tuple[float, float]:

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import SolvedFarm, ladder_farm, traced_peak
-from oracles import farthest_first_floors, full_mpf, superimposed_mpf_by_sum
+from oracles import (farthest_first_floors, full_mpf, group_wts_by_rounds,
+                     superimposed_mpf_by_sum)
 from wfdem.cases import ground_truth_groups
-from wfdem.clustering import (COINCIDENT_RTOL, FLOOR_RTOL, FeatureTable,
-                              ModeClusters, _draw, _far_set_size,
+from wfdem.clustering import (COINCIDENT_RTOL, FLOOR_RTOL, GROUP_TAU,
+                              FeatureTable, ModeClusters, _draw,
+                              _far_set_size,
                               _lloyd_batch, cluster_modes, group_wts,
                               superimpose_mpf,
                               sweep_cluster_counts, write_features_csv,
@@ -783,6 +785,56 @@ def test_grouping_invariant_under_positive_rescale(case_b):
     scaled = FeatureTable(wt_ids=features.wt_ids,
                           table=3.7 * features.table)
     assert group_wts(scaled).group_of == groups.group_of
+
+
+def feature_table(rows) -> FeatureTable:
+    table = np.array(rows, dtype=complex)
+    return FeatureTable(wt_ids=tuple(f"w{k:02d}" for k in range(len(table))),
+                        table=table)
+
+
+def assert_groups_equal_the_oracle(features: FeatureTable, tau: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = group_wts(features, tau)
+    want = group_wts_by_rounds(features, tau)
+    assert got.group_of == want.group_of
+    assert got.margins == want.margins
+    assert got.merged == want.merged
+
+
+@given(st.integers(1, 6).flatmap(lambda c: st.lists(
+           st.lists(st.integers(0, 3), min_size=c, max_size=c),
+           min_size=1, max_size=12)),
+       st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0]),
+       st.sampled_from([1.0, 0.1, 3.7]))
+# equal pair distances: the first pair in (a, b) order merges first
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2.0, 1.0)
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+          [2, 0, 0, 0], [0, 2, 0, 0]], 1.0, 0.1)
+# all-zero features: no norm, so every distance is 0
+@example([[0, 0], [0, 0], [0, 0]], 0.1, 1.0)
+def test_merges_equal_the_round_by_round_oracle(rows, tau, scale):
+    assert_groups_equal_the_oracle(feature_table(np.array(rows) * scale),
+                                   tau)
+
+
+def test_benchmark_groupings_equal_the_round_by_round_oracle():
+    # the four seed-7 farms of the auto_sweep100 benchmark, as the CLI
+    # clusters them; no group merges at GROUP_TAU, and at tau = 1.4 the
+    # 53-67 groups of each table merge, one pair a round, into one
+    for k in range(4):
+        farm = ladder_farm(10, 10, (7, k), planted=False)
+        model = solve_modes(farm, solve_powerflow(farm))
+        clusters = sweep_cluster_counts(
+            model.concern, 42, 0.02,
+            lambda cl, c=model.concern: error_E(c, cl))
+        features = superimpose_mpf(model, clusters)
+        for tau in (GROUP_TAU, 1.4):
+            assert_groups_equal_the_oracle(features, tau)
+        assert not group_wts(features).merged
+        with pytest.warns(UserWarning, match=" vs 1 WT groups after "):
+            assert group_wts(features, 1.4).n_groups == 1
 
 
 def test_groups_json(tmp_path):

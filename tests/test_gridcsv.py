@@ -24,7 +24,7 @@ from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
                         load_farm)
-from wfdem.gridcsv import read_grid, write_grid
+from wfdem.gridcsv import read_grid, write_arrays, write_grid
 from wfdem.modal import (ConcernSet, FarmModel, ModalSolution,
                          write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import BusSolution, write_bus_csv
@@ -408,3 +408,38 @@ def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
     assert rows[1] == "0,0,0,nan,-1,0"
     assert rows[2] == "-0,0,0,nan,-1,0"
     assert rows[5].endswith(",3,1")
+
+
+def awkward_arrays() -> dict[str, np.ndarray]:
+    grid = np.arange(24.0).reshape(4, 6) - 11.5
+    return {
+        "c_order": grid,
+        "f_order": np.asfortranarray(grid),
+        "strided": grid[::2, ::3],
+        "transposed_strided": grid.T[::2],
+        "zero_d": np.array(-0.0),
+        "empty": np.zeros((0, 3)),
+        "empty_f": np.asfortranarray(np.zeros((3, 0, 2))),
+        "strings": np.array(["wt01:u_dc", "wt02:i_d", ""]),
+        "int64": np.arange(-3, 9, dtype=np.int64).reshape(3, 4),
+        "complex": (grid + 1j * grid[::-1]).T,
+        "bytes": np.array([b"ab", b"c"]),
+    }
+
+
+@pytest.mark.parametrize("key", list(awkward_arrays()))
+def test_write_arrays_writes_the_np_savez_bytes(tmp_path, key):
+    arrays = awkward_arrays()
+    for chosen in ({key: arrays[key]}, arrays):
+        write_arrays(tmp_path / "ours.npz", chosen)
+        with open(tmp_path / "savez.npz", "wb") as fh:
+            np.savez(fh, allow_pickle=False, **chosen)
+        assert (tmp_path / "ours.npz").read_bytes() \
+            == (tmp_path / "savez.npz").read_bytes()
+
+
+def test_write_arrays_refuses_object_arrays(tmp_path):
+    with pytest.raises(ValueError, match="'labels' holds Python objects"):
+        write_arrays(tmp_path / "x.npz", {"t": np.zeros(3),
+                                          "labels": np.array([1, "a"],
+                                                             dtype=object)})

@@ -3,7 +3,11 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+from hypothesis import example, given, strategies as st
+
 from helpers import run_python_bounded
+from oracles import bars_svg_by_point, lines_svg_by_point
 from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_T, PALETTE, _ticks,
                           bars_svg, lines_svg, scatter_svg)
 
@@ -133,3 +137,57 @@ def test_degenerate_x_spans_still_draw(tmp_path):
                if el.tag.endswith("polyline")]
     x, y = map(float, line.get("points").split(","))
     assert 0.0 < x < 640.0 and MARGIN_T < y < HEIGHT - MARGIN_B
+
+
+# plain floats, signed zeros and pixel positions that end in 5 at the
+# third decimal, where "%.2f" rounds by the binary value
+VALUE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+    [-0.0, 0.0, 1.005, 2.675, 0.125, 76.875, 1e-300]))
+
+
+def same_svg_bytes(tmp_path, draw, oracle, *args):
+    draw(tmp_path / "new.svg", *args)
+    oracle(tmp_path / "old.svg", *args)
+    return (tmp_path / "new.svg").read_bytes() \
+        == (tmp_path / "old.svg").read_bytes()
+
+
+@given(st.lists(st.lists(st.tuples(VALUE, VALUE), max_size=40), max_size=3))
+# x spans 0 to 550, so each x lands on pixel 70 + x
+@example([[(0.0, 0.0), (1.005, -0.0), (2.675, 1.0), (550.0, 2.0)]])
+# x spans 2.2, so pixel 70 + 0.275 k lands within a few ulps of a
+# rounding boundary at every odd k: one ulp off in the mapping shows
+@example([[(k * 0.0011, (k % 7) * 0.25) for k in range(2001)]])
+@example([[(-0.0, -0.0), (0.0, 0.0)], []])
+@example([])
+def test_lines_keep_the_per_point_bytes(tmp_path_factory, points):
+    tmp_path = tmp_path_factory.mktemp("lines")
+    series = [(f"s{k}", [x for x, _ in pts], [y for _, y in pts],
+               PALETTE[k], k % 2 == 1) for k, pts in enumerate(points)]
+    arrays = [(label, np.array(sx, dtype=float), np.array(sy, dtype=float),
+               color, dashed) for label, sx, sy, color, dashed in series]
+    for given_series in (series, arrays):
+        assert same_svg_bytes(tmp_path, lines_svg, lines_svg_by_point,
+                              "response", "t", "p", given_series)
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.lists(
+               st.one_of(st.floats(0.0, 1e6), st.sampled_from(
+                   [-0.0, 0.0, 1.005, 2.675, 0.125])),
+               min_size=n, max_size=n), max_size=4))))
+# eight slots of 68.75 px put the first bar's left edge at 76.875
+@example((8, [[1.0, 0.5, 0.25, -0.0, 0.0, 2.675, 1.005, 0.125]]))
+# a 108-unit span over 354 px: bar k rises 0.005 k px, a few ulps from a
+# rounding boundary at every odd k
+@example((100, [[100.0] + [k * 0.005 * 108.0 / 354.0
+                            for k in range(1, 100)]]))
+@example((3, []))
+@example((0, [[], []]))
+def test_bars_keep_the_per_bar_bytes(tmp_path_factory, shape):
+    tmp_path = tmp_path_factory.mktemp("bars")
+    n_cat, values = shape
+    categories = [f"wt{k:02d}" for k in range(n_cat)]
+    series = [(f"cluster {c}", vals) for c, vals in enumerate(values)]
+    assert same_svg_bytes(tmp_path, bars_svg, bars_svg_by_point,
+                          "features", "WT", "|F|", categories, series)

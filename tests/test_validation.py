@@ -19,18 +19,19 @@ from helpers import (ROOT, SolvedFarm, ladder_farm, run_python_bounded,
                      solved_case, state_matrix)
 from oracles import (centre_errors_by_mode, complex_basis,
                      group_means_by_member, linearization_check,
-                     nearest_errors_by_mode)
+                     nearest_errors_by_mode, simulate_linear_direct)
 from wfdem.assembly import FarmStateSpace
 from wfdem.cases import identical_zero_network_farm
 from wfdem.cli import RunConfig, emit_plot, run_pipeline
 from wfdem.clustering import ModeClusters, cluster_modes
-from wfdem.farm import (GridThevenin, PerUnitBases, WtParams, load_farm,
-                        save_farm)
+from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases,
+                        WtParams, load_farm, save_farm)
 from wfdem.modal import (_COND_MAX, ConcernSet, DefectiveMatrixError,
-                         ModalSolution, eig_biorthogonal)
+                         FarmModel, ModalSolution, eig_biorthogonal)
 from wfdem.powerflow import SLACK_E0, solve_powerflow
-from wfdem.validation import (LinearResponse, centre_errors, compare_responses,
-                              error_E, error_Eprime, nearest_errors, nrmse,
+from wfdem.validation import (_ANCHOR, _STEPS, LinearResponse,
+                              centre_errors, compare_responses, error_E,
+                              error_Eprime, nearest_errors, nrmse,
                               simulate_linear)
 from wfdem.wt import STATE_KINDS, SagSpec
 
@@ -325,24 +326,32 @@ def test_unstable_matrix_is_flagged():
     assert modal.unstable
 
 
-def parity_models(name: str,
-                  ) -> list[tuple[FarmStateSpace, ModalSolution]]:
-    """(state space, modal solution) pairs for one parity case, each state
-    space with its state matrix, which the solved model does not keep."""
-    def complete(farm, sol, model):
-        return (dataclasses.replace(model.fss, a_s=state_matrix(farm, sol)),
-                model.modal)
-
+def solved_models(name: str) -> list[tuple[FarmDescription, FarmModel]]:
+    """(farm, solved model) pairs of one parity case: for cases a-d the
+    detailed model and the DEMs at C = 1 and 3, otherwise the farm's own."""
     if name in ("a", "b", "c", "d"):
         s = solved_case(name)
-        return [complete(s.farm, s.sol, s.model)] + [
-            complete(dem.farm, solve_powerflow(dem.farm), dem.model)
-            for dem in (s.dem(c)[2] for c in (1, 3))]
+        dems = [s.dem(c)[2] for c in (1, 3)]
+        return [(s.farm, s.model)] + [(dem.farm, dem.model) for dem in dems]
     if name == "ladder":
-        s = SolvedFarm(ladder_farm(10, 10, 7))
+        farm = ladder_farm(10, 10, 7)
+    elif name == "ladder300_0":
+        # the first seed-7 ladder300 farm (1200 states)
+        farm = ladder_farm(10, 30, (7, 0))
     else:
-        s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
-    return [complete(s.farm, s.sol, s.model)]
+        farm = load_farm(ROOT / "farms" / f"{name}.json")
+    return [(farm, SolvedFarm(farm).model)]
+
+
+def parity_models(name: str,
+                  ) -> list[tuple[FarmStateSpace, ModalSolution]]:
+    """(state space, modal solution) pairs of `solved_models(name)`, each
+    state space with its state matrix, which the solved model does not
+    keep."""
+    return [(dataclasses.replace(
+                model.fss, a_s=state_matrix(farm, solve_powerflow(farm))),
+             model.modal)
+            for farm, model in solved_models(name)]
 
 
 @pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
@@ -357,6 +366,115 @@ def test_modal_form_matches_exact_stepper(name):
                                shares=per_wt(fss))
         ref = stepper_response(fss, sag, horizon=2.0, dt=1e-3)
         assert max_relative_difference(resp, ref) <= 1e-11
+
+
+def assert_matches_direct(resp: LinearResponse, ref: LinearResponse):
+    """Each row of `resp` within 1e-12 of the largest |value| of its row in
+    `ref` wherever `ref` is finite, and finite there."""
+    assert np.array_equal(resp.t, ref.t)
+    got = np.vstack([resp.u_dc, resp.poi_p])
+    want = np.vstack([ref.u_dc, ref.poi_p])
+    assert got.shape == want.shape
+    for row, (y, y_ref) in enumerate(zip(got, want)):
+        finite = np.isfinite(y_ref)
+        assert np.all(np.isfinite(y[finite])), row
+        if finite.any():
+            scale = np.abs(y_ref[finite]).max()
+            assert np.abs(y - y_ref)[finite].max() <= 1e-12 * scale, row
+
+
+@pytest.mark.filterwarnings("ignore:3 mode clusters vs 2 WT groups")
+@pytest.mark.parametrize("name", ["a", "b", "c", "d", "zero_network",
+                                  "single_wt", "ladder", "ladder300_0"])
+def test_anchored_time_factors_match_direct_expm1(name):
+    # cases a-d: the detailed model and the DEM at C = 1 and 3; the ladders
+    # are the benchmark's seed-7 10 x 10 farm (400 states) and its first
+    # ladder300 farm (1200 states)
+    sag = SagSpec(0.05, 0.1)
+    for _, model in solved_models(name):
+        fss, modal = model.fss, model.modal
+        assert_matches_direct(
+            simulate_linear(fss, modal, sag, 2.0, 1e-3, per_wt(fss)),
+            simulate_linear_direct(fss, modal, sag, 2.0, 1e-3, per_wt(fss)))
+
+
+@pytest.mark.parametrize("steps, on", [
+    (333, 0), (333, 333), (333, 170), (7, 0), (7, 7), (_STEPS, 0),
+    (2 * _STEPS + _ANCHOR + 3, _ANCHOR - 1), (0, 0)])
+def test_anchored_time_factors_on_ragged_horizons(case_b, steps, on):
+    # step counts that are no multiple of _ANCHOR or _STEPS, one shorter
+    # than an anchor span, and t_on at the first and the last grid time
+    dt = 1e-3
+    sag = SagSpec(0.05, on * dt)
+    for _, model in solved_models("b"):
+        fss, modal = model.fss, model.modal
+        resp = simulate_linear(fss, modal, sag, steps * dt, dt, per_wt(fss))
+        ref = simulate_linear_direct(fss, modal, sag, steps * dt, dt,
+                                     per_wt(fss))
+        assert len(resp.t) == steps + 1
+        assert np.all(resp.poi_p[:on] == 0.0)
+        assert resp.poi_p[on] != 0.0
+        assert_matches_direct(resp, ref)
+
+
+def spectrum_model(reals: list[float], uppers: list[complex], seed: int,
+                   ) -> tuple[FarmStateSpace, ModalSolution]:
+    """A state space in a random real basis whose modes are `reals` and the
+    pairs `uppers` with their conjugates; every state is a u_dc row."""
+    lam = [complex(r) for r in reals]
+    conj_of = list(range(len(lam)))
+    for z in uppers:
+        k = len(lam)
+        lam += [z.conjugate(), z]
+        conj_of += [k + 1, k]
+    n = len(lam)
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    pair_of = np.where(np.array(conj_of) == np.arange(n), -1, conj_of)
+    modal = ModalSolution(eigenvalues=np.array(lam), basis=basis,
+                          inverse=np.linalg.inv(basis),
+                          conj_of=np.array(conj_of), pair_of=pair_of)
+    ids = tuple(f"wt{k:02d}" for k in range(n))
+    fss = FarmStateSpace(a_s=None, b_s=rng.standard_normal((n, 2)),
+                         labels=tuple((wt, "u_dc") for wt in ids),
+                         wt_order=ids, c_p=rng.standard_normal(n),
+                         d_p=rng.standard_normal(2))
+    return fss, modal
+
+
+# |Im lam| T stays below 1e3: beyond it the phase lam t itself is rounded
+# by more than the tolerance, in the oracle as in the anchored fill
+REAL_MODES = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-12, 1e-12),
+    st.floats(-1e12, -1e6),
+    st.floats(-1e3, 0.0),
+    st.floats(1e-3, 20.0))
+PAIR_RE = st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12),
+                    st.floats(-1e12, -1e6), st.floats(-1e3, 0.0),
+                    st.floats(1e-3, 20.0))
+PAIR_IM = st.one_of(st.floats(5e-324, 1e-12), st.floats(1e-3, 150.0))
+
+
+@given(st.lists(REAL_MODES, max_size=4),
+       st.lists(st.builds(complex, PAIR_RE, PAIR_IM), max_size=4),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1e-2]),
+       st.integers(0, 600), st.floats(0.0, 1.0))
+@example([0.0, 1e-13, -1e7, 5.0], [50j, -1e-13 + 4e-13j, -2e6 + 3e4j,
+                                   3.0 + 20j], 1, 1e-3, 2001, 0.05)
+# growth that overflows before the horizon ends
+@example([0.0, 300.0], [250.0 + 100j, -1.0 + 10j], 2, 1e-2, 600, 0.0)
+def test_anchored_time_factors_on_any_spectrum(reals, uppers, seed, dt,
+                                               steps, on):
+    if not reals and not uppers:
+        return
+    fss, modal = spectrum_model(reals, uppers, seed)
+    sag = SagSpec(0.05, round(on * steps) * dt)
+    args = (fss, modal, sag, steps * dt, dt, per_wt(fss))
+    # past an overflow both sides meet inf - inf in their products
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_matches_direct(simulate_linear(*args),
+                              simulate_linear_direct(*args))
 
 
 def test_sag_switches_on_at_the_first_grid_time_past_t_start():
