@@ -11,6 +11,8 @@ collector stays live; and the benchmark's seed-7 `ladder300` and
     python3 scripts/acceptance_digests.py --out out/acceptance
     python3 scripts/acceptance_digests.py --out out/acceptance \\
         --compare parent/digests.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/acceptance_digests.py \\
+        --write-reference
 
 Runs go under --out, next to `digests.json`, which holds the environment
 (numpy version, BLAS name, version and thread count) and a
@@ -31,6 +33,14 @@ without labels).  For a JSON file it adds every differing leaf, by path,
 and the first two figures over the differing numeric leaves.  An `.npz`
 that both sides wrote gets the figures per key, after each key's shape and
 dtype.
+
+--write-reference [DIR] runs only the 16 runs of the shipped farms (all but
+the benchmark farms) and copies the `REFERENCE_FILES` of each to
+DIR/<run>/, with the environment in DIR/environment.json; DIR defaults to
+`tests/reference`, which `tests/test_reference.py` holds every later run
+to.  It runs at OPENBLAS_NUM_THREADS=1 only, so the reference has one
+stated thread setting.  A change that moves artifacts on purpose writes
+the reference again in the same commit.
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +71,14 @@ from wfdem.farm import GridThevenin, load_farm, save_farm  # noqa: E402
 from wfdem.gridcsv import magnitude, read_grid, write_json  # noqa: E402
 
 SEED = 7
+# the artifacts of each shipped-farm run that --write-reference keeps
+REFERENCE_FILES = ("bus_solution.csv", "modes.csv", "features.csv",
+                   "groups.json", "dem.json", "report.json")
 
 
-def acceptance_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
-    """(run name, farm file, count flags) of every run in the set; the
-    stiff-grid and benchmark farms are written to `farm_dir`."""
+def shipped_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
+    """(run name, farm file, count flags) of the set's 16 runs of the
+    shipped farms; the stiff-grid farm is written to `farm_dir`."""
     shipped = ROOT / "farms"
     runs = [(f"case_{x}_{tag}", shipped / f"case_{x}.json", flags)
             for x in "abcd"
@@ -80,6 +95,13 @@ def acceptance_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
     save_farm(stiff, farm_dir / "case_b_stiff.json")
     runs.append(("case_b_stiff_c3", farm_dir / "case_b_stiff.json",
                  ["--clusters", "3"]))
+    return runs
+
+
+def acceptance_runs(farm_dir: Path) -> list[tuple[str, Path, list[str]]]:
+    """(run name, farm file, count flags) of every run in the set; the
+    stiff-grid and benchmark farms are written to `farm_dir`."""
+    runs = shipped_runs(farm_dir)
     for workload, (feeders, spans, planted, flags, n_farms) in FARMS.items():
         for k in range(n_farms):
             farm, _ = farmgen.ladder_farm(feeders, spans, (SEED, k), planted)
@@ -104,6 +126,20 @@ def digest_runs(runs: list[tuple[str, Path, list[str]]],
             digests[f"{name}/{path.name}"] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     return digests
+
+
+def write_reference(dest: Path) -> None:
+    """Run the shipped-farm runs and copy each one's `REFERENCE_FILES` to
+    dest/<run>/, and the environment to dest/environment.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = shipped_runs(Path(tmp) / "farms")
+        digest_runs(runs, Path(tmp) / "runs")
+        for name, _, _ in runs:
+            (dest / name).mkdir(parents=True, exist_ok=True)
+            for file in REFERENCE_FILES:
+                shutil.copyfile(Path(tmp) / "runs" / name / file,
+                                dest / name / file)
+    write_json(dest / "environment.json", environment())
 
 
 def blas_threads() -> str:
@@ -319,9 +355,22 @@ def npz_difference(ours: Path, theirs: Path) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--compare", type=Path)
+    parser.add_argument("--write-reference", type=Path, nargs="?",
+                        const=ROOT / "tests" / "reference", metavar="DIR")
     args = parser.parse_args(argv)
+    if args.write_reference is not None:
+        if args.out is not None or args.compare is not None:
+            parser.error("--write-reference takes no --out or --compare")
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            parser.error("--write-reference runs at OPENBLAS_NUM_THREADS=1")
+        write_reference(args.write_reference)
+        print(f"{len(REFERENCE_FILES)} artifacts of each shipped-farm run: "
+              f"{args.write_reference}")
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
 
     env = environment()
     if args.compare is not None:

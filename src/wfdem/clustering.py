@@ -9,10 +9,12 @@ WT group count, so it warns when that count falls short of the cluster
 count; the DEM is built from the grouping alone.
 
 A partition is one cluster label per concern mode, in concern order.
-k-means runs its restarts together as array operations, each restart on
-its own seed generator.  The `--auto-clusters` sweep carries every
-restart's k-means++ seeds from one C to the next and clusters no C below
-the size of a set of modes too far apart to share a cluster.
+k-means runs its `N_RESTARTS` restarts together as array operations, each
+restart on its own seed generator; the restart count and the merge
+threshold `GROUP_TAU` are fixed constants.  The `--auto-clusters` sweep
+carries every restart's k-means++ seeds from one C to the next and
+clusters no C below the size of one greedy set of modes too far apart to
+share a cluster.
 """
 
 from __future__ import annotations
@@ -250,23 +252,22 @@ def _best_clustering(concern: ConcernSet, pts: np.ndarray, shift: int,
                         inertia=inertia)
 
 
-def cluster_modes(concern: ConcernSet, c: int, seed: int,
-                  n_restarts: int = N_RESTARTS) -> ModeClusters:
+def cluster_modes(concern: ConcernSet, c: int, seed: int) -> ModeClusters:
     """Seeded k-means over the concern representatives.
 
-    All restarts run together as array operations.  Each restart keeps its
-    own child seed spawned from `seed` and draws its k-means++ seeds from
-    it, so the batch reproduces running the restarts one by one, in any
-    order; the lowest inertia wins and exact ties fall back to
-    lexicographic centre order.  Cluster indices are canonical: sorted by
-    centre (Re, Im).  Coincident centres merge, so `n_clusters` may be
-    below c.  Each call draws its own seeds and shares no state with any
-    other call.
+    All `N_RESTARTS` restarts run together as array operations.  Each
+    restart keeps its own child seed spawned from `seed` and draws its
+    k-means++ seeds from it, so the batch reproduces running the restarts
+    one by one, in any order; the lowest inertia wins and exact ties fall
+    back to lexicographic centre order.  Cluster indices are canonical:
+    sorted by centre (Re, Im).  Coincident centres merge, so `n_clusters`
+    may be below c.  Each call draws its own seeds and shares no state with
+    any other call.
     """
     pts, shift = _points(concern)
     if not 1 <= c <= len(pts):
         raise ModeCountError(f"cluster count {c} not in [1, {len(pts)}]")
-    seeds = next(itertools.islice(_seed_prefixes(pts, seed, n_restarts),
+    seeds = next(itertools.islice(_seed_prefixes(pts, seed, N_RESTARTS),
                                   c - 1, None))
     return _best_clustering(concern, pts, shift, seeds)
 
@@ -277,36 +278,20 @@ def _far_set_size(concern: ConcernSet, gap: float) -> int:
 
     Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
     since |p - q| <= |p - c| + |q - c|; so each mode of the set needs a
-    cluster of its own before E can reach `gap`.  The set is the largest
-    of three greedy ones: taken in index order, in descending order of how
-    many modes lie that far from each, and farthest first (from mode 0,
-    each next pick the mode farthest from its nearest earlier pick).  Any
-    C clusters hold two of the first C + 1 farthest-first picks together,
-    so the (C + 1)-th pick's distance to its nearest earlier one is a floor
-    on E; the farthest-first set holds one mode more than there are floors
-    above `gap`.  Coincident zero modes give nan, which is never far.
+    cluster of its own before E can reach `gap`.  The set is taken
+    greedily, in descending order of how many modes lie that far from
+    each.  Coincident zero modes give nan, which is never far.
     """
     lam = concern.eigenvalues
     mag = np.abs(lam)
     with np.errstate(invalid="ignore"):
-        dist = np.abs(lam[:, None] - lam) / (mag[:, None] + mag)
-        far = dist > gap
-        farthest, nearest = [0], dist[0]
-        for _ in range(len(lam) - 1):
-            farthest.append(int(np.argmax(nearest)))
-            nearest = np.minimum(nearest, dist[farthest[-1]])
-
-    def greedy(order) -> int:
-        free, size = np.ones(len(lam), dtype=bool), 0
-        for i in order:
-            if free[i]:
-                size += 1
-                free &= far[i]
-        return size
-
-    return max(greedy(range(len(lam))),
-               greedy(np.argsort(-far.sum(axis=1), kind="stable")),
-               greedy(farthest))
+        far = np.abs(lam[:, None] - lam) / (mag[:, None] + mag) > gap
+    free, size = np.ones(len(lam), dtype=bool), 0
+    for i in np.argsort(-far.sum(axis=1), kind="stable"):
+        if free[i]:
+            size += 1
+            free &= far[i]
+    return size
 
 
 def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
@@ -316,11 +301,12 @@ def sweep_cluster_counts(concern: ConcernSet, seed: int, e_target: float,
     `error(clusters)` is at most `e_target`, else C = N.
 
     `error` is E on `concern` (`validation.error_E`).  A C cannot pass and
-    is not clustered when it is below the size of a set of modes whose
-    every pair lies more than `e_target` (plus `FLOOR_RTOL`) apart
-    (`_far_set_size`): two of them would share a cluster.  `error` sees
-    the other clusterings in ascending C, each equal to
-    `cluster_modes(concern, C, seed)`, and none after the first that
+    is not clustered when it is below the size of the greedy set of modes
+    whose every pair lies more than `e_target` (plus `FLOOR_RTOL`) apart
+    (`_far_set_size`): two of them would share a cluster.  Any such set
+    gives a valid floor, so the set changes which C are skipped, never the
+    result.  `error` sees the other clusterings in ascending C, each equal
+    to `cluster_modes(concern, C, seed)`, and none after the first that
     passes.  One seed generator serves every C, skipped ones too, so each
     C draws one new centre per restart.
     """
@@ -396,14 +382,13 @@ def _relative_distances(centroids: np.ndarray, norms: np.ndarray, a: int,
     return np.where(denom == 0, 0.0, dist)
 
 
-def group_wts(features: FeatureTable,
-              tau: float = GROUP_TAU) -> GroupAssignment:
+def group_wts(features: FeatureTable) -> GroupAssignment:
     """Assign each WT to its dominant cluster, then merge look-alike groups.
 
     Grouping works on feature magnitudes.  Two groups merge when their
-    centroid feature vectors differ by less than tau relative to the larger
-    centroid norm.  The margin is (top - second) / top over |F_kc|; with a
-    single cluster it is 1 by convention.  Fewer groups than clusters warn
+    centroid feature vectors differ by less than `GROUP_TAU` relative to the
+    larger centroid norm.  The margin is (top - second) / top over |F_kc|;
+    with a single cluster it is 1 by convention.  Fewer groups than clusters warn
     "k mode clusters vs m WT groups", naming the merges and the clusters
     that no WT peaks in.
     """
@@ -436,7 +421,7 @@ def group_wts(features: FeatureTable,
         first, second = np.triu_indices(len(live), 1)
         pairs = dist[live[first], live[second]]
         best = int(np.argmin(pairs))
-        if pairs[best] >= tau:
+        if pairs[best] >= GROUP_TAU:
             break
         ga, gb = int(live[first[best]]), int(live[second[best]])
         assign[assign == gb] = ga

@@ -7,6 +7,7 @@ test suite's conftest shadows.
 import dataclasses
 import functools
 import importlib.util
+import json
 import os
 import resource
 import subprocess
@@ -22,6 +23,7 @@ from wfdem.cases import case_farm
 from wfdem.clustering import cluster_modes, group_wts, superimpose_mpf
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, build_network_matrices)
+from wfdem.gridcsv import read_grid
 from wfdem.modal import solve_modes
 from wfdem.powerflow import BusSolution, solve_powerflow
 from wfdem.wt import linearize_wt
@@ -163,13 +165,76 @@ def ladder_farm(feeders: int, spans: int, seed: int | tuple[int, ...],
     return farmgen.ladder_farm(feeders, spans, seed, planted)[0]
 
 
+@functools.cache
 def load_digests_script():
-    """`scripts/acceptance_digests.py` as a module."""
+    """`scripts/acceptance_digests.py` as a module, loaded once."""
     spec = importlib.util.spec_from_file_location(
         "acceptance_digests", ROOT / "scripts" / "acceptance_digests.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+# How far an artifact may move between two runs that must take the same
+# decisions: the largest |difference| over the largest |value| of its
+# column (CSV, .npz) or over the larger |value| of the two (JSON numbers),
+# as scripts/acceptance_digests.py figures them.  Each bound is ten times
+# the largest difference measured between 1 and 2 OpenBLAS threads,
+# rounded up to a power of ten, and 1e-12 where nothing moved (the power
+# flow and the DEM); measured with numpy 2.4 and its bundled OpenBLAS on
+# x86-64: modes 1.2e-12, features 6.7e-12, responses 2.7e-14, groups
+# (margins) 5.7e-12, report 5.0e-11, bus_solution and dem 0.  Per-mode MPF
+# columns are not bounded: near-coincident modes (case a) have no unique
+# columns, only their cluster sums, which `features.csv` holds.
+BOUNDS = {"bus_solution.csv": 1e-12, "modes.csv": 1e-10,
+          "features.csv": 1e-10, "responses.npz": 1e-12, "dem.json": 1e-12,
+          "groups.json": 1e-10, "report.json": 1e-9}
+# A JSON number no larger than this in magnitude on both sides is the
+# roundoff of an exact zero, and its move is not bounded: the errors and
+# NRMSEs of an exact DEM (zero_network's `/nrmse/group0_u_dc` moved once
+# from 3.574e-16 to 3.503e-16, 2% relative).  In the shipped-farm runs
+# such leaves lie below 7e-16 and every other nonzero number above 2e-5.
+ROUNDOFF_FLOOR = 1e-12
+
+
+def json_difference(a, b) -> float:
+    """Largest relative difference of the numeric leaves of two parsed
+    JSON documents, over the leaves above `ROUNDOFF_FLOOR`; every other
+    leaf, and the set of leaves, must be equal."""
+    script = load_digests_script()
+    a, b = script.json_leaves(a), script.json_leaves(b)
+    assert a.keys() == b.keys()
+    floats = []
+    for path, x in a.items():
+        y = b[path]
+        if isinstance(x, float) and isinstance(y, float):
+            if not (abs(x) <= ROUNDOFF_FLOOR and abs(y) <= ROUNDOFF_FLOOR):
+                floats.append((x, y))
+        else:
+            assert x == y and type(x) is type(y), path
+    return script.array_difference(
+        *np.array(floats, dtype=float).reshape(-1, 2).T)[1]
+
+
+def artifact_difference(name: str, ours: Path, theirs: Path) -> float:
+    """The figure `BOUNDS[name]` bounds, for one artifact of two runs;
+    the discrete parts (JSON leaves that are not floats, the pair ids and
+    selection flags of `modes.csv`, headers, row labels, .npz keys) must be
+    equal."""
+    script = load_digests_script()
+    if name.endswith(".json"):
+        return json_difference(json.loads(ours.read_text()),
+                               json.loads(theirs.read_text()))
+    if name.endswith(".csv"):
+        (h1, l1, a), (h2, l2, b) = read_grid(ours), read_grid(theirs)
+        assert (h1, l1) == (h2, l2)
+        if name == "modes.csv":
+            # pair_id and selected: the same pairs and the same concern set
+            assert np.array_equal(a[:, 4:], b[:, 4:])
+        return script.array_difference(a, b)[2]
+    with np.load(ours) as x, np.load(theirs) as y:
+        assert x.files == y.files
+        return max(script.array_difference(x[k], y[k])[2] for k in x.files)
 
 
 def library_example() -> str:

@@ -11,8 +11,7 @@ capacity-weighted mean DC voltage, the POI port of the collector's Kron
 reduction, the farm closure as a dense block-diagonal sum and in
 admittance form, the relative mode errors mode by mode, the eigensolution
 in complex arithmetic, the dense MPF table of every state and mode, the
-superimposed MPFs cluster by cluster, the farthest-first lower bounds on
-the centre error of any C clusters, the WT grouping with every centroid
+superimposed MPFs cluster by cluster, the WT grouping with every centroid
 and pair distance recomputed in each merge round, the bar and line SVGs
 point by point, and the per-cell difference of two artifact numbers.
 """
@@ -419,30 +418,6 @@ def centre_errors_by_mode(concern: ConcernSet,
         float(abs(lam - complex(clusters.centres[int(label)])))
         / float(abs(lam))
         for label, lam in zip(clusters.labels, concern.eigenvalues)])
-
-
-def farthest_first_floors(concern: ConcernSet) -> np.ndarray:
-    """Lower bounds on the centre error E of any C-cluster partition of
-    the concern modes, for C = 1, ..., N - 1 at index C - 1.
-
-    Two modes p, q that share a centre c give E >= |p - q| / (|p| + |q|),
-    since |p - q| <= |p - c| + |q - c|.  A farthest-first pass under that
-    distance picks the modes one by one; the (C + 1)-th pick lies at least
-    r_C from every earlier pick, and r_C does not grow with C.  Any C
-    clusters hold two of the first C + 1 picks together, so E >= r_C.
-    Coincident zero modes give nan, which bounds nothing.
-    """
-    lam = concern.eigenvalues
-    mag = np.abs(lam)
-    floors = np.empty(max(len(lam) - 1, 0))
-    with np.errstate(invalid="ignore"):
-        nearest = np.abs(lam - lam[:1]) / (mag + mag[:1])
-        for c in range(len(floors)):
-            k = int(np.argmax(nearest))
-            floors[c] = nearest[k]
-            nearest = np.minimum(nearest,
-                                 np.abs(lam - lam[k]) / (mag + mag[k]))
-    return floors
 
 
 def nearest_errors_by_mode(concern: ConcernSet,

@@ -4,11 +4,8 @@ Byte identity holds within one BLAS thread count only: between 1 and 2
 OpenBLAS threads the artifacts move by roundoff.  No decision of the method
 may move with them: the concern set, the WT groups, the merge log, the
 chosen C and the DEM machine count stay equal, and every number stays
-within the bound below.  Each bound is ten times the largest difference
-measured on these runs, rounded up to a power of ten, and 1e-12 where
-nothing moved (the power flow and the DEM's network).  Per-mode
-MPF columns are not bounded: near-coincident modes (case a) have no unique
-columns, only their cluster sums, which `features.csv` holds.
+within `helpers.BOUNDS`, the rule that `test_reference.py` holds the
+shipped-farm runs to as well.
 """
 
 import json
@@ -16,8 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import ROOT, load_digests_script, run_python_bounded
-from wfdem.gridcsv import read_grid
+from helpers import BOUNDS, ROOT, artifact_difference, run_python_bounded
 
 RUNS = {"case_a_c1": ("case_a.json", 1), "case_a_c3": ("case_a.json", 3),
         "case_b_c3": ("case_b.json", 3)}
@@ -32,52 +28,6 @@ for name, (farm, c) in runs.items():
     if main(argv) != 0:
         sys.exit(f"wfdem {' '.join(argv)} failed")
 """
-
-# largest |difference| over the largest |value| of its column (CSV, .npz)
-# or over the larger |value| of the two (JSON numbers), as
-# scripts/acceptance_digests.py figures them; measured with
-# numpy 2.4 and its bundled OpenBLAS on x86-64, largest of the three runs:
-# modes 1.2e-12, features 6.7e-12, responses 2.7e-14, groups (margins)
-# 5.7e-12, report 5.0e-11, bus_solution and dem 0
-BOUNDS = {"bus_solution.csv": 1e-12, "modes.csv": 1e-10,
-          "features.csv": 1e-10, "responses.npz": 1e-12, "dem.json": 1e-12,
-          "groups.json": 1e-10, "report.json": 1e-9}
-
-
-SCRIPT = load_digests_script()
-
-
-def json_difference(a, b):
-    """Largest relative difference of the numeric leaves; every other leaf,
-    and the set of leaves, must be equal."""
-    a, b = SCRIPT.json_leaves(a), SCRIPT.json_leaves(b)
-    assert a.keys() == b.keys()
-    floats = []
-    for path, x in a.items():
-        y = b[path]
-        if isinstance(x, float) and isinstance(y, float):
-            floats.append((x, y))
-        else:
-            assert x == y and type(x) is type(y), path
-    return SCRIPT.array_difference(
-        *np.array(floats, dtype=float).reshape(-1, 2).T)[1]
-
-
-def artifact_difference(name, ours, theirs):
-    """The figure `BOUNDS` bounds, for one artifact of both runs."""
-    if name.endswith(".json"):
-        return json_difference(json.loads(ours.read_text()),
-                               json.loads(theirs.read_text()))
-    if name.endswith(".csv"):
-        (h1, l1, a), (h2, l2, b) = read_grid(ours), read_grid(theirs)
-        assert (h1, l1) == (h2, l2)
-        if name == "modes.csv":
-            # pair_id and selected: the same pairs and the same concern set
-            assert np.array_equal(a[:, 4:], b[:, 4:])
-        return SCRIPT.array_difference(a, b)[2]
-    with np.load(ours) as x, np.load(theirs) as y:
-        assert x.files == y.files
-        return max(SCRIPT.array_difference(x[k], y[k])[2] for k in x.files)
 
 
 @pytest.fixture(scope="module")

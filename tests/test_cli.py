@@ -668,3 +668,22 @@ def test_acceptance_digests_script_records_and_checks_the_environment(
                         "--compare", str(first)]) == 0
     assert capsys.readouterr().out.startswith(
         "WARNING: ENVIRONMENT NOT RECORDED")
+
+
+def test_acceptance_digests_script_writes_a_reference_at_one_thread_only(
+        tmp_path, monkeypatch, capsys):
+    # the reference states one thread setting, and takes no flag that it
+    # would ignore; a refused call writes nothing
+    script = load_digests_script()
+    for threads, extra in (("2", []), (None, []),
+                           ("1", ["--out", str(tmp_path)]),
+                           ("1", ["--compare", str(tmp_path)])):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--write-reference", str(tmp_path), *extra])
+        assert exc.value.code == 2
+    assert "--write-reference" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
