@@ -3,10 +3,12 @@
 Participation of state k in mode i is f_ki = V_ik * U_ki with the left rows
 rescaled so V_i U_i = 1; columns of the participation matrix then sum to one
 exactly, which is the normalization every downstream superposition relies on.
-The pipeline reads only slices of that n x n matrix (the `u_dc` rows, the
-concern columns), so `ModalSolution.participation` forms just the block
-asked for.  Desk-scale farms (a few hundred states) make full dense
-decomposition the right tool; no selective or iterative solver is attempted.
+The pipeline never forms that n x n matrix: `ModalSolution.participation`
+forms the block asked for (the `u_dc` rows x concern columns that build
+the features are `mpf.npz`), and `loop_participation` sums |f| per state
+kind and per WT a column block at a time.  Desk-scale farms (a few
+hundred states) make full dense decomposition the right tool; no selective
+or iterative solver is attempted.
 `solve_modes` is the one linearize -> decompose -> select chain; the
 detailed farm and the DEM each come out of it as a `FarmModel`.
 
@@ -44,6 +46,7 @@ from .assembly import FarmStateSpace, linear_model
 from .farm import FarmDescription
 from .gridcsv import magnitude, write_arrays, write_grid
 from .powerflow import BusSolution
+from .wt import STATE_KINDS
 
 _PAIR_RTOL = 1e-7
 # cond_2(U) above which the eigenvector basis counts as defective
@@ -53,10 +56,16 @@ _COND_MAX = 1e12
 _CERT_MAX = _COND_MAX / 100.0
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
-# rows of the MPF block that `ModalSolution.participation` forms at a time
-_ROW_BLOCK = 64
+# rows of the MPF block that `ModalSolution.participation` forms at a time:
+# few, so that one row block's factors stay small beside a block of one row
+# per WT
+_ROW_BLOCK = 16
+# modes of the MPF block that `loop_participation` forms at a time
+_COL_BLOCK = 128
 # state kinds whose participation ranks the concern modes; [0] gives features
 STATE_FILTER = ("u_dc",)
+# state kinds of the DC-voltage control loop, whose share `modes.csv` gives
+DVC_KINDS = ("u_dc", "dvc_int")
 
 
 class DefectiveMatrixError(RuntimeError):
@@ -326,6 +335,32 @@ def select_concern_modes(sol: ModalSolution, rows: Sequence[int],
     return ConcernSet(mode_indices=tuple(chosen), eigenvalues=eigs)
 
 
+def loop_participation(fss: FarmStateSpace, sol: ModalSolution,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Each mode's DVC share and dominant WT, from |f| summed per state.
+
+    `dvc_share[i]` is mode i's sum of |f_ki| over the `DVC_KINDS` states k
+    (u_dc and dvc_int) over its sum over all four kinds; `dominant[i]` (int64) is the position in
+    `fss.wt_order` of the WT whose four states sum highest, the first on an
+    exact tie.  The sums are filled `_COL_BLOCK` modes at a time from
+    `participation` over every state, so no n x n block is formed.
+    """
+    kind_rows = [fss.kind_rows((kind,)) for kind in STATE_KINDS]
+    dvc = [STATE_KINDS.index(kind) for kind in DVC_KINDS]
+    every = np.arange(fss.n_states)
+    dvc_share = np.empty(sol.n_modes)
+    dominant = np.empty(sol.n_modes, dtype=np.int64)
+    for lo in range(0, sol.n_modes, _COL_BLOCK):
+        cols = np.arange(lo, min(lo + _COL_BLOCK, sol.n_modes))
+        mag = np.abs(sol.participation(every, cols))
+        # |f| of (kind, WT in wt_order, mode)
+        per_kind = np.stack([mag[rows] for rows in kind_rows])
+        dvc_share[cols] = per_kind[dvc].sum(axis=(0, 1)) \
+            / per_kind.sum(axis=(0, 1))
+        dominant[cols] = np.argmax(per_kind.sum(axis=0), axis=0)
+    return dvc_share, dominant
+
+
 @dataclass(frozen=True)
 class FarmModel:
     """One farm's linear model: its state space, the modal solution of
@@ -371,7 +406,9 @@ def solve_modes(farm: FarmDescription, flow: BusSolution) -> FarmModel:
 
 
 def write_modes_csv(model: FarmModel, path: str | Path) -> None:
-    """One row per mode; a zero-magnitude mode has damping ratio nan."""
+    """One row per mode: re, im, freq_hz, damping_ratio, pair_id, selected,
+    and `loop_participation`'s dvc_share and dominant_wt (0-based, in
+    `fss.wt_order`); a zero-magnitude mode has damping ratio nan."""
     sol, concern = model.modal, model.concern
     lam = sol.eigenvalues
     mag = magnitude(lam)
@@ -379,25 +416,29 @@ def write_modes_csv(model: FarmModel, path: str | Path) -> None:
     selected[list(concern.mode_indices)] = 1
     with np.errstate(invalid="ignore"):
         damping = -lam.real / mag
+    dvc_share, dominant = loop_participation(model.fss, sol)
     write_grid(path, ["re", "im", "freq_hz", "damping_ratio", "pair_id",
-                      "selected"],
+                      "selected", "dvc_share", "dominant_wt"],
                np.column_stack([lam.real, lam.imag,
                                 np.abs(lam.imag) / (2 * np.pi), damping,
-                                sol.pair_of, selected]))
+                                sol.pair_of, selected, dvc_share, dominant]))
 
 
 def write_mpf_csv(model: FarmModel, path: str | Path) -> None:
-    """f_ki, every state k and the concern modes i, as `mpf.npz` at `path`.
+    """f_ki of each WT's `STATE_FILTER[0]` state k and the concern modes i,
+    as `mpf.npz` at `path`: the block `clustering.superimpose_mpf` sums
+    into the features.
 
-    Keys: `mpf`, the complex128 block as `participation` forms it; `state`,
-    the `"wt:kind"` row labels; `mode`, the columns' indices in `modes.csv`
-    (int64), in `concern.mode_indices` order.  The name keeps the `_csv`
-    of the former text artifact because the benchmark's tracer looks the
-    writer up by name.
+    Keys: `mpf`, the complex128 block as `participation` forms it, one row
+    per WT in `fss.wt_order`; `state`, the `"wt:kind"` row labels; `mode`,
+    the columns' indices in `modes.csv` (int64), in `concern.mode_indices`
+    order.  The name keeps the `_csv` of the former text artifact because
+    the benchmark's tracer looks the writer up by name.
     """
+    rows = model.fss.kind_rows(STATE_FILTER[:1])
     cols = list(model.concern.mode_indices)
     labels = model.fss.labels
     write_arrays(path, {
-        "mpf": model.modal.participation(np.arange(len(labels)), cols),
-        "state": np.array([f"{wt}:{kind}" for wt, kind in labels], dtype=str),
+        "mpf": model.modal.participation(rows, cols),
+        "state": np.array([":".join(labels[k]) for k in rows], dtype=str),
         "mode": np.array(cols, dtype=np.int64)})

@@ -189,6 +189,8 @@ def load_digests_script():
 BOUNDS = {"bus_solution.csv": 1e-12, "modes.csv": 1e-10,
           "features.csv": 1e-10, "responses.npz": 1e-12, "dem.json": 1e-12,
           "groups.json": 1e-10, "report.json": 1e-9}
+# the discrete columns of `modes.csv`
+MODES_EXACT = ("pair_id", "selected", "dominant_wt")
 # A JSON number no larger than this in magnitude on both sides is the
 # roundoff of an exact zero, and its move is not bounded: the errors and
 # NRMSEs of an exact DEM (zero_network's `/nrmse/group0_u_dc` moved once
@@ -218,9 +220,9 @@ def json_difference(a, b) -> float:
 
 def artifact_difference(name: str, ours: Path, theirs: Path) -> float:
     """The figure `BOUNDS[name]` bounds, for one artifact of two runs;
-    the discrete parts (JSON leaves that are not floats, the pair ids and
-    selection flags of `modes.csv`, headers, row labels, .npz keys) must be
-    equal."""
+    the discrete parts (JSON leaves that are not floats, the pair ids,
+    selection flags and dominant WTs of `modes.csv`, headers, row labels,
+    .npz keys) must be equal."""
     script = load_digests_script()
     if name.endswith(".json"):
         return json_difference(json.loads(ours.read_text()),
@@ -229,8 +231,9 @@ def artifact_difference(name: str, ours: Path, theirs: Path) -> float:
         (h1, l1, a), (h2, l2, b) = read_grid(ours), read_grid(theirs)
         assert (h1, l1) == (h2, l2)
         if name == "modes.csv":
-            # pair_id and selected: the same pairs and the same concern set
-            assert np.array_equal(a[:, 4:], b[:, 4:])
+            # the same pairs, the same concern set and the same loop owners
+            exact = [h1.index(col) for col in MODES_EXACT]
+            assert np.array_equal(a[:, exact], b[:, exact])
         return script.array_difference(a, b)[2]
     with np.load(ours) as x, np.load(theirs) as y:
         assert x.files == y.files

@@ -509,6 +509,21 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
     return np.ascontiguousarray(v.T) * np.ascontiguousarray(u)
 
 
+def loop_participation_dense(fss: FarmStateSpace, sol: ModalSolution,
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """`modal.loop_participation` from the dense table of `full_mpf`: each
+    mode's |f| summed over the states labelled `u_dc` or `dvc_int`, over
+    its sum over every state, and the position in `wt_order` of the
+    WT whose labelled states sum highest (the first on an exact tie)."""
+    mag = np.abs(full_mpf(sol))
+    labels = fss.labels
+    dvc = [k for k, (_, kind) in enumerate(labels)
+           if kind in ("u_dc", "dvc_int")]
+    per_wt = np.array([mag[[k for k, (w, _) in enumerate(labels) if w == wt]]
+                       .sum(axis=0) for wt in fss.wt_order])
+    return mag[dvc].sum(axis=0) / mag.sum(axis=0), np.argmax(per_wt, axis=0)
+
+
 def superimposed_mpf_by_sum(model: FarmModel,
                             clusters: ModeClusters) -> np.ndarray:
     """Each WT's representative-state MPFs over every cluster's modes, one

@@ -1,5 +1,6 @@
 """Pipeline driver: subcommands, artifacts, determinism, error paths."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -351,6 +352,31 @@ def test_auto_clusters_writes_what_its_chosen_count_writes(tmp_path, case,
     assert reports[1]["metadata"].pop("clusters_requested") == chosen
     assert reports[0] == reports[1]
     assert reports[0]["metadata"]["clusters"] == chosen
+
+
+@pytest.mark.parametrize("case,flags", [("b", ["--clusters", "3"]),
+                                        ("d", ["--clusters", "3"]),
+                                        ("c", ["--auto-clusters"])])
+def test_mpf_npz_holds_what_the_features_are_built_from(tmp_path, case,
+                                                        flags):
+    """Each cluster's `mpf.npz` columns, summed in concern order, print as
+    the cells of `features.csv`; a concern mode's cluster is the one
+    `report.json` gives it in `mode_errors`, which is in concern order."""
+    assert main(["all", "--farm", str(FARMS / f"case_{case}.json"),
+                 "--out", str(tmp_path)] + flags) == 0
+    with np.load(tmp_path / "mpf.npz", allow_pickle=False) as npz:
+        mpf, state = npz["mpf"], npz["state"].tolist()
+    report = json.loads((tmp_path / "report.json").read_text())
+    table = np.zeros((len(mpf), report["metadata"]["clusters"]),
+                     dtype=complex)
+    for col, m in zip(mpf.T, report["mode_errors"], strict=True):
+        table[:, m["cluster"]] += col
+    with open(tmp_path / "features.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 1 + 2 * table.shape[1]
+    assert [f"{row[0]}:u_dc" for row in rows] == state
+    assert [row[1:] for row in rows] == [
+        ["%.12g" % x for x in cells] for cells in table.view(float).tolist()]
 
 
 def test_bare_run_commands_take_the_run_config_defaults():

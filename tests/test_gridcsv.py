@@ -7,12 +7,16 @@ produce the same bytes.  The arrays of an `.npz` must be bit for bit what
 the pipeline computed, and, rendered through `write_grid`, the bytes of
 the CSV it replaced: `reference_responses_csv` forms each group's
 capacity-weighted mean trace itself, and `reference_mpf_csv` reads the
-dense MPF table of `oracles.full_mpf`.  A complex grid writes the bytes of
-its float grid of interleaved Re, Im columns.
+u_dc rows of the dense MPF table of `oracles.full_mpf`.  A complex grid
+writes the bytes of its float grid of interleaved Re, Im columns.
+`reference_modes_csv` formats the `dvc_share` and `dominant_wt` that
+`modal.loop_participation` gives (`test_modal.py` checks those values
+against the dense table); a made-up solution with no basis patches them.
 """
 
 import csv
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import example, given, strategies as st
 
 from helpers import ROOT, SolvedFarm, solved_case
 from oracles import full_mpf
+import wfdem.modal
 from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
@@ -45,6 +50,8 @@ def reference_mpf_csv(model, path):
             header += [f"mode{i}_re", f"mode{i}_im"]
         writer.writerow(header)
         for k, (wt, kind) in enumerate(model.fss.labels):
+            if kind != "u_dc":
+                continue
             row = [f"{wt}:{kind}"]
             for i in concern.mode_indices:
                 f = mpf[k, i]
@@ -97,10 +104,12 @@ def reference_bus_csv(farm, sol, path):
 def reference_modes_csv(model, path):
     sol = model.modal
     selected = set(model.concern.mode_indices)
+    dvc_share, dominant = wfdem.modal.loop_participation(model.fss,
+                                                         model.modal)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "freq_hz", "damping_ratio",
-                         "pair_id", "selected"])
+                         "pair_id", "selected", "dvc_share", "dominant_wt"])
         for i, lam in enumerate(sol.eigenvalues):
             mag = abs(lam)
             writer.writerow([
@@ -109,6 +118,8 @@ def reference_modes_csv(model, path):
                 f"{-lam.real / mag:.12g}" if mag > 0 else "nan",
                 sol.pair_of[i],
                 int(i in selected),
+                f"{dvc_share[i]:.12g}",
+                int(dominant[i]),
             ])
 
 
@@ -118,6 +129,15 @@ def made_up_model(modal, concern, labels=()):
     fss = FarmStateSpace(a_s=None, b_s=None, labels=tuple(labels),
                          wt_order=(), c_p=None, d_p=None)
     return FarmModel(fss, modal, concern)
+
+
+def made_up_loops(dvc_share, dominant):
+    """`modal.loop_participation` patched to give these columns, for a
+    made-up solution that has no basis to sum."""
+    out = (np.asarray(dvc_share, dtype=float),
+           np.asarray(dominant, dtype=np.int64))
+    return mock.patch.object(wfdem.modal, "loop_participation",
+                             lambda fss, sol: out)
 
 
 def assert_same_bytes(tmp_path, write, reference, *args):
@@ -161,9 +181,11 @@ def assert_npz_renders_as_reference(tmp_path, write, reference, arrays_of,
 
 def mpf_arrays(model):
     cols = list(model.concern.mode_indices)
-    labels = model.fss.labels
-    return {"mpf": model.modal.participation(np.arange(len(labels)), cols),
-            "state": np.array([f"{wt}:{kind}" for wt, kind in labels]),
+    rows = [k for k, (_, kind) in enumerate(model.fss.labels)
+            if kind == "u_dc"]
+    return {"mpf": model.modal.participation(rows, cols),
+            "state": np.array([f"{wt}:u_dc" for wt, kind in model.fss.labels
+                               if kind == "u_dc"]),
             "mode": np.array(cols, dtype=np.int64)}
 
 
@@ -313,8 +335,10 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                           conj_of=None, pair_of=np.arange(n_rows)[::-1] - 1)
     concern = ConcernSet(mode_indices=tuple(range(0, n_rows, 2)),
                          eigenvalues=table[::2, 0])
-    # the reference's numpy-scalar -Re/|lam| warns on an infinite mode
-    with np.errstate(invalid="ignore"):
+    # the reference's numpy-scalar -Re/|lam| warns on an infinite mode;
+    # the table's Im parts as DVC shares, the ids' positions reversed
+    with np.errstate(invalid="ignore"), \
+            made_up_loops(table[:, 0].imag, np.arange(n_rows)[::-1]):
         assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
                           made_up_model(modal, concern))
 
@@ -400,14 +424,16 @@ def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
                           pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]))
     model = made_up_model(modal, ConcernSet(mode_indices=(4,),
                                             eigenvalues=lam[4:]))
-    write_modes_csv(model, tmp_path / "modes.csv")
-    reference_modes_csv(model, tmp_path / "reference.csv")
+    with made_up_loops([1.0, 0.0, 1 / 3, 0.5, 0.9995, 5e-324, 1e-17, 1.0],
+                       [0, 7, 1, 2, 3, 0, 0, 12]):
+        write_modes_csv(model, tmp_path / "modes.csv")
+        reference_modes_csv(model, tmp_path / "reference.csv")
     text = (tmp_path / "modes.csv").read_text()
     assert text == (tmp_path / "reference.csv").read_text()
     rows = text.splitlines()
-    assert rows[1] == "0,0,0,nan,-1,0"
-    assert rows[2] == "-0,0,0,nan,-1,0"
-    assert rows[5].endswith(",3,1")
+    assert rows[1] == "0,0,0,nan,-1,0,1,0"
+    assert rows[2] == "-0,0,0,nan,-1,0,0,7"
+    assert rows[5].endswith(",3,1,0.9995,3")
 
 
 def awkward_arrays() -> dict[str, np.ndarray]:

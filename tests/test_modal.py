@@ -18,13 +18,15 @@ from scipy.linalg import expm
 from helpers import (ROOT, SolvedFarm, ladder_farm, state_matrix,
                      terminal_voltages, traced_peak)
 from oracles import (complex_basis, complex_eig_biorthogonal,
-                     exact_conjugates, full_mpf, stiff_grid_mode)
+                     exact_conjugates, full_mpf, loop_participation_dense,
+                     stiff_grid_mode)
 from wfdem import _lapack, modal
 from wfdem.assembly import linear_model
 from wfdem.cases import identical_zero_network_farm
 from wfdem.farm import load_farm
+from wfdem.gridcsv import read_grid
 from wfdem.modal import (_PAIR_RTOL, _ROW_BLOCK, DefectiveMatrixError,
-                         ModalSolution, eig_biorthogonal,
+                         ModalSolution, eig_biorthogonal, loop_participation,
                          select_concern_modes, solve_modes, write_modes_csv,
                          write_mpf_csv)
 from wfdem.powerflow import solve_powerflow
@@ -273,14 +275,15 @@ def load_npz(path) -> dict:
 def test_modes_and_mpf_csv(tmp_path, case_a):
     write_modes_csv(case_a.model, tmp_path / "modes.csv")
     write_mpf_csv(case_a.model, tmp_path / "mpf.npz")
-    modes = (tmp_path / "modes.csv").read_text().strip().splitlines()
-    assert modes[0] == "re,im,freq_hz,damping_ratio,pair_id,selected"
-    assert len(modes) == 1 + 132
-    assert sum(line.endswith(",1") for line in modes[1:]) == 33
+    header, _, modes = read_grid(tmp_path / "modes.csv")
+    assert header == ["re", "im", "freq_hz", "damping_ratio", "pair_id",
+                      "selected", "dvc_share", "dominant_wt"]
+    assert modes.shape == (132, 8)
+    assert modes[:, 5].sum() == 33
     mpf = load_npz(tmp_path / "mpf.npz")
     assert list(mpf) == ["mpf", "state", "mode"]
-    assert mpf["mpf"].dtype == np.complex128 and mpf["mpf"].shape == (132, 33)
-    assert mpf["state"].shape == (132,) and mpf["mode"].shape == (33,)
+    assert mpf["mpf"].dtype == np.complex128 and mpf["mpf"].shape == (33, 33)
+    assert mpf["state"].shape == (33,) and mpf["mode"].shape == (33,)
     assert mpf["mode"].dtype == np.int64
 
 
@@ -296,16 +299,18 @@ def assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(tmp_path, s):
     mpf = load_npz(tmp_path / "mpf.npz")
 
     # the columns join with the selected rows of modes.csv, in concern order
-    _, modes = read_csv(tmp_path / "modes.csv")
-    selected = [i for i, row in enumerate(modes) if row[-1] == "1"]
+    header, modes = read_csv(tmp_path / "modes.csv")
+    selected = [i for i, row in enumerate(modes)
+                if row[header.index("selected")] == "1"]
     assert mpf["mode"].tolist() == list(s.concern.mode_indices)
     assert sorted(mpf["mode"].tolist()) == selected
-    assert mpf["state"].tolist() == [f"{wt}:{kind}"
-                                     for wt, kind in s.fss.labels]
+    # one u_dc row per WT, in farm order
+    assert mpf["state"].tolist() == [f"{wt}:u_dc" for wt in s.fss.wt_order]
 
-    # every row, and each kept column bit for bit as the full table's
-    want = np.ascontiguousarray(full_mpf(s.modal)[:, mpf["mode"]])
-    assert mpf["mpf"].shape == (s.modal.n_modes, len(selected))
+    # each kept row and column bit for bit as the full table's
+    rows = [s.fss.labels.index((wt, "u_dc")) for wt in s.fss.wt_order]
+    want = np.ascontiguousarray(full_mpf(s.modal)[np.ix_(rows, mpf["mode"])])
+    assert mpf["mpf"].shape == (len(s.fss.wt_order), len(selected))
     assert mpf["mpf"].tobytes() == want.tobytes()
 
 
@@ -320,6 +325,41 @@ def test_mpf_csv_columns_match_the_full_grid_on_ladder300(tmp_path):
     # the benchmark's first seed-7 ladder300 farm: 1200 states
     assert_mpf_csv_is_the_full_grid_cut_to_the_concern_modes(
         tmp_path, SolvedFarm(ladder_farm(10, 30, (7, 0))))
+
+
+@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
+                                  "zero_network"])
+def test_loop_participation_matches_the_dense_table(name):
+    s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
+    dvc_share, dominant = loop_participation(s.fss, s.modal)
+    want_share, want_dominant = loop_participation_dense(s.fss, s.modal)
+    assert dominant.dtype == np.int64
+    assert np.abs(dvc_share - want_share).max() <= 1e-12
+    assert np.array_equal(dominant, want_dominant)
+
+
+def case_b_with(wt_id: str, **params):
+    """`farms/case_b.json` with the named WT's parameters replaced."""
+    farm = load_farm(ROOT / "farms" / "case_b.json")
+    return dataclasses.replace(farm, wts=tuple(
+        (dataclasses.replace(wt, **params) if wt.id == wt_id else wt, bus)
+        for wt, bus in farm.wts))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8")
+@pytest.mark.parametrize("wt_id,params", [
+    pytest.param("wt05", {"s_mva": 1e-12}, id="wt05_s_mva"),
+    pytest.param("wt01", {"ki_dvc": 20.0}, id="wt01_ki_dvc")])
+def test_every_concern_mode_is_a_dvc_mode(tmp_path, wt_id, params):
+    """A WT with no oscillatory DVC pair lends its concern slot to a PLL
+    pair, -29.96 + 22.38j on both farms, whose DVC share is below 1e-3."""
+    s = SolvedFarm(case_b_with(wt_id, **params))
+    write_modes_csv(s.model, tmp_path / "modes.csv")
+    header, _, modes = read_grid(tmp_path / "modes.csv")
+    selected = modes[modes[:, header.index("selected")] == 1]
+    assert len(selected) == 33
+    assert np.all(selected[:, header.index("dvc_share")] > 0.5)
 
 
 @pytest.mark.parametrize("make", [
@@ -720,16 +760,15 @@ def test_solve_modes_keeps_no_state_matrix(monkeypatch):
 
 def test_write_mpf_csv_transient_memory_is_bounded(tmp_path):
     """tracemalloc's peak over `write_mpf_csv` stays below 1.75 times the
-    MPF block's bytes on the seed-7 10 x 10 ladder (400 states, 100
-    concern modes).  Measured 1.58: the block and one 64-row block's
+    MPF block's bytes on the seed-7 10 x 10 ladder (100 u_dc rows, 100
+    concern modes).  Measured 1.63: the block and one 16-row block's
     factors as it is filled; `write_arrays` writes the block's own buffer.
-    Copying it out as `np.savez` does read 2.05, and forming the block
-    whole, its two factors beside it, 3.12."""
+    Filling it in 64-row blocks read 3.31, and in 32-row blocks 2.19."""
     model = SolvedFarm(ladder_farm(10, 10, 7)).model
-    block = 16 * model.fss.n_states * len(model.concern)
+    block = 16 * len(model.fss.wt_order) * len(model.concern)
     _, peak = traced_peak(
         lambda: write_mpf_csv(model, tmp_path / "mpf.npz"))
-    assert block == 16 * 400 * 100
+    assert block == 16 * 100 * 100
     assert peak < 1.75 * block
 
 
