@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .gridcsv import write_grid, write_json
-from .modal import STATE_FILTER, ConcernSet, FarmModel, ModeCountError
+from .modal import ConcernSet, FarmModel, ModeCountError
 
 # dominance margin below which groups.json lists a WT as low-margin
 LOW_MARGIN = 0.1
@@ -340,16 +340,13 @@ def superimpose_mpf(model: FarmModel,
                     clusters: ModeClusters) -> FeatureTable:
     """Sum each WT's representative-state MPFs over every cluster's modes.
 
-    A WT's representative state is its `STATE_FILTER[0]` state; the rows
-    come in `wt_order`.  One block of those rows x the concern modes is
-    formed, and each column is added, in concern order, into its cluster's
-    column of a zero table: each row's sum over a cluster in the order a
-    Python `sum` over its modes takes it.
+    The model's `mpf` block holds those MPFs, one row per WT in `wt_order`
+    and one column per concern mode.  Each column is added, in concern
+    order, into its cluster's column of a zero table: each row's sum over a
+    cluster in the order a Python `sum` over its modes takes it.
     """
-    rows = model.fss.kind_rows(STATE_FILTER[:1])
-    mpf = model.modal.participation(rows, model.concern.mode_indices)
-    table = np.zeros((len(rows), clusters.n_clusters), dtype=complex)
-    for col, k in zip(mpf.T, clusters.labels):
+    table = np.zeros((len(model.mpf), clusters.n_clusters), dtype=complex)
+    for col, k in zip(model.mpf.T, clusters.labels):
         table[:, k] += col
     return FeatureTable(wt_ids=model.fss.wt_order, table=table)
 

@@ -4,9 +4,9 @@ Participation of state k in mode i is f_ki = V_ik * U_ki with the left rows
 rescaled so V_i U_i = 1; columns of the participation matrix then sum to one
 exactly, which is the normalization every downstream superposition relies on.
 The pipeline never forms that n x n matrix: `ModalSolution.participation`
-forms the block asked for (the `u_dc` rows x concern columns that build
-the features are `mpf.npz`), and `loop_participation` sums |f| per state
-kind and per WT a column block at a time.  Desk-scale farms (a few
+forms the block asked for.  `solve_modes` sums |f| per state kind and per
+WT in one pass, which ranks the concern modes, and forms the `u_dc` rows x
+concern columns that build the features once.  Desk-scale farms (a few
 hundred states) make full dense decomposition the right tool; no selective
 or iterative solver is attempted.
 `solve_modes` is the one linearize -> decompose -> select chain; the
@@ -60,8 +60,8 @@ UNSTABLE_ABSCISSA = 1e-9
 # few, so that one row block's factors stay small beside a block of one row
 # per WT
 _ROW_BLOCK = 16
-# modes of the MPF block that `loop_participation` forms at a time
-_COL_BLOCK = 128
+# modes of the |f| pass's column blocks: 64 to 127 of them at a time
+_COL_BLOCK = 64
 # state kinds whose participation ranks the concern modes; [0] gives features
 STATE_FILTER = ("u_dc",)
 # state kinds of the DC-voltage control loop, whose share `modes.csv` gives
@@ -296,10 +296,8 @@ def _pair_modes(a_s: ArrayLike, lam: np.ndarray, conj_of: np.ndarray,
 
 @dataclass(frozen=True)
 class ConcernSet:
-    """Selected oscillatory pairs, one upper-half-plane representative each.
-
-    Ordered by descending participation in the ranking states.
-    """
+    """Selected oscillatory pairs, one upper-half-plane representative each,
+    in descending order of participation in the ranking states."""
 
     mode_indices: tuple[int, ...]
     eigenvalues: np.ndarray      # complex, aligned with mode_indices
@@ -308,17 +306,15 @@ class ConcernSet:
         return len(self.mode_indices)
 
 
-def select_concern_modes(sol: ModalSolution, rows: Sequence[int],
+def select_concern_modes(sol: ModalSolution, scores: np.ndarray,
                          n_expected: int) -> ConcernSet:
-    """Rank pair representatives by summed |MPF| over the states `rows`."""
-    if len(rows) == 0:
-        raise ValueError("no states to rank the modes by")
+    """Rank pair representatives by `scores`, each mode's summed |MPF|."""
     reps = sol.representatives()
     if len(reps) < n_expected:
         raise ModeCountError(
             f"only {len(reps)} oscillatory pairs available, "
             f"{n_expected} requested")
-    scores = np.abs(sol.participation(rows, reps)).sum(axis=0)
+    scores = np.asarray(scores)[reps]
     ranked = sorted(
         range(len(reps)),
         key=lambda k: (-scores[k], sol.eigenvalues[reps[k]].real,
@@ -335,40 +331,42 @@ def select_concern_modes(sol: ModalSolution, rows: Sequence[int],
     return ConcernSet(mode_indices=tuple(chosen), eigenvalues=eigs)
 
 
-def loop_participation(fss: FarmStateSpace, sol: ModalSolution,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Each mode's DVC share and dominant WT, from |f| summed per state.
-
-    `dvc_share[i]` is mode i's sum of |f_ki| over the `DVC_KINDS` states k
-    (u_dc and dvc_int) over its sum over all four kinds; `dominant[i]` (int64) is the position in
-    `fss.wt_order` of the WT whose four states sum highest, the first on an
-    exact tie.  The sums are filled `_COL_BLOCK` modes at a time from
-    `participation` over every state, so no n x n block is formed.
-    """
+def _loop_participation(fss: FarmStateSpace, sol: ModalSolution,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each mode's |f| summed over the `STATE_FILTER` states, its share in
+    the `DVC_KINDS` states and the `fss.wt_order` position of the WT whose
+    states sum highest (first on a tie), from `participation` over every
+    state a column block at a time.  No block holds one mode of several:
+    numpy sums a lone column pairwise, which rounds unlike wider blocks."""
     kind_rows = [fss.kind_rows((kind,)) for kind in STATE_KINDS]
+    ranking = [STATE_KINDS.index(kind) for kind in STATE_FILTER]
     dvc = [STATE_KINDS.index(kind) for kind in DVC_KINDS]
-    every = np.arange(fss.n_states)
+    scores = np.empty(sol.n_modes)
     dvc_share = np.empty(sol.n_modes)
     dominant = np.empty(sol.n_modes, dtype=np.int64)
-    for lo in range(0, sol.n_modes, _COL_BLOCK):
-        cols = np.arange(lo, min(lo + _COL_BLOCK, sol.n_modes))
-        mag = np.abs(sol.participation(every, cols))
+    for cols in np.array_split(np.arange(sol.n_modes),
+                               max(1, sol.n_modes // _COL_BLOCK)):
+        mag = np.abs(sol.participation(np.arange(fss.n_states), cols))
         # |f| of (kind, WT in wt_order, mode)
         per_kind = np.stack([mag[rows] for rows in kind_rows])
+        scores[cols] = per_kind[ranking].sum(axis=(0, 1))
         dvc_share[cols] = per_kind[dvc].sum(axis=(0, 1)) \
             / per_kind.sum(axis=(0, 1))
         dominant[cols] = np.argmax(per_kind.sum(axis=0), axis=0)
-    return dvc_share, dominant
+    return scores, dvc_share, dominant
 
 
 @dataclass(frozen=True)
 class FarmModel:
-    """One farm's linear model: its state space, the modal solution of
-    that state space and the concern modes selected from it."""
+    """One farm's linear model: its state space, modal solution and concern
+    modes, each mode's loop columns, and the MPF block the features sum."""
 
     fss: FarmStateSpace
     modal: ModalSolution
     concern: ConcernSet
+    dvc_share: np.ndarray        # float (n,)
+    dominant_wt: np.ndarray      # int64 (n,), position in fss.wt_order
+    mpf: np.ndarray              # complex (n_wt, len(concern)), wt_order rows
 
 
 class _StateMatrix:
@@ -397,8 +395,11 @@ def solve_modes(farm: FarmDescription, flow: BusSolution) -> FarmModel:
     a_s = _StateMatrix(fss.a_s, farm, flow)
     fss = replace(fss, a_s=None)
     sol = eig_biorthogonal(a_s)
-    return FarmModel(fss, sol, select_concern_modes(
-        sol, fss.kind_rows(STATE_FILTER), farm.n_wt))
+    scores, dvc_share, dominant = _loop_participation(fss, sol)
+    concern = select_concern_modes(sol, scores, farm.n_wt)
+    mpf = sol.participation(fss.kind_rows(STATE_FILTER[:1]),
+                            concern.mode_indices)
+    return FarmModel(fss, sol, concern, dvc_share, dominant, mpf)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +408,8 @@ def solve_modes(farm: FarmDescription, flow: BusSolution) -> FarmModel:
 
 def write_modes_csv(model: FarmModel, path: str | Path) -> None:
     """One row per mode: re, im, freq_hz, damping_ratio, pair_id, selected,
-    and `loop_participation`'s dvc_share and dominant_wt (0-based, in
-    `fss.wt_order`); a zero-magnitude mode has damping ratio nan."""
+    and the model's dvc_share and dominant_wt (0-based, in `fss.wt_order`);
+    a zero-magnitude mode has damping ratio nan."""
     sol, concern = model.modal, model.concern
     lam = sol.eigenvalues
     mag = magnitude(lam)
@@ -416,29 +417,27 @@ def write_modes_csv(model: FarmModel, path: str | Path) -> None:
     selected[list(concern.mode_indices)] = 1
     with np.errstate(invalid="ignore"):
         damping = -lam.real / mag
-    dvc_share, dominant = loop_participation(model.fss, sol)
     write_grid(path, ["re", "im", "freq_hz", "damping_ratio", "pair_id",
                       "selected", "dvc_share", "dominant_wt"],
                np.column_stack([lam.real, lam.imag,
                                 np.abs(lam.imag) / (2 * np.pi), damping,
-                                sol.pair_of, selected, dvc_share, dominant]))
+                                sol.pair_of, selected, model.dvc_share,
+                                model.dominant_wt]))
 
 
 def write_mpf_csv(model: FarmModel, path: str | Path) -> None:
-    """f_ki of each WT's `STATE_FILTER[0]` state k and the concern modes i,
-    as `mpf.npz` at `path`: the block `clustering.superimpose_mpf` sums
-    into the features.
+    """The model's `mpf` block as `mpf.npz` at `path`: what
+    `clustering.superimpose_mpf` sums into the features.
 
-    Keys: `mpf`, the complex128 block as `participation` forms it, one row
+    Keys: `mpf`, the complex128 block as `solve_modes` formed it, one row
     per WT in `fss.wt_order`; `state`, the `"wt:kind"` row labels; `mode`,
     the columns' indices in `modes.csv` (int64), in `concern.mode_indices`
     order.  The name keeps the `_csv` of the former text artifact because
     the benchmark's tracer looks the writer up by name.
     """
-    rows = model.fss.kind_rows(STATE_FILTER[:1])
-    cols = list(model.concern.mode_indices)
     labels = model.fss.labels
+    rows = model.fss.kind_rows(STATE_FILTER[:1])
     write_arrays(path, {
-        "mpf": model.modal.participation(rows, cols),
+        "mpf": model.mpf,
         "state": np.array([":".join(labels[k]) for k in rows], dtype=str),
-        "mode": np.array(cols, dtype=np.int64)})
+        "mode": np.array(model.concern.mode_indices, dtype=np.int64)})

@@ -511,10 +511,11 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
 
 def loop_participation_dense(fss: FarmStateSpace, sol: ModalSolution,
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """`modal.loop_participation` from the dense table of `full_mpf`: each
-    mode's |f| summed over the states labelled `u_dc` or `dvc_int`, over
-    its sum over every state, and the position in `wt_order` of the
-    WT whose labelled states sum highest (the first on an exact tie)."""
+    """A `FarmModel`'s `dvc_share` and `dominant_wt` from the dense table
+    of `full_mpf`: each mode's |f| summed over the states labelled `u_dc`
+    or `dvc_int`, over its sum over every state, and the position in
+    `wt_order` of the WT whose labelled states sum highest (the first on an
+    exact tie)."""
     mag = np.abs(full_mpf(sol))
     labels = fss.labels
     dvc = [k for k, (_, kind) in enumerate(labels)

@@ -9,14 +9,13 @@ the CSV it replaced: `reference_responses_csv` forms each group's
 capacity-weighted mean trace itself, and `reference_mpf_csv` reads the
 u_dc rows of the dense MPF table of `oracles.full_mpf`.  A complex grid
 writes the bytes of its float grid of interleaved Re, Im columns.
-`reference_modes_csv` formats the `dvc_share` and `dominant_wt` that
-`modal.loop_participation` gives (`test_modal.py` checks those values
-against the dense table); a made-up solution with no basis patches them.
+`reference_modes_csv` formats the `dvc_share` and `dominant_wt` that the
+`FarmModel` carries (`test_modal.py` checks those values against the dense
+table); a made-up model carries made-up ones.
 """
 
 import csv
 import zipfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from hypothesis import example, given, strategies as st
 
 from helpers import ROOT, SolvedFarm, solved_case
 from oracles import full_mpf
-import wfdem.modal
 from wfdem.assembly import FarmStateSpace
 from wfdem.clustering import FeatureTable, write_features_csv
 from wfdem.farm import (FarmDescription, GridThevenin, PerUnitBases, WtParams,
@@ -104,8 +102,7 @@ def reference_bus_csv(farm, sol, path):
 def reference_modes_csv(model, path):
     sol = model.modal
     selected = set(model.concern.mode_indices)
-    dvc_share, dominant = wfdem.modal.loop_participation(model.fss,
-                                                         model.modal)
+    dvc_share, dominant = model.dvc_share, model.dominant_wt
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re", "im", "freq_hz", "damping_ratio",
@@ -123,21 +120,16 @@ def reference_modes_csv(model, path):
             ])
 
 
-def made_up_model(modal, concern, labels=()):
-    """A `FarmModel` around a made-up modal solution; of its state space
-    the writers read only the labels."""
+def made_up_model(modal, concern, labels=(), dvc_share=(), dominant_wt=(),
+                  mpf=()):
+    """A `FarmModel` around a made-up modal solution, carrying the loop
+    columns and MPF block given; of its state space the writers read only
+    the labels."""
     fss = FarmStateSpace(a_s=None, b_s=None, labels=tuple(labels),
                          wt_order=(), c_p=None, d_p=None)
-    return FarmModel(fss, modal, concern)
-
-
-def made_up_loops(dvc_share, dominant):
-    """`modal.loop_participation` patched to give these columns, for a
-    made-up solution that has no basis to sum."""
-    out = (np.asarray(dvc_share, dtype=float),
-           np.asarray(dominant, dtype=np.int64))
-    return mock.patch.object(wfdem.modal, "loop_participation",
-                             lambda fss, sol: out)
+    return FarmModel(fss, modal, concern, np.asarray(dvc_share, dtype=float),
+                     np.asarray(dominant_wt, dtype=np.int64),
+                     np.asarray(mpf, dtype=complex))
 
 
 def assert_same_bytes(tmp_path, write, reference, *args):
@@ -307,9 +299,11 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
         conj_of=np.roll(np.arange(2 * n_cols), n_cols), pair_of=None)
     concern = ConcernSet(mode_indices=tuple(range(n_cols, 2 * n_cols))[::-1],
                          eigenvalues=lam[n_cols:])
-    model = made_up_model(sol, concern, ((wt, "u_dc") for wt in ids))
     # inf * 0 in the product's cross terms
     with np.errstate(invalid="ignore"):
+        model = made_up_model(sol, concern, ((wt, "u_dc") for wt in ids),
+                              mpf=sol.participation(range(n_rows),
+                                                    concern.mode_indices))
         assert_mpf_npz(tmp_path, model)
 
     features = FeatureTable(wt_ids=tuple(ids), table=table)
@@ -337,10 +331,11 @@ def test_grid_writers_match_reference_on_awkward_values(tmp_path_factory,
                          eigenvalues=table[::2, 0])
     # the reference's numpy-scalar -Re/|lam| warns on an infinite mode;
     # the table's Im parts as DVC shares, the ids' positions reversed
-    with np.errstate(invalid="ignore"), \
-            made_up_loops(table[:, 0].imag, np.arange(n_rows)[::-1]):
+    with np.errstate(invalid="ignore"):
         assert_same_bytes(tmp_path, write_modes_csv, reference_modes_csv,
-                          made_up_model(modal, concern))
+                          made_up_model(modal, concern,
+                                        dvc_share=table[:, 0].imag,
+                                        dominant_wt=np.arange(n_rows)[::-1]))
 
     # the ids as buses, the table as voltages, one WT on the last bus
     wt = WtParams(id="w", p_m0=0.7, c_dc=0.09, u_dc0=1.0, kp_dvc=1.0,
@@ -422,12 +417,12 @@ def test_modes_csv_matches_reference_on_zero_and_rounding_modes(tmp_path):
     modal = ModalSolution(eigenvalues=lam, basis=None, inverse=None,
                           conj_of=None,
                           pair_of=np.array([-1, -1, -1, 4, 3, -1, -1, -1]))
-    model = made_up_model(modal, ConcernSet(mode_indices=(4,),
-                                            eigenvalues=lam[4:]))
-    with made_up_loops([1.0, 0.0, 1 / 3, 0.5, 0.9995, 5e-324, 1e-17, 1.0],
-                       [0, 7, 1, 2, 3, 0, 0, 12]):
-        write_modes_csv(model, tmp_path / "modes.csv")
-        reference_modes_csv(model, tmp_path / "reference.csv")
+    model = made_up_model(
+        modal, ConcernSet(mode_indices=(4,), eigenvalues=lam[4:]),
+        dvc_share=[1.0, 0.0, 1 / 3, 0.5, 0.9995, 5e-324, 1e-17, 1.0],
+        dominant_wt=[0, 7, 1, 2, 3, 0, 0, 12])
+    write_modes_csv(model, tmp_path / "modes.csv")
+    reference_modes_csv(model, tmp_path / "reference.csv")
     text = (tmp_path / "modes.csv").read_text()
     assert text == (tmp_path / "reference.csv").read_text()
     rows = text.splitlines()

@@ -9,6 +9,7 @@ routines that `wfdem._lapack` calls directly.
 
 import csv
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -23,13 +24,19 @@ from oracles import (complex_basis, complex_eig_biorthogonal,
 from wfdem import _lapack, modal
 from wfdem.assembly import linear_model
 from wfdem.cases import identical_zero_network_farm
+from wfdem.cli import RunConfig, run_pipeline
 from wfdem.farm import load_farm
 from wfdem.gridcsv import read_grid
 from wfdem.modal import (_PAIR_RTOL, _ROW_BLOCK, DefectiveMatrixError,
-                         ModalSolution, eig_biorthogonal, loop_participation,
-                         select_concern_modes, solve_modes, write_modes_csv,
-                         write_mpf_csv)
+                         ModalSolution, eig_biorthogonal, select_concern_modes,
+                         solve_modes, write_modes_csv, write_mpf_csv)
 from wfdem.powerflow import solve_powerflow
+
+
+def summed_mpf(sol, rows):
+    """Each mode's |f| summed over the states `rows`, from the dense table:
+    the scores `select_concern_modes` ranks by."""
+    return np.abs(full_mpf(sol)[rows]).sum(axis=0)
 
 
 def solved_zero_farm(n=5, p=0.8):
@@ -229,8 +236,8 @@ def test_decoupled_farm_selects_stiff_grid_modes():
 
 def test_pll_filter_selects_disjoint_band(case_a):
     dvc = case_a.concern
-    pll = select_concern_modes(
-        case_a.modal, case_a.fss.kind_rows(("pll_angle", "pll_int")), 33)
+    pll = select_concern_modes(case_a.modal, summed_mpf(
+        case_a.modal, case_a.fss.kind_rows(("pll_angle", "pll_int"))), 33)
     assert set(dvc.mode_indices).isdisjoint(pll.mode_indices)
     assert pll.eigenvalues.imag.max() < dvc.eigenvalues.imag.min()
 
@@ -244,8 +251,8 @@ def test_selection_invariant_to_state_reordering(case_a):
     p = np.eye(n)[perm]
     # state k of the permuted matrix is state perm[k] of the original
     rows_p = [k for k in range(n) if labels[perm[k]][1] == "u_dc"]
-    concern_p = select_concern_modes(eig_biorthogonal(p @ a @ p.T), rows_p,
-                                     33)
+    sol_p = eig_biorthogonal(p @ a @ p.T)
+    concern_p = select_concern_modes(sol_p, summed_mpf(sol_p, rows_p), 33)
     ref = np.sort_complex(case_a.concern.eigenvalues)
     got = np.sort_complex(concern_p.eigenvalues)
     assert np.abs(ref - got).max() < 1e-8
@@ -254,7 +261,7 @@ def test_selection_invariant_to_state_reordering(case_a):
 def test_too_few_oscillatory_pairs_raises():
     sol = eig_biorthogonal(np.diag([-1.0, -2.0]))
     with pytest.raises(ValueError, match="oscillatory"):
-        select_concern_modes(sol, [0, 1], 1)
+        select_concern_modes(sol, summed_mpf(sol, [0, 1]), 1)
 
 
 def test_band_mixing_warns():
@@ -264,7 +271,7 @@ def test_band_mixing_warns():
     a[2, 3], a[3, 2] = 1.0, -40000.0    # ~200 rad/s
     sol = eig_biorthogonal(a)
     with pytest.warns(UserWarning, match="median frequency"):
-        select_concern_modes(sol, [0, 2], 2)      # the two u_dc states
+        select_concern_modes(sol, summed_mpf(sol, [0, 2]), 2)   # two u_dc
 
 
 def load_npz(path) -> dict:
@@ -327,15 +334,28 @@ def test_mpf_csv_columns_match_the_full_grid_on_ladder300(tmp_path):
         tmp_path, SolvedFarm(ladder_farm(10, 30, (7, 0))))
 
 
-@pytest.mark.parametrize("name", ["case_a", "case_b", "case_c", "case_d",
-                                  "zero_network"])
-def test_loop_participation_matches_the_dense_table(name):
-    s = SolvedFarm(load_farm(ROOT / "farms" / f"{name}.json"))
-    dvc_share, dominant = loop_participation(s.fss, s.modal)
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda name=name: load_farm(ROOT / "farms"
+                                               / f"{name}.json"), id=name)
+      for name in ("case_a", "case_b", "case_c", "case_d", "zero_network")),
+    pytest.param(lambda: ladder_farm(10, 10, 7), id="ladder10x10")])
+def test_loop_participation_matches_the_dense_table(make):
+    """The model's loop fields against the dense table; its concern set is
+    the ranking by each mode's |f| summed over the u_dc rows, and its `mpf`
+    the u_dc rows x concern columns of that table, bit for bit.  A DVC
+    mode's u_dc and dvc_int sums agree within 1e-4, and only on the ladder
+    do the two rank the concern modes in different orders."""
+    s = SolvedFarm(make())
     want_share, want_dominant = loop_participation_dense(s.fss, s.modal)
-    assert dominant.dtype == np.int64
-    assert np.abs(dvc_share - want_share).max() <= 1e-12
-    assert np.array_equal(dominant, want_dominant)
+    assert s.model.dominant_wt.dtype == np.int64
+    assert np.abs(s.model.dvc_share - want_share).max() <= 1e-12
+    assert np.array_equal(s.model.dominant_wt, want_dominant)
+    rows = s.fss.kind_rows(("u_dc",))
+    ranked = select_concern_modes(s.modal, summed_mpf(s.modal, rows),
+                                  s.farm.n_wt)
+    assert ranked.mode_indices == s.concern.mode_indices
+    want = full_mpf(s.modal)[np.ix_(rows, s.concern.mode_indices)]
+    assert s.model.mpf.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def case_b_with(wt_id: str, **params):
@@ -745,7 +765,9 @@ def test_solve_modes_keeps_no_state_matrix(monkeypatch):
     Measured 3.04 * 8 * n^2 (3.01 at 1200 states), set by R, dgesv's LU
     copy of it and W.  Holding A until the pairs were decided, beside
     dgeev's copy of it and the eigenvectors, read 3.34; keeping A beside
-    the whole decomposition, 4.04."""
+    the whole decomposition, 4.04.  The |f| pass, 64 to 127 modes at a time
+    beside R and W, stays below that peak; in 128-mode blocks it read
+    3.64."""
     farm = ladder_farm(10, 10, 7)
     flow = solve_powerflow(farm)
     calls = counting_linear_model(monkeypatch)
@@ -759,17 +781,43 @@ def test_solve_modes_keeps_no_state_matrix(monkeypatch):
 
 
 def test_write_mpf_csv_transient_memory_is_bounded(tmp_path):
-    """tracemalloc's peak over `write_mpf_csv` stays below 1.75 times the
+    """tracemalloc's peak over `write_mpf_csv` stays below 0.25 times the
     MPF block's bytes on the seed-7 10 x 10 ladder (100 u_dc rows, 100
-    concern modes).  Measured 1.63: the block and one 16-row block's
-    factors as it is filled; `write_arrays` writes the block's own buffer.
-    Filling it in 64-row blocks read 3.31, and in 32-row blocks 2.19."""
+    concern modes).  Measured 0.08: the writer forms no block, it writes
+    the model's `mpf` from its own buffer.  Forming the block in the
+    writer, 16 rows at a time, read 1.63."""
     model = SolvedFarm(ladder_farm(10, 10, 7)).model
     block = 16 * len(model.fss.wt_order) * len(model.concern)
     _, peak = traced_peak(
         lambda: write_mpf_csv(model, tmp_path / "mpf.npz"))
     assert block == 16 * 100 * 100
-    assert peak < 1.75 * block
+    assert peak < 0.25 * block
+
+
+def test_only_solve_modes_forms_participation(monkeypatch, tmp_path):
+    """Over a case-b run at C = 3, every MPF block comes from `solve_modes`:
+    its |f| pass and one features block per model, the detailed farm's and
+    the DEM's.  Ranking, writing and superposition form none."""
+    callers = []
+    participation = ModalSolution.participation
+
+    def traced(self, rows, cols):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return participation(self, rows, cols)
+    monkeypatch.setattr(ModalSolution, "participation", traced)
+    run_pipeline(RunConfig(farm_path=ROOT / "farms" / "case_b.json",
+                           out_dir=tmp_path, clusters=3))
+    readers = {"select_concern_modes", "write_modes_csv", "write_mpf_csv",
+               "superimpose_mpf"}
+    assert callers and all("solve_modes" in names and not names & readers
+                           for names in callers)
+    blocks = [names for names in callers
+              if "_loop_participation" not in names]
+    assert len(blocks) == 2
 
 
 def test_solve_modes_decides_a_near_real_pair_by_the_spectral_norm(
