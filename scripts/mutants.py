@@ -3,28 +3,31 @@
 whether the tests that guard that code notice.
 
 Each entry of `MUTANTS` names a file of the repository, a text that occurs
-in it exactly once, the text that replaces it and the tests that should
-fail.  For each mutant the script copies the parts of the repository the
-tests read into a temporary directory, applies the edit to the copy, and
-runs `pytest -x -q` there on the named tests with `PYTHONPATH` on the
-copy's `src`.  The repository itself is never edited.  A mutant is caught
-when pytest fails, and survives when it passes.
+in it exactly once, the text that replaces it and the tests (pytest node
+ids) that should fail.  Each run copies the parts of the repository the
+tests read into a temporary directory and runs `pytest -x -q` there on
+the named tests, with `PYTHONPATH` on the copy's `src`; the repository
+itself is never edited.
 
-    python3 scripts/mutants.py                  # every mutant
-    python3 scripts/mutants.py dominant_argmin  # the named ones
-    python3 scripts/mutants.py --list
-    python3 scripts/mutants.py --workdir /tmp   # where the copies go
+    python3 scripts/mutants.py
 
-It prints one line per mutant, caught or survived and the seconds taken,
-and exits 1 if a mutant survives or its old text does not occur exactly
-once.  A run takes minutes, so the test suite does not run it; the suite
-only checks that every old text still occurs exactly once, so that a
-refactor that removes a mutant's site updates this list.
+First every named test runs once on an unmutated copy; if one fails, the
+script prints "baseline fails" with its id and exits 1, because a failure
+under a mutant would then prove nothing.  Then each mutant's edit is
+applied to a fresh copy.  A mutant is caught when its tests fail (pytest
+exit 1), and the line names the first failing test; it survives when they
+pass.  Any other outcome (an import or collection error, a test id that
+names nothing) is reported as an error with pytest's last output line.
+The script exits 1 if a mutant survives or errs, or if an old text does
+not occur exactly once.  A run copies the repository once per mutant and
+takes tens of seconds, so the test suite does not run it; it only checks
+that every old text still occurs exactly once and every test id names a
+test function, so that a refactor that removes a mutant's site updates
+this list.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,7 +38,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# what the tests read, copied for each mutant
+# what the tests read, copied for each run
 COPIED = ("src", "tests", "farms", "perfbench", "scripts", "pyproject.toml",
           "README.md")
 
@@ -45,35 +48,40 @@ class Mutant(NamedTuple):
     path: str                # relative to the repository root
     old: str
     new: str
-    tests: tuple[str, ...]   # pytest arguments: modules or node ids
+    tests: tuple[str, ...]   # pytest node ids: "module::test_function"
 
+
+_DENSE = "tests/test_modal.py::test_loop_participation_matches_the_dense_table"
 
 MUTANTS = (
     Mutant("rank_by_dvc_int", "src/wfdem/modal.py",
            "ranking = [STATE_KINDS.index(kind) for kind in STATE_FILTER]",
            'ranking = [STATE_KINDS.index("dvc_int")]',
-           ("tests/test_modal.py",)),
+           (_DENSE,)),
     Mutant("dominant_argmin", "src/wfdem/modal.py",
            "dominant[cols] = np.argmax(", "dominant[cols] = np.argmin(",
-           ("tests/test_modal.py",)),
+           (_DENSE,)),
     Mutant("superimpose_reversed", "src/wfdem/clustering.py",
            "for col, k in zip(model.mpf.T, clusters.labels):",
            "for col, k in reversed(list(zip(model.mpf.T, clusters.labels))):",
-           ("tests/test_clustering.py",)),
+           ("tests/test_clustering.py::"
+            "test_superposition_sums_each_cluster_like_python_sum",)),
     Mutant("dvc_kinds_pll", "src/wfdem/modal.py",
            'DVC_KINDS = ("u_dc", "dvc_int")',
            'DVC_KINDS = ("u_dc", "pll_angle")',
-           ("tests/test_modal.py",)),
+           (_DENSE,)),
     Mutant("ranking_reversed", "src/wfdem/modal.py",
            "key=lambda k: (-scores[k],", "key=lambda k: (scores[k],",
-           ("tests/test_modal.py",)),
+           ("tests/test_modal.py::test_pll_filter_selects_disjoint_band",
+            "tests/test_modal.py::test_decoupled_farm_selects_stiff_grid_modes")),
     Mutant("kmeanspp_maximum", "src/wfdem/clustering.py",
            "np.minimum(d2, new, out=d2)", "np.maximum(d2, new, out=d2)",
-           ("tests/test_clustering.py",)),
+           ("tests/test_clustering.py::"
+            "test_batched_kmeans_matches_serial_on_study_cases",)),
     Mutant("error_e_mean", "src/wfdem/validation.py",
            "return float(np.max(centre_errors(concern, clusters)))",
            "return float(np.mean(centre_errors(concern, clusters)))",
-           ("tests/test_validation.py",)),
+           ("tests/test_validation.py::test_error_e_two_mode_example",)),
 )
 
 
@@ -93,52 +101,56 @@ def copy_repo(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run(mutant: Mutant, workdir: str | None) -> tuple[bool, float]:
-    """Whether the tests catch `mutant`, and the seconds their run took."""
-    with tempfile.TemporaryDirectory(prefix="mutant-", dir=workdir) as tmp:
+def run(tests: list[str] | tuple[str, ...],
+        mutant: Mutant | None = None) -> tuple[int, str | None, str, float]:
+    """Run `tests` on a copy of the repository, `mutant` applied if given.
+
+    Returns pytest's exit code, the first failed test's id (None if no
+    test failed), pytest's last output line and the seconds the run took.
+    """
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         copy_repo(copy)
-        target = copy / mutant.path
-        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = copy / mutant.path
+            target.write_text(
+                target.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *mutant.tests],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        return done.returncode != 0, time.perf_counter() - start
+             "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    lines = [line for line in (done.stdout + done.stderr).splitlines()
+             if line.strip()]
+    failed = [line.split()[1] for line in lines if line.startswith("FAILED ")]
+    return (done.returncode, failed[0] if failed else None,
+            lines[-1] if lines else "", seconds)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (all)")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutants and exit")
-    parser.add_argument("--workdir", help="directory for the copies")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.path}: {m.old!r} -> {m.new!r}")
-        return 0
-    failed = False
-    for m in chosen:
-        count = occurrences(m)
-        if count != 1:
-            print(f"{m.name}: old text occurs {count} times in {m.path}")
-            failed = True
-            continue
-        caught, seconds = run(m, args.workdir)
-        print(f"{m.name}: {'caught' if caught else 'SURVIVED'} "
-              f"in {seconds:.1f} s")
-        failed |= not caught
-    return 1 if failed else 0
+def main() -> int:
+    for m in MUTANTS:
+        if occurrences(m) != 1:
+            print(f"{m.name}: old text occurs {occurrences(m)} times "
+                  f"in {m.path}")
+            return 1
+    code, first, last, seconds = run(list(dict.fromkeys(
+        t for m in MUTANTS for t in m.tests)))
+    if code != 0:
+        print(f"baseline fails in {seconds:.1f} s: {first or last}")
+        return 1
+    print(f"baseline passes in {seconds:.1f} s")
+    bad = False
+    for m in MUTANTS:
+        code, first, last, seconds = run(m.tests, m)
+        caught = code == 1 and first is not None
+        verdict = (f"caught by {first}" if caught else "SURVIVED" if code == 0
+                   else f"error (pytest exit {code}): {last}")
+        print(f"{m.name}: {verdict} in {seconds:.1f} s")
+        bad |= not caught
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
