@@ -82,6 +82,35 @@ MUTANTS = (
            "return float(np.max(centre_errors(concern, clusters)))",
            "return float(np.mean(centre_errors(concern, clusters)))",
            ("tests/test_validation.py::test_error_e_two_mode_example",)),
+    Mutant("lone_column_blocks", "src/wfdem/modal.py",
+           "_COL_BLOCK = 16", "_COL_BLOCK = 1",
+           (_DENSE,)),
+    Mutant("merge_last_closest_pair", "src/wfdem/clustering.py",
+           "best = int(np.argmin(pairs))",
+           "best = len(pairs) - 1 - int(np.argmin(pairs[::-1]))",
+           ("tests/test_clustering.py::"
+            "test_merges_equal_the_round_by_round_oracle",)),
+    Mutant("drop_g_off_add", "src/wfdem/validation.py",
+           "spans += g_off[:, None, :]", "pass",
+           ("tests/test_validation.py::"
+            "test_anchored_time_factors_on_ragged_horizons",)),
+    Mutant("drop_zero_mode_tau", "src/wfdem/validation.py",
+           "block[zero] = tau", "pass",
+           ("tests/test_validation.py::"
+            "test_anchored_time_factors_on_any_spectrum",)),
+    Mutant("draw_unnormalised_cdf", "src/wfdem/clustering.py",
+           "cdf /= cdf[:, -1:]", "pass",
+           ("tests/test_clustering.py::"
+            "test_batched_draw_is_choice_draw_for_draw",)),
+    Mutant("far_set_index_order", "src/wfdem/clustering.py",
+           'for i in np.argsort(-far.sum(axis=1), kind="stable"):',
+           "for i in range(len(lam)):",
+           ("tests/test_clustering.py::"
+            "test_far_sets_cut_the_benchmark_sweep",)),
+    Mutant("write_f_order_as_c", "src/wfdem/gridcsv.py",
+           "val = val.T", "pass",
+           ("tests/test_gridcsv.py::"
+            "test_write_arrays_writes_the_np_savez_bytes",)),
 )
 
 

@@ -105,15 +105,12 @@ def assemble_farm(blocks: list[WtStateSpace],
     a = b @ zc
     del b, zc
     # add the A blocks into B Z C in place: addition commutes, so every
-    # entry keeps the bits of blockdiag(A) + B Z C, and adding +0.0 off the
-    # blocks turns a -0.0 into the +0.0 that 0.0 + (-0.0) gives
+    # entry of a block keeps the bits of blockdiag(A) + B Z C
     row = 0
     for blk in blocks:
-        band = a[row:row + len(blk.a)]
-        band[:, :row] += 0.0
-        band[:, row:row + len(blk.a)] += blk.a
-        band[:, row + len(blk.a):] += 0.0
-        row += len(blk.a)
+        m = len(blk.a)
+        a[row:row + m, row:row + m] += blk.a
+        row += m
 
     return FarmStateSpace(a_s=a, b_s=b_s, labels=tuple(labels),
                           wt_order=net.wt_order, c_p=c_p, d_p=i0)

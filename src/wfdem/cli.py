@@ -29,15 +29,6 @@ from .wt import SagSpec
 
 STAGES = ("load", "flow", "modes", "cluster", "aggregate", "validate")
 
-ARTIFACTS = {
-    "flow": ("bus_solution.csv",),
-    "modes": ("modes.csv", "mpf.npz"),
-    "cluster": ("features.csv", "features.svg", "groups.json",
-                "modescatter.svg"),
-    "aggregate": ("dem.json",),
-    "validate": ("report.json", "responses.npz", "responses.svg"),
-}
-
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):

@@ -369,13 +369,13 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
-def _relative_distances(centroids: np.ndarray, norms: np.ndarray, a: int,
-                        others: list[int]) -> np.ndarray:
-    """|c_a - c_b| / max(|c_a|, |c_b|) for each b in `others`, 0 where both
-    norms are 0, each as the scalar expression gives it."""
-    denom = np.maximum(norms[a], norms[others])
+def _relative_distances(centroids: np.ndarray, norms: np.ndarray,
+                        a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|c_a - c_b| / max(|c_a|, |c_b|) for each pair of rows a, b, 0 where
+    both norms are 0, each as the scalar expression gives it."""
+    denom = np.maximum(norms[a], norms[b])
     with np.errstate(invalid="ignore", divide="ignore"):
-        dist = _norms(centroids[a] - centroids[others]) / denom
+        dist = _norms(centroids[a] - centroids[b]) / denom
     return np.where(denom == 0, 0.0, dist)
 
 
@@ -399,37 +399,24 @@ def group_wts(features: FeatureTable) -> GroupAssignment:
         top, second = part[:, -1], part[:, -2]
         margins = np.where(top > 0, (top - second) / np.where(top > 0, top, 1.0), 0.0)
 
-    # closest-pair merging on group centroids: dist[a, b], a < b, is kept
-    # for every live pair, and a merge recomputes only the merged group's
+    # closest-pair merging on group centroids; each round forms every live
+    # group's centroid and every live pair's distance afresh
     alive = sorted(set(raw.tolist()))
     assign = raw.copy()
     merged: list[tuple[int, int]] = []
-    centroids = np.zeros((n_c, n_c))
-    for g in alive:
-        centroids[g] = mags[assign == g].mean(axis=0)
-    norms = _norms(centroids)
-    dist = np.zeros((n_c, n_c))
-    for a_pos, ga in enumerate(alive):
-        dist[ga, alive[a_pos + 1:]] = _relative_distances(
-            centroids, norms, ga, alive[a_pos + 1:])
     while len(alive) > 1:
-        # the first closest pair in (a, b) order, a < b, both alive
-        live = np.array(alive)
-        first, second = np.triu_indices(len(live), 1)
-        pairs = dist[live[first], live[second]]
+        centroids = np.array([mags[assign == g].mean(axis=0) for g in alive])
+        # the first closest pair in (a, b) order, a < b
+        first, second = np.triu_indices(len(alive), 1)
+        pairs = _relative_distances(centroids, _norms(centroids), first,
+                                    second)
         best = int(np.argmin(pairs))
         if pairs[best] >= GROUP_TAU:
             break
-        ga, gb = int(live[first[best]]), int(live[second[best]])
+        ga, gb = alive[first[best]], alive[second[best]]
         assign[assign == gb] = ga
         merged.append((ga, gb))
         alive.remove(gb)
-        centroids[ga] = mags[assign == ga].mean(axis=0)
-        norms[ga] = _norms(centroids[ga:ga + 1])[0]
-        # |c_a - c_b| and |c_b - c_a| have the same bits
-        others = [g for g in alive if g != ga]
-        to_ga = _relative_distances(centroids, norms, ga, others)
-        dist[others, ga] = dist[ga, others] = to_ga
 
     idle = sorted(set(range(n_c)) - set(raw.tolist()))
     if merged or idle:

@@ -4,11 +4,12 @@ Participation of state k in mode i is f_ki = V_ik * U_ki with the left rows
 rescaled so V_i U_i = 1; columns of the participation matrix then sum to one
 exactly, which is the normalization every downstream superposition relies on.
 The pipeline never forms that n x n matrix: `ModalSolution.participation`
-forms the block asked for.  `solve_modes` sums |f| per state kind and per
-WT in one pass, which ranks the concern modes, and forms the `u_dc` rows x
-concern columns that build the features once.  Desk-scale farms (a few
-hundred states) make full dense decomposition the right tool; no selective
-or iterative solver is attempted.
+forms the block asked for, as one product.  `solve_modes` sums |f| per
+state kind and per WT in one pass over column blocks of 16 to 31 modes,
+which ranks the concern modes, and forms the `u_dc` rows x concern
+columns that build the features once.  Desk-scale farms (a few hundred
+states) make full dense decomposition the right tool; no selective or
+iterative solver is attempted.
 `solve_modes` is the one linearize -> decompose -> select chain; the
 detailed farm and the DEM each come out of it as a `FarmModel`.
 
@@ -56,12 +57,8 @@ _COND_MAX = 1e12
 _CERT_MAX = _COND_MAX / 100.0
 # spectral abscissa above which a state matrix counts as unstable
 UNSTABLE_ABSCISSA = 1e-9
-# rows of the MPF block that `ModalSolution.participation` forms at a time:
-# few, so that one row block's factors stay small beside a block of one row
-# per WT
-_ROW_BLOCK = 16
-# modes of the |f| pass's column blocks: 64 to 127 of them at a time
-_COL_BLOCK = 64
+# modes of the |f| pass's column blocks: 16 to 31 of them at a time
+_COL_BLOCK = 16
 # state kinds whose participation ranks the concern modes; [0] gives features
 STATE_FILTER = ("u_dc",)
 # state kinds of the DC-voltage control loop, whose share `modes.csv` gives
@@ -141,21 +138,13 @@ class ModalSolution:
                       cols: Sequence[int]) -> np.ndarray:
         """MPF block f[k, i] = v_i[k] * u_i[k], k in rows, i in cols.
 
-        The result is filled `_ROW_BLOCK` rows at a time, so beside it
-        only one row block's factors are live.  Both factors are
-        C-contiguous and their product goes to rows of the result, never
-        into a factor, so numpy runs one multiply loop whatever the block
-        (an in-place product of a single entry takes its scalar loop, which
-        can round differently); every entry equals the full table's, formed
-        from the same basis, bit for bit.
+        Both factors are C-contiguous and their product is a new array,
+        never one of them, so numpy runs one multiply loop whatever the
+        block (an in-place product of a single entry takes its scalar
+        loop, which can round differently); every entry equals the full
+        table's, formed from the same basis, bit for bit.
         """
-        rows = np.asarray(rows, dtype=int)
-        f = np.empty((len(rows), len(cols)), dtype=complex)
-        for lo in range(0, len(rows), _ROW_BLOCK):
-            part = rows[lo:lo + _ROW_BLOCK]
-            np.multiply(self.left(part, cols), self.right(part, cols),
-                        out=f[lo:lo + len(part)])
-        return f
+        return self.left(rows, cols) * self.right(rows, cols)
 
     def residues(self, m: np.ndarray, q: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,8 +325,9 @@ def _loop_participation(fss: FarmStateSpace, sol: ModalSolution,
     """Each mode's |f| summed over the `STATE_FILTER` states, its share in
     the `DVC_KINDS` states and the `fss.wt_order` position of the WT whose
     states sum highest (first on a tie), from `participation` over every
-    state a column block at a time.  No block holds one mode of several:
-    numpy sums a lone column pairwise, which rounds unlike wider blocks."""
+    state, `_COL_BLOCK` to 2 `_COL_BLOCK` - 1 modes at a time.  No block
+    holds one mode of several: numpy sums a lone column pairwise, which
+    rounds unlike wider blocks."""
     kind_rows = [fss.kind_rows((kind,)) for kind in STATE_KINDS]
     ranking = [STATE_KINDS.index(kind) for kind in STATE_FILTER]
     dvc = [STATE_KINDS.index(kind) for kind in DVC_KINDS]

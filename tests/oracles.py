@@ -38,7 +38,7 @@ from wfdem.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, PALETTE,
                            _escape, _fmt, _legend)
 from wfdem.validation import (_STEPS, LinearResponse, nrmse,
                               simulate_linear)
-from wfdem.wt import (SagSpec, WtStateSpace, _rotation_ddelta,
+from wfdem.wt import (STATE_KINDS, SagSpec, WtStateSpace, _rotation_ddelta,
                       dc_link_seconds, rotation)
 
 
@@ -510,19 +510,26 @@ def full_mpf(sol: ModalSolution) -> np.ndarray:
 
 
 def loop_participation_dense(fss: FarmStateSpace, sol: ModalSolution,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """A `FarmModel`'s `dvc_share` and `dominant_wt` from the dense table
-    of `full_mpf`: each mode's |f| summed over the states labelled `u_dc`
-    or `dvc_int`, over its sum over every state, and the position in
-    `wt_order` of the WT whose labelled states sum highest (the first on an
-    exact tie)."""
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The |f| pass's sums from the dense table of `full_mpf`: each mode's
+    |f| summed over the `u_dc` rows; its sum over the rows labelled `u_dc`
+    or `dvc_int`, over its sum over every row, both kind-major (every WT's
+    row of one kind, then the next kind's); and the position in `wt_order`
+    of the WT whose labelled rows sum highest (the first on an exact tie).
+    Each sum runs down the rows of a C-contiguous table, one row after the
+    other."""
     mag = np.abs(full_mpf(sol))
     labels = fss.labels
-    dvc = [k for k, (_, kind) in enumerate(labels)
-           if kind in ("u_dc", "dvc_int")]
+
+    def kind_major(kinds):
+        return [k for kind in kinds
+                for k, (_, of) in enumerate(labels) if of == kind]
     per_wt = np.array([mag[[k for k, (w, _) in enumerate(labels) if w == wt]]
                        .sum(axis=0) for wt in fss.wt_order])
-    return mag[dvc].sum(axis=0) / mag.sum(axis=0), np.argmax(per_wt, axis=0)
+    return (mag[kind_major(("u_dc",))].sum(axis=0),
+            mag[kind_major(("u_dc", "dvc_int"))].sum(axis=0)
+            / mag[kind_major(STATE_KINDS)].sum(axis=0),
+            np.argmax(per_wt, axis=0))
 
 
 def superimposed_mpf_by_sum(model: FarmModel,

@@ -16,13 +16,23 @@ from hypothesis import example, given, strategies as st
 from helpers import ROOT, load_digests_script, run_python_bounded
 from oracles import cell_difference
 from wfdem import cli
-from wfdem.cli import (ARTIFACTS, RunConfig, StageError, _build_parser,
+from wfdem.cli import (RunConfig, StageError, _build_parser,
                        _config_from_args, emit_plot, emit_report, main,
                        run_pipeline)
 from wfdem.modal import ModeCountError
 from wfdem.powerflow import PowerflowError
 
 FARMS = Path(__file__).resolve().parent.parent / "farms"
+
+# the files each stage writes
+ARTIFACTS = {
+    "flow": ("bus_solution.csv",),
+    "modes": ("modes.csv", "mpf.npz"),
+    "cluster": ("features.csv", "features.svg", "groups.json",
+                "modescatter.svg"),
+    "aggregate": ("dem.json",),
+    "validate": ("report.json", "responses.npz", "responses.svg"),
+}
 
 
 @pytest.fixture(scope="module")

@@ -14,10 +14,11 @@ import sys
 from helpers import ROOT, library_example, run_python_bounded
 
 
-def test_every_public_definition_is_used_outside_the_tests():
-    """A public top-level def or class of `src/wfdem` is named outside its
-    own definition: elsewhere in the package (not counting `__init__.py`),
-    in `scripts/` or `perfbench/`, or in the README's library example."""
+def public_names_used_only_by_the_tests(public) -> list[str]:
+    """The top-level statements of `src/wfdem` whose public names `public`
+    gives, each named nowhere outside its own statement: not elsewhere in
+    the package (not counting `__init__.py`), in `scripts/` or
+    `perfbench/`, or in the README's library example."""
     modules = {p: p.read_text() for p in sorted(ROOT.glob("src/wfdem/*.py"))
                if p.name != "__init__.py"}
     outside = [library_example()] + [
@@ -27,15 +28,41 @@ def test_every_public_definition_is_used_outside_the_tests():
     for path, text in modules.items():
         lines = text.splitlines()
         for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
+            names = [n for n in public(node) if not n.startswith("_")]
+            if not names:
                 continue
-            first = min([node.lineno]
-                        + [d.lineno for d in node.decorator_list])
+            first = min([node.lineno] + [
+                d.lineno for d in getattr(node, "decorator_list", [])])
             corpus = ["\n".join(lines[:first - 1] + lines[node.end_lineno:]),
                       *outside, *(t for p, t in modules.items() if p != path)]
-            if not any(re.search(rf"\b{node.name}\b", t) for t in corpus):
-                unused.append(f"{path.stem}.{node.name}")
+            unused += [f"{path.stem}.{name}" for name in names
+                       if not any(re.search(rf"\b{name}\b", t)
+                                  for t in corpus)]
+    return unused
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    """A public top-level def or class of `src/wfdem` is named outside its
+    own definition."""
+    unused = public_names_used_only_by_the_tests(
+        lambda node: [node.name] if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else [])
+    assert not unused, f"used only by the tests: {', '.join(unused)}"
+
+
+def test_every_public_constant_is_used_outside_the_tests():
+    """A public name bound by a top-level assignment of `src/wfdem` is
+    named outside that assignment."""
+    def bound(node):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            return []
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    unused = public_names_used_only_by_the_tests(bound)
     assert not unused, f"used only by the tests: {', '.join(unused)}"
 
 
