@@ -111,6 +111,18 @@ MUTANTS = (
            "val = val.T", "pass",
            ("tests/test_gridcsv.py::"
             "test_write_arrays_writes_the_np_savez_bytes",)),
+    Mutant("study_machine_c_dc", "src/wfdem/cases.py",
+           "c_dc=C_DC_F,", "c_dc=2 * C_DC_F,",
+           ("tests/test_farm.py::"
+            "test_shipped_farms_are_what_make_farms_writes",)),
+    Mutant("single_wt_link_length", "src/wfdem/cases.py",
+           '[("poi", "t1", link_km)]', '[("poi", "t1", 1.0)]',
+           ("tests/test_farm.py::"
+            "test_single_wt_farm_puts_its_link_behind_the_poi",)),
+    Mutant("median_one_middle_entry", "src/wfdem/modal.py",
+           "freqs[(len(freqs) - 1) // 2] + freqs[len(freqs) // 2]",
+           "2 * freqs[len(freqs) // 2]",
+           ("tests/test_modal.py::test_band_warning_reads_the_median",)),
 )
 
 

@@ -47,8 +47,10 @@ GROUP_WT_NUMBERS = {
     2: (1, 2, 4, 11, 20, 21, 24, 25, 33),
 }
 
-KP_DVC_BY_CASE = {"b": (1.0, 2.0, 3.0)}
-KI_DVC_BY_CASE = {"c": (100.0, 300.0, 500.0)}
+# DVC gains of groups 0, 1, 2: kp in cases b and d, ki in case c; every
+# other case holds the group-free values kp = 1 and ki = 300
+KP_DVC_BY_GROUP = (1.0, 2.0, 3.0)
+KI_DVC_BY_GROUP = (100.0, 300.0, 500.0)
 
 CASE_D_SEED = 20180731
 CASE_D_SPREAD = 0.10
@@ -73,9 +75,9 @@ def _gains(case: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"unknown case {case!r}")
     label_of = ground_truth_groups()
     labels = [label_of[wt_name(n)] for n in range(1, N_WT + 1)]
-    kp = np.array([KP_DVC_BY_CASE["b"][g] for g in labels]) \
+    kp = np.array([KP_DVC_BY_GROUP[g] for g in labels]) \
         if case in ("b", "d") else np.ones(N_WT)
-    ki = np.array([KI_DVC_BY_CASE["c"][g] for g in labels]) \
+    ki = np.array([KI_DVC_BY_GROUP[g] for g in labels]) \
         if case == "c" else np.full(N_WT, 300.0)
     if case == "d":
         rng = np.random.default_rng(CASE_D_SEED)
@@ -84,47 +86,42 @@ def _gains(case: str) -> tuple[np.ndarray, np.ndarray]:
     return kp, ki
 
 
-def case_farm(case: str) -> FarmDescription:
-    """Synthesized 33-WT farm for study case 'a', 'b', 'c', or 'd'."""
-    kp, ki = _gains(case)
+def _study_wt(number: int, p_m0: float, kp_dvc: float,
+              ki_dvc: float) -> WtParams:
+    """Study machine `wt_name(number)`: the study's DC link, the given
+    power and DVC gains, and the default PLL gains and capacity."""
+    return WtParams(id=wt_name(number), p_m0=p_m0, c_dc=C_DC_F,
+                    u_dc0=U_DC0_PU, kp_dvc=kp_dvc, ki_dvc=ki_dvc)
 
-    buses = ["poi"]
-    branches = []
-    wts = []
-    n = 0
-    for f in range(FEEDERS):
-        prev = "poi"
-        for j in range(WT_PER_FEEDER):
-            bus = f"f{f + 1}b{j + 1}"
-            buses.append(bus)
-            branches.append(Branch(
-                from_bus=prev,
-                to_bus=bus,
-                length_km=FEEDER_HEAD_KM[f] if j == 0 else SPAN_KM,
-                r_ohm_per_km=R_OHM_PER_KM,
-                l_h_per_km=L_H_PER_KM,
-            ))
-            n += 1
-            wts.append((WtParams(
-                id=wt_name(n),
-                p_m0=P_M0[n - 1],
-                c_dc=C_DC_F,
-                u_dc0=U_DC0_PU,
-                kp_dvc=float(kp[n - 1]),
-                ki_dvc=float(ki[n - 1]),
-            ), bus))
-            prev = bus
 
+def _study_farm(links: list[tuple[str, str, float]],
+                wts: list[tuple[WtParams, str]],
+                grid_r_pu: float, grid_l_pu: float) -> FarmDescription:
+    """Validated farm on the study's bases: a POI named "poi", then one
+    bus per (from, to, km) link of the study cable, in link order."""
     farm = FarmDescription(
         bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV),
-        buses=tuple(buses),
+        buses=("poi", *(to for _, to, _ in links)),
         poi="poi",
-        branches=tuple(branches),
+        branches=tuple(Branch(a, b, km, R_OHM_PER_KM, L_H_PER_KM)
+                       for a, b, km in links),
         wts=tuple(wts),
-        grid=GridThevenin(r_pu=GRID_R_PU, l_pu=GRID_L_PU),
+        grid=GridThevenin(r_pu=grid_r_pu, l_pu=grid_l_pu),
     )
     farm.validate()
     return farm
+
+
+def case_farm(case: str) -> FarmDescription:
+    """Synthesized 33-WT farm for study case 'a', 'b', 'c', or 'd'."""
+    kp, ki = _gains(case)
+    # span j of feeder f ends at WT bus f<f+1>b<j+1>; span 0 starts at the POI
+    links = [(f"f{f + 1}b{j}" if j else "poi", f"f{f + 1}b{j + 1}",
+              SPAN_KM if j else FEEDER_HEAD_KM[f])
+             for f in range(FEEDERS) for j in range(WT_PER_FEEDER)]
+    wts = [(_study_wt(n + 1, P_M0[n], float(kp[n]), float(ki[n])), to)
+           for n, (_, to, _) in enumerate(links)]
+    return _study_farm(links, wts, GRID_R_PU, GRID_L_PU)
 
 
 def single_wt_farm(p_m0: float = 0.9, kp_dvc: float = 1.0,
@@ -132,44 +129,17 @@ def single_wt_farm(p_m0: float = 0.9, kp_dvc: float = 1.0,
                    grid_r_pu: float = 0.001, grid_l_pu: float = 0.01,
                    ) -> FarmDescription:
     """One turbine behind an optional cable and the grid Thevenin branch."""
-    wt = WtParams(id="wt01", p_m0=p_m0, c_dc=C_DC_F, u_dc0=U_DC0_PU,
-                  kp_dvc=kp_dvc, ki_dvc=ki_dvc)
-    buses = ("poi",) if link_km == 0 else ("poi", "t1")
-    branches = () if link_km == 0 else (
-        Branch("poi", "t1", link_km, R_OHM_PER_KM, L_H_PER_KM),)
-    farm = FarmDescription(
-        bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV),
-        buses=buses,
-        poi="poi",
-        branches=branches,
-        wts=((wt, buses[-1]),),
-        grid=GridThevenin(r_pu=grid_r_pu, l_pu=grid_l_pu),
-    )
-    farm.validate()
-    return farm
+    links = [] if link_km == 0 else [("poi", "t1", link_km)]
+    bus = "poi" if link_km == 0 else "t1"
+    return _study_farm(links, [(_study_wt(1, p_m0, kp_dvc, ki_dvc), bus)],
+                       grid_r_pu, grid_l_pu)
 
 
 def identical_zero_network_farm(n_wt: int = 33, p_m0: float = 0.8,
                                 kp_dvc: float = 1.0, ki_dvc: float = 300.0,
                                 ) -> FarmDescription:
     """Identical WTs tied to the infinite bus through zero impedance."""
-    buses = ["poi"]
-    branches = []
-    wts = []
-    for k in range(1, n_wt + 1):
-        bus = f"b{k}"
-        buses.append(bus)
-        branches.append(Branch("poi", bus, 0.0, R_OHM_PER_KM, L_H_PER_KM))
-        wts.append((WtParams(id=wt_name(k), p_m0=p_m0, c_dc=C_DC_F,
-                             u_dc0=U_DC0_PU, kp_dvc=kp_dvc, ki_dvc=ki_dvc),
-                    bus))
-    farm = FarmDescription(
-        bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV),
-        buses=tuple(buses),
-        poi="poi",
-        branches=tuple(branches),
-        wts=tuple(wts),
-        grid=GridThevenin(r_pu=0.0, l_pu=0.0),
-    )
-    farm.validate()
-    return farm
+    links = [("poi", f"b{k}", 0.0) for k in range(1, n_wt + 1)]
+    wts = [(_study_wt(k, p_m0, kp_dvc, ki_dvc), f"b{k}")
+           for k in range(1, n_wt + 1)]
+    return _study_farm(links, wts, 0.0, 0.0)

@@ -311,8 +311,10 @@ def select_concern_modes(sol: ModalSolution, scores: np.ndarray,
     chosen = [int(reps[k]) for k in ranked[:n_expected]]
     eigs = sol.eigenvalues[chosen]
 
-    freqs = eigs.imag
-    med = float(np.median(freqs))
+    # the median, without np.median: its first call imports numpy.ma, an
+    # allocation tracemalloc counts while R and W are alive
+    freqs = np.sort(eigs.imag)
+    med = float(freqs[(len(freqs) - 1) // 2] + freqs[len(freqs) // 2]) / 2
     if med > 0 and (np.any(freqs < 0.2 * med) or np.any(freqs > 5.0 * med)):
         warnings.warn(
             "selected modes span more than [0.2x, 5x] the median frequency; "

@@ -19,7 +19,8 @@ import numpy as np
 
 from wfdem.aggregation import build_dem
 from wfdem.assembly import linear_model
-from wfdem.cases import case_farm
+from wfdem.cases import (C_DC_F, L_H_PER_KM, R_OHM_PER_KM, S_WT_MVA, U_DC0_PU,
+                         V_COLL_KV, case_farm)
 from wfdem.clustering import cluster_modes, group_wts, superimpose_mpf
 from wfdem.farm import (Branch, FarmDescription, GridThevenin, PerUnitBases,
                         WtParams, build_network_matrices)
@@ -111,19 +112,20 @@ def random_radial_farm(seed: int) -> FarmDescription:
             bus = f"f{f}b{j}"
             buses.append(bus)
             length = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 4.0))
-            branches.append(Branch(prev, bus, length, 0.1153, 1.05e-3))
+            branches.append(Branch(prev, bus, length, R_OHM_PER_KM,
+                                   L_H_PER_KM))
             n += 1
             wts.append((WtParams(
                 id=f"wt{n:02d}",
                 p_m0=float(rng.uniform(0.3, 1.0)),
-                c_dc=0.09,
-                u_dc0=1.0,
+                c_dc=C_DC_F,
+                u_dc0=U_DC0_PU,
                 kp_dvc=float(rng.uniform(0.5, 3.0)),
                 ki_dvc=float(rng.uniform(100.0, 600.0)),
             ), bus))
             prev = bus
     farm = FarmDescription(
-        bases=PerUnitBases(s_wt_mva=1.5, v_coll_kv=35.0),
+        bases=PerUnitBases(s_wt_mva=S_WT_MVA, v_coll_kv=V_COLL_KV),
         buses=tuple(buses),
         poi="poi",
         branches=tuple(branches),
@@ -150,6 +152,28 @@ def random_pll_grid_farm(seed: int) -> FarmDescription:
     grid = GridThevenin(r_pu=float(rng.uniform(0.0, 0.03)),
                         l_pu=float(rng.uniform(0.01, 0.3)))
     farm = dataclasses.replace(farm, wts=wts, grid=grid)
+    farm.validate()
+    return farm
+
+
+def random_dvc_farm(seed: int, base=random_radial_farm) -> FarmDescription:
+    """`base(seed)` with each WT's DVC gains, DC capacitance and capacity
+    drawn wide, WT by WT in order from `default_rng((seed, 7))`: kp_dvc
+    0.1-10, ki_dvc 10-3000, c_dc 0.01-0.3 F, then s_mva one of 1.5, 2, 3
+    and 5 MVA.
+
+    An overdamped DVC loop leaves its WT no oscillatory DVC pair, so the
+    concern set of some of these farms holds a PLL pair.
+    """
+    farm = base(seed)
+    rng = np.random.default_rng((seed, 7))
+    wts = tuple((dataclasses.replace(
+        wt, kp_dvc=float(rng.uniform(0.1, 10.0)),
+        ki_dvc=float(rng.uniform(10.0, 3000.0)),
+        c_dc=float(rng.uniform(0.01, 0.3)),
+        s_mva=float(rng.choice((1.5, 2.0, 3.0, 5.0)))), bus)
+        for wt, bus in farm.wts)
+    farm = dataclasses.replace(farm, wts=wts)
     farm.validate()
     return farm
 

@@ -18,7 +18,8 @@ from jsonschema import Draft7Validator
 
 from helpers import ROOT, random_radial_farm, stiff_grid
 from oracles import poi_port_impedance
-from wfdem.cases import case_farm, identical_zero_network_farm, single_wt_farm
+from wfdem.cases import (L_H_PER_KM, R_OHM_PER_KM, case_farm,
+                         identical_zero_network_farm, single_wt_farm)
 from wfdem.farm import (Branch, FarmDescription, FarmFileError,
                         FarmValidationError, GridThevenin, PerUnitBases,
                         WtParams, build_network_matrices, farm_from_dict,
@@ -91,6 +92,20 @@ def test_load_33wt_farm(tmp_path):
     assert loaded.n_wt == 33
     assert loaded.bases.s_wt_mva == 1.5
     assert loaded == farm
+
+
+@pytest.mark.parametrize("link_km", [0.0, 2.0])
+def test_single_wt_farm_puts_its_link_behind_the_poi(link_km):
+    """The one WT sits on the POI, or behind `link_km` of study cable."""
+    farm = single_wt_farm(link_km=link_km)
+    (wt, bus), = farm.wts
+    assert wt.id == "wt01"
+    if link_km == 0:
+        assert (farm.buses, farm.branches, bus) == (("poi",), (), "poi")
+    else:
+        assert (farm.buses, bus) == (("poi", "t1"), "t1")
+        assert farm.branches == (
+            Branch("poi", "t1", link_km, R_OHM_PER_KM, L_H_PER_KM),)
 
 
 def test_single_wt_zero_length_link_is_valid(tmp_path):

@@ -5,16 +5,20 @@ C = min(3, N) and under --auto-clusters.  Every run ends either with finite
 E, E' and NRMSE values or with a `StageError` whose cause is an error class
 that wfdem defines.  On every farm whose power flow converges, the
 eigensolution also equals the SVD reference: overdamped PLL modes are where
-near-real pairs show up.
+near-real pairs show up.  The draws of `helpers.random_dvc_farm`, which
+draws the DVC loops wide enough that some WTs have no oscillatory DVC pair,
+are pinned for one seed.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import random_pll_grid_farm, state_matrix
+from helpers import (random_dvc_farm, random_pll_grid_farm,
+                     random_radial_farm, state_matrix)
 from test_modal import assert_matches_reference
 from wfdem.cli import RunConfig, StageError, run_pipeline
 from wfdem.farm import save_farm
@@ -49,3 +53,27 @@ def test_pipeline_finishes_or_names_its_error(farm_seed):
     except PowerflowError:
         return
     assert_matches_reference(state_matrix(farm, sol))
+
+
+def drawn(farm):
+    return [(wt.kp_dvc, wt.ki_dvc, wt.c_dc, wt.s_mva) for wt, _ in farm.wts]
+
+
+def test_random_dvc_farm_draws_are_pinned():
+    """Seed 2 of the wide-DVC generator: each WT's (kp_dvc, ki_dvc, c_dc,
+    s_mva) in WT order, on either base farm, and nothing else of the base
+    farm moved."""
+    want = [
+        (1.2934272746666102, 2273.6315030250153, 0.2726000390719239, 5.0),
+        (2.7870215008720907, 1063.6048708436626, 0.05428185041063754, 2.0),
+        (1.374093791614469, 14.068714021381263, 0.26498695968758135, 5.0),
+        (6.234458952480327, 1987.5945589537173, 0.29384588911039167, 3.0),
+        (2.5817728126187878, 1845.5147353957013, 0.10947746447235969, 3.0)]
+    for base in (random_radial_farm, random_pll_grid_farm):
+        farm = random_dvc_farm(2, base)
+        assert drawn(farm) == want
+        undone = tuple(
+            (dataclasses.replace(wt, kp_dvc=b.kp_dvc, ki_dvc=b.ki_dvc,
+                                 c_dc=b.c_dc, s_mva=b.s_mva), bus)
+            for (wt, bus), (b, _) in zip(farm.wts, base(2).wts))
+        assert dataclasses.replace(farm, wts=undone) == base(2)
